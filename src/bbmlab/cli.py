@@ -180,6 +180,13 @@ def _scheme(cfg: dict) -> QuadratureScheme:
                             rel_tol=cfg.get("rel_tol") or 1e-6)
 
 
+def _refuse_1d_x_resolution(cfg: dict, d: int) -> None:
+    if d == 1 and cfg.get("x_resolution") is not None:
+        raise UsageError(
+            "--x-resolution sets the x-grid of 2D and 3D energies; 1D "
+            "energies use the jump-aware axis rule and cannot honour it")
+
+
 def run_constants(cfg, outdir, started):
     table = constants.ConstantTable(cfg["d"])
     rows = [(name, value, tag) for name, (value, tag)
@@ -216,6 +223,7 @@ def run_density(cfg, outdir, started, *, remainder=False):
 
 def run_energy(cfg, outdir, started):
     field = parse_field(cfg["field"])
+    _refuse_1d_x_resolution(cfg, field.dimension)
     m = parse_mollifier(cfg["mollifier"], field.dimension)
     value = functionals.energy(field, m, cfg["p"], _scheme(cfg))
     emit(outdir, cfg, ["value"], [(value,)], {"value": value}, started)
@@ -225,6 +233,7 @@ def run_energy(cfg, outdir, started):
 def run_sweep(cfg, outdir, started):
     field = parse_field(cfg["field"])
     d = field.dimension
+    _refuse_1d_x_resolution(cfg, d)
     ladder = parse_ladder(cfg["mollifier"], cfg["ladder"], d)
     scheme = _scheme(cfg)
     kind = cfg["experiment"]
@@ -271,6 +280,7 @@ def run_perimeter(cfg, outdir, started):
     E = parse_field(cfg["shape"])
     if not isinstance(E, fields.IndicatorSet):
         raise UsageError("--shape must name an indicator set")
+    _refuse_1d_x_resolution(cfg, E.dimension)
     methods = ["bbm", "degiorgi"] if cfg["method"] == "both" else [cfg["method"]]
     ns = ([float(t) for t in str(cfg["n"]).split(",")]
           if isinstance(cfg["n"], str) else [float(cfg["n"])])

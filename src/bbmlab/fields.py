@@ -96,7 +96,7 @@ class AnalyticField:
         return np.empty(0)
 
     def difference_breakpoints(self, x: np.ndarray) -> np.ndarray:
-        return np.empty(0)
+        return np.empty((x.shape[0], 0))
 
 
 def linear_field(V) -> AnalyticField:
@@ -232,7 +232,7 @@ class GridField:
         return np.empty(0)
 
     def difference_breakpoints(self, x: np.ndarray) -> np.ndarray:
-        return np.empty(0)
+        return np.empty((x.shape[0], 0))
 
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.values)) * self.spacing**self.dimension)
@@ -333,7 +333,8 @@ class BVField1D:
         return self.jump_locations
 
     def difference_breakpoints(self, x: np.ndarray) -> np.ndarray:
-        return np.abs(self.jump_locations - float(x[0]))
+        """Distances from each of the (m, 1) probes to every jump -> (m, J)."""
+        return np.abs(self.jump_locations[None, :] - x[:, :1])
 
 
 def step_field(a: float = 0.0, b: float = 1.0) -> BVField1D:
@@ -497,15 +498,17 @@ class IndicatorSet:
         return np.empty(0)
 
     def difference_breakpoints(self, x: np.ndarray) -> np.ndarray:
+        """Radii at which y -> 1_E(x + y) can jump, per (m, d) probe -> (m, J)."""
         if self.dimension == 1:
-            return np.abs(self.singular_points() - float(x[0]))
+            return np.abs(self.singular_points()[None, :] - x[:, :1])
         if isinstance(self.shape, Ball):
-            rho = float(np.linalg.norm(np.asarray(x) - np.asarray(self.shape.center)))
-            return np.array([abs(rho - self.shape.radius), rho + self.shape.radius])
+            rho = np.linalg.norm(x - np.asarray(self.shape.center), axis=1)
+            return np.stack([np.abs(rho - self.shape.radius),
+                             rho + self.shape.radius], axis=1)
         if isinstance(self.shape, HalfSpace):
             nrm = self.shape.unit_normal()
-            return np.array([abs(float(np.dot(x, nrm)) - self.shape.offset)])
-        return np.empty(0)
+            return np.abs(x @ nrm - self.shape.offset)[:, None]
+        return np.empty((x.shape[0], 0))
 
 
 def interval_set(a: float, b: float) -> IndicatorSet:

@@ -19,12 +19,19 @@ plus ladder drivers (``bv_pointwise_limit``, ``ponce_spector_mass``,
 
 Quadrature notes.  The y-integral is evaluated in polar coordinates
 with no node at r = 0 (the measure rho(r) r^(d-1) dr has no atom there,
-so the 0/0 difference quotient never arises).  In one dimension the
+so the 0/0 difference quotient never arises).  One engine computes the
+polar density for a batch of probes: each probe keeps its own radial
+rule (panels split at its breakpoints, graded toward r = 0 when there
+are any), and the probes are evaluated in blocks, their rules stacked
+into one array and the field called once per block for the centres and
+once for the nodes.  Densities are a batch of one.  In one dimension the
 x-integration uses a jump-aware composite Gauss rule graded toward the
 field's singular points, because the density profile of a BV field has
 integrable logarithmic singularities there that a uniform grid resolves
-too slowly; in higher dimensions a midpoint tensor grid matching the
-default resolutions is used.
+too slowly; all its x-nodes go through the engine as one batch, and
+``QuadratureScheme.x_resolution`` is refused there.  In higher
+dimensions a midpoint tensor grid matching the default resolutions is
+used.  Every path raises EvaluationError on a NaN or infinite integrand.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .mollifiers import RadialMollifier
 from .reports import (DEFAULT_GROWTH_FACTOR, DEFAULT_GROWTH_WINDOW,
                       DEFAULT_STUDY_RTOL, ConvergenceReport)
 
-DEFAULT_X_RESOLUTION = {1: 4096, 2: 256, 3: 64}
+DEFAULT_X_RESOLUTION = {2: 256, 3: 64}
 _CHUNK = 32768
 
 # Remainder integrands divide an O(eps_machine) cancellation by r; below
@@ -129,45 +136,71 @@ def _check_probe_margin(field, probe, r_max: float) -> None:
 # pointwise densities
 # ---------------------------------------------------------------------------
 
-def _difference_matrix(field, probe, r_nodes, sigma, *, subtract=None,
-                       omega=None):
-    """|u(x + r sigma) - u(x) [- r g . sigma]| at all polar nodes -> (n, K)."""
-    n, k, d = r_nodes.size, sigma.shape[0], sigma.shape[1]
-    pts = probe[None, None, :] + r_nodes[:, None, None] * sigma[None, :, :]
-    flat = pts.reshape(-1, d)
-    vals = field.eval_many(flat).reshape(n, k)
-    u0 = field.eval_many(probe.reshape(1, d))[0]
-    diff = vals - u0
-    if subtract is not None:
-        diff = diff - r_nodes[:, None] * (sigma @ subtract)[None, :]
-    if omega is not None:
-        mask = omega.contains(flat).reshape(n, k)
-        diff = np.where(mask, diff, 0.0)
-    return diff
+def _integrand_error(value, centre, r, sigma) -> EvaluationError:
+    return EvaluationError(
+        f"integrand is {value!r} at centre={centre!r}, r={r!r}, "
+        f"sigma={sigma!r}")
 
 
-def _polar_density(field, mollifier, p, probe, *, subtract=None, omega=None,
-                   scheme=DEFAULT_SCHEME, grade_origin=False) -> float:
-    sphere = scheme.sphere(field.dimension)
-    breaks = tuple(field.difference_breakpoints(probe))
+def _polar_many(field, mollifier, p, probes, *, subtract=None, omega=None,
+                scheme=DEFAULT_SCHEME) -> np.ndarray:
+    """The polar densities at m probes (m, d) -> (m,).
+
+    Each value is sum_r w_r rho(r) r^(d-1) sum_sigma w_sigma F(r, sigma)
+    with F = |u(x + r sigma) - u(x) [- r g . sigma]|^p / r^p, where g is
+    the probe's row of ``subtract`` and, given ``omega``, F is zero at
+    nodes outside Omega.  Every probe gets its own radial rule with the
+    field's (and Omega's) breakpoints as panel edges, graded toward the
+    origin whenever there are breakpoints.  Probes are taken in blocks of
+    at most _CHUNK field points; a block stacks its radial rules and
+    evaluates the field once at its centres and once at its nodes.
+
+    Raises
+    ------
+    EvaluationError
+        If the integrand is NaN or infinite at some node.
+    """
+    d = field.dimension
+    sphere = scheme.sphere(d)
+    sig, ws = sphere.nodes, sphere.weights
+    breaks = field.difference_breakpoints(probes)
     if omega is not None:
-        breaks = breaks + tuple(omega.difference_breakpoints(probe))
-    radial = quadrature.radial_rule(mollifier, scheme.radial_level,
-                                    breakpoints=breaks,
-                                    grade_origin=grade_origin or bool(len(breaks)))
-    diff = _difference_matrix(field, probe, radial.nodes, sphere.nodes,
-                              subtract=subtract, omega=omega)
-    F = _abs_power(diff, p) / radial.nodes[:, None] ** p
-    if subtract is not None:
-        F[radial.nodes < _REMAINDER_R_FLOOR * radial.r_max, :] = 0.0
-    if np.isnan(F).any():
-        i, j = np.argwhere(np.isnan(F))[0]
-        raise EvaluationError(
-            f"density integrand is NaN at r={radial.nodes[i]!r}, "
-            f"sigma={sphere.nodes[j]!r}")
-    inner = F @ sphere.weights
-    measure = quadrature.radial_measure(mollifier, radial)
-    return float(np.dot(radial.weights * measure, inner))
+        breaks = np.concatenate([breaks, omega.difference_breakpoints(probes)],
+                                axis=1)
+    grade = breaks.shape[1] > 0
+    size = quadrature.radial_rule_size(scheme.radial_level, breaks.shape[1],
+                                       grade_origin=grade)
+    step = max(1, _CHUNK // (size * sig.shape[0]))
+    out = np.empty(probes.shape[0])
+    for start in range(0, probes.shape[0], step):
+        block = slice(start, start + step)
+        x = probes[block]
+        rules = quadrature.radial_rules(mollifier, scheme.radial_level,
+                                        breakpoints=breaks[block],
+                                        grade_origin=grade)
+        r = rules.nodes
+        flat = (x[:, None, None, :] + r[:, :, None, None] * sig).reshape(-1, d)
+        u0 = field.eval_many(x)
+        diff = field.eval_many(flat).reshape(r.shape + (-1,)) - u0[:, None, None]
+        if subtract is not None:
+            diff = diff - r[:, :, None] * (subtract[block] @ sig.T)[:, None, :]
+        if omega is not None:
+            diff = np.where(omega.contains(flat).reshape(diff.shape), diff, 0.0)
+        F = _abs_power(diff, p) / r[:, :, None] ** p
+        if subtract is not None:
+            F[r < _REMAINDER_R_FLOOR * rules.r_max] = 0.0
+        inner = (F.reshape(-1, sig.shape[0]) @ ws).reshape(r.shape)
+        measure = quadrature.radial_measure(mollifier, rules)
+        dens = np.einsum("ij,ij->i", rules.weights * measure, inner)
+        if not np.isfinite(dens).all():
+            i = int(np.argmin(np.isfinite(dens)))
+            bad = np.argwhere(~np.isfinite(F[i]))
+            if bad.size:
+                j, k = bad[0]
+                raise _integrand_error(F[i, j, k], x[i], r[i, j], sig[k])
+            raise EvaluationError(f"density sum is {dens[i]!r} at centre={x[i]!r}")
+        out[block] = dens
+    return out
 
 
 def pointwise_density(req: DensityRequest) -> float:
@@ -177,7 +210,7 @@ def pointwise_density(req: DensityRequest) -> float:
     test suite uses as an exactness oracle.
     """
     field, m, p, probe, scheme = req.validated()
-    return _polar_density(field, m, p, probe, scheme=scheme)
+    return float(_polar_many(field, m, p, probe[None, :], scheme=scheme)[0])
 
 
 def remainder_density(req: DensityRequest) -> float:
@@ -190,8 +223,9 @@ def remainder_density(req: DensityRequest) -> float:
     field, m, p, probe, scheme = req.validated()
     if isinstance(field, IndicatorSet):
         raise DomainError("set indicators have no gradient to subtract")
-    g = field.gradient_many(probe.reshape(1, -1))[0]
-    return _polar_density(field, m, p, probe, subtract=g, scheme=scheme)
+    probes = probe[None, :]
+    return float(_polar_many(field, m, p, probes, subtract=field.gradient_many(probes),
+                             scheme=scheme)[0])
 
 
 def domain_density(field, mollifier, p, probe, omega: IndicatorSet,
@@ -209,7 +243,8 @@ def domain_density(field, mollifier, p, probe, omega: IndicatorSet,
         raise DimensionError("Omega dimension does not match the field")
     if not bool(omega.contains(probe_arr.reshape(1, -1))[0]):
         raise DomainError(f"probe {probe_arr} is not inside Omega")
-    return _polar_density(field, m, p, probe_arr, omega=omega, scheme=scheme)
+    return float(_polar_many(field, m, p, probe_arr[None, :], omega=omega,
+                             scheme=scheme)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +291,10 @@ def _integrate_density_over_x(field, mollifier, p, *, subtract_candidate=None,
                               scheme=DEFAULT_SCHEME) -> float:
     """int D(x) dx, with D the plain or remainder density."""
     d = field.dimension
+    if d == 1 and scheme.x_resolution is not None:
+        raise DomainError(
+            "x_resolution sets the midpoint x-grid of 2D and 3D energies; "
+            "1D energies use the jump-aware axis rule and cannot honour it")
     _grid_compactness_check(field)
     r_max = mollifier.quadrature_radius()
     lo, hi = _x_region(field, r_max)
@@ -271,15 +310,10 @@ def _integrate_1d(field, mollifier, p, lo, hi, candidate, scheme):
     sing = np.asarray(field.singular_points(), dtype=float)
     breakpoints = np.concatenate([sing, sing - r_max, sing + r_max])
     x_nodes, x_weights = quadrature.axis_rule(lo, hi, breakpoints)
-    total = 0.0
-    sub = None
-    for x, w in zip(x_nodes, x_weights):
-        probe = np.array([x])
-        if candidate is not None:
-            sub = candidate.eval_many(probe.reshape(1, 1))[0]
-        total += w * _polar_density(field, mollifier, p, probe,
-                                    subtract=sub, scheme=scheme)
-    return float(total)
+    probes = x_nodes.reshape(-1, 1)
+    sub = None if candidate is None else candidate.eval_many(probes)
+    dens = _polar_many(field, mollifier, p, probes, subtract=sub, scheme=scheme)
+    return float(np.dot(x_weights, dens))
 
 
 def _integrate_tensor(field, mollifier, p, lo, hi, sphere, candidate, scheme):
@@ -301,17 +335,32 @@ def _integrate_tensor(field, mollifier, p, lo, hi, sphere, candidate, scheme):
         proj = None
         if candidate is not None:
             proj = candidate.eval_many(xb) @ sig.T
-        acc = np.zeros(xb.shape[0])
-        for i, r in enumerate(radial.nodes):
-            if proj is not None and r < _REMAINDER_R_FLOOR * radial.r_max:
-                continue
+
+        def integrand(r):
             pts = xb[:, None, :] + r * sig[None, :, :]
             u = field.eval_many(pts.reshape(-1, d)).reshape(xb.shape[0], -1)
             diff = u - u0[:, None]
             if proj is not None:
                 diff = diff - r * proj
-            acc += (radial.weights[i] * measure[i] / r**p) * (_abs_power(diff, p) @ ws)
-        total += cell * float(np.sum(acc))
+            return _abs_power(diff, p)
+
+        nodes = [(i, r) for i, r in enumerate(radial.nodes)
+                 if proj is None or r >= _REMAINDER_R_FLOOR * radial.r_max]
+        acc = np.zeros(xb.shape[0])
+        for i, r in nodes:
+            acc += (radial.weights[i] * measure[i] / r**p) * (integrand(r) @ ws)
+        chunk = cell * float(np.sum(acc))
+        if not math.isfinite(chunk):
+            # locate the node only now, at the cost of one more pass
+            for i, r in nodes:
+                F = integrand(r)
+                bad = np.argwhere(~np.isfinite(F))
+                if bad.size:
+                    j, k = bad[0]
+                    raise _integrand_error(F[j, k], xb[j], r, sig[k])
+            raise EvaluationError(
+                f"energy sum is {chunk!r} on the x-chunk from {xb[0]!r}")
+        total += chunk
     return total
 
 

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaincc
+from scipy.special import gammainccinv
 
 from . import constants, quadrature
 from .errors import DimensionError, DomainError, IntegrationError
@@ -108,8 +107,9 @@ class RadialMollifier:
     def quadrature_radius(self, tail_tol: float = quadrature.GAUSSIAN_TAIL_TOL) -> float:
         """Truncation radius leaving at most tail_tol of the unit mass."""
         if self.kind == "gaussian":
-            a = (self.dimension + 1) / 2.0
-            x = brentq(lambda t: gammaincc(a, t) - tail_tol, 1.0, 200.0)
+            # the mass beyond r is the regularized upper incomplete gamma
+            # Q((d+1)/2, n r^2), so r_max is its closed-form inverse
+            x = gammainccinv((self.dimension + 1) / 2.0, tail_tol)
             return math.sqrt(x / self.param)
         r = self.support_radius
         if math.isinf(r):

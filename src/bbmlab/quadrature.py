@@ -14,6 +14,7 @@ orders of magnitude on such integrands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,7 +59,9 @@ class RadialRule:
 
     ``sum(weights * rho(nodes) * nodes**(d-1) * g(nodes))`` approximates
     ``int_0^{r_max} g(r) rho(r) r^(d-1) dr``; any change of variables used
-    to remove an endpoint singularity is folded into ``weights``.
+    to remove an endpoint singularity is folded into ``weights``.  Nodes
+    and weights are (n,) for one rule and (m, n) for the stacked rules of
+    ``radial_rules``.
     """
 
     nodes: np.ndarray
@@ -73,13 +76,18 @@ def _gl(q: int):
 
 
 def composite_gauss(edges: np.ndarray, q: int):
-    """Gauss-Legendre with q nodes on each panel [edges[i], edges[i+1]]."""
+    """Gauss-Legendre with q nodes on each panel [edges[..., i], edges[..., i+1]].
+
+    Stacked edges (one row of panel edges per rule) give stacked rules of
+    shape (..., panels * q); a zero-width panel gives q zero-weight nodes.
+    """
     x, w = _gl(q)
-    a = edges[:-1]
-    half = np.diff(edges) / 2.0
-    nodes = (a + half)[:, None] + half[:, None] * x[None, :]
-    weights = half[:, None] * w[None, :]
-    return nodes.ravel(), weights.ravel()
+    a = edges[..., :-1]
+    half = (edges[..., 1:] - a) / 2.0
+    nodes = (a + half)[..., None] + half[..., None] * x
+    weights = half[..., None] * w
+    shape = edges.shape[:-1] + (-1,)
+    return nodes.reshape(shape), weights.reshape(shape)
 
 
 def graded_edges(a: float, b: float, *, levels: int = 30, base_panels: int = 8,
@@ -226,6 +234,7 @@ def radial_rule(mollifier, level: int | None = None, *,
     substitution exponent alpha (r = s**alpha) that makes the transformed
     measure smooth; the substitution is folded into the weights.
     Breakpoints (radii where the integrand jumps) become panel edges.
+    This is the one-row case of ``radial_rules``.
 
     Parameters
     ----------
@@ -241,6 +250,28 @@ def radial_rule(mollifier, level: int | None = None, *,
         decades below r_max (a probe close to a jump of the field) -
         uniform panels cannot resolve that.
     """
+    rules = radial_rules(mollifier, level,
+                         breakpoints=np.asarray(breakpoints, dtype=float).reshape(1, -1),
+                         nodes_per_panel=nodes_per_panel, tail_tol=tail_tol,
+                         grade_origin=grade_origin)
+    return RadialRule(rules.nodes[0], rules.weights[0], rules.r_max)
+
+
+def radial_rules(mollifier, level: int | None = None, *, breakpoints,
+                 nodes_per_panel: int = RADIAL_NODES_PER_PANEL,
+                 tail_tol: float = GAUSSIAN_TAIL_TOL,
+                 grade_origin: bool = False) -> RadialRule:
+    """The radial rules of a batch of probes, stacked one row per probe.
+
+    ``breakpoints`` has shape (m, J): row i holds the breakpoint radii of
+    probe i (values outside (0, r_max) are ignored).  Row i of the result
+    is, node for node and bit for bit, ``radial_rule`` with those
+    breakpoints.  Rows with fewer panels than the longest row are padded
+    with zero-width panels at r_max, i.e. zero-weight nodes at r = r_max;
+    no node is ever placed at r = 0.
+
+    Returns a ``RadialRule`` whose nodes and weights have shape (m, n).
+    """
     if level is None:
         level = DEFAULT_RADIAL_LEVEL
     if level < 0:
@@ -250,16 +281,18 @@ def radial_rule(mollifier, level: int | None = None, *,
         raise IntegrationError(
             f"mollifier {mollifier.kind} has no usable truncation radius")
     alpha = mollifier.transform_power()
-    n_panels = 2 ** level
+    bp = np.asarray(breakpoints, dtype=float)
     if alpha is None:
-        edges = _panel_edges(0.0, r_max, n_panels, breakpoints,
-                             grade_origin=grade_origin)
+        edges = _stacked_panel_edges(r_max, 2 ** level, bp, grade_origin)
         nodes, weights = composite_gauss(edges, nodes_per_panel)
         return RadialRule(nodes, weights, r_max)
-    # substitution r = r_max * s**alpha on s in (0, 1]
-    bp = [float((b / r_max) ** (1.0 / alpha)) for b in breakpoints
-          if 0.0 < b < r_max]
-    edges = _panel_edges(0.0, 1.0, n_panels, bp, grade_origin=grade_origin)
+    # substitution r = r_max * s**alpha on s in (0, 1]; breakpoints map
+    # through scalar (libm) pow, which numpy's vectorised pow does not
+    # match to the last bit
+    inside = (bp > 0.0) & (bp < r_max)
+    s_bp = np.ones(bp.shape)
+    s_bp[inside] = [math.pow(b / r_max, 1.0 / alpha) for b in bp[inside].tolist()]
+    edges = _stacked_panel_edges(1.0, 2 ** level, s_bp, grade_origin)
     s, ws = composite_gauss(edges, nodes_per_panel)
     nodes = r_max * s ** alpha
     weights = ws * r_max * alpha * s ** (alpha - 1.0)
@@ -269,17 +302,49 @@ def radial_rule(mollifier, level: int | None = None, *,
 _ORIGIN_GRADE_LEVELS = 44
 
 
-def _panel_edges(a: float, b: float, n_panels: int, breakpoints, *,
-                 grade_origin: bool = False) -> np.ndarray:
-    base = np.linspace(a, b, n_panels + 1)
-    extra = [np.asarray([p for p in breakpoints if a < p < b], dtype=float)]
-    if grade_origin and a == 0.0:
-        extra.append(b * 2.0 ** (-np.arange(1, _ORIGIN_GRADE_LEVELS)))
-    edges = np.unique(np.concatenate([base] + extra))
-    # drop edges separated by less than machine tolerance
-    keep = np.ones(edges.size, dtype=bool)
-    keep[1:] = np.diff(edges) > 1e-18 * max(abs(a), abs(b), 1.0)
-    return edges[keep]
+def radial_rule_size(level: int | None = None, n_breakpoints: int = 0, *,
+                     grade_origin: bool = False,
+                     nodes_per_panel: int = RADIAL_NODES_PER_PANEL) -> int:
+    """Upper bound on the nodes per row of ``radial_rules``."""
+    if level is None:
+        level = DEFAULT_RADIAL_LEVEL
+    panels = 2 ** level + n_breakpoints
+    if grade_origin:
+        panels += _ORIGIN_GRADE_LEVELS - 1
+    return panels * nodes_per_panel
+
+
+def _stacked_panel_edges(b: float, n_panels: int, breakpoints: np.ndarray,
+                         grade_origin: bool) -> np.ndarray:
+    """Panel edges on [0, b], one row per row of breakpoints -> (m, k).
+
+    Each row holds the uniform base edges, its breakpoints inside (0, b)
+    and, if ``grade_origin``, the dyadic edges b 2^-j accumulating at 0;
+    edges closer than machine tolerance to the previous one are dropped.
+    When all rows keep the same number of edges (always so for one row)
+    they are compacted by a reshape; otherwise short rows are padded at b.
+    """
+    m, j = breakpoints.shape
+    fixed = np.linspace(0.0, b, n_panels + 1)
+    if grade_origin:
+        fixed = np.concatenate([fixed, b * 2.0 ** (-np.arange(1, _ORIGIN_GRADE_LEVELS))])
+    edges = np.empty((m, fixed.size + j))
+    edges[:, :fixed.size] = fixed
+    # a breakpoint outside (0, b) becomes a duplicate of b
+    edges[:, fixed.size:] = np.where((breakpoints > 0.0) & (breakpoints < b),
+                                     breakpoints, b)
+    edges.sort(axis=1)
+    keep = np.empty(edges.shape, dtype=bool)
+    keep[:, 0] = True
+    np.greater(edges[:, 1:] - edges[:, :-1], 1e-18 * max(b, 1.0), out=keep[:, 1:])
+    counts = keep.sum(axis=1)
+    k = int(counts.max())
+    if (counts == k).all():
+        return edges[keep].reshape(m, k)
+    out = np.full((m, k), b)
+    rows, _ = np.nonzero(keep)
+    out[rows, (np.cumsum(keep, axis=1) - 1)[keep]] = edges[keep]
+    return out
 
 
 def radial_measure(mollifier, rule: RadialRule) -> np.ndarray:
@@ -343,29 +408,20 @@ def integrate_polar(mollifier, rule_s: SphereRule, rule_r: RadialRule, F) -> flo
     Raises
     ------
     EvaluationError
-        If F produces a NaN; the offending node coordinates are reported.
+        If F produces a NaN or an infinity; the offending node
+        coordinates are reported.
     """
     vals = np.asarray(F(rule_r.nodes, rule_s.nodes), dtype=float)
     if vals.shape != (rule_r.nodes.size, rule_s.nodes.shape[0]):
         raise EvaluationError(
             f"integrand returned shape {vals.shape}, expected "
             f"{(rule_r.nodes.size, rule_s.nodes.shape[0])}")
-    if np.isnan(vals).any():
-        i, j = np.argwhere(np.isnan(vals))[0]
+    if not np.isfinite(vals).all():
+        i, j = np.argwhere(~np.isfinite(vals))[0]
         raise EvaluationError(
-            f"integrand returned NaN at r={rule_r.nodes[i]!r}, "
+            f"integrand returned {vals[i, j]!r} at r={rule_r.nodes[i]!r}, "
             f"sigma={rule_s.nodes[j]!r}")
     inner = vals @ rule_s.weights
     measure = radial_measure(mollifier, rule_r)
     return float(np.dot(rule_r.weights * measure, inner))
 
-
-def scalar_integrand(f):
-    """Adapt F(r_scalar, sigma_vector) -> float to the vectorized contract."""
-    def F(r, sigma):
-        out = np.empty((r.size, sigma.shape[0]))
-        for i, ri in enumerate(r):
-            for j in range(sigma.shape[0]):
-                out[i, j] = f(float(ri), sigma[j])
-        return out
-    return F

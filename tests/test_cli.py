@@ -156,3 +156,26 @@ def test_spec_parsers_reject_garbage():
         parse_mollifier("boxcar:0.5", 1)
     with pytest.raises(UsageError):
         parse_ladder("indicator", "1:2", 1)   # fewer than 3 rungs
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--field", "step", "--mollifier", "indicator:0.25"],
+    ["sweep", "--experiment", "energy", "--field", "bump:1", "--ladder", "1:3"],
+    ["perimeter", "--shape", "interval:0,1", "--n", "256"],
+], ids=["energy", "sweep", "perimeter"])
+def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
+    code = main(argv + ["--x-resolution", "64", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "--x-resolution" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_x_resolution_still_sets_the_2d_grid(tmp_path):
+    outs = []
+    for n in ("8", "12"):
+        out = tmp_path / n
+        assert main(["energy", "--field", "bump:2", "--mollifier", "indicator:0.5",
+                     "--p", "2", "--radial-level", "1", "--sphere-order", "8",
+                     "--x-resolution", n, "--out", str(out)]) == 0
+        outs.append(float(read_csv(out)[1]))
+    assert outs[0] != outs[1]

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from bbmlab import constants, fields, functionals as F, maximal as MX
-from bbmlab import mollifiers as mf
-from bbmlab.errors import (DimensionError, DomainError, ProbeError,
-                           ValidityError)
-from bbmlab.functionals import DensityRequest
+from bbmlab import mollifiers as mf, quadrature as Q
+from bbmlab.errors import (DimensionError, DomainError, EvaluationError,
+                           ProbeError, ValidityError)
+from bbmlab.functionals import DensityRequest, QuadratureScheme
 from conftest import random_trig_field, scaled_bump
 
 # frozen empirical domination constants, calibrated once on linear and
@@ -382,3 +382,128 @@ def test_seeded_probes_deterministic_and_excluding():
     c = F.seeded_probes(1, 8, 3, low=-1, high=1,
                         exclude=[[0.0]], exclusion_radius=0.25)
     assert np.all(np.abs(c[:, 0]) >= 0.25)
+
+
+# ---------------------------------------------------------------------------
+# the batched polar engine
+# ---------------------------------------------------------------------------
+
+def bv_two_jumps():
+    smooth = fields.AnalyticField(
+        1, lambda q: 0.5 * np.exp(-q[:, 0] ** 2),
+        lambda q: -q * np.exp(-q[:, 0] ** 2)[:, None], support_radius=6.0)
+    return fields.BVField1D(smooth, [(-0.3, 1.2), (0.4, -0.8)])
+
+
+def axis_nodes(field, m):
+    """The x-rule of a 1D energy, rebuilt from its documented recipe."""
+    r_max = m.quadrature_radius()
+    lo, hi = field.support_box()
+    sing = np.asarray(field.singular_points(), dtype=float)
+    return Q.axis_rule(lo[0] - r_max, hi[0] + r_max,
+                       np.concatenate([sing, sing - r_max, sing + r_max]))
+
+
+@pytest.mark.parametrize("case", ["step-indicator", "interval-gaussian",
+                                  "step-powerlaw", "bv-residual"])
+def test_batched_1d_energy_equals_sum_of_densities(case):
+    if case == "step-indicator":
+        u, m, p = fields.step_field(-0.2, 0.7), mf.indicator(2.0**-6, 1), 1.0
+    elif case == "interval-gaussian":
+        u, m, p = fields.interval_set(-0.3, 0.6), mf.gaussian(256.0, 1), 1.0
+    elif case == "step-powerlaw":
+        u, m, p = fields.step_field(), mf.power_law(0.3, 1), 1.5
+    else:
+        u, m, p = bv_two_jumps(), mf.indicator(2.0**-7, 1), 1.0
+    nodes, w = axis_nodes(u, m)
+    if case == "bv-residual":
+        # the candidate is the field's own (absolutely continuous) gradient
+        value = F.sobolev_residual(u, m, fields.gradient_candidate(u))
+        dens = [remainder(u, m, p, [x]) for x in nodes]
+    else:
+        value = F.energy(u, m, p)
+        dens = [density(u, m, p, [x]) for x in nodes]
+    reference = math.fsum(wi * di for wi, di in zip(w, dens))
+    assert value == pytest.approx(reference, rel=1e-13, abs=0)
+
+
+def test_batch_spanning_blocks_matches_single_probes(rng):
+    u = bv_two_jumps()
+    m = mf.indicator(0.25, 1)
+    probes = np.sort(rng.uniform(-0.6, 0.7, size=150)).reshape(-1, 1)
+    per_probe = Q.radial_rule_size(None, 2, grade_origin=True) * 2
+    assert probes.shape[0] > 3 * (F._CHUNK // per_probe)   # several blocks
+    batch = F._polar_many(u, m, 1.0, probes)
+    single = [density(u, m, 1.0, x) for x in probes]
+    np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0)
+    batch = F._polar_many(u, m, 1.0, probes, subtract=u.gradient_many(probes))
+    single = [remainder(u, m, 1.0, x) for x in probes]
+    np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0)
+
+
+def test_batched_domain_density_matches_single_probes(rng):
+    u = bv_two_jumps()
+    m = mf.gaussian(64.0, 1)
+    omega = fields.interval_set(-0.5, 0.5)
+    probes = rng.uniform(-0.45, 0.45, size=(40, 1))
+    batch = F._polar_many(u, m, 1.0, probes, omega=omega)
+    single = [F.domain_density(u, m, 1.0, x, omega) for x in probes]
+    np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0)
+    # the gaussian support sticks out of Omega; the mask drops that part
+    assert single[0] < density(u, m, 1.0, probes[0])
+
+
+# ---------------------------------------------------------------------------
+# non-finite integrands are refused
+# ---------------------------------------------------------------------------
+
+def infinite_spot(d, support_radius=math.inf):
+    """exp(-|x|^2), except +inf on a small ball around (0.3, 0, ...)."""
+    centre = np.zeros(d)
+    centre[0] = 0.3
+
+    def ev(q):
+        far = np.einsum("ij,ij->i", q - centre, q - centre) > 0.05**2
+        return np.where(far, np.exp(-np.einsum("ij,ij->i", q, q)), np.inf)
+    return fields.AnalyticField(d, ev, support_radius=support_radius)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_density_refuses_infinite_integrand(d):
+    probe = np.zeros(d)
+    probe[0] = 0.2
+    with pytest.raises(EvaluationError) as err:
+        density(infinite_spot(d), mf.indicator(0.25, d), 1.0, probe)
+    msg = str(err.value)
+    assert "inf" in msg and "r=" in msg and "sigma=" in msg and "centre=" in msg
+
+
+def test_1d_energy_refuses_infinite_integrand():
+    with pytest.raises(EvaluationError):
+        F.energy(infinite_spot(1, 3.0), mf.indicator(0.25, 1), 2.0)
+
+
+def test_2d_energy_refuses_infinite_integrand():
+    scheme = QuadratureScheme(sphere_order=8, radial_level=1, x_resolution=32)
+    with pytest.raises(EvaluationError) as err:
+        F.energy(infinite_spot(2, 2.0), mf.indicator(0.25, 2), 1.0, scheme)
+    assert "centre=" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# x_resolution belongs to the 2D/3D tensor grids
+# ---------------------------------------------------------------------------
+
+def test_1d_energies_refuse_x_resolution():
+    scheme = QuadratureScheme(x_resolution=64)
+    m = mf.indicator(0.25, 1)
+    with pytest.raises(DomainError):
+        F.energy(fields.step_field(), m, 1.0, scheme)
+    with pytest.raises(DomainError):
+        F.sobolev_residual(fields.step_field(), m, None, scheme)
+    with pytest.raises(DomainError):
+        F.ponce_spector_mass(fields.step_field(), mf.indicator_ladder(1, [2, 3, 4]),
+                             scheme)
+    # the other scheme fields still apply in 1D
+    assert F.energy(fields.step_field(), m, 1.0, QuadratureScheme(radial_level=3)) \
+        == pytest.approx(4.0, abs=1e-3)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from bbmlab import mollifiers as mf
 from bbmlab.errors import DomainError, IntegrationError
@@ -143,3 +144,12 @@ def test_constructor_domain_checks():
         mf.power_law(1.5, 1)
     with pytest.raises(DomainError):
         mf.gaussian(0.0, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1.0, 64.0, 4096.0])
+@pytest.mark.parametrize("tol", [1e-14, 1e-8])
+def test_gaussian_truncation_radius_is_closed_form(d, n, tol):
+    # the mass beyond r is Q((d+1)/2, n r^2); r_max inverts it exactly
+    r = mf.gaussian(n, d).quadrature_radius(tol)
+    assert gammaincc((d + 1) / 2.0, n * r * r) == pytest.approx(tol, rel=1e-12)

@@ -162,3 +162,55 @@ def test_axis_rule_handles_log_singularity_at_breakpoint():
 def test_segment_rule_flat_weights_sum():
     nodes, w = Q.segment_rule(-2.0, 3.0)
     assert float(np.sum(w)) == pytest.approx(5.0, rel=1e-14)
+
+
+def test_integrate_polar_refuses_infinity():
+    m = mf.indicator(0.5, 2)
+
+    def F(r, sigma):
+        out = np.ones((r.size, sigma.shape[0]))
+        out[-1, 3] = np.inf
+        return out
+
+    with pytest.raises(EvaluationError, match="inf"):
+        Q.integrate_polar(m, Q.sphere_rule(2, 8), Q.radial_rule(m, 2), F)
+
+
+@pytest.mark.parametrize("m", [mf.indicator(0.25, 1), mf.power_law(0.3, 1),
+                               mf.gaussian(64.0, 2)],
+                         ids=["indicator", "powerlaw", "gaussian"])
+@pytest.mark.parametrize("grade", [False, True])
+def test_stacked_rule_rows_equal_radial_rule_bitwise(m, grade):
+    r_max = m.quadrature_radius()
+    # rows with breakpoints outside (0, r_max), on its ends, repeated,
+    # on a base edge and at float-noise radii, so row lengths differ
+    B = r_max * np.array([[0.3, 0.7, 1.4],
+                          [-0.2, 0.0, 1.0],
+                          [0.5, 0.5, 0.25],
+                          [1e-20, 0.123456789, 2.0],
+                          [0.01, 0.02, 0.999]])
+    rules = Q.radial_rules(m, 3, breakpoints=B, grade_origin=grade)
+    assert rules.nodes.shape == rules.weights.shape
+    assert rules.nodes.shape[1] <= Q.radial_rule_size(3, 3, grade_origin=grade)
+    lengths = []
+    for i, row in enumerate(B):
+        one = Q.radial_rule(m, 3, breakpoints=tuple(row), grade_origin=grade)
+        n = one.nodes.size
+        lengths.append(n)
+        assert one.r_max == rules.r_max
+        assert np.array_equal(rules.nodes[i, :n], one.nodes)
+        assert np.array_equal(rules.weights[i, :n], one.weights)
+        # padding: zero-weight nodes at r_max, never at r = 0
+        assert np.all(rules.nodes[i, n:] == r_max)
+        assert np.all(rules.weights[i, n:] == 0.0)
+    assert min(lengths) < rules.nodes.shape[1] == max(lengths)
+    mass = np.sum(rules.weights * Q.radial_measure(m, rules), axis=1)
+    assert np.allclose(mass, 1.0, rtol=1e-10, atol=0)
+
+
+def test_stacked_rules_compact_when_rows_agree():
+    m = mf.indicator(0.5, 1)
+    B = np.array([[0.1, 0.3], [0.2, 0.4], [0.05, 0.45]])
+    rules = Q.radial_rules(m, 2, breakpoints=B)
+    assert rules.nodes.shape == (3, (4 + 2) * Q.RADIAL_NODES_PER_PANEL)
+    assert np.all(rules.weights > 0.0)
