@@ -4,9 +4,9 @@ machinery, at desk scale."""
 
 from .constants import (ConstantTable, bbm_perimeter_const, degiorgi_const,
                         gamma, gaussian_norm_const)
-from .errors import (BBMLabError, CalibrationError, DimensionError,
-                     DomainError, EvaluationError, IntegrationError,
-                     ProbeError, ResolutionError, ValidityError)
+from .errors import (BBMLabError, DimensionError, DomainError,
+                     EvaluationError, IntegrationError, ProbeError,
+                     ResolutionError, ValidityError)
 from .fields import (AnalyticField, BVField1D, GridField, IndicatorSet,
                      VectorField, ball_set, box_set, eval_field, gaussian_bump,
                      gradient, gradient_candidate, half_space_set,
@@ -27,7 +27,7 @@ from .pathology import (PathologyCase, divergence_probe, gradient_mass_ladder,
 from .perimeter import (PerimeterEstimate, bbm_perimeter, degiorgi_field,
                         degiorgi_perimeter)
 from .quadrature import (RadialRule, RefinementPolicy, SphereRule,
-                         integrate_polar, radial_rule, sphere_rule)
+                         radial_rule, sphere_rule)
 from .reports import ConvergenceReport, classify_sequence
 
 __version__ = "0.1.0"

@@ -176,8 +176,7 @@ REPORT_HEADER = ["index", "param", "value", "limit", "abs_error", "rel_error"]
 def _scheme(cfg: dict) -> QuadratureScheme:
     return QuadratureScheme(sphere_order=cfg.get("sphere_order"),
                             radial_level=cfg.get("radial_level"),
-                            x_resolution=cfg.get("x_resolution"),
-                            rel_tol=cfg.get("rel_tol") or 1e-6)
+                            x_resolution=cfg.get("x_resolution"))
 
 
 def _refuse_1d_x_resolution(cfg: dict, d: int) -> None:
@@ -356,20 +355,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="nonlocal functional experiments and diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, *, scheme=False, x_grid=False, workers=False):
+        # a flag is registered only on the commands that read it
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with the same keys as the flags")
         sp.add_argument("--out", type=str, default=None,
                         help="output directory (default runs/<command>)")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
-        sp.add_argument("--sphere-order", dest="sphere_order", type=int,
-                        default=None)
-        sp.add_argument("--radial-level", dest="radial_level", type=int,
-                        default=None)
-        sp.add_argument("--x-resolution", dest="x_resolution", type=int,
-                        default=None)
-        sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
+        if workers:
+            sp.add_argument("--workers", type=int, default=None)
+        if scheme:
+            sp.add_argument("--sphere-order", dest="sphere_order", type=int,
+                            default=None)
+            sp.add_argument("--radial-level", dest="radial_level", type=int,
+                            default=None)
+        if x_grid:
+            sp.add_argument("--x-resolution", dest="x_resolution", type=int,
+                            default=None)
 
     sp = sub.add_parser("constants", help="print the constant table")
     sp.add_argument("--d", type=int, default=None)
@@ -383,13 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=float, default=None)
         sp.add_argument("--probe", dest="probes", type=str, default=None,
                         help="semicolon-separated points")
-        common(sp)
+        common(sp, scheme=True, workers=True)
 
     sp = sub.add_parser("energy", help="global nonlocal energy")
     sp.add_argument("--field", type=str, default=None)
     sp.add_argument("--mollifier", type=str, default=None)
     sp.add_argument("--p", type=float, default=None)
-    common(sp)
+    common(sp, scheme=True, x_grid=True)
 
     sp = sub.add_parser("sweep", help="functional along a mollifier ladder")
     sp.add_argument("--experiment", type=str, default=None,
@@ -404,14 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--probe", dest="probes", type=str, default=None)
     sp.add_argument("--candidate", type=str, default=None,
                     choices=["zero", "gradient"])
-    common(sp)
+    common(sp, scheme=True, x_grid=True)
 
     sp = sub.add_parser("bv", help="BV pointwise density ladder at a probe")
     sp.add_argument("--field", type=str, default=None)
     sp.add_argument("--mollifier", type=str, default=None)
     sp.add_argument("--ladder", type=str, default=None)
     sp.add_argument("--probe", dest="probes", type=str, default=None)
-    common(sp)
+    common(sp, scheme=True)
 
     sp = sub.add_parser("perimeter", help="perimeter estimators vs exact")
     sp.add_argument("--shape", type=str, default=None)
@@ -421,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["bbm", "degiorgi", "both"])
     sp.add_argument("--grid-resolution", dest="grid_resolution", type=int,
                     default=None)
-    common(sp)
+    common(sp, scheme=True, x_grid=True)
 
     sp = sub.add_parser("pathology", help="divergence lower-bound ladder")
     sp.add_argument("--d", type=int, default=None)
@@ -462,9 +464,6 @@ DEFAULTS = {
                 "eps": "0.25,0.5,0.75,1.0"},
 }
 
-_COMMON_KEYS = ("seed", "workers", "sphere_order", "radial_level",
-                "x_resolution", "rel_tol")
-
 
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
     cfg = {"command": command}
@@ -477,7 +476,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
             raise UsageError(f"cannot read config {args.config!r}: {exc}")
         if not isinstance(loaded, dict):
             raise UsageError("the config file must hold a JSON object")
-        unknown = set(loaded) - set(cfg) - set(_COMMON_KEYS) - {"command"}
+        # the keys are the command's defaults and flags
+        unknown = set(loaded) - set(cfg) - set(vars(args)) - {"config", "out"}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         if loaded.get("command", command) != command:

@@ -1,37 +1,29 @@
-"""Dimensional constants of the nonlocal functionals.
+"""Dimensional constants of the nonlocal functionals, in closed form.
 
 * ``gamma(d, p)``: the sphere integral int_{S^(d-1)} |sigma . e|^p dsigma,
-  the anisotropy-averaging constant appearing in every local limit.
-* ``gaussian_norm_const(d)``: the C_d making the gaussian mollifier
-  integrate to one; independent of the concentration parameter.
+  the anisotropy-averaging constant appearing in every local limit,
+  2 pi^((d-1)/2) Gamma((p+1)/2) / Gamma((d+p)/2).
+* ``gaussian_norm_const(d)``: the C_d = 2 / Gamma((d+1)/2) making the
+  gaussian mollifier integrate to one; independent of the concentration
+  parameter.
 * ``bbm_perimeter_const(d)`` (A_d) and ``degiorgi_const(d)`` (B_d): the
-  calibration constants of the two perimeter formulas.  A_d follows from
-  the algebraic identity A_d = gamma(d,1) / (2 C_d); B_d is calibrated
-  once against a half-space profile, whose total variation per unit
-  boundary area the estimator must reproduce, and cached.
+  constants of the two perimeter formulas.  A_d follows from the
+  algebraic identity A_d = gamma(d,1) / (2 C_d); B_d = pi^(d/2) is the
+  total variation per unit boundary area of the smoothed half-space
+  indicator, whose normal profile falls by pi^(d/2) across the boundary.
 
-Closed forms are used only where stated (gamma at p=1, d=1); everything
-else comes from deterministic quadrature so that values are reproducible
-bit-for-bit across runs.
+Every value is a pure function of its arguments, so it is the same
+bit for bit in every run and needs no cache.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import threading
 
 import numpy as np
-from scipy.special import erfc
 
 from . import quadrature
-from .errors import CalibrationError, DimensionError, DomainError
-
-_CACHE: dict[tuple[str, int], float] = {}
-_LOCK = threading.Lock()
-
-_CALIBRATION_N = 2.0 ** 12
-_CALIBRATION_RESOLUTION = 8192
+from .errors import DimensionError, DomainError
 
 
 def _check_d(d: int) -> int:
@@ -43,10 +35,12 @@ def _check_d(d: int) -> int:
 def gamma(d: int, p: float, *, order: int | None = None, e=None) -> float:
     """Sphere integral of |sigma . e|^p over S^(d-1).
 
-    Uses the closed forms gamma(1, p) = 2 and gamma(d, 1) = 2, 4, 2*pi for
-    d = 1, 2, 3; other (d, p) pairs fall back to sphere quadrature whose
-    panels are split on the zero set of sigma . e, so integer powers are
-    integrated to machine precision.
+    Without ``e`` this is the closed form
+    2 pi^((d-1)/2) Gamma((p+1)/2) / Gamma((d+p)/2), with the exact values
+    gamma(1, p) = 2 and gamma(d, 1) = 2, 4, 2*pi for d = 1, 2, 3.  With
+    ``e`` it is the sphere quadrature whose panels are split on the zero
+    set of sigma . e, a cross-check of the sphere rules: integer powers
+    come out to machine precision.
 
     Parameters
     ----------
@@ -55,7 +49,7 @@ def gamma(d: int, p: float, *, order: int | None = None, e=None) -> float:
     p : float
         Exponent, >= 1.
     order : int, optional
-        Sphere-rule order override.
+        Sphere-rule order of the quadrature taken with ``e``.
     e : array_like, optional
         Reference direction; the value is independent of it (rotation
         invariance), which the aligned rule makes checkable numerically.
@@ -65,30 +59,23 @@ def gamma(d: int, p: float, *, order: int | None = None, e=None) -> float:
         raise DomainError(f"exponent p must be >= 1, got {p}")
     if d == 1:
         return 2.0
-    if e is None and p == 1.0:
-        return 4.0 if d == 2 else 2.0 * math.pi
     if e is None:
-        rule = quadrature.sphere_rule(d, order)
-        projections = rule.nodes[:, -1]
-    else:
-        e = np.asarray(e, dtype=float)
-        if e.shape != (d,):
-            raise DimensionError(f"direction must have shape ({d},)")
-        rule = quadrature.sphere_rule_aligned(d, order or quadrature.DEFAULT_SPHERE_ORDER[d], e)
-        projections = rule.nodes @ (e / np.linalg.norm(e))
+        if p == 1.0:
+            return 4.0 if d == 2 else 2.0 * math.pi
+        return (2.0 * math.pi ** ((d - 1) / 2.0) * math.gamma((p + 1) / 2.0)
+                / math.gamma((d + p) / 2.0))
+    e = np.asarray(e, dtype=float)
+    if e.shape != (d,):
+        raise DimensionError(f"direction must have shape ({d},)")
+    rule = quadrature.sphere_rule_aligned(d, order or quadrature.DEFAULT_SPHERE_ORDER[d], e)
+    projections = rule.nodes @ (e / np.linalg.norm(e))
     return float(np.dot(rule.weights, np.abs(projections) ** p))
 
 
 def gaussian_norm_const(d: int) -> float:
-    """C_d with C_d * int_0^inf r^d exp(-r^2) dr = 1 (n-independent)."""
+    """C_d = 2 / Gamma((d+1)/2), so C_d int_0^inf r^d exp(-r^2) dr = 1."""
     _check_d(d)
-    key = ("gaussian_norm", d)
-    with _LOCK:
-        if key not in _CACHE:
-            nodes, w = quadrature.segment_rule(0.0, 7.0, q=12, levels=12)
-            moment = float(np.dot(w, nodes**d * np.exp(-nodes**2)))
-            _CACHE[key] = 1.0 / moment
-        return _CACHE[key]
+    return 2.0 / math.gamma((d + 1) / 2.0)
 
 
 def bbm_perimeter_const(d: int) -> float:
@@ -103,48 +90,19 @@ def bbm_perimeter_const(d: int) -> float:
 
 
 def degiorgi_const(d: int) -> float:
-    """B_d, calibrated once against a half-space and cached.
+    """B_d = pi^(d/2).
 
     The smoothed indicator of a half-space varies only along the normal;
-    its gradient integral per unit boundary area equals the total
-    variation of the 1D transition profile
+    its gradient integral per unit boundary area is the total variation
+    of the 1D transition profile
 
         W(t) = pi^((d-1)/2) * (sqrt(pi)/2) * erfc(sqrt(n) t),
 
-    which the same central-difference pipeline used by the perimeter
-    estimator integrates here on a fine grid.
-
-    Raises
-    ------
-    CalibrationError
-        If the calibrated value is not finite and positive.
+    which falls monotonically from pi^(d/2) to 0.
     """
     _check_d(d)
-    key = ("degiorgi", d)
-    with _LOCK:
-        if key not in _CACHE:
-            _CACHE[key] = _calibrate_degiorgi(d)
-        return _CACHE[key]
+    return math.pi ** (d / 2.0)
 
-
-def _calibrate_degiorgi(d: int) -> float:
-    n = _CALIBRATION_N
-    m = _CALIBRATION_RESOLUTION
-    half = 0.5
-    h = 2.0 * half / m
-    t = -half + h * np.arange(m)
-    profile = math.pi ** ((d - 1) / 2.0) * (math.sqrt(math.pi) / 2.0) \
-        * erfc(math.sqrt(n) * t)
-    grad = np.gradient(profile, h)
-    value = float(np.sum(np.abs(grad)) * h)
-    if not (math.isfinite(value) and 0.0 < value < 100.0):
-        raise CalibrationError(f"half-space calibration produced {value!r}")
-    return value
-
-
-# ---------------------------------------------------------------------------
-# constant table + persistence
-# ---------------------------------------------------------------------------
 
 class ConstantTable:
     """Constants for one dimension with provenance tags."""
@@ -153,10 +111,10 @@ class ConstantTable:
         _check_d(d)
         self.dimension = d
         self.entries = {
-            "gamma_1": (gamma(d, 1), "closed-form" if d in (1, 2, 3) else "quadrature"),
-            "gaussian_norm": (gaussian_norm_const(d), "quadrature"),
+            "gamma_1": (gamma(d, 1), "closed-form"),
+            "gaussian_norm": (gaussian_norm_const(d), "closed-form"),
             "bbm_perimeter": (bbm_perimeter_const(d), "closed-form"),
-            "degiorgi": (degiorgi_const(d), "quadrature"),
+            "degiorgi": (degiorgi_const(d), "closed-form"),
         }
 
     def value(self, name: str) -> float:
@@ -168,26 +126,3 @@ class ConstantTable:
             "entries": {k: {"value": v, "provenance": tag}
                         for k, (v, tag) in self.entries.items()},
         }
-
-
-def save_cache(path) -> None:
-    """Persist cached constants keyed by (name, d) to a JSON file."""
-    with _LOCK:
-        payload = {f"{name}:{d}": value for (name, d), value in _CACHE.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_cache(path) -> None:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    with _LOCK:
-        for key, value in payload.items():
-            name, d = key.rsplit(":", 1)
-            _CACHE[(name, int(d))] = float(value)
-
-
-def clear_cache() -> None:
-    with _LOCK:
-        _CACHE.clear()

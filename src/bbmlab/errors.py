@@ -32,6 +32,3 @@ class ProbeError(BBMLabError, ValueError):
 class ResolutionError(BBMLabError, ValueError):
     """A grid is too coarse to resolve the requested length scale."""
 
-
-class CalibrationError(BBMLabError, ArithmeticError):
-    """A numerical calibration failed to converge."""

@@ -19,19 +19,21 @@ plus ladder drivers (``bv_pointwise_limit``, ``ponce_spector_mass``,
 
 Quadrature notes.  The y-integral is evaluated in polar coordinates
 with no node at r = 0 (the measure rho(r) r^(d-1) dr has no atom there,
-so the 0/0 difference quotient never arises).  One engine computes the
-polar density for a batch of probes: each probe keeps its own radial
-rule (panels split at its breakpoints, graded toward r = 0 when there
-are any), and the probes are evaluated in blocks, their rules stacked
-into one array and the field called once per block for the centres and
-once for the nodes.  Densities are a batch of one.  In one dimension the
-x-integration uses a jump-aware composite Gauss rule graded toward the
-field's singular points, because the density profile of a BV field has
-integrable logarithmic singularities there that a uniform grid resolves
-too slowly; all its x-nodes go through the engine as one batch, and
-``QuadratureScheme.x_resolution`` is refused there.  In higher
-dimensions a midpoint tensor grid matching the default resolutions is
-used.  Every path raises EvaluationError on a NaN or infinite integrand.
+so the 0/0 difference quotient never arises).  One engine,
+``_polar_many``, computes the polar density for a batch of probes and
+is the only polar sum here: each probe's radial rule is split at the
+breakpoint radii its caller passes (graded toward r = 0 when there are
+any), and the probes are evaluated in blocks, their rules stacked into
+one array and the field called once per block for the centres and once
+for the nodes.  A density is a batch of one, with the field's (and
+Omega's) breakpoints.  An energy is one x-rule and one engine call.  In
+one dimension the x-rule is a jump-aware composite Gauss rule graded
+toward the field's singular points, because the density profile of a
+BV field has integrable logarithmic singularities there that a uniform
+grid resolves too slowly, and ``QuadratureScheme.x_resolution`` is
+refused.  In higher dimensions it is a midpoint grid whose nodes share
+one breakpoint-free radial rule.  Every path raises EvaluationError on
+a NaN or infinite integrand.
 """
 
 from __future__ import annotations
@@ -81,14 +83,9 @@ class QuadratureScheme:
     sphere_order: Optional[int] = None
     radial_level: Optional[int] = None
     x_resolution: Optional[int] = None
-    rel_tol: float = 1e-6
 
     def sphere(self, d: int) -> quadrature.SphereRule:
         return quadrature.sphere_rule(d, self.sphere_order)
-
-    def radial(self, mollifier, breakpoints=()) -> quadrature.RadialRule:
-        return quadrature.radial_rule(mollifier, self.radial_level,
-                                      breakpoints=breakpoints)
 
     def x_res(self, d: int) -> int:
         return self.x_resolution or DEFAULT_X_RESOLUTION[d]
@@ -142,18 +139,32 @@ def _integrand_error(value, centre, r, sigma) -> EvaluationError:
         f"sigma={sigma!r}")
 
 
-def _polar_many(field, mollifier, p, probes, *, subtract=None, omega=None,
-                scheme=DEFAULT_SCHEME) -> np.ndarray:
+def _radial_weights(mollifier, p, level, breaks, floor):
+    """Stacked radial nodes r (m, n) and weights w rho(r) r^(d-1) / r^p.
+
+    With ``floor`` the weights below the remainder floor are zero."""
+    rules = quadrature.radial_rules(mollifier, level, breakpoints=breaks,
+                                    grade_origin=breaks.shape[1] > 0)
+    r = rules.nodes
+    wr = rules.weights * quadrature.radial_measure(mollifier, rules) / r ** p
+    if floor:
+        wr[r < _REMAINDER_R_FLOOR * rules.r_max] = 0.0
+    return r, wr
+
+
+def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
+                omega=None, scheme=DEFAULT_SCHEME) -> np.ndarray:
     """The polar densities at m probes (m, d) -> (m,).
 
-    Each value is sum_r w_r rho(r) r^(d-1) sum_sigma w_sigma F(r, sigma)
-    with F = |u(x + r sigma) - u(x) [- r g . sigma]|^p / r^p, where g is
-    the probe's row of ``subtract`` and, given ``omega``, F is zero at
-    nodes outside Omega.  Every probe gets its own radial rule with the
-    field's (and Omega's) breakpoints as panel edges, graded toward the
-    origin whenever there are breakpoints.  Probes are taken in blocks of
-    at most _CHUNK field points; a block stacks its radial rules and
-    evaluates the field once at its centres and once at its nodes.
+    Each value is sum_r w_r rho(r) r^(d-1-p) sum_sigma w_sigma F(r, sigma)
+    with F = |u(x + r sigma) - u(x) [- r g . sigma]|^p, where g is the
+    probe's row of ``subtract`` and, given ``omega``, F is zero at nodes
+    outside Omega.  Row i of ``breaks`` (m, J) holds the breakpoint radii
+    of probe i; they become panel edges of its radial rule, graded toward
+    the origin.  With J = 0 all probes share one breakpoint-free rule,
+    built once.  Probes are taken in blocks of at most _CHUNK field
+    points; a block evaluates the field once at its centres and once at
+    its nodes.
 
     Raises
     ------
@@ -163,41 +174,41 @@ def _polar_many(field, mollifier, p, probes, *, subtract=None, omega=None,
     d = field.dimension
     sphere = scheme.sphere(d)
     sig, ws = sphere.nodes, sphere.weights
-    breaks = field.difference_breakpoints(probes)
-    if omega is not None:
-        breaks = np.concatenate([breaks, omega.difference_breakpoints(probes)],
-                                axis=1)
-    grade = breaks.shape[1] > 0
-    size = quadrature.radial_rule_size(scheme.radial_level, breaks.shape[1],
-                                       grade_origin=grade)
-    step = max(1, _CHUNK // (size * sig.shape[0]))
+    K = sig.shape[0]
+    J = breaks.shape[1]
+    size = quadrature.radial_rule_size(scheme.radial_level, J, grade_origin=J > 0)
+    step = max(1, _CHUNK // (size * K))
+    floor = subtract is not None
+    if J == 0:
+        r, wr = _radial_weights(mollifier, p, scheme.radial_level,
+                                np.empty((1, 0)), floor)
     out = np.empty(probes.shape[0])
     for start in range(0, probes.shape[0], step):
         block = slice(start, start + step)
         x = probes[block]
-        rules = quadrature.radial_rules(mollifier, scheme.radial_level,
-                                        breakpoints=breaks[block],
-                                        grade_origin=grade)
-        r = rules.nodes
+        if J > 0:
+            r, wr = _radial_weights(mollifier, p, scheme.radial_level,
+                                    breaks[block], floor)
         flat = (x[:, None, None, :] + r[:, :, None, None] * sig).reshape(-1, d)
         u0 = field.eval_many(x)
-        diff = field.eval_many(flat).reshape(r.shape + (-1,)) - u0[:, None, None]
-        if subtract is not None:
-            diff = diff - r[:, :, None] * (subtract[block] @ sig.T)[:, None, :]
-        if omega is not None:
-            diff = np.where(omega.contains(flat).reshape(diff.shape), diff, 0.0)
-        F = _abs_power(diff, p) / r[:, :, None] ** p
-        if subtract is not None:
-            F[r < _REMAINDER_R_FLOOR * rules.r_max] = 0.0
-        inner = (F.reshape(-1, sig.shape[0]) @ ws).reshape(r.shape)
-        measure = quadrature.radial_measure(mollifier, rules)
-        dens = np.einsum("ij,ij->i", rules.weights * measure, inner)
+        # inf - inf is NaN; the finite check below refuses it with its node
+        with np.errstate(invalid="ignore", over="ignore"):
+            diff = (field.eval_many(flat).reshape(x.shape[0], -1, K)
+                    - u0[:, None, None])
+            if subtract is not None:
+                diff = diff - r[:, :, None] * (subtract[block] @ sig.T)[:, None, :]
+            if omega is not None:
+                diff = np.where(omega.contains(flat).reshape(diff.shape), diff, 0.0)
+            F = _abs_power(diff, p)
+            inner = (F.reshape(-1, K) @ ws).reshape(diff.shape[:2])
+            dens = np.einsum("ij,ij->i", wr, inner)
         if not np.isfinite(dens).all():
             i = int(np.argmin(np.isfinite(dens)))
             bad = np.argwhere(~np.isfinite(F[i]))
             if bad.size:
                 j, k = bad[0]
-                raise _integrand_error(F[i, j, k], x[i], r[i, j], sig[k])
+                raise _integrand_error(F[i, j, k], x[i],
+                                       np.broadcast_to(r, inner.shape)[i, j], sig[k])
             raise EvaluationError(f"density sum is {dens[i]!r} at centre={x[i]!r}")
         out[block] = dens
     return out
@@ -210,7 +221,9 @@ def pointwise_density(req: DensityRequest) -> float:
     test suite uses as an exactness oracle.
     """
     field, m, p, probe, scheme = req.validated()
-    return float(_polar_many(field, m, p, probe[None, :], scheme=scheme)[0])
+    probes = probe[None, :]
+    return float(_polar_many(field, m, p, probes,
+                             field.difference_breakpoints(probes), scheme=scheme)[0])
 
 
 def remainder_density(req: DensityRequest) -> float:
@@ -224,8 +237,9 @@ def remainder_density(req: DensityRequest) -> float:
     if isinstance(field, IndicatorSet):
         raise DomainError("set indicators have no gradient to subtract")
     probes = probe[None, :]
-    return float(_polar_many(field, m, p, probes, subtract=field.gradient_many(probes),
-                             scheme=scheme)[0])
+    return float(_polar_many(field, m, p, probes,
+                             field.difference_breakpoints(probes),
+                             subtract=field.gradient_many(probes), scheme=scheme)[0])
 
 
 def domain_density(field, mollifier, p, probe, omega: IndicatorSet,
@@ -243,7 +257,10 @@ def domain_density(field, mollifier, p, probe, omega: IndicatorSet,
         raise DimensionError("Omega dimension does not match the field")
     if not bool(omega.contains(probe_arr.reshape(1, -1))[0]):
         raise DomainError(f"probe {probe_arr} is not inside Omega")
-    return float(_polar_many(field, m, p, probe_arr[None, :], omega=omega,
+    probes = probe_arr[None, :]
+    breaks = np.concatenate([field.difference_breakpoints(probes),
+                             omega.difference_breakpoints(probes)], axis=1)
+    return float(_polar_many(field, m, p, probes, breaks, omega=omega,
                              scheme=scheme)[0])
 
 
@@ -287,6 +304,14 @@ def _grid_compactness_check(field) -> None:
                 "box before integrating")
 
 
+def _midpoint_grid(lo, hi, n):
+    """The midpoint rule of [lo, hi] cut into n^d equal cells -> (n^d, d), (n^d,)."""
+    h = (hi - lo) / n
+    axes = [lo[ax] + h[ax] * (np.arange(n) + 0.5) for ax in range(lo.size)]
+    X = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return X, np.full(X.shape[0], float(np.prod(h)))
+
+
 def _integrate_density_over_x(field, mollifier, p, *, subtract_candidate=None,
                               scheme=DEFAULT_SCHEME) -> float:
     """int D(x) dx, with D the plain or remainder density."""
@@ -299,69 +324,17 @@ def _integrate_density_over_x(field, mollifier, p, *, subtract_candidate=None,
     r_max = mollifier.quadrature_radius()
     lo, hi = _x_region(field, r_max)
     if d == 1:
-        return _integrate_1d(field, mollifier, p, lo[0], hi[0],
-                             subtract_candidate, scheme)
-    return _integrate_tensor(field, mollifier, p, lo, hi, scheme.sphere(d),
-                             subtract_candidate, scheme)
-
-
-def _integrate_1d(field, mollifier, p, lo, hi, candidate, scheme):
-    r_max = mollifier.quadrature_radius()
-    sing = np.asarray(field.singular_points(), dtype=float)
-    breakpoints = np.concatenate([sing, sing - r_max, sing + r_max])
-    x_nodes, x_weights = quadrature.axis_rule(lo, hi, breakpoints)
-    probes = x_nodes.reshape(-1, 1)
-    sub = None if candidate is None else candidate.eval_many(probes)
-    dens = _polar_many(field, mollifier, p, probes, subtract=sub, scheme=scheme)
-    return float(np.dot(x_weights, dens))
-
-
-def _integrate_tensor(field, mollifier, p, lo, hi, sphere, candidate, scheme):
-    d = field.dimension
-    n = scheme.x_res(d)
-    axes = [lo[ax] + (hi[ax] - lo[ax]) / n * (np.arange(n) + 0.5)
-            for ax in range(d)]
-    cell = float(np.prod([(hi[ax] - lo[ax]) / n for ax in range(d)]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=-1)
-    radial = scheme.radial(mollifier)
-    measure = quadrature.radial_measure(mollifier, radial)
-    sig = sphere.nodes
-    ws = sphere.weights
-    total = 0.0
-    for start in range(0, X.shape[0], _CHUNK):
-        xb = X[start:start + _CHUNK]
-        u0 = field.eval_many(xb)
-        proj = None
-        if candidate is not None:
-            proj = candidate.eval_many(xb) @ sig.T
-
-        def integrand(r):
-            pts = xb[:, None, :] + r * sig[None, :, :]
-            u = field.eval_many(pts.reshape(-1, d)).reshape(xb.shape[0], -1)
-            diff = u - u0[:, None]
-            if proj is not None:
-                diff = diff - r * proj
-            return _abs_power(diff, p)
-
-        nodes = [(i, r) for i, r in enumerate(radial.nodes)
-                 if proj is None or r >= _REMAINDER_R_FLOOR * radial.r_max]
-        acc = np.zeros(xb.shape[0])
-        for i, r in nodes:
-            acc += (radial.weights[i] * measure[i] / r**p) * (integrand(r) @ ws)
-        chunk = cell * float(np.sum(acc))
-        if not math.isfinite(chunk):
-            # locate the node only now, at the cost of one more pass
-            for i, r in nodes:
-                F = integrand(r)
-                bad = np.argwhere(~np.isfinite(F))
-                if bad.size:
-                    j, k = bad[0]
-                    raise _integrand_error(F[j, k], xb[j], r, sig[k])
-            raise EvaluationError(
-                f"energy sum is {chunk!r} on the x-chunk from {xb[0]!r}")
-        total += chunk
-    return total
+        sing = np.asarray(field.singular_points(), dtype=float)
+        nodes, weights = quadrature.axis_rule(
+            lo[0], hi[0], np.concatenate([sing, sing - r_max, sing + r_max]))
+        probes = nodes.reshape(-1, 1)
+        breaks = field.difference_breakpoints(probes)
+    else:
+        probes, weights = _midpoint_grid(lo, hi, scheme.x_res(d))
+        breaks = np.empty((probes.shape[0], 0))
+    sub = None if subtract_candidate is None else subtract_candidate.eval_many(probes)
+    return float(np.dot(weights, _polar_many(field, mollifier, p, probes, breaks,
+                                             subtract=sub, scheme=scheme)))
 
 
 def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> float:
@@ -457,17 +430,8 @@ def local_energy(field, p, *, box=None,
         nodes, w = quadrature.axis_rule(lo[0], hi[0], ())
         grad = field.gradient_many(nodes.reshape(-1, 1))[:, 0]
         return g * float(np.dot(w, np.abs(grad) ** p))
-    n = resolution or DEFAULT_X_RESOLUTION[d]
-    axes = [lo[ax] + (hi[ax] - lo[ax]) / n * (np.arange(n) + 0.5)
-            for ax in range(d)]
-    cell = float(np.prod([(hi[ax] - lo[ax]) / n for ax in range(d)]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=-1)
-    total = 0.0
-    for start in range(0, X.shape[0], _CHUNK):
-        gr = field.gradient_many(X[start:start + _CHUNK])
-        total += float(np.sum(np.linalg.norm(gr, axis=1) ** p)) * cell
-    return g * total
+    X, w = _midpoint_grid(lo, hi, resolution or DEFAULT_X_RESOLUTION[d])
+    return g * float(np.dot(w, np.linalg.norm(field.gradient_many(X), axis=1) ** p))
 
 
 # ---------------------------------------------------------------------------

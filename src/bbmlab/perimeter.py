@@ -10,7 +10,7 @@ Two routes to Per(E), both exact in the concentration limit:
   operator.
 * ``degiorgi_perimeter``: the gradient integral of the heat-smoothed
   indicator W_n(x) = n^(d/2) int_E exp(-n |x-y|^2) dy, divided by the
-  calibrated constant B_d.
+  constant B_d = pi^(d/2).
 
 W_n is assembled axis-separably (erf products) for intervals, boxes and
 half-spaces, and by radial quadrature of the covered angle / solid angle

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import DimensionError, EvaluationError, IntegrationError
+from .errors import DimensionError, IntegrationError
 
 SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
@@ -98,7 +98,9 @@ def graded_edges(a: float, b: float, *, levels: int = 30, base_panels: int = 8,
     Grading makes composite Gauss rules accurate for integrable endpoint
     singularities (logarithms, mild powers) without special weights; the
     uniform base keeps the interior resolved for ordinary smooth
-    integrands.
+    integrands.  A graded edge that meets a base edge up to rounding is
+    dropped rather than left as a sliver panel; the finest grading step,
+    0.5 * 2**-levels * (b - a), lies far above that tolerance.
     """
     length = b - a
     if length <= 0:
@@ -108,7 +110,8 @@ def graded_edges(a: float, b: float, *, levels: int = 30, base_panels: int = 8,
         parts.append(a + 0.5 * length * 2.0 ** (-np.arange(1, levels + 1)))
     if grade_right:
         parts.append(b - 0.5 * length * 2.0 ** (-np.arange(1, levels + 1)))
-    return np.unique(np.concatenate(parts))
+    edges = np.sort(np.concatenate(parts))
+    return edges[np.diff(edges, prepend=-np.inf) > 1e-14 * length]
 
 
 def segment_rule(a: float, b: float, *, q: int = 8, levels: int = 30,
@@ -392,36 +395,3 @@ def adaptive_radial_integral(mollifier, g=None, *, policy: RefinementPolicy | No
     raise IntegrationError(
         f"radial quadrature for {mollifier.kind} did not settle within "
         f"{policy.max_levels} refinement levels")
-
-
-# ---------------------------------------------------------------------------
-# polar product integration
-# ---------------------------------------------------------------------------
-
-def integrate_polar(mollifier, rule_s: SphereRule, rule_r: RadialRule, F) -> float:
-    """sum_r w_r rho(r) r^(d-1) sum_sigma w_sigma F(r, sigma).
-
-    ``F(r, sigma)`` must be vectorized: ``r`` has shape (n,), ``sigma``
-    shape (K, d), and the result shape (n, K).  Summation order is fixed,
-    so identical inputs give bit-identical results.
-
-    Raises
-    ------
-    EvaluationError
-        If F produces a NaN or an infinity; the offending node
-        coordinates are reported.
-    """
-    vals = np.asarray(F(rule_r.nodes, rule_s.nodes), dtype=float)
-    if vals.shape != (rule_r.nodes.size, rule_s.nodes.shape[0]):
-        raise EvaluationError(
-            f"integrand returned shape {vals.shape}, expected "
-            f"{(rule_r.nodes.size, rule_s.nodes.shape[0])}")
-    if not np.isfinite(vals).all():
-        i, j = np.argwhere(~np.isfinite(vals))[0]
-        raise EvaluationError(
-            f"integrand returned {vals[i, j]!r} at r={rule_r.nodes[i]!r}, "
-            f"sigma={rule_s.nodes[j]!r}")
-    inner = vals @ rule_s.weights
-    measure = radial_measure(mollifier, rule_r)
-    return float(np.dot(rule_r.weights * measure, inner))
-

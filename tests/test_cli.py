@@ -179,3 +179,29 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
                      "--x-resolution", n, "--out", str(out)]) == 0
         outs.append(float(read_csv(out)[1]))
     assert outs[0] != outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["maximal", "--sphere-order", "8"],
+    ["energy", "--rel-tol", "1e-3"],
+    ["density", "--x-resolution", "64"],
+    ["pathology", "--workers", "2"],
+    ["constants", "--radial-level", "2"],
+], ids=["maximal-sphere-order", "energy-rel-tol", "density-x-resolution",
+        "pathology-workers", "constants-radial-level"])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_keys_follow_the_command_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    assert main(["energy", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    cfg.write_text(json.dumps({"x_resolution": 8, "sphere_order": 8,
+                               "radial_level": 1, "field": "bump:2",
+                               "mollifier": "indicator:0.5", "p": 2.0}))
+    assert main(["energy", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 0
+

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from bbmlab import constants
 from bbmlab.errors import DimensionError, DomainError
@@ -24,6 +25,9 @@ def test_gamma_closed_forms():
     assert constants.gamma(1, 1) == 2.0
     assert constants.gamma(2, 1) == 4.0
     assert constants.gamma(3, 1) == pytest.approx(2 * math.pi, abs=0)
+    assert constants.gamma(3, 2) == pytest.approx(4 * math.pi / 3, rel=1e-15)
+    assert constants.gamma(2, 3) == pytest.approx(8 / 3, rel=1e-15)
+    assert constants.gamma(3, 3) == pytest.approx(math.pi, rel=1e-15)
 
 
 @pytest.mark.parametrize("d,e", [(2, (0.0, 1.0)), (2, (1.0, 0.0)),
@@ -86,27 +90,40 @@ def test_bbm_perimeter_const_identity():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_degiorgi_const_matches_half_space_value(d):
-    # the 1D transition profile has total variation pi^(d/2); calibration
-    # must land there before the constant is trusted anywhere else
+    # the closed form against the total variation of the half-space
+    # transition profile, taken with the perimeter estimator's central
+    # differences on a fine grid
+    n, m = 2.0**12, 8192
+    h = 1.0 / m
+    t = -0.5 + h * np.arange(m)
+    profile = math.pi ** ((d - 1) / 2.0) * (math.sqrt(math.pi) / 2.0) \
+        * erfc(math.sqrt(n) * t)
+    variation = float(np.sum(np.abs(np.gradient(profile, h))) * h)
+    assert constants.degiorgi_const(d) == pytest.approx(variation, rel=1e-6)
     assert constants.degiorgi_const(d) == pytest.approx(
-        math.pi ** (d / 2.0), rel=1e-6)
+        math.pi ** (d / 2.0), rel=1e-15)
 
 
 def test_degiorgi_const_deterministic():
     a = constants.degiorgi_const(2)
-    constants.clear_cache()
     b = constants.degiorgi_const(2)
     assert a == b
 
 
-def test_constant_table_and_cache_round_trip(tmp_path):
-    table = constants.ConstantTable(2)
-    payload = table.to_json()
-    assert payload["entries"]["gamma_1"]["value"] == 4.0
-    assert payload["entries"]["degiorgi"]["provenance"] == "quadrature"
-    path = tmp_path / "constants.json"
-    constants.save_cache(path)
-    before = constants.degiorgi_const(2)
-    constants.clear_cache()
-    constants.load_cache(path)
-    assert constants.degiorgi_const(2) == before
+def test_constant_table_provenance():
+    for d in (1, 2, 3):
+        payload = constants.ConstantTable(d).to_json()
+        assert payload["entries"]["gamma_1"]["value"] == constants.gamma(d, 1)
+        assert {e["provenance"] for e in payload["entries"].values()} == {"closed-form"}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+def test_gamma_closed_form_matches_aligned_sphere_rule(d, p):
+    # the closed form against the quadrature cross-check, along an axis
+    # and along an oblique direction; p = 1.5 and 2.5 are only smooth to
+    # a fractional power at the split, hence the looser bound
+    tol = 1e-12 if p in (2.0, 3.0) else 1e-6
+    for e in (np.eye(d)[-1], np.full(d, 1.0)):
+        assert constants.gamma(d, p, e=e) == pytest.approx(
+            constants.gamma(d, p), rel=tol)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bbmlab import constants, fields, functionals as F, maximal as MX
-from bbmlab import mollifiers as mf, quadrature as Q
+from bbmlab import mollifiers as mf, perimeter as P, quadrature as Q
 from bbmlab.errors import (DimensionError, DomainError, EvaluationError,
                            ProbeError, ValidityError)
 from bbmlab.functionals import DensityRequest, QuadratureScheme
@@ -433,10 +433,11 @@ def test_batch_spanning_blocks_matches_single_probes(rng):
     probes = np.sort(rng.uniform(-0.6, 0.7, size=150)).reshape(-1, 1)
     per_probe = Q.radial_rule_size(None, 2, grade_origin=True) * 2
     assert probes.shape[0] > 3 * (F._CHUNK // per_probe)   # several blocks
-    batch = F._polar_many(u, m, 1.0, probes)
+    breaks = u.difference_breakpoints(probes)
+    batch = F._polar_many(u, m, 1.0, probes, breaks)
     single = [density(u, m, 1.0, x) for x in probes]
     np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0)
-    batch = F._polar_many(u, m, 1.0, probes, subtract=u.gradient_many(probes))
+    batch = F._polar_many(u, m, 1.0, probes, breaks, subtract=u.gradient_many(probes))
     single = [remainder(u, m, 1.0, x) for x in probes]
     np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0)
 
@@ -446,7 +447,9 @@ def test_batched_domain_density_matches_single_probes(rng):
     m = mf.gaussian(64.0, 1)
     omega = fields.interval_set(-0.5, 0.5)
     probes = rng.uniform(-0.45, 0.45, size=(40, 1))
-    batch = F._polar_many(u, m, 1.0, probes, omega=omega)
+    breaks = np.concatenate([u.difference_breakpoints(probes),
+                             omega.difference_breakpoints(probes)], axis=1)
+    batch = F._polar_many(u, m, 1.0, probes, breaks, omega=omega)
     single = [F.domain_density(u, m, 1.0, x, omega) for x in probes]
     np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0)
     # the gaussian support sticks out of Omega; the mask drops that part
@@ -454,17 +457,59 @@ def test_batched_domain_density_matches_single_probes(rng):
 
 
 # ---------------------------------------------------------------------------
+# 2D/3D energies: the midpoint x-grid through the same engine
+# ---------------------------------------------------------------------------
+
+def test_2d_energy_equals_cell_sum_of_densities():
+    u, m = fields.gaussian_bump(2), mf.indicator(0.25, 2)
+    n = 12
+    scheme = QuadratureScheme(sphere_order=8, radial_level=1, x_resolution=n)
+    r_max = m.quadrature_radius()
+    box_lo, box_hi = u.support_box()
+    lo, hi = np.asarray(box_lo) - r_max, np.asarray(box_hi) + r_max
+    h = (hi - lo) / n
+    axes = [lo[i] + h[i] * (np.arange(n) + 0.5) for i in range(2)]
+    nodes = [(a, b) for a in axes[0] for b in axes[1]]
+    dens = [density(u, m, 2.0, x, scheme) for x in nodes]
+    reference = float(np.prod(h)) * math.fsum(dens)
+    assert F.energy(u, m, 2.0, scheme) == pytest.approx(reference, rel=1e-13, abs=0)
+
+
+def test_tensor_energies_keep_their_values():
+    # values of the per-radius tensor route these energies ran on before
+    # they moved onto the batched engine
+    def scheme(n, order=None, level=None):
+        return QuadratureScheme(x_resolution=n, sphere_order=order,
+                                radial_level=level)
+
+    bump2 = fields.gaussian_bump(2)
+    cases = [
+        (F.energy(bump2, mf.indicator(0.125, 2), 2.0, scheme(24)),
+         9.850364923299269),
+        (P.bbm_perimeter(fields.ball_set([0.0, 0.0], 1.0), 256.0,
+                         scheme(96, 32, 2)), 6.260227517518683),
+        (F.energy(fields.gaussian_bump(3), mf.indicator(0.25, 3), 2.0,
+                  scheme(16, 4, 2)), 24.666819988052385),
+        (F.sobolev_residual(bump2, mf.indicator(2.0**-6, 2),
+                            fields.gradient_candidate(bump2), scheme(48, 32, 2)),
+         0.1991460241318774),
+    ]
+    for value, pinned in cases:
+        assert value == pytest.approx(pinned, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
 # non-finite integrands are refused
 # ---------------------------------------------------------------------------
 
-def infinite_spot(d, support_radius=math.inf):
-    """exp(-|x|^2), except +inf on a small ball around (0.3, 0, ...)."""
+def infinite_spot(d, support_radius=math.inf, bad=np.inf):
+    """exp(-|x|^2), except ``bad`` on a small ball around (0.3, 0, ...)."""
     centre = np.zeros(d)
     centre[0] = 0.3
 
     def ev(q):
         far = np.einsum("ij,ij->i", q - centre, q - centre) > 0.05**2
-        return np.where(far, np.exp(-np.einsum("ij,ij->i", q, q)), np.inf)
+        return np.where(far, np.exp(-np.einsum("ij,ij->i", q, q)), bad)
     return fields.AnalyticField(d, ev, support_radius=support_radius)
 
 
@@ -472,10 +517,12 @@ def infinite_spot(d, support_radius=math.inf):
 def test_density_refuses_infinite_integrand(d):
     probe = np.zeros(d)
     probe[0] = 0.2
-    with pytest.raises(EvaluationError) as err:
-        density(infinite_spot(d), mf.indicator(0.25, d), 1.0, probe)
-    msg = str(err.value)
-    assert "inf" in msg and "r=" in msg and "sigma=" in msg and "centre=" in msg
+    for bad in (np.inf, np.nan):
+        with pytest.raises(EvaluationError) as err:
+            density(infinite_spot(d, bad=bad), mf.indicator(0.25, d), 1.0, probe)
+        msg = str(err.value)
+        assert repr(bad) in msg and "r=" in msg and "sigma=" in msg \
+            and "centre=" in msg
 
 
 def test_1d_energy_refuses_infinite_integrand():
