@@ -20,7 +20,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -203,16 +202,7 @@ def run_density(cfg, outdir, started, *, remainder=False):
     probes = parse_probes(cfg["probes"], field.dimension)
     scheme = _scheme(cfg)
     op = functionals.remainder_density if remainder else functionals.pointwise_density
-
-    def one(x):
-        return op(DensityRequest(field, m, cfg["p"], x, scheme))
-
-    workers = int(cfg.get("workers", 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(one, probes))   # ordered; deterministic
-    else:
-        values = [one(x) for x in probes]
+    values = op(DensityRequest(field, m, cfg["p"], probes, scheme)).tolist()
     rows = [(i, ";".join(_fmt(float(c)) for c in x), v)
             for i, (x, v) in enumerate(zip(probes, values))]
     emit(outdir, cfg, ["index", "probe", "value"], rows,
@@ -355,15 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="nonlocal functional experiments and diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, scheme=False, x_grid=False, workers=False):
+    def common(sp, *, scheme=False, x_grid=False):
         # a flag is registered only on the commands that read it
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with the same keys as the flags")
         sp.add_argument("--out", type=str, default=None,
                         help="output directory (default runs/<command>)")
-        sp.add_argument("--seed", type=int, default=None)
-        if workers:
-            sp.add_argument("--workers", type=int, default=None)
         if scheme:
             sp.add_argument("--sphere-order", dest="sphere_order", type=int,
                             default=None)
@@ -385,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=float, default=None)
         sp.add_argument("--probe", dest="probes", type=str, default=None,
                         help="semicolon-separated points")
-        common(sp, scheme=True, workers=True)
+        common(sp, scheme=True)
 
     sp = sub.add_parser("energy", help="global nonlocal energy")
     sp.add_argument("--field", type=str, default=None)
@@ -440,6 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--eps", type=str, default=None,
                     help="comma ladder of superlevel thresholds")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed of the random test fields")
     common(sp)
 
     return parser
@@ -448,9 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
 DEFAULTS = {
     "constants": {"d": 2},
     "density": {"field": "linear:1,0", "mollifier": "indicator:0.25",
-                "p": 1.0, "probes": "0,0", "workers": 1},
+                "p": 1.0, "probes": "0,0"},
     "remainder": {"field": "bump:2", "mollifier": "indicator:0.25",
-                  "p": 1.0, "probes": "0.3,0.1", "workers": 1},
+                  "p": 1.0, "probes": "0.3,0.1"},
     "energy": {"field": "step", "mollifier": "indicator:0.25", "p": 1.0},
     "sweep": {"experiment": "energy", "field": "step",
               "mollifier": "indicator", "ladder": "1:8", "p": 1.0,
@@ -488,8 +477,6 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         if key in ("command", "config", "out") or value is None:
             continue
         cfg[key] = value
-    if cfg.get("seed") is None:
-        cfg["seed"] = 0
     return cfg
 
 

@@ -347,27 +347,6 @@ def step_field(a: float = 0.0, b: float = 1.0) -> BVField1D:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Interval:
-    a: float
-    b: float
-
-    dimension = 1
-
-    def contains(self, pts):
-        x = pts[:, 0]
-        return (x >= self.a) & (x <= self.b)
-
-    def volume(self):
-        return max(self.b - self.a, 0.0)
-
-    def perimeter(self):
-        return 2.0 if self.b > self.a else 0.0
-
-    def bbox(self):
-        return (np.array([self.a]), np.array([self.b]))
-
-
-@dataclass(frozen=True)
 class Ball:
     center: tuple
     radius: float
@@ -490,8 +469,6 @@ class IndicatorSet:
 
     def singular_points(self) -> np.ndarray:
         if self.dimension == 1:
-            if isinstance(self.shape, Interval):
-                return np.array([self.shape.a, self.shape.b])
             box = self.shape.bbox()
             if box is not None:
                 return np.array([box[0][0], box[1][0]])
@@ -512,7 +489,8 @@ class IndicatorSet:
 
 
 def interval_set(a: float, b: float) -> IndicatorSet:
-    return IndicatorSet(Interval(a, b))
+    """The indicator of [a, b], a one-dimensional box."""
+    return box_set(a, b)
 
 
 def ball_set(center, radius: float) -> IndicatorSet:

@@ -22,10 +22,11 @@ with no node at r = 0 (the measure rho(r) r^(d-1) dr has no atom there,
 so the 0/0 difference quotient never arises).  One engine,
 ``_polar_many``, computes the polar density for a batch of probes and
 is the only polar sum here: each probe's radial rule is split at the
-breakpoint radii its caller passes (graded toward r = 0 when there are
-any), and the probes are evaluated in blocks, their rules stacked into
-one array and the field called once per block for the centres and once
-for the nodes.  A density is a batch of one, with the field's (and
+breakpoint radii its caller passes (graded down to the nearest of them,
+below which the integrand is smooth), and the probes are evaluated in
+blocks, their rules stacked into one array and the field called once
+per block for the centres and once for the nodes.  A density at one
+probe or at a batch of probes is one engine call, with the field's (and
 Omega's) breakpoints.  An energy is one x-rule and one engine call.  In
 one dimension the x-rule is a jump-aware composite Gauss rule graded
 toward the field's singular points, because the density profile of a
@@ -96,7 +97,8 @@ DEFAULT_SCHEME = QuadratureScheme()
 
 @dataclass(frozen=True)
 class DensityRequest:
-    """Parameters of a pointwise density evaluation."""
+    """Parameters of a pointwise density evaluation at one probe point
+    or at an (m, d) batch of them."""
 
     field: object
     mollifier: RadialMollifier
@@ -112,21 +114,27 @@ class DensityRequest:
                 f"{m.dimension}")
         if self.p < 1:
             raise DomainError(f"exponent p must be >= 1, got {self.p}")
-        probe = as_points(self.probe, field.dimension)[0]
+        probes = as_points(self.probe, field.dimension)
         scheme = self.scheme or DEFAULT_SCHEME
-        _check_probe_margin(field, probe, m.quadrature_radius())
-        return field, m, float(self.p), probe, scheme
+        _check_probe_margin(field, probes, m.quadrature_radius())
+        return field, m, float(self.p), probes, scheme
 
 
-def _check_probe_margin(field, probe, r_max: float) -> None:
+def _shaped(probe, values: np.ndarray):
+    """A float for a single probe point, the (m,) values for a batch."""
+    return float(values[0]) if np.asarray(probe).ndim <= 1 else values
+
+
+def _check_probe_margin(field, probes, r_max: float) -> None:
     # zero extension beyond a grid box would corrupt the y-integral, so
     # grid probes must keep the whole mollifier support inside the box
     if isinstance(field, GridField):
         lo, hi = field.support_box()
-        if np.any(probe - r_max < lo) or np.any(probe + r_max > hi):
+        out = np.any((probes - r_max < lo) | (probes + r_max > hi), axis=1)
+        if out.any():
             raise ValidityError(
-                f"probe {probe} with mollifier radius {r_max:.3g} leaves "
-                f"the grid box")
+                f"probe {probes[np.argmax(out)]} with mollifier radius "
+                f"{r_max:.3g} leaves the grid box")
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +151,7 @@ def _radial_weights(mollifier, p, level, breaks, floor):
     """Stacked radial nodes r (m, n) and weights w rho(r) r^(d-1) / r^p.
 
     With ``floor`` the weights below the remainder floor are zero."""
-    rules = quadrature.radial_rules(mollifier, level, breakpoints=breaks,
-                                    grade_origin=breaks.shape[1] > 0)
+    rules = quadrature.radial_rules(mollifier, level, breakpoints=breaks)
     r = rules.nodes
     wr = rules.weights * quadrature.radial_measure(mollifier, rules) / r ** p
     if floor:
@@ -160,11 +167,11 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     with F = |u(x + r sigma) - u(x) [- r g . sigma]|^p, where g is the
     probe's row of ``subtract`` and, given ``omega``, F is zero at nodes
     outside Omega.  Row i of ``breaks`` (m, J) holds the breakpoint radii
-    of probe i; they become panel edges of its radial rule, graded toward
-    the origin.  With J = 0 all probes share one breakpoint-free rule,
-    built once.  Probes are taken in blocks of at most _CHUNK field
-    points; a block evaluates the field once at its centres and once at
-    its nodes.
+    of probe i; they become panel edges of its radial rule, graded down
+    to the nearest of them.  With J = 0 all probes share one
+    breakpoint-free rule, built once.  Probes are taken in blocks of at
+    most _CHUNK field points; a block evaluates the field once at its
+    centres and once at its nodes.
 
     Raises
     ------
@@ -176,7 +183,7 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     sig, ws = sphere.nodes, sphere.weights
     K = sig.shape[0]
     J = breaks.shape[1]
-    size = quadrature.radial_rule_size(scheme.radial_level, J, grade_origin=J > 0)
+    size = quadrature.radial_rule_size(scheme.radial_level, J)
     step = max(1, _CHUNK // (size * K))
     floor = subtract is not None
     if J == 0:
@@ -214,54 +221,57 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     return out
 
 
-def pointwise_density(req: DensityRequest) -> float:
-    """D(u)(x): the nonlocal difference-quotient density at one probe.
+def pointwise_density(req: DensityRequest):
+    """D(u)(x): the nonlocal difference-quotient density at the probe.
 
-    For affine u this equals gamma(d, p) |grad u|^p exactly, which the
-    test suite uses as an exactness oracle.
+    Returns a float for a single probe point and an (m,) array for an
+    (m, d) batch, evaluated in one engine call.  For affine u this
+    equals gamma(d, p) |grad u|^p exactly, which the test suite uses as
+    an exactness oracle.
     """
-    field, m, p, probe, scheme = req.validated()
-    probes = probe[None, :]
-    return float(_polar_many(field, m, p, probes,
-                             field.difference_breakpoints(probes), scheme=scheme)[0])
+    field, m, p, probes, scheme = req.validated()
+    values = _polar_many(field, m, p, probes, field.difference_breakpoints(probes),
+                         scheme=scheme)
+    return _shaped(req.probe, values)
 
 
-def remainder_density(req: DensityRequest) -> float:
-    """The density of u(x+h) - u(x) - grad u(x) . h.
+def remainder_density(req: DensityRequest):
+    """The density of u(x+h) - u(x) - grad u(x) . h, shaped as
+    ``pointwise_density``.
 
     Its decay along a concentration ladder witnesses first-order
     differentiability at the probe; for BV fields the subtracted
     gradient is the absolutely continuous part.
     """
-    field, m, p, probe, scheme = req.validated()
+    field, m, p, probes, scheme = req.validated()
     if isinstance(field, IndicatorSet):
         raise DomainError("set indicators have no gradient to subtract")
-    probes = probe[None, :]
-    return float(_polar_many(field, m, p, probes,
-                             field.difference_breakpoints(probes),
-                             subtract=field.gradient_many(probes), scheme=scheme)[0])
+    values = _polar_many(field, m, p, probes, field.difference_breakpoints(probes),
+                         subtract=field.gradient_many(probes), scheme=scheme)
+    return _shaped(req.probe, values)
 
 
 def domain_density(field, mollifier, p, probe, omega: IndicatorSet,
-                   scheme: Optional[QuadratureScheme] = None) -> float:
-    """Density with the y-integration restricted to the set Omega.
+                   scheme: Optional[QuadratureScheme] = None):
+    """Density with the y-integration restricted to the set Omega, shaped
+    as ``pointwise_density``.
 
     Raises
     ------
     DomainError
-        If the probe lies outside Omega.
+        If a probe lies outside Omega.
     """
     req = DensityRequest(field, mollifier, p, probe, scheme)
-    field, m, p, probe_arr, scheme = req.validated()
+    field, m, p, probes, scheme = req.validated()
     if omega.dimension != field.dimension:
         raise DimensionError("Omega dimension does not match the field")
-    if not bool(omega.contains(probe_arr.reshape(1, -1))[0]):
-        raise DomainError(f"probe {probe_arr} is not inside Omega")
-    probes = probe_arr[None, :]
+    outside = ~omega.contains(probes)
+    if outside.any():
+        raise DomainError(f"probe {probes[np.argmax(outside)]} is not inside Omega")
     breaks = np.concatenate([field.difference_breakpoints(probes),
                              omega.difference_breakpoints(probes)], axis=1)
-    return float(_polar_many(field, m, p, probes, breaks, omega=omega,
-                             scheme=scheme)[0])
+    values = _polar_many(field, m, p, probes, breaks, omega=omega, scheme=scheme)
+    return _shaped(req.probe, values)
 
 
 # ---------------------------------------------------------------------------

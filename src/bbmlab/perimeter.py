@@ -27,7 +27,7 @@ from scipy.special import erf, gammainc, roots_legendre
 
 from .constants import degiorgi_const, gamma
 from .errors import DomainError, ValidityError
-from .fields import Ball, Box, GridField, HalfSpace, IndicatorSet, Interval
+from .fields import Ball, Box, GridField, HalfSpace, IndicatorSet
 from .functionals import QuadratureScheme, energy
 from .mollifiers import gaussian
 
@@ -108,9 +108,7 @@ def degiorgi_field(E: IndicatorSet, n: float, *, half_width: float | None = None
     h = 2.0 * L / m
     axis = -L + h * np.arange(m)
     shape = E.shape
-    if isinstance(shape, Interval):
-        vals = _axis_factor(axis, shape.a, shape.b, n)
-    elif isinstance(shape, Box):
+    if isinstance(shape, Box):
         if shape.is_degenerate():
             vals = np.zeros((m,) * d)
         else:

@@ -6,10 +6,13 @@ Integrals of the form
 
 are evaluated as a product of a radial rule (composite Gauss-Legendre,
 with a change of variables for mollifiers that are singular at r = 0)
-and a sphere rule.  Sphere rules are panel-composite so that integrands
-with a kink on the equator {sigma . e = 0} of the last coordinate axis
-are integrated to machine precision; plain uniform angles lose five
-orders of magnitude on such integrands.
+and a sphere rule.  A radial rule is split at the radii where the
+integrand jumps and graded dyadically from r_max down to the nearest
+of them; without such radii it is the uniform rule.  Sphere rules are
+panel-composite so that integrands with a kink on the equator
+{sigma . e = 0} of the last coordinate axis are integrated to machine
+precision; plain uniform angles lose five orders of magnitude on such
+integrands.
 """
 
 from __future__ import annotations
@@ -227,16 +230,18 @@ def _rotation_to(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def radial_rule(mollifier, level: int | None = None, *,
-                breakpoints=(), nodes_per_panel: int = RADIAL_NODES_PER_PANEL,
-                tail_tol: float = GAUSSIAN_TAIL_TOL,
-                grade_origin: bool = False) -> RadialRule:
+                breakpoints=()) -> RadialRule:
     """Radial rule adapted to a mollifier's support and singularity.
 
     The base rule is composite Gauss-Legendre with 2**level panels on
-    (0, r_max).  A mollifier with a power singularity at 0 supplies a
-    substitution exponent alpha (r = s**alpha) that makes the transformed
-    measure smooth; the substitution is folded into the weights.
-    Breakpoints (radii where the integrand jumps) become panel edges.
+    (0, r_max) and RADIAL_NODES_PER_PANEL nodes a panel.  A mollifier
+    with a power singularity at 0 supplies a substitution exponent alpha
+    (r = s**alpha) that makes the transformed measure smooth; the
+    substitution is folded into the weights.  Breakpoints (radii where
+    the integrand jumps) become panel edges, and the panels are graded
+    dyadically from r_max down to the nearest breakpoint: beyond a jump
+    at a small radius the integrand falls off like 1/r^p, which uniform
+    panels cannot resolve, while below it the integrand is smooth.
     This is the one-row case of ``radial_rules``.
 
     Parameters
@@ -247,23 +252,13 @@ def radial_rule(mollifier, level: int | None = None, *,
     breakpoints : sequence of float, optional
         Radii at which the *integrand* is discontinuous (e.g. distances
         from a probe to the jump set of an indicator field).
-    grade_origin : bool
-        Add log-spaced panel edges accumulating at r = 0.  Needed when
-        the spherical average behaves like 1/r down to a breakpoint many
-        decades below r_max (a probe close to a jump of the field) -
-        uniform panels cannot resolve that.
     """
     rules = radial_rules(mollifier, level,
-                         breakpoints=np.asarray(breakpoints, dtype=float).reshape(1, -1),
-                         nodes_per_panel=nodes_per_panel, tail_tol=tail_tol,
-                         grade_origin=grade_origin)
+                         breakpoints=np.asarray(breakpoints, dtype=float).reshape(1, -1))
     return RadialRule(rules.nodes[0], rules.weights[0], rules.r_max)
 
 
-def radial_rules(mollifier, level: int | None = None, *, breakpoints,
-                 nodes_per_panel: int = RADIAL_NODES_PER_PANEL,
-                 tail_tol: float = GAUSSIAN_TAIL_TOL,
-                 grade_origin: bool = False) -> RadialRule:
+def radial_rules(mollifier, level: int | None = None, *, breakpoints) -> RadialRule:
     """The radial rules of a batch of probes, stacked one row per probe.
 
     ``breakpoints`` has shape (m, J): row i holds the breakpoint radii of
@@ -279,15 +274,15 @@ def radial_rules(mollifier, level: int | None = None, *, breakpoints,
         level = DEFAULT_RADIAL_LEVEL
     if level < 0:
         raise IntegrationError("radial level must be >= 0")
-    r_max = mollifier.quadrature_radius(tail_tol)
+    r_max = mollifier.quadrature_radius()
     if not np.isfinite(r_max) or r_max <= 0:
         raise IntegrationError(
             f"mollifier {mollifier.kind} has no usable truncation radius")
     alpha = mollifier.transform_power()
     bp = np.asarray(breakpoints, dtype=float)
     if alpha is None:
-        edges = _stacked_panel_edges(r_max, 2 ** level, bp, grade_origin)
-        nodes, weights = composite_gauss(edges, nodes_per_panel)
+        edges = _stacked_panel_edges(r_max, 2 ** level, bp)
+        nodes, weights = composite_gauss(edges, RADIAL_NODES_PER_PANEL)
         return RadialRule(nodes, weights, r_max)
     # substitution r = r_max * s**alpha on s in (0, 1]; breakpoints map
     # through scalar (libm) pow, which numpy's vectorised pow does not
@@ -295,47 +290,50 @@ def radial_rules(mollifier, level: int | None = None, *, breakpoints,
     inside = (bp > 0.0) & (bp < r_max)
     s_bp = np.ones(bp.shape)
     s_bp[inside] = [math.pow(b / r_max, 1.0 / alpha) for b in bp[inside].tolist()]
-    edges = _stacked_panel_edges(1.0, 2 ** level, s_bp, grade_origin)
-    s, ws = composite_gauss(edges, nodes_per_panel)
+    edges = _stacked_panel_edges(1.0, 2 ** level, s_bp)
+    s, ws = composite_gauss(edges, RADIAL_NODES_PER_PANEL)
     nodes = r_max * s ** alpha
     weights = ws * r_max * alpha * s ** (alpha - 1.0)
     return RadialRule(nodes, weights, r_max)
 
 
-_ORIGIN_GRADE_LEVELS = 44
+# dyadic grading edges b 2^-j, j = 1 .. _GRADE_LEVELS
+_GRADE_LEVELS = 43
 
 
-def radial_rule_size(level: int | None = None, n_breakpoints: int = 0, *,
-                     grade_origin: bool = False,
-                     nodes_per_panel: int = RADIAL_NODES_PER_PANEL) -> int:
+def radial_rule_size(level: int | None = None, n_breakpoints: int = 0) -> int:
     """Upper bound on the nodes per row of ``radial_rules``."""
     if level is None:
         level = DEFAULT_RADIAL_LEVEL
     panels = 2 ** level + n_breakpoints
-    if grade_origin:
-        panels += _ORIGIN_GRADE_LEVELS - 1
-    return panels * nodes_per_panel
+    if n_breakpoints:
+        panels += _GRADE_LEVELS
+    return panels * RADIAL_NODES_PER_PANEL
 
 
-def _stacked_panel_edges(b: float, n_panels: int, breakpoints: np.ndarray,
-                         grade_origin: bool) -> np.ndarray:
+def _stacked_panel_edges(b: float, n_panels: int, breakpoints: np.ndarray) -> np.ndarray:
     """Panel edges on [0, b], one row per row of breakpoints -> (m, k).
 
     Each row holds the uniform base edges, its breakpoints inside (0, b)
-    and, if ``grade_origin``, the dyadic edges b 2^-j accumulating at 0;
-    edges closer than machine tolerance to the previous one are dropped.
-    When all rows keep the same number of edges (always so for one row)
-    they are compacted by a reshape; otherwise short rows are padded at b.
+    and the dyadic edges b 2^-j that are not below its nearest such
+    breakpoint; a row without one keeps the uniform edges alone.  Edges
+    closer than machine tolerance to the previous one are dropped.  When
+    all rows keep the same number of edges (always so for one row) they
+    are compacted by a reshape; otherwise short rows are padded at b.
     """
     m, j = breakpoints.shape
     fixed = np.linspace(0.0, b, n_panels + 1)
-    if grade_origin:
-        fixed = np.concatenate([fixed, b * 2.0 ** (-np.arange(1, _ORIGIN_GRADE_LEVELS))])
-    edges = np.empty((m, fixed.size + j))
+    if j == 0:
+        return np.broadcast_to(fixed, (m, fixed.size))
+    dyadic = b * 2.0 ** (-np.arange(1, _GRADE_LEVELS + 1))
+    # a breakpoint outside (0, b), or a dyadic edge below the row's
+    # nearest breakpoint, becomes a duplicate of b
+    bp = np.where((breakpoints > 0.0) & (breakpoints < b), breakpoints, b)
+    nearest = bp.min(axis=1, keepdims=True)
+    edges = np.empty((m, fixed.size + dyadic.size + j))
     edges[:, :fixed.size] = fixed
-    # a breakpoint outside (0, b) becomes a duplicate of b
-    edges[:, fixed.size:] = np.where((breakpoints > 0.0) & (breakpoints < b),
-                                     breakpoints, b)
+    edges[:, fixed.size:-j] = np.where(dyadic >= nearest, dyadic, b)
+    edges[:, -j:] = bp
     edges.sort(axis=1)
     keep = np.empty(edges.shape, dtype=bool)
     keep[:, 0] = True

@@ -18,7 +18,6 @@ limit, and a classification:
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -139,11 +138,6 @@ class ConvergenceReport:
             "limit": None if self.limit is None else float(self.limit),
             "classification": self.classification,
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
 
 
 def _fmt(x) -> str:

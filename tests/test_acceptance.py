@@ -225,8 +225,8 @@ def test_criterion_10_determinism(tmp_path):
         for i, args in enumerate(DETERMINISM_CONFIGS):
             a = tmp_path / f"run{i}a"
             b = tmp_path / f"run{i}b"
-            assert cli_main(args + ["--seed", "0", "--out", str(a)]) == 0
-            assert cli_main(args + ["--seed", "0", "--out", str(b)]) == 0
+            assert cli_main(args + ["--out", str(a)]) == 0
+            assert cli_main(args + ["--out", str(b)]) == 0
             body_a = (a / "results.csv").read_bytes()
             body_b = (b / "results.csv").read_bytes()
             assert body_a == body_b, args

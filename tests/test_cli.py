@@ -1,8 +1,17 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bbmlab.cli import main, parse_field, parse_ladder, parse_mollifier
+from bbmlab import functionals as F
+from bbmlab.cli import (build_parser, main, parse_field, parse_ladder,
+                        parse_mollifier)
+from bbmlab.functionals import DensityRequest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -139,13 +148,25 @@ def test_resolved_config_round_trip(tmp_path):
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
 
-def test_workers_flag_keeps_results_identical(tmp_path):
-    base = ["density", "--field", "bump:2", "--mollifier", "gaussian:64",
-            "--p", "1", "--probe", "0.3,0.1;0.5,0.2;0.1,0.7"]
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(base + ["--out", str(out1)]) == 0
-    assert main(base + ["--workers", "3", "--out", str(out2)]) == 0
-    assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+@pytest.mark.parametrize("command,field,probes", [
+    ("density", "bump:2", "0.3,0.1;0.5,0.2;0.1,0.7"),
+    ("remainder", "mixed:1@0", "-0.3;0.1;0.2;0.45"),
+], ids=["density-2d", "remainder-1d-bv"])
+def test_multi_probe_values_match_per_probe_library_values(tmp_path, command,
+                                                           field, probes):
+    out = tmp_path / "run"
+    assert main([command, "--field", field, "--mollifier", "gaussian:64",
+                 "--p", "1", f"--probe={probes}", "--out", str(out)]) == 0
+    u = parse_field(field)
+    m = parse_mollifier("gaussian:64", u.dimension)
+    op = F.remainder_density if command == "remainder" else F.pointwise_density
+    expected = [op(DensityRequest(u, m, 1.0, [float(t) for t in x.split(",")]))
+                for x in probes.split(";")]
+    rows = [line.split(",") for line in read_csv(out)[1:]]
+    assert [int(r[0]) for r in rows] == list(range(len(expected)))
+    np.testing.assert_allclose([float(r[2]) for r in rows], expected,
+                               rtol=1e-14, atol=0)
+    assert read_summary(out)["values"] == [float(r[2]) for r in rows]
 
 
 def test_spec_parsers_reject_garbage():
@@ -187,8 +208,11 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
     ["density", "--x-resolution", "64"],
     ["pathology", "--workers", "2"],
     ["constants", "--radial-level", "2"],
+    ["density", "--seed", "3"],
+    ["energy", "--seed", "1"],
 ], ids=["maximal-sphere-order", "energy-rel-tol", "density-x-resolution",
-        "pathology-workers", "constants-radial-level"])
+        "pathology-workers", "constants-radial-level", "density-seed",
+        "energy-seed"])
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "x")])
@@ -205,3 +229,14 @@ def test_config_keys_follow_the_command_flags(tmp_path):
                                "mollifier": "indicator:0.5", "p": 2.0}))
     assert main(["energy", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 0
 
+
+def test_readme_cli_quick_start_parses():
+    # every command the README shows must use flags the parser still has
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Quick start \(CLI\).*?```\n(.*?)```", text, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("bbmlab ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert parser.parse_args(argv).command == argv[0]

@@ -431,7 +431,7 @@ def test_batch_spanning_blocks_matches_single_probes(rng):
     u = bv_two_jumps()
     m = mf.indicator(0.25, 1)
     probes = np.sort(rng.uniform(-0.6, 0.7, size=150)).reshape(-1, 1)
-    per_probe = Q.radial_rule_size(None, 2, grade_origin=True) * 2
+    per_probe = Q.radial_rule_size(None, 2) * 2
     assert probes.shape[0] > 3 * (F._CHUNK // per_probe)   # several blocks
     breaks = u.difference_breakpoints(probes)
     batch = F._polar_many(u, m, 1.0, probes, breaks)
@@ -440,6 +440,46 @@ def test_batch_spanning_blocks_matches_single_probes(rng):
     batch = F._polar_many(u, m, 1.0, probes, breaks, subtract=u.gradient_many(probes))
     single = [remainder(u, m, 1.0, x) for x in probes]
     np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0)
+
+
+def test_density_of_a_probe_batch_is_one_array():
+    # a point gives a float, an (m, d) batch the (m,) array of those floats
+    cases = [(fields.gaussian_bump(2), mf.gaussian(64.0, 2),
+              [[0.3, 0.1], [0.5, 0.2], [0.1, 0.7]]),
+             (bv_two_jumps(), mf.indicator(0.25, 1), [[-0.25], [0.1], [0.41]])]
+    for u, m, probes in cases:
+        for op in (density, remainder):
+            batch = op(u, m, 1.0, probes)
+            single = [op(u, m, 1.0, x) for x in probes]
+            assert isinstance(batch, np.ndarray) and batch.shape == (3,)
+            assert all(type(v) is float for v in single)
+            np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0)
+    u, m = bv_two_jumps(), mf.gaussian(64.0, 1)
+    omega = fields.interval_set(-0.5, 0.5)
+    probes = [[-0.45], [0.0], [0.3]]
+    np.testing.assert_allclose(
+        F.domain_density(u, m, 1.0, probes, omega),
+        [F.domain_density(u, m, 1.0, x, omega) for x in probes], rtol=1e-14, atol=0)
+    # every probe of a batch is checked, not only the first
+    with pytest.raises(DomainError):
+        F.domain_density(u, m, 1.0, [[0.0], [0.7]], omega)
+    g = fields.GridField.from_function(lambda p: np.exp(-p[:, 0] ** 2), 1, 2.0, 256)
+    with pytest.raises(ValidityError):
+        density(g, mf.indicator(0.5, 1), 1, [[0.0], [1.8]])
+
+
+def test_bv_power_law_density_is_stable_in_the_last_bits():
+    # below a probe's nearest jump the difference quotient is smooth; a
+    # rule graded on toward r = 0 would sum rounding noise divided by r
+    # down to r ~ 1e-49 and move the density by ~1e-7 per ulp of x
+    u, m = bv_two_jumps(), mf.power_law(0.3, 1)
+    a, b = (density(u, m, 1.0, [x])
+            for x in (0.22795445875361203, 0.22795445875361214))
+    assert b == pytest.approx(a, rel=1e-12, abs=0)
+    # 40-digit mpmath values of the density integral, split at the jumps
+    exact = {-0.9: 0.977020919287654, 0.41: 8.853565236315688}
+    for x, value in exact.items():
+        assert density(u, m, 1.0, [x]) == pytest.approx(value, rel=1e-8, abs=0)
 
 
 def test_batched_domain_density_matches_single_probes(rng):

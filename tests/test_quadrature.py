@@ -124,9 +124,12 @@ def test_refinement_observed_order_at_least_two():
     m = mf.indicator(1.0, 2)
     sphere = Q.sphere_rule(2, 16)
     F = lambda r, s: np.cos(7 * r)[:, None] * np.ones((1, s.shape[0]))
-    vals = [polar_sum(m, sphere,
-                              Q.radial_rule(m, lvl, nodes_per_panel=2), F)
-            for lvl in (2, 3, 4, 8)]
+
+    def rule(level):
+        nodes, weights = Q.composite_gauss(np.linspace(0.0, 1.0, 2**level + 1), 2)
+        return Q.RadialRule(nodes, weights, 1.0)
+
+    vals = [polar_sum(m, sphere, rule(lvl), F) for lvl in (2, 3, 4, 8)]
     e1, e2 = abs(vals[0] - vals[-1]), abs(vals[1] - vals[-1])
     e3 = abs(vals[2] - vals[-1])
     assert e2 <= e1 / 4.0
@@ -160,22 +163,23 @@ def test_segment_rule_flat_weights_sum():
 @pytest.mark.parametrize("m", [mf.indicator(0.25, 1), mf.power_law(0.3, 1),
                                mf.gaussian(64.0, 2)],
                          ids=["indicator", "powerlaw", "gaussian"])
-@pytest.mark.parametrize("grade", [False, True])
-def test_stacked_rule_rows_equal_radial_rule_bitwise(m, grade):
+@pytest.mark.parametrize("near_origin", [False, True])
+def test_stacked_rule_rows_equal_radial_rule_bitwise(m, near_origin):
     r_max = m.quadrature_radius()
-    # rows with breakpoints outside (0, r_max), on its ends, repeated,
-    # on a base edge and at float-noise radii, so row lengths differ
+    # rows with breakpoints outside (0, r_max), on its ends, repeated and
+    # on a base edge, so row lengths and grading depths differ; with
+    # near_origin one row grades down to a float-noise radius
     B = r_max * np.array([[0.3, 0.7, 1.4],
                           [-0.2, 0.0, 1.0],
                           [0.5, 0.5, 0.25],
-                          [1e-20, 0.123456789, 2.0],
+                          [1e-20 if near_origin else 1e-3, 0.123456789, 2.0],
                           [0.01, 0.02, 0.999]])
-    rules = Q.radial_rules(m, 3, breakpoints=B, grade_origin=grade)
+    rules = Q.radial_rules(m, 3, breakpoints=B)
     assert rules.nodes.shape == rules.weights.shape
-    assert rules.nodes.shape[1] <= Q.radial_rule_size(3, 3, grade_origin=grade)
+    assert rules.nodes.shape[1] <= Q.radial_rule_size(3, 3)
     lengths = []
     for i, row in enumerate(B):
-        one = Q.radial_rule(m, 3, breakpoints=tuple(row), grade_origin=grade)
+        one = Q.radial_rule(m, 3, breakpoints=tuple(row))
         n = one.nodes.size
         lengths.append(n)
         assert one.r_max == rules.r_max
@@ -191,10 +195,27 @@ def test_stacked_rule_rows_equal_radial_rule_bitwise(m, grade):
 
 def test_stacked_rules_compact_when_rows_agree():
     m = mf.indicator(0.5, 1)
-    B = np.array([[0.1, 0.3], [0.2, 0.4], [0.05, 0.45]])
+    # each row grades 0.5 * 2^-j down to its nearest breakpoint: the
+    # edges 0.25 and 0.125 fall on base edges, 0.0625 is the one extra
+    B = np.array([[0.04, 0.3], [0.05, 0.4], [0.06, 0.45]])
     rules = Q.radial_rules(m, 2, breakpoints=B)
-    assert rules.nodes.shape == (3, (4 + 2) * Q.RADIAL_NODES_PER_PANEL)
+    assert rules.nodes.shape == (3, (4 + 2 + 1) * Q.RADIAL_NODES_PER_PANEL)
     assert np.all(rules.weights > 0.0)
+
+
+def test_radial_rules_grade_down_to_the_nearest_breakpoint():
+    m = mf.indicator(0.5, 1)
+    plain = Q.radial_rule(m, 2)
+    assert plain.nodes.size == 4 * Q.RADIAL_NODES_PER_PANEL
+    # breakpoints outside (0, r_max) or on its ends leave the plain rule
+    outside = Q.radial_rule(m, 2, breakpoints=(-0.1, 0.0, 0.5, 0.7))
+    assert np.array_equal(outside.nodes, plain.nodes)
+    assert np.array_equal(outside.weights, plain.weights)
+    # 0.5 * 2^-j for j = 1..5 reach down to 0.01; j = 1, 2 are base edges
+    graded = Q.radial_rule(m, 2, breakpoints=(0.3, 0.01))
+    assert graded.nodes.size == (4 + 2 + 3) * Q.RADIAL_NODES_PER_PANEL
+    assert np.sum(graded.nodes < 0.01) == Q.RADIAL_NODES_PER_PANEL
+    assert np.sum(graded.weights) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_axis_rule_drops_rounding_slivers():
