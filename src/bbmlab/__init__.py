@@ -26,8 +26,7 @@ from .pathology import (PathologyCase, divergence_probe, gradient_mass_ladder,
                         pathological_field, shell_exponent, threshold_scan)
 from .perimeter import (PerimeterEstimate, bbm_perimeter, degiorgi_field,
                         degiorgi_perimeter)
-from .quadrature import (RadialRule, RefinementPolicy, SphereRule,
-                         radial_rule, sphere_rule)
+from .quadrature import RadialRule, SphereRule, radial_rule, sphere_rule
 from .reports import ConvergenceReport, classify_sequence
 
 __version__ = "0.1.0"

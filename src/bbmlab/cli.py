@@ -29,7 +29,6 @@ from . import pathology as pathology_mod
 from . import perimeter as perimeter_mod
 from .errors import BBMLabError
 from .functionals import DensityRequest, QuadratureScheme
-from .reports import ConvergenceReport
 
 
 class UsageError(Exception):
@@ -161,10 +160,6 @@ def emit(outdir: Path, config: dict, header, rows, summary: dict,
         fh.write("\n")
 
 
-def report_rows(report: ConvergenceReport):
-    return list(report.rows())
-
-
 REPORT_HEADER = ["index", "param", "value", "limit", "abs_error", "rel_error"]
 
 
@@ -176,6 +171,26 @@ def _scheme(cfg: dict) -> QuadratureScheme:
     return QuadratureScheme(sphere_order=cfg.get("sphere_order"),
                             radial_level=cfg.get("radial_level"),
                             x_resolution=cfg.get("x_resolution"))
+
+
+# the keys only some sweep experiments read, with their defaults
+SWEEP_OPTIONS = {
+    "energy": {"p": 1.0},
+    "density": {"p": 1.0, "probes": "0.2"},
+    "remainder": {"p": 1.0, "probes": "0.2"},
+    "sobolev-residual": {"candidate": "zero"},
+}
+# the keys only one perimeter method reads
+PERIMETER_OPTIONS = {"bbm": ("sphere_order", "radial_level", "x_resolution"),
+                     "degiorgi": ("grid_resolution",)}
+
+
+def _refuse_unread(cfg: dict, options, reads, chosen: str) -> None:
+    """Refuse a set key among ``options`` that the chosen run does not read."""
+    for key in options:
+        if key not in reads and cfg.get(key) is not None:
+            flag = "--probe" if key == "probes" else "--" + key.replace("_", "-")
+            raise UsageError(f"{chosen} does not read {flag}")
 
 
 def _refuse_1d_x_resolution(cfg: dict, d: int) -> None:
@@ -220,12 +235,18 @@ def run_energy(cfg, outdir, started):
 
 
 def run_sweep(cfg, outdir, started):
+    kind = cfg["experiment"]
+    if kind not in SWEEP_OPTIONS:
+        raise UsageError(f"unknown sweep experiment {kind!r}")
+    options = {key for reads in SWEEP_OPTIONS.values() for key in reads}
+    _refuse_unread(cfg, sorted(options), SWEEP_OPTIONS[kind],
+                   f"--experiment {kind}")
+    cfg.update({k: v for k, v in SWEEP_OPTIONS[kind].items() if cfg.get(k) is None})
     field = parse_field(cfg["field"])
     d = field.dimension
     _refuse_1d_x_resolution(cfg, d)
     ladder = parse_ladder(cfg["mollifier"], cfg["ladder"], d)
     scheme = _scheme(cfg)
-    kind = cfg["experiment"]
     if kind == "energy":
         report = functionals.energy_study(field, ladder, cfg["p"], scheme)
     elif kind in ("density", "remainder"):
@@ -241,16 +262,14 @@ def run_sweep(cfg, outdir, started):
         report = functionals.convergence_study(
             lambda mm: op(DensityRequest(field, mm, cfg["p"], probe, scheme)),
             ladder, limit=limit)
-    elif kind == "sobolev-residual":
+    else:
         cand = None
-        if cfg.get("candidate", "zero") == "gradient":
+        if cfg["candidate"] == "gradient":
             cand = fields.gradient_candidate(field)
         report = functionals.convergence_study(
             lambda mm: functionals.sobolev_residual(field, mm, cand, scheme),
             ladder)
-    else:
-        raise UsageError(f"unknown sweep experiment {kind!r}")
-    emit(outdir, cfg, REPORT_HEADER, report_rows(report),
+    emit(outdir, cfg, REPORT_HEADER, report.rows(),
          {"report": report.to_json()}, started)
     return 0
 
@@ -260,7 +279,7 @@ def run_bv(cfg, outdir, started):
     ladder = parse_ladder(cfg["mollifier"], cfg["ladder"], 1)
     probe = parse_probes(cfg["probes"], 1)[0]
     report = functionals.bv_pointwise_limit(field, ladder, probe, _scheme(cfg))
-    emit(outdir, cfg, REPORT_HEADER, report_rows(report),
+    emit(outdir, cfg, REPORT_HEADER, report.rows(),
          {"report": report.to_json()}, started)
     return 0
 
@@ -269,8 +288,11 @@ def run_perimeter(cfg, outdir, started):
     E = parse_field(cfg["shape"])
     if not isinstance(E, fields.IndicatorSet):
         raise UsageError("--shape must name an indicator set")
-    _refuse_1d_x_resolution(cfg, E.dimension)
     methods = ["bbm", "degiorgi"] if cfg["method"] == "both" else [cfg["method"]]
+    _refuse_unread(cfg, PERIMETER_OPTIONS["bbm"] + PERIMETER_OPTIONS["degiorgi"],
+                   [key for m in methods for key in PERIMETER_OPTIONS.get(m, ())],
+                   f"--method {cfg['method']}")
+    _refuse_1d_x_resolution(cfg, E.dimension)
     ns = ([float(t) for t in str(cfg["n"]).split(",")]
           if isinstance(cfg["n"], str) else [float(cfg["n"])])
     rows, estimates = [], []
@@ -294,7 +316,7 @@ def run_pathology(cfg, outdir, started):
     if cfg.get("scan"):
         ps = [float(t) for t in cfg["scan"].split(",")]
         scan = pathology_mod.threshold_scan(cfg["d"], cfg["delta"], probe, ps)
-    emit(outdir, cfg, REPORT_HEADER, report_rows(report),
+    emit(outdir, cfg, REPORT_HEADER, report.rows(),
          {"report": report.to_json(),
           "scan": scan and [{"p": p, "classification": c} for p, c in scan]},
          started)
@@ -441,9 +463,9 @@ DEFAULTS = {
     "remainder": {"field": "bump:2", "mollifier": "indicator:0.25",
                   "p": 1.0, "probes": "0.3,0.1"},
     "energy": {"field": "step", "mollifier": "indicator:0.25", "p": 1.0},
+    # plus the SWEEP_OPTIONS of the chosen experiment
     "sweep": {"experiment": "energy", "field": "step",
-              "mollifier": "indicator", "ladder": "1:8", "p": 1.0,
-              "probes": "0.2", "candidate": "zero"},
+              "mollifier": "indicator", "ladder": "1:8"},
     "bv": {"field": "step", "mollifier": "indicator", "ladder": "1:10",
            "probes": "0.3"},
     "perimeter": {"shape": "interval:0,1", "n": "1024", "method": "both"},

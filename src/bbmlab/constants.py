@@ -117,9 +117,6 @@ class ConstantTable:
             "degiorgi": (degiorgi_const(d), "closed-form"),
         }
 
-    def value(self, name: str) -> float:
-        return self.entries[name][0]
-
     def to_json(self) -> dict:
         return {
             "dimension": self.dimension,

@@ -18,7 +18,6 @@ All instances are immutable after construction and evaluation is pure.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Optional, Sequence
@@ -236,21 +235,6 @@ class GridField:
 
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.values)) * self.spacing**self.dimension)
-
-    # binary layout: little-endian int64 d, int64 N, float64 L, then
-    # row-major float64 values
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<qqd", self.dimension, self.resolution,
-                                 self.half_width))
-            fh.write(self.values.astype("<f8").tobytes(order="C"))
-
-    @staticmethod
-    def load(path) -> "GridField":
-        with open(path, "rb") as fh:
-            d, n, L = struct.unpack("<qqd", fh.read(24))
-            data = np.frombuffer(fh.read(), dtype="<f8")
-        return GridField(int(d), float(L), data.reshape((int(n),) * int(d)))
 
 
 # ---------------------------------------------------------------------------

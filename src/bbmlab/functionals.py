@@ -34,7 +34,8 @@ BV field has integrable logarithmic singularities there that a uniform
 grid resolves too slowly, and ``QuadratureScheme.x_resolution`` is
 refused.  In higher dimensions it is a midpoint grid whose nodes share
 one breakpoint-free radial rule.  Every path raises EvaluationError on
-a NaN or infinite integrand.
+a NaN or infinite integrand, and every density refuses a probe on a
+jump of the field, where it is +inf, with ProbeError.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ from .errors import (DimensionError, DomainError, EvaluationError,
 from .fields import (BVField1D, GridField, IndicatorSet, VectorField,
                      as_points, zero_vector_field)
 from .mollifiers import RadialMollifier
-from .reports import (DEFAULT_GROWTH_FACTOR, DEFAULT_GROWTH_WINDOW,
-                      DEFAULT_STUDY_RTOL, ConvergenceReport)
+from .reports import ConvergenceReport
 
 DEFAULT_X_RESOLUTION = {2: 256, 3: 64}
 _CHUNK = 32768
@@ -63,6 +63,11 @@ _CHUNK = 32768
 # the true contribution of those radii is O(mass * r^p) and negligible.
 # Plain difference quotients have a finite limit and keep every node.
 _REMAINDER_R_FLOOR = 1e-8
+
+# A probe within a few rounding units of a jump sits on it, where the
+# density is +inf.  At any real distance t it is finite (about log(1/t)
+# for p = 1): the x-rules of 1D energies put nodes 1e-13 from a jump.
+_ON_JUMP_RTOL = 4 * 2.0**-52
 
 
 def _abs_power(diff: np.ndarray, p: float) -> np.ndarray:
@@ -107,6 +112,14 @@ class DensityRequest:
     scheme: Optional[QuadratureScheme] = None
 
     def validated(self):
+        """The request's parts, checked: matching dimensions, p >= 1,
+        probes off the field's jumps and, for grid fields, inside the box.
+
+        Raises
+        ------
+        ProbeError
+            If a probe lies on a jump (a singular point) of the field.
+        """
         field, m = self.field, self.mollifier
         if field.dimension != m.dimension:
             raise DimensionError(
@@ -115,6 +128,13 @@ class DensityRequest:
         if self.p < 1:
             raise DomainError(f"exponent p must be >= 1, got {self.p}")
         probes = as_points(self.probe, field.dimension)
+        sing = np.asarray(field.singular_points(), dtype=float)
+        if sing.size:
+            gap = np.abs(probes[:, :1] - sing) / np.maximum(1.0, np.abs(sing))
+            on = gap.min(axis=1) <= _ON_JUMP_RTOL
+            if on.any():
+                raise ProbeError(
+                    f"probe {probes[np.argmax(on)]} lies on a jump of the field")
         scheme = self.scheme or DEFAULT_SCHEME
         _check_probe_margin(field, probes, m.quadrature_radius())
         return field, m, float(self.p), probes, scheme
@@ -390,8 +410,7 @@ def sobolev_residual(field, mollifier, candidate: Optional[VectorField],
                                      scheme=scheme or DEFAULT_SCHEME)
 
 
-def local_energy(field, p, *, box=None,
-                 resolution: Optional[int] = None) -> float:
+def local_energy(field, p, *, box=None) -> float:
     """The local limit gamma(d, p) int |grad u|^p.
 
     For p = 1 and a BV field the integral is the full total variation,
@@ -440,7 +459,7 @@ def local_energy(field, p, *, box=None,
         nodes, w = quadrature.axis_rule(lo[0], hi[0], ())
         grad = field.gradient_many(nodes.reshape(-1, 1))[:, 0]
         return g * float(np.dot(w, np.abs(grad) ** p))
-    X, w = _midpoint_grid(lo, hi, resolution or DEFAULT_X_RESOLUTION[d])
+    X, w = _midpoint_grid(lo, hi, DEFAULT_X_RESOLUTION[d])
     return g * float(np.dot(w, np.linalg.norm(field.gradient_many(X), axis=1) ** p))
 
 
@@ -450,10 +469,7 @@ def local_energy(field, p, *, box=None,
 
 def convergence_study(evaluate: Callable[[RadialMollifier], float],
                       ladder: Sequence[RadialMollifier], *,
-                      limit: Optional[float] = None,
-                      rel_tol: float = DEFAULT_STUDY_RTOL,
-                      growth_factor: float = DEFAULT_GROWTH_FACTOR,
-                      growth_window: int = DEFAULT_GROWTH_WINDOW) -> ConvergenceReport:
+                      limit: Optional[float] = None) -> ConvergenceReport:
     """Evaluate a functional along a mollifier ladder and classify it."""
     if not ladder:
         raise DomainError("the mollifier ladder must be nonempty")
@@ -461,8 +477,7 @@ def convergence_study(evaluate: Callable[[RadialMollifier], float],
     return ConvergenceReport(
         labels=[m.label for m in ladder],
         params=[m.param for m in ladder],
-        values=values, limit=limit, rel_tol=rel_tol,
-        growth_factor=growth_factor, growth_window=growth_window)
+        values=values, limit=limit)
 
 
 def energy_study(field, ladder, p, scheme: Optional[QuadratureScheme] = None,
@@ -488,8 +503,6 @@ def bv_pointwise_limit(field: BVField1D, ladder: Sequence[RadialMollifier],
     if not isinstance(field, BVField1D):
         raise DomainError("bv_pointwise_limit expects a 1D BV field")
     x = as_points(probe, 1)[0]
-    if field.jump_locations.size and np.min(np.abs(field.jump_locations - x[0])) < 1e-12:
-        raise ProbeError(f"probe {x[0]} is a jump location")
     limit = gamma(1, 1) * abs(field.gradient_many(x.reshape(1, 1))[0, 0])
     return convergence_study(
         lambda m: pointwise_density(DensityRequest(field, m, 1.0, x, scheme)),

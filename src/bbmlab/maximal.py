@@ -23,10 +23,17 @@ from scipy.signal import fftconvolve
 
 from .errors import DimensionError, DomainError, ValidityError
 from .fields import GridField, as_points
+from .quadrature import composite_gauss, sphere_rule
 
 DEFAULT_RADII = 256
 _MAX_RADII = 4096
 _DENSIFY_RTOL = 1e-3
+# panels of the 4-node Gauss rule on [0, r] behind the kernel bounds
+_SEGMENT_PANELS = 64
+# uniform angles of the ring sums in singular_kernel_bound
+_RING_ANGLES = 128
+# trapezoid intervals on the segment of directional_maximal
+_SEGMENT_SAMPLES = 4096
 
 
 def _ball_volume(d: int, s):
@@ -233,11 +240,6 @@ class RadonMeasure1D:
             total += np.where(np.abs(loc - x) < s, mass, 0.0)
         return total
 
-    @property
-    def total_mass(self) -> float:
-        dens = self.density.l1_norm() if self.density is not None else 0.0
-        return dens + float(sum(m for _, m in self.atoms))
-
 
 def measure_maximal(mu: RadonMeasure1D, x: float, R: float = math.inf, *,
                     radii: int = DEFAULT_RADII) -> float:
@@ -271,7 +273,7 @@ def measure_maximal(mu: RadonMeasure1D, x: float, R: float = math.inf, *,
 # directional and kernel bounds
 # ---------------------------------------------------------------------------
 
-def directional_maximal(f, sigma, x, R: float, *, samples: int = 4096) -> float:
+def directional_maximal(f, sigma, x, R: float) -> float:
     """sup_{0<r<=R} (1/r) int_0^r |grad f(x + s sigma) . sigma| ds.
 
     The segment must stay inside a grid field's box.
@@ -285,30 +287,27 @@ def directional_maximal(f, sigma, x, R: float, *, samples: int = 4096) -> float:
         end = x + R * sigma
         if np.any(end < lo) or np.any(end > hi) or np.any(x < lo) or np.any(x > hi):
             raise ValidityError("the segment exits the grid box")
-    s = R / samples * np.arange(samples + 1)
+    s = R / _SEGMENT_SAMPLES * np.arange(_SEGMENT_SAMPLES + 1)
     pts = x[None, :] + s[:, None] * sigma[None, :]
     g = np.abs(f.gradient_many(pts) @ sigma)
     # cumulative trapezoid, then sup of prefix averages over all s > 0
-    cum = np.concatenate([[0.0], np.cumsum((g[1:] + g[:-1]) / 2.0)]) * (R / samples)
+    cum = np.concatenate([[0.0], np.cumsum((g[1:] + g[:-1]) / 2.0)]) * (R / _SEGMENT_SAMPLES)
     with np.errstate(invalid="ignore"):
         avgs = cum[1:] / s[1:]
     return float(np.max(avgs))
 
 
-def kernel_bound_check(f: GridField, x, r: float, *,
-                       sphere_order: int | None = None,
-                       segment_panels: int = 64) -> tuple[float, float, float]:
+def kernel_bound_check(f: GridField, x, r: float) -> tuple[float, float, float]:
     """Spherical line-mass of |f| against r * M f(x).
 
     lhs = int_{S^(d-1)} int_0^r |f(x + s sigma)| ds dsigma, rhs = r * M f
     capped at radius r; their ratio is the empirical constant of the
     kernel lemma, recorded per dimension by the test suite.
     """
-    from .quadrature import composite_gauss, sphere_rule
     d = f.dimension
     x = as_points(x, d)[0]
-    rule = sphere_rule(d, sphere_order)
-    s, w = composite_gauss(np.linspace(0.0, r, segment_panels + 1), 4)
+    rule = sphere_rule(d)
+    s, w = composite_gauss(np.linspace(0.0, r, _SEGMENT_PANELS + 1), 4)
     pts = x[None, None, :] + s[:, None, None] * rule.nodes[None, :, :]
     vals = np.abs(f.eval_many(pts.reshape(-1, d))).reshape(s.size, -1)
     lhs = float(np.dot(w, vals) @ rule.weights)
@@ -317,8 +316,7 @@ def kernel_bound_check(f: GridField, x, r: float, *,
     return lhs, rhs, ratio
 
 
-def singular_kernel_bound(mu, x, r: float, *, radii: int = DEFAULT_RADII,
-                          angles: int = 128) -> tuple[float, float]:
+def singular_kernel_bound(mu, x, r: float) -> tuple[float, float]:
     """(1/r) int_{B(x,r)} |y-x|^(1-d) dmu(y) against M_r(mu)(x).
 
     Accepts a RadonMeasure1D or a nonnegative GridField density (d <= 2).
@@ -331,7 +329,7 @@ def singular_kernel_bound(mu, x, r: float, *, radii: int = DEFAULT_RADII,
             if mass > 0 and abs(loc - x) < 1e-12 * max(1.0, abs(x)):
                 return math.inf, math.inf
         lhs = float(mu.ball_mass(x, np.array([r]))[0]) / r
-        rhs = measure_maximal(mu, x, R=r, radii=radii)
+        rhs = measure_maximal(mu, x, R=r)
         return lhs, rhs
     f = mu
     if not isinstance(f, GridField):
@@ -340,24 +338,23 @@ def singular_kernel_bound(mu, x, r: float, *, radii: int = DEFAULT_RADII,
     x = as_points(x, d)[0]
     if d == 1:
         m1 = RadonMeasure1D(density=f)
-        return singular_kernel_bound(m1, float(x[0]), r, radii=radii)
+        return singular_kernel_bound(m1, float(x[0]), r)
     if d != 2:
         raise DimensionError("grid densities are supported in d = 1, 2")
-    from .quadrature import composite_gauss
-    s, w = composite_gauss(np.linspace(0.0, r, 64 + 1), 4)
-    theta = 2.0 * math.pi * (np.arange(angles) + 0.5) / angles
+    s, w = composite_gauss(np.linspace(0.0, r, _SEGMENT_PANELS + 1), 4)
+    theta = 2.0 * math.pi * (np.arange(_RING_ANGLES) + 0.5) / _RING_ANGLES
     ring = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     pts = x[None, None, :] + s[:, None, None] * ring[None, :, :]
-    vals = np.abs(f.eval_many(pts.reshape(-1, 2))).reshape(s.size, angles)
-    ringint = vals.sum(axis=1) * (2.0 * math.pi / angles)
+    vals = np.abs(f.eval_many(pts.reshape(-1, 2))).reshape(s.size, _RING_ANGLES)
+    ringint = vals.sum(axis=1) * (2.0 * math.pi / _RING_ANGLES)
     lhs = float(np.dot(w, ringint)) / r
     # rhs: sup of mass(B(x,s)) / (pi s^2) over s, via ring-integral
     # cumulatives of the interpolant (smooth in s, exact for constants)
     dt = r / 1024.0
     t = dt * np.arange(1, 1025)
     pts = x[None, None, :] + t[:, None, None] * ring[None, :, :]
-    fr = np.abs(f.eval_many(pts.reshape(-1, 2))).reshape(t.size, angles)
-    rings = fr.sum(axis=1) * (2.0 * math.pi / angles) * t
+    fr = np.abs(f.eval_many(pts.reshape(-1, 2))).reshape(t.size, _RING_ANGLES)
+    rings = fr.sum(axis=1) * (2.0 * math.pi / _RING_ANGLES) * t
     masses = np.concatenate([[0.0], np.cumsum((rings[1:] + rings[:-1]) / 2.0) * dt])
     masses += 0.5 * rings[0] * dt   # the [0, t_1] sliver (ring(0) = 0)
     rhs = float(np.max(masses / _ball_volume(d, t)))

@@ -16,6 +16,10 @@ The raw power-law profile integrates to delta/(delta+d-1) against
 r^(d-1) dr when d >= 2; ``normalized=True`` rescales it so the unit-mass
 axiom holds in any dimension.  Divergence experiments use the raw form,
 since divergence is insensitive to a constant rescaling.
+
+``normalization()`` and ``tail_mass(c)`` check the unit-mass and the
+concentration axiom.  For the built-in families both are closed forms;
+a custom profile is integrated with one fixed graded rule.
 """
 
 from __future__ import annotations
@@ -25,12 +29,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammainccinv
+from scipy.special import gammaincc, gammainccinv
 
 from . import constants, quadrature
 from .errors import DimensionError, DomainError, IntegrationError
 
-NORMALIZATION_ATOL = 1e-10
 CUSTOM_NORMALIZATION_ATOL = 1e-6
 
 
@@ -142,26 +145,43 @@ class RadialMollifier:
 
     # -- integrals ----------------------------------------------------------
 
-    def normalization(self, policy: quadrature.RefinementPolicy | None = None) -> float:
-        """int_0^inf rho(r) r^(d-1) dr by adaptive radial quadrature."""
-        return quadrature.adaptive_radial_integral(self, policy=policy)
+    def normalization(self) -> float:
+        """int_0^inf rho(r) r^(d-1) dr (the unit-mass axiom)."""
+        return self._mass_beyond(0.0)
 
-    def tail_mass(self, delta_cut: float,
-                  policy: quadrature.RefinementPolicy | None = None) -> float:
+    def tail_mass(self, delta_cut: float) -> float:
         """int_{delta_cut}^inf rho(r) r^(d-1) dr (the concentration axiom)."""
         if delta_cut <= 0.0:
             raise DomainError("delta_cut must be positive")
-        if delta_cut >= self.quadrature_radius():
-            return 0.0
-        return quadrature.adaptive_radial_integral(self, policy=policy,
-                                                   r_lo=delta_cut)
+        return self._mass_beyond(delta_cut)
 
-    def is_nonincreasing(self, probes: int = 64) -> bool:
-        """Probe monotonicity of the profile on a log-spaced grid."""
-        if probes < 2:
-            raise DomainError("need at least 2 probes")
+    def _mass_beyond(self, c: float) -> float:
+        """int_c^inf rho(r) r^(d-1) dr for c >= 0.
+
+        Closed forms for the built-in families: 1 - (c/eps)^d for the
+        indicator, Q((d+1)/2, n c^2) for the gaussian and
+        s delta/(delta+d-1) (1 - c^(delta+d-1)) for the power law, with
+        s = (delta+d-1)/delta when normalized and 1 when raw.  A custom
+        profile is integrated with its fixed graded shell rule.
+        """
+        d = self.dimension
+        if self.kind == "gaussian":
+            return float(gammaincc((d + 1) / 2.0, self.param * c * c))
+        r_max = self.quadrature_radius()
+        if c >= r_max:
+            return 0.0
+        if self.kind == "indicator":
+            return 1.0 - (c / r_max) ** d
+        if self.kind == "powerlaw":
+            k = self.param + d - 1.0
+            mass = 1.0 - c ** k
+            return mass if self.normalized else self.param / k * mass
+        return self._shell_mass(c, r_max)
+
+    def is_nonincreasing(self) -> bool:
+        """Probe monotonicity of the profile on a 64-point log-spaced grid."""
         r_hi = self.quadrature_radius()
-        grid = np.geomspace(r_hi * 1e-8, r_hi * (1.0 - 1e-12), probes)
+        grid = np.geomspace(r_hi * 1e-8, r_hi * (1.0 - 1e-12), 64)
         vals = self.evaluate(grid)
         scale = float(np.max(np.abs(vals))) or 1.0
         return bool(np.all(np.diff(vals) <= 1e-12 * scale))
@@ -179,7 +199,7 @@ class RadialMollifier:
             self._custom_checked.clear()
             raise DomainError("custom mollifier takes negative values")
         if math.isfinite(self.custom_support):
-            mass = quadrature.adaptive_radial_integral(self)
+            mass = self._shell_mass(0.0, self.custom_support)
             if abs(mass - 1.0) > CUSTOM_NORMALIZATION_ATOL:
                 self._custom_checked.clear()
                 raise IntegrationError(

@@ -36,8 +36,7 @@ from . import quadrature
 from .errors import DimensionError, DomainError, ProbeError
 from .fields import AnalyticField
 from .mollifiers import RadialMollifier, power_law
-from .reports import (DEFAULT_GROWTH_FACTOR, DEFAULT_GROWTH_WINDOW,
-                      DEFAULT_STUDY_RTOL, ConvergenceReport)
+from .reports import ConvergenceReport
 
 SHELL_OUTER = 0.125          # |y| < 1/8 region of the construction
 ANNULUS = (0.25, 0.5)        # admissible probe radii
@@ -45,6 +44,8 @@ _RADIUS_CLAMP = 1e-12        # sentinel cap scale at the origin
 
 DEFAULT_CUTOFFS = tuple(2.0 ** (-k) / 8.0 for k in range(3, 11))
 SCAN_SHELLS = (12, 28)
+SHELL_SPHERE_ORDER = 64
+SHELL_NODES_PER_PANEL = 12
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -108,7 +109,6 @@ class PathologyCase:
     dimension: int
     p: float
     delta: float
-    annulus: tuple = ANNULUS
     cutoffs: tuple = DEFAULT_CUTOFFS
 
     def __post_init__(self):
@@ -143,22 +143,21 @@ class PathologyCase:
         raw power-law profile is decreasing, so its value at 5/8 is a
         certified lower bound for every pair in the construction.
         """
-        extremal = self.annulus[1] + SHELL_OUTER
+        extremal = ANNULUS[1] + SHELL_OUTER
         return float(self.mollifier().evaluate(extremal))
 
 
 def _shell_mass(case: PathologyCase, probe: np.ndarray, s_lo: float,
-                s_hi: float, *, field=None, sphere_order: int = 64,
-                nodes_per_panel: int = 12) -> float:
+                s_hi: float, *, field=None) -> float:
     """Integral of the density integrand over {s_lo < |y| < s_hi}."""
     d = case.dimension
     u = field if field is not None else pathological_field(d)
     rho = case.mollifier()
-    sphere = quadrature.sphere_rule(d, sphere_order)
+    sphere = quadrature.sphere_rule(d, SHELL_SPHERE_ORDER)
     # log-subdivided panels keep the integrand panel-smooth
     n_panels = max(1, int(math.ceil(math.log2(s_hi / s_lo))))
     edges = np.geomspace(s_lo, s_hi, n_panels + 1)
-    s, w = quadrature.composite_gauss(edges, nodes_per_panel)
+    s, w = quadrature.composite_gauss(edges, SHELL_NODES_PER_PANEL)
     pts = s[:, None, None] * sphere.nodes[None, :, :]
     uy = u.eval_many(pts.reshape(-1, d)).reshape(s.size, -1)
     ux = u.eval_many(probe.reshape(1, d))[0]
@@ -175,17 +174,14 @@ def _check_probe(case: PathologyCase, probe) -> np.ndarray:
         raise DimensionError(
             f"probe must have {case.dimension} coordinates")
     r = float(np.linalg.norm(probe))
-    lo, hi = case.annulus
+    lo, hi = ANNULUS
     if not lo < r < hi:
         raise ProbeError(
             f"|probe| = {r:.4g} outside the admissible annulus ({lo}, {hi})")
     return probe
 
 
-def divergence_probe(case: PathologyCase, probe, *, field=None,
-                     rel_tol: float = DEFAULT_STUDY_RTOL,
-                     growth_factor: float = DEFAULT_GROWTH_FACTOR,
-                     growth_window: int = DEFAULT_GROWTH_WINDOW) -> ConvergenceReport:
+def divergence_probe(case: PathologyCase, probe, *, field=None) -> ConvergenceReport:
     """Certified lower bounds L_k of the density over nested shells.
 
     L_k integrates the (nonnegative) density integrand over
@@ -203,21 +199,19 @@ def divergence_probe(case: PathologyCase, probe, *, field=None,
     return ConvergenceReport(
         labels=[f"tau={c:.3e}" for c in case.cutoffs],
         params=list(case.cutoffs),
-        values=values, limit=None, rel_tol=rel_tol,
-        growth_factor=growth_factor, growth_window=growth_window)
+        values=values, limit=None)
 
 
-def shell_exponent(case: PathologyCase, probe, *, shells=SCAN_SHELLS,
-                   field=None) -> float:
+def shell_exponent(case: PathologyCase, probe, *, field=None) -> float:
     """Fitted dyadic-shell mass exponent beta (divergence iff beta < 0).
 
-    Shell masses m_j over {2^-(j+1) < 8|y| < 2^-j} follow
+    Shell masses m_j over {2^-(j+1) < 8|y| < 2^-j}, j in SCAN_SHELLS, follow
     m ~ tau^beta |ln tau|^gamma; a three-parameter least-squares fit in
     (1, ln tau, ln ln(1/tau)) recovers beta with the log correction
     absorbed, which a plain slope cannot do near the critical exponent.
     """
     probe = _check_probe(case, probe)
-    j0, j1 = shells
+    j0, j1 = SCAN_SHELLS
     masses, taus = [], []
     for j in range(j0, j1 + 1):
         hi = 2.0 ** (-j) * SHELL_OUTER
@@ -235,8 +229,7 @@ def shell_exponent(case: PathologyCase, probe, *, shells=SCAN_SHELLS,
     return float(coef[1])
 
 
-def threshold_scan(d: int, delta: float, probe, p_ladder, *,
-                   shells=SCAN_SHELLS) -> list[tuple[float, str]]:
+def threshold_scan(d: int, delta: float, probe, p_ladder) -> list[tuple[float, str]]:
     """Classify each exponent in the ladder as converging or diverging.
 
     The ladder must straddle the critical exponent d/(d-1) and must not
@@ -252,24 +245,24 @@ def threshold_scan(d: int, delta: float, probe, p_ladder, *,
     out = []
     for p in ps:
         case = PathologyCase(d, p, delta)
-        beta = shell_exponent(case, probe, shells=shells)
+        beta = shell_exponent(case, probe)
         out.append((p, "diverging" if beta < 0.0 else "converging"))
     return out
 
 
-def gradient_mass_ladder(d: int, inner_cutoffs, *, outer: float = 0.5,
-                         resolution: int | None = None) -> list[tuple[float, float]]:
-    """Grid integrals of |grad u| over {cut < |x| < outer}.
+def gradient_mass_ladder(d: int, inner_cutoffs) -> list[tuple[float, float]]:
+    """Grid integrals of |grad u| over {cut < |x| < 1/2}.
 
     Stability of these masses as the inner cutoff shrinks is the
     desk-scale witness that the field is W^{1,1} near its origin
     singularity (the gradient profile (r |ln r|^2)^-1 is integrable at
-    0).  The outer radius stays below 1 because the literal log factor
+    0).  The outer radius 1/2 stays below 1 because the literal log factor
     also vanishes on |x| = 1, an artifact region the construction never
     touches.
     """
     u = pathological_field(d)
-    n = resolution or {2: 1024, 3: 128}[d]
+    outer = 0.5
+    n = {2: 1024, 3: 128}[d]
     h = 2.0 * outer / n
     axis = -outer + h * np.arange(n)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")

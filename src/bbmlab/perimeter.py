@@ -186,18 +186,12 @@ def degiorgi_perimeter(E: IndicatorSet, n: float, *,
 
 def estimate(E: IndicatorSet, n: float, method: str, *,
              scheme: QuadratureScheme | None = None,
-             half_width: float | None = None,
              resolution: int | None = None) -> PerimeterEstimate:
     """Run one estimator and package it with the exact perimeter."""
     if method == "bbm":
         value = bbm_perimeter(E, n, scheme)
     elif method == "degiorgi":
-        value = degiorgi_perimeter(E, n, half_width=half_width,
-                                   resolution=resolution)
+        value = degiorgi_perimeter(E, n, resolution=resolution)
     else:
         raise DomainError(f"unknown method {method!r}; use 'bbm' or 'degiorgi'")
     return PerimeterEstimate(E, method, float(n), value, E.exact_perimeter())
-
-
-def ladder(E: IndicatorSet, ns, method: str, **kwargs) -> list[PerimeterEstimate]:
-    return [estimate(E, n, method, **kwargs) for n in ns]

@@ -1,18 +1,22 @@
-"""Radial x spherical product quadrature.
+"""Radial x spherical product quadrature rules.
 
 Integrals of the form
 
     int_0^inf rho(r) r^(d-1) [ int_{S^(d-1)} F(r, sigma) dsigma ] dr
 
-are evaluated as a product of a radial rule (composite Gauss-Legendre,
+are sums over the product of a radial rule (composite Gauss-Legendre,
 with a change of variables for mollifiers that are singular at r = 0)
-and a sphere rule.  A radial rule is split at the radii where the
-integrand jumps and graded dyadically from r_max down to the nearest
-of them; without such radii it is the uniform rule.  Sphere rules are
-panel-composite so that integrands with a kink on the equator
-{sigma . e = 0} of the last coordinate axis are integrated to machine
-precision; plain uniform angles lose five orders of magnitude on such
-integrands.
+and a sphere rule.  This module builds the rules; the one sum over them
+is ``functionals._polar_many``, and the mass integrals of the built-in
+mollifiers are closed forms that need no rule at all.  A radial rule is
+split at the radii where the integrand jumps and graded dyadically from
+r_max down to the nearest of them; without such radii it is the uniform
+rule.  Sphere rules are panel-composite so that integrands with a kink
+on the equator {sigma . e = 0} of the last coordinate axis are
+integrated to machine precision; plain uniform angles lose five orders
+of magnitude on such integrands.  Segment and axis rules (composite Gauss on intervals,
+graded toward their endpoints) serve one-dimensional integrals: the
+x-rule of 1D energies and the mass of a custom mollifier.
 """
 
 from __future__ import annotations
@@ -26,24 +30,12 @@ from scipy.special import roots_legendre
 
 from .errors import DimensionError, IntegrationError
 
-SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
-
 DEFAULT_SPHERE_ORDER = {1: 1, 2: 64, 3: 32}
 DEFAULT_RADIAL_LEVEL = 4
 RADIAL_NODES_PER_PANEL = 8
 GAUSSIAN_TAIL_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class RefinementPolicy:
-    """Termination control for adaptive refinement.
-
-    Levels double the panel count; refinement stops once the relative
-    change is below ``rel_tol`` on two consecutive levels.
-    """
-
-    rel_tol: float = 1e-6
-    max_levels: int = 12
+# uniform panels under the grading of a segment rule
+SEGMENT_BASE_PANELS = 8
 
 
 @dataclass(frozen=True)
@@ -51,9 +43,6 @@ class SphereRule:
     dimension: int
     nodes: np.ndarray   # (K, d) unit vectors
     weights: np.ndarray  # (K,), summing to |S^(d-1)|
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(values, self.weights))
 
 
 @dataclass(frozen=True)
@@ -93,10 +82,9 @@ def composite_gauss(edges: np.ndarray, q: int):
     return nodes.reshape(shape), weights.reshape(shape)
 
 
-def graded_edges(a: float, b: float, *, levels: int = 30, base_panels: int = 8,
-                 grade_left: bool = True, grade_right: bool = True) -> np.ndarray:
+def graded_edges(a: float, b: float, *, levels: int = 30) -> np.ndarray:
     """Panel edges on [a, b]: a uniform base plus geometric refinement
-    toward graded endpoints.
+    toward both endpoints.
 
     Grading makes composite Gauss rules accurate for integrable endpoint
     singularities (logarithms, mild powers) without special weights; the
@@ -108,26 +96,17 @@ def graded_edges(a: float, b: float, *, levels: int = 30, base_panels: int = 8,
     length = b - a
     if length <= 0:
         raise IntegrationError(f"empty segment [{a}, {b}]")
-    parts = [np.linspace(a, b, base_panels + 1)]
-    if grade_left:
-        parts.append(a + 0.5 * length * 2.0 ** (-np.arange(1, levels + 1)))
-    if grade_right:
-        parts.append(b - 0.5 * length * 2.0 ** (-np.arange(1, levels + 1)))
-    edges = np.sort(np.concatenate(parts))
+    grade = 0.5 * length * 2.0 ** (-np.arange(1, levels + 1))
+    edges = np.sort(np.concatenate([np.linspace(a, b, SEGMENT_BASE_PANELS + 1),
+                                    a + grade, b - grade]))
     return edges[np.diff(edges, prepend=-np.inf) > 1e-14 * length]
 
 
-def segment_rule(a: float, b: float, *, q: int = 8, levels: int = 30,
-                 base_panels: int = 8,
-                 grade_left: bool = True, grade_right: bool = True):
-    return composite_gauss(graded_edges(a, b, levels=levels,
-                                        base_panels=base_panels,
-                                        grade_left=grade_left,
-                                        grade_right=grade_right), q)
+def segment_rule(a: float, b: float, *, q: int = 8, levels: int = 30):
+    return composite_gauss(graded_edges(a, b, levels=levels), q)
 
 
-def axis_rule(lo: float, hi: float, breakpoints=(), *, q: int = 6,
-              levels: int = 30):
+def axis_rule(lo: float, hi: float, breakpoints=()):
     """1D rule on [lo, hi] split at breakpoints, graded toward every split.
 
     Used for x-integration of densities whose profile has integrable
@@ -139,7 +118,7 @@ def axis_rule(lo: float, hi: float, breakpoints=(), *, q: int = 6,
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a < 1e-300:
             continue
-        n, w = segment_rule(a, b, q=q, levels=levels)
+        n, w = segment_rule(a, b, q=6)
         nodes.append(n)
         weights.append(w)
     return np.concatenate(nodes), np.concatenate(weights)
@@ -352,44 +331,3 @@ def radial_measure(mollifier, rule: RadialRule) -> np.ndarray:
     """rho(r) r^(d-1) at the rule nodes."""
     return mollifier.evaluate(rule.nodes) * rule.nodes ** (mollifier.dimension - 1)
 
-
-def integrate_radial(mollifier, g=None, *, level=None, breakpoints=(),
-                     r_lo: float = 0.0) -> float:
-    """int_{r_lo}^{r_max} g(r) rho(r) r^(d-1) dr with the standard rule."""
-    rule = radial_rule(mollifier, level, breakpoints=tuple(breakpoints) + ((r_lo,) if r_lo > 0 else ()))
-    vals = radial_measure(mollifier, rule)
-    if r_lo > 0.0:
-        vals = np.where(rule.nodes >= r_lo, vals, 0.0)
-    if g is not None:
-        vals = vals * g(rule.nodes)
-    return float(np.dot(rule.weights, vals))
-
-
-def adaptive_radial_integral(mollifier, g=None, *, policy: RefinementPolicy | None = None,
-                             breakpoints=(), r_lo: float = 0.0) -> float:
-    """Refine the radial level until two consecutive relative changes are small.
-
-    Raises
-    ------
-    IntegrationError
-        If the relative change still exceeds ``policy.rel_tol`` after
-        ``policy.max_levels`` doublings.
-    """
-    policy = policy or RefinementPolicy()
-    prev = None
-    small_streak = 0
-    for level in range(2, policy.max_levels + 1):
-        val = integrate_radial(mollifier, g, level=level,
-                               breakpoints=breakpoints, r_lo=r_lo)
-        if prev is not None:
-            scale = max(abs(val), abs(prev), 1e-300)
-            if abs(val - prev) / scale < policy.rel_tol:
-                small_streak += 1
-                if small_streak >= 2:
-                    return val
-            else:
-                small_streak = 0
-        prev = val
-    raise IntegrationError(
-        f"radial quadrature for {mollifier.kind} did not settle within "
-        f"{policy.max_levels} refinement levels")

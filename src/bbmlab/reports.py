@@ -5,10 +5,11 @@ limit, and a classification:
 
 * ``converging``: errors (or increments, when no limit is known) shrink
   on at least 75% of consecutive pairs and the final one is below the
-  study tolerance.  Ties count as non-increase so that exactly-zero
-  error sequences classify correctly.
-* ``diverging``: the values grow by at least ``growth_factor`` over some
-  window of ``growth_window`` consecutive increasing pairs.  The factor
+  study tolerance ``DEFAULT_STUDY_RTOL``.  Ties count as non-increase so
+  that exactly-zero error sequences classify correctly.
+* ``diverging``: the values grow by at least ``DEFAULT_GROWTH_FACTOR``
+  over some window of ``DEFAULT_GROWTH_WINDOW`` consecutive increasing
+  pairs.  The factor
   is cumulative over the window: near-threshold divergent integrals grow
   unboundedly but with per-pair ratios tending to 1, so a per-pair test
   cannot detect them at any ladder depth.
@@ -17,8 +18,6 @@ limit, and a classification:
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -52,10 +51,7 @@ def _has_growth_window(values, factor: float, window: int) -> bool:
     return False
 
 
-def classify_sequence(values: Sequence[float], limit: Optional[float] = None, *,
-                      rel_tol: float = DEFAULT_STUDY_RTOL,
-                      growth_factor: float = DEFAULT_GROWTH_FACTOR,
-                      growth_window: int = DEFAULT_GROWTH_WINDOW) -> str:
+def classify_sequence(values: Sequence[float], limit: Optional[float] = None) -> str:
     """Classify a ladder of values as converging / diverging / stalled.
 
     With a limit, convergence is judged on absolute errors and the final
@@ -70,7 +66,7 @@ def classify_sequence(values: Sequence[float], limit: Optional[float] = None, *,
         scale = max(abs(limit), max(abs(v) for v in vals), 1e-300)
         final = errors[-1] / abs(limit) if limit != 0.0 else errors[-1]
         if (_fraction_nonincreasing(errors, _ERROR_FLOOR * scale) >= 0.75
-                and final < rel_tol):
+                and final < DEFAULT_STUDY_RTOL):
             return "converging"
     else:
         increments = [abs(b - a) for a, b in zip(vals[:-1], vals[1:])]
@@ -78,9 +74,9 @@ def classify_sequence(values: Sequence[float], limit: Optional[float] = None, *,
         # geometrically to zero must still be able to classify
         scale = max(max(abs(v) for v in vals), 1e-300)
         if (_fraction_nonincreasing(increments, _ERROR_FLOOR * scale) >= 0.75
-                and increments[-1] / scale < rel_tol):
+                and increments[-1] / scale < DEFAULT_STUDY_RTOL):
             return "converging"
-    if _has_growth_window(vals, growth_factor, growth_window):
+    if _has_growth_window(vals, DEFAULT_GROWTH_FACTOR, DEFAULT_GROWTH_WINDOW):
         return "diverging"
     return "stalled"
 
@@ -93,15 +89,15 @@ class ConvergenceReport:
     params: list[float]
     values: list[float]
     limit: Optional[float] = None
-    rel_tol: float = DEFAULT_STUDY_RTOL
-    growth_factor: float = DEFAULT_GROWTH_FACTOR
-    growth_window: int = DEFAULT_GROWTH_WINDOW
     classification: str = field(init=False)
 
+    # the classification rule's constants, for readers of a report
+    rel_tol = DEFAULT_STUDY_RTOL
+    growth_factor = DEFAULT_GROWTH_FACTOR
+    growth_window = DEFAULT_GROWTH_WINDOW
+
     def __post_init__(self):
-        self.classification = classify_sequence(
-            self.values, self.limit, rel_tol=self.rel_tol,
-            growth_factor=self.growth_factor, growth_window=self.growth_window)
+        self.classification = classify_sequence(self.values, self.limit)
 
     @property
     def abs_errors(self) -> list[Optional[float]]:
@@ -121,15 +117,6 @@ class ConvergenceReport:
                     self.abs_errors, self.rel_errors)):
             yield (i, param, value, self.limit, ae, re_)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["index", "param", "value", "limit",
-                             "abs_error", "rel_error"])
-            for idx, param, value, limit, ae, re_ in self.rows():
-                writer.writerow([idx, _fmt(param), _fmt(value), _fmt(limit),
-                                 _fmt(ae), _fmt(re_)])
-
     def to_json(self) -> dict:
         return {
             "labels": list(self.labels),
@@ -139,10 +126,3 @@ class ConvergenceReport:
             "classification": self.classification,
         }
 
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)
-    return format(x, ".17g")

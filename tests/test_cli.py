@@ -210,14 +210,61 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
     ["constants", "--radial-level", "2"],
     ["density", "--seed", "3"],
     ["energy", "--seed", "1"],
+    ["sweep", "--experiment", "sobolev-residual", "--p", "7"],
+    ["sweep", "--experiment", "energy", "--candidate", "gradient"],
+    ["sweep", "--experiment", "energy", "--probe", "9"],
+    ["sweep", "--experiment", "density", "--candidate", "gradient"],
+    ["perimeter", "--method", "degiorgi", "--sphere-order", "4"],
+    ["perimeter", "--shape", "ball:0,0,0.5", "--method", "degiorgi",
+     "--x-resolution", "8"],
+    ["perimeter", "--method", "bbm", "--grid-resolution", "8"],
 ], ids=["maximal-sphere-order", "energy-rel-tol", "density-x-resolution",
         "pathology-workers", "constants-radial-level", "density-seed",
-        "energy-seed"])
+        "energy-seed", "sweep-residual-p", "sweep-energy-candidate",
+        "sweep-energy-probe", "sweep-density-candidate",
+        "perimeter-degiorgi-sphere-order", "perimeter-degiorgi-x-resolution",
+        "perimeter-bbm-grid-resolution"])
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
+    # unknown flags stop the parser, flags the chosen experiment or
+    # method does not read stop the run; both exit 2 with no output
+    try:
+        code = main(argv + ["--out", str(tmp_path / "x")])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("experiment,extra,keys", [
+    ("energy", ["--field", "bump:1", "--p", "2"], {"p"}),
+    ("density", ["--field", "linear:2", "--probe", "0.1"], {"p", "probes"}),
+    ("sobolev-residual", ["--field", "step"], {"candidate"}),
+])
+def test_sweep_config_holds_only_the_keys_its_experiment_reads(
+        tmp_path, experiment, extra, keys):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["sweep", "--experiment", experiment, "--mollifier", "indicator",
+                 "--ladder", "2:4", *extra, "--out", str(out1)]) == 0
+    cfg = json.loads((out1 / "resolved-config.json").read_text())
+    assert {"p", "probes", "candidate"} & set(cfg) == keys
+    assert main(["sweep", "--config", str(out1 / "resolved-config.json"),
+                 "--out", str(out2)]) == 0
+    assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command,field,probes", [
+    ("density", "step", "0.3;0;0.5"),
+    ("remainder", "mixed:1@0", "0.2;0"),
+    ("density", "interval:0,1", "1"),
+], ids=["density-step", "remainder-mixed", "density-interval-end"])
+def test_probe_on_a_jump_is_a_numerical_failure(tmp_path, capsys, command,
+                                                field, probes):
+    out = tmp_path / "x"
+    code = main([command, "--field", field, "--mollifier", "indicator:0.25",
+                 "--probe", probes, "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ProbeError"
+    assert not out.exists()
 
 
 def test_config_keys_follow_the_command_flags(tmp_path):

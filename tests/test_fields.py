@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -230,20 +229,3 @@ def test_mollify_resolution_error():
     with pytest.raises(ResolutionError):
         fields.mollify(fields.step_field(), 100, half_width=2.0, resolution=256)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_grid_binary_layout(tmp_path):
-    g = fields.GridField.from_function(lambda p: p[:, 0] + 2 * p[:, 1], 2, 1.5, 8)
-    path = tmp_path / "field.bin"
-    g.save(path)
-    raw = path.read_bytes()
-    d, n, L = struct.unpack("<qqd", raw[:24])
-    assert (d, n, L) == (2, 8, 1.5)
-    data = np.frombuffer(raw[24:], dtype="<f8")
-    assert data.size == 64
-    back = fields.GridField.load(path)
-    assert np.array_equal(back.values, g.values)
-    assert back.half_width == g.half_width

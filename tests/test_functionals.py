@@ -310,6 +310,32 @@ def test_sobolev_residual_smooth_with_own_gradient_small():
     assert vals[-1] < 1e-2
 
 
+@pytest.mark.parametrize("field,m,probe", [
+    (fields.step_field(), mf.power_law(0.3, 1), [0.0]),
+    (fields.interval_set(-0.3, 0.6), mf.indicator(0.25, 1), [0.6]),
+    (fields.step_field(), mf.indicator(0.25, 1), [[0.3], [1.0], [0.5]]),
+], ids=["step-jump", "interval-endpoint", "batch-with-one-jump"])
+def test_densities_refuse_probes_on_a_jump(field, m, probe):
+    # the p >= 1 density is +inf on a jump; no rule may return a number
+    omega = fields.interval_set(-2.0, 2.0)
+    calls = [lambda: density(field, m, 1.0, probe),
+             lambda: density(field, m, 2.0, probe),
+             lambda: F.domain_density(field, m, 1.0, probe, omega)]
+    if not isinstance(field, fields.IndicatorSet):
+        calls.append(lambda: remainder(field, m, 1.0, probe))
+    for call in calls:
+        with pytest.raises(ProbeError, match="jump"):
+            call()
+
+
+def test_on_a_jump_means_within_rounding_of_it():
+    # 0.1 + 0.2 is 0.3 up to one rounding; 1e-13 away the density is finite
+    m = mf.indicator(0.25, 1)
+    with pytest.raises(ProbeError):
+        density(fields.BVField1D(None, [(0.1 + 0.2, 1.0)]), m, 1.0, [0.3])
+    assert density(fields.step_field(), m, 1.0, [1e-13]) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # ladder drivers
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gammaincc
 
 from bbmlab import mollifiers as mf
@@ -16,6 +17,22 @@ def numeric_profile_mass(m, r_hi=None, d=None):
     r_hi = r_hi or min(m.quadrature_radius(), 60.0)
     nodes, w = segment_rule(1e-14, r_hi, q=12, levels=44)
     return float(np.dot(w, m.evaluate(nodes) * nodes ** (d - 1)))
+
+
+def quad_mass(m, c=0.0):
+    """Independent mass oracle: scipy's adaptive quad of rho(r) r^(d-1)
+    over (c, r_max).  The power-law mass on (0, 1) uses the algebraic
+    weight r^(delta+d-2), which leaves the flat rho(r) r^(1-delta) to
+    integrate; QUADPACK samples that at the endpoints, where rho is
+    taken just inside (0, 1)."""
+    d = m.dimension
+    if m.kind == "powerlaw" and c == 0.0:
+        def flat(r):
+            r = min(max(r, 1e-300), 1.0 - 1e-16)
+            return float(m.evaluate(r)) * r ** (1.0 - m.param)
+        return quad(flat, 0.0, 1.0, weight="alg", wvar=(m.param + d - 2.0, 0.0))[0]
+    r_hi = np.inf if m.kind == "gaussian" else m.support_radius
+    return quad(lambda r: float(m.evaluate(r)) * r ** (d - 1), c, r_hi)[0]
 
 
 def test_indicator_evaluate_closed_form():
@@ -56,14 +73,18 @@ def test_evaluate_rejects_nonpositive_radius():
     lambda d: mf.power_law(0.1, d),
 ])
 def test_normalization_within_1e10(d, make):
+    # the profile formula itself has unit mass, by an independent quadrature
     m = make(d)
-    assert abs(m.normalization() - 1.0) <= 1e-10
+    mass = quad_mass(m)
+    assert abs(mass - 1.0) <= 1e-13
+    assert abs(m.normalization() - mass) <= 1e-13
 
 
 def test_powerlaw_raw_mass_is_delta_over_dplusdeltaminus1():
     delta, d = 0.3, 2
     raw = mf.power_law(delta, d, normalized=False)
-    assert raw.normalization() == pytest.approx(delta / (delta + d - 1), rel=1e-10)
+    assert raw.normalization() == pytest.approx(delta / (delta + d - 1), rel=1e-14)
+    assert abs(quad_mass(raw) - delta / (delta + d - 1)) <= 1e-14
 
 
 def test_tail_mass_indicator_outside_support():
@@ -73,13 +94,23 @@ def test_tail_mass_indicator_outside_support():
 def test_tail_mass_indicator_closed_form():
     # int_delta^eps d eps^-d r^(d-1) dr = 1 - (delta/eps)^d
     m = mf.indicator(0.5, 2)
-    assert m.tail_mass(0.25) == pytest.approx(1 - 0.25**2 / 0.5**2, rel=1e-10)
+    assert m.tail_mass(0.25) == pytest.approx(1 - 0.25**2 / 0.5**2, abs=1e-14)
 
 
 def test_tail_mass_powerlaw_antiderivative():
     # d=1: tail over (c, 1) of delta t^(delta-1) is 1 - c^delta
     m = mf.power_law(0.5, 1)
-    assert m.tail_mass(0.5) == pytest.approx(1 - 0.5**0.5, rel=1e-9)
+    assert m.tail_mass(0.5) == pytest.approx(1 - 0.5**0.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1.0, 4.0, 64.0])
+@pytest.mark.parametrize("c", [0.1, 0.25, 0.5])
+def test_tail_mass_gaussian_is_upper_incomplete_gamma(d, n, c):
+    # int_c^inf C_d n^((d+1)/2) r^d exp(-n r^2) dr = Q((d+1)/2, n c^2)
+    m = mf.gaussian(n, d)
+    assert abs(m.tail_mass(c) - gammaincc((d + 1) / 2.0, n * c * c)) <= 1e-14
+    assert abs(m.tail_mass(c) - quad_mass(m, c)) <= 1e-14
 
 
 def test_gaussian_tail_decreases_with_concentration():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bbmlab import constants, mollifiers as mf, quadrature as Q
-from bbmlab.errors import IntegrationError
 
 SPHERE_AREAS = {1: 2.0, 2: 2 * math.pi, 3: 4 * math.pi}
 
@@ -134,15 +133,6 @@ def test_refinement_observed_order_at_least_two():
     e3 = abs(vals[2] - vals[-1])
     assert e2 <= e1 / 4.0
     assert e3 <= e2 / 4.0
-
-
-def test_adaptive_radial_integral_converges_and_fails_loudly():
-    m = mf.gaussian(4.0, 2)
-    val = Q.adaptive_radial_integral(m)
-    assert val == pytest.approx(1.0, rel=1e-9)
-    policy = Q.RefinementPolicy(rel_tol=1e-30, max_levels=4)
-    with pytest.raises(IntegrationError):
-        Q.adaptive_radial_integral(m, policy=policy)
 
 
 def test_axis_rule_handles_log_singularity_at_breakpoint():

@@ -1,5 +1,6 @@
 import pytest
 
+from bbmlab.cli import REPORT_HEADER, write_csv
 from bbmlab.reports import ConvergenceReport, classify_sequence
 
 
@@ -52,7 +53,7 @@ def test_report_rows_and_csv(tmp_path):
     assert report.abs_errors == [1.0, 0.5, pytest.approx(0.05)]
     assert report.rel_errors[-1] == pytest.approx(0.0125)
     path = tmp_path / "report.csv"
-    report.write_csv(path)
+    write_csv(path, REPORT_HEADER, report.rows())
     lines = path.read_text().splitlines()
     assert lines[0] == "index,param,value,limit,abs_error,rel_error"
     assert lines[1].startswith("0,0.5,3,4,1,0.25")
@@ -63,7 +64,7 @@ def test_report_without_limit_has_blank_error_columns(tmp_path):
     report = ConvergenceReport(labels=["a", "b", "c"], params=[1, 2, 3],
                                values=[1.0, 2.0, 4.0], limit=None)
     path = tmp_path / "r.csv"
-    report.write_csv(path)
+    write_csv(path, REPORT_HEADER, report.rows())
     assert path.read_text().splitlines()[1] == "0,1,1,,,"
 
 
