@@ -193,11 +193,28 @@ def _refuse_unread(cfg: dict, options, reads, chosen: str) -> None:
             raise UsageError(f"{chosen} does not read {flag}")
 
 
-def _refuse_1d_x_resolution(cfg: dict, d: int) -> None:
-    if d == 1 and cfg.get("x_resolution") is not None:
-        raise UsageError(
-            "--x-resolution sets the x-grid of 2D and 3D energies; 1D "
-            "energies use the jump-aware axis rule and cannot honour it")
+def _refuse_unread_scheme(cfg: dict, field, *, energy: bool = False) -> None:
+    """Refuse the quadrature flags that the field's route does not read.
+
+    ``energy`` says the run integrates the field's energy: for an
+    interval or a ball that is one radial sum, with no x-grid and no
+    sphere rule.  Otherwise a 1D field has no x-grid (its energies use
+    the jump-aware axis rule) and no sphere order (its sphere is
+    {-1, +1}).
+    """
+    if energy and functionals.radial_covariogram(field) is not None:
+        why = ("the energy of an interval or a ball is one radial sum over "
+               "its covariogram; it reads only --radial-level")
+        unread = {"x_resolution": why, "sphere_order": why}
+    elif field.dimension == 1:
+        unread = {"x_resolution": "1D energies use the jump-aware axis rule "
+                                  "and cannot honour it",
+                  "sphere_order": "the 1D sphere is always {-1, +1}"}
+    else:
+        return
+    for key, why in unread.items():
+        if cfg.get(key) is not None:
+            raise UsageError(f"--{key.replace('_', '-')} is not read here: {why}")
 
 
 def run_constants(cfg, outdir, started):
@@ -213,6 +230,7 @@ def run_constants(cfg, outdir, started):
 
 def run_density(cfg, outdir, started, *, remainder=False):
     field = parse_field(cfg["field"])
+    _refuse_unread_scheme(cfg, field)
     m = parse_mollifier(cfg["mollifier"], field.dimension)
     probes = parse_probes(cfg["probes"], field.dimension)
     scheme = _scheme(cfg)
@@ -227,7 +245,7 @@ def run_density(cfg, outdir, started, *, remainder=False):
 
 def run_energy(cfg, outdir, started):
     field = parse_field(cfg["field"])
-    _refuse_1d_x_resolution(cfg, field.dimension)
+    _refuse_unread_scheme(cfg, field, energy=True)
     m = parse_mollifier(cfg["mollifier"], field.dimension)
     value = functionals.energy(field, m, cfg["p"], _scheme(cfg))
     emit(outdir, cfg, ["value"], [(value,)], {"value": value}, started)
@@ -244,7 +262,7 @@ def run_sweep(cfg, outdir, started):
     cfg.update({k: v for k, v in SWEEP_OPTIONS[kind].items() if cfg.get(k) is None})
     field = parse_field(cfg["field"])
     d = field.dimension
-    _refuse_1d_x_resolution(cfg, d)
+    _refuse_unread_scheme(cfg, field, energy=kind == "energy")
     ladder = parse_ladder(cfg["mollifier"], cfg["ladder"], d)
     scheme = _scheme(cfg)
     if kind == "energy":
@@ -276,6 +294,7 @@ def run_sweep(cfg, outdir, started):
 
 def run_bv(cfg, outdir, started):
     field = parse_field(cfg["field"])
+    _refuse_unread_scheme(cfg, field)
     ladder = parse_ladder(cfg["mollifier"], cfg["ladder"], 1)
     probe = parse_probes(cfg["probes"], 1)[0]
     report = functionals.bv_pointwise_limit(field, ladder, probe, _scheme(cfg))
@@ -292,7 +311,7 @@ def run_perimeter(cfg, outdir, started):
     _refuse_unread(cfg, PERIMETER_OPTIONS["bbm"] + PERIMETER_OPTIONS["degiorgi"],
                    [key for m in methods for key in PERIMETER_OPTIONS.get(m, ())],
                    f"--method {cfg['method']}")
-    _refuse_1d_x_resolution(cfg, E.dimension)
+    _refuse_unread_scheme(cfg, E, energy="bbm" in methods)
     ns = ([float(t) for t in str(cfg["n"]).split(",")]
           if isinstance(cfg["n"], str) else [float(cfg["n"])])
     rows, estimates = [], []

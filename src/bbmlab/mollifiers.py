@@ -18,8 +18,9 @@ axiom holds in any dimension.  Divergence experiments use the raw form,
 since divergence is insensitive to a constant rescaling.
 
 ``normalization()`` and ``tail_mass(c)`` check the unit-mass and the
-concentration axiom.  For the built-in families both are closed forms;
-a custom profile is integrated with one fixed graded rule.
+concentration axiom, and ``moment(k)`` is the k-th radial moment that
+the energies of sets need.  For the built-in families all three are
+closed forms; a custom profile is integrated with one fixed graded rule.
 """
 
 from __future__ import annotations
@@ -129,10 +130,11 @@ class RadialMollifier:
             r *= 2.0
         raise IntegrationError("custom mollifier tail does not decay")
 
-    def _shell_mass(self, a: float, b: float) -> float:
+    def _shell_mass(self, a: float, b: float, k: float = 0.0) -> float:
+        """int_a^b rho(r) r^(d-1+k) dr by the fixed graded rule."""
         nodes, w = quadrature.segment_rule(a, b, q=8, levels=8)
         vals = np.asarray(self.custom_evaluator(nodes), dtype=float)
-        return float(np.dot(w, vals * nodes ** (self.dimension - 1)))
+        return float(np.dot(w, vals * nodes ** (self.dimension - 1 + k)))
 
     def transform_power(self) -> Optional[float]:
         """Substitution exponent alpha (r = r_max * s**alpha) removing the
@@ -154,6 +156,31 @@ class RadialMollifier:
         if delta_cut <= 0.0:
             raise DomainError("delta_cut must be positive")
         return self._mass_beyond(delta_cut)
+
+    def moment(self, k: float) -> float:
+        """int_0^inf rho(r) r^(d-1+k) dr, or +inf where it diverges at 0.
+
+        Closed forms for the built-in families: d eps^k/(d+k) for the
+        indicator, C_d n^(-k/2) Gamma((d+1+k)/2)/2 for the gaussian and
+        s delta/(delta+d-1+k) for the power law (s as in
+        ``_mass_beyond``); they diverge for k <= -d, k <= -(d+1) and
+        k <= -(delta+d-1).  ``moment(0)`` is the mass.  A custom profile
+        is integrated with its fixed graded shell rule, which cannot see
+        a divergence.
+        """
+        d = self.dimension
+        if self.kind == "indicator":
+            return math.inf if d + k <= 0 else d * self.param ** k / (d + k)
+        if self.kind == "gaussian":
+            a = (d + 1 + k) / 2.0
+            if a <= 0:
+                return math.inf
+            return (constants.gaussian_norm_const(d) * self.param ** (-k / 2.0)
+                    * math.gamma(a) / 2.0)
+        if self.kind == "powerlaw":
+            a = self.param + d - 1.0 + k
+            return math.inf if a <= 0 else self._powerlaw_scale() * self.param / a
+        return self._shell_mass(0.0, self.quadrature_radius(), k)
 
     def _mass_beyond(self, c: float) -> float:
         """int_c^inf rho(r) r^(d-1) dr for c >= 0.

@@ -7,14 +7,15 @@ Two routes to Per(E), both exact in the concentration limit:
   nonlocal energy of the set indicator with the gaussian mollifier
   divided by gamma(d, 1), and is implemented exactly that way so the
   whole quadrature path is shared with (and tested through) the energy
-  operator.
+  operator.  For intervals and balls that energy is the covariogram
+  integral, one radial sum; boxes in 2D and 3D take the tensor route.
 * ``degiorgi_perimeter``: the gradient integral of the heat-smoothed
   indicator W_n(x) = n^(d/2) int_E exp(-n |x-y|^2) dy, divided by the
   constant B_d = pi^(d/2).
 
-W_n is assembled axis-separably (erf products) for intervals, boxes and
-half-spaces, and by radial quadrature of the covered angle / solid angle
-for balls.
+W_n is a closed form on the grid: erf products for intervals, boxes and
+half-spaces, and for a ball of radius R about c the noncentral
+chi-square distribution function pi^(d/2) chndtr(2n R^2, d, 2n |x-c|^2).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, gammainc, roots_legendre
+from scipy.special import chndtr, erf
 
 from .constants import degiorgi_const, gamma
 from .errors import DomainError, ValidityError
@@ -32,8 +33,6 @@ from .functionals import QuadratureScheme, energy
 from .mollifiers import gaussian
 
 DEFAULT_GRID_RESOLUTION = {1: 4096, 2: 512, 3: 64}
-_SHELL_NODES = 96
-_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -98,10 +97,10 @@ def degiorgi_field(E: IndicatorSet, n: float, *, half_width: float | None = None
                    resolution: int | None = None) -> GridField:
     """The smoothed indicator W_n sampled on a grid.
 
-    Separable erf products are used for axis-aligned shapes; balls use
-    radial quadrature of the covered angle (d=2) or spherical-cap solid
-    angle (d=3).  Requires a margin of at least 4/sqrt(n) between the
-    set and the grid box.
+    Separable erf products are used for axis-aligned shapes; balls in 2D
+    and 3D use the noncentral chi-square distribution function.
+    Requires a margin of at least 4/sqrt(n) between the set and the grid
+    box.
     """
     L, m = _grid_axes(E, n, half_width, resolution)
     d = E.dimension
@@ -128,10 +127,13 @@ def degiorgi_field(E: IndicatorSet, n: float, *, half_width: float | None = None
             c, R = shape.center[0], shape.radius
             vals = _axis_factor(axis, c - R, c + R, n)
         else:
-            mesh = np.meshgrid(*([axis] * d), indexing="ij")
-            pts = np.stack([g.ravel() for g in mesh], axis=-1)
-            rho = np.linalg.norm(pts - np.asarray(shape.center), axis=1)
-            vals = _ball_field(rho, shape.radius, n, d).reshape((m,) * d)
+            # W_n = pi^(d/2) P(|Y - c| <= R) for Y ~ N(x, I/(2n)), and
+            # 2n |Y - c|^2 is noncentral chi-square with d degrees of
+            # freedom and noncentrality 2n |x - c|^2
+            mesh = np.meshgrid(*[axis - c for c in shape.center], indexing="ij")
+            rho2 = sum(g * g for g in mesh)
+            vals = math.pi ** (d / 2.0) * chndtr(2.0 * n * shape.radius**2, d,
+                                                 2.0 * n * rho2)
     else:  # pragma: no cover - exhaustive over shipped shapes
         raise DomainError(f"unsupported shape {type(shape).__name__}")
     return GridField(d, L, vals)
@@ -141,35 +143,6 @@ def _axis_factor(x: np.ndarray, a: float, b: float, n: float) -> np.ndarray:
     """sqrt(n) int_a^b exp(-n (x-y)^2) dy."""
     rn = math.sqrt(n)
     return 0.5 * math.sqrt(math.pi) * (erf(rn * (b - x)) - erf(rn * (a - x)))
-
-
-def _ball_field(rho: np.ndarray, R: float, n: float, d: int) -> np.ndarray:
-    out = np.zeros_like(rho)
-    xi, wi = roots_legendre(_SHELL_NODES)
-    for start in range(0, rho.size, _CHUNK):
-        q = rho[start:start + _CHUNK]
-        inner_edge = np.clip(R - q, 0.0, None)
-        if d == 2:
-            inner = math.pi * (1.0 - np.exp(-n * inner_edge**2))
-        else:
-            inner = math.pi ** 1.5 * gammainc(1.5, n * inner_edge**2)
-        a = np.abs(q - R)
-        b = q + R
-        half = 0.5 * (b - a)
-        r = a[:, None] + half[:, None] * (xi[None, :] + 1.0)
-        w = half[:, None] * wi[None, :]
-        safe_q = np.where(q > 0, q, 1.0)
-        cosang = (q[:, None] ** 2 + r**2 - R**2) / (2.0 * safe_q[:, None] * r)
-        cosang = np.clip(cosang, -1.0, 1.0)
-        if d == 2:
-            angle = 2.0 * np.arccos(cosang)
-            shell = np.sum(w * n * np.exp(-n * r**2) * angle * r, axis=1)
-        else:
-            solid = 2.0 * math.pi * (1.0 - cosang)
-            shell = np.sum(w * n**1.5 * np.exp(-n * r**2) * solid * r**2, axis=1)
-        shell = np.where(q > 0, shell, 0.0)
-        out[start:start + _CHUNK] = inner + shell
-    return out
 
 
 def degiorgi_perimeter(E: IndicatorSet, n: float, *,

@@ -218,12 +218,37 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
     ["perimeter", "--shape", "ball:0,0,0.5", "--method", "degiorgi",
      "--x-resolution", "8"],
     ["perimeter", "--method", "bbm", "--grid-resolution", "8"],
+    # the sphere of a 1D field is always {-1, +1}
+    ["density", "--field", "step", "--probe", "0.3", "--sphere-order", "8"],
+    ["remainder", "--field", "mixed:1@0", "--probe", "0.2", "--sphere-order", "8"],
+    ["energy", "--field", "step", "--sphere-order", "8"],
+    ["energy", "--field", "interval:0,1", "--mollifier", "indicator:0.25",
+     "--p", "1", "--sphere-order", "8"],
+    ["sweep", "--experiment", "density", "--field", "linear:2", "--probe", "0.1",
+     "--mollifier", "indicator", "--ladder", "1:3", "--sphere-order", "8"],
+    ["bv", "--sphere-order", "8"],
+    ["perimeter", "--shape", "interval:0,1", "--method", "bbm", "--sphere-order", "8"],
+    # the energy of a ball is one radial sum: no x-grid, no sphere rule
+    ["energy", "--field", "ball:0,0,0.5", "--mollifier", "indicator:0.25",
+     "--x-resolution", "16"],
+    ["energy", "--field", "ball:0,0,0,0.5", "--mollifier", "indicator:0.25",
+     "--sphere-order", "4"],
+    ["sweep", "--experiment", "energy", "--field", "ball:0,0,0.5",
+     "--mollifier", "gaussian", "--ladder", "4:6", "--x-resolution", "16"],
+    ["perimeter", "--shape", "ball:0,0,1", "--method", "bbm", "--x-resolution", "32"],
+    ["perimeter", "--shape", "ball:0,0,1", "--method", "both", "--sphere-order", "8"],
 ], ids=["maximal-sphere-order", "energy-rel-tol", "density-x-resolution",
         "pathology-workers", "constants-radial-level", "density-seed",
         "energy-seed", "sweep-residual-p", "sweep-energy-candidate",
         "sweep-energy-probe", "sweep-density-candidate",
         "perimeter-degiorgi-sphere-order", "perimeter-degiorgi-x-resolution",
-        "perimeter-bbm-grid-resolution"])
+        "perimeter-bbm-grid-resolution", "density-1d-sphere-order",
+        "remainder-1d-sphere-order", "energy-1d-sphere-order",
+        "energy-interval-sphere-order", "sweep-1d-sphere-order",
+        "bv-sphere-order", "perimeter-interval-sphere-order",
+        "energy-disk-x-resolution", "energy-ball-sphere-order",
+        "sweep-disk-x-resolution", "perimeter-disk-bbm-x-resolution",
+        "perimeter-disk-both-sphere-order"])
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
     # unknown flags stop the parser, flags the chosen experiment or
     # method does not read stop the run; both exit 2 with no output

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bbmlab import constants, fields, functionals as F, maximal as MX
 from bbmlab import mollifiers as mf, perimeter as P, quadrature as Q
@@ -438,7 +439,8 @@ def test_batched_1d_energy_equals_sum_of_densities(case):
     elif case == "interval-gaussian":
         u, m, p = fields.interval_set(-0.3, 0.6), mf.gaussian(256.0, 1), 1.0
     elif case == "step-powerlaw":
-        u, m, p = fields.step_field(), mf.power_law(0.3, 1), 1.5
+        # finite below p = delta + d = 1.3
+        u, m, p = fields.step_field(), mf.power_law(0.3, 1), 1.2
     else:
         u, m, p = bv_two_jumps(), mf.indicator(2.0**-7, 1), 1.0
     nodes, w = axis_nodes(u, m)
@@ -446,6 +448,11 @@ def test_batched_1d_energy_equals_sum_of_densities(case):
         # the candidate is the field's own (absolutely continuous) gradient
         value = F.sobolev_residual(u, m, fields.gradient_candidate(u))
         dens = [remainder(u, m, p, [x]) for x in nodes]
+    elif case == "interval-gaussian":
+        # an interval's energy takes the covariogram route; this pins the
+        # axis rule it would take otherwise
+        value = F._integrate_density_over_x(u, m, p)
+        dens = [density(u, m, p, [x]) for x in nodes]
     else:
         value = F.energy(u, m, p)
         dens = [density(u, m, p, [x]) for x in nodes]
@@ -552,8 +559,12 @@ def test_tensor_energies_keep_their_values():
     cases = [
         (F.energy(bump2, mf.indicator(0.125, 2), 2.0, scheme(24)),
          9.850364923299269),
-        (P.bbm_perimeter(fields.ball_set([0.0, 0.0], 1.0), 256.0,
-                         scheme(96, 32, 2)), 6.260227517518683),
+        # the disk's energy takes the covariogram route; this pins its
+        # tensor route, which stays the cross-check
+        (F._integrate_density_over_x(fields.ball_set([0.0, 0.0], 1.0),
+                                     mf.gaussian(256.0, 2), 1.0,
+                                     scheme=scheme(96, 32, 2))
+         / constants.gamma(2, 1), 6.260227517518683),
         (F.energy(fields.gaussian_bump(3), mf.indicator(0.25, 3), 2.0,
                   scheme(16, 4, 2)), 24.666819988052385),
         (F.sobolev_residual(bump2, mf.indicator(2.0**-6, 2),
@@ -562,6 +573,142 @@ def test_tensor_energies_keep_their_values():
     ]
     for value, pinned in cases:
         assert value == pytest.approx(pinned, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# energies of sets: the covariogram route
+# ---------------------------------------------------------------------------
+
+def interval_or_ball(d, R):
+    """The interval of length 2R (d = 1) or the ball of radius R, off centre."""
+    if d == 1:
+        return fields.interval_set(0.05 - R, 0.05 + R)
+    return fields.ball_set([0.05] + [0.0] * (d - 1), R)
+
+
+def covariogram_quad(d, R, m, p):
+    """2 |S^(d-1)| int rho(r) r^(d-1-p) (|E| - g(r)) dr by quad, with the
+    covariogram g of the interval or ball and the profile rho written out.
+
+    rho(r) r^(d-1-p) (|E| - g) = A e(r) r^alpha (|E| - g(r))/r, where
+    (|E| - g)/r -> c1 at 0; the algebraic weight r^alpha takes the
+    singularity at 0 and the integral is split at the diameter D."""
+    D = 2.0 * R
+    if d == 1:
+        vol, c1 = D, 1.0
+
+        def g(t):
+            return D - t
+    elif d == 2:
+        vol, c1 = math.pi * R * R, D
+
+        def g(t):
+            return 2.0 * R * R * math.acos(t / D) - 0.5 * t * math.sqrt(D * D - t * t)
+    else:
+        vol, c1 = 4.0 / 3.0 * math.pi * R**3, math.pi * R * R
+
+        def g(t):
+            return math.pi / 12.0 * (4.0 * R + t) * (2.0 * R - t) ** 2
+    if m.kind == "indicator":
+        A, a, top, n = d * m.param**-d, 0.0, m.param, 0.0
+    elif m.kind == "gaussian":
+        n = m.param
+        A, a, top = 2.0 / math.gamma((d + 1) / 2.0) * n ** ((d + 1) / 2.0), 1.0, math.inf
+    else:
+        A, a, top, n = m.param + d - 1.0, m.param - 1.0, 1.0, 0.0
+    kw = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    value = quad(lambda r: A * math.exp(-n * r * r) * ((vol - g(r)) / r if r > 0 else c1),
+                 0.0, min(D, top), weight="alg", wvar=(a + d - p, 0.0), **kw)[0]
+    if top > D:
+        value += quad(lambda r: A * math.exp(-n * r * r) * r ** (a + d - 1 - p) * vol,
+                      D, top, **kw)[0]
+    sphere = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[d]
+    return 2.0 * sphere * value
+
+
+# an exponent below each family's critical one: d+1, d+2 and delta+d
+BELOW_CRITICAL = {"indicator": {1: 1.9, 2: 2.5, 3: 3.5},
+                  "gaussian": {1: 2.5, 2: 3.5, 3: 4.5},
+                  "powerlaw": {1: 1.2, 2: 2.2, 3: 3.2}}
+# (p = 1, p > 1) relative tolerances
+COVARIOGRAM_RTOL = {"indicator": (1e-10, 1e-8), "gaussian": (1e-10, 1e-8),
+                    "powerlaw": (1e-6, 1e-4)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("R", [0.1, 0.8])
+@pytest.mark.parametrize("kind", ["indicator", "gaussian", "powerlaw"])
+@pytest.mark.parametrize("above_one", [False, True], ids=["p1", "p-below-critical"])
+def test_set_energy_matches_quad_of_its_covariogram(d, R, kind, above_one):
+    m = {"indicator": mf.indicator(0.3, d), "gaussian": mf.gaussian(64.0, d),
+         "powerlaw": mf.power_law(0.3, d)}[kind]
+    p = BELOW_CRITICAL[kind][d] if above_one else 1.0
+    exact = covariogram_quad(d, R, m, p)
+    value = F.energy(interval_or_ball(d, R), m, p)
+    assert value == pytest.approx(exact, rel=COVARIOGRAM_RTOL[kind][above_one], abs=0)
+
+
+def test_disk_bbm_perimeter_matches_its_covariogram_integral():
+    # the energy-nd disk at its reduced scheme, which the route ignores
+    # apart from the radial level
+    scheme = QuadratureScheme(x_resolution=96, sphere_order=32, radial_level=2)
+    value = P.bbm_perimeter(fields.ball_set([0.05, 0.0], 1.0), 256.0, scheme)
+    exact = covariogram_quad(2, 1.0, mf.gaussian(256.0, 2), 1.0) / constants.gamma(2, 1)
+    assert value == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("E,m,scheme", [
+    (fields.ball_set([0.1, -0.05], 0.8), mf.indicator(0.125, 2),
+     QuadratureScheme(x_resolution=96)),
+    (fields.ball_set([0.1, -0.05], 0.8), mf.gaussian(64.0, 2),
+     QuadratureScheme(x_resolution=96)),
+    (fields.ball_set([0.1, -0.05, 0.0], 0.8), mf.indicator(0.125, 3),
+     QuadratureScheme(x_resolution=32, sphere_order=8, radial_level=2)),
+], ids=["disk-indicator", "disk-gaussian", "ball-indicator"])
+def test_covariogram_route_agrees_with_the_tensor_route(E, m, scheme):
+    # the tensor route stays the cross-check, within its x-grid error
+    tensor = F._integrate_density_over_x(E, m, 1.0, scheme=scheme)
+    assert F.energy(E, m, 1.0, scheme) == pytest.approx(tensor, rel=5e-3, abs=0)
+
+
+def test_covariogram_route_ignores_the_x_grid_and_the_sphere_rule():
+    disk, m = fields.ball_set([0.0, 0.0], 0.5), mf.gaussian(64.0, 2)
+    base = F.energy(disk, m, 1.0)
+    assert F.energy(disk, m, 1.0, QuadratureScheme(x_resolution=8, sphere_order=4)) == base
+    # a 1D energy refuses x_resolution on every route
+    with pytest.raises(DomainError):
+        F.energy(fields.interval_set(0.0, 1.0), mf.indicator(0.25, 1), 1.0,
+                 QuadratureScheme(x_resolution=64))
+    # an empty interval has zero energy
+    assert F.energy(fields.box_set([0.0], [0.0]), mf.indicator(0.25, 1), 1.0) == 0.0
+
+
+@pytest.mark.parametrize("field,m,p", [
+    (fields.step_field(), mf.power_law(0.3, 1), 1.5),
+    (fields.step_field(), mf.power_law(0.3, 1), 1.3),
+    (fields.interval_set(0.0, 1.0), mf.indicator(0.25, 1), 2.5),
+    (fields.interval_set(0.0, 1.0), mf.indicator(0.25, 1), 2.0),
+    (fields.ball_set([0.0, 0.0], 0.5), mf.gaussian(64.0, 2), 4.0),
+    (fields.ball_set([0.0, 0.0, 0.0], 0.5), mf.power_law(0.3, 3), 3.3),
+    (fields.box_set([0.0, 0.0], [1.0, 1.0]), mf.indicator(0.25, 2), 3.0),
+], ids=["step-powerlaw-1.5", "step-powerlaw-critical", "interval-indicator-2.5",
+        "interval-indicator-critical", "disk-gaussian-critical",
+        "ball-powerlaw-critical", "square-indicator-critical"])
+def test_energy_of_a_jump_is_infinite_from_the_critical_exponent(field, m, p):
+    # E_p = inf exactly when mu(1 - p) = int rho r^(d-p) dr diverges
+    assert F.energy(field, m, p) == math.inf
+
+
+def test_energy_of_a_jump_is_finite_below_the_critical_exponent():
+    # the BV axis route for step_field at p = 1.2 with power_law(0.3, 1)
+    assert math.isfinite(F.energy(fields.step_field(), mf.power_law(0.3, 1), 1.2))
+    assert math.isfinite(F.energy(fields.interval_set(0.0, 1.0), mf.indicator(0.25, 1), 1.9))
+    # a field without a jump keeps a finite energy at any p
+    smooth = F.energy(scaled_bump(), mf.indicator(0.25, 1), 5.0)
+    assert math.isfinite(smooth) and smooth > 0.0
+    # so does a BV field whose jumps all have zero height
+    flat = fields.BVField1D(scaled_bump(), [(0.0, 0.0)])
+    assert math.isfinite(F.energy(flat, mf.indicator(0.25, 1), 3.0))
 
 
 # ---------------------------------------------------------------------------

@@ -184,3 +184,55 @@ def test_gaussian_truncation_radius_is_closed_form(d, n, tol):
     # the mass beyond r is Q((d+1)/2, n r^2); r_max inverts it exactly
     r = mf.gaussian(n, d).quadrature_radius(tol)
     assert gammaincc((d + 1) / 2.0, n * r * r) == pytest.approx(tol, rel=1e-12)
+
+
+def quad_moment(m, k):
+    """Independent moment oracle: quad of rho(r) r^(d-1+k) over (0, r_hi)
+    with the algebraic weight r^beta of the profile's power at 0, or inf
+    when that power is not integrable."""
+    d = m.dimension
+    beta = {"indicator": 0.0, "gaussian": 1.0,
+            "powerlaw": m.param - 1.0}[m.kind] + d - 1.0 + k
+    if beta <= -1.0:
+        return math.inf
+    r_hi = 40.0 / math.sqrt(m.param) if m.kind == "gaussian" else m.support_radius
+
+    def flat(r):
+        r = min(max(r, 1e-300), r_hi * (1.0 - 1e-16))
+        return float(m.evaluate(r)) * r ** (d - 1.0 + k - beta)
+    return quad(flat, 0.0, r_hi, weight="alg", wvar=(beta, 0.0),
+                epsabs=0.0, epsrel=1e-13)[0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("make", [
+    lambda d: mf.indicator(0.3, d),
+    lambda d: mf.gaussian(64.0, d),
+    lambda d: mf.power_law(0.3, d),
+    lambda d: mf.power_law(0.3, d, normalized=False),
+], ids=["indicator", "gaussian", "powerlaw", "powerlaw-raw"])
+@pytest.mark.parametrize("k", [-3.0, -2.5, -1.5, -0.9, -0.5, 0.0, 1.0, 2.5])
+def test_moment_matches_quad_and_diverges_where_it_should(d, make, k):
+    # mu(k) = int rho r^(d-1+k) dr; E_p of a set has the term mu(1 - p)
+    m = make(d)
+    exact = quad_moment(m, k)
+    if math.isinf(exact):
+        assert m.moment(k) == math.inf
+    else:
+        assert m.moment(k) == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("make", [lambda d: mf.indicator(0.3, d),
+                                  lambda d: mf.gaussian(64.0, d),
+                                  lambda d: mf.power_law(0.3, d)])
+def test_moment_zero_is_the_mass(make):
+    for d in (1, 2, 3):
+        m = make(d)
+        assert m.moment(0.0) == pytest.approx(m.normalization(), rel=1e-15, abs=0)
+
+
+def test_custom_moment_uses_the_graded_shell_rule():
+    # a custom copy of indicator(0.5, 2): mu(k) = 2 * 0.5^k / (2 + k)
+    m = mf.custom(lambda r: np.full(np.shape(r), 8.0), 0.5, 2)
+    for k in (-1.0, 0.0, 1.5):
+        assert m.moment(k) == pytest.approx(2.0 * 0.5**k / (2.0 + k), rel=1e-12)

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bbmlab import fields, perimeter as P
 from bbmlab.errors import DomainError, ValidityError
@@ -94,6 +96,53 @@ def test_ball_field_3d_plateau():
     W = P.degiorgi_field(E, 2**10, resolution=48)
     assert fields.eval_field(W, [0.0, 0.0, 0.0]) == pytest.approx(
         math.pi**1.5, rel=1e-6)
+
+
+def shell_field_quad(rho, R, n, d):
+    """W_n at distance rho from the centre of a ball of radius R:
+    n^(d/2) int exp(-n r^2) |S_r(x) cap B| dr by quad, split at |rho - R|
+    and rho + R, where the covered angle (d = 2) or solid angle (d = 3)
+    of the sphere of radius r about x starts and stops changing.  On that
+    band r = a + (b - a) sin^2(phi) takes out the square-root endpoint
+    behaviour of the covered angle."""
+    full = 2.0 * math.pi if d == 2 else 4.0 * math.pi
+    kw = dict(epsabs=1e-15, epsrel=1e-13, limit=200)
+
+    def covered(r):
+        c = min(max((rho * rho + r * r - R * R) / (2.0 * rho * r), -1.0), 1.0)
+        return 2.0 * math.acos(c) * r if d == 2 else 2.0 * math.pi * (1.0 - c) * r * r
+
+    value = 0.0
+    if rho < R:
+        value += quad(lambda r: math.exp(-n * r * r) * full * r ** (d - 1),
+                      0.0, R - rho, **kw)[0]
+    if rho > 0.0:
+        a, b = abs(rho - R), rho + R
+
+        def band(phi):
+            r = a + (b - a) * math.sin(phi) ** 2
+            return math.exp(-n * r * r) * covered(r) * (b - a) * math.sin(2.0 * phi)
+        value += quad(band, 0.0, math.pi / 2.0, **kw)[0]
+    return n ** (d / 2.0) * value
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [64.0, 256.0, 4096.0])
+def test_ball_field_matches_quad_of_the_shell_integral(d, n):
+    centre, R = [0.1] + [0.0] * (d - 1), 0.8
+    W = P.degiorgi_field(fields.ball_set(centre, R), n, resolution=48)
+    nodes = W.axis_nodes()
+    gen = np.random.default_rng(11)
+    # node-aligned points (no interpolation error), among them the band
+    # |rho - R| < 4/sqrt(n) where W_n falls from pi^(d/2) to 0
+    picks = [gen.integers(0, nodes.size, d) for _ in range(60)]
+    near = np.argmin(np.abs(nodes - (centre[0] + R)))
+    picks += [np.array([near + k] + [nodes.size // 2] * (d - 1)) for k in (-1, 0, 1)]
+    for idx in picks:
+        x = nodes[idx]
+        rho = float(np.linalg.norm(x - np.asarray(centre)))
+        assert W.values[tuple(idx)] == pytest.approx(
+            shell_field_quad(rho, R, n, d), abs=1e-12)
 
 
 def test_interval_field_matches_erf_profile():
