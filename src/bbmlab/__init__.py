@@ -20,8 +20,8 @@ from .functionals import (DensityRequest, QuadratureScheme, bv_pointwise_limit,
 from .maximal import (RadonMeasure1D, directional_maximal, kernel_bound_check,
                       maximal_field, maximal_function, measure_maximal,
                       singular_kernel_bound, weak11_check)
-from .mollifiers import (RadialMollifier, custom, gaussian, gaussian_ladder,
-                         indicator, indicator_ladder, power_law)
+from .mollifiers import (RadialMollifier, gaussian, gaussian_ladder, indicator,
+                         indicator_ladder, power_law)
 from .pathology import (PathologyCase, divergence_probe, gradient_mass_ladder,
                         pathological_field, shell_exponent, threshold_scan)
 from .perimeter import (PerimeterEstimate, bbm_perimeter, degiorgi_field,

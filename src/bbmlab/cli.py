@@ -180,8 +180,9 @@ SWEEP_OPTIONS = {
     "remainder": {"p": 1.0, "probes": "0.2"},
     "sobolev-residual": {"candidate": "zero"},
 }
+SCHEME_KEYS = ("sphere_order", "radial_level", "x_resolution")
 # the keys only one perimeter method reads
-PERIMETER_OPTIONS = {"bbm": ("sphere_order", "radial_level", "x_resolution"),
+PERIMETER_OPTIONS = {"bbm": SCHEME_KEYS,
                      "degiorgi": ("grid_resolution",)}
 
 
@@ -193,25 +194,28 @@ def _refuse_unread(cfg: dict, options, reads, chosen: str) -> None:
             raise UsageError(f"{chosen} does not read {flag}")
 
 
-def _refuse_unread_scheme(cfg: dict, field, *, energy: bool = False) -> None:
-    """Refuse the quadrature flags that the field's route does not read.
+def _refuse_unread_scheme(cfg: dict, field, experiment: str) -> None:
+    """Refuse the quadrature flags that the experiment's route does not read.
 
-    ``energy`` says the run integrates the field's energy: for an
-    interval or a ball that is one radial sum, with no x-grid and no
-    sphere rule.  Otherwise a 1D field has no x-grid (its energies use
-    the jump-aware axis rule) and no sphere order (its sphere is
-    {-1, +1}).
+    ``experiment`` is one of the sweep experiments.  A density or a
+    remainder is a polar sum at probes, with no x-grid.  The energy of an
+    interval or a ball is one radial sum over its covariogram, with no
+    x-grid and no sphere rule.  Otherwise a 1D field has no x-grid (its
+    energies use the jump-aware axis rule) and no sphere order (its
+    sphere is {-1, +1}).
     """
-    if energy and functionals.radial_covariogram(field) is not None:
+    unread = {}
+    if experiment in ("density", "remainder"):
+        unread["x_resolution"] = "a density is a polar sum with no x-grid"
+    if (experiment == "energy"
+            and functionals.radial_covariogram(field) is not None):
         why = ("the energy of an interval or a ball is one radial sum over "
                "its covariogram; it reads only --radial-level")
         unread = {"x_resolution": why, "sphere_order": why}
     elif field.dimension == 1:
-        unread = {"x_resolution": "1D energies use the jump-aware axis rule "
-                                  "and cannot honour it",
-                  "sphere_order": "the 1D sphere is always {-1, +1}"}
-    else:
-        return
+        unread.setdefault("x_resolution", "1D energies use the jump-aware "
+                                          "axis rule and cannot honour it")
+        unread["sphere_order"] = "the 1D sphere is always {-1, +1}"
     for key, why in unread.items():
         if cfg.get(key) is not None:
             raise UsageError(f"--{key.replace('_', '-')} is not read here: {why}")
@@ -230,7 +234,7 @@ def run_constants(cfg, outdir, started):
 
 def run_density(cfg, outdir, started, *, remainder=False):
     field = parse_field(cfg["field"])
-    _refuse_unread_scheme(cfg, field)
+    _refuse_unread_scheme(cfg, field, "density")
     m = parse_mollifier(cfg["mollifier"], field.dimension)
     probes = parse_probes(cfg["probes"], field.dimension)
     scheme = _scheme(cfg)
@@ -245,7 +249,7 @@ def run_density(cfg, outdir, started, *, remainder=False):
 
 def run_energy(cfg, outdir, started):
     field = parse_field(cfg["field"])
-    _refuse_unread_scheme(cfg, field, energy=True)
+    _refuse_unread_scheme(cfg, field, "energy")
     m = parse_mollifier(cfg["mollifier"], field.dimension)
     value = functionals.energy(field, m, cfg["p"], _scheme(cfg))
     emit(outdir, cfg, ["value"], [(value,)], {"value": value}, started)
@@ -262,7 +266,7 @@ def run_sweep(cfg, outdir, started):
     cfg.update({k: v for k, v in SWEEP_OPTIONS[kind].items() if cfg.get(k) is None})
     field = parse_field(cfg["field"])
     d = field.dimension
-    _refuse_unread_scheme(cfg, field, energy=kind == "energy")
+    _refuse_unread_scheme(cfg, field, kind)
     ladder = parse_ladder(cfg["mollifier"], cfg["ladder"], d)
     scheme = _scheme(cfg)
     if kind == "energy":
@@ -294,7 +298,6 @@ def run_sweep(cfg, outdir, started):
 
 def run_bv(cfg, outdir, started):
     field = parse_field(cfg["field"])
-    _refuse_unread_scheme(cfg, field)
     ladder = parse_ladder(cfg["mollifier"], cfg["ladder"], 1)
     probe = parse_probes(cfg["probes"], 1)[0]
     report = functionals.bv_pointwise_limit(field, ladder, probe, _scheme(cfg))
@@ -311,7 +314,7 @@ def run_perimeter(cfg, outdir, started):
     _refuse_unread(cfg, PERIMETER_OPTIONS["bbm"] + PERIMETER_OPTIONS["degiorgi"],
                    [key for m in methods for key in PERIMETER_OPTIONS.get(m, ())],
                    f"--method {cfg['method']}")
-    _refuse_unread_scheme(cfg, E, energy="bbm" in methods)
+    _refuse_unread_scheme(cfg, E, "energy")
     ns = ([float(t) for t in str(cfg["n"]).split(",")]
           if isinstance(cfg["n"], str) else [float(cfg["n"])])
     rows, estimates = [], []
@@ -386,19 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="nonlocal functional experiments and diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, scheme=False, x_grid=False):
+    def common(sp, *scheme_keys):
         # a flag is registered only on the commands that read it
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with the same keys as the flags")
         sp.add_argument("--out", type=str, default=None,
                         help="output directory (default runs/<command>)")
-        if scheme:
-            sp.add_argument("--sphere-order", dest="sphere_order", type=int,
-                            default=None)
-            sp.add_argument("--radial-level", dest="radial_level", type=int,
-                            default=None)
-        if x_grid:
-            sp.add_argument("--x-resolution", dest="x_resolution", type=int,
+        for key in scheme_keys:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=int,
                             default=None)
 
     sp = sub.add_parser("constants", help="print the constant table")
@@ -413,13 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=float, default=None)
         sp.add_argument("--probe", dest="probes", type=str, default=None,
                         help="semicolon-separated points")
-        common(sp, scheme=True)
+        common(sp, "sphere_order", "radial_level")
 
     sp = sub.add_parser("energy", help="global nonlocal energy")
     sp.add_argument("--field", type=str, default=None)
     sp.add_argument("--mollifier", type=str, default=None)
     sp.add_argument("--p", type=float, default=None)
-    common(sp, scheme=True, x_grid=True)
+    common(sp, *SCHEME_KEYS)
 
     sp = sub.add_parser("sweep", help="functional along a mollifier ladder")
     sp.add_argument("--experiment", type=str, default=None,
@@ -434,14 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--probe", dest="probes", type=str, default=None)
     sp.add_argument("--candidate", type=str, default=None,
                     choices=["zero", "gradient"])
-    common(sp, scheme=True, x_grid=True)
+    common(sp, *SCHEME_KEYS)
 
     sp = sub.add_parser("bv", help="BV pointwise density ladder at a probe")
     sp.add_argument("--field", type=str, default=None)
     sp.add_argument("--mollifier", type=str, default=None)
     sp.add_argument("--ladder", type=str, default=None)
     sp.add_argument("--probe", dest="probes", type=str, default=None)
-    common(sp, scheme=True)
+    common(sp, "radial_level")
 
     sp = sub.add_parser("perimeter", help="perimeter estimators vs exact")
     sp.add_argument("--shape", type=str, default=None)
@@ -451,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["bbm", "degiorgi", "both"])
     sp.add_argument("--grid-resolution", dest="grid_resolution", type=int,
                     default=None)
-    common(sp, scheme=True, x_grid=True)
+    common(sp, *SCHEME_KEYS)
 
     sp = sub.add_parser("pathology", help="divergence lower-bound ladder")
     sp.add_argument("--d", type=int, default=None)

@@ -57,7 +57,7 @@ import numpy as np
 from . import quadrature
 from .constants import gamma
 from .errors import (DimensionError, DomainError, EvaluationError,
-                     ProbeError, ValidityError)
+                     IntegrationError, ProbeError, ValidityError)
 from .fields import (Ball, Box, BVField1D, GridField, IndicatorSet,
                      VectorField, as_points, zero_vector_field)
 from .mollifiers import RadialMollifier
@@ -96,11 +96,23 @@ def _abs_power(diff: np.ndarray, p: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Per-call overrides for the product quadrature and x-grids."""
+    """Per-call overrides for the product quadrature and x-grids (None
+    keeps the default).  A sphere order or x resolution below 1, or a
+    radial level outside 0..MAX_RADIAL_LEVEL, raises IntegrationError."""
 
     sphere_order: Optional[int] = None
     radial_level: Optional[int] = None
     x_resolution: Optional[int] = None
+
+    def __post_init__(self):
+        if self.sphere_order is not None and self.sphere_order < 1:
+            raise IntegrationError("sphere order must be >= 1")
+        if self.x_resolution is not None and self.x_resolution < 1:
+            raise IntegrationError("x resolution must be >= 1")
+        level = self.radial_level
+        if level is not None and not 0 <= level <= quadrature.MAX_RADIAL_LEVEL:
+            raise IntegrationError(f"radial level must lie in "
+                                   f"0..{quadrature.MAX_RADIAL_LEVEL}, got {level}")
 
     def sphere(self, d: int) -> quadrature.SphereRule:
         return quadrature.sphere_rule(d, self.sphere_order)
@@ -543,11 +555,7 @@ def local_energy(field, p, *, box=None) -> float:
         grad = field.smooth.gradient_many(nodes.reshape(-1, 1))[:, 0]
         return g * float(np.dot(w, np.abs(grad) ** p))
     if isinstance(field, GridField):
-        grads = np.gradient(field.values, field.spacing, edge_order=1)
-        if d == 1:
-            grads = [grads]
-        mag = np.sqrt(sum(gr**2 for gr in grads))
-        return g * float(np.sum(mag**p) * field.spacing**d)
+        return g * field.gradient_norm_integral(p)
     # analytic field
     box_ = box or field.support_box()
     if box_ is None:

@@ -19,40 +19,58 @@ since divergence is insensitive to a constant rescaling.
 
 ``normalization()`` and ``tail_mass(c)`` check the unit-mass and the
 concentration axiom, and ``moment(k)`` is the k-th radial moment that
-the energies of sets need.  For the built-in families all three are
-closed forms; a custom profile is integrated with one fixed graded rule.
+the energies of sets need.  All three are closed forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv
 
 from . import constants, quadrature
-from .errors import DimensionError, DomainError, IntegrationError
+from .errors import DimensionError, DomainError
 
-CUSTOM_NORMALIZATION_ATOL = 1e-6
+# each family's parameter name and the upper end of the open interval
+# (0, upper) it must lie in
+_FAMILIES = {"indicator": ("eps", math.inf), "gaussian": ("n", math.inf),
+             "powerlaw": ("delta", 1.0)}
 
 
 @dataclass(frozen=True)
 class RadialMollifier:
     """A radial kernel with dimension-aware normalization.
 
-    Immutable; ``evaluate`` and all integrals are pure, so instances are
-    safe to share across workers.
+    Immutable; ``evaluate`` and all integrals are pure.
+
+    Raises
+    ------
+    DomainError
+        On an unknown kind, or a parameter outside eps > 0, n > 0 or
+        0 < delta < 1 (a NaN or an infinity among them).
+    DimensionError
+        If the dimension is not 1, 2 or 3.
     """
 
-    kind: str            # "indicator" | "gaussian" | "powerlaw" | "custom"
+    kind: str            # "indicator" | "gaussian" | "powerlaw"
     dimension: int
     param: float         # eps, n, or delta
     normalized: bool = True
-    custom_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    custom_support: float = math.inf
-    _custom_checked: list = field(default_factory=list, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind not in _FAMILIES:
+            raise DomainError(f"unknown mollifier kind {self.kind!r}")
+        if self.dimension not in (1, 2, 3):
+            raise DimensionError(
+                f"mollifier dimension must be 1, 2 or 3, got {self.dimension}")
+        name, upper = _FAMILIES[self.kind]
+        if not 0.0 < self.param < upper:
+            raise DomainError(
+                f"{self.kind} parameter {name} must lie in (0, {upper:g}), "
+                f"got {self.param!r}")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -75,15 +93,10 @@ class RadialMollifier:
             n = self.param
             c = constants.gaussian_norm_const(self.dimension)
             return c * n ** ((self.dimension + 1) / 2.0) * arr * np.exp(-n * arr**2)
-        if self.kind == "powerlaw":
-            delta = self.param
-            scale = self._powerlaw_scale()
-            with np.errstate(divide="ignore"):
-                vals = scale * delta * arr ** (delta - 1.0)
-            return np.where(arr < 1.0, vals, 0.0)
-        self._ensure_custom_valid()
-        vals = np.asarray(self.custom_evaluator(arr), dtype=float)
-        return np.where(arr <= self.custom_support, vals, 0.0)
+        delta = self.param
+        with np.errstate(divide="ignore"):
+            vals = self._powerlaw_scale() * delta * arr ** (delta - 1.0)
+        return np.where(arr < 1.0, vals, 0.0)
 
     def _powerlaw_scale(self) -> float:
         if not self.normalized:
@@ -97,11 +110,7 @@ class RadialMollifier:
     def support_radius(self) -> float:
         if self.kind == "indicator":
             return self.param
-        if self.kind == "powerlaw":
-            return 1.0
-        if self.kind == "gaussian":
-            return math.inf
-        return self.custom_support
+        return math.inf if self.kind == "gaussian" else 1.0
 
     @property
     def unit_support(self) -> bool:
@@ -115,26 +124,7 @@ class RadialMollifier:
             # Q((d+1)/2, n r^2), so r_max is its closed-form inverse
             x = gammainccinv((self.dimension + 1) / 2.0, tail_tol)
             return math.sqrt(x / self.param)
-        r = self.support_radius
-        if math.isinf(r):
-            return self._custom_truncation(tail_tol)
-        return r
-
-    def _custom_truncation(self, tail_tol: float) -> float:
-        self._ensure_custom_valid()
-        r = 1.0
-        for _ in range(60):
-            shell = self._shell_mass(r, 2.0 * r)
-            if shell < tail_tol:
-                return 2.0 * r
-            r *= 2.0
-        raise IntegrationError("custom mollifier tail does not decay")
-
-    def _shell_mass(self, a: float, b: float, k: float = 0.0) -> float:
-        """int_a^b rho(r) r^(d-1+k) dr by the fixed graded rule."""
-        nodes, w = quadrature.segment_rule(a, b, q=8, levels=8)
-        vals = np.asarray(self.custom_evaluator(nodes), dtype=float)
-        return float(np.dot(w, vals * nodes ** (self.dimension - 1 + k)))
+        return self.support_radius
 
     def transform_power(self) -> Optional[float]:
         """Substitution exponent alpha (r = r_max * s**alpha) removing the
@@ -160,13 +150,10 @@ class RadialMollifier:
     def moment(self, k: float) -> float:
         """int_0^inf rho(r) r^(d-1+k) dr, or +inf where it diverges at 0.
 
-        Closed forms for the built-in families: d eps^k/(d+k) for the
-        indicator, C_d n^(-k/2) Gamma((d+1+k)/2)/2 for the gaussian and
-        s delta/(delta+d-1+k) for the power law (s as in
-        ``_mass_beyond``); they diverge for k <= -d, k <= -(d+1) and
-        k <= -(delta+d-1).  ``moment(0)`` is the mass.  A custom profile
-        is integrated with its fixed graded shell rule, which cannot see
-        a divergence.
+        d eps^k/(d+k) for the indicator, C_d n^(-k/2) Gamma((d+1+k)/2)/2
+        for the gaussian and s delta/(delta+d-1+k) for the power law (s
+        as in ``_mass_beyond``); they diverge for k <= -d, k <= -(d+1)
+        and k <= -(delta+d-1).  ``moment(0)`` is the mass.
         """
         d = self.dimension
         if self.kind == "indicator":
@@ -177,107 +164,49 @@ class RadialMollifier:
                 return math.inf
             return (constants.gaussian_norm_const(d) * self.param ** (-k / 2.0)
                     * math.gamma(a) / 2.0)
-        if self.kind == "powerlaw":
-            a = self.param + d - 1.0 + k
-            return math.inf if a <= 0 else self._powerlaw_scale() * self.param / a
-        return self._shell_mass(0.0, self.quadrature_radius(), k)
+        a = self.param + d - 1.0 + k
+        return math.inf if a <= 0 else self._powerlaw_scale() * self.param / a
 
     def _mass_beyond(self, c: float) -> float:
         """int_c^inf rho(r) r^(d-1) dr for c >= 0.
 
-        Closed forms for the built-in families: 1 - (c/eps)^d for the
-        indicator, Q((d+1)/2, n c^2) for the gaussian and
-        s delta/(delta+d-1) (1 - c^(delta+d-1)) for the power law, with
-        s = (delta+d-1)/delta when normalized and 1 when raw.  A custom
-        profile is integrated with its fixed graded shell rule.
+        1 - (c/eps)^d for the indicator, Q((d+1)/2, n c^2) for the
+        gaussian and s delta/(delta+d-1) (1 - c^(delta+d-1)) for the
+        power law, with s = (delta+d-1)/delta when normalized and 1 when
+        raw.
         """
         d = self.dimension
         if self.kind == "gaussian":
             return float(gammaincc((d + 1) / 2.0, self.param * c * c))
-        r_max = self.quadrature_radius()
+        r_max = self.support_radius
         if c >= r_max:
             return 0.0
         if self.kind == "indicator":
             return 1.0 - (c / r_max) ** d
-        if self.kind == "powerlaw":
-            k = self.param + d - 1.0
-            mass = 1.0 - c ** k
-            return mass if self.normalized else self.param / k * mass
-        return self._shell_mass(c, r_max)
+        k = self.param + d - 1.0
+        mass = 1.0 - c ** k
+        return mass if self.normalized else self.param / k * mass
 
     def is_nonincreasing(self) -> bool:
-        """Probe monotonicity of the profile on a 64-point log-spaced grid."""
-        r_hi = self.quadrature_radius()
-        grid = np.geomspace(r_hi * 1e-8, r_hi * (1.0 - 1e-12), 64)
-        vals = self.evaluate(grid)
-        scale = float(np.max(np.abs(vals))) or 1.0
-        return bool(np.all(np.diff(vals) <= 1e-12 * scale))
-
-    # -- plumbing -----------------------------------------------------------
-
-    def _ensure_custom_valid(self) -> None:
-        if self.kind != "custom" or self._custom_checked:
-            return
-        self._custom_checked.append(True)
-        probe = np.geomspace(max(self.custom_support, 1.0) * 1e-8,
-                             min(self.custom_support, 1e8) * (1 - 1e-12), 64)
-        vals = np.asarray(self.custom_evaluator(probe), dtype=float)
-        if np.any(vals < 0):
-            self._custom_checked.clear()
-            raise DomainError("custom mollifier takes negative values")
-        if math.isfinite(self.custom_support):
-            mass = self._shell_mass(0.0, self.custom_support)
-            if abs(mass - 1.0) > CUSTOM_NORMALIZATION_ATOL:
-                self._custom_checked.clear()
-                raise IntegrationError(
-                    f"custom mollifier mass {mass!r} is not 1 within "
-                    f"{CUSTOM_NORMALIZATION_ATOL}")
+        """Whether the profile is nonincreasing in r: the indicator and the
+        power law (delta < 1) are, the gaussian r exp(-n r^2) rises first."""
+        return self.kind != "gaussian"
 
     @property
     def label(self) -> str:
         if self.kind == "powerlaw" and not self.normalized:
             return f"powerlaw(delta={self.param:g}, raw)"
-        names = {"indicator": "eps", "gaussian": "n", "powerlaw": "delta"}
-        return f"{self.kind}({names.get(self.kind, 'param')}={self.param:g})"
-
-    def to_json(self) -> dict:
-        if self.kind == "custom":
-            raise DomainError("custom mollifiers are not serializable")
-        return {"kind": self.kind, "dimension": self.dimension,
-                "param": self.param, "normalized": self.normalized}
-
-    @staticmethod
-    def from_json(obj: dict) -> "RadialMollifier":
-        kind = obj["kind"]
-        d = int(obj["dimension"])
-        param = float(obj["param"])
-        normalized = bool(obj.get("normalized", True))
-        builders = {"indicator": indicator, "gaussian": gaussian}
-        if kind in builders:
-            return builders[kind](param, d)
-        if kind == "powerlaw":
-            return power_law(param, d, normalized=normalized)
-        raise DomainError(f"unknown mollifier kind {kind!r}")
-
-
-def _check_dimension(d: int) -> int:
-    if d not in (1, 2, 3):
-        raise DimensionError(f"mollifier dimension must be 1, 2 or 3, got {d}")
-    return d
+        return f"{self.kind}({_FAMILIES[self.kind][0]}={self.param:g})"
 
 
 def indicator(eps: float, d: int) -> RadialMollifier:
     """d * eps^(-d) on (0, eps): the classical concentration kernel."""
-    if eps <= 0:
-        raise DomainError("indicator width must be positive")
-    return RadialMollifier("indicator", _check_dimension(d), float(eps))
+    return RadialMollifier("indicator", d, float(eps))
 
 
 def gaussian(n: float, d: int) -> RadialMollifier:
     """C_d n^((d+1)/2) r exp(-n r^2); violates the unit-support axiom."""
-    if n <= 0:
-        raise DomainError("gaussian parameter must be positive")
-    return RadialMollifier("gaussian", _check_dimension(d), float(n))
+    return RadialMollifier("gaussian", d, float(n))
 
 
 def power_law(delta: float, d: int, *, normalized: bool = True) -> RadialMollifier:
@@ -286,19 +215,7 @@ def power_law(delta: float, d: int, *, normalized: bool = True) -> RadialMollifi
     Any delta in (0, 1) yields a valid mollifier; the divergence
     construction additionally requires delta < 1/2, enforced there.
     """
-    if not 0.0 < delta < 1.0:
-        raise DomainError("power-law exponent must lie in (0, 1)")
-    return RadialMollifier("powerlaw", _check_dimension(d), float(delta),
-                           normalized=normalized)
-
-
-def custom(evaluator, support_radius: float, d: int) -> RadialMollifier:
-    """User-supplied radial profile; normalization is validated on first use."""
-    if support_radius <= 0:
-        raise DomainError("support radius must be positive")
-    return RadialMollifier("custom", _check_dimension(d), float("nan"),
-                           custom_evaluator=evaluator,
-                           custom_support=float(support_radius))
+    return RadialMollifier("powerlaw", d, float(delta), normalized=normalized)
 
 
 def indicator_ladder(d: int, exponents) -> list[RadialMollifier]:

@@ -150,11 +150,7 @@ def degiorgi_perimeter(E: IndicatorSet, n: float, *,
                        resolution: int | None = None) -> float:
     """Grid integral of |grad W_n| scaled by 1/B_d."""
     w = degiorgi_field(E, n, half_width=half_width, resolution=resolution)
-    grads = np.gradient(w.values, w.spacing, edge_order=1)
-    if w.dimension == 1:
-        grads = [grads]
-    mag = np.sqrt(sum(g**2 for g in grads))
-    return float(np.sum(mag) * w.spacing**w.dimension) / degiorgi_const(E.dimension)
+    return w.gradient_norm_integral(1) / degiorgi_const(E.dimension)
 
 
 def estimate(E: IndicatorSet, n: float, method: str, *,

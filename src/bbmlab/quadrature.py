@@ -14,9 +14,9 @@ r_max down to the nearest of them; without such radii it is the uniform
 rule.  Sphere rules are panel-composite so that integrands with a kink
 on the equator {sigma . e = 0} of the last coordinate axis are
 integrated to machine precision; plain uniform angles lose five orders
-of magnitude on such integrands.  Segment and axis rules (composite Gauss on intervals,
-graded toward their endpoints) serve one-dimensional integrals: the
-x-rule of 1D energies and the mass of a custom mollifier.
+of magnitude on such integrands.  Segment and axis rules (composite
+Gauss on intervals, graded toward their endpoints) serve one-dimensional
+integrals, such as the x-rule of 1D energies.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .errors import DimensionError, IntegrationError
 
 DEFAULT_SPHERE_ORDER = {1: 1, 2: 64, 3: 32}
 DEFAULT_RADIAL_LEVEL = 4
+# 2**12 = 4096 panels: one row of a radial rule then fills a whole
+# 32768-point block of the polar-sum engine
+MAX_RADIAL_LEVEL = 12
 RADIAL_NODES_PER_PANEL = 8
 GAUSSIAN_TAIL_TOL = 1e-14
 # uniform panels under the grading of a segment rule
@@ -251,12 +254,10 @@ def radial_rules(mollifier, level: int | None = None, *, breakpoints) -> RadialR
     """
     if level is None:
         level = DEFAULT_RADIAL_LEVEL
-    if level < 0:
-        raise IntegrationError("radial level must be >= 0")
-    r_max = mollifier.quadrature_radius()
-    if not np.isfinite(r_max) or r_max <= 0:
+    if not 0 <= level <= MAX_RADIAL_LEVEL:
         raise IntegrationError(
-            f"mollifier {mollifier.kind} has no usable truncation radius")
+            f"radial level must lie in 0..{MAX_RADIAL_LEVEL}, got {level}")
+    r_max = mollifier.quadrature_radius()
     alpha = mollifier.transform_power()
     bp = np.asarray(breakpoints, dtype=float)
     if alpha is None:

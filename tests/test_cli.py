@@ -237,6 +237,11 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
      "--mollifier", "gaussian", "--ladder", "4:6", "--x-resolution", "16"],
     ["perimeter", "--shape", "ball:0,0,1", "--method", "bbm", "--x-resolution", "32"],
     ["perimeter", "--shape", "ball:0,0,1", "--method", "both", "--sphere-order", "8"],
+    # a density is a polar sum at its probe, with no x-grid
+    ["sweep", "--experiment", "density", "--field", "linear:2,0", "--probe", "0.1,0",
+     "--mollifier", "indicator", "--ladder", "1:3", "--x-resolution", "16"],
+    ["sweep", "--experiment", "remainder", "--field", "bump:2", "--probe", "0.3,0.1",
+     "--mollifier", "indicator", "--ladder", "2:4", "--x-resolution", "16"],
 ], ids=["maximal-sphere-order", "energy-rel-tol", "density-x-resolution",
         "pathology-workers", "constants-radial-level", "density-seed",
         "energy-seed", "sweep-residual-p", "sweep-energy-candidate",
@@ -248,7 +253,8 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
         "bv-sphere-order", "perimeter-interval-sphere-order",
         "energy-disk-x-resolution", "energy-ball-sphere-order",
         "sweep-disk-x-resolution", "perimeter-disk-bbm-x-resolution",
-        "perimeter-disk-both-sphere-order"])
+        "perimeter-disk-both-sphere-order", "sweep-density-x-resolution",
+        "sweep-remainder-x-resolution"])
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
     # unknown flags stop the parser, flags the chosen experiment or
     # method does not read stop the run; both exit 2 with no output
@@ -292,6 +298,18 @@ def test_probe_on_a_jump_is_a_numerical_failure(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--x-resolution=-3", "--x-resolution=0",
+                                  "--radial-level=-1", "--radial-level=13",
+                                  "--sphere-order=0"])
+def test_bad_scheme_values_are_numerical_failures(tmp_path, capsys, flag):
+    out = tmp_path / "x"
+    code = main(["energy", "--field", "bump:2", "--mollifier", "indicator:0.125",
+                 "--p", "2", flag, "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "IntegrationError"
+    assert not out.exists()
+
+
 def test_config_keys_follow_the_command_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"workers": 2}))
@@ -312,3 +330,11 @@ def test_readme_cli_quick_start_parses():
     for line in lines:
         argv = shlex.split(line)[1:]
         assert parser.parse_args(argv).command == argv[0]
+
+
+def test_readme_python_examples_run():
+    # every API example of the README runs against the current library
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from bbmlab import constants, fields, functionals as F, maximal as MX
 from bbmlab import mollifiers as mf, perimeter as P, quadrature as Q
 from bbmlab.errors import (DimensionError, DomainError, EvaluationError,
-                           ProbeError, ValidityError)
+                           IntegrationError, ProbeError, ValidityError)
 from bbmlab.functionals import DensityRequest, QuadratureScheme
 from conftest import random_trig_field, scaled_bump
 
@@ -527,6 +527,30 @@ def test_batched_domain_density_matches_single_probes(rng):
     np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0)
     # the gaussian support sticks out of Omega; the mask drops that part
     assert single[0] < density(u, m, 1.0, probes[0])
+
+
+# ---------------------------------------------------------------------------
+# quadrature schemes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs", [
+    {"sphere_order": 0}, {"sphere_order": -2}, {"x_resolution": 0},
+    {"x_resolution": -3}, {"radial_level": -1}, {"radial_level": 13},
+    {"radial_level": 32},
+], ids=["sphere-0", "sphere-negative", "x-0", "x-negative", "level-negative",
+        "level-13", "level-32"])
+def test_quadrature_scheme_refuses_bad_values_when_built(kwargs):
+    with pytest.raises(IntegrationError):
+        QuadratureScheme(**kwargs)
+
+
+def test_quadrature_scheme_keeps_its_bounds_and_defaults():
+    QuadratureScheme(sphere_order=1, radial_level=0, x_resolution=1)
+    assert QuadratureScheme(radial_level=Q.MAX_RADIAL_LEVEL).radial_level == 12
+    assert QuadratureScheme().x_res(2) == F.DEFAULT_X_RESOLUTION[2]
+    # positional order is sphere_order, radial_level, x_resolution
+    with pytest.raises(IntegrationError):
+        QuadratureScheme(96, 32, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 
 from bbmlab import mollifiers as mf
-from bbmlab.errors import DomainError, IntegrationError
+from bbmlab.errors import DimensionError, DomainError
 from bbmlab.quadrature import segment_rule
 
 
@@ -129,9 +129,11 @@ def test_tail_mass_vanishes_along_ladders(d):
 
 
 def test_is_nonincreasing():
-    assert mf.indicator(0.5, 1).is_nonincreasing()
-    assert mf.power_law(0.1, 1).is_nonincreasing()
-    assert not mf.gaussian(1.0, 1).is_nonincreasing()
+    for d in (1, 2, 3):
+        assert mf.indicator(0.5, d).is_nonincreasing()
+        assert mf.power_law(0.1, d).is_nonincreasing()
+        assert mf.power_law(0.9, d, normalized=False).is_nonincreasing()
+        assert not mf.gaussian(1.0, d).is_nonincreasing()
 
 
 def test_unit_support_flag():
@@ -149,25 +151,6 @@ def test_gaussian_truncation_radius_bounds_tail():
     assert tail <= 2e-14
 
 
-def test_json_round_trip():
-    for m in (mf.indicator(0.25, 2), mf.gaussian(8.0, 3),
-              mf.power_law(0.2, 2, normalized=False)):
-        back = mf.RadialMollifier.from_json(m.to_json())
-        assert back == m
-
-
-def test_custom_lazy_validation_failure_is_hard_error():
-    bad = mf.custom(lambda r: np.full_like(r, 3.0), support_radius=1.0, d=1)
-    with pytest.raises(IntegrationError):
-        bad.evaluate(0.5)
-
-
-def test_custom_valid_profile_evaluates():
-    ok = mf.custom(lambda r: np.ones_like(r), support_radius=1.0, d=1)
-    assert ok.evaluate(0.5) == 1.0
-    assert ok.evaluate(2.0) == 0.0
-
-
 def test_constructor_domain_checks():
     with pytest.raises(DomainError):
         mf.indicator(-0.5, 1)
@@ -175,6 +158,36 @@ def test_constructor_domain_checks():
         mf.power_law(1.5, 1)
     with pytest.raises(DomainError):
         mf.gaussian(0.0, 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mf.indicator(float("nan"), 1),
+    lambda: mf.indicator(float("inf"), 2),
+    lambda: mf.gaussian(float("inf"), 1),
+    lambda: mf.gaussian(float("nan"), 3),
+    lambda: mf.power_law(float("nan"), 1),
+    lambda: mf.power_law(0.0, 2),
+    lambda: mf.power_law(1.0, 1, normalized=False),
+    lambda: mf.RadialMollifier("foo", 1, 0.5),
+    lambda: mf.RadialMollifier("custom", 2, 0.5),
+    lambda: mf.RadialMollifier("indicator", 1, 0.0),
+], ids=["indicator-nan", "indicator-inf", "gaussian-inf", "gaussian-nan",
+        "powerlaw-nan", "powerlaw-zero", "powerlaw-one", "unknown-kind",
+        "custom-kind", "direct-indicator-zero"])
+def test_construction_refuses_unknown_kinds_and_bad_parameters(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mf.indicator(0.5, 0),
+    lambda: mf.gaussian(4.0, 4),
+    lambda: mf.power_law(0.3, 5),
+    lambda: mf.RadialMollifier("gaussian", -1, 4.0),
+])
+def test_construction_refuses_dimensions_outside_1_to_3(make):
+    with pytest.raises(DimensionError):
+        make()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -229,10 +242,3 @@ def test_moment_zero_is_the_mass(make):
     for d in (1, 2, 3):
         m = make(d)
         assert m.moment(0.0) == pytest.approx(m.normalization(), rel=1e-15, abs=0)
-
-
-def test_custom_moment_uses_the_graded_shell_rule():
-    # a custom copy of indicator(0.5, 2): mu(k) = 2 * 0.5^k / (2 + k)
-    m = mf.custom(lambda r: np.full(np.shape(r), 8.0), 0.5, 2)
-    for k in (-1.0, 0.0, 1.5):
-        assert m.moment(k) == pytest.approx(2.0 * 0.5**k / (2.0 + k), rel=1e-12)

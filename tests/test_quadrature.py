@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bbmlab import constants, mollifiers as mf, quadrature as Q
+from bbmlab.errors import IntegrationError
 
 SPHERE_AREAS = {1: 2.0, 2: 2 * math.pi, 3: 4 * math.pi}
 
@@ -217,3 +218,9 @@ def test_axis_rule_drops_rounding_slivers():
     assert len(counts) == 1
     edges = Q.graded_edges(-(6 + r), 6 + r)
     assert np.min(np.diff(edges)) > 1e-12
+
+
+@pytest.mark.parametrize("level", [-1, 13, 32])
+def test_radial_rule_refuses_levels_outside_0_to_max(level):
+    with pytest.raises(IntegrationError):
+        Q.radial_rule(mf.indicator(0.25, 2), level)
