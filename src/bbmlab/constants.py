@@ -32,15 +32,15 @@ def _check_d(d: int) -> int:
     return d
 
 
-def gamma(d: int, p: float, *, order: int | None = None, e=None) -> float:
+def gamma(d: int, p: float, *, e=None) -> float:
     """Sphere integral of |sigma . e|^p over S^(d-1).
 
     Without ``e`` this is the closed form
     2 pi^((d-1)/2) Gamma((p+1)/2) / Gamma((d+p)/2), with the exact values
     gamma(1, p) = 2 and gamma(d, 1) = 2, 4, 2*pi for d = 1, 2, 3.  With
-    ``e`` it is the sphere quadrature whose panels are split on the zero
-    set of sigma . e, a cross-check of the sphere rules: integer powers
-    come out to machine precision.
+    ``e`` it is the default-order sphere quadrature whose panels are
+    split on the zero set of sigma . e, a cross-check of the sphere
+    rules: integer powers come out to machine precision.
 
     Parameters
     ----------
@@ -48,8 +48,6 @@ def gamma(d: int, p: float, *, order: int | None = None, e=None) -> float:
         Dimension, 1 to 3.
     p : float
         Exponent, >= 1.
-    order : int, optional
-        Sphere-rule order of the quadrature taken with ``e``.
     e : array_like, optional
         Reference direction; the value is independent of it (rotation
         invariance), which the aligned rule makes checkable numerically.
@@ -67,7 +65,7 @@ def gamma(d: int, p: float, *, order: int | None = None, e=None) -> float:
     e = np.asarray(e, dtype=float)
     if e.shape != (d,):
         raise DimensionError(f"direction must have shape ({d},)")
-    rule = quadrature.sphere_rule_aligned(d, order or quadrature.DEFAULT_SPHERE_ORDER[d], e)
+    rule = quadrature.sphere_rule_aligned(d, quadrature.DEFAULT_SPHERE_ORDER[d], e)
     projections = rule.nodes @ (e / np.linalg.norm(e))
     return float(np.dot(rule.weights, np.abs(projections) ** p))
 

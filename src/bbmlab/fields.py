@@ -176,8 +176,8 @@ class GridField:
         self._grad_arrays = None
 
     @staticmethod
-    def from_function(fn, dimension: int, half_width: float, resolution: int,
-                      label: str | None = None) -> "GridField":
+    def from_function(fn, dimension: int, half_width: float,
+                      resolution: int) -> "GridField":
         """Sample a vectorized point function onto a grid."""
         axes = [-half_width + 2.0 * half_width / resolution * np.arange(resolution)
                 for _ in range(dimension)]

@@ -98,7 +98,9 @@ def _abs_power(diff: np.ndarray, p: float) -> np.ndarray:
 class QuadratureScheme:
     """Per-call overrides for the product quadrature and x-grids (None
     keeps the default).  A sphere order or x resolution below 1, or a
-    radial level outside 0..MAX_RADIAL_LEVEL, raises IntegrationError."""
+    radial level outside 0..MAX_RADIAL_LEVEL, raises IntegrationError;
+    so does a 2D sphere rule, when built, whose order is not a multiple
+    of 4 of at least 8."""
 
     sphere_order: Optional[int] = None
     radial_level: Optional[int] = None

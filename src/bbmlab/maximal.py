@@ -1,15 +1,21 @@
 """Hardy-Littlewood maximal machinery on grids and 1D measures.
 
-The centered maximal function M f(x) = sup_s avg_{B(x,s)} |f| is
-approximated by a sup over a log-spaced radius grid; the grid is
-densified automatically until doubling it changes the result by less
-than 1e-3 relative.  Ball averages on grids use the empirical mean over
-grid nodes inside the ball, which makes M f >= |f| exact at nodes.
+The centered maximal function M f(x) = sup_{0<s<=R} avg_{B(x,s)} |f| of
+a grid field averages |f| over the lattice points in the closed ball,
+counted on the infinite lattice, so zero extension beyond the box
+averages in as zeros.  The average changes only when the ball takes in
+a lattice point, so the sup is an exact max over finitely many radii;
+the node nearest the probe makes M f >= |f| exact at nodes.
 
 For measures, M_R(mu)(x) = sup_{0<s<=R} |mu|(B(x,s)) / |B(x,s)| with the
-Lebesgue ball volume in the denominator; an atom sitting exactly at the
-probe makes the sup genuinely infinite, which is returned as math.inf
-rather than raised.
+Lebesgue ball volume in the denominator.  The ball mass is linear in s
+between finitely many knots, so this sup is exact too.  An atom sitting
+exactly at the probe makes the sup genuinely infinite, which is returned
+as math.inf rather than raised.
+
+``maximal_field`` samples M f at every node at once on a fixed log
+radius grid; it is the one sampled sup here, and it serves the weak
+(1,1) check.
 """
 
 from __future__ import annotations
@@ -25,9 +31,6 @@ from .errors import DimensionError, DomainError, ValidityError
 from .fields import GridField, as_points
 from .quadrature import composite_gauss, sphere_rule
 
-DEFAULT_RADII = 256
-_MAX_RADII = 4096
-_DENSIFY_RTOL = 1e-3
 # panels of the 4-node Gauss rule on [0, r] behind the kernel bounds
 _SEGMENT_PANELS = 64
 # uniform angles of the ring sums in singular_kernel_bound
@@ -44,76 +47,20 @@ def _ball_volume(d: int, s):
     return 4.0 / 3.0 * math.pi * s**3
 
 
-def _radius_grid(s_min: float, s_max: float, count: int) -> np.ndarray:
-    return np.geomspace(s_min, s_max, count)
-
-
-def _densified_sup(evaluate, s_min: float, s_max: float,
-                   radii: int = DEFAULT_RADII) -> float:
-    """sup over a log radius grid, doubling the grid until stable."""
-    prev = None
-    count = radii
-    while True:
-        value = evaluate(_radius_grid(s_min, s_max, count))
-        if prev is not None:
-            scale = max(abs(value), abs(prev), 1e-300)
-            if abs(value - prev) / scale < _DENSIFY_RTOL or count >= _MAX_RADII:
-                return value
-        prev = value
-        count *= 2
-
-
 # ---------------------------------------------------------------------------
 # grid maximal function
 # ---------------------------------------------------------------------------
 
-def _node_distances(f: GridField, x: np.ndarray):
-    axes = [f.axis_nodes()] * f.dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return np.linalg.norm(pts - x, axis=1)
-
-
-def _ideal_counts(f: GridField, x: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Lattice points of the *infinite* grid within each radius.
-
-    Normalizing node averages by this count (rather than by the nodes
-    that happen to exist inside the box) keeps the average honest when a
-    ball overhangs the box: the zero extension contributes zeros to the
-    numerator and full cells to the denominator."""
-    d, h, L = f.dimension, f.spacing, f.half_width
-    if d == 1:
-        lo = np.ceil((x[0] - grid + L) / h - 1e-12)
-        hi = np.floor((x[0] + grid + L) / h + 1e-12)
-        return np.maximum(hi - lo + 1, 1.0)
-    counts = np.empty(grid.size)
-    for i, s in enumerate(grid):
-        j_lo = math.ceil((x[1] - s + L) / h - 1e-12)
-        j_hi = math.floor((x[1] + s + L) / h + 1e-12)
-        js = np.arange(j_lo, j_hi + 1)
-        dy = x[1] - (-L + h * js)
-        half = np.sqrt(np.clip(s**2 - dy**2, 0.0, None))
-        lo = np.ceil((x[0] - half + L) / h - 1e-12)
-        hi = np.floor((x[0] + half + L) / h + 1e-12)
-        counts[i] = float(np.sum(np.maximum(hi - lo + 1, 0.0)))
-    return np.maximum(counts, 1.0)
-
-
-def maximal_function(f: GridField, x, R: float = math.inf, *,
-                     radii: int = DEFAULT_RADII) -> float:
+def maximal_function(f: GridField, x, R: float = math.inf) -> float:
     """Centered maximal function of |f| at one probe point.
 
-    Ball averages are empirical means over grid nodes, normalized by the
-    infinite-lattice node count so that zero extension beyond the box is
-    averaged in as zeros.  At the smallest radius the ball holds one
-    node, so M f >= |f| holds exactly at grid nodes.
-
-    Parameters
-    ----------
-    f : GridField
-    x : point inside the grid box
-    R : float
-        Radius cap; infinity means "up to the grid diameter".
+    A ball average is the sum of |f| over the lattice points within
+    distance s of x, divided by their number on the infinite lattice.
+    It changes only where the ball takes in a lattice point, and beyond
+    the farthest node it takes in zeros alone, so the sup over
+    0 < s <= R is the largest average at the lattice distances up to
+    min(R, farthest node).  Tied points enter the ball together.  The
+    probe x must lie inside the grid box.
     """
     x = as_points(x, f.dimension)[0]
     lo, hi = f.support_box()
@@ -121,36 +68,42 @@ def maximal_function(f: GridField, x, R: float = math.inf, *,
         raise ValidityError(f"probe {x} is outside the grid box")
     if f.dimension > 2:
         raise DimensionError("maximal_function supports d = 1 and 2")
-    dist = _node_distances(f, x)
-    vals = np.abs(f.values).ravel()
-    order = np.argsort(dist, kind="stable")
-    dist_sorted = dist[order]
-    prefix = np.concatenate([[0.0], np.cumsum(vals[order])])
-    s_max = min(R, float(dist_sorted[-1]))
-    s_min = f.spacing / 2.0
-    if s_max <= s_min:
-        s_max = s_min * (1 + 1e-9)
+    L, h, n = f.half_width, f.spacing, f.resolution
+    # the lattice cube around B(x, min(R, farthest node))
+    reach = min(R, float(np.linalg.norm(np.maximum(x + L, L - h - x))))
+    axes = [np.arange(math.floor((c - reach + L) / h) - 1,
+                      math.ceil((c + reach + L) / h) + 2) for c in x]
+    idx = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    dist = np.linalg.norm(-L + h * idx - x, axis=1)
+    inside = np.all((idx >= 0) & (idx < n), axis=1)
+    vals = np.zeros(dist.size)
+    vals[inside] = np.abs(f.values[tuple(idx[inside].T)])
+    keep = dist <= min(R, float(np.max(dist[inside])))
+    if not keep.any():
+        return 0.0
+    order = np.argsort(dist[keep], kind="stable")
+    dist, vals = dist[keep][order], vals[keep][order]
+    # distances equal up to the rounding of the lattice positions are
+    # one tie: symmetric points must not enter the ball one at a time
+    last = np.flatnonzero(np.append(np.diff(dist) > 1e-12 * L, True))
+    return float(np.max(np.cumsum(vals)[last] / (last + 1)))
 
-    def sup_on(grid):
-        covered = np.searchsorted(dist_sorted, grid, side="right")
-        avgs = prefix[covered] / _ideal_counts(f, x, grid)
-        return float(np.max(avgs))
 
-    return _densified_sup(sup_on, s_min, s_max, radii)
+def maximal_field(f: GridField, *, radii: int) -> GridField:
+    """M f sampled at every grid node, as a max over ``radii`` log-spaced
+    radii from h/2 to the box diagonal.
 
-
-def maximal_field(f: GridField, R: float = math.inf, *,
-                  radii: int = DEFAULT_RADII) -> GridField:
-    """M f sampled at every grid node (fixed radius grid, no densify).
-
-    The radius-grid sup underestimates the true sup, which only shrinks
-    superlevel sets; the weak-type bound stays conservative.
+    Every node needs its own ball sums, one FFT per radius in 2D, so
+    this sup is taken on a fixed grid rather than exactly (an exact 2D
+    field would need one FFT per distinct lattice distance).  A grid sup
+    is at most the true sup, so superlevel sets {M f > eps} can only
+    shrink: their measure is a lower bound of the true one.
     """
     d = f.dimension
     h = f.spacing
     absf = np.abs(f.values)
-    s_max = min(R, 2.0 * f.half_width * math.sqrt(d))
-    grid = _radius_grid(h / 2.0, s_max, radii)
+    s_max = 2.0 * f.half_width * math.sqrt(d)
+    grid = np.geomspace(h / 2.0, s_max, radii)
     best = np.zeros_like(absf)
     if d == 1:
         n = f.resolution
@@ -179,14 +132,16 @@ def maximal_field(f: GridField, R: float = math.inf, *,
     return GridField(d, f.half_width, best)
 
 
-def weak11_check(f: GridField, eps_ladder, *, radii: int = 64,
-                 R: float = math.inf) -> list[tuple[float, float, float]]:
+def weak11_check(f: GridField, eps_ladder, *,
+                 radii: int = 64) -> list[tuple[float, float, float]]:
     """Superlevel measure of M f against the Vitali bound (3^d / eps) ||f||_1.
 
     Returns (eps, measure, bound) per ladder entry; measure <= bound is
-    the weak (1,1) inequality with the covering constant 3^d.
+    the weak (1,1) inequality with the covering constant 3^d.  M f is
+    ``maximal_field`` on ``radii`` radii, so the measure is a lower
+    bound of the true superlevel measure.
     """
-    mf = maximal_field(f, R, radii=radii)
+    mf = maximal_field(f, radii=radii)
     d = f.dimension
     l1 = f.l1_norm()
     cell = f.spacing**d
@@ -241,32 +196,25 @@ class RadonMeasure1D:
         return total
 
 
-def measure_maximal(mu: RadonMeasure1D, x: float, R: float = math.inf, *,
-                    radii: int = DEFAULT_RADII) -> float:
+def measure_maximal(mu: RadonMeasure1D, x: float, R: float = math.inf) -> float:
     """M_R(mu)(x) = sup_{0<s<=R} mu(B(x,s)) / (2s).
 
-    An atom at the probe itself yields math.inf (the sup is genuinely
-    infinite there), returned as a sentinel rather than raised.
+    ``ball_mass`` is linear in s between the knots |node - x| and
+    |atom - x|, so the ratio is monotone between them and the sup is its
+    largest value at R or just past a knot below R (the ball is open, so
+    an atom on the knot counts there).  An atom at the probe itself
+    yields math.inf (the sup is genuinely infinite there), returned as a
+    sentinel rather than raised.
     """
     for loc, mass in mu.atoms:
         if mass > 0 and abs(loc - x) < 1e-300 + 1e-12 * max(1.0, abs(x)):
             return math.inf
-    scale = 1.0
+    knots = np.array([abs(loc - x) for loc, _ in mu.atoms], dtype=float)
     if mu.density is not None:
-        scale = max(scale, 2.0 * mu.density.half_width)
-        s_min = mu.density.spacing / 2.0
-    else:
-        s_min = 1e-9 * scale
-    dists = [abs(loc - x) for loc, _ in mu.atoms]
-    if dists:
-        s_min = min(s_min, max(min(dists), 1e-12))
-        scale = max(scale, 2.0 * max(dists))
-    s_max = min(R, 4.0 * scale)
+        knots = np.concatenate([knots, np.abs(mu.density.axis_nodes() - x)])
+    s = np.append(np.nextafter(knots[(knots > 0) & (knots < R)], math.inf), R)
+    return float(np.max(mu.ball_mass(x, s) / (2.0 * s)))
 
-    def sup_on(grid):
-        return float(np.max(mu.ball_mass(x, grid) / (2.0 * grid)))
-
-    return _densified_sup(sup_on, s_min, s_max, radii)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .reports import ConvergenceReport
 SHELL_OUTER = 0.125          # |y| < 1/8 region of the construction
 ANNULUS = (0.25, 0.5)        # admissible probe radii
 _RADIUS_CLAMP = 1e-12        # sentinel cap scale at the origin
+_SUPPORT = 0.75              # the field vanishes on |x| >= 3/4
 
 DEFAULT_CUTOFFS = tuple(2.0 ** (-k) / 8.0 for k in range(3, 11))
 SCAN_SHELLS = (12, 28)
@@ -54,23 +55,23 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 
 
 def cutoff_profile(r):
-    """Quintic smoothstep cutoff: 1 on r <= 2, 0 on r >= 3."""
-    return 1.0 - _smoothstep(np.asarray(r, dtype=float) - 2.0)
+    """Quintic smoothstep cutoff: 1 on r <= 1/2, 0 on r >= 3/4."""
+    return 1.0 - _smoothstep(4.0 * (np.asarray(r, dtype=float) - 0.5))
 
 
 def _cutoff_derivative(r):
-    t = np.clip(np.asarray(r, dtype=float) - 2.0, 0.0, 1.0)
-    return -(30.0 * t**2 * (1.0 - t) ** 2)
+    t = np.clip(4.0 * (np.asarray(r, dtype=float) - 0.5), 0.0, 1.0)
+    return -4.0 * (30.0 * t**2 * (1.0 - t) ** 2)
 
 
 def pathological_field(d: int) -> AnalyticField:
     """The compactly supported W^{1,1} field with a non-L^p singularity.
 
-    The radius is clamped at 1e-12, so the evaluator returns a large
-    finite sentinel instead of overflowing at the origin.  Note the
-    log factor also vanishes on |x| = 1; the field is singular there
-    too, which is inherited from the construction - all divergence
-    probes and shells stay inside |y| <= 1/8.
+    The cutoff falls from 1 to 0 on 1/2 <= |x| <= 3/4, so the origin is
+    the only singular point: the radial profile is read at
+    min(|x|, 3/4), short of the zero of its log factor at |x| = 1.  The
+    radius is clamped at 1e-12, so the evaluator returns a large finite
+    sentinel instead of overflowing at the origin.
     """
     if d not in (2, 3):
         raise DimensionError(
@@ -83,18 +84,19 @@ def pathological_field(d: int) -> AnalyticField:
 
     def ev(pts):
         s = np.linalg.norm(pts, axis=1)
-        return cutoff_profile(s) * radial_value(s)
+        return cutoff_profile(s) * radial_value(np.minimum(s, _SUPPORT))
 
     def gr(pts):
         s = np.maximum(np.linalg.norm(pts, axis=1), _RADIUS_CLAMP)
+        t = np.minimum(s, _SUPPORT)
         with np.errstate(divide="ignore"):
-            w = s ** (1 - d) / np.log(s) ** 2
-            wp = s ** (-d) * ((1 - d) / np.log(s) ** 2
-                              - 2.0 / np.log(s) ** 3)
+            w = t ** (1 - d) / np.log(t) ** 2
+            wp = t ** (-d) * ((1 - d) / np.log(t) ** 2
+                              - 2.0 / np.log(t) ** 3)
         radial = _cutoff_derivative(s) * w + cutoff_profile(s) * wp
         return radial[:, None] * (pts / s[:, None])
 
-    return AnalyticField(d, ev, gr, support_radius=3.0,
+    return AnalyticField(d, ev, gr, support_radius=_SUPPORT,
                          label=f"pathological(d={d})")
 
 
@@ -256,9 +258,8 @@ def gradient_mass_ladder(d: int, inner_cutoffs) -> list[tuple[float, float]]:
     Stability of these masses as the inner cutoff shrinks is the
     desk-scale witness that the field is W^{1,1} near its origin
     singularity (the gradient profile (r |ln r|^2)^-1 is integrable at
-    0).  The outer radius 1/2 stays below 1 because the literal log factor
-    also vanishes on |x| = 1, an artifact region the construction never
-    touches.
+    0).  The outer radius stays at 1/2, where the cutoff starts: a grid
+    out to the full support 3/4 would be coarser than every inner cutoff.
     """
     u = pathological_field(d)
     outer = 0.5

@@ -135,7 +135,9 @@ def sphere_rule(d: int, order: int | None = None) -> SphereRule:
     """Quadrature over the unit sphere S^(d-1).
 
     d=1 is the two-point counting measure on {-1, +1}.  d=2 uses four
-    Gauss-Legendre panels split at the coordinate half-axes; d=3 uses
+    Gauss-Legendre panels of order/4 nodes split at the coordinate
+    half-axes, so its order must be a multiple of 4 and at least 8
+    (IntegrationError otherwise); d=3 uses
     Gauss-Legendre in the polar cosine (split at the equator) times a
     uniform azimuth with 2*order angles.  Splits keep |sigma . e|^p
     integrands panel-smooth for integer p and any coordinate axis e.
@@ -159,11 +161,7 @@ def sphere_rule(d: int, order: int | None = None) -> SphereRule:
         weights = np.array([1.0, 1.0])
         return SphereRule(1, nodes, weights)
     if d == 2:
-        q = max(2, int(np.ceil(order / 4)))
-        edges = np.array([0.0, 0.5, 1.0, 1.5, 2.0]) * np.pi
-        theta, w = composite_gauss(edges, q)
-        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
-        return SphereRule(2, nodes, w)
+        return _circle_rule(order)
     # d == 3: product rule
     q = max(2, int(np.ceil(order / 2)))
     t, wt = composite_gauss(np.array([-1.0, 0.0, 1.0]), q)
@@ -179,6 +177,18 @@ def sphere_rule(d: int, order: int | None = None) -> SphereRule:
     return SphereRule(3, nodes, weights)
 
 
+def _circle_rule(order: int, base: float = 0.0) -> SphereRule:
+    """Four Gauss-Legendre panels of order/4 nodes, split at base + k pi/2.
+
+    Any other order would alias the next multiple of 4, so it is refused."""
+    if order < 8 or order % 4:
+        raise IntegrationError(
+            f"a 2D sphere order must be a multiple of 4 and at least 8, got {order}")
+    edges = base + np.array([0.0, 0.5, 1.0, 1.5, 2.0]) * np.pi
+    theta, w = composite_gauss(edges, order // 4)
+    return SphereRule(2, np.column_stack([np.cos(theta), np.sin(theta)]), w)
+
+
 def sphere_rule_aligned(d: int, order: int, e: np.ndarray) -> SphereRule:
     """Sphere rule whose panel splits align with the zero set of sigma . e."""
     e = np.asarray(e, dtype=float)
@@ -186,12 +196,7 @@ def sphere_rule_aligned(d: int, order: int, e: np.ndarray) -> SphereRule:
     if d == 1:
         return sphere_rule(1, order)
     if d == 2:
-        q = max(2, int(np.ceil(order / 4)))
-        base = np.arctan2(e[1], e[0])
-        edges = base + np.array([0.0, 0.5, 1.0, 1.5, 2.0]) * np.pi
-        theta, w = composite_gauss(edges, q)
-        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
-        return SphereRule(2, nodes, w)
+        return _circle_rule(order, np.arctan2(e[1], e[0]))
     rule = sphere_rule(3, order)
     rot = _rotation_to(np.array([0.0, 0.0, 1.0]), e)
     return SphereRule(3, rule.nodes @ rot.T, rule.weights)

@@ -310,6 +310,16 @@ def test_bad_scheme_values_are_numerical_failures(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("order,code", [("6", 1), ("8", 0), ("12", 0)])
+def test_2d_sphere_order_must_not_alias_another(tmp_path, capsys, order, code):
+    out = tmp_path / "x"
+    assert main(["density", "--field", "linear:1,0", "--probe", "0,0",
+                 "--sphere-order", order, "--out", str(out)]) == code
+    if code:
+        assert json.loads(capsys.readouterr().err)["error"] == "IntegrationError"
+        assert not out.exists()
+
+
 def test_config_keys_follow_the_command_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"workers": 2}))

@@ -23,17 +23,72 @@ def brute_force_interval_maximal(x, radii=200000, R=8.0):
     return float(np.max(covered / (2 * s)))
 
 
+def mask_oracle_maximal(f, x, R):
+    """Independent oracle: for each node distance up to R, the average of
+    |f| over every lattice point within it (ties taken by <=), normalized
+    by the lattice count; the largest such average."""
+    d, L, h, n = f.dimension, f.half_width, f.spacing, f.resolution
+    span = np.arange(-2 * n - 2, 3 * n + 2)   # every point within 2L*sqrt(2)
+    idx = np.stack([a.ravel() for a in np.meshgrid(*([span] * d), indexing="ij")], -1)
+    dist = np.linalg.norm(-L + h * idx - np.asarray(x, dtype=float), axis=1)
+    inside = np.all((idx >= 0) & (idx < n), axis=1)
+    vals = np.zeros(dist.size)
+    vals[inside] = np.abs(f.values[tuple(idx[inside].T)])
+    best = 0.0
+    for radius in np.unique(dist[inside]):
+        if radius <= R:
+            mask = dist <= radius
+            best = max(best, vals[mask].sum() / np.count_nonzero(mask))
+    return best
+
+
+@pytest.mark.parametrize("d,n,probes", [(1, 256, 40), (2, 32, 40)])
+def test_maximal_function_is_the_exact_sup(d, n, probes):
+    # half the nodes zero: the sup sits at isolated node distances that
+    # a radius grid can step over
+    rng = np.random.default_rng(0)
+    v = rng.uniform(0, 1, size=(n,) * d)
+    v[rng.uniform(size=v.shape) < 0.5] = 0.0
+    f = fields.GridField(d, 2.0, v)
+    for x in rng.uniform(-2.0, 2.0, size=(probes, d)):
+        for R in (math.inf, 0.4):
+            assert MX.maximal_function(f, x, R) == pytest.approx(
+                mask_oracle_maximal(f, x, R), rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("d,n", [(1, 100), (1, 300), (2, 30)])
+def test_maximal_symmetric_points_enter_the_ball_together(d, n):
+    # h = 3/n is not dyadic, so the computed distances of points mirrored
+    # about a node probe differ in their last bits; mass on one neighbour
+    # must read 1/3 (1/5 in 2D), not the 1/2 of a ball taking in only it
+    nodes = fields.GridField(d, 1.5, np.zeros((n,) * d)).axis_nodes()
+    for j in range(2, n - 2):
+        v = np.zeros((n,) * d)
+        v[(j - 1,) + (j,) * (d - 1)] = 1.0
+        val = MX.maximal_function(fields.GridField(d, 1.5, v), [nodes[j]] * d)
+        assert val == pytest.approx(1.0 / (2 * d + 1), rel=1e-14, abs=0)
+
+
 def test_maximal_interval_indicator_far_probe():
     f = interval_indicator_grid()
     val = MX.maximal_function(f, [2.0])
     assert val == pytest.approx(0.25, abs=1e-3)
     assert val == pytest.approx(brute_force_interval_maximal(2.0), abs=1e-3)
+    # the ball B(2, 2) holds the 513 nodes of [0, 1] among 2049 lattice points
+    assert val == 513 / 2049
 
 
 def test_maximal_constant_field():
     f = fields.GridField.from_function(lambda p: np.full(p.shape[0], -2.5),
                                        1, 2.0, 512)
     assert MX.maximal_function(f, [0.3]) == pytest.approx(2.5, abs=1e-12)
+
+
+def test_maximal_radius_cap_below_every_node_is_zero():
+    # no lattice point within R: the sup over s <= R sees empty balls
+    f = fields.GridField(1, 2.0, np.ones(32))
+    assert MX.maximal_function(f, [0.01], R=1e-6) == 0.0
+    assert MX.maximal_function(f, [0.01], R=0.01) == 1.0
 
 
 def test_maximal_inside_support_is_one():
@@ -121,7 +176,18 @@ def test_weak11_spiky_fields(rng):
 def test_measure_maximal_single_atom():
     mu = MX.RadonMeasure1D(atoms=((0.0, 1.0),))
     # sup_s 1/(2s) over s > 0.1 is 5, attained as s -> 0.1+
-    assert MX.measure_maximal(mu, 0.1) == pytest.approx(5.0, rel=1e-2)
+    assert MX.measure_maximal(mu, 0.1) == pytest.approx(5.0, rel=1e-14, abs=0)
+    assert MX.measure_maximal(mu, 0.3) == pytest.approx(5.0 / 3.0, rel=1e-14, abs=0)
+
+
+def test_measure_maximal_cell_density_is_one():
+    # density 1 on the cell (0, h) and tapering to 0 on its neighbours:
+    # balls inside the cell have ratio 1, reached only for s <= 0.1 h
+    vals = np.zeros(16)
+    vals[8] = vals[9] = 1.0
+    dens = fields.GridField(1, 1.0, vals)
+    mu = MX.RadonMeasure1D(density=dens)
+    assert MX.measure_maximal(mu, 0.1 * dens.spacing) == pytest.approx(1.0, rel=1e-14, abs=0)
 
 
 def test_measure_maximal_zero_and_center_atom():

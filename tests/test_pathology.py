@@ -17,10 +17,20 @@ def test_field_value_closed_form():
 
 
 def test_field_cutoff_region():
+    # the cutoff falls on [1/2, 3/4]: u stays finite and under its radial
+    # profile |x|^-1 ln^-2 |x| out to |x| = 3, across the zero |x| = 1 of
+    # the log factor, and vanishes from |x| = 3/4 on
     u = PT.pathological_field(2)
-    v_mid = fields.eval_field(u, [2.5, 0.0])
-    assert 0.0 < v_mid < fields.eval_field(u, [2.05, 0.0])
-    assert fields.eval_field(u, [3.1, 0.0]) == 0.0
+    r = np.concatenate([np.linspace(0.5, 3.0, 201), [1.0, 0.75]])
+    theta = np.linspace(0.0, 2.0 * math.pi, r.size)
+    pts = r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    v = u.eval_many(pts)
+    with np.errstate(divide="ignore"):
+        profile = 1.0 / (r * np.log(r) ** 2)
+    assert np.all(np.isfinite(v))
+    assert np.all((v >= 0.0) & (v <= profile))
+    assert np.all(v[r >= 0.75] == 0.0)
+    assert u.support_radius == 0.75
 
 
 def test_field_origin_sentinel_is_finite():
@@ -36,7 +46,7 @@ def test_field_needs_dimension_at_least_two():
 
 def test_field_gradient_matches_finite_differences():
     u = PT.pathological_field(2)
-    for x in ([0.3, 0.1], [0.5, -0.2], [2.4, 0.3]):
+    for x in ([0.3, 0.1], [0.5, -0.2], [2.4, 0.3], [0.6, 0.1], [0.45, 0.45]):
         x = np.asarray(x)
         num = np.empty(2)
         for ax in range(2):

@@ -29,6 +29,22 @@ def test_sphere_d1_counting_measure():
     assert got == [(-1.0, 1.0), (1.0, 1.0)]
 
 
+def test_sphere_d2_refuses_orders_that_alias_another():
+    # four panels of order/4 nodes: any other order would round up and
+    # build the same rule as the next multiple of 4
+    built = []
+    for order in range(1, 13):
+        for make in (lambda: Q.sphere_rule(2, order),
+                     lambda: Q.sphere_rule_aligned(2, order, np.array([1.0, 1.0]))):
+            try:
+                rule = make()
+            except IntegrationError:
+                continue
+            assert rule.weights.size == order
+            built.append(order)
+    assert built == [8, 8, 12, 12]
+
+
 def test_sphere_d2_kinked_integrand_to_machine_precision():
     rule = Q.sphere_rule(2, 64)
     val = float(np.dot(rule.weights, np.abs(rule.nodes[:, 1])))
