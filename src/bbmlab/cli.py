@@ -194,24 +194,30 @@ def _refuse_unread(cfg: dict, options, reads, chosen: str) -> None:
             raise UsageError(f"{chosen} does not read {flag}")
 
 
-def _refuse_unread_scheme(cfg: dict, field, experiment: str) -> None:
+def _refuse_unread_scheme(cfg: dict, field, experiment: str, p) -> None:
     """Refuse the quadrature flags that the experiment's route does not read.
 
-    ``experiment`` is one of the sweep experiments.  A density or a
-    remainder is a polar sum at probes, with no x-grid.  The energy of an
-    interval or a ball is one radial sum over its covariogram, with no
-    x-grid and no sphere rule.  Otherwise a 1D field has no x-grid (its
-    energies use the jump-aware axis rule) and no sphere order (its
-    sphere is {-1, +1}).
+    ``experiment`` is one of the sweep experiments, and ``p`` the exponent
+    of an energy.  A density or a remainder is a polar sum at probes, with
+    no x-grid.  An energy reads what its ``functionals.energy_route``
+    reads: the covariogram route (an interval or a ball) is one radial
+    sum, with no x-grid and no sphere rule; the multiplier route (p = 2,
+    a smooth 2D/3D field) is one FFT of the field's samples, with no
+    sphere rule.  Otherwise a 1D field has no x-grid (its energies use the
+    jump-aware axis rule) and no sphere order (its sphere is {-1, +1}).
     """
     unread = {}
     if experiment in ("density", "remainder"):
         unread["x_resolution"] = "a density is a polar sum with no x-grid"
-    if (experiment == "energy"
-            and functionals.radial_covariogram(field) is not None):
+    route = functionals.energy_route(field, p) if experiment == "energy" else "tensor"
+    if route == "covariogram":
         why = ("the energy of an interval or a ball is one radial sum over "
                "its covariogram; it reads only --radial-level")
         unread = {"x_resolution": why, "sphere_order": why}
+    elif route == "multiplier":
+        unread["sphere_order"] = ("a p = 2 energy of a smooth 2D/3D field is "
+                                  "one FFT times its Fourier multiplier, with "
+                                  "no sphere rule")
     elif field.dimension == 1:
         unread.setdefault("x_resolution", "1D energies use the jump-aware "
                                           "axis rule and cannot honour it")
@@ -234,7 +240,7 @@ def run_constants(cfg, outdir, started):
 
 def run_density(cfg, outdir, started, *, remainder=False):
     field = parse_field(cfg["field"])
-    _refuse_unread_scheme(cfg, field, "density")
+    _refuse_unread_scheme(cfg, field, "density", cfg["p"])
     m = parse_mollifier(cfg["mollifier"], field.dimension)
     probes = parse_probes(cfg["probes"], field.dimension)
     scheme = _scheme(cfg)
@@ -249,10 +255,12 @@ def run_density(cfg, outdir, started, *, remainder=False):
 
 def run_energy(cfg, outdir, started):
     field = parse_field(cfg["field"])
-    _refuse_unread_scheme(cfg, field, "energy")
+    _refuse_unread_scheme(cfg, field, "energy", cfg["p"])
     m = parse_mollifier(cfg["mollifier"], field.dimension)
     value = functionals.energy(field, m, cfg["p"], _scheme(cfg))
-    emit(outdir, cfg, ["value"], [(value,)], {"value": value}, started)
+    emit(outdir, cfg, ["value"], [(value,)],
+         {"value": value, "route": functionals.energy_route(field, cfg["p"])},
+         started)
     return 0
 
 
@@ -266,11 +274,13 @@ def run_sweep(cfg, outdir, started):
     cfg.update({k: v for k, v in SWEEP_OPTIONS[kind].items() if cfg.get(k) is None})
     field = parse_field(cfg["field"])
     d = field.dimension
-    _refuse_unread_scheme(cfg, field, kind)
+    _refuse_unread_scheme(cfg, field, kind, cfg.get("p"))
     ladder = parse_ladder(cfg["mollifier"], cfg["ladder"], d)
     scheme = _scheme(cfg)
+    summary = {}
     if kind == "energy":
         report = functionals.energy_study(field, ladder, cfg["p"], scheme)
+        summary["route"] = functionals.energy_route(field, cfg["p"])
     elif kind in ("density", "remainder"):
         probe = parse_probes(cfg["probes"], d)[0]
         op = (functionals.remainder_density if kind == "remainder"
@@ -291,8 +301,8 @@ def run_sweep(cfg, outdir, started):
         report = functionals.convergence_study(
             lambda mm: functionals.sobolev_residual(field, mm, cand, scheme),
             ladder)
-    emit(outdir, cfg, REPORT_HEADER, report.rows(),
-         {"report": report.to_json()}, started)
+    summary["report"] = report.to_json()
+    emit(outdir, cfg, REPORT_HEADER, report.rows(), summary, started)
     return 0
 
 
@@ -314,7 +324,8 @@ def run_perimeter(cfg, outdir, started):
     _refuse_unread(cfg, PERIMETER_OPTIONS["bbm"] + PERIMETER_OPTIONS["degiorgi"],
                    [key for m in methods for key in PERIMETER_OPTIONS.get(m, ())],
                    f"--method {cfg['method']}")
-    _refuse_unread_scheme(cfg, E, "energy")
+    # the BBM perimeter is an energy at p = 1
+    _refuse_unread_scheme(cfg, E, "energy", 1.0)
     ns = ([float(t) for t in str(cfg["n"]).split(",")]
           if isinstance(cfg["n"], str) else [float(cfg["n"])])
     rows, estimates = [], []

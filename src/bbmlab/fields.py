@@ -56,7 +56,10 @@ class AnalyticField:
     Values (and gradients) are forced to zero beyond ``support_radius``,
     which keeps analytic test fields compatible with compact-support
     settings; choose the radius large enough that the truncated tail is
-    negligible.
+    negligible.  ``point_singularities`` declares the points where the
+    field is unbounded (the evaluator may return a finite sentinel
+    there); densities whose mollifier ball reaches one, and every
+    integrated functional, refuse such a field.
     """
 
     dimension: int
@@ -64,6 +67,7 @@ class AnalyticField:
     gradient_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_radius: float = math.inf
     label: str = "analytic"
+    point_singularities: tuple = ()
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.evaluator(pts), dtype=float)
@@ -93,6 +97,12 @@ class AnalyticField:
 
     def singular_points(self) -> np.ndarray:
         return np.empty(0)
+
+    def declared_singularities(self) -> np.ndarray:
+        """The declared point singularities as a (k, d) array; unlike
+        ``singular_points`` (the jumps of a 1D field) in any dimension."""
+        return np.asarray(self.point_singularities, dtype=float).reshape(
+            -1, self.dimension)
 
     def difference_breakpoints(self, x: np.ndarray) -> np.ndarray:
         return np.empty((x.shape[0], 0))

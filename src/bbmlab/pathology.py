@@ -71,7 +71,9 @@ def pathological_field(d: int) -> AnalyticField:
     the only singular point: the radial profile is read at
     min(|x|, 3/4), short of the zero of its log factor at |x| = 1.  The
     radius is clamped at 1e-12, so the evaluator returns a large finite
-    sentinel instead of overflowing at the origin.
+    sentinel instead of overflowing at the origin; the field declares
+    the origin as its point singularity, so no density or energy
+    integrates that sentinel as a value.
     """
     if d not in (2, 3):
         raise DimensionError(
@@ -97,7 +99,8 @@ def pathological_field(d: int) -> AnalyticField:
         return radial[:, None] * (pts / s[:, None])
 
     return AnalyticField(d, ev, gr, support_radius=_SUPPORT,
-                         label=f"pathological(d={d})")
+                         label=f"pathological(d={d})",
+                         point_singularities=((0.0,) * d,))
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,30 @@ def test_criterion_9_maximal_suite():
                 assert ratio <= frozen[d]
 
 
+def test_criterion_11_2d_p2_ladder_by_its_fourier_multiplier(tmp_path):
+    # the 2D bump at p = 2 along indicator(2^-1 .. 2^-6), default scheme,
+    # against quad of E_2 = 2 (pi/2) 2 pi int rho(r) r^-1 (1 - e^(-r^2/2)) dr
+    from scipy.integrate import quad
+
+    def exact(eps):
+        val, _ = quad(lambda r: 2.0 / eps**2 * -math.expm1(-0.5 * r * r) / r,
+                      0.0, eps, epsabs=0.0, epsrel=1e-13)
+        return 2.0 * math.pi**2 * val
+
+    args = ["sweep", "--experiment", "energy", "--field", "bump:2",
+            "--mollifier", "indicator", "--ladder", "1:6", "--p", "2"]
+    with criterion("criterion-11 2D p = 2 ladder by its Fourier multiplier", 10.0):
+        assert cli_main(args + ["--out", str(tmp_path / "a")]) == 0
+    rows = (tmp_path / "a" / "results.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6
+    for k, row in zip(range(1, 7), rows):
+        value = float(row.split(",")[2])
+        assert value == pytest.approx(exact(2.0**-k), rel=1e-12, abs=0)
+    assert cli_main(args + ["--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "results.csv").read_bytes()
+            == (tmp_path / "b" / "results.csv").read_bytes())
+
+
 DETERMINISM_CONFIGS = [
     ["sweep", "--experiment", "density", "--field", "linear:3,0",
      "--mollifier", "indicator", "--ladder", "1:6", "--p", "1",

@@ -191,12 +191,29 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv,route", [
+    (["energy", "--field", "bump:2", "--mollifier", "indicator:0.5", "--p", "2",
+      "--x-resolution", "8"], "multiplier"),
+    (["energy", "--field", "bump:2", "--mollifier", "indicator:0.5", "--p", "1",
+      "--x-resolution", "8", "--sphere-order", "8", "--radial-level", "1"], "tensor"),
+    (["sweep", "--experiment", "energy", "--field", "ball:0,0,0.5",
+      "--mollifier", "indicator", "--ladder", "1:3", "--p", "1"], "covariogram"),
+    (["sweep", "--experiment", "energy", "--field", "bump:3",
+      "--mollifier", "gaussian", "--ladder", "4:6", "--p", "2",
+      "--x-resolution", "8"], "multiplier"),
+], ids=["energy-multiplier", "energy-tensor", "sweep-covariogram",
+        "sweep-multiplier"])
+def test_energy_summary_names_its_route(tmp_path, argv, route):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["route"] == route
+
+
 def test_x_resolution_still_sets_the_2d_grid(tmp_path):
     outs = []
     for n in ("8", "12"):
         out = tmp_path / n
         assert main(["energy", "--field", "bump:2", "--mollifier", "indicator:0.5",
-                     "--p", "2", "--radial-level", "1", "--sphere-order", "8",
+                     "--p", "2", "--radial-level", "1",
                      "--x-resolution", n, "--out", str(out)]) == 0
         outs.append(float(read_csv(out)[1]))
     assert outs[0] != outs[1]
@@ -242,6 +259,13 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
      "--mollifier", "indicator", "--ladder", "1:3", "--x-resolution", "16"],
     ["sweep", "--experiment", "remainder", "--field", "bump:2", "--probe", "0.3,0.1",
      "--mollifier", "indicator", "--ladder", "2:4", "--x-resolution", "16"],
+    # a p = 2 energy of a smooth 2D/3D field is one FFT: no sphere rule
+    ["energy", "--field", "bump:2", "--mollifier", "indicator:0.25", "--p", "2",
+     "--sphere-order", "8"],
+    ["energy", "--field", "bump:3", "--mollifier", "gaussian:64", "--p", "2",
+     "--sphere-order", "4"],
+    ["sweep", "--experiment", "energy", "--field", "bump:2", "--p", "2",
+     "--mollifier", "indicator", "--ladder", "1:3", "--sphere-order", "8"],
 ], ids=["maximal-sphere-order", "energy-rel-tol", "density-x-resolution",
         "pathology-workers", "constants-radial-level", "density-seed",
         "energy-seed", "sweep-residual-p", "sweep-energy-candidate",
@@ -254,7 +278,8 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
         "energy-disk-x-resolution", "energy-ball-sphere-order",
         "sweep-disk-x-resolution", "perimeter-disk-bbm-x-resolution",
         "perimeter-disk-both-sphere-order", "sweep-density-x-resolution",
-        "sweep-remainder-x-resolution"])
+        "sweep-remainder-x-resolution", "energy-2d-p2-sphere-order",
+        "energy-3d-p2-sphere-order", "sweep-energy-2d-p2-sphere-order"])
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
     # unknown flags stop the parser, flags the chosen experiment or
     # method does not read stop the run; both exit 2 with no output
@@ -302,9 +327,10 @@ def test_probe_on_a_jump_is_a_numerical_failure(tmp_path, capsys, command,
                                   "--radial-level=-1", "--radial-level=13",
                                   "--sphere-order=0"])
 def test_bad_scheme_values_are_numerical_failures(tmp_path, capsys, flag):
+    # p = 1: the tensor route reads all three scheme flags
     out = tmp_path / "x"
     code = main(["energy", "--field", "bump:2", "--mollifier", "indicator:0.125",
-                 "--p", "2", flag, "--out", str(out)])
+                 "--p", "1", flag, "--out", str(out)])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "IntegrationError"
     assert not out.exists()
@@ -326,7 +352,7 @@ def test_config_keys_follow_the_command_flags(tmp_path):
     assert main(["energy", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     cfg.write_text(json.dumps({"x_resolution": 8, "sphere_order": 8,
                                "radial_level": 1, "field": "bump:2",
-                               "mollifier": "indicator:0.5", "p": 2.0}))
+                               "mollifier": "indicator:0.5", "p": 1.0}))
     assert main(["energy", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 0
 
 

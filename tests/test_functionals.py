@@ -569,7 +569,10 @@ def test_2d_energy_equals_cell_sum_of_densities():
     nodes = [(a, b) for a in axes[0] for b in axes[1]]
     dens = [density(u, m, 2.0, x, scheme) for x in nodes]
     reference = float(np.prod(h)) * math.fsum(dens)
-    assert F.energy(u, m, 2.0, scheme) == pytest.approx(reference, rel=1e-13, abs=0)
+    # a p = 2 energy of an analytic field takes the multiplier route; this
+    # pins the tensor route, which stays the cross-check
+    value = F._integrate_density_over_x(u, m, 2.0, scheme=scheme)
+    assert value == pytest.approx(reference, rel=1e-13, abs=0)
 
 
 def test_tensor_energies_keep_their_values():
@@ -579,24 +582,132 @@ def test_tensor_energies_keep_their_values():
         return QuadratureScheme(x_resolution=n, sphere_order=order,
                                 radial_level=level)
 
+    # the bump energies (p = 2) take the multiplier route and the disk's
+    # the covariogram route; these pin their tensor route, which stays
+    # the cross-check
     bump2 = fields.gaussian_bump(2)
     cases = [
-        (F.energy(bump2, mf.indicator(0.125, 2), 2.0, scheme(24)),
+        (F._integrate_density_over_x(bump2, mf.indicator(0.125, 2), 2.0,
+                                     scheme=scheme(24)),
          9.850364923299269),
-        # the disk's energy takes the covariogram route; this pins its
-        # tensor route, which stays the cross-check
         (F._integrate_density_over_x(fields.ball_set([0.0, 0.0], 1.0),
                                      mf.gaussian(256.0, 2), 1.0,
                                      scheme=scheme(96, 32, 2))
          / constants.gamma(2, 1), 6.260227517518683),
-        (F.energy(fields.gaussian_bump(3), mf.indicator(0.25, 3), 2.0,
-                  scheme(16, 4, 2)), 24.666819988052385),
+        (F._integrate_density_over_x(fields.gaussian_bump(3), mf.indicator(0.25, 3),
+                                     2.0, scheme=scheme(16, 4, 2)),
+         24.666819988052385),
         (F.sobolev_residual(bump2, mf.indicator(2.0**-6, 2),
                             fields.gradient_candidate(bump2), scheme(48, 32, 2)),
          0.1991460241318774),
     ]
     for value, pinned in cases:
         assert value == pytest.approx(pinned, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# p = 2 energies of smooth 2D/3D fields: the multiplier route
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field,p,route", [
+    (fields.gaussian_bump(2), 2.0, "multiplier"),
+    (fields.gaussian_bump(3), 2, "multiplier"),
+    (fields.gaussian_bump(2), 1.0, "tensor"),
+    (fields.gaussian_bump(3), 2.5, "tensor"),
+    (fields.gaussian_bump(1), 2.0, "tensor"),
+    (fields.GridField.from_function(lambda q: np.exp(-4 * np.sum(q * q, axis=1)),
+                                    2, 2.0, 16), 2.0, "tensor"),
+    (fields.box_set([0.0, 0.0], [1.0, 0.5]), 2.0, "tensor"),
+    (fields.ball_set([0.0, 0.0], 0.5), 2.0, "covariogram"),
+    (fields.interval_set(0.0, 1.0), 1.0, "covariogram"),
+], ids=["bump-2d", "bump-3d", "bump-2d-p1", "bump-3d-p2.5", "bump-1d", "grid-2d",
+        "box-2d", "disk", "interval"])
+def test_energy_route(field, p, route):
+    assert F.energy_route(field, p) == route
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_defect_keeps_full_relative_accuracy(d):
+    # |S^(d-1)| - S_d(t) = int_S 2 sin^2(t sigma.e / 2) dsigma, which
+    # quad sums without the cancellation of 1 - J0(t) or 1 - sin(t)/t
+    def reference(t):
+        def f(c):
+            return 2.0 * math.sin(0.5 * t * c) ** 2
+        if d == 2:
+            val, _ = quad(lambda th: f(math.cos(th)), 0.0, 2.0 * math.pi,
+                          epsabs=0.0, epsrel=1e-13, limit=400)
+            return val
+        val, _ = quad(f, -1.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=400)
+        return 2.0 * math.pi * val
+
+    t = np.array([1e-8, 1e-3, 0.3, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 3.0, 40.0])
+    np.testing.assert_allclose(F.sphere_defect(d, t), [reference(x) for x in t],
+                               rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_fourier_multiplier_tends_to_gamma_k2(d):
+    # m_rho(k) = gamma(d, 2) k^2 (1 + O(k^2 eps^2)): the BBM limit
+    k = np.array([0.5, 1.0, 3.0])
+    np.testing.assert_allclose(F.fourier_multiplier(mf.indicator(1e-6, d), k),
+                               constants.gamma(d, 2) * k**2, rtol=1e-10, atol=0)
+
+
+def bump_p2_quad(d, eps):
+    """E_2 of exp(-|x|^2) with indicator(eps), by quad.
+
+    The autocorrelation of the bump is (pi/2)^(d/2) exp(-|h|^2/2), so
+    E_2 = 2 (pi/2)^(d/2) |S^(d-1)| int rho(r) r^(d-3) (1 - exp(-r^2/2)) dr.
+    """
+    sphere = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    val, _ = quad(lambda r: d * eps ** -d * r ** (d - 3) * -math.expm1(-0.5 * r * r),
+                  0.0, eps, epsabs=0.0, epsrel=1e-13, limit=200)
+    return 2.0 * (math.pi / 2.0) ** (d / 2.0) * sphere * val
+
+
+@pytest.mark.parametrize("d,k", [(2, k) for k in (1, 2, 3, 4, 5, 6, 10)]
+                         + [(3, k) for k in (1, 4, 10)])
+def test_multiplier_energy_of_the_bump_matches_quad(d, k):
+    eps = 2.0 ** -k
+    value = F.energy(fields.gaussian_bump(d), mf.indicator(eps, d), 2.0)
+    assert value == pytest.approx(bump_p2_quad(d, eps), rel=1e-12, abs=0)
+
+
+def anisotropic_field(d):
+    """(1 + x/2 - 3y^2/10) exp(-(x - c)^T A (x - c)) with an off-centre c and
+    a non-diagonal A (eigenvalues 0.81 to 1.33 in 3D), truncated at radius 6
+    where its value is below 2e-10."""
+    c = np.array([0.3, -0.2, 0.1])[:d]
+    A = np.array([[1.2, 0.2, 0.1], [0.2, 1.0, -0.1], [0.1, -0.1, 1.1]])[:d, :d]
+
+    def ev(q):
+        y = q - c
+        return ((1.0 + 0.5 * q[:, 0] - 0.3 * q[:, 1] ** 2)
+                * np.exp(-np.einsum("ij,jk,ik->i", y, A, y)))
+    return fields.AnalyticField(d, ev, support_radius=6.0, label="anisotropic")
+
+
+# the tensor route's own x-grid and sphere error at these schemes: ~1e-14
+# in 2D; up to ~4e-6 in 3D, where a finer tensor scheme costs seconds
+@pytest.mark.parametrize("d,scheme,rtol", [
+    (2, QuadratureScheme(x_resolution=48, sphere_order=32, radial_level=3), 1e-12),
+    (3, QuadratureScheme(x_resolution=28, sphere_order=4, radial_level=1), 1e-5),
+], ids=["2d", "3d"])
+@pytest.mark.parametrize("kind", ["indicator", "gaussian", "powerlaw"])
+def test_multiplier_energy_matches_the_tensor_route(d, scheme, rtol, kind):
+    u = anisotropic_field(d)
+    m = {"indicator": mf.indicator(0.25, d), "gaussian": mf.gaussian(64.0, d),
+         "powerlaw": mf.power_law(0.3, d)}[kind]
+    tensor = F._integrate_density_over_x(u, m, 2.0, scheme=scheme)
+    assert F.energy(u, m, 2.0, scheme) == pytest.approx(tensor, rel=rtol, abs=0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_multiplier_energy_refuses_a_non_finite_sample(bad):
+    with pytest.raises(EvaluationError) as err:
+        F.energy(infinite_spot(2, 2.0, bad), mf.indicator(0.25, 2), 2.0,
+                 QuadratureScheme(x_resolution=64))
+    assert "field sample" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bbmlab import fields, pathology as PT
-from bbmlab.errors import DimensionError, DomainError, ProbeError
+from bbmlab import fields, functionals as F, mollifiers as mf, pathology as PT
+from bbmlab.errors import DimensionError, DomainError, ProbeError, ValidityError
+from bbmlab.functionals import DensityRequest, QuadratureScheme
 
 PROBE2 = [0.375, 0.0]
 PROBE3 = [0.375, 0.0, 0.0]
@@ -54,6 +55,29 @@ def test_field_gradient_matches_finite_differences():
             e[ax] = 1e-6
             num[ax] = (fields.eval_field(u, x + e) - fields.eval_field(u, x - e)) / 2e-6
         assert np.allclose(fields.gradient(u, x), num, rtol=1e-5)
+
+
+@pytest.mark.parametrize("d,p", [(2, 1.0), (2, 2.0), (3, 2.0), (3, 1.5)])
+def test_energy_of_a_declared_point_singularity_is_refused(d, p):
+    # p = 2 takes the multiplier route, the others the tensor route; no
+    # route may integrate the 1e-12 sentinel at the origin into a number
+    u = PT.pathological_field(d)
+    assert u.declared_singularities().tolist() == [[0.0] * d]
+    with pytest.raises(ValidityError):
+        F.energy(u, mf.indicator(0.25, d), p, QuadratureScheme(x_resolution=64))
+    with pytest.raises(ValidityError):
+        F.sobolev_residual(u, mf.indicator(0.25, d), fields.gradient_candidate(u))
+
+
+def test_density_whose_ball_reaches_a_declared_point_is_refused():
+    u, m = PT.pathological_field(2), mf.indicator(0.25, 2)
+    far = F.pointwise_density(DensityRequest(u, m, 1.0, [0.9, 0.0]))
+    assert math.isfinite(far) and far > 0.0
+    for probe in ([0.2, 0.1], [[0.9, 0.0], [0.0, 0.25]]):
+        with pytest.raises(ValidityError):
+            F.pointwise_density(DensityRequest(u, m, 1.0, probe))
+        with pytest.raises(ValidityError):
+            F.remainder_density(DensityRequest(u, m, 1.0, probe))
 
 
 def test_w11_gradient_mass_stable_under_cutoff_refinement():
