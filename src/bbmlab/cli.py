@@ -203,13 +203,20 @@ def _refuse_unread_scheme(cfg: dict, field, experiment: str, p) -> None:
     reads: the covariogram route (an interval or a ball) is one radial
     sum, with no x-grid and no sphere rule; the multiplier route (p = 2,
     a smooth 2D/3D field) is one FFT of the field's samples, with no
-    sphere rule.  Otherwise a 1D field has no x-grid (its energies use the
-    jump-aware axis rule) and no sphere order (its sphere is {-1, +1}).
+    sphere rule; the lag route (every other 1D field, and every 1D
+    Sobolev residual) has fixed x-panels.  A 1D field has no sphere
+    order either (its sphere is {-1, +1}).
     """
     unread = {}
     if experiment in ("density", "remainder"):
+        route = "polar"
         unread["x_resolution"] = "a density is a polar sum with no x-grid"
-    route = functionals.energy_route(field, p) if experiment == "energy" else "tensor"
+    elif experiment == "energy":
+        route = functionals.energy_route(field, p)
+    else:
+        route = "lag" if field.dimension == 1 else "tensor"
+    if field.dimension == 1:
+        unread["sphere_order"] = "the 1D sphere is always {-1, +1}"
     if route == "covariogram":
         why = ("the energy of an interval or a ball is one radial sum over "
                "its covariogram; it reads only --radial-level")
@@ -218,10 +225,9 @@ def _refuse_unread_scheme(cfg: dict, field, experiment: str, p) -> None:
         unread["sphere_order"] = ("a p = 2 energy of a smooth 2D/3D field is "
                                   "one FFT times its Fourier multiplier, with "
                                   "no sphere rule")
-    elif field.dimension == 1:
-        unread.setdefault("x_resolution", "1D energies use the jump-aware "
-                                          "axis rule and cannot honour it")
-        unread["sphere_order"] = "the 1D sphere is always {-1, +1}"
+    elif route == "lag":
+        unread["x_resolution"] = ("a 1D energy takes the lag route, whose "
+                                  "x-panels are fixed")
     for key, why in unread.items():
         if cfg.get(key) is not None:
             raise UsageError(f"--{key.replace('_', '-')} is not read here: {why}")

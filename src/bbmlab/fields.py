@@ -13,6 +13,9 @@ Four carriers are provided:
   volume and perimeter, used as ground truth by the perimeter module.
 
 All instances are immutable after construction and evaluation is pure.
+The classes built per call (analytic, vector and BV fields) keep their
+attributes in slots, not a per-instance dict: sweeps and benchmark loops
+hold thousands of them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DimensionError, DomainError, ResolutionError
 
@@ -48,7 +50,7 @@ def as_points(x, d: int) -> np.ndarray:
 # analytic fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalyticField:
     """A closed-form scalar field, optionally with a gradient oracle.
 
@@ -131,7 +133,7 @@ def gaussian_bump(d: int, support_radius: float = 6.0) -> AnalyticField:
     return AnalyticField(d, ev, gr, support_radius, label=f"bump(d={d})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VectorField:
     """A d-vector-valued field, used as a candidate gradient."""
 
@@ -148,7 +150,7 @@ def zero_vector_field(d: int) -> VectorField:
 
 def gradient_candidate(f) -> VectorField:
     """The field's own gradient, wrapped as a candidate."""
-    return VectorField(f.dimension, lambda pts: f.gradient_many(pts))
+    return VectorField(f.dimension, f.gradient_many)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +270,8 @@ class BVField1D:
     convention; almost-everywhere statements are insensitive to it and
     probes avoid jump locations by construction.
     """
+
+    __slots__ = ("dimension", "smooth", "jump_locations", "jump_heights", "_cum")
 
     def __init__(self, smooth: AnalyticField | None,
                  jumps: Sequence[tuple[float, float]]):
@@ -570,5 +574,8 @@ def mollify(f, k: int, *, half_width: float | None = None,
     r2 = sum(g**2 for g in mesh)
     kernel = np.where(r2 < (1.0 / k) ** 2, (1.0 - (k**2) * r2) ** 2, 0.0)
     kernel /= kernel.sum()
+    # imported here: scipy.signal adds ~24 MB and ~0.6 s to the import of
+    # bbmlab, and only mollification and the maximal field need it
+    from scipy.signal import fftconvolve
     smoothed = fftconvolve(samples, kernel, mode="same")
     return GridField(d, L, smoothed)

@@ -17,7 +17,7 @@ For a field u, mollifier rho and exponent p >= 1 the library evaluates
 plus ladder drivers (``bv_pointwise_limit``, ``ponce_spector_mass``,
 ``convergence_study``) that package values into ConvergenceReports.
 
-Quadrature notes.  ``energy`` takes one of three routes, which
+Quadrature notes.  ``energy`` takes one of four routes, which
 ``energy_route`` names:
 
 * covariogram: intervals, disks and 3D balls at any p; one radial sum,
@@ -26,9 +26,12 @@ Quadrature notes.  ``energy`` takes one of three routes, which
   field's samples times the Fourier multiplier of the mollifier,
   reading ``x_resolution`` (the sampling grid) and ``radial_level``
   (the multiplier's radial rule), not ``sphere_order``;
-* tensor: every other field and exponent, and every
-  ``sobolev_residual``; an x-rule whose nodes go through the polar
-  engine, reading all three (1D energies refuse ``x_resolution``).
+* lag: every other 1D field, and every 1D ``sobolev_residual``; the
+  x-integral first, at each node of one radial rule, reading only
+  ``radial_level`` (``x_resolution`` is refused);
+* tensor: every other 2D/3D field and exponent, and every 2D/3D
+  ``sobolev_residual``; a midpoint x-grid whose nodes go through the
+  polar engine, reading all three.
 
 On the tensor route the y-integral is evaluated in polar coordinates
 with no node at r = 0 (the measure rho(r) r^(d-1) dr has no atom there,
@@ -40,19 +43,24 @@ below which the integrand is smooth), and the probes are evaluated in
 blocks, their rules stacked into one array and the field called once
 per block for the centres and once for the nodes.  A density at one
 probe or at a batch of probes is one engine call, with the field's (and
-Omega's) breakpoints.  An energy is one x-rule and one engine call.  In
-one dimension the x-rule is a jump-aware composite Gauss rule graded
-toward the field's singular points, because the density profile of a
-BV field has integrable logarithmic singularities there that a uniform
-grid resolves too slowly, and ``QuadratureScheme.x_resolution`` is
-refused.  In higher dimensions it is a midpoint grid whose nodes share
-one breakpoint-free radial rule.  Every path raises EvaluationError on
-a NaN or infinite integrand, and every density refuses a probe on a
-jump of the field, where it is +inf, with ProbeError.  A field that
-declares a point singularity (``AnalyticField.point_singularities``)
-is refused with ValidityError by every integrated functional, and by a
-density whose mollifier ball reaches the point: the integrand is
-unbounded there, and no product rule or FFT resolves it.
+Omega's) breakpoints.  A tensor energy is one midpoint grid and one
+engine call, its nodes sharing one breakpoint-free radial rule.  Every
+path raises EvaluationError on a NaN or infinite integrand, and every
+density refuses a probe on a jump of the field, where it is +inf, with
+ProbeError.  A field that declares a point singularity
+(``AnalyticField.point_singularities``) is refused with ValidityError by
+every integrated functional, and by a density whose mollifier ball
+reaches the point: the integrand is unbounded there, and no product rule
+or FFT resolves it.
+
+In 1D the energy is taken in lag form,
+E = sum_sigma int rho(r) r^-p G_sigma(r) dr with
+G_sigma(r) = int |u(x + sigma r) - u(x)|^p dx: no density is formed, so
+the logarithmic density profile at a jump never needs resolving.  The
+jumps' share c1 r of G, c1 = sum |h_i|^p, is the closed-form moment
+c1 mu(1-p); the rest is one radial sum over G, whose x-integral runs
+over fixed uniform panels cut at the jumps and at the jumps shifted by
+the lag, where the integrand is smooth (``_lag_energy``).
 
 Energies of sets whose covariogram g(|h|) = |E cap (E + h)| is radial
 (intervals, disks, 3D balls) skip the x-rule and the engine: the energy
@@ -100,8 +108,13 @@ _REMAINDER_R_FLOOR = 1e-8
 
 # A probe within a few rounding units of a jump sits on it, where the
 # density is +inf.  At any real distance t it is finite (about log(1/t)
-# for p = 1): the x-rules of 1D energies put nodes 1e-13 from a jump.
+# for p = 1), and a graded axis rule puts nodes 1e-13 from a jump.
 _ON_JUMP_RTOL = 4 * 2.0**-52
+
+# the lag route's x-rule: this many uniform panels over the support box
+# +- r_max, before the cuts at the jumps, of this many Gauss nodes each
+_LAG_X_PANELS = 32
+_LAG_X_NODES = 8
 
 # the covariogram route grades its radial rule toward D over the
 # panels D (1 - 2^-j), j = 1 .. this, and toward 0 down to D 2^-this
@@ -449,29 +462,152 @@ def _refuse_1d_x_resolution(d: int, scheme: QuadratureScheme) -> None:
     if d == 1 and scheme.x_resolution is not None:
         raise DomainError(
             "x_resolution sets the midpoint x-grid of 2D and 3D energies; "
-            "1D energies use the jump-aware axis rule and cannot honour it")
+            "1D energies take the lag route, whose x-panels are fixed, and "
+            "cannot honour it")
 
 
 def _integrate_density_over_x(field, mollifier, p, *, subtract_candidate=None,
                               scheme=DEFAULT_SCHEME) -> float:
-    """int D(x) dx, with D the plain or remainder density."""
-    d = field.dimension
-    _refuse_1d_x_resolution(d, scheme)
+    """int D(x) dx over the midpoint grid of a 2D/3D field, with D the
+    plain or remainder density."""
     _grid_compactness_check(field)
-    r_max = mollifier.quadrature_radius()
-    lo, hi = _x_region(field, r_max)
-    if d == 1:
-        sing = np.asarray(field.singular_points(), dtype=float)
-        nodes, weights = quadrature.axis_rule(
-            lo[0], hi[0], np.concatenate([sing, sing - r_max, sing + r_max]))
-        probes = nodes.reshape(-1, 1)
-        breaks = field.difference_breakpoints(probes)
-    else:
-        probes, weights = _midpoint_grid(lo, hi, scheme.x_res(d))
-        breaks = np.empty((probes.shape[0], 0))
+    lo, hi = _x_region(field, mollifier.quadrature_radius())
+    probes, weights = _midpoint_grid(lo, hi, scheme.x_res(field.dimension))
+    breaks = np.empty((probes.shape[0], 0))
     sub = None if subtract_candidate is None else subtract_candidate.eval_many(probes)
     return float(np.dot(weights, _polar_many(field, mollifier, p, probes, breaks,
                                              subtract=sub, scheme=scheme)))
+
+
+def _lag_parts(field):
+    """(a, h, s): the locations a and nonzero heights h of a 1D field's
+    jumps, and its continuous part s (None where it has none).
+
+    A BV field carries its jumps apart from its smooth part.  A set of
+    positive length is the jumps +1 at its left end and -1 at its right
+    end, with no continuous part; a set of length 0 is 0 almost
+    everywhere."""
+    if isinstance(field, BVField1D):
+        keep = field.jump_heights != 0.0
+        return field.jump_locations[keep], field.jump_heights[keep], field.smooth
+    if isinstance(field, IndicatorSet):
+        a = field.singular_points()
+        if a.size == 2 and a[1] > a[0]:
+            return a, np.array([1.0, -1.0]), None
+        return np.empty(0), np.empty(0), None
+    return np.empty(0), np.empty(0), field
+
+
+def _lag_cuts(base, a, cum_h, cum_hp, lag):
+    """The x-pieces of the lags ``lag`` (n,) = sigma r: the base edges,
+    every a_i and every a_i - lag, sorted -> edges (n, k) and, on each of
+    the k - 1 pieces, K = J(x + lag) - J(x) and M, the sum of |h_i|^p
+    over the windows between a_i - lag and a_i that hold the piece.
+    Without jumps every lag has the same pieces, the base panels, so the
+    arrays have one row, which broadcasts against the lags.
+
+    Both are counted, never evaluated: K and M are differences of the
+    prefix sums ``cum_h`` of h_i and ``cum_hp`` of |h_i|^p at the numbers
+    of jumps and of shifted jumps left of the piece, so they are exactly
+    0 where those numbers agree.
+    """
+    n = lag.size if a.size else 1
+    cuts = np.concatenate([np.broadcast_to(base, (n, base.size)),
+                           np.broadcast_to(a, (n, a.size)),
+                           a - lag[:n, None]], axis=1)
+    order = np.argsort(cuts, axis=1, kind="stable")
+    edges = np.take_along_axis(cuts, order, axis=1)
+    n_jump = np.cumsum((order >= base.size) & (order < base.size + a.size),
+                       axis=1)[:, :-1]
+    n_shift = np.cumsum(order >= base.size + a.size, axis=1)[:, :-1]
+    K = cum_h[n_shift] - cum_h[n_jump]
+    M = np.abs(cum_hp[n_shift] - cum_hp[n_jump])
+    return edges, K, M
+
+
+def _lag_energy(field, mollifier, p, *, candidate=None,
+                scheme=DEFAULT_SCHEME) -> float:
+    """The energy of a 1D field in lag form, or with ``candidate`` U its
+    Sobolev residual (p = 1):
+
+        E = sum_sigma int rho(r) r^-p G_sigma(r) dr,
+        G_sigma(r) = int |u(x + sigma r) - u(x) [- sigma r U(x)]|^p dx.
+
+    Without U, G_-(r) = G_+(r) (substitute x -> x + r), so only sigma = +1
+    is summed, twice.  Write u = s + J with s continuous and J the jumps
+    h_i at a_i (``_lag_parts``; a set is J alone).  Then G_sigma(r) =
+    c1 r + (the rest), c1 = sum |h_i|^p, and c1 r goes through the
+    closed-form moment c1 mu(1-p), as on the covariogram route.  The
+    rest is one radial sum, on a rule split at the distances |a_i - a_j|
+    where the windows of two jumps start to overlap (the kinks of G).
+    At each lag the x-integral runs over _LAG_X_PANELS uniform panels of
+    the support box +- r_max, cut at every a_i and a_i - sigma r
+    (``_lag_cuts``): on each piece J(x + sigma r) - J(x) is a constant
+    K, so the rest is smooth there wherever s is.  Per piece the sum
+    adds its length times |K|^p - M, which is zero where at most one
+    window holds it; per node it adds |D|^p - |K|^p with
+    D = s(x + sigma r) - s(x) [- sigma r U(x)] + K.
+    A pure jump (no s, no U) needs no node, and is integrated exactly.
+    Radii are taken in blocks of at most _CHUNK field points.
+
+    Raises
+    ------
+    EvaluationError
+        If the integrand is NaN or infinite at some node.
+    """
+    _refuse_1d_x_resolution(1, scheme)
+    _grid_compactness_check(field)
+    r_max = mollifier.quadrature_radius()
+    lo, hi = _x_region(field, r_max)
+    a, h, cont = _lag_parts(field)
+    hp = _abs_power(h, p)
+    c1 = float(np.sum(hp))
+    cum_h = np.concatenate([[0.0], np.cumsum(h)])
+    cum_hp = np.concatenate([[0.0], np.cumsum(hp)])
+    rule = quadrature.radial_rule(
+        mollifier, scheme.radial_level,
+        breakpoints=np.abs(a[:, None] - a[None, :])[np.triu_indices(a.size, 1)])
+    r = rule.nodes
+    wr = rule.weights * quadrature.radial_measure(mollifier, rule) / r ** p
+    if candidate is not None:
+        wr[r < _REMAINDER_R_FLOOR * r_max] = 0.0
+    base = np.linspace(lo[0], hi[0], _LAG_X_PANELS + 1)
+    signs = (1.0,) if candidate is None else (1.0, -1.0)
+    # x-nodes a lag, each evaluated at x and at x + sigma r
+    per_lag = (base.size - 1 + 2 * a.size) * _LAG_X_NODES
+    step = max(1, _CHUNK // (2 * per_lag))
+    total = 0.0
+    for sigma in signs:
+        for start in range(0, r.size, step):
+            rb = r[start:start + step]
+            edges, K, M = _lag_cuts(base, a, cum_h, cum_hp, sigma * rb)
+            Kp = _abs_power(K, p)
+            G = np.einsum("ij,ij->i", np.diff(edges, axis=1), Kp - M)
+            if cont is not None or candidate is not None:
+                x, w = quadrature.composite_gauss(edges, _LAG_X_NODES)
+                D = np.repeat(K, _LAG_X_NODES, axis=1)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    if cont is not None:
+                        y = x + sigma * rb[:, None]
+                        D = (D + cont.eval_many(y.reshape(-1, 1)).reshape(y.shape)
+                             - cont.eval_many(x.reshape(-1, 1)).reshape(x.shape))
+                    if candidate is not None:
+                        U = candidate.eval_many(x.reshape(-1, 1)).reshape(x.shape)
+                        D = D - sigma * rb[:, None] * U
+                    F = _abs_power(D, p) - np.repeat(Kp, _LAG_X_NODES, axis=1)
+                if not np.isfinite(F).all():
+                    i, j = np.argwhere(~np.isfinite(F))[0]
+                    centre = np.broadcast_to(x, F.shape)[i, j]
+                    raise _integrand_error(float(F[i, j]), float(centre),
+                                           float(rb[i]), sigma)
+                G = G + np.einsum("ij,ij->i", w, F)
+            G = np.broadcast_to(G, rb.shape)
+            total += float(np.dot(wr[start:start + step], G))
+    total *= 2.0 / len(signs)
+    if c1:
+        # skipped without jumps: mu(1-p) may be inf there, and 0 * inf is NaN
+        total += 2.0 * c1 * mollifier.moment(1.0 - p)
+    return total
 
 
 def _has_jump(field) -> bool:
@@ -632,15 +768,18 @@ def _multiplier_energy(field, mollifier, scheme) -> float:
 
 
 def energy_route(field, p) -> str:
-    """The route ``energy`` takes: "covariogram", "multiplier" or "tensor".
+    """The route ``energy`` takes: "covariogram", "multiplier", "lag" or
+    "tensor".
 
     "covariogram" for an interval, a disk or a 3D ball at any p;
-    "multiplier" for p = 2 and an analytic field in 2D or 3D; "tensor"
-    for everything else.
+    "multiplier" for p = 2 and an analytic field in 2D or 3D; "lag" for
+    every other 1D field; "tensor" for everything else.
     """
     if radial_covariogram(field) is not None:
         return "covariogram"
-    if p == 2 and isinstance(field, AnalyticField) and field.dimension in (2, 3):
+    if field.dimension == 1:
+        return "lag"
+    if p == 2 and isinstance(field, AnalyticField):
         return "multiplier"
     return "tensor"
 
@@ -677,8 +816,13 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
       grid is doubled because the samples alias: for the 3D bump with
       indicator(1/4) at x_resolution 16, 16 cells a side leave a
       relative error of 7.9e-3 and 32 cells 9e-13.
-    * tensor, for everything else: an x-rule whose nodes go through the
-      polar engine, reading all three scheme fields.
+    * lag, for every other 1D field: E = sum_sigma int rho(r) r^-p
+      G_sigma(r) dr with G_sigma(r) = int |u(x + sigma r) - u(x)|^p dx,
+      the x-integral taken first at each node of one radial rule split
+      at the distances between jumps (``_lag_energy``).  It reads only
+      ``radial_level``.
+    * tensor, for everything else: a midpoint x-grid whose nodes go
+      through the polar engine, reading all three scheme fields.
 
     A field that declares a point singularity raises ValidityError on
     every route; a NaN or infinite sample or integrand raises
@@ -708,6 +852,8 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
                                    scheme.radial_level)
     if route == "multiplier":
         return _multiplier_energy(field, mollifier, scheme)
+    if route == "lag":
+        return _lag_energy(field, mollifier, p, scheme=scheme)
     return _integrate_density_over_x(field, mollifier, p, scheme=scheme)
 
 
@@ -725,9 +871,11 @@ def sobolev_residual(field, mollifier, candidate: Optional[VectorField],
     cand = _candidate_for(field, candidate)
     if cand.dimension != field.dimension:
         raise DimensionError("candidate dimension does not match the field")
+    scheme = scheme or DEFAULT_SCHEME
+    if field.dimension == 1:
+        return _lag_energy(field, mollifier, 1.0, candidate=cand, scheme=scheme)
     return _integrate_density_over_x(field, mollifier, 1.0,
-                                     subtract_candidate=cand,
-                                     scheme=scheme or DEFAULT_SCHEME)
+                                     subtract_candidate=cand, scheme=scheme)
 
 
 def local_energy(field, p, *, box=None) -> float:
@@ -839,9 +987,7 @@ def ponce_spector_mass(field: BVField1D, ladder: Sequence[RadialMollifier],
     candidate = VectorField(1, lambda pts: field.gradient_many(pts))
     limit = gamma(1, 1) * field.total_jump_mass
     return convergence_study(
-        lambda m: _integrate_density_over_x(field, m, 1.0,
-                                            subtract_candidate=candidate,
-                                            scheme=scheme),
+        lambda m: _lag_energy(field, m, 1.0, candidate=candidate, scheme=scheme),
         ladder, limit=limit)
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DimensionError, DomainError, ValidityError
 from .fields import GridField, as_points
@@ -99,6 +98,8 @@ def maximal_field(f: GridField, *, radii: int) -> GridField:
     is at most the true sup, so superlevel sets {M f > eps} can only
     shrink: their measure is a lower bound of the true one.
     """
+    # imported here, as in fields.mollify: only this sup needs scipy.signal
+    from scipy.signal import fftconvolve
     d = f.dimension
     h = f.spacing
     absf = np.abs(f.values)

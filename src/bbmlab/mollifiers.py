@@ -40,7 +40,7 @@ _FAMILIES = {"indicator": ("eps", math.inf), "gaussian": ("n", math.inf),
              "powerlaw": ("delta", 1.0)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RadialMollifier:
     """A radial kernel with dimension-aware normalization.
 

@@ -6,9 +6,11 @@ Integrals of the form
 
 are sums over the product of a radial rule (composite Gauss-Legendre,
 with a change of variables for mollifiers that are singular at r = 0)
-and a sphere rule.  This module builds the rules; the one sum over them
-is ``functionals._polar_many``, and the mass integrals of the built-in
-mollifiers are closed forms that need no rule at all.  A radial rule is
+and a sphere rule.  This module builds the rules; the one polar sum over
+them is ``functionals._polar_many``, the 1D energies and the covariogram
+and multiplier routes sum over a radial rule alone, and the mass
+integrals of the built-in mollifiers are closed forms that need no rule
+at all.  A radial rule is
 split at the radii where the integrand jumps and graded dyadically from
 r_max down to the nearest of them; without such radii it is the uniform
 rule.  Sphere rules are panel-composite so that integrands with a kink
@@ -16,7 +18,7 @@ on the equator {sigma . e = 0} of the last coordinate axis are
 integrated to machine precision; plain uniform angles lose five orders
 of magnitude on such integrands.  Segment and axis rules (composite
 Gauss on intervals, graded toward their endpoints) serve one-dimensional
-integrals, such as the x-rule of 1D energies.
+integrals, such as the 1D local energy.
 """
 
 from __future__ import annotations

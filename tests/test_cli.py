@@ -201,11 +201,38 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
     (["sweep", "--experiment", "energy", "--field", "bump:3",
       "--mollifier", "gaussian", "--ladder", "4:6", "--p", "2",
       "--x-resolution", "8"], "multiplier"),
+    (["energy", "--field", "mixed:1@0", "--mollifier", "powerlaw:0.3",
+      "--p", "1.2", "--radial-level", "3"], "lag"),
+    (["sweep", "--experiment", "energy", "--field", "bump:1",
+      "--mollifier", "indicator", "--ladder", "1:3", "--p", "2"], "lag"),
 ], ids=["energy-multiplier", "energy-tensor", "sweep-covariogram",
-        "sweep-multiplier"])
+        "sweep-multiplier", "energy-lag", "sweep-lag"])
 def test_energy_summary_names_its_route(tmp_path, argv, route):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "summary.json").read_text())["route"] == route
+
+
+def test_1d_energy_takes_the_lag_route_and_reruns_byte_identical(tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["energy", "--field", "step", "--mollifier", "powerlaw:0.3",
+                 "--p", "1.2", "--out", str(out1)]) == 0
+    assert json.loads((out1 / "summary.json").read_text())["route"] == "lag"
+    # 2 c1 mu(1 - p) = 4 * 0.3 / (0.3 - 0.2)
+    assert float(read_csv(out1)[1]) == pytest.approx(12.0, rel=1e-8)
+    assert main(["energy", "--config", str(out1 / "resolved-config.json"),
+                 "--out", str(out2)]) == 0
+    assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+
+def test_residual_sweep_of_an_interval_counts_its_ends_as_jumps(tmp_path):
+    # zero candidate, eps < 1: the residual is 2 c1 mu(0) = 4 at every rung
+    assert main(["sweep", "--experiment", "sobolev-residual",
+                 "--field", "interval:0,1", "--mollifier", "indicator",
+                 "--ladder", "1:4", "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path)[1:]
+    assert len(rows) == 4
+    for row in rows:
+        assert float(row.split(",")[2]) == pytest.approx(4.0, rel=1e-13, abs=0)
 
 
 def test_x_resolution_still_sets_the_2d_grid(tmp_path):

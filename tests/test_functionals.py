@@ -190,7 +190,7 @@ def test_step_energy_pair_measure_value(eps):
 def test_interval_indicator_energy_matches_bv_route():
     a = F.energy(fields.interval_set(0.0, 1.0), mf.indicator(0.25, 1), 1)
     b = F.energy(fields.step_field(), mf.indicator(0.25, 1), 1)
-    assert a == pytest.approx(b, rel=1e-9)
+    assert a == pytest.approx(b, rel=1e-13)
 
 
 def test_zero_field_energy():
@@ -412,7 +412,7 @@ def test_seeded_probes_deterministic_and_excluding():
 
 
 # ---------------------------------------------------------------------------
-# the batched polar engine
+# 1D energies: the lag route, which integrates over x first
 # ---------------------------------------------------------------------------
 
 def bv_two_jumps():
@@ -423,7 +423,8 @@ def bv_two_jumps():
 
 
 def axis_nodes(field, m):
-    """The x-rule of a 1D energy, rebuilt from its documented recipe."""
+    """A jump-aware x-rule for summing 1D densities: the support box
+    +- r_max, split and graded at the jumps and at the jumps +- r_max."""
     r_max = m.quadrature_radius()
     lo, hi = field.support_box()
     sing = np.asarray(field.singular_points(), dtype=float)
@@ -431,34 +432,113 @@ def axis_nodes(field, m):
                        np.concatenate([sing, sing - r_max, sing + r_max]))
 
 
-@pytest.mark.parametrize("case", ["step-indicator", "interval-gaussian",
-                                  "step-powerlaw", "bv-residual"])
-def test_batched_1d_energy_equals_sum_of_densities(case):
-    if case == "step-indicator":
-        u, m, p = fields.step_field(-0.2, 0.7), mf.indicator(2.0**-6, 1), 1.0
-    elif case == "interval-gaussian":
-        u, m, p = fields.interval_set(-0.3, 0.6), mf.gaussian(256.0, 1), 1.0
-    elif case == "step-powerlaw":
-        # finite below p = delta + d = 1.3
-        u, m, p = fields.step_field(), mf.power_law(0.3, 1), 1.2
-    else:
-        u, m, p = bv_two_jumps(), mf.indicator(2.0**-7, 1), 1.0
-    nodes, w = axis_nodes(u, m)
-    if case == "bv-residual":
-        # the candidate is the field's own (absolutely continuous) gradient
-        value = F.sobolev_residual(u, m, fields.gradient_candidate(u))
-        dens = [remainder(u, m, p, [x]) for x in nodes]
-    elif case == "interval-gaussian":
-        # an interval's energy takes the covariogram route; this pins the
-        # axis rule it would take otherwise
-        value = F._integrate_density_over_x(u, m, p)
-        dens = [density(u, m, p, [x]) for x in nodes]
-    else:
-        value = F.energy(u, m, p)
-        dens = [density(u, m, p, [x]) for x in nodes]
-    reference = math.fsum(wi * di for wi, di in zip(w, dens))
-    assert value == pytest.approx(reference, rel=1e-13, abs=0)
+@pytest.mark.parametrize("a,b,m,p,rtol", [
+    (-0.2, 0.7, mf.indicator(2.0**-6, 1), 1.0, 1e-13),
+    (0.0, 1.0, mf.indicator(0.25, 1), 1.5, 1e-13),
+    # r_max beyond the length: the jumps' windows overlap
+    (-0.2, 0.3, mf.indicator(0.75, 1), 1.0, 1e-13),
+    (-0.2, 0.3, mf.indicator(0.75, 1), 1.5, 1e-13),
+    (0.1, 0.4, mf.gaussian(4.0, 1), 1.0, 1e-13),
+    (0.1, 0.4, mf.gaussian(4.0, 1), 1.5, 1e-13),
+    (-0.3, 0.6, mf.gaussian(256.0, 1), 1.0, 1e-13),
+    (0.0, 1.0, mf.power_law(0.3, 1), 1.0, 1e-8),
+    (0.0, 1.0, mf.power_law(0.3, 1), 1.2, 1e-8),
+    (0.0, 0.7, mf.power_law(0.3, 1), 1.2, 1e-8),
+], ids=["indicator-1", "indicator-1.5", "overlap-1", "overlap-1.5", "gaussian-1",
+        "gaussian-1.5", "gaussian-narrow-1", "powerlaw-1", "powerlaw-1.2",
+        "powerlaw-overlap-1.2"])
+def test_step_energy_matches_its_interval(a, b, m, p, rtol):
+    # the same 0/1 field, by the lag route and by the covariogram route
+    step = F.energy(fields.step_field(a, b), m, p)
+    interval = F.energy(fields.interval_set(a, b), m, p)
+    assert step == pytest.approx(interval, rel=rtol, abs=0)
 
+
+@pytest.mark.parametrize("s,m", [
+    (fields.interval_set(0.0, 1.0), mf.indicator(2.0**-6, 1)),
+    # r_max beyond the length: the windows of the two ends overlap
+    (fields.interval_set(-0.2, 0.3), mf.indicator(0.75, 1)),
+    (fields.interval_set(0.1, 0.4), mf.gaussian(4.0, 1)),
+    (fields.interval_set(0.1, 0.4), mf.power_law(0.3, 1)),
+    (fields.ball_set(0.2, 0.5), mf.indicator(0.25, 1)),
+    # a set of length 0: both are exactly 0
+    (fields.interval_set(0.2, 0.2), mf.indicator(0.25, 1)),
+], ids=["indicator", "overlap", "gaussian", "powerlaw", "ball", "empty"])
+def test_set_residual_with_zero_candidate_is_its_energy(s, m):
+    # with U = 0 the residual is the p = 1 energy; the lag route counts
+    # the set's two ends as jumps, the energy takes the covariogram
+    assert F.sobolev_residual(s, m, None) == pytest.approx(
+        F.energy(s, m, 1.0), rel=1e-13, abs=0)
+
+
+def test_step_energy_is_exact_for_a_small_power_law_exponent():
+    # the jump part is counted, not evaluated, so no mass is lost where
+    # x + r rounds to x: exact 2 c1 mu(0) = 4, for any delta
+    assert F.energy(fields.step_field(), mf.power_law(0.1, 1), 1.0) == \
+        pytest.approx(4.0, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_1d_bump_p2_energy_matches_quad(k):
+    eps = 2.0 ** -k
+    value = F.energy(fields.gaussian_bump(1), mf.indicator(eps, 1), 2.0)
+    assert value == pytest.approx(bump_p2_quad(1, eps), rel=1e-11, abs=0)
+
+
+# scipy quad of the lag form (in t = r^delta for the power law), its
+# x-integrals split at the jumps and at the jumps shifted by r
+@pytest.mark.parametrize("m,p,exact,rtol", [
+    (mf.power_law(0.3, 1), 1.0, 5.923831589841534, 3e-6),
+    (mf.power_law(0.3, 1), 1.2, 13.694562239807562, 1e-6),
+    (mf.indicator(0.5, 1), 1.9, 79.71352758416364, 2e-6),
+], ids=["powerlaw-1", "powerlaw-1.2", "indicator-1.9"])
+def test_bv_energy_matches_quad(m, p, exact, rtol):
+    assert F.energy(bv_two_jumps(), m, p) == pytest.approx(exact, rel=rtol, abs=0)
+
+
+def test_1d_bump_p1_energy_matches_its_closed_form():
+    # int |u(x+r) - u(x)| dx = 2 sqrt(pi) erf(r/2) for u = exp(-x^2); the
+    # rest of the miss is the x-panel that holds the kink at x = -r/2
+    eps = 0.25
+    val, _ = quad(lambda r: 2.0 * math.sqrt(math.pi) * math.erf(r / 2.0) / (eps * r),
+                  0.0, eps, epsabs=0.0, epsrel=1e-13)
+    value = F.energy(fields.gaussian_bump(1), mf.indicator(eps, 1), 1.0)
+    assert value == pytest.approx(2.0 * val, rel=1e-5, abs=0)
+
+
+# the two-jump residual with indicator(2^-7), converged to ~1e-10 on the
+# lag route at 4096 x-panels and radial level 5.  At its 32 panels the
+# lag route is 5.5e-8 (relative) off it and the sum of remainder
+# densities over the axis rule 2.2e-7; the two differ by 2.8e-7.  Both
+# errors come from x-panels that hold a kink of |u(x+r) - u(x) - r u'(x)|.
+BV_RESIDUAL_CONVERGED = 4.006674288833976
+
+
+def test_bv_residual_lag_route_matches_the_sum_of_densities():
+    u, m = bv_two_jumps(), mf.indicator(2.0**-7, 1)
+    value = F.sobolev_residual(u, m, fields.gradient_candidate(u))
+    nodes, w = axis_nodes(u, m)
+    dens = remainder(u, m, 1.0, nodes.reshape(-1, 1))
+    reference = math.fsum(w * dens)
+    assert value == pytest.approx(BV_RESIDUAL_CONVERGED, rel=1e-7, abs=0)
+    assert reference == pytest.approx(BV_RESIDUAL_CONVERGED, rel=3e-7, abs=0)
+    assert value == pytest.approx(reference, rel=4e-7, abs=0)
+
+
+def test_1d_energies_do_not_use_the_polar_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 1D energy called the polar engine")
+    monkeypatch.setattr(F, "_polar_many", refuse)
+    u, m = bv_two_jumps(), mf.indicator(0.25, 1)
+    assert math.isfinite(F.energy(u, m, 1.5))
+    assert math.isfinite(F.energy(fields.gaussian_bump(1), m, 2.0))
+    assert math.isfinite(F.sobolev_residual(u, m, fields.gradient_candidate(u)))
+    assert F.ponce_spector_mass(u, [m]).values[0] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the batched polar engine
+# ---------------------------------------------------------------------------
 
 def test_batch_spanning_blocks_matches_single_probes(rng):
     u = bv_two_jumps()
@@ -614,14 +694,17 @@ def test_tensor_energies_keep_their_values():
     (fields.gaussian_bump(3), 2, "multiplier"),
     (fields.gaussian_bump(2), 1.0, "tensor"),
     (fields.gaussian_bump(3), 2.5, "tensor"),
-    (fields.gaussian_bump(1), 2.0, "tensor"),
+    (fields.gaussian_bump(1), 2.0, "lag"),
+    (fields.step_field(), 1.0, "lag"),
+    (fields.GridField.from_function(lambda q: np.exp(-4 * q[:, 0] ** 2), 1, 2.0, 16),
+     2.0, "lag"),
     (fields.GridField.from_function(lambda q: np.exp(-4 * np.sum(q * q, axis=1)),
                                     2, 2.0, 16), 2.0, "tensor"),
     (fields.box_set([0.0, 0.0], [1.0, 0.5]), 2.0, "tensor"),
     (fields.ball_set([0.0, 0.0], 0.5), 2.0, "covariogram"),
     (fields.interval_set(0.0, 1.0), 1.0, "covariogram"),
-], ids=["bump-2d", "bump-3d", "bump-2d-p1", "bump-3d-p2.5", "bump-1d", "grid-2d",
-        "box-2d", "disk", "interval"])
+], ids=["bump-2d", "bump-3d", "bump-2d-p1", "bump-3d-p2.5", "bump-1d", "step",
+        "grid-1d", "grid-2d", "box-2d", "disk", "interval"])
 def test_energy_route(field, p, route):
     assert F.energy_route(field, p) == route
 
@@ -835,8 +918,10 @@ def test_energy_of_a_jump_is_infinite_from_the_critical_exponent(field, m, p):
 
 
 def test_energy_of_a_jump_is_finite_below_the_critical_exponent():
-    # the BV axis route for step_field at p = 1.2 with power_law(0.3, 1)
-    assert math.isfinite(F.energy(fields.step_field(), mf.power_law(0.3, 1), 1.2))
+    # the lag route for step_field at p = 1.2 with power_law(0.3, 1):
+    # exactly 2 c1 mu(-0.2) = 4 * 0.3 / (0.3 - 0.2) = 12
+    assert F.energy(fields.step_field(), mf.power_law(0.3, 1), 1.2) == \
+        pytest.approx(12.0, rel=1e-8, abs=0)
     assert math.isfinite(F.energy(fields.interval_set(0.0, 1.0), mf.indicator(0.25, 1), 1.9))
     # a field without a jump keeps a finite energy at any p
     smooth = F.energy(scaled_bump(), mf.indicator(0.25, 1), 5.0)
@@ -874,8 +959,17 @@ def test_density_refuses_infinite_integrand(d):
 
 
 def test_1d_energy_refuses_infinite_integrand():
-    with pytest.raises(EvaluationError):
-        F.energy(infinite_spot(1, 3.0), mf.indicator(0.25, 1), 2.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(EvaluationError) as err:
+            F.energy(infinite_spot(1, 3.0, bad=bad), mf.indicator(0.25, 1), 2.0)
+        msg = str(err.value)
+        assert "centre=" in msg and "r=" in msg and "sigma=" in msg
+        # the named centre or its lagged point lies in the bad spot
+        centre = float(msg.split("centre=")[1].split(",")[0])
+        r = float(msg.split(" r=")[1].split(",")[0])
+        sigma = float(msg.split("sigma=")[1])
+        assert 0.0 < r <= 0.25 and sigma in (1.0, -1.0)
+        assert min(abs(centre - 0.3), abs(centre + sigma * r - 0.3)) <= 0.05
 
 
 def test_2d_energy_refuses_infinite_integrand():
