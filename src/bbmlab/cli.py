@@ -214,7 +214,7 @@ def _refuse_unread_scheme(cfg: dict, field, experiment: str, p) -> None:
     elif experiment == "energy":
         route = functionals.energy_route(field, p)
     else:
-        route = "lag" if field.dimension == 1 else "tensor"
+        route = functionals.residual_route(field)
     if field.dimension == 1:
         unread["sphere_order"] = "the 1D sphere is always {-1, +1}"
     if route == "covariogram":
@@ -307,6 +307,7 @@ def run_sweep(cfg, outdir, started):
         report = functionals.convergence_study(
             lambda mm: functionals.sobolev_residual(field, mm, cand, scheme),
             ladder)
+        summary["route"] = functionals.residual_route(field)
     summary["report"] = report.to_json()
     emit(outdir, cfg, REPORT_HEADER, report.rows(), summary, started)
     return 0
@@ -330,6 +331,9 @@ def run_perimeter(cfg, outdir, started):
     _refuse_unread(cfg, PERIMETER_OPTIONS["bbm"] + PERIMETER_OPTIONS["degiorgi"],
                    [key for m in methods for key in PERIMETER_OPTIONS.get(m, ())],
                    f"--method {cfg['method']}")
+    if E.dimension == 1 and cfg.get("grid_resolution") is not None:
+        raise UsageError("--grid-resolution is not read here: the De Giorgi "
+                         "perimeter of an interval is a closed form")
     # the BBM perimeter is an energy at p = 1
     _refuse_unread_scheme(cfg, E, "energy", 1.0)
     ns = ([float(t) for t in str(cfg["n"]).split(",")]

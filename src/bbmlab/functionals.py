@@ -18,7 +18,8 @@ plus ladder drivers (``bv_pointwise_limit``, ``ponce_spector_mass``,
 ``convergence_study``) that package values into ConvergenceReports.
 
 Quadrature notes.  ``energy`` takes one of four routes, which
-``energy_route`` names:
+``energy_route`` names (``residual_route`` names the two that
+``sobolev_residual`` takes):
 
 * covariogram: intervals, disks and 3D balls at any p; one radial sum,
   reading only ``QuadratureScheme.radial_level``;
@@ -40,11 +41,12 @@ so the 0/0 difference quotient never arises).  One engine,
 is the only polar sum here: each probe's radial rule is split at the
 breakpoint radii its caller passes (graded down to the nearest of them,
 below which the integrand is smooth), and the probes are evaluated in
-blocks, their rules stacked into one array and the field called once
-per block for the centres and once for the nodes.  A density at one
-probe or at a batch of probes is one engine call, with the field's (and
-Omega's) breakpoints.  A tensor energy is one midpoint grid and one
-engine call, its nodes sharing one breakpoint-free radial rule.  Every
+blocks, their rules built once and stacked into one array and the
+field called once per block for the centres and once for the nodes.
+A density at one probe or at a batch of probes is one engine call,
+with the field's (and Omega's) breakpoints.  A tensor energy is one
+midpoint grid and one engine call, its nodes sharing one
+breakpoint-free radial rule.  Every
 path raises EvaluationError on a NaN or infinite integrand, and every
 density refuses a probe on a jump of the field, where it is +inf, with
 ProbeError.  A field that declares a point singularity
@@ -268,18 +270,6 @@ def _integrand_error(value, centre, r, sigma) -> EvaluationError:
         f"sigma={sigma!r}")
 
 
-def _radial_weights(mollifier, p, level, breaks, floor):
-    """Stacked radial nodes r (m, n) and weights w rho(r) r^(d-1) / r^p.
-
-    With ``floor`` the weights below the remainder floor are zero."""
-    rules = quadrature.radial_rules(mollifier, level, breakpoints=breaks)
-    r = rules.nodes
-    wr = rules.weights * quadrature.radial_measure(mollifier, rules) / r ** p
-    if floor:
-        wr[r < _REMAINDER_R_FLOOR * rules.r_max] = 0.0
-    return r, wr
-
-
 def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
                 omega=None, scheme=DEFAULT_SCHEME) -> np.ndarray:
     """The polar densities at m probes (m, d) -> (m,).
@@ -289,10 +279,11 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     probe's row of ``subtract`` and, given ``omega``, F is zero at nodes
     outside Omega.  Row i of ``breaks`` (m, J) holds the breakpoint radii
     of probe i; they become panel edges of its radial rule, graded down
-    to the nearest of them.  With J = 0 all probes share one
-    breakpoint-free rule, built once.  Probes are taken in blocks of at
-    most _CHUNK field points; a block evaluates the field once at its
-    centres and once at its nodes.
+    to the nearest of them.  The rules are built once per call: with
+    J = 0 all probes share one breakpoint-free row, otherwise the rows
+    are stacked, one per probe.  Probes are taken in blocks of at most
+    _CHUNK field points at the stacked row length; a block evaluates the
+    field once at its centres and once at its nodes.
 
     Raises
     ------
@@ -304,19 +295,21 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     sig, ws = sphere.nodes, sphere.weights
     K = sig.shape[0]
     J = breaks.shape[1]
-    size = quadrature.radial_rule_size(scheme.radial_level, J)
-    step = max(1, _CHUNK // (size * K))
-    floor = subtract is not None
-    if J == 0:
-        r, wr = _radial_weights(mollifier, p, scheme.radial_level,
-                                np.empty((1, 0)), floor)
+    # one shared row without breakpoints, else one row per probe; nodes
+    # r_all (m, n), weights w rho(r) r^(d-1) / r^p, zero below the
+    # remainder floor when a gradient is subtracted
+    rules = quadrature.radial_rules(mollifier, scheme.radial_level,
+                                    breakpoints=breaks if J else np.empty((1, 0)))
+    r_all = rules.nodes
+    wr_all = rules.weights * quadrature.radial_measure(mollifier, rules) / r_all ** p
+    if subtract is not None:
+        wr_all[r_all < _REMAINDER_R_FLOOR * rules.r_max] = 0.0
+    step = max(1, _CHUNK // (r_all.shape[1] * K))
     out = np.empty(probes.shape[0])
     for start in range(0, probes.shape[0], step):
         block = slice(start, start + step)
         x = probes[block]
-        if J > 0:
-            r, wr = _radial_weights(mollifier, p, scheme.radial_level,
-                                    breaks[block], floor)
+        r, wr = (r_all[block], wr_all[block]) if J else (r_all, wr_all)
         flat = (x[:, None, None, :] + r[:, :, None, None] * sig).reshape(-1, d)
         u0 = field.eval_many(x)
         # inf - inf is NaN; the finite check below refuses it with its node
@@ -857,6 +850,12 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
     return _integrate_density_over_x(field, mollifier, p, scheme=scheme)
 
 
+def residual_route(field) -> str:
+    """The route ``sobolev_residual`` takes: "lag" for a 1D field (the
+    lag integral of ``_lag_energy``), "tensor" otherwise."""
+    return "lag" if field.dimension == 1 else "tensor"
+
+
 def sobolev_residual(field, mollifier, candidate: Optional[VectorField],
                      scheme: Optional[QuadratureScheme] = None) -> float:
     """Integrated first-order remainder with a candidate gradient U.
@@ -872,7 +871,7 @@ def sobolev_residual(field, mollifier, candidate: Optional[VectorField],
     if cand.dimension != field.dimension:
         raise DimensionError("candidate dimension does not match the field")
     scheme = scheme or DEFAULT_SCHEME
-    if field.dimension == 1:
+    if residual_route(field) == "lag":
         return _lag_energy(field, mollifier, 1.0, candidate=cand, scheme=scheme)
     return _integrate_density_over_x(field, mollifier, 1.0,
                                      subtract_candidate=cand, scheme=scheme)

@@ -4,18 +4,16 @@ The centered maximal function M f(x) = sup_{0<s<=R} avg_{B(x,s)} |f| of
 a grid field averages |f| over the lattice points in the closed ball,
 counted on the infinite lattice, so zero extension beyond the box
 averages in as zeros.  The average changes only when the ball takes in
-a lattice point, so the sup is an exact max over finitely many radii;
+a lattice point, so the sup is an exact max over finitely many balls;
 the node nearest the probe makes M f >= |f| exact at nodes.
+``maximal_field`` takes the same sup at every node at once, by one
+sweep over the lattice offsets, and serves the weak (1,1) check.
 
 For measures, M_R(mu)(x) = sup_{0<s<=R} |mu|(B(x,s)) / |B(x,s)| with the
 Lebesgue ball volume in the denominator.  The ball mass is linear in s
 between finitely many knots, so this sup is exact too.  An atom sitting
 exactly at the probe makes the sup genuinely infinite, which is returned
 as math.inf rather than raised.
-
-``maximal_field`` samples M f at every node at once on a fixed log
-radius grid; it is the one sampled sup here, and it serves the weak
-(1,1) check.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DomainError, ValidityError
 from .fields import GridField, as_points
@@ -36,14 +35,6 @@ _SEGMENT_PANELS = 64
 _RING_ANGLES = 128
 # trapezoid intervals on the segment of directional_maximal
 _SEGMENT_SAMPLES = 4096
-
-
-def _ball_volume(d: int, s):
-    if d == 1:
-        return 2.0 * s
-    if d == 2:
-        return math.pi * s**2
-    return 4.0 / 3.0 * math.pi * s**3
 
 
 # ---------------------------------------------------------------------------
@@ -80,69 +71,69 @@ def maximal_function(f: GridField, x, R: float = math.inf) -> float:
     keep = dist <= min(R, float(np.max(dist[inside])))
     if not keep.any():
         return 0.0
-    order = np.argsort(dist[keep], kind="stable")
-    dist, vals = dist[keep][order], vals[keep][order]
+    dist, vals = dist[keep], vals[keep]
+    order = np.argsort(dist, kind="stable")
     # distances equal up to the rounding of the lattice positions are
-    # one tie: symmetric points must not enter the ball one at a time
-    last = np.flatnonzero(np.append(np.diff(dist) > 1e-12 * L, True))
+    # one tie: symmetric points must not enter the ball one at a time.
+    # A tie is summed in lattice order, so rounding does not reorder it
+    # and maximal_field's sweep adds its points in the same order.
+    tie = np.append(0, np.cumsum(np.diff(dist[order]) > 1e-12 * L))
+    vals = vals[order[np.lexsort((order, tie))]]
+    last = np.flatnonzero(np.append(np.diff(tie) > 0, True))
     return float(np.max(np.cumsum(vals)[last] / (last + 1)))
 
 
-def maximal_field(f: GridField, *, radii: int) -> GridField:
-    """M f sampled at every grid node, as a max over ``radii`` log-spaced
-    radii from h/2 to the box diagonal.
+def maximal_field(f: GridField) -> GridField:
+    """M f at every grid node, exact: ``maximal_function`` at each node.
 
-    Every node needs its own ball sums, one FFT per radius in 2D, so
-    this sup is taken on a fixed grid rather than exactly (an exact 2D
-    field would need one FFT per distinct lattice distance).  A grid sup
-    is at most the true sup, so superlevel sets {M f > eps} can only
-    shrink: their measure is a lower bound of the true one.
+    The lattice offsets o of the cube [-(n-1), n-1]^d enter the ball in
+    order of the integer |o|^2 (lattice order within a shell), each
+    adding |f| shifted by o, read as a view of a zero-padded copy, to
+    every node's running sum; after each shell of equal |o|^2 = q the
+    node averages are the sums over N(q), the lattice points of the
+    closed ball on the infinite lattice.  Once ||f||_1 / N(q) is at most
+    the smallest node sup so far no average can rise any more, so the
+    sweep stops there.
     """
-    # imported here, as in fields.mollify: only this sup needs scipy.signal
-    from scipy.signal import fftconvolve
-    d = f.dimension
-    h = f.spacing
-    absf = np.abs(f.values)
-    s_max = 2.0 * f.half_width * math.sqrt(d)
-    grid = np.geomspace(h / 2.0, s_max, radii)
-    best = np.zeros_like(absf)
-    if d == 1:
-        n = f.resolution
-        prefix = np.concatenate([[0.0], np.cumsum(absf)])
-        idx = np.arange(n)
-        for s in grid:
-            w = int(math.floor(s / h))
-            lo = np.maximum(idx - w, 0)
-            hi = np.minimum(idx + w, n - 1)
-            # the stencil size 2w+1 is the infinite-lattice count; cells
-            # beyond the box contribute zeros
-            avg = (prefix[hi + 1] - prefix[lo]) / (2 * w + 1)
-            np.maximum(best, avg, out=best)
-    elif d == 2:
-        m = int(math.floor(s_max / h))
-        offs = h * np.arange(-m, m + 1)
-        oy, ox = np.meshgrid(offs, offs, indexing="ij")
-        r2 = ox**2 + oy**2
-        for s in grid:
-            mask = (r2 <= s * s).astype(float)
-            total = fftconvolve(absf, mask, mode="same")
-            avg = total / mask.sum()
-            np.maximum(best, avg, out=best)
-    else:
+    d, n = f.dimension, f.resolution
+    if d > 2:
         raise DimensionError("maximal_field supports d = 1 and 2")
+    absf = np.abs(f.values)
+    # windows[n - 1 + o] is |f| shifted by the offset o, zero off the box
+    windows = sliding_window_view(np.pad(absf, n - 1), absf.shape)
+    # every lattice point up to the farthest node, in lattice order
+    far = d * (n - 1) ** 2
+    axis = np.arange(-math.isqrt(far), math.isqrt(far) + 1)
+    offs = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
+    sq = np.sum(offs * offs, axis=1)
+    order = np.argsort(sq, kind="stable")[:np.count_nonzero(sq <= far)]
+    offs, sq = offs[order], sq[order]
+    inside = np.all(np.abs(offs) < n, axis=1)
+    shifts = offs[inside] + n - 1
+    # per shell: N(q), the offsets counted, and the shifts added so far
+    counts = np.flatnonzero(np.append(np.diff(sq) > 0, True)) + 1
+    added = np.cumsum(inside)[counts - 1]
+    total = float(np.sum(absf))
+    acc, best, done = np.zeros_like(absf), np.zeros_like(absf), 0
+    for count, upto in zip(counts.tolist(), added.tolist()):
+        for o in shifts[done:upto].tolist():
+            acc += windows[tuple(o)]
+        done = upto
+        np.maximum(best, acc / count, out=best)
+        if total / count <= best.min():
+            break
     return GridField(d, f.half_width, best)
 
 
-def weak11_check(f: GridField, eps_ladder, *,
-                 radii: int = 64) -> list[tuple[float, float, float]]:
+def weak11_check(f: GridField, eps_ladder) -> list[tuple[float, float, float]]:
     """Superlevel measure of M f against the Vitali bound (3^d / eps) ||f||_1.
 
     Returns (eps, measure, bound) per ladder entry; measure <= bound is
     the weak (1,1) inequality with the covering constant 3^d.  M f is
-    ``maximal_field`` on ``radii`` radii, so the measure is a lower
-    bound of the true superlevel measure.
+    the exact node sup of ``maximal_field``, and the measure counts the
+    cells of the nodes where it exceeds eps.
     """
-    mf = maximal_field(f, radii=radii)
+    mf = maximal_field(f)
     d = f.dimension
     l1 = f.l1_norm()
     cell = f.spacing**d
@@ -175,7 +166,7 @@ class RadonMeasure1D:
                 raise DomainError("atom masses must be nonnegative")
 
     def ball_mass(self, x: float, s) -> np.ndarray:
-        """|mu|((x-s, x+s)) for an array of radii.
+        """|mu|((x-s, x+s)) for an array of half-widths s.
 
         The density part integrates the piecewise-linear interpolant of
         |density| (cumulative trapezoid, interpolated), so constants give
@@ -306,5 +297,5 @@ def singular_kernel_bound(mu, x, r: float) -> tuple[float, float]:
     rings = fr.sum(axis=1) * (2.0 * math.pi / _RING_ANGLES) * t
     masses = np.concatenate([[0.0], np.cumsum((rings[1:] + rings[:-1]) / 2.0) * dt])
     masses += 0.5 * rings[0] * dt   # the [0, t_1] sliver (ring(0) = 0)
-    rhs = float(np.max(masses / _ball_volume(d, t)))
+    rhs = float(np.max(masses / (math.pi * t**2)))
     return lhs, rhs

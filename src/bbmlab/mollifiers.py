@@ -117,12 +117,12 @@ class RadialMollifier:
         """Whether rho vanishes beyond radius 1 (the compact-support axiom)."""
         return self.support_radius <= 1.0
 
-    def quadrature_radius(self, tail_tol: float = quadrature.GAUSSIAN_TAIL_TOL) -> float:
-        """Truncation radius leaving at most tail_tol of the unit mass."""
+    def quadrature_radius(self) -> float:
+        """Truncation radius leaving at most GAUSSIAN_TAIL_TOL of the mass."""
         if self.kind == "gaussian":
             # the mass beyond r is the regularized upper incomplete gamma
             # Q((d+1)/2, n r^2), so r_max is its closed-form inverse
-            x = gammainccinv((self.dimension + 1) / 2.0, tail_tol)
+            x = gammainccinv((self.dimension + 1) / 2.0, quadrature.GAUSSIAN_TAIL_TOL)
             return math.sqrt(x / self.param)
         return self.support_radius
 

@@ -11,7 +11,8 @@ Two routes to Per(E), both exact in the concentration limit:
   integral, one radial sum; boxes in 2D and 3D take the tensor route.
 * ``degiorgi_perimeter``: the gradient integral of the heat-smoothed
   indicator W_n(x) = n^(d/2) int_E exp(-n |x-y|^2) dy, divided by the
-  constant B_d = pi^(d/2).
+  constant B_d = pi^(d/2).  For an interval it is the closed form
+  2 erf(sqrt(n) L / 2); other sets integrate a grid of W_n.
 
 W_n is a closed form on the grid: erf products for intervals, boxes and
 half-spaces, and for a ball of radius R about c the noncentral
@@ -148,7 +149,12 @@ def _axis_factor(x: np.ndarray, a: float, b: float, n: float) -> np.ndarray:
 def degiorgi_perimeter(E: IndicatorSet, n: float, *,
                        half_width: float | None = None,
                        resolution: int | None = None) -> float:
-    """Grid integral of |grad W_n| scaled by 1/B_d."""
+    """Integral of |grad W_n| scaled by 1/B_d: the grid integral of
+    ``degiorgi_field``, or for an interval, whose W_n is unimodal, the
+    closed form 2 W_n(midpoint) / B_1, which reads no grid."""
+    box = E.support_box()
+    if E.dimension == 1 and box is not None:
+        return 2.0 * math.erf(math.sqrt(n) * float(box[1][0] - box[0][0]) / 2.0)
     w = degiorgi_field(E, n, half_width=half_width, resolution=resolution)
     return w.gradient_norm_integral(1) / degiorgi_const(E.dimension)
 

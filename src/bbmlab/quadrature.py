@@ -288,16 +288,6 @@ def radial_rules(mollifier, level: int | None = None, *, breakpoints) -> RadialR
 _GRADE_LEVELS = 43
 
 
-def radial_rule_size(level: int | None = None, n_breakpoints: int = 0) -> int:
-    """Upper bound on the nodes per row of ``radial_rules``."""
-    if level is None:
-        level = DEFAULT_RADIAL_LEVEL
-    panels = 2 ** level + n_breakpoints
-    if n_breakpoints:
-        panels += _GRADE_LEVELS
-    return panels * RADIAL_NODES_PER_PANEL
-
-
 def _stacked_panel_edges(b: float, n_panels: int, breakpoints: np.ndarray) -> np.ndarray:
     """Panel edges on [0, b], one row per row of breakpoints -> (m, k).
 

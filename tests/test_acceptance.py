@@ -179,8 +179,7 @@ def test_criterion_9_maximal_suite():
                 assert measure <= bound
         for _ in range(20):
             f = fields.GridField(2, 2.0, gen.uniform(0, 1, size=(64, 64)))
-            for eps, measure, bound in MX.weak11_check(f, [0.3, 0.6, 0.9],
-                                                       radii=32):
+            for eps, measure, bound in MX.weak11_check(f, [0.3, 0.6, 0.9]):
                 assert measure <= bound
         # interval indicator at x = 2 against the brute-force oracle
         f = fields.GridField.from_function(

@@ -205,8 +205,14 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
       "--p", "1.2", "--radial-level", "3"], "lag"),
     (["sweep", "--experiment", "energy", "--field", "bump:1",
       "--mollifier", "indicator", "--ladder", "1:3", "--p", "2"], "lag"),
+    (["sweep", "--experiment", "sobolev-residual", "--field", "step",
+      "--mollifier", "indicator", "--ladder", "1:3"], "lag"),
+    (["sweep", "--experiment", "sobolev-residual", "--field", "bump:2",
+      "--mollifier", "indicator", "--ladder", "1:3", "--candidate", "gradient",
+      "--x-resolution", "8", "--sphere-order", "8", "--radial-level", "1"], "tensor"),
 ], ids=["energy-multiplier", "energy-tensor", "sweep-covariogram",
-        "sweep-multiplier", "energy-lag", "sweep-lag"])
+        "sweep-multiplier", "energy-lag", "sweep-lag", "residual-lag",
+        "residual-tensor"])
 def test_energy_summary_names_its_route(tmp_path, argv, route):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "summary.json").read_text())["route"] == route
@@ -262,6 +268,9 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
     ["perimeter", "--shape", "ball:0,0,0.5", "--method", "degiorgi",
      "--x-resolution", "8"],
     ["perimeter", "--method", "bbm", "--grid-resolution", "8"],
+    # the De Giorgi perimeter of an interval is a closed form, with no grid
+    ["perimeter", "--shape", "interval:0,1", "--method", "degiorgi",
+     "--grid-resolution", "64"],
     # the sphere of a 1D field is always {-1, +1}
     ["density", "--field", "step", "--probe", "0.3", "--sphere-order", "8"],
     ["remainder", "--field", "mixed:1@0", "--probe", "0.2", "--sphere-order", "8"],
@@ -298,7 +307,8 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
         "energy-seed", "sweep-residual-p", "sweep-energy-candidate",
         "sweep-energy-probe", "sweep-density-candidate",
         "perimeter-degiorgi-sphere-order", "perimeter-degiorgi-x-resolution",
-        "perimeter-bbm-grid-resolution", "density-1d-sphere-order",
+        "perimeter-bbm-grid-resolution", "perimeter-interval-degiorgi-grid-resolution",
+        "density-1d-sphere-order",
         "remainder-1d-sphere-order", "energy-1d-sphere-order",
         "energy-interval-sphere-order", "sweep-1d-sphere-order",
         "bv-sphere-order", "perimeter-interval-sphere-order",

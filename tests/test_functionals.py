@@ -543,10 +543,11 @@ def test_1d_energies_do_not_use_the_polar_engine(monkeypatch):
 def test_batch_spanning_blocks_matches_single_probes(rng):
     u = bv_two_jumps()
     m = mf.indicator(0.25, 1)
-    probes = np.sort(rng.uniform(-0.6, 0.7, size=150)).reshape(-1, 1)
-    per_probe = Q.radial_rule_size(None, 2) * 2
-    assert probes.shape[0] > 3 * (F._CHUNK // per_probe)   # several blocks
+    probes = np.sort(rng.uniform(-0.6, 0.7, size=400)).reshape(-1, 1)
     breaks = u.difference_breakpoints(probes)
+    # the stacked rows of the whole batch set the block size
+    per_probe = Q.radial_rules(m, breakpoints=breaks).nodes.shape[1] * 2
+    assert probes.shape[0] > 3 * (F._CHUNK // per_probe)   # several blocks
     batch = F._polar_many(u, m, 1.0, probes, breaks)
     single = [density(u, m, 1.0, x) for x in probes]
     np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bbmlab import fields, maximal as MX
-from bbmlab.errors import ValidityError
+from bbmlab.errors import DimensionError, ValidityError
 
 # frozen empirical kernel-lemma constants (first calibration: constant
 # fields are extremal at 2 and 2*pi; seeded sweeps stay below)
@@ -124,17 +124,53 @@ def test_maximal_probe_outside_box():
 # weak (1,1)
 # ---------------------------------------------------------------------------
 
-def test_weak11_interval_closed_form_level_set():
+@pytest.mark.parametrize("n", [512, 1024, 2048, 4096])
+def test_weak11_interval_closed_form_level_set(n):
     # M(1_[0,1])(x) = 1/(2(1+dist)) outside, so {M > 1/4} = (-1, 2) with
-    # measure 3; the fixed radius grid underestimates the sup slightly,
-    # which can only shrink the level set
-    f = interval_indicator_grid()
-    rows = MX.weak11_check(f, [0.25], radii=1024)
+    # measure 3.  On the lattice the 1/h + 1 nodes of [0, 1] give a node
+    # k steps outside the average (1/h + 1)/(2(k + 1/h) + 1), above 1/4
+    # for k <= 1/h + 1: 3/h + 3 nodes, so refining never lowers the set
+    f = interval_indicator_grid(n=n)
+    h = f.spacing
+    rows = MX.weak11_check(f, [0.25])
     eps, measure, bound = rows[0]
-    assert measure == pytest.approx(3.0, abs=3e-2)
-    assert measure <= 3.0 + 1e-9
+    assert measure == 3.0 + 3.0 * h
     assert bound == pytest.approx(12.0 * f.l1_norm() / 1.0, rel=1e-12)
     assert measure <= bound
+
+
+def _two_spikes():
+    v = np.zeros((32, 32))
+    v[3, 5], v[20, 25] = 7.0, 2.0
+    return fields.GridField(2, 2.0, v)
+
+
+def _half_zero(d, n, L=2.0):
+    rng = np.random.default_rng(5)
+    v = rng.uniform(0, 1, size=(n,) * d)
+    v[rng.uniform(size=v.shape) < 0.5] = 0.0
+    return fields.GridField(d, L, v)
+
+
+@pytest.mark.parametrize("f", [
+    fields.GridField(1, 2.0, np.random.default_rng(4).uniform(0, 1, size=256)),
+    _half_zero(2, 32),
+    _two_spikes(),
+    # a spacing that is not dyadic rounds mirrored distances apart
+    _half_zero(1, 97, L=0.7),
+    _half_zero(2, 23, L=1.3),
+], ids=["uniform-1d", "half-zero-2d", "two-spikes-2d", "half-zero-1d-odd-h",
+        "half-zero-2d-odd-h"])
+def test_maximal_field_is_maximal_function_at_every_node(f):
+    mf = MX.maximal_field(f)
+    nodes = f.axis_nodes()
+    for idx in np.ndindex(*f.values.shape):
+        assert mf.values[idx] == MX.maximal_function(f, [nodes[i] for i in idx])
+
+
+def test_maximal_field_refuses_3d():
+    with pytest.raises(DimensionError):
+        MX.maximal_field(fields.GridField(3, 1.0, np.ones((4, 4, 4))))
 
 
 def test_weak11_level_above_sup_is_empty():
@@ -153,8 +189,7 @@ def test_weak11_seeded_fields_1d(rng):
 def test_weak11_seeded_fields_2d(rng):
     for _ in range(4):
         f = fields.GridField(2, 2.0, rng.uniform(0, 1, size=(64, 64)))
-        for eps, measure, bound in MX.weak11_check(f, [0.3, 0.6, 0.9],
-                                                   radii=32):
+        for eps, measure, bound in MX.weak11_check(f, [0.3, 0.6, 0.9]):
             assert measure <= bound
 
 

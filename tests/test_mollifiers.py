@@ -7,7 +7,7 @@ from scipy.special import gammaincc
 
 from bbmlab import mollifiers as mf
 from bbmlab.errors import DimensionError, DomainError
-from bbmlab.quadrature import segment_rule
+from bbmlab.quadrature import GAUSSIAN_TAIL_TOL, segment_rule
 
 
 def numeric_profile_mass(m, r_hi=None, d=None):
@@ -145,7 +145,7 @@ def test_unit_support_flag():
 
 def test_gaussian_truncation_radius_bounds_tail():
     m = mf.gaussian(16.0, 2)
-    r = m.quadrature_radius(1e-14)
+    r = m.quadrature_radius()
     nodes, w = segment_rule(r, 4 * r, q=10, levels=20)
     tail = float(np.dot(w, m.evaluate(nodes) * nodes))
     assert tail <= 2e-14
@@ -192,11 +192,11 @@ def test_construction_refuses_dimensions_outside_1_to_3(make):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", [1.0, 64.0, 4096.0])
-@pytest.mark.parametrize("tol", [1e-14, 1e-8])
-def test_gaussian_truncation_radius_is_closed_form(d, n, tol):
+def test_gaussian_truncation_radius_is_closed_form(d, n):
     # the mass beyond r is Q((d+1)/2, n r^2); r_max inverts it exactly
-    r = mf.gaussian(n, d).quadrature_radius(tol)
-    assert gammaincc((d + 1) / 2.0, n * r * r) == pytest.approx(tol, rel=1e-12)
+    r = mf.gaussian(n, d).quadrature_radius()
+    assert gammaincc((d + 1) / 2.0, n * r * r) == pytest.approx(
+        GAUSSIAN_TAIL_TOL, rel=1e-12)
 
 
 def quad_moment(m, k):

@@ -24,6 +24,26 @@ def test_interval_both_methods_near_exact():
 def test_empty_set_perimeter_zero():
     E = fields.box_set([0.0], [0.0])
     assert P.bbm_perimeter(E, 2**8) == 0.0
+    assert P.degiorgi_perimeter(E, 2**8) == 0.0
+
+
+@pytest.mark.parametrize("n", [2.0**4, 2.0**8, 2.0**10, 2.0**14])
+@pytest.mark.parametrize("a,b", [(-0.3, 0.5), (0.0, 1.0), (0.2, 0.25), (-1.1, 0.0)])
+def test_interval_degiorgi_perimeter_is_its_closed_form(a, b, n):
+    # W_n is unimodal, so int |W_n'| = 2 W_n(midpoint) = 2 sqrt(pi) erf(...)
+    length = b - a
+    exact = 2.0 * math.erf(math.sqrt(n) * length / 2.0)
+    for E in (fields.interval_set(a, b), fields.ball_set([(a + b) / 2], length / 2)):
+        assert P.degiorgi_perimeter(E, n) == pytest.approx(exact, rel=1e-15, abs=0)
+    # independent: past the midpoint W_n' = sqrt(n)(exp(-n(x-b)^2) - exp(-n(x-a)^2))
+    # is positive, and |W_n'| is symmetric about the midpoint
+    rn = math.sqrt(n)
+    half, _ = quad(lambda x: rn * (math.exp(-n * (x - b)**2)
+                                   - math.exp(-n * (x - a)**2)),
+                   (a + b) / 2, b + 40.0 / rn, points=[b], epsabs=0,
+                   epsrel=1e-13, limit=200)
+    assert P.degiorgi_perimeter(fields.interval_set(a, b), n) == pytest.approx(
+        2.0 * half / math.sqrt(math.pi), rel=1e-13, abs=0)
 
 
 def test_bbm_rejects_unbounded_sets():

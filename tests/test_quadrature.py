@@ -183,7 +183,6 @@ def test_stacked_rule_rows_equal_radial_rule_bitwise(m, near_origin):
                           [0.01, 0.02, 0.999]])
     rules = Q.radial_rules(m, 3, breakpoints=B)
     assert rules.nodes.shape == rules.weights.shape
-    assert rules.nodes.shape[1] <= Q.radial_rule_size(3, 3)
     lengths = []
     for i, row in enumerate(B):
         one = Q.radial_rule(m, 3, breakpoints=tuple(row))
