@@ -194,32 +194,47 @@ def _refuse_unread(cfg: dict, options, reads, chosen: str) -> None:
             raise UsageError(f"{chosen} does not read {flag}")
 
 
-def _refuse_unread_scheme(cfg: dict, field, experiment: str, p) -> None:
+def _refuse_unread_scheme(cfg: dict, field, experiment: str, p,
+                          ladder=()) -> None:
     """Refuse the quadrature flags that the experiment's route does not read.
 
-    ``experiment`` is one of the sweep experiments, and ``p`` the exponent
-    of an energy.  A density or a remainder is a polar sum at probes, with
-    no x-grid.  An energy reads what its ``functionals.energy_route``
-    reads: the covariogram route (an interval or a ball) is one radial
-    sum, with no x-grid and no sphere rule; the multiplier route (p = 2,
-    a smooth 2D/3D field) is one FFT of the field's samples, with no
-    sphere rule; the lag route (every other 1D field, and every 1D
-    Sobolev residual) has fixed x-panels.  A 1D field has no sphere
-    order either (its sphere is {-1, +1}).
+    ``experiment`` is one of the sweep experiments, ``p`` the exponent
+    of an energy and ``ladder`` its mollifiers; a flag is refused when no
+    rung reads it.  A density or a remainder is a polar sum at probes,
+    with no x-grid.  An energy reads what its ``functionals.energy_route``
+    reads: the closed form of a box reads none; the covariogram route (an
+    interval, a ball or a 2D box) is one radial sum, with no x-grid and
+    no sphere rule; the multiplier route (p = 2, a smooth 2D/3D field) is
+    one FFT of the field's samples, with no sphere rule; the lag route
+    (every other 1D field, and every 1D Sobolev residual) has fixed
+    x-panels.  A 1D field has no sphere order either (its sphere is
+    {-1, +1}).
     """
-    unread = {}
-    if experiment in ("density", "remainder"):
-        route = "polar"
-        unread["x_resolution"] = "a density is a polar sum with no x-grid"
-    elif experiment == "energy":
-        route = functionals.energy_route(field, p)
+    if experiment == "energy":
+        routes = {functionals.energy_route(field, p, m) for m in ladder}
+    elif experiment == "sobolev-residual":
+        routes = {functionals.residual_route(field)}
     else:
-        route = functionals.residual_route(field)
-    if field.dimension == 1:
+        routes = {"polar"}
+    unread = [_unread_by_route(route, field.dimension) for route in routes]
+    for key, why in unread[0].items():
+        if cfg.get(key) is not None and all(key in u for u in unread[1:]):
+            raise UsageError(f"--{key.replace('_', '-')} is not read here: {why}")
+
+
+def _unread_by_route(route: str, d: int) -> dict:
+    """The quadrature flags a route does not read, each with the reason."""
+    unread = {}
+    if d == 1:
         unread["sphere_order"] = "the 1D sphere is always {-1, +1}"
-    if route == "covariogram":
-        why = ("the energy of an interval or a ball is one radial sum over "
-               "its covariogram; it reads only --radial-level")
+    if route == "polar":
+        unread["x_resolution"] = "a density is a polar sum with no x-grid"
+    elif route == "box":
+        why = "the energy of this box is a closed form; it reads no quadrature flag"
+        unread = {key: why for key in SCHEME_KEYS}
+    elif route == "covariogram":
+        why = ("the energy of an interval, a ball or a 2D box is one radial "
+               "sum over its covariogram; it reads only --radial-level")
         unread = {"x_resolution": why, "sphere_order": why}
     elif route == "multiplier":
         unread["sphere_order"] = ("a p = 2 energy of a smooth 2D/3D field is "
@@ -228,9 +243,7 @@ def _refuse_unread_scheme(cfg: dict, field, experiment: str, p) -> None:
     elif route == "lag":
         unread["x_resolution"] = ("a 1D energy takes the lag route, whose "
                                   "x-panels are fixed")
-    for key, why in unread.items():
-        if cfg.get(key) is not None:
-            raise UsageError(f"--{key.replace('_', '-')} is not read here: {why}")
+    return unread
 
 
 def run_constants(cfg, outdir, started):
@@ -261,11 +274,11 @@ def run_density(cfg, outdir, started, *, remainder=False):
 
 def run_energy(cfg, outdir, started):
     field = parse_field(cfg["field"])
-    _refuse_unread_scheme(cfg, field, "energy", cfg["p"])
     m = parse_mollifier(cfg["mollifier"], field.dimension)
+    _refuse_unread_scheme(cfg, field, "energy", cfg["p"], [m])
     value = functionals.energy(field, m, cfg["p"], _scheme(cfg))
     emit(outdir, cfg, ["value"], [(value,)],
-         {"value": value, "route": functionals.energy_route(field, cfg["p"])},
+         {"value": value, "route": functionals.energy_route(field, cfg["p"], m)},
          started)
     return 0
 
@@ -280,13 +293,15 @@ def run_sweep(cfg, outdir, started):
     cfg.update({k: v for k, v in SWEEP_OPTIONS[kind].items() if cfg.get(k) is None})
     field = parse_field(cfg["field"])
     d = field.dimension
-    _refuse_unread_scheme(cfg, field, kind, cfg.get("p"))
     ladder = parse_ladder(cfg["mollifier"], cfg["ladder"], d)
+    _refuse_unread_scheme(cfg, field, kind, cfg.get("p"), ladder)
     scheme = _scheme(cfg)
     summary = {}
     if kind == "energy":
         report = functionals.energy_study(field, ladder, cfg["p"], scheme)
-        summary["route"] = functionals.energy_route(field, cfg["p"])
+        # one name when every rung takes the same route, else one a rung
+        routes = [functionals.energy_route(field, cfg["p"], m) for m in ladder]
+        summary["route"] = routes[0] if len(set(routes)) == 1 else routes
     elif kind in ("density", "remainder"):
         probe = parse_probes(cfg["probes"], d)[0]
         op = (functionals.remainder_density if kind == "remainder"
@@ -331,13 +346,16 @@ def run_perimeter(cfg, outdir, started):
     _refuse_unread(cfg, PERIMETER_OPTIONS["bbm"] + PERIMETER_OPTIONS["degiorgi"],
                    [key for m in methods for key in PERIMETER_OPTIONS.get(m, ())],
                    f"--method {cfg['method']}")
-    if E.dimension == 1 and cfg.get("grid_resolution") is not None:
+    if (isinstance(E.shape, fields.Ball) or E.dimension == 1) \
+            and cfg.get("grid_resolution") is not None:
         raise UsageError("--grid-resolution is not read here: the De Giorgi "
-                         "perimeter of an interval is a closed form")
-    # the BBM perimeter is an energy at p = 1
-    _refuse_unread_scheme(cfg, E, "energy", 1.0)
+                         "perimeter of an interval is a closed form, and "
+                         "that of a ball one radial sum")
     ns = ([float(t) for t in str(cfg["n"]).split(",")]
           if isinstance(cfg["n"], str) else [float(cfg["n"])])
+    # the BBM perimeter is an energy at p = 1 with the gaussian
+    _refuse_unread_scheme(cfg, E, "energy", 1.0,
+                          [mollifiers.gaussian(n, E.dimension) for n in ns])
     rows, estimates = [], []
     for n in ns:
         for method in methods:

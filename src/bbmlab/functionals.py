@@ -17,12 +17,14 @@ For a field u, mollifier rho and exponent p >= 1 the library evaluates
 plus ladder drivers (``bv_pointwise_limit``, ``ponce_spector_mass``,
 ``convergence_study``) that package values into ConvergenceReports.
 
-Quadrature notes.  ``energy`` takes one of four routes, which
+Quadrature notes.  ``energy`` takes one of five routes, which
 ``energy_route`` names (``residual_route`` names the two that
 ``sobolev_residual`` takes):
 
-* covariogram: intervals, disks and 3D balls at any p; one radial sum,
-  reading only ``QuadratureScheme.radial_level``;
+* box: 2D/3D boxes whose energy is a closed form (the gaussian at
+  p = 1, or r_max <= every side), reading no scheme field;
+* covariogram: intervals, disks, 3D balls and every other 2D box at any
+  p; one radial sum, reading only ``QuadratureScheme.radial_level``;
 * multiplier: p = 2 and an analytic field in 2D or 3D; one FFT of the
   field's samples times the Fourier multiplier of the mollifier,
   reading ``x_resolution`` (the sampling grid) and ``radial_level``
@@ -30,9 +32,10 @@ Quadrature notes.  ``energy`` takes one of four routes, which
 * lag: every other 1D field, and every 1D ``sobolev_residual``; the
   x-integral first, at each node of one radial rule, reading only
   ``radial_level`` (``x_resolution`` is refused);
-* tensor: every other 2D/3D field and exponent, and every 2D/3D
-  ``sobolev_residual``; a midpoint x-grid whose nodes go through the
-  polar engine, reading all three.
+* tensor: every other 2D/3D field and exponent (among sets, only
+  half-spaces and 3D boxes with r_max past their shortest side), and every
+  2D/3D ``sobolev_residual``; a midpoint x-grid whose nodes go through
+  the polar engine, reading all three.
 
 On the tensor route the y-integral is evaluated in polar coordinates
 with no node at r = 0 (the measure rho(r) r^(d-1) dr has no atom there,
@@ -46,8 +49,9 @@ field called once per block for the centres and once for the nodes.
 A density at one probe or at a batch of probes is one engine call,
 with the field's (and Omega's) breakpoints.  A tensor energy is one
 midpoint grid and one engine call, its nodes sharing one
-breakpoint-free radial rule.  Every
-path raises EvaluationError on a NaN or infinite integrand, and every
+breakpoint-free radial rule; probes of an analytic field beyond its
+support radius plus r_max, where the density is exactly 0, are skipped.
+Every path raises EvaluationError on a NaN or infinite integrand, and every
 density refuses a probe on a jump of the field, where it is +inf, with
 ProbeError.  A field that declares a point singularity
 (``AnalyticField.point_singularities``) is refused with ValidityError by
@@ -68,7 +72,11 @@ Energies of sets whose covariogram g(|h|) = |E cap (E + h)| is radial
 (intervals, disks, 3D balls) skip the x-rule and the engine: the energy
 is 2 |S^(d-1)| int rho(r) r^(d-1-p) (|E| - g(r)) dr, whose leading part
 c1 r of |E| - g is the closed-form mollifier moment and whose remainder
-is one radial sum.  A field with a jump has infinite energy from the
+is one radial sum.  A box's covariogram prod_i (L_i - |h_i|)_+ is not
+radial, but explicit: |E| - g is a polynomial in the |h_i| up to
+r = min L_i, whose sphere integrals and radial moments are closed forms,
+and the gaussian at p = 1 is separable (``_box_energy``).  A field with
+a jump has infinite energy from the
 exponent at which that moment diverges on; ``energy`` then returns
 ``math.inf`` on every route.
 
@@ -85,12 +93,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import j0
+from scipy.special import erfc, j0
 
-from . import quadrature
+from . import constants, quadrature
 from .constants import gamma
 from .errors import (DimensionError, DomainError, EvaluationError,
                      IntegrationError, ProbeError, ValidityError)
@@ -462,14 +471,30 @@ def _refuse_1d_x_resolution(d: int, scheme: QuadratureScheme) -> None:
 def _integrate_density_over_x(field, mollifier, p, *, subtract_candidate=None,
                               scheme=DEFAULT_SCHEME) -> float:
     """int D(x) dx over the midpoint grid of a 2D/3D field, with D the
-    plain or remainder density."""
+    plain or remainder density.
+
+    An analytic field is 0 beyond its support radius R, so at a probe
+    with |x| > R + r_max (with a relative margin of 1e-9 against
+    rounding) whose candidate row is 0, u(x) and every u(x + r sigma)
+    are masked to 0 and D is exactly 0: such probes are written as 0
+    and never reach the engine."""
     _grid_compactness_check(field)
-    lo, hi = _x_region(field, mollifier.quadrature_radius())
+    r_max = mollifier.quadrature_radius()
+    lo, hi = _x_region(field, r_max)
     probes, weights = _midpoint_grid(lo, hi, scheme.x_res(field.dimension))
-    breaks = np.empty((probes.shape[0], 0))
     sub = None if subtract_candidate is None else subtract_candidate.eval_many(probes)
-    return float(np.dot(weights, _polar_many(field, mollifier, p, probes, breaks,
-                                             subtract=sub, scheme=scheme)))
+    live = np.ones(probes.shape[0], dtype=bool)
+    if isinstance(field, AnalyticField) and math.isfinite(field.support_radius):
+        reach = (field.support_radius + r_max) * (1.0 + 1e-9)
+        live = np.einsum("ij,ij->i", probes, probes) <= reach * reach
+        if sub is not None:
+            live |= np.any(sub != 0.0, axis=1)
+    dens = np.zeros(probes.shape[0])
+    dens[live] = _polar_many(field, mollifier, p, probes[live],
+                             np.empty((int(live.sum()), 0)),
+                             subtract=None if sub is None else sub[live],
+                             scheme=scheme)
+    return float(np.dot(weights, dens))
 
 
 def _lag_parts(field):
@@ -662,6 +687,85 @@ def _covariogram_energy(mollifier, p, D, c1, F, level) -> float:
     return 2.0 * sphere * (c1 * mollifier.moment(1.0 - p) + float(tail))
 
 
+def _box_sides(field):
+    """The side lengths L (d,) of a 2D/3D box, else None."""
+    if (isinstance(field, IndicatorSet) and isinstance(field.shape, Box)
+            and field.dimension > 1):
+        lo, hi = field.shape.bbox()
+        return hi - lo
+    return None
+
+
+def _box_closed_form(L, mollifier, p) -> bool:
+    """Whether the energy of the box with sides L is a closed form: the
+    gaussian at p = 1, or a mollifier with r_max <= min L_i.  The sides
+    are differences of corners, so the test allows r_max to pass min L_i
+    by a relative 1e-9: the polynomial then errs by O(1e-9^(5/2)) of the
+    energy (the rest grows like (r - L_i)^(3/2)), far below rounding."""
+    return ((mollifier.kind == "gaussian" and p == 1.0)
+            or mollifier.quadrature_radius() <= float(np.min(L)) * (1.0 + 1e-9))
+
+
+def _box_energy(L, mollifier, p, level) -> float:
+    """The energy of a box with sides L (d = 2 or 3), from its covariogram
+    g(h) = prod_i (L_i - |h_i|)_+; d = 3 only where ``_box_closed_form``.
+
+    * The gaussian at p = 1 is separable, rho(r)/r = k exp(-n r^2) with
+      k = C_d n^((d+1)/2), so E = 2k int exp(-n |h|^2) (|E| - g(h)) dh =
+      2k prod_i A_i (1 - prod_i (1 - t_i)), A_i = L_i sqrt(pi/n) and
+      t_i = erfc(L_i sqrt(n)) + (1 - exp(-n L_i^2)) / (L_i sqrt(pi n));
+      taken through expm1 and log1p, it keeps full relative accuracy at
+      large n, where |E| and the integral of g nearly cancel.
+    * Otherwise, on |h_i| <= L_i, |E| - g is the polynomial
+      sum_k (-1)^(k+1) sum_{|S| = k} prod_{i in S} |h_i| prod_{j not in S} L_j,
+      whose sphere integrals are A_k = int |sigma_1 ... sigma_k| dsigma =
+      2 pi^((d-k)/2) / Gamma((d+k)/2) (a Beta integral), so
+      E = 2 sum_k (-1)^(k+1) A_k e_(d-k)(L) mu(k-p), e_m the elementary
+      symmetric polynomials.  That is all of E when r_max <= min L_i.
+    * In 2D with r_max > min L_i the rest, 2 int rho r^(1-p) h(r) dr with
+      h(r) = 2 pi |E| - 4 G(r) - (the polynomial), is one radial sum.
+      G(r) = int_0^(pi/2) g(r cos t, r sin t) dt is exact: g is
+      (L_1 - r cos t)(L_2 - r sin t) between t1 = acos(min(1, L_1/r)) and
+      t2 = asin(min(1, L_2/r)) and 0 elsewhere, so no angular rule is
+      needed.  h vanishes on r <= min L_i; the rule is graded toward each
+      L_i from above, where h grows like (r - L_i)^(3/2), and toward the
+      diagonal D = |L| from below.
+    """
+    d = L.size
+    if mollifier.kind == "gaussian" and p == 1.0:
+        n = mollifier.param
+        t = erfc(L * math.sqrt(n)) - np.expm1(-n * L * L) / (L * math.sqrt(math.pi * n))
+        k = constants.gaussian_norm_const(d) * n ** ((d + 1) / 2.0)
+        return float(-2.0 * k * np.prod(L * math.sqrt(math.pi / n))
+                     * np.expm1(np.sum(np.log1p(-t))))
+    total = 0.0
+    for k in range(1, d + 1):
+        e = sum(math.prod(c) for c in combinations(L.tolist(), d - k))
+        A = 2.0 * math.pi ** ((d - k) / 2.0) / math.gamma((d + k) / 2.0)
+        total += (-1) ** (k + 1) * A * e * mollifier.moment(k - p)
+    total *= 2.0
+    if _box_closed_form(L, mollifier, p):
+        return total
+    L1, L2 = L
+    D = math.hypot(L1, L2)
+    grade = 2.0 ** -np.arange(1.0, _COVARIOGRAM_GRADE_LEVELS + 1)
+    breaks = np.concatenate([L1 * (1.0 + grade), L2 * (1.0 + grade),
+                             D * (1.0 - grade), [L1, L2, D]])
+    rule = quadrature.radial_rule(mollifier, level, breakpoints=breaks)
+    r = rule.nodes
+    t1 = np.arccos(np.minimum(1.0, L1 / r))
+    t2 = np.arcsin(np.minimum(1.0, L2 / r))
+
+    def P(t):   # an antiderivative of (L1 - r cos t)(L2 - r sin t)
+        s = np.sin(t)
+        return L1 * L2 * t + L1 * r * np.cos(t) - L2 * r * s + 0.5 * r * r * s * s
+    G = np.where(t2 > t1, P(t2) - P(t1), 0.0)
+    h = 2.0 * math.pi * L1 * L2 - 4.0 * G - (4.0 * (L1 + L2) * r - 2.0 * r * r)
+    h = np.where(r > min(L1, L2), h, 0.0)
+    w = rule.weights * quadrature.radial_measure(mollifier, rule)
+    return total + 2.0 * float(np.dot(w, h / r ** p))
+
+
 def sphere_defect(d: int, t: np.ndarray) -> np.ndarray:
     """|S^(d-1)| - S_d(t) for t >= 0, d = 2 or 3, where
     S_d(t) = int_{S^(d-1)} cos(t sigma . e) dsigma is 2 pi J0(t) in 2D
@@ -760,14 +864,25 @@ def _multiplier_energy(field, mollifier, scheme) -> float:
     return float(L ** d / n ** (2 * d) * np.dot(mass, m))
 
 
-def energy_route(field, p) -> str:
-    """The route ``energy`` takes: "covariogram", "multiplier", "lag" or
-    "tensor".
+def energy_route(field, p, mollifier) -> str:
+    """The route ``energy`` takes: "box", "covariogram", "multiplier",
+    "lag" or "tensor".
 
-    "covariogram" for an interval, a disk or a 3D ball at any p;
-    "multiplier" for p = 2 and an analytic field in 2D or 3D; "lag" for
-    every other 1D field; "tensor" for everything else.
+    "box" for a 2D/3D box whose energy is a closed form (the gaussian at
+    p = 1, or r_max <= every side; a box of zero volume is 0);
+    "covariogram" for an interval, a disk or a 3D ball at any p, and for
+    every other 2D box; "multiplier" for p = 2 and an analytic field in
+    2D or 3D; "lag" for every other 1D field; "tensor" for everything
+    else, which among sets leaves only half-spaces and the 3D boxes
+    whose shortest side is below r_max (except with the gaussian at
+    p = 1).
     """
+    L = _box_sides(field)
+    if L is not None:
+        if np.any(L <= 0.0) or _box_closed_form(L, mollifier, float(p)):
+            return "box"
+        if L.size == 2:
+            return "covariogram"
     if radial_covariogram(field) is not None:
         return "covariogram"
     if field.dimension == 1:
@@ -792,15 +907,20 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
 
     ``energy_route`` names the route taken:
 
+    * box, for a 2D/3D box at the gaussian with p = 1 or with
+      r_max <= min L_i: a closed form in erf and exp, or in the moments
+      mu(1-p), mu(2-p) and mu(3-p) (``_box_energy``).  It reads no
+      scheme field; a box of zero volume has energy 0.
     * covariogram, for an interval, a disk or a 3D ball: with
       g(|h|) = |E cap (E + h)|,
 
           E_p(1_E) = 2 |S^(d-1)| int rho(r) r^(d-1-p) (|E| - g(r)) dr,
 
-      one radial sum with no x-grid, sphere rule or field evaluation.
-      It reads only ``scheme.radial_level``; ``x_resolution`` (refused
-      in 1D as on every 1D energy) and ``sphere_order`` are accepted and
-      not read.
+      one radial sum with no x-grid, sphere rule or field evaluation;
+      and for every other 2D box, the same sum with the sphere integral
+      of |E| - g(r sigma) in closed form.  It reads only
+      ``scheme.radial_level``; ``x_resolution`` (refused in 1D as on
+      every 1D energy) and ``sphere_order`` are accepted and not read.
     * multiplier, for p = 2 and an analytic field in 2D or 3D: the field
       sampled on the midpoint grid of 2 x_res(d) cells a side over the
       support box enlarged by r_max, |rfftn|^2 of the samples times the
@@ -815,7 +935,9 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
       at the distances between jumps (``_lag_energy``).  It reads only
       ``radial_level``.
     * tensor, for everything else: a midpoint x-grid whose nodes go
-      through the polar engine, reading all three scheme fields.
+      through the polar engine, reading all three scheme fields.  An
+      analytic field's probes beyond its support radius plus r_max have
+      density exactly 0 and skip the engine.
 
     A field that declares a point singularity raises ValidityError on
     every route; a NaN or infinite sample or integrand raises
@@ -839,7 +961,11 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
     _refuse_1d_x_resolution(field.dimension, scheme)
     if _has_jump(field) and math.isinf(mollifier.moment(1.0 - p)):
         return math.inf
-    route = energy_route(field, p)
+    route = energy_route(field, p, mollifier)
+    L = _box_sides(field)
+    if L is not None and route in ("box", "covariogram"):
+        return 0.0 if np.any(L <= 0.0) else _box_energy(L, mollifier, p,
+                                                        scheme.radial_level)
     if route == "covariogram":
         return _covariogram_energy(mollifier, p, *radial_covariogram(field),
                                    scheme.radial_level)

@@ -152,12 +152,13 @@ class PathologyCase:
         return float(self.mollifier().evaluate(extremal))
 
 
-def _shell_mass(case: PathologyCase, probe: np.ndarray, s_lo: float,
-                s_hi: float, *, field=None) -> float:
-    """Integral of the density integrand over {s_lo < |y| < s_hi}."""
-    d = case.dimension
+def _shell_geometry(d: int, delta: float, probe: np.ndarray, s_lo: float,
+                    s_hi: float, field=None):
+    """The exponent-free parts of a shell integral over {s_lo < |y| < s_hi}:
+    |u(x) - u(y)|, rho(|x - y|) and |x - y| at the nodes (s, sigma), and
+    the radial and sphere weights."""
     u = field if field is not None else pathological_field(d)
-    rho = case.mollifier()
+    rho = power_law(delta, d, normalized=False)
     sphere = quadrature.sphere_rule(d, SHELL_SPHERE_ORDER)
     # log-subdivided panels keep the integrand panel-smooth
     n_panels = max(1, int(math.ceil(math.log2(s_hi / s_lo))))
@@ -167,10 +168,22 @@ def _shell_mass(case: PathologyCase, probe: np.ndarray, s_lo: float,
     uy = u.eval_many(pts.reshape(-1, d)).reshape(s.size, -1)
     ux = u.eval_many(probe.reshape(1, d))[0]
     dist = np.linalg.norm(pts - probe, axis=-1)
-    kern = rho.evaluate(dist.reshape(-1)).reshape(s.size, -1) / dist ** case.p
-    vals = np.abs(ux - uy) ** case.p * kern
-    inner = vals @ sphere.weights
-    return float(np.dot(w * s ** (d - 1), inner))
+    kern = rho.evaluate(dist.reshape(-1)).reshape(s.size, -1)
+    return np.abs(ux - uy), kern, dist, w * s ** (d - 1), sphere.weights
+
+
+def _shell_sum(geometry, p: float) -> float:
+    """The shell integral of |u(x) - u(y)|^p rho / |x - y|^p."""
+    diff, kern, dist, w_radial, w_sphere = geometry
+    vals = diff ** p * (kern / dist ** p)
+    return float(np.dot(w_radial, vals @ w_sphere))
+
+
+def _shell_mass(case: PathologyCase, probe: np.ndarray, s_lo: float,
+                s_hi: float, *, field=None) -> float:
+    """Integral of the density integrand over {s_lo < |y| < s_hi}."""
+    return _shell_sum(_shell_geometry(case.dimension, case.delta, probe,
+                                      s_lo, s_hi, field), case.p)
 
 
 def _check_probe(case: PathologyCase, probe) -> np.ndarray:
@@ -207,24 +220,18 @@ def divergence_probe(case: PathologyCase, probe, *, field=None) -> ConvergenceRe
         values=values, limit=None)
 
 
-def shell_exponent(case: PathologyCase, probe, *, field=None) -> float:
-    """Fitted dyadic-shell mass exponent beta (divergence iff beta < 0).
-
-    Shell masses m_j over {2^-(j+1) < 8|y| < 2^-j}, j in SCAN_SHELLS, follow
-    m ~ tau^beta |ln tau|^gamma; a three-parameter least-squares fit in
-    (1, ln tau, ln ln(1/tau)) recovers beta with the log correction
-    absorbed, which a plain slope cannot do near the critical exponent.
-    """
-    probe = _check_probe(case, probe)
+def _scan_shells():
+    """The shells {2^-(j+1) < 8|y| < 2^-j}, j in SCAN_SHELLS, as (lo, hi)."""
     j0, j1 = SCAN_SHELLS
-    masses, taus = [], []
-    for j in range(j0, j1 + 1):
-        hi = 2.0 ** (-j) * SHELL_OUTER
-        lo = 2.0 ** (-(j + 1)) * SHELL_OUTER
-        masses.append(_shell_mass(case, probe, lo, hi, field=field))
-        taus.append(lo)
+    return [(2.0 ** (-(j + 1)) * SHELL_OUTER, 2.0 ** (-j) * SHELL_OUTER)
+            for j in range(j0, j1 + 1)]
+
+
+def _fitted_exponent(masses) -> float:
+    """beta of the fit log m = c + beta ln tau + gamma ln ln(1/tau) over the
+    scan shells, tau the inner radius; inf when a shell is empty."""
     masses = np.asarray(masses)
-    taus = np.asarray(taus)
+    taus = np.asarray([lo for lo, _ in _scan_shells()])
     if np.any(masses <= 0):
         # a field with no singularity at the origin: vanishing shells
         return math.inf
@@ -234,11 +241,37 @@ def shell_exponent(case: PathologyCase, probe, *, field=None) -> float:
     return float(coef[1])
 
 
+def shell_exponent(case: PathologyCase, probe, *, field=None) -> float:
+    """Fitted dyadic-shell mass exponent beta (divergence iff beta < 0).
+
+    Shell masses m_j over {2^-(j+1) < 8|y| < 2^-j}, j in SCAN_SHELLS, follow
+    m ~ tau^beta |ln tau|^gamma; a three-parameter least-squares fit in
+    (1, ln tau, ln ln(1/tau)) recovers beta with the log correction
+    absorbed, which a plain slope cannot do near the critical exponent.
+    """
+    probe = _check_probe(case, probe)
+    return _fitted_exponent([_shell_mass(case, probe, lo, hi, field=field)
+                             for lo, hi in _scan_shells()])
+
+
+def _scan_masses(d: int, delta: float, probe: np.ndarray, ps) -> np.ndarray:
+    """The scan-shell masses at every exponent of ``ps`` -> (len(ps), shells),
+    each equal to ``_shell_mass``: the geometry of a shell (field values,
+    distances, kernel) is built once, and only the exponent runs per p."""
+    out = np.empty((len(ps), len(_scan_shells())))
+    for j, (lo, hi) in enumerate(_scan_shells()):
+        geometry = _shell_geometry(d, delta, probe, lo, hi)
+        out[:, j] = [_shell_sum(geometry, p) for p in ps]
+    return out
+
+
 def threshold_scan(d: int, delta: float, probe, p_ladder) -> list[tuple[float, str]]:
     """Classify each exponent in the ladder as converging or diverging.
 
     The ladder must straddle the critical exponent d/(d-1) and must not
-    contain it exactly (log-factor sensitive by contract).
+    contain it exactly (log-factor sensitive by contract).  Each
+    exponent's shell exponent is ``shell_exponent``'s, from one geometry
+    pass per shell for the whole ladder.
     """
     ps = [float(p) for p in p_ladder]
     critical = d / (d - 1.0)
@@ -247,12 +280,11 @@ def threshold_scan(d: int, delta: float, probe, p_ladder) -> list[tuple[float, s
             f"the borderline exponent {critical} is excluded from scans")
     if not (min(ps) < critical < max(ps)):
         raise DomainError("the exponent ladder must straddle the threshold")
-    out = []
-    for p in ps:
-        case = PathologyCase(d, p, delta)
-        beta = shell_exponent(case, probe)
-        out.append((p, "diverging" if beta < 0.0 else "converging"))
-    return out
+    cases = [PathologyCase(d, p, delta) for p in ps]   # validates each p
+    probe = _check_probe(cases[0], probe)
+    masses = _scan_masses(d, delta, probe, ps)
+    return [(p, "diverging" if _fitted_exponent(m) < 0.0 else "converging")
+            for p, m in zip(ps, masses)]
 
 
 def gradient_mass_ladder(d: int, inner_cutoffs) -> list[tuple[float, float]]:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bbmlab import functionals as F
+from bbmlab import constants, functionals as F
 from bbmlab.cli import (build_parser, main, parse_field, parse_ladder,
                         parse_mollifier)
 from bbmlab.functionals import DensityRequest
@@ -210,12 +211,43 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
     (["sweep", "--experiment", "sobolev-residual", "--field", "bump:2",
       "--mollifier", "indicator", "--ladder", "1:3", "--candidate", "gradient",
       "--x-resolution", "8", "--sphere-order", "8", "--radial-level", "1"], "tensor"),
+    (["energy", "--field", "box:0,0;1,0.5", "--mollifier", "indicator:0.25",
+      "--p", "1.5"], "box"),
+    (["energy", "--field", "box:0,0;1,0.5", "--mollifier", "indicator:0.75",
+      "--p", "1.5", "--radial-level", "3"], "covariogram"),
+    (["sweep", "--experiment", "energy", "--field", "box:0,0;1,0.5",
+      "--mollifier", "indicator", "--ladder", "0:2", "--radial-level", "3"],
+     ["covariogram", "box", "box"]),
 ], ids=["energy-multiplier", "energy-tensor", "sweep-covariogram",
         "sweep-multiplier", "energy-lag", "sweep-lag", "residual-lag",
-        "residual-tensor"])
+        "residual-tensor", "energy-box", "energy-box-sum", "sweep-box-mixed"])
 def test_energy_summary_names_its_route(tmp_path, argv, route):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "summary.json").read_text())["route"] == route
+
+
+def box_bbm_perimeter(L, n):
+    # 2k [|E| (pi/n)^(d/2) - prod_i (L_i sqrt(pi/n) erf(L_i sqrt(n))
+    # - (1 - exp(-n L_i^2))/n)] / gamma(d, 1), k = C_d n^((d+1)/2)
+    d = len(L)
+    k = 2.0 / math.gamma((d + 1) / 2.0) * n ** ((d + 1) / 2.0)
+    g = math.prod(a * math.sqrt(math.pi / n) * math.erf(a * math.sqrt(n))
+                  - (1.0 - math.exp(-n * a * a)) / n for a in L)
+    return 2.0 * k * (math.prod(L) * (math.pi / n) ** (d / 2.0) - g) \
+        / constants.gamma(d, 1)
+
+
+def test_box_perimeters_are_closed_forms(tmp_path):
+    assert box_bbm_perimeter((1.0, 0.5), 256.0) == pytest.approx(2.929476302056530,
+                                                                 rel=1e-15)
+    for name, shape, L in (("2d", "box:0,0;1,0.5", (1.0, 0.5)),
+                           ("3d", "box:0,0,0;1,0.5,0.25", (1.0, 0.5, 0.25))):
+        assert main(["perimeter", "--shape", shape, "--n", "256", "--method", "both",
+                     "--out", str(tmp_path / name)]) == 0
+        rows = [r.split(",") for r in read_csv(tmp_path / name)[1:]]
+        assert [r[1] for r in rows] == ["bbm", "degiorgi"]
+        assert float(rows[0][2]) == pytest.approx(box_bbm_perimeter(L, 256.0),
+                                                  rel=1e-12, abs=0)
 
 
 def test_1d_energy_takes_the_lag_route_and_reruns_byte_identical(tmp_path):
@@ -302,6 +334,27 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
      "--sphere-order", "4"],
     ["sweep", "--experiment", "energy", "--field", "bump:2", "--p", "2",
      "--mollifier", "indicator", "--ladder", "1:3", "--sphere-order", "8"],
+    # the De Giorgi perimeter of a ball is one radial sum, with no grid
+    ["perimeter", "--shape", "ball:0,0,1", "--method", "degiorgi",
+     "--grid-resolution", "64"],
+    ["perimeter", "--shape", "ball:0,0,0,0.5", "--method", "both",
+     "--grid-resolution", "16"],
+    # the BBM perimeter of a box is a closed form, reading no quadrature flag
+    ["perimeter", "--shape", "box:0,0;1,0.5", "--method", "bbm", "--radial-level", "3"],
+    ["perimeter", "--shape", "box:0,0,0;1,0.5,0.25", "--method", "both",
+     "--x-resolution", "8"],
+    # so is a box energy with r_max <= every side; past it, one radial sum
+    ["energy", "--field", "box:0,0;1,0.5", "--mollifier", "indicator:0.25", "--p", "1.5",
+     "--radial-level", "3"],
+    ["energy", "--field", "box:0,0,0;1,0.5,0.5", "--mollifier", "indicator:0.25",
+     "--sphere-order", "4"],
+    ["energy", "--field", "box:0,0;1,0.5", "--mollifier", "indicator:0.75",
+     "--sphere-order", "8"],
+    ["sweep", "--experiment", "energy", "--field", "box:0,0;1,0.5",
+     "--mollifier", "indicator", "--ladder", "2:4", "--radial-level", "3"],
+    # a flag is refused only when no rung of the ladder reads it
+    ["sweep", "--experiment", "energy", "--field", "box:0,0;1,0.5",
+     "--mollifier", "indicator", "--ladder", "0:2", "--x-resolution", "8"],
 ], ids=["maximal-sphere-order", "energy-rel-tol", "density-x-resolution",
         "pathology-workers", "constants-radial-level", "density-seed",
         "energy-seed", "sweep-residual-p", "sweep-energy-candidate",
@@ -316,7 +369,12 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
         "sweep-disk-x-resolution", "perimeter-disk-bbm-x-resolution",
         "perimeter-disk-both-sphere-order", "sweep-density-x-resolution",
         "sweep-remainder-x-resolution", "energy-2d-p2-sphere-order",
-        "energy-3d-p2-sphere-order", "sweep-energy-2d-p2-sphere-order"])
+        "energy-3d-p2-sphere-order", "sweep-energy-2d-p2-sphere-order",
+        "perimeter-disk-degiorgi-grid-resolution",
+        "perimeter-ball-both-grid-resolution", "perimeter-box-bbm-radial-level",
+        "perimeter-box-3d-both-x-resolution", "energy-box-closed-radial-level",
+        "energy-box-3d-closed-sphere-order", "energy-box-sum-sphere-order",
+        "sweep-box-closed-radial-level", "sweep-box-mixed-x-resolution"])
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
     # unknown flags stop the parser, flags the chosen experiment or
     # method does not read stop the run; both exit 2 with no output

@@ -701,13 +701,32 @@ def test_tensor_energies_keep_their_values():
      2.0, "lag"),
     (fields.GridField.from_function(lambda q: np.exp(-4 * np.sum(q * q, axis=1)),
                                     2, 2.0, 16), 2.0, "tensor"),
-    (fields.box_set([0.0, 0.0], [1.0, 0.5]), 2.0, "tensor"),
+    (fields.box_set([0.0, 0.0], [1.0, 0.5]), 2.0, "box"),
     (fields.ball_set([0.0, 0.0], 0.5), 2.0, "covariogram"),
     (fields.interval_set(0.0, 1.0), 1.0, "covariogram"),
 ], ids=["bump-2d", "bump-3d", "bump-2d-p1", "bump-3d-p2.5", "bump-1d", "step",
         "grid-1d", "grid-2d", "box-2d", "disk", "interval"])
 def test_energy_route(field, p, route):
-    assert F.energy_route(field, p) == route
+    assert F.energy_route(field, p, mf.indicator(0.25, field.dimension)) == route
+
+
+@pytest.mark.parametrize("box,m,p,route", [
+    # r_max <= min L_i: the polynomial's moments
+    (fields.box_set([0.0, 0.0], [1.0, 0.5]), mf.indicator(0.5, 2), 1.5, "box"),
+    (fields.box_set([0.0] * 3, [1.0, 0.5, 0.25]), mf.indicator(0.25, 3), 2.0, "box"),
+    # the gaussian at p = 1 is separable at any n
+    (fields.box_set([0.0, 0.0], [1.0, 0.5]), mf.gaussian(4.0, 2), 1.0, "box"),
+    (fields.box_set([0.0] * 3, [1.0, 0.5, 0.25]), mf.gaussian(4.0, 3), 1.0, "box"),
+    # a box of zero volume has zero energy
+    (fields.box_set([0.0, 0.0], [0.0, 0.5]), mf.indicator(2.0, 2), 1.5, "box"),
+    # otherwise one radial sum in 2D, the tensor route in 3D
+    (fields.box_set([0.0, 0.0], [1.0, 0.5]), mf.indicator(0.75, 2), 1.5, "covariogram"),
+    (fields.box_set([0.0, 0.0], [1.0, 0.5]), mf.gaussian(4.0, 2), 2.0, "covariogram"),
+    (fields.box_set([0.0] * 3, [1.0, 0.5, 0.25]), mf.indicator(0.5, 3), 1.0, "tensor"),
+], ids=["2d-moments", "3d-moments", "2d-gaussian-p1", "3d-gaussian-p1", "empty",
+        "2d-sum", "2d-gaussian-p2", "3d-wide-kernel"])
+def test_box_energy_route(box, m, p, route):
+    assert F.energy_route(box, p, m) == route
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -997,3 +1016,145 @@ def test_1d_energies_refuse_x_resolution():
     # the other scheme fields still apply in 1D
     assert F.energy(fields.step_field(), m, 1.0, QuadratureScheme(radial_level=3)) \
         == pytest.approx(4.0, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# boxes by their covariogram g(h) = prod_i (L_i - |h_i|)_+
+# ---------------------------------------------------------------------------
+
+def indicator_moment(d, eps, k):
+    # int_0^eps d eps^-d r^(d-1+k) dr
+    return d * eps ** k / (d + k)
+
+
+def gaussian_moment(d, n, k):
+    # int_0^inf C_d n^((d+1)/2) r exp(-n r^2) r^(d-1+k) dr, C_d = 2 / Gamma((d+1)/2)
+    return n ** (-k / 2.0) * math.gamma((d + 1 + k) / 2.0) / math.gamma((d + 1) / 2.0)
+
+
+def box_polynomial_energy(L, mu):
+    """|E| - g is a polynomial in the |h_i| while r_max <= min L_i; its
+    sphere integrals are int|s1| = 4, int|s1 s2| = 2 on the circle and
+    2 pi, 8/3 and 1 on the sphere."""
+    if len(L) == 2:
+        return 2.0 * (4.0 * (L[0] + L[1]) * mu(1) - 2.0 * mu(2))
+    e2 = L[0] * L[1] + L[1] * L[2] + L[0] * L[2]
+    return 2.0 * (2.0 * math.pi * e2 * mu(1) - 8.0 / 3.0 * sum(L) * mu(2) + mu(3))
+
+
+def box_gaussian_p1_energy(L, n):
+    # 2k [|E| (pi/n)^(d/2) - prod_i int exp(-n h^2) (L_i - |h|)_+ dh], k = C_d n^((d+1)/2)
+    d = len(L)
+    k = 2.0 / math.gamma((d + 1) / 2.0) * n ** ((d + 1) / 2.0)
+    g = math.prod(a * math.sqrt(math.pi / n) * math.erf(a * math.sqrt(n))
+                  - (1.0 - math.exp(-n * a * a)) / n for a in L)
+    return 2.0 * k * (math.prod(L) * (math.pi / n) ** (d / 2.0) - g)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("L", [(1.0, 0.5), (0.3, 0.7), (1.0, 0.5, 0.25), (0.4, 0.3, 0.5)])
+def test_box_energy_is_its_closed_form(L, p):
+    d = len(L)
+    E = fields.box_set([0.1] * d, [0.1 + a for a in L])
+    eps = min(L)
+    expected = box_polynomial_energy(L, lambda k: indicator_moment(d, eps, k - p))
+    assert F.energy(E, mf.indicator(eps, d), p) == pytest.approx(expected, rel=1e-13, abs=0)
+    # the gaussian: separable at p = 1, the polynomial once r_max <= min L_i
+    n = 4096.0
+    m = mf.gaussian(n, d)
+    expected = (box_gaussian_p1_energy(L, n) if p == 1.0 else
+                box_polynomial_energy(L, lambda k: gaussian_moment(d, n, k - p)))
+    assert F.energy(E, m, p) == pytest.approx(expected, rel=1e-13, abs=0)
+    if p == 1.0:
+        for n in (4.0, 256.0):
+            assert F.energy(E, mf.gaussian(n, d), 1.0) == pytest.approx(
+                box_gaussian_p1_energy(L, n), rel=1e-13, abs=0)
+    # the raw power law has r_max = 1: scale the box up to reach it
+    big = [4.0 * a for a in L]
+    delta = 0.3
+    expected = box_polynomial_energy(big, lambda k: delta / (delta + d - 1 + k - p))
+    assert F.energy(fields.box_set([0.0] * d, big), mf.power_law(delta, d, normalized=False),
+                    p) == pytest.approx(expected, rel=1e-13, abs=0)
+
+
+def test_box_energy_hand_values():
+    E = fields.box_set([0.0, 0.0], [1.0, 0.5])
+    # 2 [4 * 1.5 * mu(-1/2) - 2 mu(1/2)] = 2 [6 * 8/3 - 2 * 0.4]
+    assert F.energy(E, mf.indicator(0.25, 2), 1.5) == pytest.approx(30.4, rel=1e-15)
+    assert P.bbm_perimeter(E, 256.0) == pytest.approx(2.929476302056530, rel=1e-13)
+    # a box of zero volume
+    assert F.energy(fields.box_set([0.0, 0.0], [0.0, 0.5]), mf.indicator(2.0, 2), 1.5) == 0.0
+
+
+@pytest.mark.parametrize("L,n", [(1.0, 256.0), (0.5, 256.0), (0.3, 1024.0), (2.0, 16.0)])
+def test_separable_gaussian_box_is_the_interval_route_in_1d(L, n):
+    # r_max <= L, so the covariogram route sums no truncated tail
+    m = mf.gaussian(n, 1)
+    assert m.quadrature_radius() <= L
+    box = F._box_energy(np.array([L]), m, 1.0, None)
+    assert box == pytest.approx(F.energy(fields.interval_set(0.0, L), m, 1.0),
+                                rel=4e-16, abs=0)
+
+
+def box_covariogram_quad(L1, L2, m, p):
+    """2 int_0^r_max rho(r) r^(1-p) int_S (|E| - g(r sigma)) dsigma dr by
+    nested quad, the angle over a quarter circle split where the sides cut it."""
+    def sphere(r):
+        def g(t):
+            return max(L1 - r * math.cos(t), 0.0) * max(L2 - r * math.sin(t), 0.0)
+        cuts = [t for t in (math.acos(min(1.0, L1 / r)), math.asin(min(1.0, L2 / r)))
+                if 0.0 < t < math.pi / 2]
+        G = quad(g, 0.0, math.pi / 2, points=cuts or None, epsabs=0, epsrel=1e-13,
+                 limit=200)[0]
+        return float(m.evaluate(r)) * r ** (1.0 - p) * (2.0 * math.pi * L1 * L2 - 4.0 * G)
+    r_max = m.quadrature_radius()
+    cuts = sorted(x for x in (L1, L2, math.hypot(L1, L2)) if x < r_max)
+    return 2.0 * quad(sphere, 0.0, r_max, points=cuts or None, epsabs=0, epsrel=1e-12,
+                      limit=400)[0]
+
+
+@pytest.mark.parametrize("L,m,p", [
+    ((1.0, 0.5), mf.indicator(0.75, 2), 1.5),
+    ((1.0, 0.5), mf.indicator(1.3, 2), 1.0),
+    ((1.0, 0.5), mf.indicator(2.0, 2), 2.0),
+    ((0.3, 0.2), mf.gaussian(16.0, 2), 1.5),
+    ((0.3, 0.2), mf.gaussian(16.0, 2), 1.0),
+    ((0.3, 0.2), mf.power_law(0.3, 2), 1.2),
+    ((1.0, 1.0), mf.indicator(1.2, 2), 1.0),
+], ids=["indicator-between-sides", "indicator-past-one-side", "indicator-past-diagonal",
+        "gaussian-p1.5", "gaussian-p1", "powerlaw", "square"])
+def test_box_energy_in_2d_matches_quad_of_the_covariogram(L, m, p):
+    E = fields.box_set([-0.2, 0.1], [-0.2 + L[0], 0.1 + L[1]])
+    assert F.energy(E, m, p) == pytest.approx(box_covariogram_quad(*L, m, p),
+                                              rel=1e-11, abs=0)
+
+
+def test_tensor_energy_skips_exact_zeros_without_moving_a_bit(monkeypatch):
+    # probes farther than R + r_max from the origin have density exactly 0;
+    # the energy equals the plain sum over the whole grid, bit for bit
+    u = fields.gaussian_bump(2)
+    m = mf.indicator(2.0 ** -3, 2)
+    scheme = QuadratureScheme(x_resolution=24, sphere_order=16, radial_level=2)
+    lo, hi = F._x_region(u, m.quadrature_radius())
+    probes, weights = F._midpoint_grid(lo, hi, 24)
+    none = np.empty((probes.shape[0], 0))
+    plain = float(np.dot(weights, F._polar_many(u, m, 1.0, probes, none, scheme=scheme)))
+    seen = []
+    engine = F._polar_many
+    monkeypatch.setattr(F, "_polar_many",
+                        lambda f, mm, p, x, *a, **k: seen.append(len(x)) or
+                        engine(f, mm, p, x, *a, **k))
+    assert F.energy(u, m, 1.0, scheme) == plain
+    assert 0 < seen[-1] < probes.shape[0]
+    # a residual skips only where its candidate row is 0 as well
+    grad = fields.gradient_candidate(u)
+    sub = grad.eval_many(probes)
+    plain = float(np.dot(weights, engine(u, m, 1.0, probes, none, subtract=sub,
+                                         scheme=scheme)))
+    assert F.sobolev_residual(u, m, grad, scheme) == plain
+    assert seen[-1] < probes.shape[0]
+    ones = fields.VectorField(2, lambda q: np.ones_like(q))
+    plain = float(np.dot(weights, engine(u, m, 1.0, probes, none,
+                                         subtract=np.ones_like(probes), scheme=scheme)))
+    assert F.sobolev_residual(u, m, ones, scheme) == plain
+    assert seen[-1] == probes.shape[0]

@@ -171,6 +171,20 @@ def test_threshold_scan_d3():
                    (1.6, "diverging"), (2.0, "diverging")]
 
 
+@pytest.mark.parametrize("d,probe,ps", [(2, PROBE2, [1.5, 1.9, 2.1, 3.0]),
+                                         (3, [0.1, -0.3, 0.2], [1.4, 1.6])])
+def test_scan_masses_are_the_per_exponent_shell_masses(d, probe, ps):
+    # one geometry pass per shell serves the whole ladder, bit for bit
+    probe = np.asarray(probe)
+    masses = PT._scan_masses(d, 0.1, probe, ps)
+    scan = dict(PT.threshold_scan(d, 0.1, probe, ps))
+    for p, row in zip(ps, masses):
+        case = PT.PathologyCase(d, p, 0.1)
+        assert row.tolist() == [PT._shell_mass(case, probe, lo, hi)
+                                for lo, hi in PT._scan_shells()]
+        assert (PT.shell_exponent(case, probe) < 0.0) == (scan[p] == "diverging")
+
+
 def test_threshold_scan_flips_exactly_once():
     got = PT.threshold_scan(2, 0.1, PROBE2, [1.5, 1.9, 2.1, 3.0])
     flips = sum(1 for a, b in zip(got[:-1], got[1:]) if a[1] != b[1])
