@@ -572,6 +572,13 @@ def main(argv=None) -> int:
     except BBMLabError as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc),
                       "command": args.command}
+        # the failing quadrature node, where the error carries one; the
+        # integrand value is never finite there, so it goes by its repr
+        for key in ("value", "centre", "r", "sigma"):
+            v = getattr(exc, key, None)
+            if v is not None:
+                v = np.asarray(v, dtype=float).tolist()
+                diagnostic[key] = repr(v) if key == "value" else v
         print(json.dumps(diagnostic, sort_keys=True), file=sys.stderr)
         return 1
 

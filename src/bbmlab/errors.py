@@ -18,7 +18,17 @@ class IntegrationError(BBMLabError, ArithmeticError):
 
 
 class EvaluationError(BBMLabError, ArithmeticError):
-    """An integrand produced NaN or otherwise failed at a quadrature node."""
+    """An integrand produced NaN or otherwise failed at a quadrature node.
+
+    Raised at a node of a polar or lag sum, it carries that node: the
+    integrand ``value`` there, the probe or x-node ``centre``, the radius
+    ``r`` and the direction ``sigma`` (the lag's sign in 1D).  They are
+    None where the failure has no node.
+    """
+
+    def __init__(self, message, *, value=None, centre=None, r=None, sigma=None):
+        super().__init__(message)
+        self.value, self.centre, self.r, self.sigma = value, centre, r, sigma
 
 
 class ValidityError(BBMLabError, ValueError):

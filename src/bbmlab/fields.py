@@ -54,8 +54,12 @@ def as_points(x, d: int) -> np.ndarray:
 class AnalyticField:
     """A closed-form scalar field, optionally with a gradient oracle.
 
-    The evaluator must be vectorized over an (m, d) array of points.
-    Values (and gradients) are forced to zero beyond ``support_radius``,
+    The evaluator (and the gradient oracle) must be vectorized over an
+    (m, d) float array of points.  That array may be a column-major view,
+    the transpose of a coordinate-major buffer (the polar engine and the
+    multiplier sampler hand over such views), and is read-only: the
+    evaluator must not write into it.  Values (and gradients) are forced
+    to zero beyond ``support_radius``,
     which keeps analytic test fields compatible with compact-support
     settings; choose the radius large enough that the truncated tail is
     negligible.  ``point_singularities`` declares the points where the
@@ -76,7 +80,7 @@ class AnalyticField:
         if math.isinf(self.support_radius):
             return vals
         inside = np.einsum("ij,ij->i", pts, pts) <= self.support_radius**2
-        return np.where(inside, vals, 0.0)
+        return vals if inside.all() else np.where(inside, vals, 0.0)
 
     def gradient_many(self, pts: np.ndarray) -> np.ndarray:
         if self.gradient_fn is None:
@@ -89,7 +93,7 @@ class AnalyticField:
         if math.isinf(self.support_radius):
             return grads
         inside = np.einsum("ij,ij->i", pts, pts) <= self.support_radius**2
-        return np.where(inside[:, None], grads, 0.0)
+        return grads if inside.all() else np.where(inside[:, None], grads, 0.0)
 
     def support_box(self):
         if math.isinf(self.support_radius):

@@ -284,10 +284,6 @@ def radial_rules(mollifier, level: int | None = None, *, breakpoints) -> RadialR
     return RadialRule(nodes, weights, r_max)
 
 
-# dyadic grading edges b 2^-j, j = 1 .. _GRADE_LEVELS
-_GRADE_LEVELS = 43
-
-
 def _stacked_panel_edges(b: float, n_panels: int, breakpoints: np.ndarray) -> np.ndarray:
     """Panel edges on [0, b], one row per row of breakpoints -> (m, k).
 
@@ -302,11 +298,14 @@ def _stacked_panel_edges(b: float, n_panels: int, breakpoints: np.ndarray) -> np
     fixed = np.linspace(0.0, b, n_panels + 1)
     if j == 0:
         return np.broadcast_to(fixed, (m, fixed.size))
-    dyadic = b * 2.0 ** (-np.arange(1, _GRADE_LEVELS + 1))
     # a breakpoint outside (0, b), or a dyadic edge below the row's
     # nearest breakpoint, becomes a duplicate of b
     bp = np.where((breakpoints > 0.0) & (breakpoints < b), breakpoints, b)
     nearest = bp.min(axis=1, keepdims=True)
+    # dyadic edges b 2^-j, j = 1 .. L, enough for the batch's nearest
+    # breakpoint (a difference of logs, finite for a subnormal one too)
+    levels = math.ceil(math.log2(b) - math.log2(float(nearest.min())))
+    dyadic = b * 2.0 ** (-np.arange(1, levels + 1))
     edges = np.empty((m, fixed.size + dyadic.size + j))
     edges[:, :fixed.size] = fixed
     edges[:, fixed.size:-j] = np.where(dyadic >= nearest, dyadic, b)

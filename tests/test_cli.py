@@ -65,6 +65,28 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert diag["error"] == "ProbeError"
 
 
+@pytest.mark.parametrize("field,probe", [("linear:1e200", "0.1"),
+                                         ("linear:1e200,0", "0.1,0")])
+def test_integrand_failure_reports_its_node_as_fields(tmp_path, capsys, field, probe):
+    # |1e200 r|^2 overflows at every node: the diagnostic names the first
+    out = tmp_path / "x"
+    code = main(["density", "--field", field, "--p", "2", "--probe", probe,
+                 "--out", str(out)])
+    assert code == 1 and not out.exists()
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "EvaluationError" and diag["value"] == "inf"
+    centre = [float(t) for t in probe.split(",")]
+    assert diag["centre"] == centre
+    assert len(diag["sigma"]) == len(centre)
+    assert math.isclose(math.hypot(*diag["sigma"]), 1.0)
+    assert 0.0 < diag["r"] <= 0.25
+    assert repr(diag["r"]) in diag["message"]
+    # other failures carry no node
+    main(["pathology", "--probe", "0.9,0", "--out", str(tmp_path / "y")])
+    diag = json.loads(capsys.readouterr().err)
+    assert not {"value", "centre", "r", "sigma"} & diag.keys()
+
+
 def test_energy_sweep_smooth_bump_converging(tmp_path):
     out = tmp_path / "run"
     code = main(["sweep", "--experiment", "energy", "--field", "bump:1",

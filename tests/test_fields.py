@@ -76,6 +76,29 @@ def test_gradient_random_fields_match_finite_differences(rng):
                                central_difference(u, x), atol=1e-8)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_analytic_values_agree_on_either_layout_and_vanish_beyond_support(rng, d):
+    # the polar engine hands evaluators column-major views; a batch wholly
+    # inside the support is returned unmasked, any other is masked
+    u = fields.gaussian_bump(d, support_radius=1.5)
+    for pts in (rng.uniform(-0.8, 0.8, size=(64, d)),
+                rng.uniform(-1.6, 1.6, size=(64, d))):
+        col = np.asfortranarray(pts)
+        col.flags.writeable = False
+        assert col.flags.f_contiguous and not col.flags.c_contiguous
+        for method in (u.eval_many, u.gradient_many):
+            row, by_col = method(pts), method(col)
+            assert by_col.shape == row.shape
+            np.testing.assert_allclose(by_col, row, rtol=1e-15, atol=0)
+            if d == 2:
+                np.testing.assert_array_equal(by_col, row)
+        beyond = np.linalg.norm(pts, axis=1) > 1.5
+        assert np.all(u.eval_many(col)[beyond] == 0.0)
+        assert np.all(u.gradient_many(col)[beyond] == 0.0)
+        assert np.all(u.eval_many(col)[~beyond] > 0.0)
+    assert beyond.any()
+
+
 def test_bv_gradient_is_ac_part_only():
     smooth = fields.AnalyticField(1, lambda p: p[:, 0] ** 2, lambda p: 2 * p)
     bv = fields.BVField1D(smooth, [(0.0, 1.0)])

@@ -61,6 +61,14 @@ def test_density_step_probe_near_jump_log_value():
     assert val == pytest.approx(4 * math.log(2.5), rel=1e-10)
 
 
+@pytest.mark.parametrize("t", [1e-15, 3e-14, 1e-10])
+def test_density_step_probe_nearer_its_jump_than_any_fixed_grading(t):
+    # the radial rule grades down to the jump at distance t however near,
+    # so the log value 4 ln(0.25 / t) holds to the rounding limit
+    val = density(fields.step_field(), mf.indicator(0.25, 1), 1, [t])
+    assert val == pytest.approx(4 * math.log(0.25 / t), rel=1e-12)
+
+
 def test_remainder_vanishes_for_linear():
     u = fields.linear_field([1.0, 2.0])
     assert remainder(u, mf.gaussian(4.0, 2), 1, [0.3, -0.2]) <= 1e-12
@@ -999,6 +1007,56 @@ def test_2d_energy_refuses_infinite_integrand():
     assert "centre=" in str(err.value)
 
 
+def structured_node(u, err):
+    """The node an EvaluationError carries, checked against its message:
+    (centre, r, sigma), with u non-finite at the centre or at
+    centre + r sigma."""
+    e = err.value
+    msg = str(e)
+    assert msg == (f"integrand is {e.value!r} at centre={e.centre!r}, "
+                   f"r={e.r!r}, sigma={e.sigma!r}")
+    assert math.isnan(e.value)
+    centre = np.atleast_1d(np.asarray(e.centre, dtype=float))
+    node = centre + e.r * np.atleast_1d(np.asarray(e.sigma, dtype=float))
+    assert not np.isfinite(u.eval_many(np.stack([centre, node]))).all()
+    return centre, float(e.r), np.atleast_1d(e.sigma)
+
+
+@pytest.mark.parametrize("path", ["density", "density-batch", "remainder",
+                                  "tensor-energy", "tensor-residual", "lag"])
+def test_a_nan_node_is_reported_as_structured_fields(path):
+    d = 1 if path == "lag" else 2
+    u = infinite_spot(d, 3.0, np.nan)
+    m = mf.indicator(0.25, d)
+    scheme = QuadratureScheme(sphere_order=8, radial_level=1, x_resolution=32)
+    probe = np.array([0.2, 0.0])
+    with pytest.raises(EvaluationError) as err:
+        if path == "density":
+            density(u, m, 1.0, probe)
+        elif path == "density-batch":
+            density(u, m, 1.0, np.array([[-0.5, 0.0], probe]))
+        elif path == "remainder":
+            grad = fields.AnalyticField(2, u.evaluator, lambda q: np.zeros_like(q))
+            remainder(grad, m, 1.0, probe)
+        elif path == "tensor-energy":
+            F.energy(u, m, 1.0, scheme)
+        elif path == "tensor-residual":
+            F.sobolev_residual(u, m, None, scheme)
+        else:
+            F.energy(u, m, 2.0)
+    centre, r, sigma = structured_node(u, err)
+    assert 0.0 < r <= 0.25
+    if path.startswith(("density", "remainder")):
+        np.testing.assert_array_equal(centre, probe)
+        assert sigma.shape == (2,) and math.isclose(np.linalg.norm(sigma), 1.0)
+    elif path == "lag":
+        assert sigma.tolist() in ([1.0], [-1.0])
+    else:
+        # a node of the energy's midpoint x-grid
+        X, _ = F._midpoint_grid(*F._x_region(u, m.quadrature_radius()), 32)
+        assert np.any(np.all(X == centre, axis=1))
+
+
 # ---------------------------------------------------------------------------
 # x_resolution belongs to the 2D/3D tensor grids
 # ---------------------------------------------------------------------------
@@ -1158,3 +1216,143 @@ def test_tensor_energy_skips_exact_zeros_without_moving_a_bit(monkeypatch):
                                          subtract=np.ones_like(probes), scheme=scheme)))
     assert F.sobolev_residual(u, m, ones, scheme) == plain
     assert seen[-1] == probes.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# the engine's node layout
+# ---------------------------------------------------------------------------
+
+def row_major_polar(field, mollifier, p, probes, breaks, *, subtract=None,
+                    omega=None, scheme=F.DEFAULT_SCHEME):
+    """The polar densities summed over row-major nodes
+    x[:, None, None, :] + r[:, :, None, None] * sigma, in the engine's
+    blocks: the layout the engine hands its fields is its only
+    difference."""
+    d = field.dimension
+    sphere = scheme.sphere(d)
+    sig, ws = sphere.nodes, sphere.weights
+    K = sig.shape[0]
+    J = breaks.shape[1]
+    rules = Q.radial_rules(mollifier, scheme.radial_level,
+                           breakpoints=breaks if J else np.empty((1, 0)))
+    r_all = rules.nodes
+    wr_all = rules.weights * Q.radial_measure(mollifier, rules) / r_all ** p
+    if subtract is not None:
+        wr_all[r_all < F._REMAINDER_R_FLOOR * rules.r_max] = 0.0
+    step = max(1, F._CHUNK // (r_all.shape[1] * K))
+    out = np.empty(probes.shape[0])
+    for start in range(0, probes.shape[0], step):
+        block = slice(start, start + step)
+        x = probes[block]
+        r, wr = (r_all[block], wr_all[block]) if J else (r_all, wr_all)
+        flat = (x[:, None, None, :] + r[:, :, None, None] * sig).reshape(-1, d)
+        assert flat.flags.c_contiguous
+        diff = (field.eval_many(flat).reshape(x.shape[0], -1, K)
+                - field.eval_many(x)[:, None, None])
+        if subtract is not None:
+            diff = diff - r[:, :, None] * (subtract[block] @ sig.T)[:, None, :]
+        if omega is not None:
+            diff = np.where(omega.contains(flat).reshape(diff.shape), diff, 0.0)
+        inner = (F._abs_power(diff, p).reshape(-1, K) @ ws).reshape(diff.shape[:2])
+        out[block] = np.einsum("ij,ij->i", wr, inner)
+    return out
+
+
+def bump_with_gradient(d):
+    """exp(-(x - c)^T A (x - c)) with an off-centre c and a non-diagonal
+    A, truncated at radius 6, with its exact gradient."""
+    c = np.array([0.3, -0.2, 0.1])[:d]
+    A = np.array([[1.2, 0.2, 0.1], [0.2, 1.0, -0.1], [0.1, -0.1, 1.1]])[:d, :d]
+
+    def ev(q):
+        y = q - c
+        return np.exp(-np.einsum("ij,ij->i", y @ A, y))
+
+    def gr(q):
+        return -2.0 * ((q - c) @ A) * ev(q)[:, None]
+    return fields.AnalyticField(d, ev, gr, support_radius=6.0, label="tilted bump")
+
+
+def same_up_to_layout(d, a, b):
+    # in 2D a row sum over two coordinates rounds alike on either layout;
+    # in 3D the evaluator's sum over three columns may group differently
+    if d == 2:
+        np.testing.assert_array_equal(a, b)
+    else:
+        np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
+
+
+LAYOUT_SCHEMES = {2: QuadratureScheme(x_resolution=24, sphere_order=16, radial_level=2),
+                  3: QuadratureScheme(x_resolution=8, sphere_order=4, radial_level=1)}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tensor_energies_equal_a_row_major_node_sum(monkeypatch, d):
+    u, m, scheme = bump_with_gradient(d), mf.indicator(0.5, d), LAYOUT_SCHEMES[d]
+    ones = fields.VectorField(d, lambda q: np.ones_like(q))
+    values = lambda: [F.energy(u, m, 1.0, scheme), F.energy(u, m, 1.5, scheme),
+                      F.sobolev_residual(u, m, fields.gradient_candidate(u), scheme),
+                      F.sobolev_residual(u, m, ones, scheme)]
+    ours = values()
+    monkeypatch.setattr(F, "_polar_many", row_major_polar)
+    same_up_to_layout(d, np.array(ours), np.array(values()))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_density_batches_equal_a_row_major_node_sum(rng, d):
+    u, scheme = bump_with_gradient(d), LAYOUT_SCHEMES[d]
+    probes = rng.uniform(-0.5, 0.5, size=(100, d))
+    none = np.empty((probes.shape[0], 0))
+    m = mf.gaussian(64.0, d)
+    # a batch larger than a block, so the reused node buffer is refilled
+    assert probes.shape[0] * Q.radial_rule(m, scheme.radial_level).nodes.size \
+        * scheme.sphere(d).nodes.shape[0] > F._CHUNK
+    same_up_to_layout(d, F.pointwise_density(DensityRequest(u, m, 1.0, probes, scheme)),
+                      row_major_polar(u, m, 1.0, probes, none, scheme=scheme))
+    same_up_to_layout(d, F.remainder_density(DensityRequest(u, m, 2.0, probes, scheme)),
+                      row_major_polar(u, m, 2.0, probes, none, scheme=scheme,
+                                      subtract=u.gradient_many(probes)))
+    # Omega's breakpoints give every probe its own stacked radial row
+    omega = fields.ball_set(np.zeros(d), 0.95)
+    breaks = omega.difference_breakpoints(probes)
+    m = mf.indicator(0.25, d)
+    same_up_to_layout(d, F.domain_density(u, m, 1.0, probes, omega, scheme),
+                      row_major_polar(u, m, 1.0, probes, breaks, omega=omega,
+                                      scheme=scheme))
+    box = fields.box_set(-0.9 * np.ones(d), 0.9 * np.ones(d))
+    same_up_to_layout(d, F.pointwise_density(DensityRequest(box, m, 1.0, probes, scheme)),
+                      row_major_polar(box, m, 1.0, probes,
+                                      box.difference_breakpoints(probes), scheme=scheme))
+
+
+def recording_field(d, calls):
+    """exp(-|x|^2) that records the layout of every point batch it gets."""
+    def ev(q):
+        calls.append((q.shape, q.flags.f_contiguous, q.flags.c_contiguous,
+                      q.flags.writeable))
+        return np.exp(-np.einsum("ij,ij->i", q, q))
+    return fields.AnalyticField(d, ev, support_radius=6.0, label="recording")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_engine_and_sampler_hand_fields_column_major_nodes(d):
+    calls = []
+    u, scheme = recording_field(d, calls), LAYOUT_SCHEMES[d]
+    m = mf.indicator(0.5, d)
+    F.energy(u, m, 1.0, scheme)
+    # the engine: centres as given (row-major), nodes column-major and
+    # read-only, in blocks of at most _CHUNK points
+    nodes = [c for c in calls if c[0][0] > scheme.x_res(d) ** d]
+    assert nodes and all(shape[1] == d and f and not c and not w
+                         for shape, f, c, w in nodes)
+    assert all(shape[0] <= F._CHUNK for shape, *_ in nodes)
+    # the multiplier route's sampler: column-major slabs whose values
+    # equal a row-major evaluation of the same grid
+    calls.clear()
+    lo, hi = -np.ones(d), np.ones(d)
+    n = 256 if d == 2 else 48
+    samples = F._midpoint_samples(u, lo, hi, n)
+    assert len(calls) > 1 and all(shape[1] == d and f and not c and not w
+                                  for shape, f, c, w in calls)
+    X, _ = F._midpoint_grid(lo, hi, n)
+    same_up_to_layout(d, samples.ravel(), np.exp(-np.einsum("ij,ij->i", X, X)))

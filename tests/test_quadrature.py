@@ -224,6 +224,21 @@ def test_radial_rules_grade_down_to_the_nearest_breakpoint():
     assert np.sum(graded.weights) == pytest.approx(0.5, rel=1e-14)
 
 
+def test_radial_rules_grade_down_to_a_breakpoint_at_any_depth():
+    m = mf.indicator(0.5, 1)
+    # 0.5 * 2^-j >= 1e-16 for j = 1..52; j = 1, 2 are base edges
+    rule = Q.radial_rule(m, 2, breakpoints=(0.3, 1e-16))
+    assert rule.nodes.size == (4 + 50 + 2) * Q.RADIAL_NODES_PER_PANEL
+    assert np.sum(rule.nodes < 1e-16) == Q.RADIAL_NODES_PER_PANEL
+    assert np.sum(rule.weights) == pytest.approx(0.5, rel=1e-14)
+    # in a batch, each row grades only down to its own nearest breakpoint
+    rules = Q.radial_rules(m, 2, breakpoints=np.array([[0.3, 1e-16], [0.3, 0.01]]))
+    one = Q.radial_rule(m, 2, breakpoints=(0.3, 0.01))
+    assert np.array_equal(rules.nodes[0], rule.nodes)
+    assert np.array_equal(rules.nodes[1, :one.nodes.size], one.nodes)
+    assert np.all(rules.weights[1, one.nodes.size:] == 0.0)
+
+
 def test_axis_rule_drops_rounding_slivers():
     # a graded edge meeting a base edge up to rounding used to leave a
     # ~1e-16-wide panel, so the node count hung on the last bit of hi
