@@ -572,6 +572,9 @@ def main(argv=None) -> int:
     except BBMLabError as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc),
                       "command": args.command}
+        # the sum an EvaluationError failed in: polar, lag or multiplier
+        if getattr(exc, "stage", None) is not None:
+            diagnostic["stage"] = exc.stage
         # the failing quadrature node, where the error carries one; the
         # integrand value is never finite there, so it goes by its repr
         for key in ("value", "centre", "r", "sigma"):

@@ -20,14 +20,19 @@ class IntegrationError(BBMLabError, ArithmeticError):
 class EvaluationError(BBMLabError, ArithmeticError):
     """An integrand produced NaN or otherwise failed at a quadrature node.
 
-    Raised at a node of a polar or lag sum, it carries that node: the
-    integrand ``value`` there, the probe or x-node ``centre``, the radius
-    ``r`` and the direction ``sigma`` (the lag's sign in 1D).  They are
-    None where the failure has no node.
+    ``stage`` names the sum that failed: ``"polar"`` (the polar engine),
+    ``"lag"`` (the 1D lag route) or ``"multiplier"`` (the field samples
+    of the p = 2 multiplier route).  Raised at a node of a polar or lag
+    sum, it carries that node: the integrand ``value`` there, the probe
+    or x-node ``centre``, the radius ``r`` and the direction ``sigma``
+    (the lag's sign in 1D).  A bad multiplier sample carries its
+    ``value`` and its point as ``centre``.  The rest are None.
     """
 
-    def __init__(self, message, *, value=None, centre=None, r=None, sigma=None):
+    def __init__(self, message, *, stage=None, value=None, centre=None, r=None,
+                 sigma=None):
         super().__init__(message)
+        self.stage = stage
         self.value, self.centre, self.r, self.sigma = value, centre, r, sigma
 
 

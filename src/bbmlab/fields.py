@@ -75,9 +75,12 @@ class AnalyticField:
     label: str = "analytic"
     point_singularities: tuple = ()
 
-    def eval_many(self, pts: np.ndarray) -> np.ndarray:
+    def eval_many(self, pts: np.ndarray, *, _unmasked: bool = False) -> np.ndarray:
+        """The values at the (m, d) points, 0 beyond ``support_radius``.
+        ``_unmasked`` is private to the polar engine, which passes it only
+        for a block it has checked lies inside the support."""
         vals = np.asarray(self.evaluator(pts), dtype=float)
-        if math.isinf(self.support_radius):
+        if _unmasked or math.isinf(self.support_radius):
             return vals
         inside = np.einsum("ij,ij->i", pts, pts) <= self.support_radius**2
         return vals if inside.all() else np.where(inside, vals, 0.0)

@@ -44,17 +44,27 @@ so the 0/0 difference quotient never arises).  One engine,
 is the only polar sum here: each probe's radial rule is split at the
 breakpoint radii its caller passes (graded down to the nearest of them,
 below which the integrand is smooth), and the probes are evaluated in
-blocks, their rules built once and stacked into one array and the
-field called once per block for the centres and once for the nodes.
-A block's nodes are built coordinate-major and handed to the field as
-the (N, d) column-major transpose of that buffer, which evaluators read
-as any (m, d) array; row sums over the coordinates run several times
-faster on it than on a row-major copy.
+blocks of as many probes as fit in _CHUNK = 32768 field points (a probe
+whose row alone is longer is a block by itself: 262144 points for a
+default 3D density), their rules built once and stacked into one array
+and the field called once per block for the centres and once for the
+nodes.  A block's nodes are built coordinate-major and handed to the
+field as the (N, d) column-major transpose of that buffer, which
+evaluators read as any (m, d) array; row sums over the coordinates run
+several times faster on it than on a row-major copy.  Each block
+decides once whether an analytic field needs its support mask: when
+every probe lies within R (1 - 1e-9) - r_max of the origin, every node
+is inside the support radius R and the values are taken unmasked.
 A density at one probe or at a batch of probes is one engine call,
 with the field's (and Omega's) breakpoints.  A tensor energy is one
 midpoint grid and one engine call, its nodes sharing one
 breakpoint-free radial rule; probes of an analytic field beyond its
 support radius plus r_max, where the density is exactly 0, are skipped.
+Without a candidate it counts each pair once: the integrand
+|u(x + r sigma) - u(x)|^p is unchanged by (x, sigma) -> (x + r sigma,
+-sigma), so the engine sums the upper half sigma_d > 0 of the sphere
+rule with doubled weights, half the field evaluations.  A residual's
+candidate term breaks that symmetry; it sums the whole rule.
 Every path raises EvaluationError on a NaN or infinite integrand, and every
 density refuses a probe on a jump of the field, where it is +inf, with
 ProbeError.  A field that declares a point singularity
@@ -277,38 +287,59 @@ def _check_probe_margin(field, probes, r_max: float) -> None:
 # pointwise densities
 # ---------------------------------------------------------------------------
 
-def _integrand_error(value, centre, r, sigma) -> EvaluationError:
+def _integrand_error(value, centre, r, sigma, stage) -> EvaluationError:
     return EvaluationError(
         f"integrand is {value!r} at centre={centre!r}, r={r!r}, "
-        f"sigma={sigma!r}", value=value, centre=centre, r=r, sigma=sigma)
+        f"sigma={sigma!r}", stage=stage, value=value, centre=centre, r=r,
+        sigma=sigma)
+
+
+def _upper_half(sphere: quadrature.SphereRule) -> quadrature.SphereRule:
+    """The nodes of an antipodally symmetric sphere rule with sigma_d > 0,
+    their weights doubled: exactly half of the built-in rules' nodes (the
+    2D panels split at k pi/2, the 3D rule is Gauss in sigma_3 split at
+    0 times an even number of azimuths)."""
+    up = sphere.nodes[:, -1] > 0.0
+    return quadrature.SphereRule(sphere.dimension, sphere.nodes[up],
+                                 2.0 * sphere.weights[up])
 
 
 def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
-                omega=None, scheme=DEFAULT_SCHEME) -> np.ndarray:
+                omega=None, scheme=DEFAULT_SCHEME, sphere=None) -> np.ndarray:
     """The polar densities at m probes (m, d) -> (m,).
 
     Each value is sum_r w_r rho(r) r^(d-1-p) sum_sigma w_sigma F(r, sigma)
     with F = |u(x + r sigma) - u(x) [- r g . sigma]|^p, where g is the
     probe's row of ``subtract`` and, given ``omega``, F is zero at nodes
-    outside Omega.  Row i of ``breaks`` (m, J) holds the breakpoint radii
-    of probe i; they become panel edges of its radial rule, graded down
-    to the nearest of them.  The rules are built once per call: with
-    J = 0 all probes share one breakpoint-free row, otherwise the rows
-    are stacked, one per probe.  Probes are taken in blocks of at most
-    _CHUNK field points at the stacked row length; a block evaluates the
-    field once at its centres and once at its nodes.  The nodes of a
-    block of b probes are written into one reused (d, b, n, K) buffer,
+    outside Omega.  The sigma-sum runs over ``sphere``, by default the
+    scheme's sphere rule.  Row i of ``breaks`` (m, J) holds the
+    breakpoint radii of probe i; they become panel edges of its radial
+    rule, graded down to the nearest of them.  The rules are built once
+    per call: with J = 0 all probes share one breakpoint-free row,
+    otherwise the rows are stacked, one per probe.
+
+    Probes are taken in blocks of as many as fit in _CHUNK field points
+    at the stacked row length, but at least one: a probe whose row alone
+    exceeds _CHUNK points is one block (262144 points for a default 3D
+    density, 16.8M at radial level 10).  A block evaluates the field
+    once at its centres and once at its nodes.  The nodes of a block of
+    b probes are written into one reused (d, b, n, K) buffer,
     row i = x_i + (r sigma_i) (the rounding of x + r sigma), and the field
     gets its read-only (N, d) transpose, a column-major view.
+    An analytic field is 0 beyond its support radius R; each block
+    decides once whether all its probes lie within R (1 - 1e-9) - r_max
+    of the origin, where every node is inside the support, and then asks
+    ``eval_many`` for its values unmasked.
 
     Raises
     ------
     EvaluationError
-        If the integrand is NaN or infinite at some node; it carries the
-        node as ``value``, ``centre``, ``r`` and ``sigma``.
+        If the integrand is NaN or infinite at some node; it carries
+        stage "polar" and the node as ``value``, ``centre``, ``r`` and
+        ``sigma``.
     """
     d = field.dimension
-    sphere = scheme.sphere(d)
+    sphere = scheme.sphere(d) if sphere is None else sphere
     sig, ws = sphere.nodes, sphere.weights
     K = sig.shape[0]
     J = breaks.shape[1]
@@ -324,6 +355,10 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     n = r_all.shape[1]
     step = max(1, _CHUNK // (n * K))
     store = np.empty(d * min(step, probes.shape[0]) * n * K)
+    inner_sq = None
+    if isinstance(field, AnalyticField) and math.isfinite(field.support_radius):
+        reach = field.support_radius * (1.0 - 1e-9) - rules.r_max
+        inner_sq = reach * reach if reach > 0.0 else None
     out = np.empty(probes.shape[0])
     for start in range(0, probes.shape[0], step):
         block = slice(start, start + step)
@@ -336,10 +371,15 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
                out=nodes)
         flat = nodes.reshape(d, -1).T
         flat.flags.writeable = False
-        u0 = field.eval_many(x)
+        # every node of a block whose probes lie within R - r_max is inside
+        # the support: the field's per-point mask is skipped
+        unmasked = (inner_sq is not None
+                    and np.einsum("ij,ij->i", x, x).max() <= inner_sq)
+        kw = {"_unmasked": True} if unmasked else {}
+        u0 = field.eval_many(x, **kw)
         # inf - inf is NaN; the finite check below refuses it with its node
         with np.errstate(invalid="ignore", over="ignore"):
-            diff = (field.eval_many(flat).reshape(x.shape[0], -1, K)
+            diff = (field.eval_many(flat, **kw).reshape(x.shape[0], -1, K)
                     - u0[:, None, None])
             if subtract is not None:
                 diff = diff - r[:, :, None] * (subtract[block] @ sig.T)[:, None, :]
@@ -355,8 +395,9 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
                 j, k = bad[0]
                 raise _integrand_error(F[i, j, k], x[i].copy(),
                                        np.broadcast_to(r, inner.shape)[i, j],
-                                       sig[k].copy())
-            raise EvaluationError(f"density sum is {dens[i]!r} at centre={x[i]!r}")
+                                       sig[k].copy(), "polar")
+            raise EvaluationError(f"density sum is {dens[i]!r} at centre={x[i]!r}",
+                                  stage="polar")
         out[block] = dens
     return out
 
@@ -490,6 +531,14 @@ def _integrate_density_over_x(field, mollifier, p, *, subtract_candidate=None,
     """int D(x) dx over the midpoint grid of a 2D/3D field, with D the
     plain or remainder density.
 
+    Without a candidate each pair is counted once: the integrand
+    |u(x + r sigma) - u(x)|^p is unchanged by (x, sigma) ->
+    (x + r sigma, -sigma), and the grid covers every x where either side
+    is nonzero, so the engine sums the upper half sigma_d > 0 of the
+    sphere rule with doubled weights (``_upper_half``), half the field
+    evaluations.  A candidate term r U(x) . sigma breaks that symmetry,
+    so a residual sums the whole rule.
+
     An analytic field is 0 beyond its support radius R, so at a probe
     with |x| > R + r_max (with a relative margin of 1e-9 against
     rounding) whose candidate row is 0, u(x) and every u(x + r sigma)
@@ -500,6 +549,9 @@ def _integrate_density_over_x(field, mollifier, p, *, subtract_candidate=None,
     lo, hi = _x_region(field, r_max)
     probes, weights = _midpoint_grid(lo, hi, scheme.x_res(field.dimension))
     sub = None if subtract_candidate is None else subtract_candidate.eval_many(probes)
+    sphere = scheme.sphere(field.dimension)
+    if sub is None:
+        sphere = _upper_half(sphere)
     live = np.ones(probes.shape[0], dtype=bool)
     if isinstance(field, AnalyticField) and math.isfinite(field.support_radius):
         reach = (field.support_radius + r_max) * (1.0 + 1e-9)
@@ -510,7 +562,7 @@ def _integrate_density_over_x(field, mollifier, p, *, subtract_candidate=None,
     dens[live] = _polar_many(field, mollifier, p, probes[live],
                              np.empty((int(live.sum()), 0)),
                              subtract=None if sub is None else sub[live],
-                             scheme=scheme)
+                             scheme=scheme, sphere=sphere)
     return float(np.dot(weights, dens))
 
 
@@ -588,8 +640,9 @@ def _lag_energy(field, mollifier, p, *, candidate=None,
     Raises
     ------
     EvaluationError
-        If the integrand is NaN or infinite at some node; it carries the
-        x-node as ``centre``, the lag as ``r`` and its sign as ``sigma``.
+        If the integrand is NaN or infinite at some node; it carries
+        stage "lag", the x-node as ``centre``, the lag as ``r`` and its
+        sign as ``sigma``.
     """
     _refuse_1d_x_resolution(1, scheme)
     _grid_compactness_check(field)
@@ -635,7 +688,7 @@ def _lag_energy(field, mollifier, p, *, candidate=None,
                     i, j = np.argwhere(~np.isfinite(F))[0]
                     centre = np.broadcast_to(x, F.shape)[i, j]
                     raise _integrand_error(float(F[i, j]), float(centre),
-                                           float(rb[i]), sigma)
+                                           float(rb[i]), sigma, "lag")
                 G = G + np.einsum("ij,ij->i", w, F)
             G = np.broadcast_to(G, rb.shape)
             total += float(np.dot(wr[start:start + step], G))
@@ -835,7 +888,8 @@ def _midpoint_samples(field, lo, hi, n: int) -> np.ndarray:
     Raises
     ------
     EvaluationError
-        If a sample is NaN or infinite.
+        If a sample is NaN or infinite; it carries stage "multiplier", the
+        sample as ``value`` and its point as ``centre``.
     """
     first = lo[0] + (hi[0] - lo[0]) / n * (np.arange(n) + 0.5)
     cross, _ = _midpoint_grid(lo[1:], hi[1:], n)
@@ -854,7 +908,9 @@ def _midpoint_samples(field, lo, hi, n: int) -> np.ndarray:
         vals = field.eval_many(pts)
         if not np.isfinite(vals).all():
             i = int(np.argmin(np.isfinite(vals)))
-            raise EvaluationError(f"field sample is {vals[i]!r} at x={pts[i]!r}")
+            raise EvaluationError(f"field sample is {vals[i]!r} at x={pts[i]!r}",
+                                  stage="multiplier", value=vals[i],
+                                  centre=pts[i].copy())
         u[start:start + x0.size] = vals.reshape(x0.size, -1)
     return u.reshape((n,) * lo.size)
 
@@ -960,9 +1016,10 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
       at the distances between jumps (``_lag_energy``).  It reads only
       ``radial_level``.
     * tensor, for everything else: a midpoint x-grid whose nodes go
-      through the polar engine, reading all three scheme fields.  An
-      analytic field's probes beyond its support radius plus r_max have
-      density exactly 0 and skip the engine.
+      through the polar engine, reading all three scheme fields, over
+      the upper half of the sphere rule with doubled weights (each pair
+      counted once).  An analytic field's probes beyond its support
+      radius plus r_max have density exactly 0 and skip the engine.
 
     A field that declares a point singularity raises ValidityError on
     every route; a NaN or infinite sample or integrand raises

@@ -143,6 +143,9 @@ def sphere_rule(d: int, order: int | None = None) -> SphereRule:
     Gauss-Legendre in the polar cosine (split at the equator) times a
     uniform azimuth with 2*order angles.  Splits keep |sigma . e|^p
     integrands panel-smooth for integer p and any coordinate axis e.
+    Both rules are antipodally symmetric with no node on sigma_d = 0,
+    so their nodes with sigma_d > 0 are exactly half of them (the
+    tensor route's half rule, ``functionals._upper_half``).
 
     Parameters
     ----------

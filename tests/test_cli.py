@@ -75,6 +75,7 @@ def test_integrand_failure_reports_its_node_as_fields(tmp_path, capsys, field, p
     assert code == 1 and not out.exists()
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "EvaluationError" and diag["value"] == "inf"
+    assert diag["stage"] == "polar"
     centre = [float(t) for t in probe.split(",")]
     assert diag["centre"] == centre
     assert len(diag["sigma"]) == len(centre)
@@ -84,7 +85,7 @@ def test_integrand_failure_reports_its_node_as_fields(tmp_path, capsys, field, p
     # other failures carry no node
     main(["pathology", "--probe", "0.9,0", "--out", str(tmp_path / "y")])
     diag = json.loads(capsys.readouterr().err)
-    assert not {"value", "centre", "r", "sigma"} & diag.keys()
+    assert not {"stage", "value", "centre", "r", "sigma"} & diag.keys()
 
 
 def test_energy_sweep_smooth_bump_converging(tmp_path):

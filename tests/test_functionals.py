@@ -659,7 +659,12 @@ def test_2d_energy_equals_cell_sum_of_densities():
     dens = [density(u, m, 2.0, x, scheme) for x in nodes]
     reference = float(np.prod(h)) * math.fsum(dens)
     # a p = 2 energy of an analytic field takes the multiplier route; this
-    # pins the tensor route, which stays the cross-check
+    # pins the tensor route, which stays the cross-check.  The tensor route
+    # sums the half sphere rule, each pair once; the cell sum of the
+    # full-rule densities counts each pair twice.  They agree to rounding
+    # because the bump is even and the grid symmetric; on an uneven field
+    # they are two x-rules of one integral
+    # (test_half_rule_converges_with_the_full_rule_on_an_uneven_field)
     value = F._integrate_density_over_x(u, m, 2.0, scheme=scheme)
     assert value == pytest.approx(reference, rel=1e-13, abs=0)
 
@@ -689,6 +694,12 @@ def test_tensor_energies_keep_their_values():
         (F.sobolev_residual(bump2, mf.indicator(2.0**-6, 2),
                             fields.gradient_candidate(bump2), scheme(48, 32, 2)),
          0.1991460241318774),
+        # an uneven field, where the half sphere rule the tensor route sums
+        # is not the full rule's sum (the fine full-rule value is
+        # 21.617450522792097, UNEVEN_REFERENCES)
+        (F.energy(bump_with_gradient(2), mf.indicator(0.125, 2), 1.0,
+                  scheme(96, 16, 2)),
+         21.617524296582445),
     ]
     for value, pinned in cases:
         assert value == pytest.approx(pinned, rel=1e-12, abs=0)
@@ -815,10 +826,17 @@ def test_multiplier_energy_matches_the_tensor_route(d, scheme, rtol, kind):
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_multiplier_energy_refuses_a_non_finite_sample(bad):
+    u = infinite_spot(2, 2.0, bad)
     with pytest.raises(EvaluationError) as err:
-        F.energy(infinite_spot(2, 2.0, bad), mf.indicator(0.25, 2), 2.0,
-                 QuadratureScheme(x_resolution=64))
-    assert "field sample" in str(err.value)
+        F.energy(u, mf.indicator(0.25, 2), 2.0, QuadratureScheme(x_resolution=64))
+    e = err.value
+    assert "field sample" in str(e)
+    # the bad sample and a copy of its point, which the field maps to it
+    assert e.stage == "multiplier" and e.r is None and e.sigma is None
+    np.testing.assert_array_equal(e.value, bad)
+    assert e.centre.shape == (2,) and e.centre.flags.writeable
+    assert e.centre.base is None
+    np.testing.assert_array_equal(u.eval_many(e.centre[None]), [bad])
 
 
 # ---------------------------------------------------------------------------
@@ -981,6 +999,7 @@ def test_density_refuses_infinite_integrand(d):
     for bad in (np.inf, np.nan):
         with pytest.raises(EvaluationError) as err:
             density(infinite_spot(d, bad=bad), mf.indicator(0.25, d), 1.0, probe)
+        assert err.value.stage == "polar"
         msg = str(err.value)
         assert repr(bad) in msg and "r=" in msg and "sigma=" in msg \
             and "centre=" in msg
@@ -990,6 +1009,7 @@ def test_1d_energy_refuses_infinite_integrand():
     for bad in (np.inf, np.nan):
         with pytest.raises(EvaluationError) as err:
             F.energy(infinite_spot(1, 3.0, bad=bad), mf.indicator(0.25, 1), 2.0)
+        assert err.value.stage == "lag"
         msg = str(err.value)
         assert "centre=" in msg and "r=" in msg and "sigma=" in msg
         # the named centre or its lagged point lies in the bad spot
@@ -1004,7 +1024,7 @@ def test_2d_energy_refuses_infinite_integrand():
     scheme = QuadratureScheme(sphere_order=8, radial_level=1, x_resolution=32)
     with pytest.raises(EvaluationError) as err:
         F.energy(infinite_spot(2, 2.0), mf.indicator(0.25, 2), 1.0, scheme)
-    assert "centre=" in str(err.value)
+    assert "centre=" in str(err.value) and err.value.stage == "polar"
 
 
 def structured_node(u, err):
@@ -1044,6 +1064,7 @@ def test_a_nan_node_is_reported_as_structured_fields(path):
             F.sobolev_residual(u, m, None, scheme)
         else:
             F.energy(u, m, 2.0)
+    assert err.value.stage == ("lag" if path == "lag" else "polar")
     centre, r, sigma = structured_node(u, err)
     assert 0.0 < r <= 0.25
     if path.startswith(("density", "remainder")):
@@ -1189,14 +1210,17 @@ def test_box_energy_in_2d_matches_quad_of_the_covariogram(L, m, p):
 
 def test_tensor_energy_skips_exact_zeros_without_moving_a_bit(monkeypatch):
     # probes farther than R + r_max from the origin have density exactly 0;
-    # the energy equals the plain sum over the whole grid, bit for bit
+    # the energy equals the plain sum over the whole grid, bit for bit, on
+    # the half sphere rule an energy sums
     u = fields.gaussian_bump(2)
     m = mf.indicator(2.0 ** -3, 2)
     scheme = QuadratureScheme(x_resolution=24, sphere_order=16, radial_level=2)
     lo, hi = F._x_region(u, m.quadrature_radius())
     probes, weights = F._midpoint_grid(lo, hi, 24)
     none = np.empty((probes.shape[0], 0))
-    plain = float(np.dot(weights, F._polar_many(u, m, 1.0, probes, none, scheme=scheme)))
+    half = F._upper_half(scheme.sphere(2))
+    plain = float(np.dot(weights, F._polar_many(u, m, 1.0, probes, none, scheme=scheme,
+                                                sphere=half)))
     seen = []
     engine = F._polar_many
     monkeypatch.setattr(F, "_polar_many",
@@ -1223,13 +1247,13 @@ def test_tensor_energy_skips_exact_zeros_without_moving_a_bit(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def row_major_polar(field, mollifier, p, probes, breaks, *, subtract=None,
-                    omega=None, scheme=F.DEFAULT_SCHEME):
+                    omega=None, scheme=F.DEFAULT_SCHEME, sphere=None):
     """The polar densities summed over row-major nodes
     x[:, None, None, :] + r[:, :, None, None] * sigma, in the engine's
-    blocks: the layout the engine hands its fields is its only
-    difference."""
+    blocks, over the sphere rule the engine is given: the layout the
+    engine hands its fields is its only difference."""
     d = field.dimension
-    sphere = scheme.sphere(d)
+    sphere = scheme.sphere(d) if sphere is None else sphere
     sig, ws = sphere.nodes, sphere.weights
     K = sig.shape[0]
     J = breaks.shape[1]
@@ -1356,3 +1380,140 @@ def test_engine_and_sampler_hand_fields_column_major_nodes(d):
                                   for shape, f, c, w in calls)
     X, _ = F._midpoint_grid(lo, hi, n)
     same_up_to_layout(d, samples.ravel(), np.exp(-np.einsum("ij,ij->i", X, X)))
+
+
+# ---------------------------------------------------------------------------
+# the tensor route's half sphere rule and the engine's per-block mask
+# ---------------------------------------------------------------------------
+
+def full_sphere_energy(u, m, p, scheme):
+    """The tensor energy summed over the whole sphere rule at every node
+    of the midpoint grid: each pair counted twice."""
+    lo, hi = F._x_region(u, m.quadrature_radius())
+    probes, weights = F._midpoint_grid(lo, hi, scheme.x_res(u.dimension))
+    none = np.empty((probes.shape[0], 0))
+    return float(np.dot(weights, F._polar_many(u, m, p, probes, none, scheme=scheme)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_half_sphere_rule_is_half_the_nodes_with_the_same_mass(d):
+    for order in ((8, 16, 64) if d == 2 else (4, 7, 32)):
+        full = Q.sphere_rule(d, order)
+        half = F._upper_half(full)
+        assert 2 * half.nodes.shape[0] == full.nodes.shape[0]
+        assert np.all(half.nodes[:, -1] > 0.0)
+        assert half.weights.sum() == pytest.approx(full.weights.sum(), rel=1e-14)
+
+
+@pytest.mark.parametrize("d,p", [(2, 1.0), (2, 1.5), (3, 1.0)])
+def test_half_rule_equals_the_full_sphere_sum_on_an_even_field(d, p):
+    # u(-x) = u(x) and the grid is symmetric, so F(x, -sigma) = F(-x, sigma):
+    # the two halves of the full sum agree up to rounding
+    u, m, scheme = fields.gaussian_bump(d), mf.indicator(0.5, d), LAYOUT_SCHEMES[d]
+    assert F.energy_route(u, p, m) == "tensor"
+    assert F.energy(u, m, p, scheme) == pytest.approx(
+        full_sphere_energy(u, m, p, scheme), rel=1e-14, abs=0)
+
+
+# full_sphere_energy(bump_with_gradient(2), m, p, scheme) at x_resolution
+# 384, sphere_order 16, radial_level 2: the limit both x-rules converge to
+UNEVEN_REFERENCES = {
+    ("indicator", 1.0): 21.617450522792097, ("indicator", 1.5): 13.957179920857978,
+    ("gaussian", 1.0): 21.58628588077925, ("gaussian", 1.5): 13.91682511091549,
+    ("power_law", 1.0): 20.88357083131982, ("power_law", 1.5): 13.036240823985915,
+}
+UNEVEN_KERNELS = {"indicator": mf.indicator(2.0 ** -3, 2), "gaussian": mf.gaussian(64.0, 2),
+                  "power_law": mf.power_law(0.3, 2)}
+
+
+@pytest.mark.parametrize("kernel,p", sorted(UNEVEN_REFERENCES))
+def test_half_rule_converges_with_the_full_rule_on_an_uneven_field(kernel, p):
+    # the tilted bump is not even, so the half rule is another midpoint
+    # x-rule of the same integral, not the full rule's sum.  Both errors
+    # oscillate in sign, so their ratio at one resolution swings (0.06 at
+    # 48 to 20 at 96 with the power law); their envelopes over 48 and 96
+    # do not: the half rule's is 0.1 to 4.7 times the full rule's
+    # (4.7: the gaussian at p = 1.5, 5.8e-5 against 1.2e-5 at 48)
+    u, m = bump_with_gradient(2), UNEVEN_KERNELS[kernel]
+    scheme = lambda n: QuadratureScheme(x_resolution=n, sphere_order=16, radial_level=2)
+    ref = UNEVEN_REFERENCES[kernel, p]
+    half = [abs(F.energy(u, m, p, scheme(n)) - ref) for n in (48, 96)]
+    full = [abs(full_sphere_energy(u, m, p, scheme(n)) - ref) for n in (48, 96)]
+    assert max(half) <= 5.0 * max(full)
+    # at 96 the half rule is within 1e-5 of the fine full-rule value
+    assert half[-1] < 1e-5 * ref
+
+
+def leaky_field(d):
+    """A field whose evaluator is nonzero everywhere, truncated at radius 1
+    only by the support mask, with its gradient."""
+    c = np.array([0.2, -0.1, 0.05])[:d]
+
+    def ev(q):
+        return 0.5 + np.exp(-np.einsum("ij,ij->i", q - c, q - c))
+
+    def gr(q):
+        return -2.0 * (q - c) * np.exp(-np.einsum("ij,ij->i", q - c, q - c))[:, None]
+    return fields.AnalyticField(d, ev, gr, support_radius=1.0, label="leaky")
+
+
+def test_per_block_mask_matches_the_masking_reference_bit_for_bit(monkeypatch, rng):
+    u, m = leaky_field(2), mf.indicator(0.25, 2)
+    scheme = QuadratureScheme(x_resolution=24, sphere_order=16, radial_level=2)
+    # probes inside R - r_max, in the band R -+ r_max, and beyond it
+    radii = np.concatenate([rng.uniform(0.0, 0.7, 40), rng.uniform(0.8, 1.2, 40),
+                            rng.uniform(1.3, 1.6, 40)])
+    angle = rng.uniform(0.0, 2.0 * np.pi, radii.size)
+    probes = radii[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    none = np.empty((probes.shape[0], 0))
+    unmasked = []
+    eval_many = fields.AnalyticField.eval_many
+
+    def recording(self, pts, **kw):
+        unmasked.append(kw.get("_unmasked", False))
+        return eval_many(self, pts, **kw)
+    monkeypatch.setattr(fields.AnalyticField, "eval_many", recording)
+    for probe_set in (probes[:40], probes[40:80], probes[80:], probes):
+        np.testing.assert_array_equal(
+            F.pointwise_density(DensityRequest(u, m, 1.0, probe_set, scheme)),
+            row_major_polar(u, m, 1.0, probe_set, none[:len(probe_set)], scheme=scheme))
+        np.testing.assert_array_equal(
+            F.remainder_density(DensityRequest(u, m, 1.5, probe_set, scheme)),
+            row_major_polar(u, m, 1.5, probe_set, none[:len(probe_set)], scheme=scheme,
+                            subtract=u.gradient_many(probe_set)))
+    ones = fields.VectorField(2, lambda q: np.ones_like(q))
+    values = lambda: [F.energy(u, m, 1.0, scheme), F.energy(u, m, 1.5, scheme),
+                      F.sobolev_residual(u, m, fields.gradient_candidate(u), scheme),
+                      F.sobolev_residual(u, m, ones, scheme)]
+    ours = values()
+    # both kinds of block were taken
+    assert True in unmasked and False in unmasked
+    monkeypatch.setattr(F, "_polar_many", row_major_polar)
+    np.testing.assert_array_equal(ours, values())
+
+
+def test_engine_never_writes_into_what_a_field_returns():
+    def frozen(q):
+        v = np.exp(-np.einsum("ij,ij->i", q, q))
+        v.flags.writeable = False
+        return v
+
+    def grad(q):
+        return -2.0 * q * np.exp(-np.einsum("ij,ij->i", q, q))[:, None]
+    m = mf.indicator(0.25, 2)
+    scheme = QuadratureScheme(x_resolution=16, sphere_order=16, radial_level=2)
+    probes = np.random.default_rng(5).uniform(-0.5, 0.5, size=(80, 2))
+    omega = fields.ball_set(np.zeros(2), 0.95)
+    ones = fields.VectorField(2, lambda q: np.ones_like(q))
+
+    def engine_values(ev):
+        f = fields.AnalyticField(2, ev, grad, support_radius=6.0)
+        # a lone probe, a batch of several blocks, a remainder, stacked
+        # rows, an energy on the half rule and a residual
+        return [F.pointwise_density(DensityRequest(f, m, 1.0, probes[0], scheme)),
+                *F.pointwise_density(DensityRequest(f, m, 3.0, probes, scheme)),
+                *F.remainder_density(DensityRequest(f, m, 1.5, probes, scheme)),
+                *F.domain_density(f, m, 2.0, probes, omega, scheme),
+                F.energy(f, m, 1.0, scheme), F.sobolev_residual(f, m, ones, scheme)]
+    np.testing.assert_array_equal(engine_values(frozen),
+                                  engine_values(lambda q: frozen(q).copy()))
