@@ -6,11 +6,11 @@ from .constants import (ConstantTable, bbm_perimeter_const, degiorgi_const,
                         gamma, gaussian_norm_const)
 from .errors import (BBMLabError, DimensionError, DomainError,
                      EvaluationError, IntegrationError, ProbeError,
-                     ResolutionError, ValidityError)
+                     ValidityError)
 from .fields import (AnalyticField, BVField1D, GridField, IndicatorSet,
                      VectorField, ball_set, box_set, eval_field, gaussian_bump,
                      gradient, gradient_candidate, half_space_set,
-                     interval_set, linear_field, mollify, step_field,
+                     interval_set, linear_field, step_field,
                      zero_vector_field)
 from .functionals import (DensityRequest, QuadratureScheme, bv_pointwise_limit,
                           convergence_study, domain_density, energy,
@@ -24,8 +24,8 @@ from .mollifiers import (RadialMollifier, gaussian, gaussian_ladder, indicator,
                          indicator_ladder, power_law)
 from .pathology import (PathologyCase, divergence_probe, gradient_mass_ladder,
                         pathological_field, shell_exponent, threshold_scan)
-from .perimeter import (PerimeterEstimate, bbm_perimeter, degiorgi_field,
-                        degiorgi_perimeter)
+from .perimeter import (PerimeterEstimate, bbm_perimeter, degiorgi_perimeter,
+                        degiorgi_route)
 from .quadrature import RadialRule, SphereRule, radial_rule, sphere_rule
 from .reports import ConvergenceReport, classify_sequence
 

@@ -92,6 +92,16 @@ def parse_mollifier(spec: str, d: int) -> mollifiers.RadialMollifier:
     raise UsageError(f"unknown mollifier kind {kind!r}")
 
 
+def parse_numbers(spec, what: str, *, sep: str = ",", kind=float) -> list:
+    """The numbers of a ``sep``-separated list, such as a comma list of
+    ``--n`` values; a malformed entry is a usage error."""
+    try:
+        return [kind(t) for t in str(spec).split(sep)]
+    except ValueError:
+        raise UsageError(f"malformed {what} {spec!r}: expected numbers "
+                         f"separated by {sep!r}") from None
+
+
 def parse_ladder(kind: str, spec: str, d: int) -> list[mollifiers.RadialMollifier]:
     """Ladders: 'K0:K1' dyadic exponents (eps or delta = 2^-k, n = 2^k),
     or an explicit comma list of parameters."""
@@ -100,11 +110,13 @@ def parse_ladder(kind: str, spec: str, d: int) -> list[mollifiers.RadialMollifie
             f"ladders take a bare family kind, not {kind!r}; the parameters "
             f"come from --ladder")
     if ":" in spec:
-        k0, k1 = (int(t) for t in spec.split(":"))
-        ks = list(range(k0, k1 + 1))
+        ends = parse_numbers(spec, "--ladder", sep=":", kind=int)
+        if len(ends) != 2:
+            raise UsageError(f"malformed --ladder {spec!r}: a dyadic ladder is K0:K1")
+        ks = list(range(ends[0], ends[1] + 1))
         params = [2.0 ** k if kind == "gaussian" else 2.0 ** (-k) for k in ks]
     else:
-        params = [float(t) for t in spec.split(",")]
+        params = parse_numbers(spec, "--ladder")
     if len(params) < 3:
         raise UsageError("a ladder needs at least 3 entries")
     return [parse_mollifier(f"{kind}:{p!r}", d) for p in params]
@@ -116,7 +128,7 @@ def parse_probes(spec: str, d: int) -> np.ndarray:
         raise UsageError("at least one probe point is required")
     pts = []
     for chunk in spec.split(";"):
-        coords = [float(t) for t in chunk.split(",")]
+        coords = parse_numbers(chunk, "--probe")
         if len(coords) != d:
             raise UsageError(
                 f"probe {chunk!r} has {len(coords)} coordinates, field has {d}")
@@ -181,9 +193,6 @@ SWEEP_OPTIONS = {
     "sobolev-residual": {"candidate": "zero"},
 }
 SCHEME_KEYS = ("sphere_order", "radial_level", "x_resolution")
-# the keys only one perimeter method reads
-PERIMETER_OPTIONS = {"bbm": SCHEME_KEYS,
-                     "degiorgi": ("grid_resolution",)}
 
 
 def _refuse_unread(cfg: dict, options, reads, chosen: str) -> None:
@@ -194,56 +203,13 @@ def _refuse_unread(cfg: dict, options, reads, chosen: str) -> None:
             raise UsageError(f"{chosen} does not read {flag}")
 
 
-def _refuse_unread_scheme(cfg: dict, field, experiment: str, p,
-                          ladder=()) -> None:
-    """Refuse the quadrature flags that the experiment's route does not read.
-
-    ``experiment`` is one of the sweep experiments, ``p`` the exponent
-    of an energy and ``ladder`` its mollifiers; a flag is refused when no
-    rung reads it.  A density or a remainder is a polar sum at probes,
-    with no x-grid.  An energy reads what its ``functionals.energy_route``
-    reads: the closed form of a box reads none; the covariogram route (an
-    interval, a ball or a 2D box) is one radial sum, with no x-grid and
-    no sphere rule; the multiplier route (p = 2, a smooth 2D/3D field) is
-    one FFT of the field's samples, with no sphere rule; the lag route
-    (every other 1D field, and every 1D Sobolev residual) has fixed
-    x-panels.  A 1D field has no sphere order either (its sphere is
-    {-1, +1}).
-    """
-    if experiment == "energy":
-        routes = {functionals.energy_route(field, p, m) for m in ladder}
-    elif experiment == "sobolev-residual":
-        routes = {functionals.residual_route(field)}
-    else:
-        routes = {"polar"}
-    unread = [_unread_by_route(route, field.dimension) for route in routes]
-    for key, why in unread[0].items():
-        if cfg.get(key) is not None and all(key in u for u in unread[1:]):
-            raise UsageError(f"--{key.replace('_', '-')} is not read here: {why}")
-
-
-def _unread_by_route(route: str, d: int) -> dict:
-    """The quadrature flags a route does not read, each with the reason."""
-    unread = {}
-    if d == 1:
-        unread["sphere_order"] = "the 1D sphere is always {-1, +1}"
-    if route == "polar":
-        unread["x_resolution"] = "a density is a polar sum with no x-grid"
-    elif route == "box":
-        why = "the energy of this box is a closed form; it reads no quadrature flag"
-        unread = {key: why for key in SCHEME_KEYS}
-    elif route == "covariogram":
-        why = ("the energy of an interval, a ball or a 2D box is one radial "
-               "sum over its covariogram; it reads only --radial-level")
-        unread = {"x_resolution": why, "sphere_order": why}
-    elif route == "multiplier":
-        unread["sphere_order"] = ("a p = 2 energy of a smooth 2D/3D field is "
-                                  "one FFT times its Fourier multiplier, with "
-                                  "no sphere rule")
-    elif route == "lag":
-        unread["x_resolution"] = ("a 1D energy takes the lag route, whose "
-                                  "x-panels are fixed")
-    return unread
+def _route_reads(field, routes) -> set:
+    """The scheme keys that any of ``routes`` reads on ``field``
+    (``functionals.ROUTE_READS``); a 1D field has no sphere order."""
+    reads = {key for route in routes for key in functionals.ROUTE_READS[route]}
+    if field.dimension == 1:
+        reads.discard("sphere_order")
+    return reads
 
 
 def run_constants(cfg, outdir, started):
@@ -259,7 +225,8 @@ def run_constants(cfg, outdir, started):
 
 def run_density(cfg, outdir, started, *, remainder=False):
     field = parse_field(cfg["field"])
-    _refuse_unread_scheme(cfg, field, "density", cfg["p"])
+    _refuse_unread(cfg, SCHEME_KEYS, _route_reads(field, ["polar"]),
+                   f"a {field.dimension}D density")
     m = parse_mollifier(cfg["mollifier"], field.dimension)
     probes = parse_probes(cfg["probes"], field.dimension)
     scheme = _scheme(cfg)
@@ -275,10 +242,11 @@ def run_density(cfg, outdir, started, *, remainder=False):
 def run_energy(cfg, outdir, started):
     field = parse_field(cfg["field"])
     m = parse_mollifier(cfg["mollifier"], field.dimension)
-    _refuse_unread_scheme(cfg, field, "energy", cfg["p"], [m])
+    route = functionals.energy_route(field, cfg["p"], m)
+    _refuse_unread(cfg, SCHEME_KEYS, _route_reads(field, [route]),
+                   f"the {route} route of a {field.dimension}D energy")
     value = functionals.energy(field, m, cfg["p"], _scheme(cfg))
-    emit(outdir, cfg, ["value"], [(value,)],
-         {"value": value, "route": functionals.energy_route(field, cfg["p"], m)},
+    emit(outdir, cfg, ["value"], [(value,)], {"value": value, "route": route},
          started)
     return 0
 
@@ -287,20 +255,27 @@ def run_sweep(cfg, outdir, started):
     kind = cfg["experiment"]
     if kind not in SWEEP_OPTIONS:
         raise UsageError(f"unknown sweep experiment {kind!r}")
-    options = {key for reads in SWEEP_OPTIONS.values() for key in reads}
-    _refuse_unread(cfg, sorted(options), SWEEP_OPTIONS[kind],
-                   f"--experiment {kind}")
     cfg.update({k: v for k, v in SWEEP_OPTIONS[kind].items() if cfg.get(k) is None})
     field = parse_field(cfg["field"])
     d = field.dimension
     ladder = parse_ladder(cfg["mollifier"], cfg["ladder"], d)
-    _refuse_unread_scheme(cfg, field, kind, cfg.get("p"), ladder)
+    if kind == "energy":
+        routes = [functionals.energy_route(field, cfg["p"], m) for m in ladder]
+    elif kind == "sobolev-residual":
+        routes = [functionals.residual_route(field)]
+    else:
+        routes = ["polar"]
+    # a key is read when the experiment or any rung's route reads it
+    options = sorted({key for keys in SWEEP_OPTIONS.values() for key in keys})
+    named = "/".join(dict.fromkeys(routes))
+    _refuse_unread(cfg, options + list(SCHEME_KEYS),
+                   _route_reads(field, routes) | set(SWEEP_OPTIONS[kind]),
+                   f"--experiment {kind} on the {named} route")
     scheme = _scheme(cfg)
     summary = {}
     if kind == "energy":
         report = functionals.energy_study(field, ladder, cfg["p"], scheme)
         # one name when every rung takes the same route, else one a rung
-        routes = [functionals.energy_route(field, cfg["p"], m) for m in ladder]
         summary["route"] = routes[0] if len(set(routes)) == 1 else routes
     elif kind in ("density", "remainder"):
         probe = parse_probes(cfg["probes"], d)[0]
@@ -322,7 +297,7 @@ def run_sweep(cfg, outdir, started):
         report = functionals.convergence_study(
             lambda mm: functionals.sobolev_residual(field, mm, cand, scheme),
             ladder)
-        summary["route"] = functionals.residual_route(field)
+        summary["route"] = routes[0]
     summary["report"] = report.to_json()
     emit(outdir, cfg, REPORT_HEADER, report.rows(), summary, started)
     return 0
@@ -343,19 +318,17 @@ def run_perimeter(cfg, outdir, started):
     if not isinstance(E, fields.IndicatorSet):
         raise UsageError("--shape must name an indicator set")
     methods = ["bbm", "degiorgi"] if cfg["method"] == "both" else [cfg["method"]]
-    _refuse_unread(cfg, PERIMETER_OPTIONS["bbm"] + PERIMETER_OPTIONS["degiorgi"],
-                   [key for m in methods for key in PERIMETER_OPTIONS.get(m, ())],
-                   f"--method {cfg['method']}")
-    if (isinstance(E.shape, fields.Ball) or E.dimension == 1) \
-            and cfg.get("grid_resolution") is not None:
-        raise UsageError("--grid-resolution is not read here: the De Giorgi "
-                         "perimeter of an interval is a closed form, and "
-                         "that of a ball one radial sum")
-    ns = ([float(t) for t in str(cfg["n"]).split(",")]
-          if isinstance(cfg["n"], str) else [float(cfg["n"])])
-    # the BBM perimeter is an energy at p = 1 with the gaussian
-    _refuse_unread_scheme(cfg, E, "energy", 1.0,
-                          [mollifiers.gaussian(n, E.dimension) for n in ns])
+    ns = parse_numbers(cfg["n"], "--n")
+    # building the gaussians checks every n, for both methods; the BBM
+    # perimeter is the energy at p = 1 with them
+    kernels = [mollifiers.gaussian(n, E.dimension) for n in ns]
+    reads = set()
+    if "bbm" in methods:
+        reads = _route_reads(E, [functionals.energy_route(E, 1.0, m) for m in kernels])
+    if "degiorgi" in methods and perimeter_mod.degiorgi_route(E) == "grid":
+        reads.add("grid_resolution")
+    _refuse_unread(cfg, SCHEME_KEYS + ("grid_resolution",), reads,
+                   f"--method {cfg['method']} on {cfg['shape']!r}")
     rows, estimates = [], []
     for n in ns:
         for method in methods:
@@ -375,7 +348,7 @@ def run_pathology(cfg, outdir, started):
     report = pathology_mod.divergence_probe(case, probe)
     scan = None
     if cfg.get("scan"):
-        ps = [float(t) for t in cfg["scan"].split(",")]
+        ps = parse_numbers(cfg["scan"], "--scan")
         scan = pathology_mod.threshold_scan(cfg["d"], cfg["delta"], probe, ps)
     emit(outdir, cfg, REPORT_HEADER, report.rows(),
          {"report": report.to_json(),
@@ -389,7 +362,7 @@ def run_maximal(cfg, outdir, started):
         raise UsageError(f"unknown maximal check {cfg['check']!r}")
     d = cfg["d"]
     rng = np.random.default_rng(cfg["seed"])
-    eps_ladder = [float(t) for t in cfg["eps"].split(",")]
+    eps_ladder = parse_numbers(cfg["eps"], "--eps")
     res = {1: 256, 2: 64}[d]
     rows = []
     all_pass = True

@@ -42,8 +42,3 @@ class ValidityError(BBMLabError, ValueError):
 
 class ProbeError(BBMLabError, ValueError):
     """A probe point is not admissible for the requested operation."""
-
-
-class ResolutionError(BBMLabError, ValueError):
-    """A grid is too coarse to resolve the requested length scale."""
-

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ResolutionError
+from .errors import DimensionError, DomainError
 
 
 def as_points(x, d: int) -> np.ndarray:
@@ -537,52 +537,3 @@ def gradient(f, x):
     pts = as_points(x, f.dimension)
     grads = f.gradient_many(pts)
     return grads[0] if np.asarray(x).ndim <= 1 else grads
-
-
-def mollify(f, k: int, *, half_width: float | None = None,
-            resolution: int | None = None) -> GridField:
-    """Convolve a field with the polynomial bump (1 - |k y|^2)^2 on |y| < 1/k.
-
-    The bump is normalized discretely so constants are preserved exactly.
-    The target grid defaults to the field's own grid (grid input) or to
-    its support box padded by 1/k.
-
-    Raises
-    ------
-    ResolutionError
-        If the grid spacing exceeds 1/(4k), i.e. the kernel would be
-        unresolved.
-    """
-    if k < 1:
-        raise DomainError("mollification index k must be >= 1")
-    d = f.dimension
-    if isinstance(f, GridField) and half_width is None and resolution is None:
-        L, n = f.half_width, f.resolution
-        samples = f.values
-    else:
-        if half_width is None:
-            box = f.support_box()
-            if box is None:
-                raise DomainError("mollify needs a bounded field or explicit grid")
-            half_width = float(max(np.max(np.abs(box[0])), np.max(np.abs(box[1])))) + 1.0 / k
-        if resolution is None:
-            resolution = {1: 4096, 2: 256, 3: 64}[d]
-        L, n = float(half_width), int(resolution)
-        grid = GridField.from_function(lambda pts: f.eval_many(pts), d, L, n)
-        samples = grid.values
-    h = 2.0 * L / n
-    if h > 1.0 / (4.0 * k):
-        raise ResolutionError(
-            f"grid spacing {h:.3g} cannot resolve mollification radius 1/{k}"
-            f" (need h <= {1.0 / (4 * k):.3g})")
-    m = int(math.floor((1.0 / k) / h))
-    offsets = h * np.arange(-m, m + 1)
-    mesh = np.meshgrid(*([offsets] * d), indexing="ij")
-    r2 = sum(g**2 for g in mesh)
-    kernel = np.where(r2 < (1.0 / k) ** 2, (1.0 - (k**2) * r2) ** 2, 0.0)
-    kernel /= kernel.sum()
-    # imported here: scipy.signal adds ~24 MB and ~0.6 s to the import of
-    # bbmlab, and only mollification and the maximal field need it
-    from scipy.signal import fftconvolve
-    smoothed = fftconvolve(samples, kernel, mode="same")
-    return GridField(d, L, smoothed)

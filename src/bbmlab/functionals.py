@@ -19,23 +19,23 @@ plus ladder drivers (``bv_pointwise_limit``, ``ponce_spector_mass``,
 
 Quadrature notes.  ``energy`` takes one of five routes, which
 ``energy_route`` names (``residual_route`` names the two that
-``sobolev_residual`` takes):
+``sobolev_residual`` takes); ``ROUTE_READS`` says which
+``QuadratureScheme`` fields each route, and the polar density, reads:
 
 * box: 2D/3D boxes whose energy is a closed form (the gaussian at
-  p = 1, or r_max <= every side), reading no scheme field;
+  p = 1, or r_max <= every side);
 * covariogram: intervals, disks, 3D balls and every other 2D box at any
-  p; one radial sum, reading only ``QuadratureScheme.radial_level``;
+  p; one radial sum;
 * multiplier: p = 2 and an analytic field in 2D or 3D; one FFT of the
-  field's samples times the Fourier multiplier of the mollifier,
-  reading ``x_resolution`` (the sampling grid) and ``radial_level``
-  (the multiplier's radial rule), not ``sphere_order``;
+  field's samples (on the x-grid) times the Fourier multiplier of the
+  mollifier (on one radial rule);
 * lag: every other 1D field, and every 1D ``sobolev_residual``; the
-  x-integral first, at each node of one radial rule, reading only
-  ``radial_level`` (``x_resolution`` is refused);
+  x-integral first, over fixed panels, at each node of one radial rule
+  (``x_resolution`` is refused);
 * tensor: every other 2D/3D field and exponent (among sets, only
   half-spaces and 3D boxes with r_max past their shortest side), and every
   2D/3D ``sobolev_residual``; a midpoint x-grid whose nodes go through
-  the polar engine, reading all three.
+  the polar engine.
 
 On the tensor route the y-integral is evaluated in polar coordinates
 with no node at r = 0 (the measure rho(r) r^(d-1) dr has no atom there,
@@ -945,6 +945,19 @@ def _multiplier_energy(field, mollifier, scheme) -> float:
     return float(L ** d / n ** (2 * d) * np.dot(mass, m))
 
 
+# The QuadratureScheme fields each route reads: the five of ``energy``
+# and ``sobolev_residual``, and "polar", the density at probes.  A 1D
+# field reads no sphere_order on any route: its sphere is {-1, +1}.
+ROUTE_READS = {
+    "polar": ("sphere_order", "radial_level"),
+    "box": (),
+    "covariogram": ("radial_level",),
+    "multiplier": ("x_resolution", "radial_level"),
+    "lag": ("radial_level",),
+    "tensor": ("sphere_order", "radial_level", "x_resolution"),
+}
+
+
 def energy_route(field, p, mollifier) -> str:
     """The route ``energy`` takes: "box", "covariogram", "multiplier",
     "lag" or "tensor".
@@ -986,12 +999,13 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
     indicator, p >= d+2 for the gaussian and p >= delta+d for the power
     law.  Then the result is ``math.inf``.
 
-    ``energy_route`` names the route taken:
+    ``energy_route`` names the route taken, and ``ROUTE_READS`` the
+    scheme fields it reads:
 
     * box, for a 2D/3D box at the gaussian with p = 1 or with
       r_max <= min L_i: a closed form in erf and exp, or in the moments
-      mu(1-p), mu(2-p) and mu(3-p) (``_box_energy``).  It reads no
-      scheme field; a box of zero volume has energy 0.
+      mu(1-p), mu(2-p) and mu(3-p) (``_box_energy``).  A box of zero
+      volume has energy 0.
     * covariogram, for an interval, a disk or a 3D ball: with
       g(|h|) = |E cap (E + h)|,
 
@@ -999,26 +1013,20 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
 
       one radial sum with no x-grid, sphere rule or field evaluation;
       and for every other 2D box, the same sum with the sphere integral
-      of |E| - g(r sigma) in closed form.  It reads only
-      ``scheme.radial_level``; ``x_resolution`` (refused in 1D as on
-      every 1D energy) and ``sphere_order`` are accepted and not read.
+      of |E| - g(r sigma) in closed form.
     * multiplier, for p = 2 and an analytic field in 2D or 3D: the field
       sampled on the midpoint grid of 2 x_res(d) cells a side over the
       support box enlarged by r_max, |rfftn|^2 of the samples times the
-      multiplier m_rho(|xi|).  It reads ``x_resolution`` and
-      ``radial_level``; ``sphere_order`` is accepted and not read.  The
-      grid is doubled because the samples alias: for the 3D bump with
-      indicator(1/4) at x_resolution 16, 16 cells a side leave a
-      relative error of 7.9e-3 and 32 cells 9e-13.
+      multiplier m_rho(|xi|).  The grid is doubled because the samples
+      alias: for the 3D bump with indicator(1/4) at x_resolution 16, 16
+      cells a side leave a relative error of 7.9e-3 and 32 cells 9e-13.
     * lag, for every other 1D field: E = sum_sigma int rho(r) r^-p
       G_sigma(r) dr with G_sigma(r) = int |u(x + sigma r) - u(x)|^p dx,
       the x-integral taken first at each node of one radial rule split
-      at the distances between jumps (``_lag_energy``).  It reads only
-      ``radial_level``.
+      at the distances between jumps (``_lag_energy``).
     * tensor, for everything else: a midpoint x-grid whose nodes go
-      through the polar engine, reading all three scheme fields, over
-      the upper half of the sphere rule with doubled weights (each pair
-      counted once).  An analytic field's probes beyond its support
+      through the polar engine, over the upper half of the sphere rule
+      with doubled weights (each pair counted once).  An analytic field's probes beyond its support
       radius plus r_max have density exactly 0 and skip the engine.
 
     A field that declares a point singularity raises ValidityError on

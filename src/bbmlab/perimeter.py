@@ -21,7 +21,7 @@ Two routes to Per(E), both exact in the concentration limit:
 W_n is a closed form: erf products for intervals, boxes and
 half-spaces, and for a ball of radius R about c the noncentral
 chi-square distribution function pi^(d/2) chndtr(2n R^2, d, 2n |x-c|^2).
-``degiorgi_field`` samples it on a grid.
+``degiorgi_route`` names the route a set takes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from scipy.special import chndtr, erf
 
 from .constants import degiorgi_const, gamma
 from .errors import DomainError, ValidityError
-from .fields import Ball, Box, GridField, HalfSpace, IndicatorSet
+from .fields import Ball, Box, HalfSpace, IndicatorSet
 from .functionals import QuadratureScheme, energy
 from .mollifiers import gaussian
 from .quadrature import composite_gauss
@@ -59,7 +59,10 @@ class PerimeterEstimate:
 
     @property
     def rel_error(self) -> float:
-        return abs(self.value - self.exact) / self.exact
+        """The error relative to the exact value, absolute when that is 0
+        (a box of zero volume)."""
+        error = abs(self.value - self.exact)
+        return error / self.exact if self.exact else error
 
     def to_json(self) -> dict:
         return {"method": self.method, "n": self.n, "value": self.value,
@@ -105,50 +108,6 @@ def _grid_axes(E: IndicatorSet, n: float, half_width, resolution):
     return float(half_width), int(resolution)
 
 
-def degiorgi_field(E: IndicatorSet, n: float, *, half_width: float | None = None,
-                   resolution: int | None = None) -> GridField:
-    """The smoothed indicator W_n sampled on a grid.
-
-    Separable erf products are used for axis-aligned shapes; balls in 2D
-    and 3D use the noncentral chi-square distribution function.
-    Requires a margin of at least 4/sqrt(n) between the set and the grid
-    box.
-    """
-    L, m = _grid_axes(E, n, half_width, resolution)
-    d = E.dimension
-    h = 2.0 * L / m
-    axis = -L + h * np.arange(m)
-    shape = E.shape
-    if isinstance(shape, Box):
-        if shape.is_degenerate():
-            vals = np.zeros((m,) * d)
-        else:
-            factors = [_axis_factor(axis, shape.lo[ax], shape.hi[ax], n)
-                       for ax in range(d)]
-            vals = factors[0]
-            for f in factors[1:]:
-                vals = np.multiply.outer(vals, f)
-    elif isinstance(shape, HalfSpace):
-        t = _signed_distance(shape, axis)
-        vals = math.pi ** ((d - 1) / 2.0) * 0.5 * math.sqrt(math.pi) \
-            * (1.0 - erf(math.sqrt(n) * t))
-    elif isinstance(shape, Ball):
-        if d == 1:
-            c, R = shape.center[0], shape.radius
-            vals = _axis_factor(axis, c - R, c + R, n)
-        else:
-            # W_n = pi^(d/2) P(|Y - c| <= R) for Y ~ N(x, I/(2n)), and
-            # 2n |Y - c|^2 is noncentral chi-square with d degrees of
-            # freedom and noncentrality 2n |x - c|^2
-            mesh = np.meshgrid(*[axis - c for c in shape.center], indexing="ij")
-            rho2 = sum(g * g for g in mesh)
-            vals = math.pi ** (d / 2.0) * chndtr(2.0 * n * shape.radius**2, d,
-                                                 2.0 * n * rho2)
-    else:  # pragma: no cover - exhaustive over shipped shapes
-        raise DomainError(f"unsupported shape {type(shape).__name__}")
-    return GridField(d, L, vals)
-
-
 def _signed_distance(shape: HalfSpace, axis: np.ndarray) -> np.ndarray:
     """The signed distance n . x - offset to the boundary of a half-space
     on the tensor grid whose every axis is ``axis``."""
@@ -169,19 +128,30 @@ def degiorgi_perimeter(E: IndicatorSet, n: float, *,
     """Integral of |grad W_n| scaled by 1/B_d, from the closed-form W_n
     and its gradient, with no finite differences.
 
-    An interval, whose W_n is unimodal, is the closed form
-    2 W_n(midpoint) / B_1; a 2D/3D ball is one radial sum
-    (``_ball_degiorgi``); boxes and half-spaces are a midpoint grid of
-    |grad W_n| over [-half_width, half_width]^d with ``resolution``
-    cells a side (``_grid_axes``).  Intervals and balls read neither
-    keyword.
+    On the route ``degiorgi_route`` names: an interval, whose W_n is
+    unimodal, is the closed form 2 W_n(midpoint) / B_1; a 2D/3D ball is
+    one radial sum (``_ball_degiorgi``); boxes and half-spaces are a
+    midpoint grid of |grad W_n| over [-half_width, half_width]^d with
+    ``resolution`` cells a side (``_grid_axes``).  Only the grid reads
+    either keyword.
     """
-    box = E.support_box()
-    if E.dimension == 1 and box is not None:
-        return 2.0 * math.erf(math.sqrt(n) * float(box[1][0] - box[0][0]) / 2.0)
-    if isinstance(E.shape, Ball):
+    route = degiorgi_route(E)
+    if route == "interval":
+        lo, hi = E.support_box()
+        return 2.0 * math.erf(math.sqrt(n) * float(hi[0] - lo[0]) / 2.0)
+    if route == "ball":
         return _ball_degiorgi(E.dimension, E.shape.radius, n)
     return _grid_degiorgi(E, n, half_width, resolution)
+
+
+def degiorgi_route(E: IndicatorSet) -> str:
+    """The route ``degiorgi_perimeter`` takes: "interval" for a bounded
+    1D set, "ball" for a 2D/3D ball, "grid" for everything else."""
+    if E.dimension == 1 and E.is_bounded:
+        return "interval"
+    if isinstance(E.shape, Ball):
+        return "ball"
+    return "grid"
 
 
 def _ball_degiorgi(d: int, R: float, n: float) -> float:
@@ -200,8 +170,16 @@ def _ball_degiorgi(d: int, R: float, n: float) -> float:
     edges = np.concatenate([[0.0], band[band > 0.0]])
     rho, w = composite_gauss(edges, _BALL_NODES)
     sphere = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    W = chndtr(2.0 * n * R * R, d, 2.0 * n * rho * rho)
+    W = _ball_profile(d, R, n, rho)
     return sphere * (d - 1) * float(np.dot(w, rho ** (d - 2) * W))
+
+
+def _ball_profile(d: int, R: float, n: float, rho):
+    """W_n / B_d at distance rho from the centre of a ball of radius R:
+    P(|Y - c| <= R) for Y ~ N(x, I/(2n)), where 2n |Y - c|^2 is
+    noncentral chi-square with d degrees of freedom and noncentrality
+    2n rho^2."""
+    return chndtr(2.0 * n * R * R, d, 2.0 * n * rho * rho)
 
 
 def _grid_degiorgi(E: IndicatorSet, n: float, half_width, resolution) -> float:

@@ -193,6 +193,33 @@ def test_multi_probe_values_match_per_probe_library_values(tmp_path, command,
     assert read_summary(out)["values"] == [float(r[2]) for r in rows]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--ladder", "1:x"],
+    ["bv", "--ladder", "1:2:3"],
+    ["density", "--probe", "0,a"],
+    ["perimeter", "--n", "abc"],
+    ["maximal", "--eps", "0.5,x"],
+    ["pathology", "--scan", "1.4,x"],
+], ids=["sweep-ladder", "bv-ladder", "density-probe", "perimeter-n",
+        "maximal-eps", "pathology-scan"])
+def test_malformed_number_lists_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_degenerate_box_perimeter_reports_absolute_error(tmp_path):
+    # the exact perimeter of a box of zero area is 0, and both estimates are
+    assert main(["perimeter", "--shape", "box:0,0;0,1", "--n", "256",
+                 "--out", str(tmp_path)]) == 0
+    estimates = read_summary(tmp_path)["estimates"]
+    assert [e["method"] for e in estimates] == ["bbm", "degiorgi"]
+    for est in estimates:
+        assert est["value"] == est["exact"] == est["rel_error"] == 0.0
+
+
 def test_spec_parsers_reject_garbage():
     from bbmlab.cli import UsageError
     with pytest.raises(UsageError):
@@ -484,6 +511,15 @@ def test_readme_cli_quick_start_parses():
     for line in lines:
         argv = shlex.split(line)[1:]
         assert parser.parse_args(argv).command == argv[0]
+
+
+def test_readme_route_table_mirrors_route_reads():
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \|[^|]*\| (\w+) \| (\w+) \| (\w+) \|$", text, re.M)
+    keys = ("sphere_order", "radial_level", "x_resolution")
+    table = {route: {k for k, cell in zip(keys, cells) if cell == "yes"}
+             for route, *cells in rows}
+    assert table == {route: set(reads) for route, reads in F.ROUTE_READS.items()}
 
 
 def test_readme_python_examples_run():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bbmlab import fields
-from bbmlab.errors import DimensionError, DomainError, ResolutionError
+from bbmlab.errors import DimensionError, DomainError
 from conftest import random_trig_field
 
 
@@ -192,63 +192,4 @@ def test_half_space_membership_and_unboundedness():
     assert not H.is_bounded
     with pytest.raises(DomainError):
         H.exact_volume()
-
-
-# ---------------------------------------------------------------------------
-# mollification
-# ---------------------------------------------------------------------------
-
-def test_mollify_preserves_constants():
-    one = fields.AnalyticField(1, lambda p: np.ones(p.shape[0]),
-                               support_radius=4.0)
-    m = fields.mollify(one, 3, half_width=4.0, resolution=1024)
-    for x in (-1.0, 0.0, 1.7):
-        assert fields.eval_field(m, [x]) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_mollify_step_transition_localized():
-    k = 10
-    m = fields.mollify(fields.step_field(), k, half_width=2.0, resolution=4096)
-    h = m.spacing
-    assert fields.eval_field(m, [-0.1 - 2 * h]) == pytest.approx(0.0, abs=1e-9)
-    assert fields.eval_field(m, [0.1 + 2 * h]) == pytest.approx(1.0, abs=1e-9)
-    xs = np.linspace(-0.12, 0.12, 33)
-    vals = m.eval_many(xs.reshape(-1, 1))
-    assert np.all(np.diff(vals) >= -1e-9)   # monotone transition
-
-
-def test_mollify_step_matches_direct_convolution_integral():
-    # u * chi(x0) = int_{y < x0} chi for the unit step at 0; the kernel is
-    # the normalized quartic bump, integrated here independently
-    k = 10
-    m = fields.mollify(fields.BVField1D(None, [(0.0, 1.0)]), k,
-                       half_width=2.0, resolution=2**14)
-    ys = np.linspace(-1.0 / k, 1.0 / k, 20001)
-    kernel = np.clip(1 - (k * ys) ** 2, 0, None) ** 2
-    kernel /= np.trapezoid(kernel, ys)
-    for x0 in (-0.05, 0.0, 0.03, 0.08):
-        exact = float(np.trapezoid(kernel * (ys < x0), ys))
-        assert fields.eval_field(m, [x0]) == pytest.approx(exact, abs=2e-3)
-
-
-def test_mollify_commutes_with_gradient_on_linear():
-    u = fields.linear_field([1.5])
-    m = fields.mollify(u, 10, half_width=2.0, resolution=4096)
-    assert fields.gradient(m, [0.3])[0] == pytest.approx(1.5, abs=1e-3)
-
-
-def test_mollify_l1_contraction_ladder():
-    u = fields.AnalyticField(1, lambda p: np.cos(2 * p[:, 0]),
-                             support_radius=3.0)
-    grid = fields.GridField.from_function(lambda p: u.eval_many(p), 1, 3.0, 8192)
-    errs = []
-    for k in (4, 8, 16, 32):
-        m = fields.mollify(grid, k)
-        errs.append(float(np.mean(np.abs(m.values - grid.values))))
-    assert all(b < a for a, b in zip(errs[:-1], errs[1:]))
-
-
-def test_mollify_resolution_error():
-    with pytest.raises(ResolutionError):
-        fields.mollify(fields.step_field(), 100, half_width=2.0, resolution=256)
 

@@ -748,6 +748,79 @@ def test_box_energy_route(box, m, p, route):
     assert F.energy_route(box, p, m) == route
 
 
+def _mixed_1d():
+    smooth = fields.AnalyticField(1, lambda q: q[:, 0] ** 2, lambda q: 2 * q,
+                                  support_radius=6.0)
+    return fields.BVField1D(smooth, [(0.0, 1.0)])
+
+
+def _energy_case(field, m, p, route):
+    assert F.energy_route(field, p, m) == route
+    return lambda scheme: F.energy(field, m, p, scheme)
+
+
+def _residual_case(field, m):
+    assert F.residual_route(field) == "tensor"
+    cand = fields.gradient_candidate(field)
+    return lambda scheme: F.sobolev_residual(field, m, cand, scheme)
+
+
+def _density_case(field, m, probe):
+    return lambda scheme: density(field, m, 1.0, probe, scheme)
+
+
+BOX = fields.box_set([0.0, 0.0], [1.0, 0.5])
+ROUTE_CASES = [
+    ("box", 2, lambda: _energy_case(BOX, mf.indicator(0.25, 2), 1.5, "box")),
+    ("covariogram", 2, lambda: _energy_case(fields.ball_set([0.0, 0.0], 0.5),
+                                            mf.indicator(0.25, 2), 1.0,
+                                            "covariogram")),
+    # with indicator kernels this box's radial sum stays below the last
+    # bit of its closed-form part at every level; the gaussian's does not
+    ("covariogram", 2, lambda: _energy_case(BOX, mf.gaussian(4.0, 2), 2.0,
+                                            "covariogram")),
+    ("multiplier", 2, lambda: _energy_case(fields.gaussian_bump(2),
+                                           mf.gaussian(16.0, 2), 2.0, "multiplier")),
+    ("lag", 1, lambda: _energy_case(_mixed_1d(), mf.indicator(0.25, 1), 1.2, "lag")),
+    ("tensor", 2, lambda: _energy_case(fields.gaussian_bump(2),
+                                       mf.indicator(0.5, 2), 1.0, "tensor")),
+    ("tensor", 2, lambda: _residual_case(fields.gaussian_bump(2),
+                                         mf.indicator(0.5, 2))),
+    ("polar", 1, lambda: _density_case(fields.gaussian_bump(1),
+                                       mf.indicator(0.5, 1), [0.3])),
+    ("polar", 2, lambda: _density_case(fields.gaussian_bump(2),
+                                       mf.indicator(0.5, 2), [0.3, 0.1])),
+]
+ROUTE_BASE = {"sphere_order": 8, "radial_level": 1, "x_resolution": 8}
+ROUTE_VARIED = {"sphere_order": 12, "radial_level": 2, "x_resolution": 12}
+
+
+@pytest.mark.parametrize("key", sorted(ROUTE_BASE))
+@pytest.mark.parametrize("route,d,case", ROUTE_CASES,
+                         ids=["box", "covariogram-disk", "covariogram-box",
+                              "multiplier", "lag", "tensor-energy",
+                              "tensor-residual", "polar-1d", "polar-2d"])
+def test_route_reads_is_what_each_route_reads(route, d, case, key):
+    # a scheme field changes the value exactly when ROUTE_READS says the
+    # route reads it; the value of a field it does not read is bit-identical
+    value = case()
+    given = dict(ROUTE_BASE)
+    refuses_x = d == 1 and route != "polar"
+    if refuses_x:
+        del given["x_resolution"]
+    base = value(QuadratureScheme(**given))
+    varied = QuadratureScheme(**{**given, key: ROUTE_VARIED[key]})
+    reads = set(F.ROUTE_READS[route]) - ({"sphere_order"} if d == 1 else set())
+    if refuses_x and key == "x_resolution":
+        # a 1D energy refuses an x-grid it cannot honour
+        with pytest.raises(DomainError):
+            value(varied)
+    elif key in reads:
+        assert value(varied) != base
+    else:
+        assert value(varied) == base
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_sphere_defect_keeps_full_relative_accuracy(d):
     # |S^(d-1)| - S_d(t) = int_S 2 sin^2(t sigma.e / 2) dsigma, which

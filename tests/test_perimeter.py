@@ -152,31 +152,6 @@ def test_box_scaling_ladder():
 # smoothed field W
 # ---------------------------------------------------------------------------
 
-def test_halfspace_profile_levels():
-    H = fields.half_space_set([1.0, 0.0], 0.0)
-    W = P.degiorgi_field(H, 2**10, half_width=1.0, resolution=512)
-    plateau = math.pi   # full-plane gaussian integral
-    assert fields.eval_field(W, [-0.8, 0.1]) == pytest.approx(plateau, rel=1e-9)
-    assert fields.eval_field(W, [0.0, -0.3]) == pytest.approx(plateau / 2, rel=1e-9)
-    assert fields.eval_field(W, [0.8, 0.0]) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_ball_field_outside_decay_and_plateau():
-    E = fields.ball_set([0.0, 0.0], 1.0)
-    n = 2**10
-    W = P.degiorgi_field(E, n, resolution=256)
-    far = 1.0 + 6.0 / math.sqrt(n)
-    assert abs(fields.eval_field(W, [far + 0.05, 0.0])) < 1e-6
-    assert fields.eval_field(W, [0.0, 0.0]) == pytest.approx(math.pi, rel=1e-6)
-
-
-def test_ball_field_3d_plateau():
-    E = fields.ball_set([0.0, 0.0, 0.0], 0.8)
-    W = P.degiorgi_field(E, 2**10, resolution=48)
-    assert fields.eval_field(W, [0.0, 0.0, 0.0]) == pytest.approx(
-        math.pi**1.5, rel=1e-6)
-
-
 def shell_field_quad(rho, R, n, d):
     """W_n at distance rho from the centre of a ball of radius R:
     n^(d/2) int exp(-n r^2) |S_r(x) cap B| dr by quad, split at |rho - R|
@@ -208,37 +183,22 @@ def shell_field_quad(rho, R, n, d):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [64.0, 256.0, 4096.0])
 def test_ball_field_matches_quad_of_the_shell_integral(d, n):
-    centre, R = [0.1] + [0.0] * (d - 1), 0.8
-    W = P.degiorgi_field(fields.ball_set(centre, R), n, resolution=48)
-    nodes = W.axis_nodes()
+    # the W_n / B_d that the De Giorgi ball sum integrates, at random
+    # distances and across the band |rho - R| < 4/sqrt(n) where W_n falls
+    # from pi^(d/2) to 0
+    R = 0.8
     gen = np.random.default_rng(11)
-    # node-aligned points (no interpolation error), among them the band
-    # |rho - R| < 4/sqrt(n) where W_n falls from pi^(d/2) to 0
-    picks = [gen.integers(0, nodes.size, d) for _ in range(60)]
-    near = np.argmin(np.abs(nodes - (centre[0] + R)))
-    picks += [np.array([near + k] + [nodes.size // 2] * (d - 1)) for k in (-1, 0, 1)]
-    for idx in picks:
-        x = nodes[idx]
-        rho = float(np.linalg.norm(x - np.asarray(centre)))
-        assert W.values[tuple(idx)] == pytest.approx(
-            shell_field_quad(rho, R, n, d), abs=1e-12)
-
-
-def test_interval_field_matches_erf_profile():
-    E = fields.interval_set(-0.5, 0.5)
-    n = 2**8
-    W = P.degiorgi_field(E, n, resolution=2048)
-    from scipy.special import erf
-    for x in W.axis_nodes()[::97]:   # node-aligned: no interpolation error
-        exact = 0.5 * math.sqrt(math.pi) * (
-            erf(math.sqrt(n) * (0.5 - x)) - erf(math.sqrt(n) * (-0.5 - x)))
-        assert fields.eval_field(W, [x]) == pytest.approx(exact, abs=1e-12)
+    rhos = np.concatenate([gen.uniform(0.0, 2.0, 60),
+                           R + np.linspace(-4.0, 4.0, 9) / math.sqrt(n)])
+    W = math.pi ** (d / 2.0) * P._ball_profile(d, R, n, rhos)
+    for rho, w in zip(rhos, W):
+        assert w == pytest.approx(shell_field_quad(rho, R, n, d), abs=1e-12)
 
 
 def test_margin_validation():
-    E = fields.ball_set([0.0, 0.0], 1.0)
+    E = fields.box_set([-1.0, -1.0], [1.0, 1.0])
     with pytest.raises(ValidityError):
-        P.degiorgi_field(E, 2**6, half_width=1.05, resolution=128)
+        P.degiorgi_perimeter(E, 2**6, half_width=1.05, resolution=128)
 
 
 def test_ball_3d_degiorgi():
