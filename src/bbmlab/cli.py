@@ -315,8 +315,8 @@ def run_bv(cfg, outdir, started):
 
 def run_perimeter(cfg, outdir, started):
     E = parse_field(cfg["shape"])
-    if not isinstance(E, fields.IndicatorSet):
-        raise UsageError("--shape must name an indicator set")
+    if not (isinstance(E, fields.IndicatorSet) and E.is_bounded):
+        raise UsageError("--shape must name a bounded set: an interval, ball or box")
     methods = ["bbm", "degiorgi"] if cfg["method"] == "both" else [cfg["method"]]
     ns = parse_numbers(cfg["n"], "--n")
     # building the gaussians checks every n, for both methods; the BBM
@@ -325,16 +325,12 @@ def run_perimeter(cfg, outdir, started):
     reads = set()
     if "bbm" in methods:
         reads = _route_reads(E, [functionals.energy_route(E, 1.0, m) for m in kernels])
-    if "degiorgi" in methods and perimeter_mod.degiorgi_route(E) == "grid":
-        reads.add("grid_resolution")
-    _refuse_unread(cfg, SCHEME_KEYS + ("grid_resolution",), reads,
+    _refuse_unread(cfg, SCHEME_KEYS, reads,
                    f"--method {cfg['method']} on {cfg['shape']!r}")
     rows, estimates = [], []
     for n in ns:
         for method in methods:
-            est = perimeter_mod.estimate(
-                E, n, method, scheme=_scheme(cfg),
-                resolution=cfg.get("grid_resolution"))
+            est = perimeter_mod.estimate(E, n, method, scheme=_scheme(cfg))
             estimates.append(est.to_json())
             rows.append((n, method, est.value, est.exact, est.rel_error))
     emit(outdir, cfg, ["n", "method", "value", "exact", "rel_error"], rows,
@@ -361,9 +357,13 @@ def run_maximal(cfg, outdir, started):
     if cfg["check"] != "weak11":
         raise UsageError(f"unknown maximal check {cfg['check']!r}")
     d = cfg["d"]
+    res = {1: 256, 2: 64}.get(d)    # the cells a side of the test fields
+    if res is None:
+        raise UsageError(f"maximal checks run in 1 or 2 dimensions, not --d {d!r}")
+    if cfg["fields"] < 1:
+        raise UsageError(f"--fields must be at least 1, got {cfg['fields']!r}")
     rng = np.random.default_rng(cfg["seed"])
     eps_ladder = parse_numbers(cfg["eps"], "--eps")
-    res = {1: 256, 2: 64}[d]
     rows = []
     all_pass = True
     for fid in range(cfg["fields"]):
@@ -459,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="concentration parameter, or comma ladder")
     sp.add_argument("--method", type=str, default=None,
                     choices=["bbm", "degiorgi", "both"])
-    sp.add_argument("--grid-resolution", dest="grid_resolution", type=int,
-                    default=None)
     common(sp, *SCHEME_KEYS)
 
     sp = sub.add_parser("pathology", help="divergence lower-bound ladder")

@@ -378,7 +378,8 @@ class Ball:
 
     def perimeter(self):
         r, d = self.radius, self.dimension
-        return {1: 2.0, 2: 2 * math.pi * r, 3: 4 * math.pi * r**2}[d]
+        return {1: 2.0 if r > 0 else 0.0, 2: 2 * math.pi * r,
+                3: 4 * math.pi * r**2}[d]
 
     def bbox(self):
         c = np.asarray(self.center, dtype=float)
@@ -506,13 +507,44 @@ def interval_set(a: float, b: float) -> IndicatorSet:
     return box_set(a, b)
 
 
+def _corner(point, what: str) -> tuple:
+    """A point of a set spec as a tuple of 1 to 3 floats."""
+    point = tuple(np.atleast_1d(point).astype(float))
+    if not 1 <= len(point) <= 3:
+        raise DimensionError(f"a {what} has 1 to 3 coordinates, got {len(point)}")
+    return point
+
+
 def ball_set(center, radius: float) -> IndicatorSet:
-    return IndicatorSet(Ball(tuple(np.atleast_1d(center).astype(float)), float(radius)))
+    """The indicator of the closed ball; radius 0 is the empty set.
+
+    Raises
+    ------
+    DimensionError
+        If the centre does not have 1 to 3 coordinates.
+    DomainError
+        If the radius is negative or not finite.
+    """
+    radius = float(radius)
+    if not (math.isfinite(radius) and radius >= 0.0):
+        raise DomainError(f"a ball radius is finite and >= 0, got {radius!r}")
+    return IndicatorSet(Ball(_corner(center, "ball centre"), radius))
 
 
 def box_set(lo, hi) -> IndicatorSet:
-    return IndicatorSet(Box(tuple(np.atleast_1d(lo).astype(float)),
-                            tuple(np.atleast_1d(hi).astype(float))))
+    """The indicator of the box [lo, hi]; a box with a side <= 0 is the
+    empty set.
+
+    Raises
+    ------
+    DimensionError
+        If the corners differ in length or do not have 1 to 3 coordinates.
+    """
+    lo, hi = _corner(lo, "box corner"), _corner(hi, "box corner")
+    if len(lo) != len(hi):
+        raise DimensionError(
+            f"box corners differ in length: {len(lo)} and {len(hi)}")
+    return IndicatorSet(Box(lo, hi))
 
 
 def half_space_set(normal, offset: float) -> IndicatorSet:

@@ -15,36 +15,42 @@ Two routes to Per(E), both exact in the concentration limit:
   indicator W_n(x) = n^(d/2) int_E exp(-n |x-y|^2) dy, divided by the
   constant B_d = pi^(d/2), with no finite differences.  For an interval
   it is the closed form 2 erf(sqrt(n) L / 2); for a 2D/3D ball, whose
-  W_n is radial and decreasing, one radial sum of W_n; boxes and
-  half-spaces integrate their closed-form |grad W_n| on a midpoint grid.
+  W_n is radial and decreasing, one radial sum of W_n; for a 2D/3D box
+  one product Gauss sum of its closed-form |grad W_n| over an orthant.
+  No set reads a grid.
 
-W_n is a closed form: erf products for intervals, boxes and
-half-spaces, and for a ball of radius R about c the noncentral
-chi-square distribution function pi^(d/2) chndtr(2n R^2, d, 2n |x-c|^2).
-``degiorgi_route`` names the route a set takes.
+W_n is a closed form: erf products for intervals and boxes, and for a
+ball of radius R about c the noncentral chi-square distribution
+function pi^(d/2) chndtr(2n R^2, d, 2n |x-c|^2).  Both routes refuse
+unbounded sets.  ``degiorgi_route`` names the route a set takes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 from scipy.special import chndtr, erf
 
 from .constants import degiorgi_const, gamma
-from .errors import DomainError, ValidityError
-from .fields import Ball, Box, HalfSpace, IndicatorSet
+from .errors import DomainError
+from .fields import Ball, Box, IndicatorSet
 from .functionals import QuadratureScheme, energy
 from .mollifiers import gaussian
 from .quadrature import composite_gauss
 
-DEFAULT_GRID_RESOLUTION = {1: 4096, 2: 512, 3: 64}
 # the De Giorgi ball sum: unit panels (in 1/sqrt(n)) over R +- this many
 # of them, with this many Gauss nodes each
 _BALL_BAND = 12
 _BALL_NODES = 12
+# the De Giorgi box sum: the same panels over each face +- this many of
+# them, with this many Gauss nodes each, graded this many times toward a
+# centre inside the band; at most this many points at once
+_BOX_BAND = 7
+_BOX_NODES = 10
+_BOX_LEVELS = 12
+_BOX_CHUNK = 2**21
 
 
 @dataclass(frozen=True)
@@ -87,71 +93,57 @@ def bbm_perimeter(E: IndicatorSet, n: float,
     return value / gamma(d, 1)
 
 
-def _grid_axes(E: IndicatorSet, n: float, half_width, resolution):
-    d = E.dimension
-    margin = 4.0 / math.sqrt(n)
-    box = E.support_box()
-    if half_width is None:
-        if box is None:
-            raise DomainError(
-                "an explicit half_width is required for unbounded sets")
-        half_width = float(max(np.max(np.abs(box[0])), np.max(np.abs(box[1])))) \
-            + 1.05 * margin
-    if resolution is None:
-        resolution = DEFAULT_GRID_RESOLUTION[d]
-    if box is not None:
-        lo, hi = box
-        if np.any(lo - (-half_width) < margin) or np.any(half_width - hi < margin):
-            raise ValidityError(
-                f"grid box [-{half_width}, {half_width}]^{d} leaves less than "
-                f"the required margin 4/sqrt(n) = {margin:.3g} around the set")
-    return float(half_width), int(resolution)
-
-
-def _signed_distance(shape: HalfSpace, axis: np.ndarray) -> np.ndarray:
-    """The signed distance n . x - offset to the boundary of a half-space
-    on the tensor grid whose every axis is ``axis``."""
-    nrm = shape.unit_normal()
-    mesh = np.meshgrid(*([axis] * nrm.size), indexing="ij")
-    return sum(nrm[ax] * mesh[ax] for ax in range(nrm.size)) - shape.offset
-
-
-def _axis_factor(x: np.ndarray, a: float, b: float, n: float) -> np.ndarray:
-    """sqrt(n) int_a^b exp(-n (x-y)^2) dy."""
-    rn = math.sqrt(n)
-    return 0.5 * math.sqrt(math.pi) * (erf(rn * (b - x)) - erf(rn * (a - x)))
-
-
 def degiorgi_perimeter(E: IndicatorSet, n: float, *,
-                       half_width: float | None = None,
                        resolution: int | None = None) -> float:
     """Integral of |grad W_n| scaled by 1/B_d, from the closed-form W_n
     and its gradient, with no finite differences.
 
     On the route ``degiorgi_route`` names: an interval, whose W_n is
     unimodal, is the closed form 2 W_n(midpoint) / B_1; a 2D/3D ball is
-    one radial sum (``_ball_degiorgi``); boxes and half-spaces are a
-    midpoint grid of |grad W_n| over [-half_width, half_width]^d with
-    ``resolution`` cells a side (``_grid_axes``).  Only the grid reads
-    either keyword.
+    one radial sum (``_ball_degiorgi``); a 2D/3D box one product Gauss
+    sum (``_box_degiorgi``).  A set of zero volume has perimeter 0.
+    ``resolution`` is accepted and unread: no route reads a grid.
+
+    Raises
+    ------
+    DomainError
+        If E is unbounded.
     """
     route = degiorgi_route(E)
+    if E.exact_volume() == 0.0:
+        return 0.0
     if route == "interval":
         lo, hi = E.support_box()
         return 2.0 * math.erf(math.sqrt(n) * float(hi[0] - lo[0]) / 2.0)
     if route == "ball":
         return _ball_degiorgi(E.dimension, E.shape.radius, n)
-    return _grid_degiorgi(E, n, half_width, resolution)
+    return _box_degiorgi(E.shape, n)
 
 
 def degiorgi_route(E: IndicatorSet) -> str:
-    """The route ``degiorgi_perimeter`` takes: "interval" for a bounded
-    1D set, "ball" for a 2D/3D ball, "grid" for everything else."""
-    if E.dimension == 1 and E.is_bounded:
+    """The route ``degiorgi_perimeter`` takes: "interval" for a 1D set,
+    "ball" for a 2D/3D ball, "box" for a 2D/3D box.
+
+    Raises
+    ------
+    DomainError
+        If E is unbounded.
+    """
+    if not E.is_bounded:
+        raise DomainError("the De Giorgi perimeter needs a bounded set")
+    if E.dimension == 1:
         return "interval"
-    if isinstance(E.shape, Ball):
-        return "ball"
-    return "grid"
+    return "ball" if isinstance(E.shape, Ball) else "box"
+
+
+def _band_edges(h: float, s: float, band: int, levels: int = 0) -> np.ndarray:
+    """Panel edges on [0, h + band s]: panels of width s over
+    h +- band s and one panel below them.  When the band reaches 0,
+    ``levels`` dyadic edges s/2, s/4, ... grade the panels toward 0."""
+    edges = h + s * np.arange(-band, band + 1.0)
+    if levels and edges[0] <= 0.0:
+        edges = np.union1d(s * 2.0 ** -np.arange(levels, 0, -1.0), edges)
+    return np.concatenate([[0.0], edges[edges > 0.0]])
 
 
 def _ball_degiorgi(d: int, R: float, n: float) -> float:
@@ -165,10 +157,8 @@ def _ball_degiorgi(d: int, R: float, n: float) -> float:
     R +- _BALL_BAND/sqrt(n) and one panel below it, where W_n = B_d to
     the last bit; past the band W_n is below exp(-_BALL_BAND^2).
     """
-    s = 1.0 / math.sqrt(n)
-    band = R + s * np.arange(-_BALL_BAND, _BALL_BAND + 1.0)
-    edges = np.concatenate([[0.0], band[band > 0.0]])
-    rho, w = composite_gauss(edges, _BALL_NODES)
+    rho, w = composite_gauss(_band_edges(R, 1.0 / math.sqrt(n), _BALL_BAND),
+                             _BALL_NODES)
     sphere = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     W = _ball_profile(d, R, n, rho)
     return sphere * (d - 1) * float(np.dot(w, rho ** (d - 2) * W))
@@ -182,50 +172,55 @@ def _ball_profile(d: int, R: float, n: float, rho):
     return chndtr(2.0 * n * R * R, d, 2.0 * n * rho * rho)
 
 
-def _grid_degiorgi(E: IndicatorSet, n: float, half_width, resolution) -> float:
-    """The midpoint sum of |grad W_n| / B_d over the grid box.
+def _box_degiorgi(box: Box, n: float) -> float:
+    """int |grad W_n| / B_d for a box in 2D or 3D.
 
-    A box's W_n is the product of the axis factors
-    f_i = sqrt(n) int_(a_i)^(b_i) exp(-n (x_i - y)^2) dy, so
-    dW/dx_i = f_i' prod_(j != i) f_j with
-    f_i' = sqrt(n) (exp(-n (a_i - x_i)^2) - exp(-n (b_i - x_i)^2)); a
-    half-space's is |grad W_n| = B_d sqrt(n / pi) exp(-n t^2) at signed
-    distance t from its boundary.
+    W_n is the product of the axis factors f_i, even about the centre
+    c_i of the box: at t = x_i - c_i with half side h_i,
+    f_i = (sqrt(pi)/2) (erf(sqrt(n)(h_i - t)) + erf(sqrt(n)(h_i + t))), so
+    dW/dx_i = f_i' prod_(j != i) f_j and |grad W_n| is even in each t.
+    The integral is 2^d times a product Gauss sum over t >= 0, on each
+    axis the panels ``_band_edges`` builds about the face t = h_i: past
+    the band f_i, and below it f_i', is below exp(-_BOX_BAND^2) times
+    its peak.  grad W_n
+    vanishes only at the centre, where |grad W_n| is a cone; the dyadic
+    panels resolve it when the band reaches the centre.  The sum runs
+    over slabs of the first axis, _BOX_CHUNK points at a time.
     """
-    L, m = _grid_axes(E, n, half_width, resolution)
-    d = E.dimension
-    h = 2.0 * L / m
-    axis = -L + h * (np.arange(m) + 0.5)
-    shape = E.shape
-    if isinstance(shape, Box):
-        if shape.is_degenerate():
-            return 0.0
-        rn = math.sqrt(n)
-        f = [_axis_factor(axis, shape.lo[i], shape.hi[i], n) for i in range(d)]
-        df = [rn * (np.exp(-n * (shape.lo[i] - axis) ** 2)
-                    - np.exp(-n * (shape.hi[i] - axis) ** 2)) for i in range(d)]
-        sq = 0.0
-        for i in range(d):
-            part = reduce(np.multiply.outer,
-                          [df[j] if j == i else f[j] for j in range(d)])
-            sq = sq + part * part
-        total = float(np.sum(np.sqrt(sq))) / degiorgi_const(d)
-    elif isinstance(shape, HalfSpace):
-        t = _signed_distance(shape, axis)
-        total = float(np.sum(np.exp(-n * t * t))) * math.sqrt(n / math.pi)
-    else:  # pragma: no cover - exhaustive over shipped shapes
-        raise DomainError(f"unsupported shape {type(shape).__name__}")
-    return total * h ** d
+    d, rn = box.dimension, math.sqrt(n)
+    sq_f, sq_df, weights = [], [], []
+    for h in (np.asarray(box.hi) - np.asarray(box.lo)) / 2.0:
+        t, w = composite_gauss(_band_edges(h, 1.0 / rn, _BOX_BAND, _BOX_LEVELS),
+                               _BOX_NODES)
+        f = 0.5 * math.sqrt(math.pi) * (erf(rn * (h - t)) + erf(rn * (h + t)))
+        df = rn * (np.exp(-n * (t - h) ** 2) - np.exp(-n * (t + h) ** 2))
+        sq_f.append(f * f)
+        sq_df.append(df * df)
+        weights.append(w)
+    # over the trailing axes: prod_j f_j^2 and sum_i f_i'^2 prod_(j != i) f_j^2
+    prod, grad, w_rest = sq_f[-1], sq_df[-1], weights[-1]
+    for i in range(d - 2, 0, -1):
+        prod, grad = (np.multiply.outer(sq_f[i], prod),
+                      np.multiply.outer(sq_df[i], prod)
+                      + np.multiply.outer(sq_f[i], grad))
+        w_rest = np.multiply.outer(weights[i], w_rest)
+    prod, grad, w_rest = prod.ravel(), grad.ravel(), w_rest.ravel()
+    rows = max(1, _BOX_CHUNK // prod.size)
+    total = 0.0
+    for a in range(0, weights[0].size, rows):
+        sl = slice(a, a + rows)
+        sq = sq_df[0][sl, None] * prod + sq_f[0][sl, None] * grad
+        total += float(weights[0][sl] @ (np.sqrt(sq) @ w_rest))
+    return 2.0 ** d * total / degiorgi_const(d)
 
 
 def estimate(E: IndicatorSet, n: float, method: str, *,
-             scheme: QuadratureScheme | None = None,
-             resolution: int | None = None) -> PerimeterEstimate:
+             scheme: QuadratureScheme | None = None) -> PerimeterEstimate:
     """Run one estimator and package it with the exact perimeter."""
     if method == "bbm":
         value = bbm_perimeter(E, n, scheme)
     elif method == "degiorgi":
-        value = degiorgi_perimeter(E, n, resolution=resolution)
+        value = degiorgi_perimeter(E, n)
     else:
         raise DomainError(f"unknown method {method!r}; use 'bbm' or 'degiorgi'")
     return PerimeterEstimate(E, method, float(n), value, E.exact_perimeter())

@@ -144,7 +144,7 @@ def test_criterion_7_perimeter_estimators():
         assert abs(bbm_i.value - dg_i.value) / 2.0 < 4e-2
         B = fields.ball_set([0.0, 0.0], 1.0)
         bbm_b = P.estimate(B, 2**12, "bbm")
-        dg_b = P.estimate(B, 2**12, "degiorgi", resolution=512)
+        dg_b = P.estimate(B, 2**12, "degiorgi")
         assert bbm_b.exact == pytest.approx(2 * math.pi)
         assert bbm_b.rel_error < 2e-2 and dg_b.rel_error < 2e-2
         assert abs(bbm_b.value - dg_b.value) / bbm_b.exact < 4e-2

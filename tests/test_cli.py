@@ -220,6 +220,45 @@ def test_degenerate_box_perimeter_reports_absolute_error(tmp_path):
         assert est["value"] == est["exact"] == est["rel_error"] == 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["energy", "--field", "box:0,0;1", "--mollifier", "indicator:0.25"],
+    ["perimeter", "--shape", "box:0,0;1,1,1"],
+    ["perimeter", "--shape", "box:0,0,0,0;1,1,1,1"],
+    ["perimeter", "--shape", "ball:0,0,-1"],
+    ["perimeter", "--shape", "ball:0,0,nan"],
+    ["perimeter", "--shape", "ball:1"],
+    ["density", "--field", "ball:0,0,inf", "--probe", "0,0"],
+    ["perimeter", "--shape", "halfspace:1,0;0", "--method", "bbm"],
+    ["perimeter", "--shape", "halfspace:1,0;0", "--method", "degiorgi"],
+    ["perimeter", "--shape", "halfspace:1,0;0", "--method", "both"],
+    ["perimeter", "--shape", "halfspace:1;0.5", "--method", "degiorgi"],
+    ["maximal", "--d", "3"],
+    ["maximal", "--d", "0"],
+    ["maximal", "--fields", "0"],
+    ["maximal", "--fields", "-1"],
+], ids=["energy-box-short-corner", "perimeter-box-long-corner", "perimeter-box-4d",
+        "perimeter-ball-negative", "perimeter-ball-nan", "perimeter-ball-no-centre",
+        "density-ball-inf", "perimeter-halfspace-bbm", "perimeter-halfspace-degiorgi",
+        "perimeter-halfspace-both", "perimeter-halfline-degiorgi", "maximal-d3",
+        "maximal-d0", "maximal-fields-0", "maximal-fields-negative"])
+def test_bad_sets_and_maximal_arguments_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_radius_zero_ball_is_the_empty_set(tmp_path):
+    assert main(["perimeter", "--shape", "ball:0,0,0", "--n", "256",
+                 "--out", str(tmp_path / "p")]) == 0
+    for est in read_summary(tmp_path / "p")["estimates"]:
+        assert est["value"] == est["exact"] == est["rel_error"] == 0.0
+    assert main(["energy", "--field", "ball:0,0,0", "--mollifier", "indicator:0.25",
+                 "--out", str(tmp_path / "e")]) == 0
+    assert read_summary(tmp_path / "e")["value"] == 0.0
+
+
 def test_spec_parsers_reject_garbage():
     from bbmlab.cli import UsageError
     with pytest.raises(UsageError):
@@ -349,8 +388,8 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
     ["perimeter", "--method", "degiorgi", "--sphere-order", "4"],
     ["perimeter", "--shape", "ball:0,0,0.5", "--method", "degiorgi",
      "--x-resolution", "8"],
+    # no De Giorgi perimeter reads a grid, so --grid-resolution is no flag
     ["perimeter", "--method", "bbm", "--grid-resolution", "8"],
-    # the De Giorgi perimeter of an interval is a closed form, with no grid
     ["perimeter", "--shape", "interval:0,1", "--method", "degiorgi",
      "--grid-resolution", "64"],
     # the sphere of a 1D field is always {-1, +1}
@@ -384,7 +423,6 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
      "--sphere-order", "4"],
     ["sweep", "--experiment", "energy", "--field", "bump:2", "--p", "2",
      "--mollifier", "indicator", "--ladder", "1:3", "--sphere-order", "8"],
-    # the De Giorgi perimeter of a ball is one radial sum, with no grid
     ["perimeter", "--shape", "ball:0,0,1", "--method", "degiorgi",
      "--grid-resolution", "64"],
     ["perimeter", "--shape", "ball:0,0,0,0.5", "--method", "both",

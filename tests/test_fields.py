@@ -185,6 +185,30 @@ def test_box_geometry_and_degenerate_case():
     assert not empty.contains([0.0, 0.5])[0]
 
 
+@pytest.mark.parametrize("make,error", [
+    (lambda: fields.box_set([0.0, 0.0], [1.0]), DimensionError),
+    (lambda: fields.box_set([0.0, 0.0], [1.0, 1.0, 1.0]), DimensionError),
+    (lambda: fields.box_set([0.0] * 4, [1.0] * 4), DimensionError),
+    (lambda: fields.box_set([], []), DimensionError),
+    (lambda: fields.ball_set([], 1.0), DimensionError),
+    (lambda: fields.ball_set([0.0] * 4, 1.0), DimensionError),
+    (lambda: fields.ball_set([0.0, 0.0], -1.0), DomainError),
+    (lambda: fields.ball_set([0.0, 0.0], math.nan), DomainError),
+    (lambda: fields.ball_set([0.0, 0.0], math.inf), DomainError),
+], ids=["box-short-corner", "box-long-corner", "box-4d", "box-empty",
+        "ball-empty-centre", "ball-4d", "ball-negative", "ball-nan", "ball-inf"])
+def test_set_specs_are_checked(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def test_null_balls_and_boxes_stay_legal():
+    # radius 0 and a side <= 0 give null sets, of volume and perimeter 0
+    for E in (fields.ball_set([0.5], 0.0), fields.ball_set([0.0, 0.0], 0.0),
+              fields.box_set([1.0, 0.0], [0.0, 1.0])):
+        assert E.exact_volume() == E.exact_perimeter() == 0.0
+
+
 def test_half_space_membership_and_unboundedness():
     H = fields.half_space_set([1.0, 0.0], 0.25)
     assert H.contains([0.2, 5.0])[0]

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import ncx2
 
 from bbmlab import fields, perimeter as P
-from bbmlab.errors import DomainError, ValidityError
+from bbmlab.errors import DomainError
 from bbmlab.functionals import QuadratureScheme
 
 FAST_2D = QuadratureScheme(sphere_order=32, radial_level=3, x_resolution=192)
@@ -22,8 +22,15 @@ def test_interval_both_methods_near_exact():
     assert abs(bbm.value - dg.value) / 2.0 < 1e-6
 
 
-def test_empty_set_perimeter_zero():
-    E = fields.box_set([0.0], [0.0])
+@pytest.mark.parametrize("E", [
+    fields.box_set([0.0], [0.0]), fields.box_set([1.0], [0.0]),
+    fields.box_set([0.0, 0.0], [0.0, 1.0]), fields.box_set([0.0] * 3, [1.0, -1.0, 1.0]),
+    fields.ball_set([0.5], 0.0), fields.ball_set([0.0, 0.0], 0.0),
+    fields.ball_set([0.0] * 3, 0.0)],
+    ids=["point", "reversed-interval", "segment-2d", "reversed-box-3d",
+         "ball-1d-r0", "ball-2d-r0", "ball-3d-r0"])
+def test_empty_set_perimeter_zero(E):
+    assert E.exact_perimeter() == 0.0
     assert P.bbm_perimeter(E, 2**8) == 0.0
     assert P.degiorgi_perimeter(E, 2**8) == 0.0
 
@@ -54,7 +61,7 @@ def test_bbm_rejects_unbounded_sets():
 
 def test_ball_2d_degiorgi():
     E = fields.ball_set([0.0, 0.0], 1.0)
-    est = P.estimate(E, 2**10, "degiorgi", resolution=384)
+    est = P.estimate(E, 2**10, "degiorgi")
     assert est.rel_error < 5e-3
 
 
@@ -66,16 +73,14 @@ def test_ball_2d_bbm_fast_scheme():
 
 def test_degiorgi_monotone_improvement_ladder():
     E = fields.ball_set([0.0, 0.0], 1.0)
-    errs = [P.estimate(E, n, "degiorgi", resolution=384).rel_error
+    errs = [P.estimate(E, n, "degiorgi").rel_error
             for n in (2**8, 2**10, 2**12)]
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_translation_invariance():
-    a = P.estimate(fields.ball_set([0.0, 0.0], 1.0), 2**8, "degiorgi",
-                   resolution=384).value
-    b = P.estimate(fields.ball_set([0.35, -0.2], 1.0), 2**8, "degiorgi",
-                   resolution=384).value
+    a = P.estimate(fields.ball_set([0.0, 0.0], 1.0), 2**8, "degiorgi").value
+    b = P.estimate(fields.ball_set([0.35, -0.2], 1.0), 2**8, "degiorgi").value
     assert a == pytest.approx(b, rel=1e-4)
 
 
@@ -99,42 +104,74 @@ def test_ball_degiorgi_perimeter_matches_quad_of_the_radial_integral(d, n, R):
     assert P.degiorgi_perimeter(E, n, resolution=8) == P.degiorgi_perimeter(E, n)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_half_space_degiorgi_perimeter_is_its_closed_form(d):
-    # |grad W_n| = pi^(d/2) sqrt(n/pi) exp(-n t^2), t = x_1 - c, so the grid
-    # box [-L, L]^d holds (2L)^(d-1) (erf(sqrt(n)(L - c)) + erf(sqrt(n)(L + c))) / 2
-    n, L, c = 1024.0, 1.0, 0.1
-    H = fields.half_space_set([1.0] + [0.0] * (d - 1), c)
-    rn = math.sqrt(n)
-    exact = (2 * L) ** (d - 1) * 0.5 * (math.erf(rn * (L - c)) + math.erf(rn * (L + c)))
-    assert P.degiorgi_perimeter(H, n, half_width=L, resolution=512 if d == 2 else 128) \
-        == pytest.approx(exact, rel=1e-12)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_degiorgi_rejects_unbounded_sets(d):
+    # a half-space has infinite perimeter; no window of it is one
+    H = fields.half_space_set([1.0] + [0.0] * (d - 1), 0.1)
+    for call in (lambda: P.degiorgi_perimeter(H, 1024.0),
+                 lambda: P.estimate(H, 1024.0, "degiorgi"),
+                 lambda: P.degiorgi_route(H)):
+        with pytest.raises(DomainError):
+            call()
+
+
+def _orthant_quad(lo, hi, n, epsrel):
+    """int |grad W_n| / B_d for the box [lo, hi] by nested quad.
+
+    W_n is the product of the factors f_i = sqrt(n) int exp(-n (x_i - y)^2) dy
+    over [lo_i, hi_i], so |grad W_n|^2 = sum_i f_i'^2 prod_(j != i) f_j^2,
+    which is even about the centre in each coordinate: 2^d times the
+    integral over the orthant above the centre, split at the faces."""
+    d, rn = len(lo), math.sqrt(n)
+    kw = dict(epsabs=0, epsrel=epsrel, limit=200)
+
+    def integral(i, prod, grad):
+        # prod = prod_(j < i) f_j^2, grad = sum_(j < i) f_j'^2 prod_(k < i, k != j) f_k^2
+        a, b = lo[i], hi[i]
+
+        def g(t):
+            f = 0.5 * math.sqrt(math.pi) * (math.erf(rn * (b - t)) - math.erf(rn * (a - t)))
+            df = rn * (math.exp(-n * (a - t) ** 2) - math.exp(-n * (b - t) ** 2))
+            p, q = prod * f * f, grad * f * f + prod * df * df
+            return math.sqrt(q) if i == d - 1 else integral(i + 1, p, q)
+        return quad(g, (a + b) / 2.0, b + 12.0 / rn, points=[b], **kw)[0]
+    return 2 ** d * integral(0, 1.0, 0.0) / math.pi ** (d / 2.0)
 
 
 def test_box_degiorgi_perimeter_matches_quad_of_the_gradient():
-    # |grad W_n| = |(f1' f2, f1 f2')| with f the erf factors, by nested quad
+    # the quad reads 2.6878425511114 and the sum 2.6878425511148, where
+    # finer sums settle
     lo, hi, n = (-0.5, -0.2), (0.5, 0.3), 64.0
-    rn = math.sqrt(n)
+    assert P.degiorgi_perimeter(fields.box_set(list(lo), list(hi)), n) \
+        == pytest.approx(_orthant_quad(lo, hi, n, 1e-12), rel=0, abs=1e-11)
 
-    def f(x, a, b):
-        return 0.5 * math.sqrt(math.pi) * (math.erf(rn * (b - x)) - math.erf(rn * (a - x)))
 
-    def df(x, a, b):
-        return rn * (math.exp(-n * (a - x) ** 2) - math.exp(-n * (b - x) ** 2))
+def test_sliver_box_degiorgi_perimeter_matches_quad_of_the_gradient():
+    # a side far below 1/sqrt(n): the cone at the centre spans the whole
+    # first panel of the face band, which the grading must resolve
+    lo, hi, n = (0.0, 0.0), (1e-4, 3.0), 16.0
+    assert P.degiorgi_perimeter(fields.box_set(list(lo), list(hi)), n) \
+        == pytest.approx(_orthant_quad(lo, hi, n, 1e-12), rel=1e-12, abs=0)
 
-    def norm(y, x):
-        return math.hypot(df(x, lo[0], hi[0]) * f(y, lo[1], hi[1]),
-                          f(x, lo[0], hi[0]) * df(y, lo[1], hi[1]))
-    top = 0.5 + 6.0 / rn
-    kw = dict(epsabs=1e-9, epsrel=1e-9, limit=200)
-    value = quad(lambda x: quad(norm, -top, top, args=(x,), points=[0.05], **kw)[0],
-                 -top, top, points=[0.0], epsabs=0, epsrel=1e-9, limit=200)[0]
+
+def test_box_3d_degiorgi_perimeter_matches_quad_of_the_gradient():
+    # the quad and the sum agree to 3e-15 at 0.84154024946319
+    lo, hi, n = (0.0, 0.0, 0.0), (1.0, 0.5, 0.25), 16.0
+    assert P.degiorgi_perimeter(fields.box_set(list(lo), list(hi)), n) \
+        == pytest.approx(_orthant_quad(lo, hi, n, 1e-10), rel=0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [1.0, 16.0, 256.0, 4096.0, 2.0**14])
+@pytest.mark.parametrize("lo,hi", [
+    ((0.0, 0.0), (1.0, 0.5)), ((-3.0, -3.0), (3.0, 3.0)), ((0.0, 0.0), (1e-4, 3.0)),
+    ((-0.4,) * 3, (0.4,) * 3), ((0.0,) * 3, (1.0, 0.5, 0.25)),
+    ((0.0,) * 3, (1e-3, 0.5, 2.0))],
+    ids=["2d", "2d-square", "2d-sliver", "cube", "3d", "3d-slab"])
+def test_box_degiorgi_perimeter_never_exceeds_the_perimeter(lo, hi, n):
+    # convolving with a probability kernel cannot raise total variation
     E = fields.box_set(list(lo), list(hi))
-    # the midpoint sum converges only algebraically at the cone where
-    # grad W_n vanishes (the centre): 1.6e-6 off at the default 512 cells
-    # a side, 2e-7 at 1024
-    assert P.degiorgi_perimeter(E, n, resolution=1024) == pytest.approx(
-        value / math.pi, rel=5e-7)
+    value = P.degiorgi_perimeter(E, n)
+    assert 0.0 < value <= E.exact_perimeter()
 
 
 def test_box_scaling_ladder():
@@ -195,22 +232,31 @@ def test_ball_field_matches_quad_of_the_shell_integral(d, n):
         assert w == pytest.approx(shell_field_quad(rho, R, n, d), abs=1e-12)
 
 
-def test_margin_validation():
-    E = fields.box_set([-1.0, -1.0], [1.0, 1.0])
-    with pytest.raises(ValidityError):
-        P.degiorgi_perimeter(E, 2**6, half_width=1.05, resolution=128)
+def test_degiorgi_routes_read_no_grid():
+    sets = [fields.interval_set(0.0, 1.0), fields.ball_set([0.0], 0.5),
+            fields.ball_set([0.0, 0.0], 1.0), fields.box_set([-1.0, -1.0], [1.0, 1.0]),
+            fields.box_set([0.0] * 3, [1.0] * 3)]
+    assert [P.degiorgi_route(E) for E in sets] == [
+        "interval", "interval", "ball", "box", "box"]
+    E = sets[3]
+    with pytest.raises(TypeError):
+        P.degiorgi_perimeter(E, 2**6, half_width=1.05)
+    with pytest.raises(TypeError):
+        P.estimate(E, 2**6, "degiorgi", resolution=128)
+    # resolution= is accepted, and read by no route
+    assert P.degiorgi_perimeter(E, 2**6, resolution=128) == P.degiorgi_perimeter(E, 2**6)
 
 
 def test_ball_3d_degiorgi():
     E = fields.ball_set([0.0, 0.0, 0.0], 0.8)
-    est = P.estimate(E, 2**10, "degiorgi", resolution=64)
+    est = P.estimate(E, 2**10, "degiorgi")
     assert est.exact == pytest.approx(4 * math.pi * 0.8**2)
     assert est.rel_error < 1e-2
 
 
 def test_box_3d_degiorgi():
     E = fields.box_set([-0.4, -0.4, -0.4], [0.4, 0.4, 0.4])
-    est = P.estimate(E, 2**10, "degiorgi", resolution=96)
+    est = P.estimate(E, 2**10, "degiorgi")
     assert est.exact == pytest.approx(6 * 0.8**2)
     # cube edges add an O(n^-1/2) bias on top of the face profiles
     assert est.rel_error < 6e-2
