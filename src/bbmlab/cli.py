@@ -239,8 +239,18 @@ def run_density(cfg, outdir, started, *, remainder=False):
     return 0
 
 
+def _bounded_field(spec: str, what: str):
+    """The field of ``spec``, refused unless it has a bounded support box:
+    ``what``, an integrated functional, integrates over that box."""
+    field = parse_field(spec)
+    if field.support_box() is None:
+        raise UsageError(f"{what} integrates over a bounded support: "
+                         f"--field {spec!r} has none")
+    return field
+
+
 def run_energy(cfg, outdir, started):
-    field = parse_field(cfg["field"])
+    field = _bounded_field(cfg["field"], "the energy")
     m = parse_mollifier(cfg["mollifier"], field.dimension)
     route = functionals.energy_route(field, cfg["p"], m)
     _refuse_unread(cfg, SCHEME_KEYS, _route_reads(field, [route]),
@@ -256,7 +266,10 @@ def run_sweep(cfg, outdir, started):
     if kind not in SWEEP_OPTIONS:
         raise UsageError(f"unknown sweep experiment {kind!r}")
     cfg.update({k: v for k, v in SWEEP_OPTIONS[kind].items() if cfg.get(k) is None})
-    field = parse_field(cfg["field"])
+    if kind in ("energy", "sobolev-residual"):
+        field = _bounded_field(cfg["field"], f"the {kind} sweep")
+    else:
+        field = parse_field(cfg["field"])
     d = field.dimension
     ladder = parse_ladder(cfg["mollifier"], cfg["ladder"], d)
     if kind == "energy":

@@ -111,7 +111,6 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erfc, j0
 
 from . import constants, quadrature
 from .constants import gamma
@@ -713,8 +712,9 @@ def radial_covariogram(field):
     F(t) = |E| - g(t) on [0, D], where D is the diameter beyond which g
     vanishes, and F(t) = c1 t + O(t^3) at 0 (exactly c1 t on [0, D] for
     an interval).  Intervals (1D boxes and balls), disks and 3D balls
-    of positive measure qualify; ``energy`` takes the covariogram route
-    for exactly these.
+    qualify; ``energy`` takes the covariogram route for exactly these.
+    A null one (radius 0, or an interval of length <= 0) gives D = 0 and
+    F = 0.
     """
     if not isinstance(field, IndicatorSet):
         return None
@@ -723,9 +723,11 @@ def radial_covariogram(field):
     if d == 1 and isinstance(shape, (Ball, Box)):
         lo, hi = shape.bbox()
         D = float(hi[0] - lo[0])
-        return (D, 1.0, lambda t: t) if D > 0.0 else None
-    if not isinstance(shape, Ball) or shape.radius <= 0.0:
+        return (D, 1.0, lambda t: t) if D > 0.0 else _NULL_COVARIOGRAM
+    if not isinstance(shape, Ball):
         return None
+    if shape.radius <= 0.0:
+        return _NULL_COVARIOGRAM
     R = float(shape.radius)
     if d == 2:
         # g(t) = 2R^2 acos(t/2R) - (t/2) sqrt(4R^2 - t^2)
@@ -735,6 +737,9 @@ def radial_covariogram(field):
         return 2.0 * R, 2.0 * R, F
     # g(t) = (pi/12) (4R + t) (2R - t)^2
     return 2.0 * R, math.pi * R * R, lambda t: math.pi * (R * R * t - t**3 / 12.0)
+
+
+_NULL_COVARIOGRAM = (0.0, 0.0, lambda t: 0.0 * t)
 
 
 def _covariogram_energy(mollifier, p, D, c1, F, level) -> float:
@@ -805,7 +810,8 @@ def _box_energy(L, mollifier, p, level) -> float:
     d = L.size
     if mollifier.kind == "gaussian" and p == 1.0:
         n = mollifier.param
-        t = erfc(L * math.sqrt(n)) - np.expm1(-n * L * L) / (L * math.sqrt(math.pi * n))
+        tail = np.array([math.erfc(v) for v in (L * math.sqrt(n)).tolist()])
+        t = tail - np.expm1(-n * L * L) / (L * math.sqrt(math.pi * n))
         k = constants.gaussian_norm_const(d) * n ** ((d + 1) / 2.0)
         return float(-2.0 * k * np.prod(L * math.sqrt(math.pi / n))
                      * np.expm1(np.sum(np.log1p(-t))))
@@ -849,6 +855,7 @@ def sphere_defect(d: int, t: np.ndarray) -> np.ndarray:
     small = t < _SERIES_BELOW
     with np.errstate(invalid="ignore", divide="ignore"):
         if d == 2:
+            from scipy.special import j0   # imported on first use: slow to load
             out = 2.0 * math.pi * (1.0 - j0(t))
         else:
             out = 4.0 * math.pi * (1.0 - np.sin(t) / t)
@@ -964,12 +971,12 @@ def energy_route(field, p, mollifier) -> str:
 
     "box" for a 2D/3D box whose energy is a closed form (the gaussian at
     p = 1, or r_max <= every side; a box of zero volume is 0);
-    "covariogram" for an interval, a disk or a 3D ball at any p, and for
-    every other 2D box; "multiplier" for p = 2 and an analytic field in
-    2D or 3D; "lag" for every other 1D field; "tensor" for everything
-    else, which among sets leaves only half-spaces and the 3D boxes
-    whose shortest side is below r_max (except with the gaussian at
-    p = 1).
+    "covariogram" for an interval, a disk or a 3D ball at any p (a null
+    one, of radius 0 or length <= 0, is 0), and for every other 2D box;
+    "multiplier" for p = 2 and an analytic field in 2D or 3D; "lag" for
+    every other 1D field; "tensor" for everything else, which among
+    sets leaves only half-spaces and the 3D boxes whose shortest side
+    is below r_max (except with the gaussian at p = 1).
     """
     L = _box_sides(field)
     if L is not None:
@@ -1013,7 +1020,8 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
 
       one radial sum with no x-grid, sphere rule or field evaluation;
       and for every other 2D box, the same sum with the sphere integral
-      of |E| - g(r sigma) in closed form.
+      of |E| - g(r sigma) in closed form.  A null interval or ball has
+      energy 0.
     * multiplier, for p = 2 and an analytic field in 2D or 3D: the field
       sampled on the midpoint grid of 2 x_res(d) cells a side over the
       support box enlarged by r_max, |rfftn|^2 of the samples times the
@@ -1057,8 +1065,11 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
         return 0.0 if np.any(L <= 0.0) else _box_energy(L, mollifier, p,
                                                         scheme.radial_level)
     if route == "covariogram":
-        return _covariogram_energy(mollifier, p, *radial_covariogram(field),
-                                   scheme.radial_level)
+        D, c1, F = radial_covariogram(field)
+        # a null set: no sum, whose c1 mu(1-p) would be 0 * inf past the
+        # exponent where that moment diverges
+        return 0.0 if D == 0.0 else _covariogram_energy(mollifier, p, D, c1, F,
+                                                        scheme.radial_level)
     if route == "multiplier":
         return _multiplier_energy(field, mollifier, scheme)
     if route == "lag":

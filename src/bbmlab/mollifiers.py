@@ -19,7 +19,10 @@ since divergence is insensitive to a constant rescaling.
 
 ``normalization()`` and ``tail_mass(c)`` check the unit-mass and the
 concentration axiom, and ``moment(k)`` is the k-th radial moment that
-the energies of sets need.  All three are closed forms.
+the energies of sets need.  All three are closed forms.  The gaussian's
+mass beyond r is the incomplete gamma Q((d+1)/2, n r^2), of integer or
+half-integer order for d <= 3, so it is a closed form in ``math``; its
+truncation radius reads one root of Q per dimension, found at import.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv
 
 from . import constants, quadrature
 from .errors import DimensionError, DomainError
@@ -38,6 +40,33 @@ from .errors import DimensionError, DomainError
 # (0, upper) it must lie in
 _FAMILIES = {"indicator": ("eps", math.inf), "gaussian": ("n", math.inf),
              "powerlaw": ("delta", 1.0)}
+
+
+def _gaussian_tail(d: int, y: float) -> float:
+    """Q((d+1)/2, y), the gaussian kernel's mass beyond r = sqrt(y/n):
+    e^-y, erfc(sqrt y) + 2 sqrt(y/pi) e^-y and (1 + y) e^-y."""
+    if d == 1:
+        return math.exp(-y)
+    if d == 2:
+        return math.erfc(math.sqrt(y)) + 2.0 * math.sqrt(y / math.pi) * math.exp(-y)
+    return (1.0 + y) * math.exp(-y)
+
+
+def _gaussian_tail_root(d: int, tol: float) -> float:
+    """The y with Q((d+1)/2, y) = tol.  Newton's method on log Q, whose
+    derivative is -y^((d-1)/2) e^-y / (Gamma((d+1)/2) Q), from the d = 1
+    root y = -log tol reaches it to rounding within four steps for d <= 3."""
+    y = -math.log(tol)
+    a = (d + 1) / 2.0
+    for _ in range(6):
+        q = _gaussian_tail(d, y)
+        y += math.log(q / tol) * math.gamma(a) * q / (y ** (a - 1.0) * math.exp(-y))
+    return y
+
+
+# n r_max^2 of every gaussian kernel, by dimension
+_GAUSSIAN_TAIL_ROOT = {d: _gaussian_tail_root(d, quadrature.GAUSSIAN_TAIL_TOL)
+                       for d in (1, 2, 3)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,9 +150,8 @@ class RadialMollifier:
         """Truncation radius leaving at most GAUSSIAN_TAIL_TOL of the mass."""
         if self.kind == "gaussian":
             # the mass beyond r is the regularized upper incomplete gamma
-            # Q((d+1)/2, n r^2), so r_max is its closed-form inverse
-            x = gammainccinv((self.dimension + 1) / 2.0, quadrature.GAUSSIAN_TAIL_TOL)
-            return math.sqrt(x / self.param)
+            # Q((d+1)/2, n r^2), so n r_max^2 is one root per dimension
+            return math.sqrt(_GAUSSIAN_TAIL_ROOT[self.dimension] / self.param)
         return self.support_radius
 
     def transform_power(self) -> Optional[float]:
@@ -177,7 +205,7 @@ class RadialMollifier:
         """
         d = self.dimension
         if self.kind == "gaussian":
-            return float(gammaincc((d + 1) / 2.0, self.param * c * c))
+            return _gaussian_tail(d, self.param * c * c)
         r_max = self.support_radius
         if c >= r_max:
             return 0.0

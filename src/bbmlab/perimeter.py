@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chndtr, erf
 
 from .constants import degiorgi_const, gamma
 from .errors import DomainError
@@ -169,6 +168,7 @@ def _ball_profile(d: int, R: float, n: float, rho):
     P(|Y - c| <= R) for Y ~ N(x, I/(2n)), where 2n |Y - c|^2 is
     noncentral chi-square with d degrees of freedom and noncentrality
     2n rho^2."""
+    from scipy.special import chndtr   # imported on first use: slow to load
     return chndtr(2.0 * n * R * R, d, 2.0 * n * rho * rho)
 
 
@@ -187,6 +187,7 @@ def _box_degiorgi(box: Box, n: float) -> float:
     panels resolve it when the band reaches the centre.  The sum runs
     over slabs of the first axis, _BOX_CHUNK points at a time.
     """
+    from scipy.special import erf   # imported on first use: slow to load
     d, rn = box.dimension, math.sqrt(n)
     sq_f, sq_df, weights = [], [], []
     for h in (np.asarray(box.hi) - np.asarray(box.lo)) / 2.0:

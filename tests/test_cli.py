@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -256,7 +259,40 @@ def test_radius_zero_ball_is_the_empty_set(tmp_path):
         assert est["value"] == est["exact"] == est["rel_error"] == 0.0
     assert main(["energy", "--field", "ball:0,0,0", "--mollifier", "indicator:0.25",
                  "--out", str(tmp_path / "e")]) == 0
-    assert read_summary(tmp_path / "e")["value"] == 0.0
+    summary = read_summary(tmp_path / "e")
+    assert summary["value"] == 0.0 and summary["route"] == "covariogram"
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--field", "halfspace:1,0;0"],
+    ["energy", "--field", "halfspace:1;0.5", "--p", "2"],
+    ["energy", "--field", "linear:1,0"],
+    ["sweep", "--experiment", "energy", "--field", "halfspace:1;0", "--ladder", "1:3"],
+    ["sweep", "--experiment", "sobolev-residual", "--field", "halfspace:0,1;0",
+     "--ladder", "1:3"],
+], ids=["energy-halfplane", "energy-halfline", "energy-linear", "sweep-energy",
+        "sweep-residual"])
+def test_integrated_functionals_refuse_unbounded_fields(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert re.search(r"energy|sobolev-residual", err.splitlines()[0])
+    assert not out.exists()
+
+
+def test_import_and_constants_load_no_scipy(tmp_path):
+    # scipy.special is imported only by the routes that need a Bessel,
+    # chi-square or vector erf; start-up and the constants table need none
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys, bbmlab, bbmlab.cli\n"
+              "assert bbmlab.cli.main(['constants', '--d', '3', '--out', sys.argv[1]]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "c")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_spec_parsers_reject_garbage():

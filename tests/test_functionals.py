@@ -366,6 +366,23 @@ def test_bv_pointwise_limit_mixed_field():
     assert rep.classification == "converging"
 
 
+def test_mixed_bv_density_is_its_closed_form():
+    # u = x^2 + h 1{x > 0}, p = 1, indicator(eps): at 0 < x and eps < 2x
+    # the smooth quotient |2x + s| sums to 4x over s in (-eps, eps), and
+    # for h > 0 the jump adds h / |s| on s < -x, so
+    # D(x) = 4x + (h / eps) log(eps / x)_+
+    smooth = fields.AnalyticField(1, lambda q: q[:, 0] ** 2, lambda q: 2 * q,
+                                  support_radius=6.0)
+    rng = np.random.default_rng(20)
+    for h, x in zip(rng.uniform(0.05, 4.0, 20), rng.uniform(0.3, 0.7, 20)):
+        bv = fields.BVField1D(smooth, [(0.0, h)])
+        for k in range(1, 9):
+            eps = 2.0 ** -k
+            exact = 4.0 * x + h / eps * max(0.0, math.log(eps / x))
+            got = float(density(bv, mf.indicator(eps, 1), 1.0, [x]))
+            assert got == pytest.approx(exact, rel=1e-12, abs=0), (h, x, eps)
+
+
 def test_bv_pointwise_limit_rejects_jump_probe():
     with pytest.raises(ProbeError):
         F.bv_pointwise_limit(fields.step_field(),
@@ -746,6 +763,19 @@ def test_energy_route(field, p, route):
         "2d-sum", "2d-gaussian-p2", "3d-wide-kernel"])
 def test_box_energy_route(box, m, p, route):
     assert F.energy_route(box, p, m) == route
+
+
+@pytest.mark.parametrize("E", [
+    fields.ball_set([0.5], 0.0), fields.interval_set(0.3, 0.3),
+    fields.box_set([1.0], [0.0]), fields.ball_set([0.0, 0.0], 0.0),
+    fields.ball_set([0.0, 0.0, 0.0], 0.0),
+], ids=["point", "interval-0", "interval-reversed", "disk-r0", "ball-3d-r0"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 6.0])
+def test_null_set_energy_is_zero_with_no_grid(E, p):
+    # p = 6 is past every exponent where the indicator's mu(1-p) diverges
+    m = mf.indicator(0.25, E.dimension)
+    assert F.energy_route(E, p, m) == "covariogram"
+    assert F.energy(E, m, p) == 0.0
 
 
 def _mixed_1d():

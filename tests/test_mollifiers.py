@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaincc
+from scipy.special import gammaincc, gammainccinv
 
 from bbmlab import mollifiers as mf
 from bbmlab.errors import DimensionError, DomainError
@@ -197,6 +197,17 @@ def test_gaussian_truncation_radius_is_closed_form(d, n):
     r = mf.gaussian(n, d).quadrature_radius()
     assert gammaincc((d + 1) / 2.0, n * r * r) == pytest.approx(
         GAUSSIAN_TAIL_TOL, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_tail_is_the_incomplete_gamma(d):
+    # Q((d+1)/2, y) in closed form, over every y up to n r_max^2
+    a = (d + 1) / 2.0
+    root = mf._GAUSSIAN_TAIL_ROOT[d]
+    for y in np.concatenate([[0.0], np.geomspace(1e-8, root, 200)]):
+        assert mf._gaussian_tail(d, float(y)) == pytest.approx(
+            gammaincc(a, y), rel=1e-14, abs=0)
+    assert root == pytest.approx(gammainccinv(a, GAUSSIAN_TAIL_TOL), rel=1e-14, abs=0)
 
 
 def quad_moment(m, k):

@@ -9,6 +9,27 @@ from bbmlab.errors import IntegrationError
 SPHERE_AREAS = {1: 2.0, 2: 2 * math.pi, 3: 4 * math.pi}
 
 
+def test_gauss_legendre_rules_are_exact_to_degree_2q_minus_1():
+    for q in range(2, 65):
+        x, w = Q._gl(q)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        # exactly symmetric, since it is mirrored from its nonnegative half
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.sum(w) == pytest.approx(2.0, abs=1e-14)
+        for k in range(2 * q):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert float(np.dot(w, x ** k)) == pytest.approx(exact, abs=1e-14), (q, k)
+
+
+def test_gauss_legendre_rules_match_scipy():
+    from scipy.special import roots_legendre
+    for q in range(2, 65):
+        x, w = Q._gl(q)
+        xs, ws = roots_legendre(q)
+        np.testing.assert_allclose(x, xs, rtol=0, atol=1e-12, err_msg=f"q={q}")
+        np.testing.assert_allclose(w, ws, rtol=0, atol=1e-12, err_msg=f"q={q}")
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sphere_weights_sum_to_area(d):
     rule = Q.sphere_rule(d)
