@@ -122,10 +122,15 @@ def parse_ladder(kind: str, spec: str, d: int) -> list[mollifiers.RadialMollifie
     return [parse_mollifier(f"{kind}:{p!r}", d) for p in params]
 
 
-def parse_probes(spec: str, d: int) -> np.ndarray:
-    """Probes: semicolon-separated points, each a comma list of coordinates."""
+def parse_probes(spec: str, d: int, ladder: str | None = None) -> np.ndarray:
+    """Probes: semicolon-separated points, each a comma list of coordinates.
+    A ``ladder`` (named for the message) follows one point: more is a
+    usage error, not a silent drop of the rest."""
     if not spec.strip():
         raise UsageError("at least one probe point is required")
+    if ladder and ";" in spec:
+        raise UsageError(f"{ladder} follows one probe point along its ladder, "
+                         f"got {spec.count(';') + 1}")
     pts = []
     for chunk in spec.split(";"):
         coords = parse_numbers(chunk, "--probe")
@@ -263,8 +268,6 @@ def run_energy(cfg, outdir, started):
 
 def run_sweep(cfg, outdir, started):
     kind = cfg["experiment"]
-    if kind not in SWEEP_OPTIONS:
-        raise UsageError(f"unknown sweep experiment {kind!r}")
     cfg.update({k: v for k, v in SWEEP_OPTIONS[kind].items() if cfg.get(k) is None})
     if kind in ("energy", "sobolev-residual"):
         field = _bounded_field(cfg["field"], f"the {kind} sweep")
@@ -291,7 +294,7 @@ def run_sweep(cfg, outdir, started):
         # one name when every rung takes the same route, else one a rung
         summary["route"] = routes[0] if len(set(routes)) == 1 else routes
     elif kind in ("density", "remainder"):
-        probe = parse_probes(cfg["probes"], d)[0]
+        probe = parse_probes(cfg["probes"], d, f"--experiment {kind}")[0]
         op = (functionals.remainder_density if kind == "remainder"
               else functionals.pointwise_density)
         limit = None
@@ -319,7 +322,7 @@ def run_sweep(cfg, outdir, started):
 def run_bv(cfg, outdir, started):
     field = parse_field(cfg["field"])
     ladder = parse_ladder(cfg["mollifier"], cfg["ladder"], 1)
-    probe = parse_probes(cfg["probes"], 1)[0]
+    probe = parse_probes(cfg["probes"], 1, "bv")[0]
     report = functionals.bv_pointwise_limit(field, ladder, probe, _scheme(cfg))
     emit(outdir, cfg, REPORT_HEADER, report.rows(),
          {"report": report.to_json()}, started)
@@ -353,7 +356,7 @@ def run_perimeter(cfg, outdir, started):
 
 def run_pathology(cfg, outdir, started):
     case = pathology_mod.PathologyCase(cfg["d"], cfg["p"], cfg["delta"])
-    probe = parse_probes(cfg["probes"], cfg["d"])[0]
+    probe = parse_probes(cfg["probes"], cfg["d"], "pathology")[0]
     report = pathology_mod.divergence_probe(case, probe)
     scan = None
     if cfg.get("scan"):
@@ -367,8 +370,6 @@ def run_pathology(cfg, outdir, started):
 
 
 def run_maximal(cfg, outdir, started):
-    if cfg["check"] != "weak11":
-        raise UsageError(f"unknown maximal check {cfg['check']!r}")
     d = cfg["d"]
     res = {1: 256, 2: 64}.get(d)    # the cells a side of the test fields
     if res is None:
@@ -516,7 +517,24 @@ DEFAULTS = {
 }
 
 
-def resolve_config(command: str, args: argparse.Namespace) -> dict:
+def _flag_value(action: argparse.Action, key: str, value):
+    """A config value parsed as its flag parses its argument: through the
+    flag's ``type``, given the value's text, and its ``choices``."""
+    try:
+        parsed = action.type(value if isinstance(value, str) else json.dumps(value))
+        if action.choices is None or parsed in action.choices:
+            return parsed
+    except ValueError:
+        pass
+    raise UsageError(f"config key {key!r}: {value!r} is not a valid "
+                     f"{action.option_strings[0]} value")
+
+
+def resolve_config(command: str, args: argparse.Namespace,
+                   flags: dict[str, argparse.Action]) -> dict:
+    """The command's defaults < the --config values < explicit flags.
+    ``flags`` maps the command's flag destinations to their actions; a
+    config value is parsed as its flag (``_flag_value``), a null is absent."""
     cfg = {"command": command}
     cfg.update(DEFAULTS[command])
     if args.config:
@@ -534,7 +552,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         if loaded.get("command", command) != command:
             raise UsageError(
                 f"config is for command {loaded['command']!r}, not {command!r}")
-        cfg.update({k: v for k, v in loaded.items() if k != "command"})
+        cfg.update({k: _flag_value(flags[k], k, v) if k in flags else v
+                    for k, v in loaded.items() if k != "command" and v is not None})
     for key, value in vars(args).items():
         if key in ("command", "config", "out") or value is None:
             continue
@@ -546,8 +565,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices[args.command]._actions if a.option_strings}
     try:
-        cfg = resolve_config(args.command, args)
+        cfg = resolve_config(args.command, args, flags)
         outdir = Path(args.out or f"runs/{args.command}")
         return COMMANDS[args.command](cfg, outdir, started)
     except UsageError as exc:

@@ -24,47 +24,29 @@ Quadrature notes.  ``energy`` takes one of five routes, which
 
 * box: 2D/3D boxes whose energy is a closed form (the gaussian at
   p = 1, or r_max <= every side);
-* covariogram: intervals, disks, 3D balls and every other 2D box at any
-  p; one radial sum;
+* covariogram: every other bounded set (intervals, disks, 3D balls and
+  2D/3D boxes) at any p; one radial sum;
 * multiplier: p = 2 and an analytic field in 2D or 3D; one FFT of the
   field's samples (on the x-grid) times the Fourier multiplier of the
   mollifier (on one radial rule);
 * lag: every other 1D field, and every 1D ``sobolev_residual``; the
   x-integral first, over fixed panels, at each node of one radial rule
   (``x_resolution`` is refused);
-* tensor: every other 2D/3D field and exponent (among sets, only
-  half-spaces and 3D boxes with r_max past their shortest side), and every
-  2D/3D ``sobolev_residual``; a midpoint x-grid whose nodes go through
-  the polar engine.
+* tensor: every other 2D/3D field and exponent (no bounded set), and
+  every 2D/3D ``sobolev_residual``; a midpoint x-grid whose nodes go
+  through the polar engine.
 
 On the tensor route the y-integral is evaluated in polar coordinates
 with no node at r = 0 (the measure rho(r) r^(d-1) dr has no atom there,
 so the 0/0 difference quotient never arises).  One engine,
 ``_polar_many``, computes the polar density for a batch of probes and
 is the only polar sum here: each probe's radial rule is split at the
-breakpoint radii its caller passes (graded down to the nearest of them,
-below which the integrand is smooth), and the probes are evaluated in
-blocks of as many probes as fit in _CHUNK = 32768 field points (a probe
-whose row alone is longer is a block by itself: 262144 points for a
-default 3D density), their rules built once and stacked into one array
-and the field called once per block for the centres and once for the
-nodes.  A block's nodes are built coordinate-major and handed to the
-field as the (N, d) column-major transpose of that buffer, which
-evaluators read as any (m, d) array; row sums over the coordinates run
-several times faster on it than on a row-major copy.  Each block
-decides once whether an analytic field needs its support mask: when
-every probe lies within R (1 - 1e-9) - r_max of the origin, every node
-is inside the support radius R and the values are taken unmasked.
-A density at one probe or at a batch of probes is one engine call,
-with the field's (and Omega's) breakpoints.  A tensor energy is one
-midpoint grid and one engine call, its nodes sharing one
-breakpoint-free radial rule; probes of an analytic field beyond its
-support radius plus r_max, where the density is exactly 0, are skipped.
-Without a candidate it counts each pair once: the integrand
-|u(x + r sigma) - u(x)|^p is unchanged by (x, sigma) -> (x + r sigma,
--sigma), so the engine sums the upper half sigma_d > 0 of the sphere
-rule with doubled weights, half the field evaluations.  A residual's
-candidate term breaks that symmetry; it sums the whole rule.
+breakpoint radii its caller passes, and the probes go in blocks of at
+most _CHUNK = 32768 field points, handed to the field column-major.  A
+density at one probe or at a batch of probes is one engine call, with
+the field's (and Omega's) breakpoints.  A tensor energy is one midpoint
+grid and one engine call that counts each pair once
+(``_integrate_density_over_x``).
 Every path raises EvaluationError on a NaN or infinite integrand, and every
 density refuses a probe on a jump of the field, where it is +inf, with
 ProbeError.  A field that declares a point singularity
@@ -82,17 +64,18 @@ c1 mu(1-p); the rest is one radial sum over G, whose x-integral runs
 over fixed uniform panels cut at the jumps and at the jumps shifted by
 the lag, where the integrand is smooth (``_lag_energy``).
 
-Energies of sets whose covariogram g(|h|) = |E cap (E + h)| is radial
-(intervals, disks, 3D balls) skip the x-rule and the engine: the energy
-is 2 |S^(d-1)| int rho(r) r^(d-1-p) (|E| - g(r)) dr, whose leading part
-c1 r of |E| - g is the closed-form mollifier moment and whose remainder
-is one radial sum.  A box's covariogram prod_i (L_i - |h_i|)_+ is not
-radial, but explicit: |E| - g is a polynomial in the |h_i| up to
-r = min L_i, whose sphere integrals and radial moments are closed forms,
-and the gaussian at p = 1 is separable (``_box_energy``).  A field with
-a jump has infinite energy from the
-exponent at which that moment diverges on; ``energy`` then returns
-``math.inf`` on every route.
+The energy of a bounded set E is one function of its covariogram
+g(h) = |E cap (E + h)| (``_set_energy``), with no x-rule or engine:
+E = 2 int rho(r) r^(d-1-p) F(r) dr, F(r) = int_S (|E| - g(r sigma)) dsigma.
+F is a polynomial sum_k P_k r^k, whose part is the closed-form moments
+P_k mu(k-p), plus a rest h, which is one radial sum graded at the set's
+kink radii.  A ball's g is radial and its
+polynomial is c1 r; a box's g = prod_i (L_i - |h_i|)_+ makes |E| - g a
+polynomial in the |h_i| up to r = min L_i, where h starts (an interval
+is a 1D box).  The gaussian at p = 1 is separable for a box.  A field
+with a jump has infinite energy from the exponent at which the moment
+mu(1-p) diverges on; ``energy`` then returns ``math.inf`` on every
+route.
 
 At p = 2 the energy is a Fourier multiplier (Plancherel):
 E_2(u) = (2 pi)^-d int |u^(xi)|^2 m_rho(|xi|) dxi with
@@ -140,9 +123,14 @@ _ON_JUMP_RTOL = 4 * 2.0**-52
 _LAG_X_PANELS = 32
 _LAG_X_NODES = 8
 
-# the covariogram route grades its radial rule toward D over the
-# panels D (1 - 2^-j), j = 1 .. this, and toward 0 down to D 2^-this
+# the covariogram route grades its radial rule toward the diameter D
+# over the panels D (1 - 2^-j), j = 1 .. this, toward each kink K over
+# K (1 + 2^-j), and toward 0 down to D 2^-this
 _COVARIOGRAM_GRADE_LEVELS = 24
+# a 3D box's angle rule: each piece graded this many times toward both
+# ends, with this many Gauss nodes a panel
+_BOX_ANGLE_LEVELS = 12
+_BOX_ANGLE_NODES = 10
 
 # Below t = 1, |S^(d-1)| - S_d(t) is summed from its power series in
 # t^2: the direct difference would cancel to a relative error of about
@@ -706,141 +694,161 @@ def _has_jump(field) -> bool:
     return isinstance(field, BVField1D) and bool(np.any(field.jump_heights != 0.0))
 
 
-def radial_covariogram(field):
-    """(D, c1, F) for a set whose covariogram g is radial, else None.
+def _quarter_circle(L1, L2, s):
+    """int_0^(pi/2) (L1 - s cos t)_+ (L2 - s sin t)_+ dt for s >= 0: the
+    integrand is (L1 - s cos t)(L2 - s sin t) between
+    t1 = acos(min(1, L1/s)) and t2 = asin(min(1, L2/s)), 0 elsewhere."""
+    with np.errstate(divide="ignore"):
+        t1 = np.arccos(np.minimum(1.0, L1 / s))
+        t2 = np.arcsin(np.minimum(1.0, L2 / s))
 
-    F(t) = |E| - g(t) on [0, D], where D is the diameter beyond which g
-    vanishes, and F(t) = c1 t + O(t^3) at 0 (exactly c1 t on [0, D] for
-    an interval).  Intervals (1D boxes and balls), disks and 3D balls
-    qualify; ``energy`` takes the covariogram route for exactly these.
-    A null one (radius 0, or an interval of length <= 0) gives D = 0 and
-    F = 0.
-    """
-    if not isinstance(field, IndicatorSet):
-        return None
-    shape = field.shape
-    d = field.dimension
-    if d == 1 and isinstance(shape, (Ball, Box)):
-        lo, hi = shape.bbox()
-        D = float(hi[0] - lo[0])
-        return (D, 1.0, lambda t: t) if D > 0.0 else _NULL_COVARIOGRAM
-    if not isinstance(shape, Ball):
-        return None
-    if shape.radius <= 0.0:
-        return _NULL_COVARIOGRAM
-    R = float(shape.radius)
-    if d == 2:
-        # g(t) = 2R^2 acos(t/2R) - (t/2) sqrt(4R^2 - t^2)
-        def F(t):
-            s = t / (2.0 * R)
-            return 2.0 * R * R * (np.arcsin(s) + s * np.sqrt(1.0 - s * s))
-        return 2.0 * R, 2.0 * R, F
-    # g(t) = (pi/12) (4R + t) (2R - t)^2
-    return 2.0 * R, math.pi * R * R, lambda t: math.pi * (R * R * t - t**3 / 12.0)
+    def P(t):   # an antiderivative of (L1 - s cos t)(L2 - s sin t)
+        sin = np.sin(t)
+        return L1 * L2 * t + L1 * s * np.cos(t) - L2 * s * sin + 0.5 * s * s * sin * sin
+    return np.where(t2 > t1, P(t2) - P(t1), 0.0)
 
 
-_NULL_COVARIOGRAM = (0.0, 0.0, lambda t: 0.0 * t)
+def _box_orthant(L, r):
+    """The integral of g(r sigma) over the orthant sigma >= 0 of S^(d-1)
+    at the radii r (n,), g(h) = prod_i (L_i - |h_i|)_+ the covariogram of
+    the box with sides L: (L - r)_+ in 1D, ``_quarter_circle`` in 2D and
+    int_0^(pi/2) (L_3 - r cos phi)_+ G(r sin phi) sin phi dphi in 3D, G
+    the quarter circle of L_1, L_2.  That is one Gauss rule in phi per
+    radius, on the range where the integrand is nonzero, split where
+    r sin phi crosses L_1 and L_2; G grows like (s - L_i)^(3/2) past them,
+    so each piece is graded toward both ends.  Radii go in blocks of at
+    most _CHUNK nodes."""
+    if L.size < 3:
+        return np.maximum(L[0] - r, 0.0) if L.size == 1 else _quarter_circle(*L, r)
+    L1, L2, L3 = L.tolist()
+    grade = 2.0 ** -np.arange(1.0, _BOX_ANGLE_LEVELS + 1)
+    x, w = quadrature.composite_gauss(
+        np.unique(np.concatenate([[0.0, 1.0], grade, 1.0 - grade])), _BOX_ANGLE_NODES)
+    out = np.empty(r.size)
+    step = max(1, _CHUNK // (3 * x.size))
+    for start in range(0, r.size, step):
+        rb = r[start:start + step, None]
+        lo = np.arccos(np.minimum(1.0, L3 / rb))
+        top = np.maximum(lo, np.arcsin(np.minimum(1.0, math.hypot(L1, L2) / rb)))
+        cuts = np.clip(np.arcsin(np.minimum(1.0, np.array([L1, L2]) / rb)), lo, top)
+        edges = np.sort(np.concatenate([lo, cuts, top], axis=1), axis=1)
+        width = np.diff(edges, axis=1)[:, :, None]
+        phi = edges[:, :-1, None] + width * x
+        sin, rr = np.sin(phi), rb[:, :, None]
+        f = (L3 - rr * np.cos(phi)) * _quarter_circle(L1, L2, rr * sin) * sin
+        out[start:start + step] = np.einsum("ijk,ijk->i", width * w, f)
+    return out
 
 
-def _covariogram_energy(mollifier, p, D, c1, F, level) -> float:
-    """2 |S^(d-1)| int rho(r) r^(d-1-p) (|E| - g(r)) dr for |E| - g = F.
-
-    The part c1 r of |E| - g is the closed-form moment c1 mu(1-p); only
-    the remainder h(r) = F(min(r, D)) - c1 r, which is O(r^3) at 0, goes
-    through the radial rule.  The rule is split at D and graded toward
-    it from below, where a disk's covariogram falls off like
-    (D - r)^(3/2), and toward 0, where h(r)/r^p is a fractional power
-    of r for fractional p.
-    """
-    d = mollifier.dimension
-    grade = 2.0 ** -np.arange(1.0, _COVARIOGRAM_GRADE_LEVELS + 1)
-    breaks = D * np.concatenate([grade[-1:], 1.0 - grade, [1.0]])
-    rule = quadrature.radial_rule(mollifier, level, breakpoints=breaks)
-    r = rule.nodes
-    h = F(np.minimum(r, D)) - c1 * r
-    tail = np.dot(rule.weights * quadrature.radial_measure(mollifier, rule), h / r**p)
-    sphere = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    return 2.0 * sphere * (c1 * mollifier.moment(1.0 - p) + float(tail))
+def _box_closed_form(E, mollifier, p) -> bool:
+    """Whether E is a 2D/3D box whose energy is a closed form: of zero
+    volume, at the gaussian with p = 1, or with r_max <= min L_i.  The
+    sides are differences of corners, so r_max may pass min L_i by a
+    relative 1e-9: the rest then grows like (r - L_i)^(3/2), to
+    O(1e-9^(5/2)) of the energy, far below rounding."""
+    if not isinstance(E.shape, Box) or E.dimension == 1:
+        return False
+    lo, hi = E.shape.bbox()
+    return (E.exact_volume() == 0.0 or (mollifier.kind == "gaussian" and p == 1.0)
+            or mollifier.quadrature_radius() <= float(np.min(hi - lo)) * (1.0 + 1e-9))
 
 
-def _box_sides(field):
-    """The side lengths L (d,) of a 2D/3D box, else None."""
-    if (isinstance(field, IndicatorSet) and isinstance(field.shape, Box)
-            and field.dimension > 1):
-        lo, hi = field.shape.bbox()
-        return hi - lo
-    return None
-
-
-def _box_closed_form(L, mollifier, p) -> bool:
-    """Whether the energy of the box with sides L is a closed form: the
-    gaussian at p = 1, or a mollifier with r_max <= min L_i.  The sides
-    are differences of corners, so the test allows r_max to pass min L_i
-    by a relative 1e-9: the polynomial then errs by O(1e-9^(5/2)) of the
-    energy (the rest grows like (r - L_i)^(3/2)), far below rounding."""
-    return ((mollifier.kind == "gaussian" and p == 1.0)
-            or mollifier.quadrature_radius() <= float(np.min(L)) * (1.0 + 1e-9))
-
-
-def _box_energy(L, mollifier, p, level) -> float:
-    """The energy of a box with sides L (d = 2 or 3), from its covariogram
-    g(h) = prod_i (L_i - |h_i|)_+; d = 3 only where ``_box_closed_form``.
-
-    * The gaussian at p = 1 is separable, rho(r)/r = k exp(-n r^2) with
-      k = C_d n^((d+1)/2), so E = 2k int exp(-n |h|^2) (|E| - g(h)) dh =
-      2k prod_i A_i (1 - prod_i (1 - t_i)), A_i = L_i sqrt(pi/n) and
-      t_i = erfc(L_i sqrt(n)) + (1 - exp(-n L_i^2)) / (L_i sqrt(pi n));
-      taken through expm1 and log1p, it keeps full relative accuracy at
-      large n, where |E| and the integral of g nearly cancel.
-    * Otherwise, on |h_i| <= L_i, |E| - g is the polynomial
-      sum_k (-1)^(k+1) sum_{|S| = k} prod_{i in S} |h_i| prod_{j not in S} L_j,
-      whose sphere integrals are A_k = int |sigma_1 ... sigma_k| dsigma =
-      2 pi^((d-k)/2) / Gamma((d+k)/2) (a Beta integral), so
-      E = 2 sum_k (-1)^(k+1) A_k e_(d-k)(L) mu(k-p), e_m the elementary
-      symmetric polynomials.  That is all of E when r_max <= min L_i.
-    * In 2D with r_max > min L_i the rest, 2 int rho r^(1-p) h(r) dr with
-      h(r) = 2 pi |E| - 4 G(r) - (the polynomial), is one radial sum.
-      G(r) = int_0^(pi/2) g(r cos t, r sin t) dt is exact: g is
-      (L_1 - r cos t)(L_2 - r sin t) between t1 = acos(min(1, L_1/r)) and
-      t2 = asin(min(1, L_2/r)) and 0 elsewhere, so no angular rule is
-      needed.  h vanishes on r <= min L_i; the rule is graded toward each
-      L_i from above, where h grows like (r - L_i)^(3/2), and toward the
-      diagonal D = |L| from below.
-    """
+def _gaussian_box_energy(L, mollifier) -> float:
+    """The p = 1 energy of the box with sides L at a gaussian, which is
+    separable: rho(r)/r = k exp(-n r^2) with k = C_d n^((d+1)/2), so
+    E = 2k int exp(-n |h|^2) (|E| - g(h)) dh = 2k prod_i A_i
+    (1 - prod_i (1 - t_i)), A_i = L_i sqrt(pi/n) and
+    t_i = erfc(L_i sqrt(n)) + (1 - exp(-n L_i^2)) / (L_i sqrt(pi n));
+    through expm1 and log1p it keeps full relative accuracy at large n,
+    where |E| and the integral of g nearly cancel."""
     d = L.size
-    if mollifier.kind == "gaussian" and p == 1.0:
-        n = mollifier.param
-        tail = np.array([math.erfc(v) for v in (L * math.sqrt(n)).tolist()])
-        t = tail - np.expm1(-n * L * L) / (L * math.sqrt(math.pi * n))
-        k = constants.gaussian_norm_const(d) * n ** ((d + 1) / 2.0)
-        return float(-2.0 * k * np.prod(L * math.sqrt(math.pi / n))
-                     * np.expm1(np.sum(np.log1p(-t))))
-    total = 0.0
-    for k in range(1, d + 1):
-        e = sum(math.prod(c) for c in combinations(L.tolist(), d - k))
-        A = 2.0 * math.pi ** ((d - k) / 2.0) / math.gamma((d + k) / 2.0)
-        total += (-1) ** (k + 1) * A * e * mollifier.moment(k - p)
-    total *= 2.0
-    if _box_closed_form(L, mollifier, p):
-        return total
-    L1, L2 = L
-    D = math.hypot(L1, L2)
+    n = mollifier.param
+    tail = np.array([math.erfc(v) for v in (L * math.sqrt(n)).tolist()])
+    t = tail - np.expm1(-n * L * L) / (L * math.sqrt(math.pi * n))
+    k = constants.gaussian_norm_const(d) * n ** ((d + 1) / 2.0)
+    return float(-2.0 * k * np.prod(L * math.sqrt(math.pi / n))
+                 * np.expm1(np.sum(np.log1p(-t))))
+
+
+def _set_energy(E, mollifier, p, route, level) -> float:
+    """The energy of a bounded set E on the "box" or "covariogram" route,
+    from its covariogram g(h) = |E cap (E + h)|:
+
+        E_p(1_E) = 2 int rho(r) r^(d-1-p) F(r) dr,
+        F(r) = int_S (|E| - g(r sigma)) dsigma = S (sum_k P_k r^k + h(r)).
+
+    * A 2D/3D ball has a radial g: S = |S^(d-1)|, P = [c1] with c1 = 2R
+      or pi R^2, h(r) = |E| - g(min(r, D)) - c1 r = O(r^3).
+    * Every other set is a box with sides L (an interval is one): S = 1,
+      P_k = (-1)^(k+1) A_k e_(d-k)(L), the sphere integral of |E| - g
+      while |h_i| <= L_i, with A_k = int |sigma_1 ... sigma_k| dsigma =
+      2 pi^((d-k)/2) / Gamma((d+k)/2) and e_m the elementary symmetric
+      polynomials.  h = |S^(d-1)| |E| - 2^d ``_box_orthant`` - the
+      polynomial is 0 for r <= min L_i; it kinks at the face diagonals,
+      sides included, where the sphere meets the support of g anew.
+
+    The polynomial goes through the closed-form moments mu(k-p), h
+    through one radial sum graded toward 0, toward the diameter D from
+    below and toward each kink from above.  On the box route h is 0 on
+    the support and the sum is skipped; the gaussian at p = 1 is
+    ``_gaussian_box_energy``.  A null set is 0 with no sum.
+    """
+    if E.exact_volume() == 0.0:
+        return 0.0
+    d = E.dimension
+    sphere = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    if isinstance(E.shape, Ball) and d > 1:
+        R = float(E.shape.radius)
+        D = 2.0 * R
+        if d == 2:
+            # g(t) = 2R^2 acos(t/2R) - (t/2) sqrt(4R^2 - t^2)
+            c1 = D
+
+            def F(t):
+                s = t / D
+                return 2.0 * R * R * (np.arcsin(s) + s * np.sqrt(1.0 - s * s))
+        else:
+            # g(t) = (pi/12) (4R + t) (2R - t)^2
+            c1 = math.pi * R * R
+
+            def F(t):
+                return math.pi * (R * R * t - t**3 / 12.0)
+        S, P, kinks = sphere, [c1], []
+
+        def h(r):
+            return F(np.minimum(r, D)) - c1 * r
+    else:
+        lo, hi = E.shape.bbox()
+        L = hi - lo
+        if route == "box" and mollifier.kind == "gaussian" and p == 1.0:
+            return _gaussian_box_energy(L, mollifier)
+        S, P = 1.0, []
+        for k in range(1, d + 1):
+            e = sum(math.prod(c) for c in combinations(L.tolist(), d - k))
+            P.append((-1) ** (k + 1) * 2.0 * math.pi ** ((d - k) / 2.0)
+                     / math.gamma((d + k) / 2.0) * e)
+        D = math.hypot(*L.tolist())
+        kinks = [math.hypot(*c) for k in range(1, d) for c in combinations(L.tolist(), k)]
+
+        def h(r):
+            out = np.zeros_like(r)
+            live = r > L.min()
+            rl = r[live]
+            out[live] = (sphere * float(np.prod(L)) - 2.0 ** d * _box_orthant(L, rl)
+                         - sum(c * rl ** k for k, c in enumerate(P, 1)))
+            return out
+    poly = 0.0
+    for k, c in enumerate(P, 1):
+        poly += c * mollifier.moment(k - p)
+    if route == "box":
+        return 2.0 * S * poly
     grade = 2.0 ** -np.arange(1.0, _COVARIOGRAM_GRADE_LEVELS + 1)
-    breaks = np.concatenate([L1 * (1.0 + grade), L2 * (1.0 + grade),
-                             D * (1.0 - grade), [L1, L2, D]])
+    breaks = np.concatenate([D * grade[-1:], D * (1.0 - grade), [D],
+                             np.outer(kinks, 1.0 + grade).ravel(), kinks])
     rule = quadrature.radial_rule(mollifier, level, breakpoints=breaks)
     r = rule.nodes
-    t1 = np.arccos(np.minimum(1.0, L1 / r))
-    t2 = np.arcsin(np.minimum(1.0, L2 / r))
-
-    def P(t):   # an antiderivative of (L1 - r cos t)(L2 - r sin t)
-        s = np.sin(t)
-        return L1 * L2 * t + L1 * r * np.cos(t) - L2 * r * s + 0.5 * r * r * s * s
-    G = np.where(t2 > t1, P(t2) - P(t1), 0.0)
-    h = 2.0 * math.pi * L1 * L2 - 4.0 * G - (4.0 * (L1 + L2) * r - 2.0 * r * r)
-    h = np.where(r > min(L1, L2), h, 0.0)
-    w = rule.weights * quadrature.radial_measure(mollifier, rule)
-    return total + 2.0 * float(np.dot(w, h / r ** p))
+    tail = np.dot(rule.weights * quadrature.radial_measure(mollifier, rule), h(r) / r**p)
+    return 2.0 * S * (poly + float(tail))
 
 
 def sphere_defect(d: int, t: np.ndarray) -> np.ndarray:
@@ -969,23 +977,16 @@ def energy_route(field, p, mollifier) -> str:
     """The route ``energy`` takes: "box", "covariogram", "multiplier",
     "lag" or "tensor".
 
-    "box" for a 2D/3D box whose energy is a closed form (the gaussian at
-    p = 1, or r_max <= every side; a box of zero volume is 0);
-    "covariogram" for an interval, a disk or a 3D ball at any p (a null
-    one, of radius 0 or length <= 0, is 0), and for every other 2D box;
-    "multiplier" for p = 2 and an analytic field in 2D or 3D; "lag" for
-    every other 1D field; "tensor" for everything else, which among
-    sets leaves only half-spaces and the 3D boxes whose shortest side
-    is below r_max (except with the gaussian at p = 1).
+    Every bounded set takes "box" or "covariogram": "box" for a 2D/3D box
+    whose energy is a closed form (of zero volume, at the gaussian with
+    p = 1, or at r_max <= every side), "covariogram" for every other
+    bounded set, null intervals and balls included.  Then "multiplier"
+    for p = 2 and an analytic field in 2D or 3D, "lag" for every other
+    1D field, and "tensor" for every other 2D/3D field: analytic fields
+    at p != 2, grid fields and half-spaces.
     """
-    L = _box_sides(field)
-    if L is not None:
-        if np.any(L <= 0.0) or _box_closed_form(L, mollifier, float(p)):
-            return "box"
-        if L.size == 2:
-            return "covariogram"
-    if radial_covariogram(field) is not None:
-        return "covariogram"
+    if isinstance(field, IndicatorSet) and field.is_bounded:
+        return "box" if _box_closed_form(field, mollifier, float(p)) else "covariogram"
     if field.dimension == 1:
         return "lag"
     if p == 2 and isinstance(field, AnalyticField):
@@ -1009,33 +1010,19 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
     ``energy_route`` names the route taken, and ``ROUTE_READS`` the
     scheme fields it reads:
 
-    * box, for a 2D/3D box at the gaussian with p = 1 or with
-      r_max <= min L_i: a closed form in erf and exp, or in the moments
-      mu(1-p), mu(2-p) and mu(3-p) (``_box_energy``).  A box of zero
-      volume has energy 0.
-    * covariogram, for an interval, a disk or a 3D ball: with
-      g(|h|) = |E cap (E + h)|,
-
-          E_p(1_E) = 2 |S^(d-1)| int rho(r) r^(d-1-p) (|E| - g(r)) dr,
-
-      one radial sum with no x-grid, sphere rule or field evaluation;
-      and for every other 2D box, the same sum with the sphere integral
-      of |E| - g(r sigma) in closed form.  A null interval or ball has
-      energy 0.
-    * multiplier, for p = 2 and an analytic field in 2D or 3D: the field
-      sampled on the midpoint grid of 2 x_res(d) cells a side over the
-      support box enlarged by r_max, |rfftn|^2 of the samples times the
-      multiplier m_rho(|xi|).  The grid is doubled because the samples
-      alias: for the 3D bump with indicator(1/4) at x_resolution 16, 16
-      cells a side leave a relative error of 7.9e-3 and 32 cells 9e-13.
-    * lag, for every other 1D field: E = sum_sigma int rho(r) r^-p
-      G_sigma(r) dr with G_sigma(r) = int |u(x + sigma r) - u(x)|^p dx,
-      the x-integral taken first at each node of one radial rule split
-      at the distances between jumps (``_lag_energy``).
-    * tensor, for everything else: a midpoint x-grid whose nodes go
-      through the polar engine, over the upper half of the sphere rule
-      with doubled weights (each pair counted once).  An analytic field's probes beyond its support
-      radius plus r_max have density exactly 0 and skip the engine.
+    * box and covariogram, for every bounded set: one function of its
+      covariogram g(h) = |E cap (E + h)|, with no x-grid, sphere rule or
+      field evaluation (``_set_energy``); a null set has energy 0.
+    * multiplier, for p = 2 and an analytic field in 2D or 3D: one FFT
+      of the field's samples times the multiplier m_rho(|xi|)
+      (``_multiplier_energy``).  The sampling grid has 2 x_res(d) cells
+      a side because the samples alias: for the 3D bump with
+      indicator(1/4) at x_resolution 16, 16 cells a side leave a
+      relative error of 7.9e-3 and 32 cells 9e-13.
+    * lag, for every other 1D field: the x-integral first, at each node
+      of one radial rule (``_lag_energy``).
+    * tensor, for every other 2D/3D field: a midpoint x-grid whose nodes
+      go through the polar engine (``_integrate_density_over_x``).
 
     A field that declares a point singularity raises ValidityError on
     every route; a NaN or infinite sample or integrand raises
@@ -1060,16 +1047,8 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
     if _has_jump(field) and math.isinf(mollifier.moment(1.0 - p)):
         return math.inf
     route = energy_route(field, p, mollifier)
-    L = _box_sides(field)
-    if L is not None and route in ("box", "covariogram"):
-        return 0.0 if np.any(L <= 0.0) else _box_energy(L, mollifier, p,
-                                                        scheme.radial_level)
-    if route == "covariogram":
-        D, c1, F = radial_covariogram(field)
-        # a null set: no sum, whose c1 mu(1-p) would be 0 * inf past the
-        # exponent where that moment diverges
-        return 0.0 if D == 0.0 else _covariogram_energy(mollifier, p, D, c1, F,
-                                                        scheme.radial_level)
+    if route in ("box", "covariogram"):
+        return _set_energy(field, mollifier, p, route, scheme.radial_level)
     if route == "multiplier":
         return _multiplier_energy(field, mollifier, scheme)
     if route == "lag":

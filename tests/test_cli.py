@@ -281,6 +281,68 @@ def test_integrated_functionals_refuse_unbounded_fields(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,config,flags", [
+    ("energy", {"p": "2"}, ["--p", "2"]),
+    ("energy", {"p": 2}, ["--p", "2"]),
+    ("energy", {"p": None}, []),
+    ("energy", {"field": "bump:2", "mollifier": "indicator:0.5", "p": 1.0,
+                "sphere_order": None, "radial_level": 1, "x_resolution": 8},
+     ["--field", "bump:2", "--mollifier", "indicator:0.5", "--radial-level", "1",
+      "--x-resolution", "8"]),
+    ("maximal", {"fields": "2", "eps": 0.5}, ["--fields", "2", "--eps", "0.5"]),
+    ("energy", {"p": "abc"}, None),
+    ("energy", {"p": True}, None),
+    ("energy", {"p": [2]}, None),
+    ("energy", {"field": "bump:2", "mollifier": "indicator:0.5", "sphere_order": 8.5},
+     None),
+    ("perimeter", {"method": "bogus"}, None),
+    ("sweep", {"experiment": "bogus"}, None),
+    ("maximal", {"check": "strong"}, None),
+], ids=["string-number", "int-for-float", "null-is-absent", "scheme-keys",
+        "string-int-and-number-text", "not-a-number", "bool", "list",
+        "float-for-int", "method-choice", "experiment-choice", "check-choice"])
+def test_config_values_are_parsed_as_their_flags(tmp_path, capsys, command, config,
+                                                 flags):
+    # a config value goes through its flag's type and choices: it runs as
+    # the flag would, or is refused as the flag would refuse it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "config"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    if flags is None:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
+        assert not out.exists()
+        return
+    assert code == 0
+    assert main([command, *flags, "--out", str(tmp_path / "flags")]) == 0
+    assert read_csv(out) == read_csv(tmp_path / "flags")
+    resolved = json.loads((out / "resolved-config.json").read_text())
+    assert resolved == json.loads((tmp_path / "flags" / "resolved-config.json").read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--experiment", "density", "--field", "linear:1,0", "--mollifier",
+     "indicator", "--ladder", "1:3", "--probe", "0.1,0;0.2,0"],
+    ["sweep", "--experiment", "remainder", "--field", "bump:2", "--mollifier",
+     "indicator", "--ladder", "1:3", "--probe", "0.1,0;0.2,0"],
+    ["bv", "--probe", "0.3;0.4"],
+    ["pathology", "--probe", "0.375,0;0.4,0"],
+], ids=["sweep-density", "sweep-remainder", "bv", "pathology"])
+def test_a_ladder_follows_one_probe(tmp_path, capsys, argv):
+    # a ladder follows one point; a second is refused, not silently dropped
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "one probe" in err
+    assert not out.exists()
+    # with the first point alone the same command runs
+    probe = argv[argv.index("--probe") + 1].split(";")[0]
+    argv[argv.index("--probe") + 1] = probe
+    assert main(argv + ["--out", str(out)]) == 0
+
+
 def test_import_and_constants_load_no_scipy(tmp_path):
     # scipy.special is imported only by the routes that need a Bessel,
     # chi-square or vector erf; start-up and the constants table need none
@@ -343,9 +405,13 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
     (["sweep", "--experiment", "energy", "--field", "box:0,0;1,0.5",
       "--mollifier", "indicator", "--ladder", "0:2", "--radial-level", "3"],
      ["covariogram", "box", "box"]),
+    # a 3D box thinner than r_max: one radial sum, no tensor grid
+    (["energy", "--field", "box:0,0,0;1,0.5,0.25", "--mollifier", "indicator:0.5",
+      "--p", "1"], "covariogram"),
 ], ids=["energy-multiplier", "energy-tensor", "sweep-covariogram",
         "sweep-multiplier", "energy-lag", "sweep-lag", "residual-lag",
-        "residual-tensor", "energy-box", "energy-box-sum", "sweep-box-mixed"])
+        "residual-tensor", "energy-box", "energy-box-sum", "sweep-box-mixed",
+        "energy-box-3d-sum"])
 def test_energy_summary_names_its_route(tmp_path, argv, route):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "summary.json").read_text())["route"] == route
@@ -479,6 +545,11 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
     # a flag is refused only when no rung of the ladder reads it
     ["sweep", "--experiment", "energy", "--field", "box:0,0;1,0.5",
      "--mollifier", "indicator", "--ladder", "0:2", "--x-resolution", "8"],
+    # a 3D box thinner than r_max is one radial sum too
+    ["energy", "--field", "box:0,0,0;1,0.5,0.25", "--mollifier", "indicator:0.5",
+     "--x-resolution", "16"],
+    ["energy", "--field", "box:0,0,0;1,0.5,0.25", "--mollifier", "indicator:0.5",
+     "--sphere-order", "8"],
 ], ids=["maximal-sphere-order", "energy-rel-tol", "density-x-resolution",
         "pathology-workers", "constants-radial-level", "density-seed",
         "energy-seed", "sweep-residual-p", "sweep-energy-candidate",
@@ -498,7 +569,8 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
         "perimeter-ball-both-grid-resolution", "perimeter-box-bbm-radial-level",
         "perimeter-box-3d-both-x-resolution", "energy-box-closed-radial-level",
         "energy-box-3d-closed-sphere-order", "energy-box-sum-sphere-order",
-        "sweep-box-closed-radial-level", "sweep-box-mixed-x-resolution"])
+        "sweep-box-closed-radial-level", "sweep-box-mixed-x-resolution",
+        "energy-box-3d-sum-x-resolution", "energy-box-3d-sum-sphere-order"])
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
     # unknown flags stop the parser, flags the chosen experiment or
     # method does not read stop the run; both exit 2 with no output

@@ -755,10 +755,10 @@ def test_energy_route(field, p, route):
     (fields.box_set([0.0] * 3, [1.0, 0.5, 0.25]), mf.gaussian(4.0, 3), 1.0, "box"),
     # a box of zero volume has zero energy
     (fields.box_set([0.0, 0.0], [0.0, 0.5]), mf.indicator(2.0, 2), 1.5, "box"),
-    # otherwise one radial sum in 2D, the tensor route in 3D
+    # otherwise one radial sum, in 2D and in 3D
     (fields.box_set([0.0, 0.0], [1.0, 0.5]), mf.indicator(0.75, 2), 1.5, "covariogram"),
     (fields.box_set([0.0, 0.0], [1.0, 0.5]), mf.gaussian(4.0, 2), 2.0, "covariogram"),
-    (fields.box_set([0.0] * 3, [1.0, 0.5, 0.25]), mf.indicator(0.5, 3), 1.0, "tensor"),
+    (fields.box_set([0.0] * 3, [1.0, 0.5, 0.25]), mf.indicator(0.5, 3), 1.0, "covariogram"),
 ], ids=["2d-moments", "3d-moments", "2d-gaussian-p1", "3d-gaussian-p1", "empty",
         "2d-sum", "2d-gaussian-p2", "3d-wide-kernel"])
 def test_box_energy_route(box, m, p, route):
@@ -776,6 +776,35 @@ def test_null_set_energy_is_zero_with_no_grid(E, p):
     m = mf.indicator(0.25, E.dimension)
     assert F.energy_route(E, p, m) == "covariogram"
     assert F.energy(E, m, p) == 0.0
+
+
+BOUNDED_SETS = {
+    "interval": fields.interval_set(-0.2, 0.7), "ball-1d": fields.ball_set([0.1], 0.3),
+    "disk": fields.ball_set([0.1, 0.0], 0.4), "ball-3d": fields.ball_set([0.0, 0.1, 0.0], 0.4),
+    "box-2d": fields.box_set([0.0, 0.1], [1.0, 0.6]),
+    "box-3d": fields.box_set([0.0] * 3, [1.0, 0.5, 0.25]),
+    "box-2d-null": fields.box_set([0.0, 0.0], [0.0, 0.5]),
+    "box-3d-null": fields.box_set([0.0] * 3, [1.0, -0.5, 0.25]),
+    "disk-null": fields.ball_set([0.0, 0.0], 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED_SETS))
+@pytest.mark.parametrize("kind,param", [("indicator", 0.125), ("indicator", 2.0),
+                                        ("gaussian", 64.0), ("powerlaw", 0.3)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_every_bounded_set_takes_a_covariogram_route(name, kind, param, p):
+    # "box" exactly where the energy is a closed form: a 2D/3D box of zero
+    # volume, at the gaussian with p = 1, or with r_max <= every side
+    E = BOUNDED_SETS[name]
+    d = E.dimension
+    m = {"indicator": mf.indicator, "gaussian": mf.gaussian,
+         "powerlaw": mf.power_law}[kind](param, d)
+    lo, hi = E.support_box()
+    closed = name.startswith("box") and (
+        E.exact_volume() == 0.0 or (kind == "gaussian" and p == 1.0)
+        or m.quadrature_radius() <= float(np.min(hi - lo)))
+    assert F.energy_route(E, p, m) == ("box" if closed else "covariogram")
 
 
 def _mixed_1d():
@@ -809,6 +838,8 @@ ROUTE_CASES = [
     # bit of its closed-form part at every level; the gaussian's does not
     ("covariogram", 2, lambda: _energy_case(BOX, mf.gaussian(4.0, 2), 2.0,
                                             "covariogram")),
+    ("covariogram", 3, lambda: _energy_case(fields.box_set([0.0] * 3, [1.0, 0.5, 0.25]),
+                                            mf.gaussian(4.0, 3), 2.0, "covariogram")),
     ("multiplier", 2, lambda: _energy_case(fields.gaussian_bump(2),
                                            mf.gaussian(16.0, 2), 2.0, "multiplier")),
     ("lag", 1, lambda: _energy_case(_mixed_1d(), mf.indicator(0.25, 1), 1.2, "lag")),
@@ -828,7 +859,7 @@ ROUTE_VARIED = {"sphere_order": 12, "radial_level": 2, "x_resolution": 12}
 @pytest.mark.parametrize("key", sorted(ROUTE_BASE))
 @pytest.mark.parametrize("route,d,case", ROUTE_CASES,
                          ids=["box", "covariogram-disk", "covariogram-box",
-                              "multiplier", "lag", "tensor-energy",
+                              "covariogram-box-3d", "multiplier", "lag", "tensor-energy",
                               "tensor-residual", "polar-1d", "polar-2d"])
 def test_route_reads_is_what_each_route_reads(route, d, case, key):
     # a scheme field changes the value exactly when ROUTE_READS says the
@@ -1273,7 +1304,7 @@ def test_separable_gaussian_box_is_the_interval_route_in_1d(L, n):
     # r_max <= L, so the covariogram route sums no truncated tail
     m = mf.gaussian(n, 1)
     assert m.quadrature_radius() <= L
-    box = F._box_energy(np.array([L]), m, 1.0, None)
+    box = F._gaussian_box_energy(np.array([L]), m)
     assert box == pytest.approx(F.energy(fields.interval_set(0.0, L), m, 1.0),
                                 rel=4e-16, abs=0)
 
@@ -1308,6 +1339,60 @@ def box_covariogram_quad(L1, L2, m, p):
 def test_box_energy_in_2d_matches_quad_of_the_covariogram(L, m, p):
     E = fields.box_set([-0.2, 0.1], [-0.2 + L[0], 0.1 + L[1]])
     assert F.energy(E, m, p) == pytest.approx(box_covariogram_quad(*L, m, p),
+                                              rel=1e-11, abs=0)
+
+
+_GL20 = np.polynomial.legendre.leggauss(20)
+
+
+def box3d_covariogram_quad(L, m, p):
+    """2 int_0^r_max rho(r) r^(2-p) int_S (|E| - g(r sigma)) dsigma dr for
+    the box with sides L, straight from g(h) = prod_i (L_i - |h_i|)_+: on
+    one octant, nested quad in r and in the polar angle phi, split at
+    the kinks, and a 20-point Gauss rule in the azimuth t on each piece
+    between the cuts where g's factors reach 0, where g is smooth."""
+    L1, L2, L3 = L
+    x, w = _GL20
+
+    def azimuth(s, c):
+        cuts = [0.0, math.pi / 2]
+        if s > 0.0:
+            cuts += [t for t in (math.acos(min(1.0, L1 / s)), math.asin(min(1.0, L2 / s)))
+                     if 0.0 < t < math.pi / 2]
+        e = np.sort(cuts)
+        half = 0.5 * np.diff(e)[:, None]
+        t = e[:-1, None] + half * (1.0 + x)
+        g = (np.maximum(L1 - s * np.cos(t), 0.0) * np.maximum(L2 - s * np.sin(t), 0.0)
+             * max(L3 - c, 0.0))
+        return float(np.sum(half * w * g))
+
+    def sphere(r):
+        cuts = {t for t in (math.acos(min(1.0, L3 / r)), math.asin(min(1.0, L1 / r)),
+                            math.asin(min(1.0, L2 / r)),
+                            math.asin(min(1.0, math.hypot(L1, L2) / r)))
+                if 0.0 < t < math.pi / 2}
+        octant = quad(lambda f: azimuth(r * math.sin(f), r * math.cos(f)) * math.sin(f),
+                      0.0, math.pi / 2, points=sorted(cuts) or None, epsabs=0,
+                      epsrel=1e-12, limit=200)[0]
+        return float(m.evaluate(r)) * r ** (2.0 - p) * (4.0 * math.pi * L1 * L2 * L3
+                                                        - 8.0 * octant)
+    r_max = m.quadrature_radius()
+    kinks = sorted({k for k in (L1, L2, L3, math.hypot(L1, L2), math.hypot(L1, L3),
+                                math.hypot(L2, L3), math.hypot(L1, L2, L3)) if k < r_max})
+    return 2.0 * quad(sphere, 0.0, r_max, points=kinks or None, epsabs=0, epsrel=1e-12,
+                      limit=400)[0]
+
+
+@pytest.mark.parametrize("L,m,p", [
+    ((1.0, 0.5, 0.25), mf.indicator(0.5, 3), 1.0),
+    ((1.0, 0.5, 0.25), mf.indicator(0.75, 3), 1.5),
+    ((1.0, 0.5, 0.25), mf.indicator(1.3, 3), 2.0),
+    ((1.0, 1.0, 1.0), mf.indicator(1.2, 3), 1.0),
+], ids=["thin-past-one-side", "thin-past-two-sides", "thin-past-every-diagonal", "cube"])
+def test_box_energy_in_3d_matches_quad_of_the_covariogram(L, m, p):
+    E = fields.box_set([0.1, -0.2, 0.3], [0.1 + L[0], -0.2 + L[1], 0.3 + L[2]])
+    assert F.energy_route(E, p, m) == "covariogram"
+    assert F.energy(E, m, p) == pytest.approx(box3d_covariogram_quad(L, m, p),
                                               rel=1e-11, abs=0)
 
 
