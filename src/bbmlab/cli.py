@@ -545,8 +545,10 @@ def resolve_config(command: str, args: argparse.Namespace,
             raise UsageError(f"cannot read config {args.config!r}: {exc}")
         if not isinstance(loaded, dict):
             raise UsageError("the config file must hold a JSON object")
-        # the keys are the command's defaults and flags
-        unknown = set(loaded) - set(cfg) - set(vars(args)) - {"config", "out"}
+        # the keys are the command's defaults and flags; --config and
+        # --out are read from the command line alone
+        unknown = (set(loaded) - set(cfg) - set(vars(args))) | (
+            set(loaded) & {"config", "out"})
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         if loaded.get("command", command) != command:

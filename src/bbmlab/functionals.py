@@ -301,9 +301,13 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     outside Omega.  The sigma-sum runs over ``sphere``, by default the
     scheme's sphere rule.  Row i of ``breaks`` (m, J) holds the
     breakpoint radii of probe i; they become panel edges of its radial
-    rule, graded down to the nearest of them.  The rules are built once
-    per call: with J = 0 all probes share one breakpoint-free row,
-    otherwise the rows are stacked, one per probe.
+    rule, graded down to the nearest of them.  With J = 0 all probes
+    share one breakpoint-free row; otherwise the rows are stacked, one
+    per probe, and built per call.  The shared row
+    (``quadrature.kernel_radial_rule``) and the sphere rule are built
+    once per key and shared read-only across calls, from bounded caches
+    (a level-12 row holds 32768 nodes); the weights divided by r^p, and
+    zeroed below the remainder floor, are this call's own copy.
 
     Probes are taken in blocks of as many as fit in _CHUNK field points
     at the stacked row length, but at least one: a probe whose row alone
@@ -333,18 +337,19 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     # one shared row without breakpoints, else one row per probe; nodes
     # r_all (m, n), weights w rho(r) r^(d-1) / r^p, zero below the
     # remainder floor when a gradient is subtracted
-    rules = quadrature.radial_rules(mollifier, scheme.radial_level,
-                                    breakpoints=breaks if J else np.empty((1, 0)))
-    r_all = rules.nodes
-    wr_all = rules.weights * quadrature.radial_measure(mollifier, rules) / r_all ** p
+    rule = quadrature.kernel_radial_rule(mollifier, scheme.radial_level,
+                                         breakpoints=breaks)
+    r_all = np.atleast_2d(rule.nodes)
+    # a fresh array: the shared row's weights stay untouched
+    wr_all = np.atleast_2d(rule.weights) / r_all ** p
     if subtract is not None:
-        wr_all[r_all < _REMAINDER_R_FLOOR * rules.r_max] = 0.0
+        wr_all[r_all < _REMAINDER_R_FLOOR * rule.r_max] = 0.0
     n = r_all.shape[1]
     step = max(1, _CHUNK // (n * K))
     store = np.empty(d * min(step, probes.shape[0]) * n * K)
     inner_sq = None
     if isinstance(field, AnalyticField) and math.isfinite(field.support_radius):
-        reach = field.support_radius * (1.0 - 1e-9) - rules.r_max
+        reach = field.support_radius * (1.0 - 1e-9) - rule.r_max
         inner_sq = reach * reach if reach > 0.0 else None
     out = np.empty(probes.shape[0])
     for start in range(0, probes.shape[0], step):
@@ -640,11 +645,11 @@ def _lag_energy(field, mollifier, p, *, candidate=None,
     c1 = float(np.sum(hp))
     cum_h = np.concatenate([[0.0], np.cumsum(h)])
     cum_hp = np.concatenate([[0.0], np.cumsum(hp)])
-    rule = quadrature.radial_rule(
+    rule = quadrature.kernel_radial_rule(
         mollifier, scheme.radial_level,
         breakpoints=np.abs(a[:, None] - a[None, :])[np.triu_indices(a.size, 1)])
     r = rule.nodes
-    wr = rule.weights * quadrature.radial_measure(mollifier, rule) / r ** p
+    wr = rule.weights / r ** p
     if candidate is not None:
         wr[r < _REMAINDER_R_FLOOR * r_max] = 0.0
     base = np.linspace(lo[0], hi[0], _LAG_X_PANELS + 1)
@@ -845,9 +850,9 @@ def _set_energy(E, mollifier, p, route, level) -> float:
     grade = 2.0 ** -np.arange(1.0, _COVARIOGRAM_GRADE_LEVELS + 1)
     breaks = np.concatenate([D * grade[-1:], D * (1.0 - grade), [D],
                              np.outer(kinks, 1.0 + grade).ravel(), kinks])
-    rule = quadrature.radial_rule(mollifier, level, breakpoints=breaks)
+    rule = quadrature.kernel_radial_rule(mollifier, level, breakpoints=breaks)
     r = rule.nodes
-    tail = np.dot(rule.weights * quadrature.radial_measure(mollifier, rule), h(r) / r**p)
+    tail = np.dot(rule.weights, h(r) / r**p)
     return 2.0 * S * (poly + float(tail))
 
 
@@ -884,9 +889,9 @@ def fourier_multiplier(mollifier, k, level: Optional[int] = None) -> np.ndarray:
     integral runs over the breakpoint-free radial rule of ``level``.
     """
     d = mollifier.dimension
-    rule = quadrature.radial_rule(mollifier, level)
+    rule = quadrature.kernel_radial_rule(mollifier, level)
     r = rule.nodes
-    w = 2.0 * rule.weights * quadrature.radial_measure(mollifier, rule) / (r * r)
+    w = 2.0 * rule.weights / (r * r)
     k = np.asarray(k, dtype=float)
     out = np.empty(k.size)
     step = max(1, _CHUNK // r.size)

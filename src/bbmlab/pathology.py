@@ -47,6 +47,10 @@ DEFAULT_CUTOFFS = tuple(2.0 ** (-k) / 8.0 for k in range(3, 11))
 SCAN_SHELLS = (12, 28)
 SHELL_SPHERE_ORDER = 64
 SHELL_NODES_PER_PANEL = 12
+# dyadic panels on each side of a radius where u(y) crosses u(x)
+KINK_GRADE_LEVELS = 8
+# Illinois steps shrink the bracket of a crossing to rounding in ~10
+_ILLINOIS_STEPS = 100
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -152,21 +156,79 @@ class PathologyCase:
         return float(self.mollifier().evaluate(extremal))
 
 
+def _illinois(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f in (a, b), where fa fb < 0: regula falsi, halving the
+    value kept at a bracket end that stays twice in a row (the Illinois
+    variant), until the bracket is a few ulps wide."""
+    side = 0
+    c = a
+    for _ in range(_ILLINOIS_STEPS):
+        c = (a * fb - b * fa) / (fb - fa)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+        fc = f(c)
+        if fc == 0.0:
+            break
+        if (fc < 0.0) == (fb < 0.0):
+            b, fb = c, fc
+            if side == 1:
+                fa *= 0.5
+            side = 1
+        else:
+            a, fa = c, fc
+            if side == -1:
+                fb *= 0.5
+            side = -1
+        if b - a <= 4.0 * np.spacing(b):
+            break
+    return c
+
+
+def _shell_edges(u, probe: np.ndarray, ux: float, s_lo: float,
+                 s_hi: float) -> np.ndarray:
+    """Radial panel edges of the shell {s_lo < |y| < s_hi}.
+
+    Log-subdivided panels keep the integrand panel-smooth, except where
+    u(y) crosses u(x): |u(x) - u(y)|^p kinks there.  Read along the probe
+    ray (for a radial field the crossing is a sphere |y| = s*), a sign
+    change of u - u(x) between two edges is refined to s* by Illinois
+    steps, and s* becomes an edge with KINK_GRADE_LEVELS dyadic edges
+    toward it from both neighbours.  Without a crossing the edges are the
+    log-subdivided ones alone.
+    """
+    n_panels = max(1, int(math.ceil(math.log2(s_hi / s_lo))))
+    edges = np.geomspace(s_lo, s_hi, n_panels + 1)
+    ray = probe / np.linalg.norm(probe)
+
+    def gap(s):
+        return u.eval_many(np.multiply.outer(s, ray).reshape(-1, ray.size)) - ux
+
+    g = gap(edges)
+    cross = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0.0)
+    if not cross.size:
+        return edges
+    grade = 2.0 ** -np.arange(1.0, KINK_GRADE_LEVELS + 1)
+    cuts = [edges]
+    for i in cross.tolist():
+        a, b = edges[i], edges[i + 1]
+        root = _illinois(lambda s: float(gap(np.array([s]))[0]), a, b, g[i], g[i + 1])
+        cuts += [root - (root - a) * grade, [root], root + (b - root) * grade]
+    return np.unique(np.concatenate(cuts))
+
+
 def _shell_geometry(d: int, delta: float, probe: np.ndarray, s_lo: float,
                     s_hi: float, field=None):
     """The exponent-free parts of a shell integral over {s_lo < |y| < s_hi}:
     |u(x) - u(y)|, rho(|x - y|) and |x - y| at the nodes (s, sigma), and
-    the radial and sphere weights."""
+    the radial and sphere weights; the radial panels are ``_shell_edges``."""
     u = field if field is not None else pathological_field(d)
     rho = power_law(delta, d, normalized=False)
     sphere = quadrature.sphere_rule(d, SHELL_SPHERE_ORDER)
-    # log-subdivided panels keep the integrand panel-smooth
-    n_panels = max(1, int(math.ceil(math.log2(s_hi / s_lo))))
-    edges = np.geomspace(s_lo, s_hi, n_panels + 1)
+    ux = u.eval_many(probe.reshape(1, d))[0]
+    edges = _shell_edges(u, probe, ux, s_lo, s_hi)
     s, w = quadrature.composite_gauss(edges, SHELL_NODES_PER_PANEL)
     pts = s[:, None, None] * sphere.nodes[None, :, :]
     uy = u.eval_many(pts.reshape(-1, d)).reshape(s.size, -1)
-    ux = u.eval_many(probe.reshape(1, d))[0]
     dist = np.linalg.norm(pts - probe, axis=-1)
     kern = rho.evaluate(dist.reshape(-1)).reshape(s.size, -1)
     return np.abs(ux - uy), kern, dist, w * s ** (d - 1), sphere.weights

@@ -21,6 +21,17 @@ Gauss on intervals, graded toward their endpoints) serve one-dimensional
 integrals, such as the 1D local energy.  Every rule is composite
 Gauss-Legendre, whose q-point rule ``_gl`` builds with numpy alone from
 the Legendre three-term recurrence, so building rules imports no scipy.
+
+Rules that depend on nothing but their key are built once: sphere rules
+per (d, order) and the breakpoint-free kernel-weighted radial row of
+``kernel_radial_rule`` per (mollifier, level).  Both caches are bounded
+LRU caches (``_SPHERE_CACHE_SIZE`` and ``_RADIAL_CACHE_SIZE`` entries)
+whose arrays are shared read-only, so a write into one raises
+ValueError instead of corrupting later calls.  A 3D sphere rule of
+order k holds 2k^2 nodes (2048 at the default 32); a radial row holds
+8 * 2^level nodes, 32768 at MAX_RADIAL_LEVEL, i.e. 512 KiB of nodes and
+weights, so the radial cache holds at most 16 MiB.  Rules with
+breakpoints are built per call.
 """
 
 from __future__ import annotations
@@ -44,6 +55,11 @@ GAUSSIAN_TAIL_TOL = 1e-14
 SEGMENT_BASE_PANELS = 8
 # Newton converges quadratically from its guesses; a cap, never reached
 _GL_NEWTON_STEPS = 100
+# entries of the sphere-rule and base radial-row caches: above the
+# distinct keys a workload cycles through (27 kernels x one level in a
+# density ladder over d = 1-3 and three families of three rungs)
+_SPHERE_CACHE_SIZE = 16
+_RADIAL_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -67,6 +83,26 @@ class RadialRule:
     nodes: np.ndarray
     weights: np.ndarray
     r_max: float
+
+
+@dataclass(frozen=True)
+class KernelRule:
+    """A radial rule with the kernel folded into its weights.
+
+    ``sum(weights * g(nodes))`` approximates
+    ``int_0^{r_max} g(r) rho(r) r^(d-1) dr``: the weights are a
+    ``RadialRule``'s times ``radial_measure``.  Shapes as in
+    ``RadialRule``.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    r_max: float
+
+
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
@@ -179,6 +215,10 @@ def sphere_rule(d: int, order: int | None = None) -> SphereRule:
     so their nodes with sigma_d > 0 are exactly half of them (the
     tensor route's half rule, ``functionals._upper_half``).
 
+    Each rule is built once per (d, order) and shared: its arrays are
+    read-only, and a bounded LRU cache holds the last
+    ``_SPHERE_CACHE_SIZE`` rules (a 3D rule of order k has 2k^2 nodes).
+
     Parameters
     ----------
     d : int
@@ -193,6 +233,17 @@ def sphere_rule(d: int, order: int | None = None) -> SphereRule:
         order = DEFAULT_SPHERE_ORDER[d]
     if order < 1:
         raise IntegrationError("sphere order must be >= 1")
+    return _shared_sphere_rule(d, order)
+
+
+@lru_cache(maxsize=_SPHERE_CACHE_SIZE)
+def _shared_sphere_rule(d: int, order: int) -> SphereRule:
+    rule = _build_sphere_rule(d, order)
+    _read_only(rule.nodes, rule.weights)
+    return rule
+
+
+def _build_sphere_rule(d: int, order: int) -> SphereRule:
     if d == 1:
         nodes = np.array([[-1.0], [1.0]])
         weights = np.array([1.0, 1.0])
@@ -292,7 +343,9 @@ def radial_rules(mollifier, level: int | None = None, *, breakpoints) -> RadialR
     with zero-width panels at r_max, i.e. zero-weight nodes at r = r_max;
     no node is ever placed at r = 0.
 
-    Returns a ``RadialRule`` whose nodes and weights have shape (m, n).
+    Returns a ``RadialRule`` whose nodes and weights have shape (m, n);
+    ``kernel_radial_rule`` folds the kernel into the weights and shares
+    the breakpoint-free row.
     """
     if level is None:
         level = DEFAULT_RADIAL_LEVEL
@@ -363,3 +416,37 @@ def radial_measure(mollifier, rule: RadialRule) -> np.ndarray:
     """rho(r) r^(d-1) at the rule nodes."""
     return mollifier.evaluate(rule.nodes) * rule.nodes ** (mollifier.dimension - 1)
 
+
+def kernel_radial_rule(mollifier, level: int | None = None, *,
+                       breakpoints=()) -> KernelRule:
+    """The radial rule of ``radial_rule`` (breakpoints of shape (J,)) or of
+    ``radial_rules`` (shape (m, J)) with weights w rho(r) r^(d-1).
+
+    Without breakpoints (none given, or J = 0) the rule is one row of
+    shape (n,), built once per (mollifier, level) and shared: its arrays
+    are read-only, and a bounded LRU cache holds the last
+    ``_RADIAL_CACHE_SIZE`` rows (8 * 2^level nodes each, 32768 at
+    MAX_RADIAL_LEVEL).  A caller that changes weights, such as the
+    remainder floor, changes its own copy, e.g. the fresh array of a
+    division by r^p.  With breakpoints the rule is built per call.
+    Either way the weights are, bit for bit, ``rule.weights *
+    radial_measure(mollifier, rule)`` of the plain rule.
+    """
+    bp = np.asarray(breakpoints, dtype=float)
+    if bp.size == 0:
+        return _shared_kernel_row(
+            mollifier, DEFAULT_RADIAL_LEVEL if level is None else level)
+    return _kernel_rule(mollifier, radial_rules(mollifier, level, breakpoints=bp)
+                        if bp.ndim == 2 else radial_rule(mollifier, level, breakpoints=bp))
+
+
+def _kernel_rule(mollifier, rule: RadialRule) -> KernelRule:
+    return KernelRule(rule.nodes, rule.weights * radial_measure(mollifier, rule),
+                      rule.r_max)
+
+
+@lru_cache(maxsize=_RADIAL_CACHE_SIZE)
+def _shared_kernel_row(mollifier, level: int) -> KernelRule:
+    row = _kernel_rule(mollifier, radial_rule(mollifier, level))
+    _read_only(row.nodes, row.weights)
+    return row

@@ -59,6 +59,20 @@ def test_unknown_config_key_is_usage_error(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("key", ["out", "config"])
+def test_output_and_config_keys_in_a_config_file_are_usage_errors(
+        tmp_path, monkeypatch, capsys, key):
+    # both come from the command line alone: a config file naming one would
+    # be recorded in resolved-config.json but not followed
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: "cfgout"}))
+    assert main(["constants", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and repr(key) in err
+    assert not (tmp_path / "runs").exists() and not (tmp_path / "cfgout").exists()
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # a probe outside the admissible annulus is a numerical-domain error
     code = main(["pathology", "--probe", "0.9,0", "--out",

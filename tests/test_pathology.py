@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, optimize
 
 from bbmlab import fields, functionals as F, mollifiers as mf, pathology as PT
 from bbmlab.errors import DimensionError, DomainError, ProbeError, ValidityError
@@ -211,3 +212,83 @@ def test_smooth_field_shell_exponent_infinite():
     case = PT.PathologyCase(2, 3.0, 0.1)
     beta = PT.shell_exponent(case, PROBE2, field=fields.linear_field([0.0, 0.0]))
     assert beta == math.inf
+
+
+# ---------------------------------------------------------------------------
+# shells cut at the kink of |u(x) - u(y)|^p
+# ---------------------------------------------------------------------------
+
+def _profile_2d(s):
+    """The 2D radial profile below |x| = 1/2, where the cutoff is 1."""
+    return 1.0 / (s * math.log(s) ** 2)
+
+
+def _shell_quad(probe, p, delta, lo, hi):
+    """Nested ``quad`` of a 2D shell integral, split where the profile
+    crosses u(probe); the angle runs over [0, pi] about the probe ray."""
+    R = float(np.linalg.norm(probe))
+    ux = _profile_2d(R)
+
+    def ring(s):
+        def f(t):
+            dist = math.sqrt(R * R + s * s - 2.0 * R * s * math.cos(t))
+            return delta * dist ** (delta - 1.0) / dist ** p
+        return 2.0 * integrate.quad(f, 0.0, math.pi, epsabs=0.0, epsrel=1e-13,
+                                    limit=200)[0]
+
+    cuts = [lo, hi]
+    if (_profile_2d(lo) - ux) * (_profile_2d(hi) - ux) < 0.0:
+        cuts.insert(1, optimize.brentq(lambda s: _profile_2d(s) - ux, lo, hi,
+                                       xtol=1e-300, rtol=1e-15))
+    total = sum(integrate.quad(lambda s: abs(ux - _profile_2d(s)) ** p * s * ring(s),
+                               a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(cuts[:-1], cuts[1:]))
+    return total, len(cuts) == 3
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.5, 3.0])
+def test_2d_shell_masses_meet_a_quad_split_at_the_crossing(p):
+    rng = np.random.default_rng(21)
+    case = PT.PathologyCase(2, p, 0.1)
+    edges = (PT.SHELL_OUTER,) + tuple(case.cutoffs)
+    for _ in range(5):
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        probe = rng.uniform(0.26, 0.49) * np.array([math.cos(angle), math.sin(angle)])
+        masses, crossed = [], 0
+        for hi, lo in zip(edges[:-1], edges[1:]):
+            got = PT._shell_mass(case, probe, lo, hi)
+            want, cut = _shell_quad(probe, p, case.delta, lo, hi)
+            crossed += cut
+            assert abs(got - want) <= 1e-10 * want, (probe, lo, hi, got, want)
+            masses.append(got)
+        # every annulus probe's profile value is crossed inside one shell
+        assert crossed == 1
+        assert PT.divergence_probe(case, probe).values == np.cumsum(masses).tolist()
+
+
+def test_a_crossing_becomes_a_graded_panel_edge():
+    u = PT.pathological_field(2)
+    probe = np.asarray(PROBE2)
+    ux = u.eval_many(probe[None])[0]
+    edges = PT._shell_edges(u, probe, ux, PT.SHELL_OUTER / 8, PT.SHELL_OUTER)
+    # three dyadic panels, one crossing near s = 0.0285, graded both ways
+    assert edges.size == 4 + 2 * PT.KINK_GRADE_LEVELS + 1
+    assert np.all(np.diff(edges) > 0.0)
+    root = edges[np.argmin(np.abs(edges - 0.0285))]
+    assert abs(_profile_2d(root) - ux) <= 1e-13 * ux
+
+
+@pytest.mark.parametrize("d,field,ladder", [
+    (3, None, True), (2, None, False), (2, fields.gaussian_bump(2), True),
+    (2, fields.linear_field([0.0, 0.0]), True)],
+    ids=["pathology-3d", "pathology-2d-scan", "bump-control", "zero-control"])
+def test_shells_without_a_crossing_keep_their_dyadic_panels(d, field, ladder):
+    u = field if field is not None else PT.pathological_field(d)
+    probe = np.asarray(PROBE2 if d == 2 else PROBE3)
+    ux = u.eval_many(probe[None])[0]
+    edges = (PT.SHELL_OUTER,) + PT.DEFAULT_CUTOFFS
+    shells = PT._scan_shells() + (list(zip(edges[1:], edges[:-1])) if ladder else [])
+    for lo, hi in shells:
+        n = max(1, int(math.ceil(math.log2(hi / lo))))
+        assert np.array_equal(PT._shell_edges(u, probe, ux, lo, hi),
+                              np.geomspace(lo, hi, n + 1))

@@ -1,9 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from bbmlab import constants, mollifiers as mf, quadrature as Q
+from bbmlab import constants, fields, functionals as F, mollifiers as mf, quadrature as Q
 from bbmlab.errors import IntegrationError
 
 SPHERE_AREAS = {1: 2.0, 2: 2 * math.pi, 3: 4 * math.pi}
@@ -275,3 +276,111 @@ def test_axis_rule_drops_rounding_slivers():
 def test_radial_rule_refuses_levels_outside_0_to_max(level):
     with pytest.raises(IntegrationError):
         Q.radial_rule(mf.indicator(0.25, 2), level)
+
+
+# ---------------------------------------------------------------------------
+# shared rules
+# ---------------------------------------------------------------------------
+
+FAMILIES = {"indicator": lambda d: mf.indicator(0.25, d),
+            "gaussian": lambda d: mf.gaussian(64.0, d),
+            "powerlaw": lambda d: mf.power_law(0.3, d)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("order", [None, 8, 16])
+def test_shared_sphere_rule_is_a_fresh_build_bit_for_bit(d, order):
+    rule = Q.sphere_rule(d, order)
+    assert Q.sphere_rule(d, order) is rule
+    fresh = Q._build_sphere_rule(d, Q.DEFAULT_SPHERE_ORDER[d] if order is None else order)
+    assert np.array_equal(rule.nodes, fresh.nodes)
+    assert np.array_equal(rule.weights, fresh.weights)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("level", [0, 4, Q.MAX_RADIAL_LEVEL])
+def test_shared_kernel_row_is_a_fresh_build_bit_for_bit(d, family, level):
+    m = FAMILIES[family](d)
+    row = Q.kernel_radial_rule(m, level)
+    # no breakpoints, or an empty row of them per probe, is the shared row
+    assert Q.kernel_radial_rule(m, level, breakpoints=np.empty((3, 0))) is row
+    if level == Q.DEFAULT_RADIAL_LEVEL:
+        assert Q.kernel_radial_rule(m) is row
+    fresh = Q.radial_rule(m, level)
+    assert row.nodes.shape == (Q.RADIAL_NODES_PER_PANEL * 2 ** level,)
+    assert row.r_max == fresh.r_max
+    assert np.array_equal(row.nodes, fresh.nodes)
+    assert np.array_equal(row.weights, fresh.weights * Q.radial_measure(m, fresh))
+
+
+def test_kernel_rules_with_breakpoints_are_built_per_call():
+    m = mf.indicator(0.25, 2)
+    one = Q.kernel_radial_rule(m, 3, breakpoints=(0.01, 0.2))
+    assert Q.kernel_radial_rule(m, 3, breakpoints=(0.01, 0.2)) is not one
+    plain = Q.radial_rule(m, 3, breakpoints=(0.01, 0.2))
+    assert np.array_equal(one.nodes, plain.nodes)
+    assert np.array_equal(one.weights, plain.weights * Q.radial_measure(m, plain))
+    B = np.array([[0.01, 0.2], [0.1, 0.3]])
+    stacked = Q.kernel_radial_rule(m, 3, breakpoints=B)
+    rules = Q.radial_rules(m, 3, breakpoints=B)
+    assert np.array_equal(stacked.weights, rules.weights * Q.radial_measure(m, rules))
+    assert one.weights.flags.writeable and stacked.weights.flags.writeable
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_shared_rule_arrays_refuse_writes(d):
+    sphere = Q.sphere_rule(d)
+    row = Q.kernel_radial_rule(mf.gaussian(64.0, d))
+    arrays = [sphere.nodes, sphere.weights, row.nodes, row.weights]
+    if d == 1:
+        # the aligned 1D rule is the shared one
+        arrays += [Q.sphere_rule_aligned(1, 1, [1.0]).weights]
+    for a in arrays:
+        keep = a.copy()
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+        with pytest.raises(ValueError):
+            a *= 2.0
+        assert np.array_equal(a, keep)
+
+
+def test_a_remainder_leaves_the_shared_row_unchanged():
+    # the 1D power law's substitution puts a node below the remainder
+    # floor: remainder sums zero its weight, in their own copy
+    m = mf.power_law(0.3, 1)
+    row = Q.kernel_radial_rule(m)
+    floor = row.nodes < F._REMAINDER_R_FLOOR * row.r_max
+    assert floor.any() and np.all(row.weights[floor] > 0.0)
+    nodes, weights = row.nodes.copy(), row.weights.copy()
+    u = fields.gaussian_bump(1)
+    req = F.DensityRequest(u, m, 1.5, [0.4])
+    rem = F.remainder_density(req)
+    res = F.sobolev_residual(u, m, fields.gradient_candidate(u))
+    plain = F.pointwise_density(req)
+    assert Q.kernel_radial_rule(m) is row
+    assert np.array_equal(row.nodes, nodes) and np.array_equal(row.weights, weights)
+    # rebuilt from an empty cache, every value is the same to the last bit
+    Q._shared_kernel_row.cache_clear()
+    assert F.pointwise_density(req) == plain
+    assert F.remainder_density(req) == rem
+    assert F.sobolev_residual(u, m, fields.gradient_candidate(u)) == res
+
+
+def test_rule_caches_stay_at_their_bound():
+    for k in range(Q._RADIAL_CACHE_SIZE + 5):
+        Q.kernel_radial_rule(mf.indicator(0.25 + k / 1024, 2), 0)
+    info = Q._shared_kernel_row.cache_info()
+    assert info.currsize == info.maxsize == Q._RADIAL_CACHE_SIZE
+    for k in range(Q._SPHERE_CACHE_SIZE + 5):
+        Q.sphere_rule(2, 8 + 4 * k)
+    info = Q._shared_sphere_rule.cache_info()
+    assert info.currsize == info.maxsize == Q._SPHERE_CACHE_SIZE
+
+
+def test_public_rule_builders_stay_plain_functions():
+    # span tracers wrap plain functions only; a cache decorator on a public
+    # builder would drop it out of the traced counts
+    for name in ("sphere_rule", "sphere_rule_aligned", "radial_rule",
+                 "radial_rules", "kernel_radial_rule", "radial_measure"):
+        assert inspect.isfunction(getattr(Q, name)), name
