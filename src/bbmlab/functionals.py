@@ -82,8 +82,12 @@ E_2(u) = (2 pi)^-d int |u^(xi)|^2 m_rho(|xi|) dxi with
 m_rho(k) = 2 int rho(r) r^(d-3) (|S^(d-1)| - S_d(k r)) dr, S_2 = 2 pi J0
 and S_3 = 4 pi sin t / t.  A smooth 2D/3D field is sampled once on a
 periodic grid whose period exceeds its support plus r_max, so the
-periodic energy is the energy, and m_rho is computed once per distinct
-|xi| on the breakpoint-free radial rule.
+periodic energy is the energy.  The power is summed per distinct integer
+|j|^2 (a shell) by ``np.bincount``, and m_rho is computed on the
+breakpoint-free radial rule only for the shells that carry power: its
+weights are >= 0, so m_rho(k) <= min(c2 k^2, c0), and the sum keeps the
+shortest prefix of shells, by ascending |xi|, whose dropped tail
+sum mass min(c2 k^2, c0) is <= 2^-55 of the kept energy.
 """
 
 from __future__ import annotations
@@ -145,6 +149,15 @@ _SERIES_COEFFS = {
     3: [4.0 * math.pi * (-1) ** (k + 1) / math.factorial(2 * k + 1)
         for k in range(1, 11)],
 }
+
+
+# max over t >= 0 of |S^(d-1)| - S_d(t): 2 pi (1 - J0) at t ~ 3.832 (J0 >=
+# -0.40276) and 4 pi (1 - sin t / t) at t ~ 4.493 (sin t / t >= -0.21724)
+_DEFECT_MAX = {2: 2.0 * math.pi * 1.4028, 3: 4.0 * math.pi * 1.2173}
+
+# The multiplier energy keeps the shortest prefix of shells whose tail
+# bound is at most this fraction of the prefix's energy: below its last bit.
+_MULTIPLIER_TAIL_RTOL = 2.0 ** -55
 
 
 def _abs_power(diff: np.ndarray, p: float) -> np.ndarray:
@@ -880,24 +893,52 @@ def sphere_defect(d: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _multiplier_rule(mollifier, level: Optional[int]):
+    """The nodes r and weights w of m_rho(k) = sum_i w_i (|S^(d-1)| -
+    S_d(k r_i)): the breakpoint-free radial rule, weights 2 rho r^(d-3)."""
+    rule = quadrature.kernel_radial_rule(mollifier, level)
+    r = rule.nodes
+    return r, 2.0 * rule.weights / (r * r)
+
+
 def fourier_multiplier(mollifier, k, level: Optional[int] = None) -> np.ndarray:
     """m_rho(k) = 2 int rho(r) r^(d-3) (|S^(d-1)| - S_d(k r)) dr at the
     wavenumbers k (q,) -> (q,), for d = 2 or 3.
 
     E_2(u) = (2 pi)^-d int |u^(xi)|^2 m_rho(|xi|) dxi (Plancherel), and
     m_rho(k) -> gamma(d, 2) k^2 as the mollifier concentrates.  The
-    integral runs over the breakpoint-free radial rule of ``level``.
+    integral runs over the breakpoint-free radial rule of ``level``; its
+    weights are >= 0, so the sum is at most min(c2 k^2, c0) of
+    ``_multiplier_bounds``.  Each k costs one ``sphere_defect`` per
+    radial node, which is why the energy drops the shells that carry no
+    power.
     """
     d = mollifier.dimension
-    rule = quadrature.kernel_radial_rule(mollifier, level)
-    r = rule.nodes
-    w = 2.0 * rule.weights / (r * r)
+    r, w = _multiplier_rule(mollifier, level)
     k = np.asarray(k, dtype=float)
     out = np.empty(k.size)
     step = max(1, _CHUNK // r.size)
     for start in range(0, k.size, step):
         out[start:start + step] = sphere_defect(d, np.outer(k[start:start + step], r)) @ w
     return out
+
+
+def _multiplier_bounds(mollifier, level: Optional[int]) -> tuple[float, float]:
+    """(c2, c0) with ``fourier_multiplier(mollifier, k, level)`` <=
+    min(c2 k^2, c0) at every k >= 0.
+
+    1 - J0(t) <= min(t^2/4, 1.4028) and 1 - sin t/t <= min(t^2/6, 1.2173),
+    so ``sphere_defect`` is at most min(|S^(d-1)| t^2/(2d), _DEFECT_MAX),
+    and every weight of the rule is >= 0: c2 is |S^(d-1)|/(2d) sum w r^2
+    and c0 is _DEFECT_MAX sum w, each padded by a relative 1e-12 against
+    the rounding of the sums and of ``sphere_defect``.
+    """
+    d = mollifier.dimension
+    r, w = _multiplier_rule(mollifier, level)
+    pad = 1.0 + 1e-12
+    # |S^(d-1)|/(2d) is the first coefficient of the defect's t^2 series
+    return (pad * _SERIES_COEFFS[d][0] * float(np.dot(w, r * r)),
+            pad * _DEFECT_MAX[d] * float(w.sum()))
 
 
 def _midpoint_samples(field, lo, hi, n: int) -> np.ndarray:
@@ -935,17 +976,56 @@ def _midpoint_samples(field, lo, hi, n: int) -> np.ndarray:
     return u.reshape((n,) * lo.size)
 
 
-def _multiplier_energy(field, mollifier, scheme) -> float:
-    """E_2 of a smooth 2D/3D field by its Fourier multiplier.
+def _shell_masses(power: np.ndarray):
+    """(levels, mass): the distinct integer |j|^2 of a half spectrum
+    (rfftn layout, n^(d-1) x (n/2 + 1)) in ascending order, and the
+    power on each.
 
-    The field is sampled on the midpoint grid of 2 x_res(d) cells a side
-    over the support box enlarged by r_max, a period longer than the
-    support plus r_max, so the energy of the periodic extension is the
-    energy.  Then E_2 = V n^(-2d) sum_xi |DFT(u)(xi)|^2 m_rho(|xi|) over
-    the grid's wavenumbers xi = 2 pi j / L, with m_rho computed once per
-    distinct integer |j|^2: the support box of an analytic field is a
-    cube, so |xi|^2 = (2 pi / L)^2 |j|^2 on every axis alike.
+    Both are counted by ``np.bincount`` on |j|^2 itself: no sort.  The
+    masses accumulate in the spectrum's row-major order, as a
+    ``np.unique`` + ``np.bincount(inverse)`` would.
     """
+    n = power.shape[0]
+    jsq = np.arange(n // 2 + 1) ** 2
+    full = np.fft.fftfreq(n, 1.0 / n).astype(np.int64) ** 2
+    for _ in range(power.ndim - 1):
+        jsq = np.add.outer(full, jsq)
+    jsq = jsq.ravel()
+    levels = np.flatnonzero(np.bincount(jsq))
+    return levels, np.bincount(jsq, weights=power.ravel())[levels]
+
+
+def _shell_sum(mollifier, k, mass, level) -> tuple[float, int]:
+    """(sum_i mass_i m_rho(k_i) over the kept shells, how many were kept)
+    for shells of ascending wavenumber k and power mass >= 0.
+
+    m_rho(k) <= min(c2 k^2, c0) (``_multiplier_bounds``), so the shells
+    from K on add at most tail[K] = sum_{i >= K} mass_i min(c2 k_i^2, c0).
+    The sum keeps the shortest prefix of K shells whose tail[K] is <=
+    _MULTIPLIER_TAIL_RTOL times the prefix's own energy, which is every
+    shell when no shorter prefix passes.  m_rho is evaluated only up to
+    hi: no prefix shorter than lo, the first with tail <= rtol tail[0],
+    passes, because an energy is at most tail[0]; the prefix hi, the
+    first with tail <= rtol times lo's energy, does.
+    """
+    c2, c0 = _multiplier_bounds(mollifier, level)
+    tail = np.append(np.cumsum((mass * np.minimum(c2 * k * k, c0))[::-1])[::-1], 0.0)
+    rtol = _MULTIPLIER_TAIL_RTOL
+    lo = int(np.argmax(tail <= rtol * tail[0]))
+    m = fourier_multiplier(mollifier, k[:lo], level)
+    # running sums, so the energy that sets hi is kept[lo] below, bit for bit
+    kept = np.cumsum(np.append(0.0, mass[:lo] * m))
+    hi = max(lo, int(np.argmax(tail <= rtol * kept[-1])))
+    m = np.append(m, fourier_multiplier(mollifier, k[lo:hi], level))
+    kept = np.cumsum(np.append(0.0, mass[:hi] * m))
+    K = int(np.argmax(tail[:hi + 1] <= rtol * kept))
+    return float(np.dot(mass[:K], m[:K])), K
+
+
+def _multiplier_shells(field, mollifier, scheme):
+    """(k, mass, scale) of a p = 2 energy: the field's distinct
+    wavenumbers on its sampling grid (ascending), the power on each, and
+    the factor V n^(-2d) that turns sum mass m_rho(k) into E_2."""
     d = field.dimension
     lo, hi = _x_region(field, mollifier.quadrature_radius())
     n = 2 * scheme.x_res(d)
@@ -953,16 +1033,29 @@ def _multiplier_energy(field, mollifier, scheme) -> float:
     power = spectrum.real ** 2 + spectrum.imag ** 2
     # the half spectrum stands for the conjugate modes it omits
     power[..., 1:(n + 1) // 2] *= 2.0
-    jsq = np.arange(n // 2 + 1) ** 2
-    full = np.fft.fftfreq(n, 1.0 / n).astype(np.int64) ** 2
-    for _ in range(d - 1):
-        jsq = np.add.outer(full, jsq)
-    levels, where = np.unique(jsq, return_inverse=True)
-    mass = np.bincount(where.ravel(), weights=power.ravel())
+    levels, mass = _shell_masses(power)
     L = float(hi[0] - lo[0])
-    m = fourier_multiplier(mollifier, 2.0 * math.pi / L * np.sqrt(levels),
-                           scheme.radial_level)
-    return float(L ** d / n ** (2 * d) * np.dot(mass, m))
+    return 2.0 * math.pi / L * np.sqrt(levels), mass, L ** d / n ** (2 * d)
+
+
+def _multiplier_energy(field, mollifier, scheme) -> float:
+    """E_2 of a smooth 2D/3D field by its Fourier multiplier.
+
+    The field is sampled on the midpoint grid of 2 x_res(d) cells a side
+    over the support box enlarged by r_max, a period longer than the
+    support plus r_max, so the energy of the periodic extension is the
+    energy.  Then E_2 = V n^(-2d) sum_xi |DFT(u)(xi)|^2 m_rho(|xi|) over
+    the grid's wavenumbers xi = 2 pi j / L: the support box of an
+    analytic field is a cube, so |xi|^2 = (2 pi / L)^2 |j|^2 on every
+    axis alike, and the power is summed per distinct integer |j|^2 by
+    ``np.bincount`` (``_shell_masses``).  m_rho is computed only on the
+    shortest prefix of shells, in ascending |j|, whose dropped tail is
+    provably <= 2^-55 of the kept energy (``_shell_sum``): the smooth
+    fields' power falls below that within a few hundred of the tens of
+    thousands of shells, and the value moves by rounding alone.
+    """
+    k, mass, scale = _multiplier_shells(field, mollifier, scheme)
+    return float(scale * _shell_sum(mollifier, k, mass, scheme.radial_level)[0])
 
 
 # The QuadratureScheme fields each route reads: the five of ``energy``
@@ -1019,11 +1112,11 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
       covariogram g(h) = |E cap (E + h)|, with no x-grid, sphere rule or
       field evaluation (``_set_energy``); a null set has energy 0.
     * multiplier, for p = 2 and an analytic field in 2D or 3D: one FFT
-      of the field's samples times the multiplier m_rho(|xi|)
-      (``_multiplier_energy``).  The sampling grid has 2 x_res(d) cells
-      a side because the samples alias: for the 3D bump with
-      indicator(1/4) at x_resolution 16, 16 cells a side leave a
-      relative error of 7.9e-3 and 32 cells 9e-13.
+      of the field's samples times the multiplier m_rho(|xi|), on the
+      shells of |xi| that carry power (``_multiplier_energy``).  The
+      sampling grid has 2 x_res(d) cells a side because the samples
+      alias: for the 3D bump with indicator(1/4) at x_resolution 16, 16
+      cells a side leave a relative error of 7.9e-3 and 32 cells 9e-13.
     * lag, for every other 1D field: the x-integral first, at each node
       of one radial rule (``_lag_energy``).
     * tensor, for every other 2D/3D field: a midpoint x-grid whose nodes

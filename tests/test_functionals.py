@@ -973,6 +973,99 @@ def test_multiplier_energy_refuses_a_non_finite_sample(bad):
     np.testing.assert_array_equal(u.eval_many(e.centre[None]), [bad])
 
 
+MULTIPLIER_KERNELS = {"indicator": lambda d: mf.indicator(0.25, d),
+                      "gaussian": lambda d: mf.gaussian(64.0, d),
+                      "powerlaw": lambda d: mf.power_law(0.3, d)}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", sorted(MULTIPLIER_KERNELS))
+@pytest.mark.parametrize("level", [0, 2, 4, 6])
+def test_fourier_multiplier_is_below_its_tail_bound(d, kind, level):
+    # m_rho(k) <= min(c2 k^2, c0) on a grid whose k r_max runs past the
+    # J0 minimum (t ~ 3.832) and the sinc minimum (t ~ 4.493), where the
+    # defect peaks, and down to k = 0, where the k^2 bound is tight
+    m = MULTIPLIER_KERNELS[kind](d)
+    c2, c0 = F._multiplier_bounds(m, level)
+    r_max = Q.kernel_radial_rule(m, level).r_max
+    k = np.concatenate([[0.0, 1e-8, 1e-4], np.linspace(0.0, 12.0, 4801)[1:] / r_max])
+    values = F.fourier_multiplier(m, k, level)
+    assert (values >= 0).all()
+    assert (values <= c2 * k * k).all()
+    assert (values <= c0).all()
+    # the k^2 bound is m_rho's own limit as k -> 0
+    assert values[2] == pytest.approx(c2 * k[2] ** 2, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_defect_is_below_its_bounds(d):
+    # |S^(d-1)| - S_d(t) <= min(|S^(d-1)| t^2/(2d), _DEFECT_MAX), and the
+    # peak (t ~ 3.832 in 2D, ~4.493 in 3D) comes within 1e-4 of the constant
+    t = np.linspace(0.0, 40.0, 400001)
+    defect = F.sphere_defect(d, t)
+    assert (defect <= F._SERIES_COEFFS[d][0] * t * t).all()
+    assert (defect <= F._DEFECT_MAX[d]).all()
+    assert defect.max() >= (1.0 - 1e-4) * F._DEFECT_MAX[d]
+
+
+def tent_field(d):
+    """(1 - |x|)^2 (1 + 2|x|) on the unit ball: a tent smoothed to C^1,
+    whose second derivative jumps on |x| = 1, so |u^|^2 decays only
+    algebraically."""
+    def ev(q):
+        s = np.minimum(np.sqrt(np.einsum("ij,ij->i", q, q)), 1.0)
+        return (1.0 - s) ** 2 * (1.0 + 2.0 * s)
+    return fields.AnalyticField(d, ev, support_radius=1.0, label="tent")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", sorted(MULTIPLIER_KERNELS))
+@pytest.mark.parametrize("name", ["bump", "anisotropic", "tent"])
+def test_multiplier_energy_equals_the_full_spectrum(d, kind, name):
+    # every shell through fourier_multiplier against the kept prefix: the
+    # dropped shells move the energy by rounding alone
+    u = {"bump": fields.gaussian_bump, "anisotropic": anisotropic_field,
+         "tent": tent_field}[name](d)
+    m = MULTIPLIER_KERNELS[kind](d)
+    k, mass, scale = F._multiplier_shells(u, m, F.DEFAULT_SCHEME)
+    full = scale * float(np.dot(mass, F.fourier_multiplier(m, k)))
+    value = F.energy(u, m, 2.0)
+    assert abs(value - full) <= 4 * 2.0**-52 * full
+    _, kept = F._shell_sum(m, k, mass, None)
+    if name == "tent":
+        # algebraic decay: the cut keeps nearly every shell
+        assert kept >= 0.99 * k.size
+    else:
+        # gaussian decay: a few hundred of the 8,041 (3D) or 22,026 (2D)
+        assert kept <= 0.1 * k.size
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_multiplier_energy_of_a_zero_field_is_exactly_zero(d):
+    u = fields.AnalyticField(d, lambda q: np.zeros(len(q)), support_radius=1.0)
+    assert F.energy(u, mf.indicator(0.25, d), 2.0) == 0.0
+    k, mass, _ = F._multiplier_shells(u, mf.indicator(0.25, d), F.DEFAULT_SCHEME)
+    assert F._shell_sum(mf.indicator(0.25, d), k, mass, None) == (0.0, 0)
+
+
+@pytest.mark.parametrize("d,n", [(2, 16), (2, 48), (2, 512), (3, 32)])
+def test_shell_masses_by_bincount_equal_the_sorted_masses(d, n):
+    # bincount on |j|^2 sums each shell in the spectrum's order, as the
+    # np.unique + bincount(inverse) it replaces did: bit for bit
+    spectrum = np.fft.rfftn(np.random.default_rng(n).standard_normal((n,) * d))
+    power = spectrum.real ** 2 + spectrum.imag ** 2
+    power[..., 1:(n + 1) // 2] *= 2.0
+    jsq = np.arange(n // 2 + 1) ** 2
+    full = np.fft.fftfreq(n, 1.0 / n).astype(np.int64) ** 2
+    for _ in range(d - 1):
+        jsq = np.add.outer(full, jsq)
+    levels, where = np.unique(jsq, return_inverse=True)
+    mass = np.bincount(where.ravel(), weights=power.ravel())
+    got_levels, got_mass = F._shell_masses(power)
+    np.testing.assert_array_equal(got_levels, levels)
+    np.testing.assert_array_equal(got_mass, mass)
+
+
 # ---------------------------------------------------------------------------
 # energies of sets: the covariogram route
 # ---------------------------------------------------------------------------
