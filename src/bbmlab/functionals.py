@@ -26,9 +26,9 @@ Quadrature notes.  ``energy`` takes one of five routes, which
   p = 1, or r_max <= every side);
 * covariogram: every other bounded set (intervals, disks, 3D balls and
   2D/3D boxes) at any p; one radial sum;
-* multiplier: p = 2 and an analytic field in 2D or 3D; one FFT of the
-  field's samples (on the x-grid) times the Fourier multiplier of the
-  mollifier (on one radial rule);
+* multiplier: p = 2 and an analytic field in 1D, 2D or 3D; one FFT of
+  the field's samples (on the x-grid) times the Fourier multiplier of
+  the mollifier (on one radial rule);
 * lag: every other 1D field, and every 1D ``sobolev_residual``; the
   x-integral first, over fixed panels, at each node of one radial rule
   (``x_resolution`` is refused);
@@ -79,9 +79,9 @@ route.
 
 At p = 2 the energy is a Fourier multiplier (Plancherel):
 E_2(u) = (2 pi)^-d int |u^(xi)|^2 m_rho(|xi|) dxi with
-m_rho(k) = 2 int rho(r) r^(d-3) (|S^(d-1)| - S_d(k r)) dr, S_2 = 2 pi J0
-and S_3 = 4 pi sin t / t.  A smooth 2D/3D field is sampled once on a
-periodic grid whose period exceeds its support plus r_max, so the
+m_rho(k) = 2 int rho(r) r^(d-3) (|S^(d-1)| - S_d(k r)) dr, S_1 = 2 cos t,
+S_2 = 2 pi J0 and S_3 = 4 pi sin t / t.  A smooth field is sampled once
+on a periodic grid whose period exceeds its support plus r_max, so the
 periodic energy is the energy.  The power is summed per distinct integer
 |j|^2 (a shell) by ``np.bincount``, and m_rho is computed on the
 breakpoint-free radial rule only for the shells that carry power: its
@@ -108,7 +108,7 @@ from .fields import (AnalyticField, Ball, Box, BVField1D, GridField,
 from .mollifiers import RadialMollifier
 from .reports import ConvergenceReport
 
-DEFAULT_X_RESOLUTION = {2: 256, 3: 64}
+DEFAULT_X_RESOLUTION = {1: 256, 2: 256, 3: 64}
 _CHUNK = 32768
 
 # Remainder integrands divide an O(eps_machine) cancellation by r; below
@@ -151,9 +151,10 @@ _SERIES_COEFFS = {
 }
 
 
-# max over t >= 0 of |S^(d-1)| - S_d(t): 2 pi (1 - J0) at t ~ 3.832 (J0 >=
-# -0.40276) and 4 pi (1 - sin t / t) at t ~ 4.493 (sin t / t >= -0.21724)
-_DEFECT_MAX = {2: 2.0 * math.pi * 1.4028, 3: 4.0 * math.pi * 1.2173}
+# max over t >= 0 of |S^(d-1)| - S_d(t): 2 - 2 cos t = 4 at t = pi,
+# 2 pi (1 - J0) at t ~ 3.832 (J0 >= -0.40276) and 4 pi (1 - sin t / t)
+# at t ~ 4.493 (sin t / t >= -0.21724)
+_DEFECT_MAX = {1: 4.0, 2: 2.0 * math.pi * 1.4028, 3: 4.0 * math.pi * 1.2173}
 
 # The multiplier energy keeps the shortest prefix of shells whose tail
 # bound is at most this fraction of the prefix's energy: below its last bit.
@@ -175,7 +176,10 @@ def _abs_power(diff: np.ndarray, p: float) -> np.ndarray:
 @dataclass(frozen=True)
 class QuadratureScheme:
     """Per-call overrides for the product quadrature and x-grids (None
-    keeps the default).  A sphere order or x resolution below 1, or a
+    keeps the default).  ``x_resolution`` sets the tensor route's 2D/3D
+    midpoint x-grid and half the multiplier route's sampling grid, in
+    1D too (``DEFAULT_X_RESOLUTION``); ``ROUTE_READS`` says which route
+    reads which field.  A sphere order or x resolution below 1, or a
     radial level outside 0..MAX_RADIAL_LEVEL, raises IntegrationError;
     so does a 2D sphere rule, when built, whose order is not a multiple
     of 4 of at least 8."""
@@ -523,12 +527,14 @@ def _midpoint_grid(lo, hi, n):
     return X, np.full(X.shape[0], float(np.prod(h)))
 
 
-def _refuse_1d_x_resolution(d: int, scheme: QuadratureScheme) -> None:
-    if d == 1 and scheme.x_resolution is not None:
+def _refuse_1d_x_resolution(d: int, scheme: QuadratureScheme, route: str) -> None:
+    if (d == 1 and scheme.x_resolution is not None
+            and "x_resolution" not in ROUTE_READS[route]):
         raise DomainError(
-            "x_resolution sets the midpoint x-grid of 2D and 3D energies; "
-            "1D energies take the lag route, whose x-panels are fixed, and "
-            "cannot honour it")
+            f"x_resolution sets the sampling grid of the multiplier route "
+            f"(p = 2 energies of analytic fields) and the x-grid of 2D/3D "
+            f"tensor energies; this 1D energy takes the {route} route, which "
+            f"has no x-grid to set, and cannot honour it")
 
 
 def _integrate_density_over_x(field, mollifier, p, *, subtract_candidate=None,
@@ -649,7 +655,7 @@ def _lag_energy(field, mollifier, p, *, candidate=None,
         stage "lag", the x-node as ``centre``, the lag as ``r`` and its
         sign as ``sigma``.
     """
-    _refuse_1d_x_resolution(1, scheme)
+    _refuse_1d_x_resolution(1, scheme, "lag")
     _grid_compactness_check(field)
     r_max = mollifier.quadrature_radius()
     lo, hi = _x_region(field, r_max)
@@ -870,25 +876,34 @@ def _set_energy(E, mollifier, p, route, level) -> float:
 
 
 def sphere_defect(d: int, t: np.ndarray) -> np.ndarray:
-    """|S^(d-1)| - S_d(t) for t >= 0, d = 2 or 3, where
-    S_d(t) = int_{S^(d-1)} cos(t sigma . e) dsigma is 2 pi J0(t) in 2D
-    and 4 pi sin(t)/t in 3D.
+    """|S^(d-1)| - S_d(t) for t >= 0, d = 1, 2 or 3, where
+    S_d(t) = int_{S^(d-1)} cos(t sigma . e) dsigma is 2 cos t in 1D (the
+    sphere is {-1, +1}), 2 pi J0(t) in 2D and 4 pi sin(t)/t in 3D.
 
-    Below t = 1 it is summed from its power series in t^2, so it keeps
-    full relative accuracy as t -> 0 (it is |S^(d-1)| t^2 / (2d) there).
+    It keeps full relative accuracy as t -> 0, where it is
+    |S^(d-1)| t^2 / (2d): in 1D it is 4 sin^2(t/2), with no cancellation;
+    in 2D/3D it is summed from its power series in t^2 below t = 1, and
+    J0 or sin t / t is evaluated only at the t >= 1.
     """
     t = np.asarray(t, dtype=float)
+    if d == 1:
+        return 4.0 * np.sin(0.5 * t) ** 2
     small = t < _SERIES_BELOW
-    with np.errstate(invalid="ignore", divide="ignore"):
+    big = ~small
+    tb = t[big]
+    out = np.empty_like(t)
+    with np.errstate(invalid="ignore"):
         if d == 2:
             from scipy.special import j0   # imported on first use: slow to load
-            out = 2.0 * math.pi * (1.0 - j0(t))
+            out[big] = 2.0 * math.pi * (1.0 - j0(tb))
         else:
-            out = 4.0 * math.pi * (1.0 - np.sin(t) / t)
-    s = t[small] ** 2
+            out[big] = 4.0 * math.pi * (1.0 - np.sin(tb) / tb)
+    s = t[small]
+    s *= s
     series = np.zeros_like(s)
     for c in reversed(_SERIES_COEFFS[d]):
-        series = s * (c + series)
+        series += c
+        series *= s
     out[small] = series
     return out
 
@@ -903,7 +918,8 @@ def _multiplier_rule(mollifier, level: Optional[int]):
 
 def fourier_multiplier(mollifier, k, level: Optional[int] = None) -> np.ndarray:
     """m_rho(k) = 2 int rho(r) r^(d-3) (|S^(d-1)| - S_d(k r)) dr at the
-    wavenumbers k (q,) -> (q,), for d = 2 or 3.
+    wavenumbers k (q,) -> (q,), for d = 1, 2 or 3 (in 1D the integrand is
+    2 rho(r) (2 - 2 cos kr) / r^2).
 
     E_2(u) = (2 pi)^-d int |u^(xi)|^2 m_rho(|xi|) dxi (Plancherel), and
     m_rho(k) -> gamma(d, 2) k^2 as the mollifier concentrates.  The
@@ -927,24 +943,25 @@ def _multiplier_bounds(mollifier, level: Optional[int]) -> tuple[float, float]:
     """(c2, c0) with ``fourier_multiplier(mollifier, k, level)`` <=
     min(c2 k^2, c0) at every k >= 0.
 
-    1 - J0(t) <= min(t^2/4, 1.4028) and 1 - sin t/t <= min(t^2/6, 1.2173),
-    so ``sphere_defect`` is at most min(|S^(d-1)| t^2/(2d), _DEFECT_MAX),
-    and every weight of the rule is >= 0: c2 is |S^(d-1)|/(2d) sum w r^2
-    and c0 is _DEFECT_MAX sum w, each padded by a relative 1e-12 against
-    the rounding of the sums and of ``sphere_defect``.
+    2 - 2 cos t <= min(t^2, 4), 1 - J0(t) <= min(t^2/4, 1.4028) and
+    1 - sin t/t <= min(t^2/6, 1.2173), so ``sphere_defect`` is at most
+    min(|S^(d-1)| t^2/(2d), _DEFECT_MAX), and every weight of the rule is
+    >= 0: c2 is |S^(d-1)|/(2d) sum w r^2 and c0 is _DEFECT_MAX sum w,
+    each padded by a relative 1e-12 against the rounding of the sums and
+    of ``sphere_defect``.
     """
     d = mollifier.dimension
     r, w = _multiplier_rule(mollifier, level)
     pad = 1.0 + 1e-12
-    # |S^(d-1)|/(2d) is the first coefficient of the defect's t^2 series
-    return (pad * _SERIES_COEFFS[d][0] * float(np.dot(w, r * r)),
-            pad * _DEFECT_MAX[d] * float(w.sum()))
+    # |S^(d-1)|/(2d): 1 in 1D, else the first coefficient of the t^2 series
+    c2 = 1.0 if d == 1 else _SERIES_COEFFS[d][0]
+    return (pad * c2 * float(np.dot(w, r * r)), pad * _DEFECT_MAX[d] * float(w.sum()))
 
 
 def _midpoint_samples(field, lo, hi, n: int) -> np.ndarray:
     """u at the midpoints of [lo, hi] cut into n^d equal cells -> (n,)*d,
-    d >= 2, evaluated in slabs of at most _CHUNK points along the first
-    axis, each handed to the field as a read-only column-major (N, d) view.
+    evaluated in slabs of at most _CHUNK points along the first axis, each
+    handed to the field as a read-only column-major (N, d) view.
 
     Raises
     ------
@@ -953,7 +970,8 @@ def _midpoint_samples(field, lo, hi, n: int) -> np.ndarray:
         sample as ``value`` and its point as ``centre``.
     """
     first = lo[0] + (hi[0] - lo[0]) / n * (np.arange(n) + 0.5)
-    cross, _ = _midpoint_grid(lo[1:], hi[1:], n)
+    # the cross-section of one slab row: a single empty point in 1D
+    cross = _midpoint_grid(lo[1:], hi[1:], n)[0] if lo.size > 1 else np.empty((1, 0))
     rows = max(1, _CHUNK // cross.shape[0])
     u = np.empty((n, cross.shape[0]))
     # a coordinate-major slab (d, rows, cross), handed over transposed
@@ -983,8 +1001,11 @@ def _shell_masses(power: np.ndarray):
 
     Both are counted by ``np.bincount`` on |j|^2 itself: no sort.  The
     masses accumulate in the spectrum's row-major order, as a
-    ``np.unique`` + ``np.bincount(inverse)`` would.
+    ``np.unique`` + ``np.bincount(inverse)`` would.  In 1D each j is a
+    shell of its own, so the levels are the j^2 and the masses the power.
     """
+    if power.ndim == 1:
+        return np.arange(power.size) ** 2, power
     n = power.shape[0]
     jsq = np.arange(n // 2 + 1) ** 2
     full = np.fft.fftfreq(n, 1.0 / n).astype(np.int64) ** 2
@@ -1039,7 +1060,7 @@ def _multiplier_shells(field, mollifier, scheme):
 
 
 def _multiplier_energy(field, mollifier, scheme) -> float:
-    """E_2 of a smooth 2D/3D field by its Fourier multiplier.
+    """E_2 of a smooth 1D, 2D or 3D field by its Fourier multiplier.
 
     The field is sampled on the midpoint grid of 2 x_res(d) cells a side
     over the support box enlarged by r_max, a period longer than the
@@ -1048,11 +1069,13 @@ def _multiplier_energy(field, mollifier, scheme) -> float:
     the grid's wavenumbers xi = 2 pi j / L: the support box of an
     analytic field is a cube, so |xi|^2 = (2 pi / L)^2 |j|^2 on every
     axis alike, and the power is summed per distinct integer |j|^2 by
-    ``np.bincount`` (``_shell_masses``).  m_rho is computed only on the
-    shortest prefix of shells, in ascending |j|, whose dropped tail is
-    provably <= 2^-55 of the kept energy (``_shell_sum``): the smooth
-    fields' power falls below that within a few hundred of the tens of
-    thousands of shells, and the value moves by rounding alone.
+    ``np.bincount`` (``_shell_masses``; in 1D the shells are the j
+    themselves).  m_rho is computed only on the shortest prefix of
+    shells, in ascending |j|, whose dropped tail is provably <= 2^-55 of
+    the kept energy (``_shell_sum``): the smooth fields' power falls
+    below that within a few hundred of the tens of thousands of 2D/3D
+    shells (about 20 of the 257 in 1D), and the value moves by rounding
+    alone.
     """
     k, mass, scale = _multiplier_shells(field, mollifier, scheme)
     return float(scale * _shell_sum(mollifier, k, mass, scheme.radial_level)[0])
@@ -1079,17 +1102,16 @@ def energy_route(field, p, mollifier) -> str:
     whose energy is a closed form (of zero volume, at the gaussian with
     p = 1, or at r_max <= every side), "covariogram" for every other
     bounded set, null intervals and balls included.  Then "multiplier"
-    for p = 2 and an analytic field in 2D or 3D, "lag" for every other
-    1D field, and "tensor" for every other 2D/3D field: analytic fields
-    at p != 2, grid fields and half-spaces.
+    for p = 2 and an analytic field in any dimension, "lag" for every
+    other 1D field (p != 2, jumps and grid fields), and "tensor" for
+    every other 2D/3D field: analytic fields at p != 2, grid fields and
+    half-spaces.
     """
     if isinstance(field, IndicatorSet) and field.is_bounded:
         return "box" if _box_closed_form(field, mollifier, float(p)) else "covariogram"
-    if field.dimension == 1:
-        return "lag"
     if p == 2 and isinstance(field, AnalyticField):
         return "multiplier"
-    return "tensor"
+    return "lag" if field.dimension == 1 else "tensor"
 
 
 def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> float:
@@ -1111,14 +1133,17 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
     * box and covariogram, for every bounded set: one function of its
       covariogram g(h) = |E cap (E + h)|, with no x-grid, sphere rule or
       field evaluation (``_set_energy``); a null set has energy 0.
-    * multiplier, for p = 2 and an analytic field in 2D or 3D: one FFT
-      of the field's samples times the multiplier m_rho(|xi|), on the
-      shells of |xi| that carry power (``_multiplier_energy``).  The
+    * multiplier, for p = 2 and an analytic field in 1D, 2D or 3D: one
+      FFT of the field's samples times the multiplier m_rho(|xi|), on
+      the shells of |xi| that carry power (``_multiplier_energy``).  The
       sampling grid has 2 x_res(d) cells a side because the samples
       alias: for the 3D bump with indicator(1/4) at x_resolution 16, 16
       cells a side leave a relative error of 7.9e-3 and 32 cells 9e-13.
+      A 1D bump energy is 512 samples at the default x_res(1) = 256.
     * lag, for every other 1D field: the x-integral first, at each node
-      of one radial rule (``_lag_energy``).
+      of one radial rule (``_lag_energy``).  It has no x-grid, so a 1D
+      energy refuses ``x_resolution`` with DomainError on every route
+      but the multiplier.
     * tensor, for every other 2D/3D field: a midpoint x-grid whose nodes
       go through the polar engine (``_integrate_density_over_x``).
 
@@ -1141,10 +1166,10 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
         raise DomainError("exponent p must be >= 1")
     p = float(p)
     scheme = scheme or DEFAULT_SCHEME
-    _refuse_1d_x_resolution(field.dimension, scheme)
+    route = energy_route(field, p, mollifier)
+    _refuse_1d_x_resolution(field.dimension, scheme, route)
     if _has_jump(field) and math.isinf(mollifier.moment(1.0 - p)):
         return math.inf
-    route = energy_route(field, p, mollifier)
     if route in ("box", "covariogram"):
         return _set_energy(field, mollifier, p, route, scheme.radial_level)
     if route == "multiplier":

@@ -385,7 +385,9 @@ def test_spec_parsers_reject_garbage():
     ["energy", "--field", "step", "--mollifier", "indicator:0.25"],
     ["sweep", "--experiment", "energy", "--field", "bump:1", "--ladder", "1:3"],
     ["perimeter", "--shape", "interval:0,1", "--n", "256"],
-], ids=["energy", "sweep", "perimeter"])
+    # the lag route of a smooth field at p != 2
+    ["energy", "--field", "bump:1", "--mollifier", "indicator:0.25", "--p", "1.5"],
+], ids=["energy", "sweep", "perimeter", "energy-bump-p1.5"])
 def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
     code = main(argv + ["--x-resolution", "64", "--out", str(tmp_path / "x")])
     assert code == 2
@@ -406,7 +408,13 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
     (["energy", "--field", "mixed:1@0", "--mollifier", "powerlaw:0.3",
       "--p", "1.2", "--radial-level", "3"], "lag"),
     (["sweep", "--experiment", "energy", "--field", "bump:1",
-      "--mollifier", "indicator", "--ladder", "1:3", "--p", "2"], "lag"),
+      "--mollifier", "indicator", "--ladder", "1:3", "--p", "1.5"], "lag"),
+    # p = 2 energies of smooth fields take the multiplier route in 1D too,
+    # where it reads --x-resolution
+    (["sweep", "--experiment", "energy", "--field", "bump:1",
+      "--mollifier", "indicator", "--ladder", "1:3", "--p", "2"], "multiplier"),
+    (["energy", "--field", "bump:1", "--mollifier", "indicator:0.25", "--p", "2",
+      "--x-resolution", "64"], "multiplier"),
     (["sweep", "--experiment", "sobolev-residual", "--field", "step",
       "--mollifier", "indicator", "--ladder", "1:3"], "lag"),
     (["sweep", "--experiment", "sobolev-residual", "--field", "bump:2",
@@ -423,7 +431,8 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
     (["energy", "--field", "box:0,0,0;1,0.5,0.25", "--mollifier", "indicator:0.5",
       "--p", "1"], "covariogram"),
 ], ids=["energy-multiplier", "energy-tensor", "sweep-covariogram",
-        "sweep-multiplier", "energy-lag", "sweep-lag", "residual-lag",
+        "sweep-multiplier", "energy-lag", "sweep-lag", "sweep-multiplier-1d",
+        "energy-multiplier-1d", "residual-lag",
         "residual-tensor", "energy-box", "energy-box-sum", "sweep-box-mixed",
         "energy-box-3d-sum"])
 def test_energy_summary_names_its_route(tmp_path, argv, route):

@@ -503,11 +503,46 @@ def test_step_energy_is_exact_for_a_small_power_law_exponent():
         pytest.approx(4.0, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("k", range(1, 11))
+@pytest.mark.parametrize("k", range(1, 13))
 def test_1d_bump_p2_energy_matches_quad(k):
-    eps = 2.0 ** -k
-    value = F.energy(fields.gaussian_bump(1), mf.indicator(eps, 1), 2.0)
-    assert value == pytest.approx(bump_p2_quad(1, eps), rel=1e-11, abs=0)
+    # the multiplier route: 2 - 2 cos t = 4 sin^2(t/2) has no small-lag
+    # cancellation, so every rung is within a few rounding units
+    m = mf.indicator(2.0 ** -k, 1)
+    assert F.energy_route(fields.gaussian_bump(1), 2.0, m) == "multiplier"
+    value = F.energy(fields.gaussian_bump(1), m, 2.0)
+    assert value == pytest.approx(bump_p2_quad(m), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("level", [None, 3, 8])
+@pytest.mark.parametrize("m", [mf.power_law(0.1, 1), mf.power_law(0.3, 1),
+                               mf.power_law(0.6, 1), mf.gaussian(16.0, 1),
+                               mf.gaussian(1024.0, 1)],
+                         ids=["powerlaw-0.1", "powerlaw-0.3", "powerlaw-0.6",
+                              "gaussian-16", "gaussian-1024"])
+def test_1d_bump_p2_energy_matches_quad_for_every_kernel(m, level):
+    # small-delta power laws put radial nodes near r = 1e-15, where a lag
+    # difference u(x + r) - u(x) cancels; the multiplier's 4 sin^2(kr/2)
+    # does not
+    value = F.energy(fields.gaussian_bump(1), m, 2.0, QuadratureScheme(radial_level=level))
+    assert value == pytest.approx(bump_p2_quad(m), rel=1e-12, abs=0)
+
+
+def test_1d_multiplier_energy_converges_in_x_resolution():
+    # the 2 x_res samples alias until the bump's spectrum falls below
+    # rounding: x_res 8, 12 and 16 leave -6.7e-3, -6.7e-7 and -8.8e-13 of
+    # the value at 24, and every finer grid agrees with it to rounding
+    u, m = fields.gaussian_bump(1), mf.indicator(0.25, 1)
+
+    def rel(n):
+        value = F.energy(u, m, 2.0, QuadratureScheme(x_resolution=n))
+        return value / ref - 1.0
+    ref = F.energy(u, m, 2.0, QuadratureScheme(x_resolution=24))
+    assert -1e-2 < rel(8) < -1e-3
+    assert -1e-6 < rel(12) < -1e-7
+    assert -1e-11 < rel(16) < 0.0
+    for n in (32, 64, 256):
+        assert abs(rel(n)) <= 4 * 2.0**-52
+    assert F.energy(u, m, 2.0) == pytest.approx(ref, rel=4 * 2.0**-52, abs=0)
 
 
 # scipy quad of the lag form (in t = r^delta for the power law), its
@@ -731,8 +766,10 @@ def test_tensor_energies_keep_their_values():
     (fields.gaussian_bump(3), 2, "multiplier"),
     (fields.gaussian_bump(2), 1.0, "tensor"),
     (fields.gaussian_bump(3), 2.5, "tensor"),
-    (fields.gaussian_bump(1), 2.0, "lag"),
+    (fields.gaussian_bump(1), 2.0, "multiplier"),
+    (fields.gaussian_bump(1), 1.5, "lag"),
     (fields.step_field(), 1.0, "lag"),
+    (fields.step_field(), 2.0, "lag"),
     (fields.GridField.from_function(lambda q: np.exp(-4 * q[:, 0] ** 2), 1, 2.0, 16),
      2.0, "lag"),
     (fields.GridField.from_function(lambda q: np.exp(-4 * np.sum(q * q, axis=1)),
@@ -740,8 +777,9 @@ def test_tensor_energies_keep_their_values():
     (fields.box_set([0.0, 0.0], [1.0, 0.5]), 2.0, "box"),
     (fields.ball_set([0.0, 0.0], 0.5), 2.0, "covariogram"),
     (fields.interval_set(0.0, 1.0), 1.0, "covariogram"),
-], ids=["bump-2d", "bump-3d", "bump-2d-p1", "bump-3d-p2.5", "bump-1d", "step",
-        "grid-1d", "grid-2d", "box-2d", "disk", "interval"])
+], ids=["bump-2d", "bump-3d", "bump-2d-p1", "bump-3d-p2.5", "bump-1d",
+        "bump-1d-p1.5", "step", "step-p2", "grid-1d", "grid-2d", "box-2d", "disk",
+        "interval"])
 def test_energy_route(field, p, route):
     assert F.energy_route(field, p, mf.indicator(0.25, field.dimension)) == route
 
@@ -842,6 +880,8 @@ ROUTE_CASES = [
                                             mf.gaussian(4.0, 3), 2.0, "covariogram")),
     ("multiplier", 2, lambda: _energy_case(fields.gaussian_bump(2),
                                            mf.gaussian(16.0, 2), 2.0, "multiplier")),
+    ("multiplier", 1, lambda: _energy_case(fields.gaussian_bump(1),
+                                           mf.gaussian(16.0, 1), 2.0, "multiplier")),
     ("lag", 1, lambda: _energy_case(_mixed_1d(), mf.indicator(0.25, 1), 1.2, "lag")),
     ("tensor", 2, lambda: _energy_case(fields.gaussian_bump(2),
                                        mf.indicator(0.5, 2), 1.0, "tensor")),
@@ -859,21 +899,23 @@ ROUTE_VARIED = {"sphere_order": 12, "radial_level": 2, "x_resolution": 12}
 @pytest.mark.parametrize("key", sorted(ROUTE_BASE))
 @pytest.mark.parametrize("route,d,case", ROUTE_CASES,
                          ids=["box", "covariogram-disk", "covariogram-box",
-                              "covariogram-box-3d", "multiplier", "lag", "tensor-energy",
-                              "tensor-residual", "polar-1d", "polar-2d"])
+                              "covariogram-box-3d", "multiplier", "multiplier-1d", "lag",
+                              "tensor-energy", "tensor-residual", "polar-1d", "polar-2d"])
 def test_route_reads_is_what_each_route_reads(route, d, case, key):
     # a scheme field changes the value exactly when ROUTE_READS says the
     # route reads it; the value of a field it does not read is bit-identical
     value = case()
     given = dict(ROUTE_BASE)
-    refuses_x = d == 1 and route != "polar"
+    # a 1D energy refuses an x-grid its route does not read; a density
+    # has no x-grid either way
+    refuses_x = (d == 1 and route != "polar"
+                 and "x_resolution" not in F.ROUTE_READS[route])
     if refuses_x:
         del given["x_resolution"]
     base = value(QuadratureScheme(**given))
     varied = QuadratureScheme(**{**given, key: ROUTE_VARIED[key]})
     reads = set(F.ROUTE_READS[route]) - ({"sphere_order"} if d == 1 else set())
     if refuses_x and key == "x_resolution":
-        # a 1D energy refuses an x-grid it cannot honour
         with pytest.raises(DomainError):
             value(varied)
     elif key in reads:
@@ -882,13 +924,16 @@ def test_route_reads_is_what_each_route_reads(route, d, case, key):
         assert value(varied) == base
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_sphere_defect_keeps_full_relative_accuracy(d):
     # |S^(d-1)| - S_d(t) = int_S 2 sin^2(t sigma.e / 2) dsigma, which
-    # quad sums without the cancellation of 1 - J0(t) or 1 - sin(t)/t
+    # quad sums without the cancellation of 1 - J0(t) or 1 - sin(t)/t;
+    # the sphere S^0 is {-1, +1}
     def reference(t):
         def f(c):
             return 2.0 * math.sin(0.5 * t * c) ** 2
+        if d == 1:
+            return f(1.0) + f(-1.0)
         if d == 2:
             val, _ = quad(lambda th: f(math.cos(th)), 0.0, 2.0 * math.pi,
                           epsabs=0.0, epsrel=1e-13, limit=400)
@@ -901,6 +946,35 @@ def test_sphere_defect_keeps_full_relative_accuracy(d):
                                rtol=1e-13, atol=0)
 
 
+def full_array_sphere_defect(d, t):
+    """The 2D/3D defect with J0 or sin t / t evaluated on every t and
+    overwritten by the series below t = 1."""
+    from scipy.special import j0
+    small = t < F._SERIES_BELOW
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = (2.0 * math.pi * (1.0 - j0(t)) if d == 2
+               else 4.0 * math.pi * (1.0 - np.sin(t) / t))
+    s = t[small] ** 2
+    series = np.zeros_like(s)
+    for c in reversed(F._SERIES_COEFFS[d]):
+        series = s * (c + series)
+    out[small] = series
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_defect_is_the_full_array_formula_bit_for_bit(d):
+    # J0 and sin t / t only where t >= 1, the series in place: the same
+    # bits, at t = 1 and one ulp either side of it too
+    one = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+    rng = np.random.default_rng(d)
+    t = np.concatenate([[0.0, 1e-300, 1e-8, 0.5], one, np.linspace(0.0, 50.0, 20001),
+                        rng.uniform(0.0, 3.0, 4000)])
+    for shaped in (t, t.reshape(2, -1), t.reshape(-1, 8)):
+        np.testing.assert_array_equal(F.sphere_defect(d, shaped).view(np.int64),
+                                      full_array_sphere_defect(d, shaped).view(np.int64))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_fourier_multiplier_tends_to_gamma_k2(d):
     # m_rho(k) = gamma(d, 2) k^2 (1 + O(k^2 eps^2)): the BBM limit
@@ -909,24 +983,38 @@ def test_fourier_multiplier_tends_to_gamma_k2(d):
                                constants.gamma(d, 2) * k**2, rtol=1e-10, atol=0)
 
 
-def bump_p2_quad(d, eps):
-    """E_2 of exp(-|x|^2) with indicator(eps), by quad.
+def bump_p2_quad(m):
+    """E_2 of exp(-|x|^2) with the mollifier m, by quad.
 
     The autocorrelation of the bump is (pi/2)^(d/2) exp(-|h|^2/2), so
     E_2 = 2 (pi/2)^(d/2) |S^(d-1)| int rho(r) r^(d-3) (1 - exp(-r^2/2)) dr.
+    The power law delta c r^(delta-1) is integrated in t = r^delta, where
+    it is the constant c; the gaussian up to sqrt(45/n), past which its
+    mass is below 1e-17.
     """
+    d = m.dimension
     sphere = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    val, _ = quad(lambda r: d * eps ** -d * r ** (d - 3) * -math.expm1(-0.5 * r * r),
-                  0.0, eps, epsabs=0.0, epsrel=1e-13, limit=200)
+
+    def g(r):
+        return r ** (d - 3) * -math.expm1(-0.5 * r * r)
+    if m.kind == "powerlaw":
+        delta = m.param
+        c = (delta + d - 1.0) / delta
+        val, _ = quad(lambda t: c * g(t ** (1.0 / delta)), 0.0, 1.0,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+    else:
+        top = m.param if m.kind == "indicator" else math.sqrt(45.0 / m.param)
+        val, _ = quad(lambda r: float(m.evaluate(r)) * g(r), 0.0, top,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
     return 2.0 * (math.pi / 2.0) ** (d / 2.0) * sphere * val
 
 
 @pytest.mark.parametrize("d,k", [(2, k) for k in (1, 2, 3, 4, 5, 6, 10)]
                          + [(3, k) for k in (1, 4, 10)])
 def test_multiplier_energy_of_the_bump_matches_quad(d, k):
-    eps = 2.0 ** -k
-    value = F.energy(fields.gaussian_bump(d), mf.indicator(eps, d), 2.0)
-    assert value == pytest.approx(bump_p2_quad(d, eps), rel=1e-12, abs=0)
+    m = mf.indicator(2.0 ** -k, d)
+    value = F.energy(fields.gaussian_bump(d), m, 2.0)
+    assert value == pytest.approx(bump_p2_quad(m), rel=1e-12, abs=0)
 
 
 def anisotropic_field(d):
@@ -958,19 +1046,29 @@ def test_multiplier_energy_matches_the_tensor_route(d, scheme, rtol, kind):
     assert F.energy(u, m, 2.0, scheme) == pytest.approx(tensor, rel=rtol, abs=0)
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_multiplier_energy_refuses_a_non_finite_sample(bad):
-    u = infinite_spot(2, 2.0, bad)
+def refuses_a_non_finite_sample(d, bad, scheme=None):
+    u = infinite_spot(d, 2.0, bad)
     with pytest.raises(EvaluationError) as err:
-        F.energy(u, mf.indicator(0.25, 2), 2.0, QuadratureScheme(x_resolution=64))
+        F.energy(u, mf.indicator(0.25, d), 2.0, scheme)
     e = err.value
     assert "field sample" in str(e)
     # the bad sample and a copy of its point, which the field maps to it
     assert e.stage == "multiplier" and e.r is None and e.sigma is None
     np.testing.assert_array_equal(e.value, bad)
-    assert e.centre.shape == (2,) and e.centre.flags.writeable
+    assert e.centre.shape == (d,) and e.centre.flags.writeable
     assert e.centre.base is None
     np.testing.assert_array_equal(u.eval_many(e.centre[None]), [bad])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_multiplier_energy_refuses_a_non_finite_sample(bad):
+    refuses_a_non_finite_sample(2, bad, QuadratureScheme(x_resolution=64))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_1d_multiplier_energy_refuses_a_non_finite_sample(bad):
+    # the p = 2 twin of the lag route's refusals below
+    refuses_a_non_finite_sample(1, bad)
 
 
 MULTIPLIER_KERNELS = {"indicator": lambda d: mf.indicator(0.25, d),
@@ -978,13 +1076,14 @@ MULTIPLIER_KERNELS = {"indicator": lambda d: mf.indicator(0.25, d),
                       "powerlaw": lambda d: mf.power_law(0.3, d)}
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("kind", sorted(MULTIPLIER_KERNELS))
 @pytest.mark.parametrize("level", [0, 2, 4, 6])
 def test_fourier_multiplier_is_below_its_tail_bound(d, kind, level):
     # m_rho(k) <= min(c2 k^2, c0) on a grid whose k r_max runs past the
-    # J0 minimum (t ~ 3.832) and the sinc minimum (t ~ 4.493), where the
-    # defect peaks, and down to k = 0, where the k^2 bound is tight
+    # cosine minimum (t = pi), the J0 minimum (t ~ 3.832) and the sinc
+    # minimum (t ~ 4.493), where the defect peaks, and down to k = 0,
+    # where the k^2 bound is tight
     m = MULTIPLIER_KERNELS[kind](d)
     c2, c0 = F._multiplier_bounds(m, level)
     r_max = Q.kernel_radial_rule(m, level).r_max
@@ -997,13 +1096,15 @@ def test_fourier_multiplier_is_below_its_tail_bound(d, kind, level):
     assert values[2] == pytest.approx(c2 * k[2] ** 2, rel=1e-6)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_sphere_defect_is_below_its_bounds(d):
     # |S^(d-1)| - S_d(t) <= min(|S^(d-1)| t^2/(2d), _DEFECT_MAX), and the
-    # peak (t ~ 3.832 in 2D, ~4.493 in 3D) comes within 1e-4 of the constant
+    # peak (t = pi in 1D, ~3.832 in 2D, ~4.493 in 3D) comes within 1e-4 of
+    # the constant
     t = np.linspace(0.0, 40.0, 400001)
     defect = F.sphere_defect(d, t)
-    assert (defect <= F._SERIES_COEFFS[d][0] * t * t).all()
+    # |S^(d-1)| / (2d): 1 in 1D, the first series coefficient in 2D/3D
+    assert (defect <= (1.0 if d == 1 else F._SERIES_COEFFS[d][0]) * t * t).all()
     assert (defect <= F._DEFECT_MAX[d]).all()
     assert defect.max() >= (1.0 - 1e-4) * F._DEFECT_MAX[d]
 
@@ -1235,7 +1336,7 @@ def test_density_refuses_infinite_integrand(d):
 def test_1d_energy_refuses_infinite_integrand():
     for bad in (np.inf, np.nan):
         with pytest.raises(EvaluationError) as err:
-            F.energy(infinite_spot(1, 3.0, bad=bad), mf.indicator(0.25, 1), 2.0)
+            F.energy(infinite_spot(1, 3.0, bad=bad), mf.indicator(0.25, 1), 1.5)
         assert err.value.stage == "lag"
         msg = str(err.value)
         assert "centre=" in msg and "r=" in msg and "sigma=" in msg
@@ -1290,7 +1391,8 @@ def test_a_nan_node_is_reported_as_structured_fields(path):
         elif path == "tensor-residual":
             F.sobolev_residual(u, m, None, scheme)
         else:
-            F.energy(u, m, 2.0)
+            # p = 2 would take the multiplier route: a bad sample, no node
+            F.energy(u, m, 1.5)
     assert err.value.stage == ("lag" if path == "lag" else "polar")
     centre, r, sigma = structured_node(u, err)
     assert 0.0 < r <= 0.25
@@ -1306,7 +1408,7 @@ def test_a_nan_node_is_reported_as_structured_fields(path):
 
 
 # ---------------------------------------------------------------------------
-# x_resolution belongs to the 2D/3D tensor grids
+# x_resolution belongs to the 2D/3D tensor grids and the multiplier samples
 # ---------------------------------------------------------------------------
 
 def test_1d_energies_refuse_x_resolution():
@@ -1319,6 +1421,9 @@ def test_1d_energies_refuse_x_resolution():
     with pytest.raises(DomainError):
         F.ponce_spector_mass(fields.step_field(), mf.indicator_ladder(1, [2, 3, 4]),
                              scheme)
+    # a smooth field at p != 2 takes the lag route too
+    with pytest.raises(DomainError):
+        F.energy(fields.gaussian_bump(1), m, 1.5, scheme)
     # the other scheme fields still apply in 1D
     assert F.energy(fields.step_field(), m, 1.0, QuadratureScheme(radial_level=3)) \
         == pytest.approx(4.0, abs=1e-3)
