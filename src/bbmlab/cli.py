@@ -1,6 +1,6 @@
 """Experiment runner.
 
-Each subcommand resolves its configuration (defaults < --config JSON <
+Each command resolves its configuration (defaults < --config JSON <
 explicit flags), runs the experiment, and writes three artifacts into
 the output directory:
 
@@ -138,7 +138,10 @@ def parse_probes(spec: str, d: int, ladder: str | None = None) -> np.ndarray:
             raise UsageError(
                 f"probe {chunk!r} has {len(coords)} coordinates, field has {d}")
         pts.append(coords)
-    return np.asarray(pts)
+    pts = np.asarray(pts)
+    if not np.isfinite(pts).all():
+        raise UsageError(f"probe coordinates are finite, got --probe {spec!r}")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +187,6 @@ REPORT_HEADER = ["index", "param", "value", "limit", "abs_error", "rel_error"]
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _scheme(cfg: dict) -> QuadratureScheme:
-    return QuadratureScheme(sphere_order=cfg.get("sphere_order"),
-                            radial_level=cfg.get("radial_level"),
-                            x_resolution=cfg.get("x_resolution"))
-
-
 # the keys only some sweep experiments read, with their defaults
 SWEEP_OPTIONS = {
     "energy": {"p": 1.0},
@@ -200,19 +197,26 @@ SWEEP_OPTIONS = {
 SCHEME_KEYS = ("sphere_order", "radial_level", "x_resolution")
 
 
-def _refuse_unread(cfg: dict, options, reads, chosen: str) -> None:
-    """Refuse a set key among ``options`` that the chosen run does not read."""
-    for key in options:
-        if key not in reads and cfg.get(key) is not None:
-            flag = "--probe" if key == "probes" else "--" + key.replace("_", "-")
-            raise UsageError(f"{chosen} does not read {flag}")
+def _scheme(cfg: dict) -> QuadratureScheme:
+    return QuadratureScheme(**{key: cfg.get(key) for key in SCHEME_KEYS})
 
 
-def _route_reads(field, routes) -> set:
-    """The scheme keys that any of ``routes`` reads on ``field``
+def _refuse_unread(cfg: dict, reads, chosen: str) -> None:
+    """Refuse a set key that the chosen run does not read: a scheme key
+    or, in a sweep, another experiment's option."""
+    command = cfg["command"]
+    for key in command_keys(command):
+        if key not in DEFAULTS[command] and key not in reads \
+                and cfg.get(key) is not None:
+            raise UsageError(f"{chosen} does not read {_flag(key)}")
+
+
+def _route_reads(dimension: int | None, routes) -> set:
+    """The scheme keys that any of ``routes`` reads on a field of
+    ``dimension``, or of any dimension for None
     (``functionals.ROUTE_READS``); a 1D field has no sphere order."""
     reads = {key for route in routes for key in functionals.ROUTE_READS[route]}
-    if field.dimension == 1:
+    if dimension == 1:
         reads.discard("sphere_order")
     return reads
 
@@ -228,14 +232,15 @@ def run_constants(cfg, outdir, started):
     return 0
 
 
-def run_density(cfg, outdir, started, *, remainder=False):
+def run_density(cfg, outdir, started):
     field = parse_field(cfg["field"])
-    _refuse_unread(cfg, SCHEME_KEYS, _route_reads(field, ["polar"]),
+    _refuse_unread(cfg, _route_reads(field.dimension, ["polar"]),
                    f"a {field.dimension}D density")
     m = parse_mollifier(cfg["mollifier"], field.dimension)
     probes = parse_probes(cfg["probes"], field.dimension)
     scheme = _scheme(cfg)
-    op = functionals.remainder_density if remainder else functionals.pointwise_density
+    op = (functionals.remainder_density if cfg["command"] == "remainder"
+          else functionals.pointwise_density)
     values = op(DensityRequest(field, m, cfg["p"], probes, scheme)).tolist()
     rows = [(i, ";".join(_fmt(float(c)) for c in x), v)
             for i, (x, v) in enumerate(zip(probes, values))]
@@ -258,7 +263,7 @@ def run_energy(cfg, outdir, started):
     field = _bounded_field(cfg["field"], "the energy")
     m = parse_mollifier(cfg["mollifier"], field.dimension)
     route = functionals.energy_route(field, cfg["p"], m)
-    _refuse_unread(cfg, SCHEME_KEYS, _route_reads(field, [route]),
+    _refuse_unread(cfg, _route_reads(field.dimension, [route]),
                    f"the {route} route of a {field.dimension}D energy")
     value = functionals.energy(field, m, cfg["p"], _scheme(cfg))
     emit(outdir, cfg, ["value"], [(value,)], {"value": value, "route": route},
@@ -282,10 +287,8 @@ def run_sweep(cfg, outdir, started):
     else:
         routes = ["polar"]
     # a key is read when the experiment or any rung's route reads it
-    options = sorted({key for keys in SWEEP_OPTIONS.values() for key in keys})
     named = "/".join(dict.fromkeys(routes))
-    _refuse_unread(cfg, options + list(SCHEME_KEYS),
-                   _route_reads(field, routes) | set(SWEEP_OPTIONS[kind]),
+    _refuse_unread(cfg, _route_reads(d, routes) | set(SWEEP_OPTIONS[kind]),
                    f"--experiment {kind} on the {named} route")
     scheme = _scheme(cfg)
     summary = {}
@@ -338,10 +341,9 @@ def run_perimeter(cfg, outdir, started):
     # building the gaussians checks every n, for both methods; the BBM
     # perimeter is the energy at p = 1 with them
     kernels = [mollifiers.gaussian(n, E.dimension) for n in ns]
-    reads = set()
-    if "bbm" in methods:
-        reads = _route_reads(E, [functionals.energy_route(E, 1.0, m) for m in kernels])
-    _refuse_unread(cfg, SCHEME_KEYS, reads,
+    routes = ([functionals.energy_route(E, 1.0, m) for m in kernels]
+              if "bbm" in methods else [])
+    _refuse_unread(cfg, _route_reads(E.dimension, routes),
                    f"--method {cfg['method']} on {cfg['shape']!r}")
     rows, estimates = [], []
     for n in ns:
@@ -393,109 +395,21 @@ def run_maximal(cfg, outdir, started):
 
 
 COMMANDS = {
-    "constants": run_constants,
-    "density": lambda cfg, out, t0: run_density(cfg, out, t0),
-    "remainder": lambda cfg, out, t0: run_density(cfg, out, t0, remainder=True),
-    "energy": run_energy,
-    "sweep": run_sweep,
-    "bv": run_bv,
-    "perimeter": run_perimeter,
-    "pathology": run_pathology,
-    "maximal": run_maximal,
+    "constants": (run_constants, "print the constant table"),
+    "density": (run_density, "pointwise density at probes"),
+    "remainder": (run_density, "first-order remainder density at probes"),
+    "energy": (run_energy, "global nonlocal energy"),
+    "sweep": (run_sweep, "functional along a mollifier ladder"),
+    "bv": (run_bv, "BV pointwise density ladder at a probe"),
+    "perimeter": (run_perimeter, "perimeter estimators vs exact"),
+    "pathology": (run_pathology, "divergence lower-bound ladder"),
+    "maximal": (run_maximal, "maximal-function property sweeps"),
 }
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bbmlab",
-        description="nonlocal functional experiments and diagnostics")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *scheme_keys):
-        # a flag is registered only on the commands that read it
-        sp.add_argument("--config", type=str, default=None,
-                        help="JSON file with the same keys as the flags")
-        sp.add_argument("--out", type=str, default=None,
-                        help="output directory (default runs/<command>)")
-        for key in scheme_keys:
-            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=int,
-                            default=None)
-
-    sp = sub.add_parser("constants", help="print the constant table")
-    sp.add_argument("--d", type=int, default=None)
-    common(sp)
-
-    for name, hlp in (("density", "pointwise density at probes"),
-                      ("remainder", "first-order remainder density at probes")):
-        sp = sub.add_parser(name, help=hlp)
-        sp.add_argument("--field", type=str, default=None)
-        sp.add_argument("--mollifier", type=str, default=None)
-        sp.add_argument("--p", type=float, default=None)
-        sp.add_argument("--probe", dest="probes", type=str, default=None,
-                        help="semicolon-separated points")
-        common(sp, "sphere_order", "radial_level")
-
-    sp = sub.add_parser("energy", help="global nonlocal energy")
-    sp.add_argument("--field", type=str, default=None)
-    sp.add_argument("--mollifier", type=str, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    common(sp, *SCHEME_KEYS)
-
-    sp = sub.add_parser("sweep", help="functional along a mollifier ladder")
-    sp.add_argument("--experiment", type=str, default=None,
-                    choices=["density", "remainder", "energy",
-                             "sobolev-residual"])
-    sp.add_argument("--field", type=str, default=None)
-    sp.add_argument("--mollifier", type=str, default=None,
-                    help="family kind: indicator | gaussian | powerlaw")
-    sp.add_argument("--ladder", type=str, default=None,
-                    help="'K0:K1' dyadic or explicit comma list")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--probe", dest="probes", type=str, default=None)
-    sp.add_argument("--candidate", type=str, default=None,
-                    choices=["zero", "gradient"])
-    common(sp, *SCHEME_KEYS)
-
-    sp = sub.add_parser("bv", help="BV pointwise density ladder at a probe")
-    sp.add_argument("--field", type=str, default=None)
-    sp.add_argument("--mollifier", type=str, default=None)
-    sp.add_argument("--ladder", type=str, default=None)
-    sp.add_argument("--probe", dest="probes", type=str, default=None)
-    common(sp, "radial_level")
-
-    sp = sub.add_parser("perimeter", help="perimeter estimators vs exact")
-    sp.add_argument("--shape", type=str, default=None)
-    sp.add_argument("--n", type=str, default=None,
-                    help="concentration parameter, or comma ladder")
-    sp.add_argument("--method", type=str, default=None,
-                    choices=["bbm", "degiorgi", "both"])
-    common(sp, *SCHEME_KEYS)
-
-    sp = sub.add_parser("pathology", help="divergence lower-bound ladder")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--probe", dest="probes", type=str, default=None)
-    sp.add_argument("--scan", type=str, default=None,
-                    help="comma list of exponents for a threshold scan")
-    common(sp)
-
-    sp = sub.add_parser("maximal", help="maximal-function property sweeps")
-    sp.add_argument("--check", type=str, default=None, choices=["weak11"])
-    sp.add_argument("--fields", type=int, default=None)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--eps", type=str, default=None,
-                    help="comma ladder of superlevel thresholds")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="seed of the random test fields")
-    common(sp)
-
-    return parser
-
 
 DEFAULTS = {
     "constants": {"d": 2},
@@ -516,27 +430,105 @@ DEFAULTS = {
                 "eps": "0.25,0.5,0.75,1.0"},
 }
 
+# the routes of functionals.ROUTE_READS that a command's runs can take:
+# a BBM perimeter is the energy of a bounded set at p = 1, and no De
+# Giorgi perimeter reads a scheme key
+ROUTES = {
+    "density": ("polar",),
+    "remainder": ("polar",),
+    "energy": ("box", "covariogram", "multiplier", "lag", "tensor"),
+    "sweep": tuple(functionals.ROUTE_READS),
+    "bv": ("polar",),
+    "perimeter": ("box", "covariogram"),
+}
 
-def _flag_value(action: argparse.Action, key: str, value):
+# each config key's flag: its type, choices and help
+FLAGS = {
+    "d": {"type": int},
+    "p": {"type": float},
+    "delta": {"type": float},
+    "field": {"type": str},
+    "shape": {"type": str},
+    "mollifier": {"type": str, "help": "a spec, such as indicator:0.25; on a "
+                                       "ladder a bare kind, such as indicator"},
+    "probes": {"type": str, "help": "semicolon-separated points"},
+    "ladder": {"type": str, "help": "'K0:K1' dyadic or explicit comma list"},
+    "experiment": {"type": str,
+                   "choices": ["density", "remainder", "energy", "sobolev-residual"]},
+    "candidate": {"type": str, "choices": ["zero", "gradient"]},
+    "n": {"type": str, "help": "concentration parameter, or comma ladder"},
+    "method": {"type": str, "choices": ["bbm", "degiorgi", "both"]},
+    "scan": {"type": str, "help": "comma list of exponents for a threshold scan"},
+    "check": {"type": str, "choices": ["weak11"]},
+    "fields": {"type": int},
+    "eps": {"type": str, "help": "comma ladder of superlevel thresholds"},
+    "seed": {"type": int, "help": "seed of the random test fields"},
+    **dict.fromkeys(SCHEME_KEYS, {"type": int}),
+}
+
+
+def _flag(key: str) -> str:
+    return "--probe" if key == "probes" else "--" + key.replace("_", "-")
+
+
+def command_keys(command: str) -> list:
+    """The config keys of ``command``, one flag each: its defaults, the
+    options of every sweep experiment, and the scheme keys of the routes
+    its runs can take (``ROUTES``; bv's fields are 1D)."""
+    keys = list(DEFAULTS[command])
+    if command == "sweep":
+        keys += sorted({key for options in SWEEP_OPTIONS.values() for key in options})
+    reads = _route_reads(1 if command == "bv" else None, ROUTES.get(command, ()))
+    return keys + [key for key in SCHEME_KEYS if key in reads]
+
+
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command: a flag for each of its config keys,
+    plus --config and --out."""
+    parser = argparse.ArgumentParser(prog=f"bbmlab {command}",
+                                     description=COMMANDS[command][1])
+    for key in command_keys(command):
+        parser.add_argument(_flag(key), dest=key, **FLAGS[key])
+    parser.add_argument("--config", type=str,
+                        help="JSON file with the same keys as the flags")
+    parser.add_argument("--out", type=str,
+                        help="output directory (default runs/<command>)")
+    return parser
+
+
+def _usage(argv: list) -> None:
+    """Exit through argparse on a first word that is no command: 0 after
+    printing the command list for --help, 2 otherwise."""
+    parser = argparse.ArgumentParser(
+        prog="bbmlab", description="nonlocal functional experiments and diagnostics",
+        epilog="commands:\n" + "\n".join(f"  {name:10s}  {hlp}" for name, (_, hlp)
+                                         in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="then its own flags: bbmlab <command> --help")
+    parser.parse_args(argv[:1])
+
+
+def _flag_value(key: str, value):
     """A config value parsed as its flag parses its argument: through the
     flag's ``type``, given the value's text, and its ``choices``."""
+    spec = FLAGS[key]
     try:
-        parsed = action.type(value if isinstance(value, str) else json.dumps(value))
-        if action.choices is None or parsed in action.choices:
+        parsed = spec["type"](value if isinstance(value, str) else json.dumps(value))
+        if parsed in spec.get("choices", [parsed]):
             return parsed
     except ValueError:
         pass
     raise UsageError(f"config key {key!r}: {value!r} is not a valid "
-                     f"{action.option_strings[0]} value")
+                     f"{_flag(key)} value")
 
 
-def resolve_config(command: str, args: argparse.Namespace,
-                   flags: dict[str, argparse.Action]) -> dict:
+def resolve_config(command: str, args: argparse.Namespace) -> dict:
     """The command's defaults < the --config values < explicit flags.
-    ``flags`` maps the command's flag destinations to their actions; a
-    config value is parsed as its flag (``_flag_value``), a null is absent."""
-    cfg = {"command": command}
-    cfg.update(DEFAULTS[command])
+    A config value is parsed as its flag (``_flag_value``), a null is
+    absent."""
+    cfg = {"command": command, **DEFAULTS[command]}
+    keys = command_keys(command)
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -545,40 +537,37 @@ def resolve_config(command: str, args: argparse.Namespace,
             raise UsageError(f"cannot read config {args.config!r}: {exc}")
         if not isinstance(loaded, dict):
             raise UsageError("the config file must hold a JSON object")
-        # the keys are the command's defaults and flags; --config and
-        # --out are read from the command line alone
-        unknown = (set(loaded) - set(cfg) - set(vars(args))) | (
-            set(loaded) & {"config", "out"})
+        # the keys are the command's flags; --config and --out are read
+        # from the command line alone
+        unknown = set(loaded) - set(keys) - {"command"}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         if loaded.get("command", command) != command:
             raise UsageError(
                 f"config is for command {loaded['command']!r}, not {command!r}")
-        cfg.update({k: _flag_value(flags[k], k, v) if k in flags else v
-                    for k, v in loaded.items() if k != "command" and v is not None})
-    for key, value in vars(args).items():
-        if key in ("command", "config", "out") or value is None:
-            continue
-        cfg[key] = value
+        cfg.update({k: _flag_value(k, v) for k, v in loaded.items()
+                    if k != "command" and v is not None})
+    cfg.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
     return cfg
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in COMMANDS:
+        _usage(argv)
+    command = argv[0]
+    args = build_parser(command).parse_args(argv[1:])
     started = time.monotonic()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in sub.choices[args.command]._actions if a.option_strings}
     try:
-        cfg = resolve_config(args.command, args, flags)
-        outdir = Path(args.out or f"runs/{args.command}")
-        return COMMANDS[args.command](cfg, outdir, started)
+        cfg = resolve_config(command, args)
+        outdir = Path(args.out or f"runs/{command}")
+        return COMMANDS[command][0](cfg, outdir, started)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except BBMLabError as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc),
-                      "command": args.command}
+                      "command": command}
         # the sum an EvaluationError failed in: polar, lag or multiplier
         if getattr(exc, "stage", None) is not None:
             diagnostic["stage"] = exc.stage

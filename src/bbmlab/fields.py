@@ -275,7 +275,15 @@ class BVField1D:
     (absolutely continuous) and the atomic measure sum h_j delta_{c_j}
     (singular).  Pointwise evaluation at a jump uses the midpoint
     convention; almost-everywhere statements are insensitive to it and
-    probes avoid jump locations by construction.
+    probes avoid jump locations by construction.  A jump of height 0 is
+    no jump: the field drops it, so every jump it keeps is a point of
+    its jump set.
+
+    Raises
+    ------
+    DomainError
+        If a jump location or height is not finite, or the locations do
+        not strictly increase.
     """
 
     __slots__ = ("dimension", "smooth", "jump_locations", "jump_heights", "_cum")
@@ -286,13 +294,16 @@ class BVField1D:
             raise DimensionError("the smooth part must be one-dimensional")
         locs = np.asarray([j[0] for j in jumps], dtype=float)
         heights = np.asarray([j[1] for j in jumps], dtype=float)
+        if not (np.isfinite(locs).all() and np.isfinite(heights).all()):
+            raise DomainError("jump locations and heights must be finite")
         if locs.size and np.any(np.diff(locs) <= 0):
             raise DomainError("jump locations must be strictly increasing")
+        keep = heights != 0.0
         self.dimension = 1
         self.smooth = smooth
-        self.jump_locations = locs
-        self.jump_heights = heights
-        self._cum = np.concatenate([[0.0], np.cumsum(heights)])
+        self.jump_locations = locs[keep]
+        self.jump_heights = heights[keep]
+        self._cum = np.concatenate([[0.0], np.cumsum(self.jump_heights)])
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         x = pts[:, 0]
@@ -482,10 +493,11 @@ class IndicatorSet:
         return self.shape.bbox()
 
     def singular_points(self) -> np.ndarray:
-        if self.dimension == 1:
+        """The two ends of a 1D set of positive length: a null set, 0
+        almost everywhere, jumps nowhere."""
+        if self.dimension == 1 and self.is_bounded and self.exact_volume() > 0.0:
             box = self.shape.bbox()
-            if box is not None:
-                return np.array([box[0][0], box[1][0]])
+            return np.array([box[0][0], box[1][0]])
         return np.empty(0)
 
     def difference_breakpoints(self, x: np.ndarray) -> np.ndarray:
@@ -508,10 +520,13 @@ def interval_set(a: float, b: float) -> IndicatorSet:
 
 
 def _corner(point, what: str) -> tuple:
-    """A point of a set spec as a tuple of 1 to 3 floats."""
+    """A point of a set spec as a tuple of 1 to 3 finite floats."""
     point = tuple(np.atleast_1d(point).astype(float))
     if not 1 <= len(point) <= 3:
         raise DimensionError(f"a {what} has 1 to 3 coordinates, got {len(point)}")
+    if not np.isfinite(point).all():
+        raise DomainError(f"a {what} has finite coordinates, got "
+                          f"{[float(t) for t in point]}")
     return point
 
 
@@ -523,7 +538,8 @@ def ball_set(center, radius: float) -> IndicatorSet:
     DimensionError
         If the centre does not have 1 to 3 coordinates.
     DomainError
-        If the radius is negative or not finite.
+        If the radius is negative or not finite, or the centre is not
+        finite.
     """
     radius = float(radius)
     if not (math.isfinite(radius) and radius >= 0.0):
@@ -539,6 +555,8 @@ def box_set(lo, hi) -> IndicatorSet:
     ------
     DimensionError
         If the corners differ in length or do not have 1 to 3 coordinates.
+    DomainError
+        If a corner is not finite.
     """
     lo, hi = _corner(lo, "box corner"), _corner(hi, "box corner")
     if len(lo) != len(hi):
@@ -548,8 +566,20 @@ def box_set(lo, hi) -> IndicatorSet:
 
 
 def half_space_set(normal, offset: float) -> IndicatorSet:
-    return IndicatorSet(HalfSpace(tuple(np.atleast_1d(normal).astype(float)),
-                                  float(offset)))
+    """The indicator of {x : x . normal / |normal| <= offset}.
+
+    Raises
+    ------
+    DimensionError
+        If the normal does not have 1 to 3 coordinates.
+    DomainError
+        If the normal is zero or not finite, or the offset is not finite.
+    """
+    normal, offset = _corner(normal, "half-space normal"), float(offset)
+    if not (any(normal) and math.isfinite(offset)):
+        raise DomainError(f"a half-space has a nonzero normal and a finite "
+                          f"offset, got {[float(t) for t in normal]} and {offset!r}")
+    return IndicatorSet(HalfSpace(normal, offset))
 
 
 # ---------------------------------------------------------------------------

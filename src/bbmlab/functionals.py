@@ -578,21 +578,18 @@ def _integrate_density_over_x(field, mollifier, p, *, subtract_candidate=None,
 
 
 def _lag_parts(field):
-    """(a, h, s): the locations a and nonzero heights h of a 1D field's
-    jumps, and its continuous part s (None where it has none).
+    """(a, h, s): the locations a and heights h of a 1D field's jumps,
+    and its continuous part s (None where it has none).
 
     A BV field carries its jumps apart from its smooth part.  A set of
     positive length is the jumps +1 at its left end and -1 at its right
-    end, with no continuous part; a set of length 0 is 0 almost
-    everywhere."""
+    end (its singular points), with no continuous part; a null set has
+    no singular point."""
     if isinstance(field, BVField1D):
-        keep = field.jump_heights != 0.0
-        return field.jump_locations[keep], field.jump_heights[keep], field.smooth
+        return field.jump_locations, field.jump_heights, field.smooth
     if isinstance(field, IndicatorSet):
         a = field.singular_points()
-        if a.size == 2 and a[1] > a[0]:
-            return a, np.array([1.0, -1.0]), None
-        return np.empty(0), np.empty(0), None
+        return a, np.array([1.0, -1.0])[:a.size], None
     return np.empty(0), np.empty(0), field
 
 
@@ -712,10 +709,10 @@ def _lag_energy(field, mollifier, p, *, candidate=None,
 
 def _has_jump(field) -> bool:
     """Whether the field jumps across a hypersurface: a bounded set of
-    positive volume, or a BV field with a nonzero jump."""
+    positive volume, or a BV field with a jump."""
     if isinstance(field, IndicatorSet):
         return field.is_bounded and field.exact_volume() > 0.0
-    return isinstance(field, BVField1D) and bool(np.any(field.jump_heights != 0.0))
+    return isinstance(field, BVField1D) and field.jump_locations.size > 0
 
 
 def _quarter_circle(L1, L2, s):

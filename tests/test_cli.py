@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from bbmlab import constants, functionals as F
-from bbmlab.cli import (build_parser, main, parse_field, parse_ladder,
-                        parse_mollifier)
+from bbmlab.cli import (COMMANDS, DEFAULTS, SWEEP_OPTIONS, build_parser, main,
+                        parse_field, parse_ladder, parse_mollifier)
 from bbmlab.functionals import DensityRequest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -253,11 +253,26 @@ def test_degenerate_box_perimeter_reports_absolute_error(tmp_path):
     ["maximal", "--d", "0"],
     ["maximal", "--fields", "0"],
     ["maximal", "--fields", "-1"],
+    # non-finite numbers in set specs, jumps and probes
+    ["energy", "--field", "interval:nan,1"],
+    ["energy", "--field", "box:0,0;1,nan", "--mollifier", "indicator:0.25"],
+    ["energy", "--field", "mixed:1@nan"],
+    ["energy", "--field", "mixed:inf@0"],
+    ["energy", "--field", "ball:nan,0,1", "--mollifier", "indicator:0.25"],
+    ["perimeter", "--shape", "interval:nan,1"],
+    ["density", "--field", "halfspace:0,0;0", "--probe", "1,1"],
+    ["density", "--field", "halfspace:1,0;inf", "--probe", "1,1"],
+    ["density", "--field", "step", "--probe", "inf"],
+    ["density", "--field", "linear:1,0", "--probe", "0,0;nan,0"],
 ], ids=["energy-box-short-corner", "perimeter-box-long-corner", "perimeter-box-4d",
         "perimeter-ball-negative", "perimeter-ball-nan", "perimeter-ball-no-centre",
         "density-ball-inf", "perimeter-halfspace-bbm", "perimeter-halfspace-degiorgi",
         "perimeter-halfspace-both", "perimeter-halfline-degiorgi", "maximal-d3",
-        "maximal-d0", "maximal-fields-0", "maximal-fields-negative"])
+        "maximal-d0", "maximal-fields-0", "maximal-fields-negative",
+        "energy-interval-nan", "energy-box-nan", "energy-mixed-nan-location",
+        "energy-mixed-inf-height", "energy-ball-nan-centre", "perimeter-interval-nan",
+        "density-halfspace-zero-normal", "density-halfspace-inf-offset",
+        "density-probe-inf", "density-probe-nan"])
 def test_bad_sets_and_maximal_arguments_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 2
@@ -389,7 +404,11 @@ def test_spec_parsers_reject_garbage():
     ["energy", "--field", "bump:1", "--mollifier", "indicator:0.25", "--p", "1.5"],
 ], ids=["energy", "sweep", "perimeter", "energy-bump-p1.5"])
 def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
-    code = main(argv + ["--x-resolution", "64", "--out", str(tmp_path / "x")])
+    # perimeter takes no --x-resolution at all: its parser stops the run
+    try:
+        code = main(argv + ["--x-resolution", "64", "--out", str(tmp_path / "x")])
+    except SystemExit as exc:
+        code = exc.code
     assert code == 2
     assert "--x-resolution" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
@@ -637,6 +656,21 @@ def test_probe_on_a_jump_is_a_numerical_failure(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,probes,values", [
+    ("mixed:0@0", "0;0.5", [0.25, 2.0]),
+    ("interval:1,0", "1;0", [0.0, 0.0]),
+], ids=["density-zero-jump", "density-null-interval-end"])
+def test_a_zero_jump_or_a_null_set_is_no_jump(tmp_path, field, probes, values):
+    # neither field jumps at the probes: x^2 with indicator(1/4) has the
+    # density twice the mean of |2x + y| over |y| < 1/4, and a null
+    # interval is 0 almost everywhere
+    out = tmp_path / "x"
+    assert main(["density", "--field", field, "--mollifier", "indicator:0.25",
+                 "--probe", probes, "--out", str(out)]) == 0
+    np.testing.assert_allclose(read_summary(out)["values"], values, rtol=1e-12,
+                               atol=0)
+
+
 @pytest.mark.parametrize("flag", ["--x-resolution=-3", "--x-resolution=0",
                                   "--radial-level=-1", "--radial-level=13",
                                   "--sphere-order=0"])
@@ -676,10 +710,76 @@ def test_readme_cli_quick_start_parses():
     block = re.search(r"## Quick start \(CLI\).*?```\n(.*?)```", text, re.S).group(1)
     lines = [line for line in block.splitlines() if line.startswith("bbmlab ")]
     assert len(lines) >= 5
-    parser = build_parser()
     for line in lines:
-        argv = shlex.split(line)[1:]
-        assert parser.parse_args(argv).command == argv[0]
+        command, *argv = shlex.split(line)[1:]
+        build_parser(command).parse_args(argv)
+
+
+# a run for each scheme flag a command offers, and the route it takes;
+# the route reads the flags it sets (functionals.ROUTE_READS)
+SCHEME_FLAGS = {"--sphere-order": "sphere_order", "--radial-level": "radial_level",
+                "--x-resolution": "x_resolution"}
+SCHEME_FLAG_RUNS = [
+    (["density", "--sphere-order", "8", "--radial-level", "3"], "polar"),
+    (["remainder", "--sphere-order", "8", "--radial-level", "3"], "polar"),
+    (["energy", "--field", "bump:2", "--mollifier", "indicator:0.5", "--p", "1",
+      "--x-resolution", "8", "--sphere-order", "8", "--radial-level", "1"], "tensor"),
+    (["sweep", "--experiment", "sobolev-residual", "--field", "bump:2",
+      "--mollifier", "indicator", "--ladder", "1:3", "--candidate", "gradient",
+      "--x-resolution", "8", "--sphere-order", "8", "--radial-level", "1"], "tensor"),
+    (["bv", "--radial-level", "3"], "polar"),
+    # the BBM perimeter of a disk is its energy at p = 1, one radial sum
+    (["perimeter", "--shape", "ball:0,0,1", "--method", "bbm", "--n", "256",
+      "--radial-level", "3"], "covariogram"),
+]
+
+
+def offered_flags(command):
+    return set(re.findall(r"\[(--[\w-]+)", build_parser(command).format_usage()))
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_offers_exactly_the_flags_its_runs_read(tmp_path, command):
+    # its config keys, --config, --out, and the scheme keys that a route
+    # it reaches reads: each is set by a run of SCHEME_FLAG_RUNS that
+    # takes that route
+    keys = set(DEFAULTS[command])
+    if command == "sweep":
+        keys |= {key for options in SWEEP_OPTIONS.values() for key in options}
+    flags = {"--probe" if k == "probes" else "--" + k.replace("_", "-") for k in keys}
+    for i, (argv, route) in enumerate(SCHEME_FLAG_RUNS):
+        if argv[0] != command:
+            continue
+        scheme = {flag for flag in argv if flag in SCHEME_FLAGS}
+        assert {SCHEME_FLAGS[f] for f in scheme} <= set(F.ROUTE_READS[route])
+        assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
+        assert read_summary(tmp_path / str(i)).get("route", route) == route
+        flags |= scheme
+    assert offered_flags(command) == flags | {"--config", "--out"}
+
+
+def test_readme_names_the_commands_of_each_quadrature_flag():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"Quadrature flags exist only on the commands that read "
+                         r"them: (.*?)\.", text).group(1)
+    named = {}
+    for part in sentence.split(";"):
+        flag, commands = re.fullmatch(r" ?`(--[\w-]+)` on (.*)", part).groups()
+        named[flag] = set(re.findall(r"`(\w+)`", commands))
+    assert named == {flag: {c for c in COMMANDS if flag in offered_flags(c)}
+                     for flag in SCHEME_FLAGS}
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), ([], 2), (["bogus"], 2),
+                                       (["--out", "x", "constants"], 2)])
+def test_the_command_word_comes_first(capsys, argv, code):
+    # --help lists every command with its help, anything else is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    if code == 0:
+        listed = capsys.readouterr().out.split("commands:")[1]
+        assert re.findall(r"^  (\w+) ", listed, re.M) == list(COMMANDS)
 
 
 def test_readme_route_table_mirrors_route_reads():

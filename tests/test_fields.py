@@ -156,6 +156,21 @@ def test_jump_locations_must_increase():
         fields.BVField1D(None, [(0.5, 1.0), (0.1, 1.0)])
 
 
+def test_the_jump_set_is_decided_when_the_field_is_built():
+    # a jump of height 0 is no jump, and a null 1D set jumps nowhere
+    bv = fields.BVField1D(None, [(-1.0, 0.5), (0.0, 0.0), (1.0, -0.5)])
+    assert bv.jump_locations.tolist() == [-1.0, 1.0]
+    assert bv.jump_heights.tolist() == [0.5, -0.5]
+    assert bv.singular_points().tolist() == [-1.0, 1.0]
+    x = np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]])
+    assert bv.eval_many(x).tolist() == [0.0, 0.25, 0.5, 0.25, 0.0]
+    assert fields.BVField1D(None, [(0.0, 0.0)]).singular_points().size == 0
+    for E in (fields.interval_set(1.0, 0.0), fields.interval_set(0.5, 0.5),
+              fields.ball_set([0.5], 0.0)):
+        assert E.singular_points().size == 0
+    assert fields.interval_set(0.0, 1.0).singular_points().tolist() == [0.0, 1.0]
+
+
 def test_step_field_mass():
     step = fields.step_field()
     assert step.total_jump_mass == 2.0
@@ -195,8 +210,22 @@ def test_box_geometry_and_degenerate_case():
     (lambda: fields.ball_set([0.0, 0.0], -1.0), DomainError),
     (lambda: fields.ball_set([0.0, 0.0], math.nan), DomainError),
     (lambda: fields.ball_set([0.0, 0.0], math.inf), DomainError),
+    (lambda: fields.box_set([0.0, 0.0], [1.0, math.nan]), DomainError),
+    (lambda: fields.interval_set(-math.inf, 1.0), DomainError),
+    (lambda: fields.ball_set([math.nan, 0.0], 1.0), DomainError),
+    (lambda: fields.ball_set([math.inf], 1.0), DomainError),
+    (lambda: fields.half_space_set([0.0, 0.0], 0.0), DomainError),
+    (lambda: fields.half_space_set([math.nan, 1.0], 0.0), DomainError),
+    (lambda: fields.half_space_set([1.0, 0.0], math.inf), DomainError),
+    (lambda: fields.half_space_set([1.0] * 4, 0.0), DimensionError),
+    (lambda: fields.BVField1D(None, [(math.nan, 1.0)]), DomainError),
+    (lambda: fields.BVField1D(None, [(0.0, 1.0), (1.0, math.inf)]), DomainError),
+    (lambda: fields.BVField1D(None, [(0.0, math.nan)]), DomainError),
 ], ids=["box-short-corner", "box-long-corner", "box-4d", "box-empty",
-        "ball-empty-centre", "ball-4d", "ball-negative", "ball-nan", "ball-inf"])
+        "ball-empty-centre", "ball-4d", "ball-negative", "ball-nan", "ball-inf",
+        "box-nan-corner", "interval-inf-end", "ball-nan-centre", "ball-inf-centre",
+        "halfspace-zero-normal", "halfspace-nan-normal", "halfspace-inf-offset",
+        "halfspace-4d", "bv-nan-location", "bv-inf-height", "bv-nan-height"])
 def test_set_specs_are_checked(make, error):
     with pytest.raises(error):
         make()

@@ -337,6 +337,26 @@ def test_densities_refuse_probes_on_a_jump(field, m, probe):
             call()
 
 
+def test_a_zero_jump_and_a_null_set_have_no_jump():
+    # the field is its smooth part everywhere: at p = 2 its local energy
+    # is finite, so the study keeps its limit, and a probe at the zero
+    # jump, or at an end of a null interval, has a finite density
+    bump = fields.gaussian_bump(1)
+    flat = fields.BVField1D(bump, [(0.0, 0.0)])
+    m = mf.indicator(0.25, 1)
+    assert F.local_energy(flat, 2) == pytest.approx(F.local_energy(bump, 2),
+                                                    rel=1e-12, abs=0)
+    report = F.energy_study(flat, mf.indicator_ladder(1, range(1, 6)), 2)
+    assert report.limit == pytest.approx(F.local_energy(bump, 2), rel=1e-12, abs=0)
+    assert report.classification == "converging"
+    assert F.energy(flat, m, 2) == pytest.approx(F.energy(bump, m, 2), rel=1e-15)
+    assert density(flat, m, 1.0, [0.0]) == density(bump, m, 1.0, [0.0])
+    assert remainder(flat, m, 1.0, [0.0]) == remainder(bump, m, 1.0, [0.0])
+    null = fields.interval_set(1.0, 0.0)
+    assert density(null, m, 1.0, [[1.0], [0.0]]).tolist() == [0.0, 0.0]
+    assert F.sobolev_residual(null, m, None) == 0.0
+
+
 def test_on_a_jump_means_within_rounding_of_it():
     # 0.1 + 0.2 is 0.3 up to one rounding; 1e-13 away the density is finite
     m = mf.indicator(0.25, 1)
