@@ -94,12 +94,15 @@ def parse_mollifier(spec: str, d: int) -> mollifiers.RadialMollifier:
 
 def parse_numbers(spec, what: str, *, sep: str = ",", kind=float) -> list:
     """The numbers of a ``sep``-separated list, such as a comma list of
-    ``--n`` values; a malformed entry is a usage error."""
+    ``--n`` values; a malformed or non-finite entry is a usage error."""
     try:
-        return [kind(t) for t in str(spec).split(sep)]
+        values = [kind(t) for t in str(spec).split(sep)]
     except ValueError:
         raise UsageError(f"malformed {what} {spec!r}: expected numbers "
                          f"separated by {sep!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{what} takes finite numbers, got {spec!r}")
+    return values
 
 
 def parse_ladder(kind: str, spec: str, d: int) -> list[mollifiers.RadialMollifier]:
@@ -138,10 +141,7 @@ def parse_probes(spec: str, d: int, ladder: str | None = None) -> np.ndarray:
             raise UsageError(
                 f"probe {chunk!r} has {len(coords)} coordinates, field has {d}")
         pts.append(coords)
-    pts = np.asarray(pts)
-    if not np.isfinite(pts).all():
-        raise UsageError(f"probe coordinates are finite, got --probe {spec!r}")
-    return pts
+    return np.asarray(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +378,8 @@ def run_maximal(cfg, outdir, started):
         raise UsageError(f"maximal checks run in 1 or 2 dimensions, not --d {d!r}")
     if cfg["fields"] < 1:
         raise UsageError(f"--fields must be at least 1, got {cfg['fields']!r}")
+    if cfg["seed"] < 0:
+        raise UsageError(f"--seed must be at least 0, got {cfg['seed']!r}")
     rng = np.random.default_rng(cfg["seed"])
     eps_ladder = parse_numbers(cfg["eps"], "--eps")
     rows = []
@@ -436,17 +438,26 @@ DEFAULTS = {
 ROUTES = {
     "density": ("polar",),
     "remainder": ("polar",),
-    "energy": ("box", "covariogram", "multiplier", "lag", "tensor"),
+    "energy": ("jump", "box", "covariogram", "multiplier", "lag", "tensor"),
     "sweep": tuple(functionals.ROUTE_READS),
     "bv": ("polar",),
-    "perimeter": ("box", "covariogram"),
+    "perimeter": ("jump", "box", "covariogram"),
 }
+
+
+def finite_float(text: str) -> float:
+    """A float flag's value: a non-finite one is a usage error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
 
 # each config key's flag: its type, choices and help
 FLAGS = {
     "d": {"type": int},
-    "p": {"type": float},
-    "delta": {"type": float},
+    "p": {"type": finite_float},
+    "delta": {"type": finite_float},
     "field": {"type": str},
     "shape": {"type": str},
     "mollifier": {"type": str, "help": "a spec, such as indicator:0.25; on a "

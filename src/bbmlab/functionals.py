@@ -17,15 +17,18 @@ For a field u, mollifier rho and exponent p >= 1 the library evaluates
 plus ladder drivers (``bv_pointwise_limit``, ``ponce_spector_mass``,
 ``convergence_study``) that package values into ConvergenceReports.
 
-Quadrature notes.  ``energy`` takes one of five routes, which
+Quadrature notes.  ``energy`` takes one of six routes, which
 ``energy_route`` names (``residual_route`` names the two that
 ``sobolev_residual`` takes); ``ROUTE_READS`` says which
 ``QuadratureScheme`` fields each route, and the polar density, reads:
 
+* jump: every pure-jump 1D field (a BV field with no smooth part, or a
+  bounded 1D set); a closed form in the kernel's tail moments, with no
+  rule;
 * box: 2D/3D boxes whose energy is a closed form (the gaussian at
   p = 1, or r_max <= every side);
-* covariogram: every other bounded set (intervals, disks, 3D balls and
-  2D/3D boxes) at any p; one radial sum;
+* covariogram: every other 2D/3D bounded set (disks, 3D balls and
+  boxes) at any p; one radial sum;
 * multiplier: p = 2 and an analytic field in 1D, 2D or 3D; one FFT of
   the field's samples (on the x-grid) times the Fourier multiplier of
   the mollifier (on one radial rule);
@@ -60,20 +63,22 @@ E = sum_sigma int rho(r) r^-p G_sigma(r) dr with
 G_sigma(r) = int |u(x + sigma r) - u(x)|^p dx: no density is formed, so
 the logarithmic density profile at a jump never needs resolving.  The
 jumps' share c1 r of G, c1 = sum |h_i|^p, is the closed-form moment
-c1 mu(1-p); the rest is one radial sum over G, whose x-integral runs
-over fixed uniform panels cut at the jumps and at the jumps shifted by
-the lag, where the integrand is smooth (``_lag_energy``).
+c1 mu(1-p).  With no smooth part G is piecewise linear in r, kinked at
+the gaps between jumps, so the rest is the tail moments
+M(k, g) = int_g^inf rho r^k dr at those gaps (``_jump_energy``).  With
+one, the rest is one radial sum over G, whose x-integral runs over
+fixed uniform panels cut at the jumps and at the jumps shifted by the
+lag, where the integrand is smooth (``_lag_energy``).
 
-The energy of a bounded set E is one function of its covariogram
+The energy of a 2D/3D bounded set E is one function of its covariogram
 g(h) = |E cap (E + h)| (``_set_energy``), with no x-rule or engine:
 E = 2 int rho(r) r^(d-1-p) F(r) dr, F(r) = int_S (|E| - g(r sigma)) dsigma.
 F is a polynomial sum_k P_k r^k, whose part is the closed-form moments
 P_k mu(k-p), plus a rest h, which is one radial sum graded at the set's
 kink radii.  A ball's g is radial and its
 polynomial is c1 r; a box's g = prod_i (L_i - |h_i|)_+ makes |E| - g a
-polynomial in the |h_i| up to r = min L_i, where h starts (an interval
-is a 1D box).  The gaussian at p = 1 is separable for a box.  A field
-with a jump has infinite energy from the exponent at which the moment
+polynomial in the |h_i| up to r = min L_i, where h starts.  The
+gaussian at p = 1 is separable for a box.  A field with a jump has infinite energy from the exponent at which the moment
 mu(1-p) diverges on; ``energy`` then returns ``math.inf`` on every
 route.
 
@@ -161,6 +166,13 @@ _DEFECT_MAX = {1: 4.0, 2: 2.0 * math.pi * 1.4028, 3: 4.0 * math.pi * 1.2173}
 _MULTIPLIER_TAIL_RTOL = 2.0 ** -55
 
 
+def _exponent(p) -> float:
+    """p as a float, refused with DomainError unless 1 <= p < inf (NaN fails)."""
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"exponent p must be a finite number >= 1, got {p!r}")
+    return float(p)
+
+
 def _abs_power(diff: np.ndarray, p: float) -> np.ndarray:
     """|diff|**p with fast paths for the common integer exponents."""
     if p == 1.0:
@@ -220,7 +232,7 @@ class DensityRequest:
     scheme: Optional[QuadratureScheme] = None
 
     def validated(self):
-        """The request's parts, checked: matching dimensions, p >= 1,
+        """The request's parts, checked: matching dimensions, a finite p >= 1,
         probes off the field's jumps and, for grid fields, inside the box.
 
         Raises
@@ -236,8 +248,7 @@ class DensityRequest:
             raise DimensionError(
                 f"field dimension {field.dimension} != mollifier dimension "
                 f"{m.dimension}")
-        if self.p < 1:
-            raise DomainError(f"exponent p must be >= 1, got {self.p}")
+        p = _exponent(self.p)
         probes = as_points(self.probe, field.dimension)
         sing = np.asarray(field.singular_points(), dtype=float)
         if sing.size:
@@ -248,7 +259,7 @@ class DensityRequest:
                     f"probe {probes[np.argmax(on)]} lies on a jump of the field")
         scheme = self.scheme or DEFAULT_SCHEME
         _check_probe_margin(field, probes, m.quadrature_radius())
-        return field, m, float(self.p), probes, scheme
+        return field, m, p, probes, scheme
 
 
 def _shaped(probe, values: np.ndarray):
@@ -620,10 +631,53 @@ def _lag_cuts(base, a, cum_h, cum_hp, lag):
     return edges, K, M
 
 
+def _jump_sums(a, h, p):
+    """The kinks |a_i - a_j| of G, c1 = sum |h_i|^p, and the prefix sums
+    of h_i and |h_i|^p that ``_lag_cuts`` counts with."""
+    hp = _abs_power(h, p)
+    return (np.abs(a[:, None] - a[None, :])[np.triu_indices(a.size, 1)], float(np.sum(hp)),
+            np.concatenate([[0.0], np.cumsum(h)]), np.concatenate([[0.0], np.cumsum(hp)]))
+
+
+def _jump_energy(field, mollifier, p) -> float:
+    """The energy of a pure-jump 1D field, a BV field with no smooth part
+    or a bounded 1D set, in closed form, with no rule and no evaluation.
+
+    G(r) = int |J(x + r) - J(x)|^p dx is piecewise linear in r, with kinks
+    only at the gaps g_k between jumps, where two windows start to
+    overlap: G = c1 r up to the first gap, and past the last its slope is
+    |sum h_i|^p.  ``_lag_cuts`` at the gaps gives G - c1 r exactly there,
+    so G = c1 r + sum_k s_k (r - g_k)_+, s_k the change of slope at g_k, and
+
+        E = 2 int rho r^-p G dr
+          = 2 c1 mu(1-p) + 2 sum_k s_k (M(1-p, g_k) - g_k M(-p, g_k)),
+
+    M(k, g) = ``moment(k, g)`` the tail moment beyond g.  As on every
+    route, the kernel ends at r_max: gaps there or past it add nothing,
+    so with none below it the energy is 2 c1 mu(1-p) alone.
+    """
+    r_max = mollifier.quadrature_radius()
+    _x_region(field, r_max)     # refuses an unbounded support
+    a, h, _ = _lag_parts(field)
+    gaps, c1, cum_h, cum_hp = _jump_sums(a, h, p)
+    # without jumps mu(1-p) may be inf, and 0 * inf is NaN
+    total = 2.0 * c1 * mollifier.moment(1.0 - p) if c1 else 0.0
+    gaps = np.unique(gaps)
+    if not gaps.size or gaps[0] >= r_max:
+        return total
+    edges, K, M = _lag_cuts(np.empty(0), a, cum_h, cum_hp, gaps)
+    rest = np.einsum("ij,ij->i", np.diff(edges, axis=1), _abs_power(K, p) - M)
+    slope = np.concatenate([[0.0], np.diff(rest) / np.diff(gaps),
+                            [abs(float(np.sum(h))) ** p - c1]])
+    for g, s in zip(gaps[gaps < r_max].tolist(), np.diff(slope).tolist()):
+        total += 2.0 * s * (mollifier.moment(1.0 - p, g) - g * mollifier.moment(-p, g))
+    return total
+
+
 def _lag_energy(field, mollifier, p, *, candidate=None,
                 scheme=DEFAULT_SCHEME) -> float:
-    """The energy of a 1D field in lag form, or with ``candidate`` U its
-    Sobolev residual (p = 1):
+    """The energy of a 1D field with a continuous part in lag form, or
+    with ``candidate`` U the Sobolev residual (p = 1) of any 1D field:
 
         E = sum_sigma int rho(r) r^-p G_sigma(r) dr,
         G_sigma(r) = int |u(x + sigma r) - u(x) [- sigma r U(x)]|^p dx.
@@ -632,7 +686,7 @@ def _lag_energy(field, mollifier, p, *, candidate=None,
     is summed, twice.  Write u = s + J with s continuous and J the jumps
     h_i at a_i (``_lag_parts``; a set is J alone).  Then G_sigma(r) =
     c1 r + (the rest), c1 = sum |h_i|^p, and c1 r goes through the
-    closed-form moment c1 mu(1-p), as on the covariogram route.  The
+    closed-form moment c1 mu(1-p), as on the jump route.  The
     rest is one radial sum, on a rule split at the distances |a_i - a_j|
     where the windows of two jumps start to overlap (the kinks of G).
     At each lag the x-integral runs over _LAG_X_PANELS uniform panels of
@@ -642,7 +696,6 @@ def _lag_energy(field, mollifier, p, *, candidate=None,
     adds its length times |K|^p - M, which is zero where at most one
     window holds it; per node it adds |D|^p - |K|^p with
     D = s(x + sigma r) - s(x) [- sigma r U(x)] + K.
-    A pure jump (no s, no U) needs no node, and is integrated exactly.
     Radii are taken in blocks of at most _CHUNK field points.
 
     Raises
@@ -657,13 +710,9 @@ def _lag_energy(field, mollifier, p, *, candidate=None,
     r_max = mollifier.quadrature_radius()
     lo, hi = _x_region(field, r_max)
     a, h, cont = _lag_parts(field)
-    hp = _abs_power(h, p)
-    c1 = float(np.sum(hp))
-    cum_h = np.concatenate([[0.0], np.cumsum(h)])
-    cum_hp = np.concatenate([[0.0], np.cumsum(hp)])
-    rule = quadrature.kernel_radial_rule(
-        mollifier, scheme.radial_level,
-        breakpoints=np.abs(a[:, None] - a[None, :])[np.triu_indices(a.size, 1)])
+    gaps, c1, cum_h, cum_hp = _jump_sums(a, h, p)
+    rule = quadrature.kernel_radial_rule(mollifier, scheme.radial_level,
+                                         breakpoints=gaps)
     r = rule.nodes
     wr = rule.weights / r ** p
     if candidate is not None:
@@ -679,25 +728,24 @@ def _lag_energy(field, mollifier, p, *, candidate=None,
             rb = r[start:start + step]
             edges, K, M = _lag_cuts(base, a, cum_h, cum_hp, sigma * rb)
             Kp = _abs_power(K, p)
-            G = np.einsum("ij,ij->i", np.diff(edges, axis=1), Kp - M)
-            if cont is not None or candidate is not None:
-                x, w = quadrature.composite_gauss(edges, _LAG_X_NODES)
-                D = np.repeat(K, _LAG_X_NODES, axis=1)
-                with np.errstate(invalid="ignore", over="ignore"):
-                    if cont is not None:
-                        y = x + sigma * rb[:, None]
-                        D = (D + cont.eval_many(y.reshape(-1, 1)).reshape(y.shape)
-                             - cont.eval_many(x.reshape(-1, 1)).reshape(x.shape))
-                    if candidate is not None:
-                        U = candidate.eval_many(x.reshape(-1, 1)).reshape(x.shape)
-                        D = D - sigma * rb[:, None] * U
-                    F = _abs_power(D, p) - np.repeat(Kp, _LAG_X_NODES, axis=1)
-                if not np.isfinite(F).all():
-                    i, j = np.argwhere(~np.isfinite(F))[0]
-                    centre = np.broadcast_to(x, F.shape)[i, j]
-                    raise _integrand_error(float(F[i, j]), float(centre),
-                                           float(rb[i]), sigma, "lag")
-                G = G + np.einsum("ij,ij->i", w, F)
+            x, w = quadrature.composite_gauss(edges, _LAG_X_NODES)
+            D = np.repeat(K, _LAG_X_NODES, axis=1)
+            with np.errstate(invalid="ignore", over="ignore"):
+                if cont is not None:
+                    y = x + sigma * rb[:, None]
+                    D = (D + cont.eval_many(y.reshape(-1, 1)).reshape(y.shape)
+                         - cont.eval_many(x.reshape(-1, 1)).reshape(x.shape))
+                if candidate is not None:
+                    U = candidate.eval_many(x.reshape(-1, 1)).reshape(x.shape)
+                    D = D - sigma * rb[:, None] * U
+                F = _abs_power(D, p) - np.repeat(Kp, _LAG_X_NODES, axis=1)
+            if not np.isfinite(F).all():
+                i, j = np.argwhere(~np.isfinite(F))[0]
+                centre = np.broadcast_to(x, F.shape)[i, j]
+                raise _integrand_error(float(F[i, j]), float(centre),
+                                       float(rb[i]), sigma, "lag")
+            G = (np.einsum("ij,ij->i", np.diff(edges, axis=1), Kp - M)
+                 + np.einsum("ij,ij->i", w, F))
             G = np.broadcast_to(G, rb.shape)
             total += float(np.dot(wr[start:start + step], G))
     total *= 2.0 / len(signs)
@@ -732,15 +780,15 @@ def _quarter_circle(L1, L2, s):
 def _box_orthant(L, r):
     """The integral of g(r sigma) over the orthant sigma >= 0 of S^(d-1)
     at the radii r (n,), g(h) = prod_i (L_i - |h_i|)_+ the covariogram of
-    the box with sides L: (L - r)_+ in 1D, ``_quarter_circle`` in 2D and
+    the 2D/3D box with sides L: ``_quarter_circle`` in 2D and
     int_0^(pi/2) (L_3 - r cos phi)_+ G(r sin phi) sin phi dphi in 3D, G
     the quarter circle of L_1, L_2.  That is one Gauss rule in phi per
     radius, on the range where the integrand is nonzero, split where
     r sin phi crosses L_1 and L_2; G grows like (s - L_i)^(3/2) past them,
     so each piece is graded toward both ends.  Radii go in blocks of at
     most _CHUNK nodes."""
-    if L.size < 3:
-        return np.maximum(L[0] - r, 0.0) if L.size == 1 else _quarter_circle(*L, r)
+    if L.size == 2:
+        return _quarter_circle(*L, r)
     L1, L2, L3 = L.tolist()
     grade = 2.0 ** -np.arange(1.0, _BOX_ANGLE_LEVELS + 1)
     x, w = quadrature.composite_gauss(
@@ -792,15 +840,15 @@ def _gaussian_box_energy(L, mollifier) -> float:
 
 
 def _set_energy(E, mollifier, p, route, level) -> float:
-    """The energy of a bounded set E on the "box" or "covariogram" route,
-    from its covariogram g(h) = |E cap (E + h)|:
+    """The energy of a 2D/3D bounded set E on the "box" or "covariogram"
+    route, from its covariogram g(h) = |E cap (E + h)|:
 
         E_p(1_E) = 2 int rho(r) r^(d-1-p) F(r) dr,
         F(r) = int_S (|E| - g(r sigma)) dsigma = S (sum_k P_k r^k + h(r)).
 
     * A 2D/3D ball has a radial g: S = |S^(d-1)|, P = [c1] with c1 = 2R
       or pi R^2, h(r) = |E| - g(min(r, D)) - c1 r = O(r^3).
-    * Every other set is a box with sides L (an interval is one): S = 1,
+    * Every other set is a box with sides L: S = 1,
       P_k = (-1)^(k+1) A_k e_(d-k)(L), the sphere integral of |E| - g
       while |h_i| <= L_i, with A_k = int |sigma_1 ... sigma_k| dsigma =
       2 pi^((d-k)/2) / Gamma((d+k)/2) and e_m the elementary symmetric
@@ -1078,11 +1126,12 @@ def _multiplier_energy(field, mollifier, scheme) -> float:
     return float(scale * _shell_sum(mollifier, k, mass, scheme.radial_level)[0])
 
 
-# The QuadratureScheme fields each route reads: the five of ``energy``
+# The QuadratureScheme fields each route reads: the six of ``energy``
 # and ``sobolev_residual``, and "polar", the density at probes.  A 1D
 # field reads no sphere_order on any route: its sphere is {-1, +1}.
 ROUTE_READS = {
     "polar": ("sphere_order", "radial_level"),
+    "jump": (),
     "box": (),
     "covariogram": ("radial_level",),
     "multiplier": ("x_resolution", "radial_level"),
@@ -1092,19 +1141,24 @@ ROUTE_READS = {
 
 
 def energy_route(field, p, mollifier) -> str:
-    """The route ``energy`` takes: "box", "covariogram", "multiplier",
-    "lag" or "tensor".
+    """The route ``energy`` takes: "jump", "box", "covariogram",
+    "multiplier", "lag" or "tensor".
 
-    Every bounded set takes "box" or "covariogram": "box" for a 2D/3D box
-    whose energy is a closed form (of zero volume, at the gaussian with
-    p = 1, or at r_max <= every side), "covariogram" for every other
-    bounded set, null intervals and balls included.  Then "multiplier"
-    for p = 2 and an analytic field in any dimension, "lag" for every
-    other 1D field (p != 2, jumps and grid fields), and "tensor" for
-    every other 2D/3D field: analytic fields at p != 2, grid fields and
-    half-spaces.
+    Every pure-jump 1D field, a BV field with no smooth part or a bounded
+    1D set (null intervals included), takes "jump".  Every 2D/3D bounded
+    set takes "box" or "covariogram": "box" for a box whose energy is a
+    closed form (of zero volume, at the gaussian with p = 1, or at
+    r_max <= every side), "covariogram" for every other one, null balls
+    included.  Then "multiplier" for p = 2 and an analytic field in any
+    dimension, "lag" for every other 1D field (p != 2, fields with a
+    smooth part and jumps, and grid fields), and "tensor" for every other
+    2D/3D field: analytic fields at p != 2, grid fields and half-spaces.
     """
-    if isinstance(field, IndicatorSet) and field.is_bounded:
+    bounded_set = isinstance(field, IndicatorSet) and field.is_bounded
+    if (bounded_set and field.dimension == 1
+            or isinstance(field, BVField1D) and field.smooth is None):
+        return "jump"
+    if bounded_set:
         return "box" if _box_closed_form(field, mollifier, float(p)) else "covariogram"
     if p == 2 and isinstance(field, AnalyticField):
         return "multiplier"
@@ -1127,9 +1181,14 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
     ``energy_route`` names the route taken, and ``ROUTE_READS`` the
     scheme fields it reads:
 
-    * box and covariogram, for every bounded set: one function of its
+    * jump, for a BV field with no smooth part and a bounded 1D set: a
+      closed form in the tail moments of the kernel beyond the gaps
+      between jumps, with no rule and no field evaluation
+      (``_jump_energy``).
+    * box and covariogram, for every 2D/3D bounded set: one function of its
       covariogram g(h) = |E cap (E + h)|, with no x-grid, sphere rule or
-      field evaluation (``_set_energy``); a null set has energy 0.
+      field evaluation (``_set_energy``); a null set has energy 0 on
+      every route.
     * multiplier, for p = 2 and an analytic field in 1D, 2D or 3D: one
       FFT of the field's samples times the multiplier m_rho(|xi|), on
       the shells of |xi| that carry power (``_multiplier_energy``).  The
@@ -1138,9 +1197,9 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
       cells a side leave a relative error of 7.9e-3 and 32 cells 9e-13.
       A 1D bump energy is 512 samples at the default x_res(1) = 256.
     * lag, for every other 1D field: the x-integral first, at each node
-      of one radial rule (``_lag_energy``).  It has no x-grid, so a 1D
-      energy refuses ``x_resolution`` with DomainError on every route
-      but the multiplier.
+      of one radial rule (``_lag_energy``).  Neither 1D route but the
+      multiplier has an x-grid, so a 1D energy refuses ``x_resolution``
+      with DomainError on them.
     * tensor, for every other 2D/3D field: a midpoint x-grid whose nodes
       go through the polar engine (``_integrate_density_over_x``).
 
@@ -1154,19 +1213,19 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
         Compactly supported scalar field (bounded support box).
     mollifier : RadialMollifier
     p : float
-        Exponent >= 1.
+        Exponent >= 1; NaN and inf raise DomainError.
     scheme : QuadratureScheme, optional
     """
     if field.dimension != mollifier.dimension:
         raise DimensionError("field and mollifier dimensions differ")
-    if p < 1:
-        raise DomainError("exponent p must be >= 1")
-    p = float(p)
+    p = _exponent(p)
     scheme = scheme or DEFAULT_SCHEME
     route = energy_route(field, p, mollifier)
     _refuse_1d_x_resolution(field.dimension, scheme, route)
     if _has_jump(field) and math.isinf(mollifier.moment(1.0 - p)):
         return math.inf
+    if route == "jump":
+        return _jump_energy(field, mollifier, p)
     if route in ("box", "covariogram"):
         return _set_energy(field, mollifier, p, route, scheme.radial_level)
     if route == "multiplier":
@@ -1213,9 +1272,7 @@ def local_energy(field, p, *, box=None) -> float:
     with a documented O(h) bias.
     """
     d = field.dimension
-    if p < 1:
-        raise DomainError("exponent p must be >= 1")
-    g = gamma(d, p)
+    g = gamma(d, _exponent(p))
     if isinstance(field, IndicatorSet):
         if p == 1:
             return g * field.exact_perimeter()

@@ -139,8 +139,8 @@ def weak11_check(f: GridField, eps_ladder) -> list[tuple[float, float, float]]:
     cell = f.spacing**d
     rows = []
     for eps in eps_ladder:
-        if eps <= 0:
-            raise DomainError("levels must be positive")
+        if not 0 < eps < math.inf:
+            raise DomainError(f"levels must be positive and finite, got {eps!r}")
         measure = float(np.count_nonzero(mf.values > eps) * cell)
         bound = (3.0**d / eps) * l1
         rows.append((float(eps), measure, bound))

@@ -17,12 +17,16 @@ r^(d-1) dr when d >= 2; ``normalized=True`` rescales it so the unit-mass
 axiom holds in any dimension.  Divergence experiments use the raw form,
 since divergence is insensitive to a constant rescaling.
 
-``normalization()`` and ``tail_mass(c)`` check the unit-mass and the
-concentration axiom, and ``moment(k)`` is the k-th radial moment that
-the energies of sets need.  All three are closed forms.  The gaussian's
-mass beyond r is the incomplete gamma Q((d+1)/2, n r^2), of integer or
-half-integer order for d <= 3, so it is a closed form in ``math``; its
-truncation radius reads one root of Q per dimension, found at import.
+``moment(k, c)`` is the tail moment int_c^inf rho(r) r^(d-1+k) dr
+that the closed-form energies need (the whole moment at c = 0), and
+``normalization()`` and ``tail_mass(c)``, its k = 0 cases, check the
+unit-mass and the concentration axiom.  All are closed forms: powers,
+or a log, for the indicator and the power law, and the upper incomplete
+gamma Gamma((d+1+k)/2, n c^2) for the gaussian.  That is ``math`` at
+integer and half-integer order, which covers the mass for d <= 3 and
+the p = 1 energies in 1D; other orders import ``scipy.special`` on
+first use.  The gaussian's truncation radius reads one root of its
+mass Q((d+1)/2, n r^2) per dimension, found at import.
 """
 
 from __future__ import annotations
@@ -50,6 +54,41 @@ def _gaussian_tail(d: int, y: float) -> float:
     if d == 2:
         return math.erfc(math.sqrt(y)) + 2.0 * math.sqrt(y / math.pi) * math.exp(-y)
     return (1.0 + y) * math.exp(-y)
+
+
+def _upper_gamma(a: float, y: float) -> float:
+    """Gamma(a, y) = int_y^inf t^(a-1) e^-t dt for y > 0 and any real a.
+    At half-integer a > 0 it climbs from Gamma(1/2, y) = sqrt(pi)
+    erfc(sqrt y) or Gamma(1, y) = e^-y by Gamma(s+1, y) = s Gamma(s, y) +
+    y^s e^-y, in ``math``.  A negative a runs the same recurrence down from
+    a + 1 below y = 1, and takes Legendre's continued fraction
+    y^a e^-y / (y + 1 - a - 1 (1 - a) / (y + 3 - a - 2 (2 - a) / ...)),
+    summed by Lentz's method, from y = 1 on, where the recurrence would
+    cancel.  Other a > 0, and a = 0 (exp1), import ``scipy.special`` on
+    first use."""
+    if a < 0.0 and y < 1.0:
+        return (_upper_gamma(a + 1.0, y) - y ** a * math.exp(-y)) / a
+    if a < 0.0:
+        b = y + 1.0 - a
+        c, d = math.inf, 1.0 / b
+        h = d
+        for i in range(1, 1000):
+            an = -i * (i - a)
+            b += 2.0
+            d, c = 1.0 / (an * d + b), b + an / c
+            h *= c * d
+            if abs(c * d - 1.0) <= 2.0 ** -52:
+                break
+        return math.exp(a * math.log(y) - y) * h
+    if a == 0.0 or (2.0 * a) % 1.0:
+        from scipy import special
+        return float(special.exp1(y) if a == 0.0 else special.gammaincc(a, y) * math.gamma(a))
+    s = a % 1.0 or 1.0
+    g = math.sqrt(math.pi) * math.erfc(math.sqrt(y)) if s == 0.5 else math.exp(-y)
+    while s < a:
+        g = s * g + y ** s * math.exp(-y)
+        s += 1.0
+    return g
 
 
 def _gaussian_tail_root(d: int, tol: float) -> float:
@@ -167,53 +206,44 @@ class RadialMollifier:
 
     def normalization(self) -> float:
         """int_0^inf rho(r) r^(d-1) dr (the unit-mass axiom)."""
-        return self._mass_beyond(0.0)
+        return self.moment(0.0)
 
     def tail_mass(self, delta_cut: float) -> float:
         """int_{delta_cut}^inf rho(r) r^(d-1) dr (the concentration axiom)."""
         if delta_cut <= 0.0:
             raise DomainError("delta_cut must be positive")
-        return self._mass_beyond(delta_cut)
+        return self.moment(0.0, delta_cut)
 
-    def moment(self, k: float) -> float:
-        """int_0^inf rho(r) r^(d-1+k) dr, or +inf where it diverges at 0.
+    def moment(self, k: float, beyond: float = 0.0) -> float:
+        """int_beyond^inf rho(r) r^(d-1+k) dr for beyond >= 0, or +inf
+        where it diverges at 0.
 
-        d eps^k/(d+k) for the indicator, C_d n^(-k/2) Gamma((d+1+k)/2)/2
-        for the gaussian and s delta/(delta+d-1+k) for the power law (s
-        as in ``_mass_beyond``); they diverge for k <= -d, k <= -(d+1)
-        and k <= -(delta+d-1).  ``moment(0)`` is the mass.
+        The indicator and the power law are A r^b on (0, R), so the moment
+        is m (1 - (c/R)^q) / q with q = d + b + k and m = A R^q, or
+        m log(R/c) at q = 0: m = d eps^k, and s delta for the power law
+        (s = (delta+d-1)/delta when normalized, 1 when raw).  The gaussian's
+        is (C_d/2) n^(-k/2) Gamma(a, n c^2), a = (d+1+k)/2 (``_upper_gamma``;
+        Gamma(a) at c = 0).  At c = 0 they diverge for k <= -d,
+        k <= -(d+1) and k <= -(delta+d-1).  ``moment(0, c)`` is the mass
+        beyond c.
         """
-        d = self.dimension
-        if self.kind == "indicator":
-            return math.inf if d + k <= 0 else d * self.param ** k / (d + k)
+        d, c = self.dimension, beyond
         if self.kind == "gaussian":
             a = (d + 1 + k) / 2.0
-            if a <= 0:
+            if c == 0.0 and a <= 0:
                 return math.inf
-            return (constants.gaussian_norm_const(d) * self.param ** (-k / 2.0)
-                    * math.gamma(a) / 2.0)
-        a = self.param + d - 1.0 + k
-        return math.inf if a <= 0 else self._powerlaw_scale() * self.param / a
-
-    def _mass_beyond(self, c: float) -> float:
-        """int_c^inf rho(r) r^(d-1) dr for c >= 0.
-
-        1 - (c/eps)^d for the indicator, Q((d+1)/2, n c^2) for the
-        gaussian and s delta/(delta+d-1) (1 - c^(delta+d-1)) for the
-        power law, with s = (delta+d-1)/delta when normalized and 1 when
-        raw.
-        """
-        d = self.dimension
-        if self.kind == "gaussian":
-            return _gaussian_tail(d, self.param * c * c)
-        r_max = self.support_radius
-        if c >= r_max:
+            g = math.gamma(a) if c == 0.0 else _upper_gamma(a, self.param * c * c)
+            return constants.gaussian_norm_const(d) * self.param ** (-k / 2.0) * g / 2.0
+        R = self.support_radius
+        if c >= R:
             return 0.0
         if self.kind == "indicator":
-            return 1.0 - (c / r_max) ** d
-        k = self.param + d - 1.0
-        mass = 1.0 - c ** k
-        return mass if self.normalized else self.param / k * mass
+            q, m = d + k, d * self.param ** k
+        else:
+            q, m = self.param + d - 1.0 + k, self._powerlaw_scale() * self.param
+        if c == 0.0 and q <= 0:
+            return math.inf
+        return m * math.log(R / c) if q == 0 else m * (1.0 - (c / R) ** q) / q
 
     def is_nonincreasing(self) -> bool:
         """Whether the profile is nonincreasing in r: the indicator and the

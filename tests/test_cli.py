@@ -253,6 +253,8 @@ def test_degenerate_box_perimeter_reports_absolute_error(tmp_path):
     ["maximal", "--d", "0"],
     ["maximal", "--fields", "0"],
     ["maximal", "--fields", "-1"],
+    ["maximal", "--seed", "-1"],
+    ["maximal", "--eps", "0.5,nan"],
     # non-finite numbers in set specs, jumps and probes
     ["energy", "--field", "interval:nan,1"],
     ["energy", "--field", "box:0,0;1,nan", "--mollifier", "indicator:0.25"],
@@ -269,6 +271,7 @@ def test_degenerate_box_perimeter_reports_absolute_error(tmp_path):
         "density-ball-inf", "perimeter-halfspace-bbm", "perimeter-halfspace-degiorgi",
         "perimeter-halfspace-both", "perimeter-halfline-degiorgi", "maximal-d3",
         "maximal-d0", "maximal-fields-0", "maximal-fields-negative",
+        "maximal-seed-negative", "maximal-eps-nan",
         "energy-interval-nan", "energy-box-nan", "energy-mixed-nan-location",
         "energy-mixed-inf-height", "energy-ball-nan-centre", "perimeter-interval-nan",
         "density-halfspace-zero-normal", "density-halfspace-inf-offset",
@@ -279,6 +282,26 @@ def test_bad_sets_and_maximal_arguments_are_usage_errors(tmp_path, capsys, argv)
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--p", "nan"], ["energy", "--p", "inf"], ["energy", "--p", "-inf"],
+    ["density", "--p", "nan"], ["sweep", "--p", "inf"],
+    ["pathology", "--delta", "nan"],
+])
+def test_non_finite_float_flags_are_usage_errors(tmp_path, capsys, argv):
+    # on the command line the flag's type refuses them; in a config file
+    # the same type does
+    try:
+        code = main(argv + ["--out", str(tmp_path / "x")])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({argv[1][2:]: float(argv[2])}), encoding="utf-8")
+    assert main([argv[0], "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_radius_zero_ball_is_the_empty_set(tmp_path):
@@ -449,11 +472,15 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
     # a 3D box thinner than r_max: one radial sum, no tensor grid
     (["energy", "--field", "box:0,0,0;1,0.5,0.25", "--mollifier", "indicator:0.5",
       "--p", "1"], "covariogram"),
+    # a pure-jump 1D field: a step, an interval, at any kernel
+    (["energy", "--field", "step", "--mollifier", "gaussian:64", "--p", "1.5"], "jump"),
+    (["sweep", "--experiment", "energy", "--field", "interval:0,0.5",
+      "--mollifier", "indicator", "--ladder", "0:3"], "jump"),
 ], ids=["energy-multiplier", "energy-tensor", "sweep-covariogram",
         "sweep-multiplier", "energy-lag", "sweep-lag", "sweep-multiplier-1d",
         "energy-multiplier-1d", "residual-lag",
         "residual-tensor", "energy-box", "energy-box-sum", "sweep-box-mixed",
-        "energy-box-3d-sum"])
+        "energy-box-3d-sum", "energy-jump", "sweep-jump"])
 def test_energy_summary_names_its_route(tmp_path, argv, route):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "summary.json").read_text())["route"] == route
@@ -483,11 +510,11 @@ def test_box_perimeters_are_closed_forms(tmp_path):
                                                   rel=1e-12, abs=0)
 
 
-def test_1d_energy_takes_the_lag_route_and_reruns_byte_identical(tmp_path):
+def test_1d_step_energy_takes_the_jump_route_and_reruns_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["energy", "--field", "step", "--mollifier", "powerlaw:0.3",
                  "--p", "1.2", "--out", str(out1)]) == 0
-    assert json.loads((out1 / "summary.json").read_text())["route"] == "lag"
+    assert json.loads((out1 / "summary.json").read_text())["route"] == "jump"
     # 2 c1 mu(1 - p) = 4 * 0.3 / (0.3 - 0.2)
     assert float(read_csv(out1)[1]) == pytest.approx(12.0, rel=1e-8)
     assert main(["energy", "--config", str(out1 / "resolved-config.json"),
@@ -592,6 +619,11 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
      "--x-resolution", "16"],
     ["energy", "--field", "box:0,0,0;1,0.5,0.25", "--mollifier", "indicator:0.5",
      "--sphere-order", "8"],
+    # a pure-jump 1D field is a closed form: it reads no scheme key at all
+    ["energy", "--field", "step", "--radial-level", "3"],
+    ["perimeter", "--shape", "interval:0,1", "--radial-level", "3"],
+    ["sweep", "--experiment", "energy", "--field", "interval:0,1",
+     "--mollifier", "gaussian", "--ladder", "4:6", "--radial-level", "3"],
 ], ids=["maximal-sphere-order", "energy-rel-tol", "density-x-resolution",
         "pathology-workers", "constants-radial-level", "density-seed",
         "energy-seed", "sweep-residual-p", "sweep-energy-candidate",
@@ -612,7 +644,9 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
         "perimeter-box-3d-both-x-resolution", "energy-box-closed-radial-level",
         "energy-box-3d-closed-sphere-order", "energy-box-sum-sphere-order",
         "sweep-box-closed-radial-level", "sweep-box-mixed-x-resolution",
-        "energy-box-3d-sum-x-resolution", "energy-box-3d-sum-sphere-order"])
+        "energy-box-3d-sum-x-resolution", "energy-box-3d-sum-sphere-order",
+        "energy-step-radial-level", "perimeter-interval-radial-level",
+        "sweep-interval-radial-level"])
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
     # unknown flags stop the parser, flags the chosen experiment or
     # method does not read stop the run; both exit 2 with no output

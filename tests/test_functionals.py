@@ -493,10 +493,12 @@ def axis_nodes(field, m):
         "gaussian-1.5", "gaussian-narrow-1", "powerlaw-1", "powerlaw-1.2",
         "powerlaw-overlap-1.2"])
 def test_step_energy_matches_its_interval(a, b, m, p, rtol):
-    # the same 0/1 field, by the lag route and by the covariogram route
+    # the same 0/1 field as a step and as a set takes the jump route; the
+    # lag route's radial sum, which no energy takes for it, agrees
     step = F.energy(fields.step_field(a, b), m, p)
-    interval = F.energy(fields.interval_set(a, b), m, p)
-    assert step == pytest.approx(interval, rel=rtol, abs=0)
+    assert F.energy(fields.interval_set(a, b), m, p) == step
+    assert step == pytest.approx(F._lag_energy(fields.step_field(a, b), m, p),
+                                 rel=rtol, abs=0)
 
 
 @pytest.mark.parametrize("s,m", [
@@ -510,8 +512,9 @@ def test_step_energy_matches_its_interval(a, b, m, p, rtol):
     (fields.interval_set(0.2, 0.2), mf.indicator(0.25, 1)),
 ], ids=["indicator", "overlap", "gaussian", "powerlaw", "ball", "empty"])
 def test_set_residual_with_zero_candidate_is_its_energy(s, m):
-    # with U = 0 the residual is the p = 1 energy; the lag route counts
-    # the set's two ends as jumps, the energy takes the covariogram
+    # with U = 0 the residual is the p = 1 energy; the residual's lag
+    # route counts the set's two ends as jumps, and so does the energy's
+    # jump route
     assert F.sobolev_residual(s, m, None) == pytest.approx(
         F.energy(s, m, 1.0), rel=1e-13, abs=0)
 
@@ -521,6 +524,147 @@ def test_step_energy_is_exact_for_a_small_power_law_exponent():
     # x + r rounds to x: exact 2 c1 mu(0) = 4, for any delta
     assert F.energy(fields.step_field(), mf.power_law(0.1, 1), 1.0) == \
         pytest.approx(4.0, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# pure-jump 1D fields: the jump route, in closed form
+# ---------------------------------------------------------------------------
+
+# fields with several jumps whose windows overlap once r passes a gap:
+# heights summing to 0, an interval, and a staircase whose heights do not
+# (its G keeps the slope |sum h|^p past the last gap)
+JUMP_FIELDS = {
+    "three": [(-0.3, 1.2), (0.1, -0.5), (0.4, -0.7)],
+    "four": [(0.0, 1.0), (0.2, 0.5), (0.35, -2.0), (0.9, 0.5)],
+    "interval": [(-0.25, 1.0), (0.5, -1.0)],
+    "staircase": [(0.0, 1.0), (0.15, 0.75), (0.6, 0.5)],
+}
+
+
+def jump_G(a, h, r, p):
+    """int |J(x + r) - J(x)|^p dx for J = sum h_i 1(x > a_i): J(x + r) -
+    J(x) is constant between the sorted points a_i and a_i - r, so the
+    integral is the sum of those pieces' lengths times the p-th power of
+    the field difference at their midpoints."""
+    field = fields.BVField1D(None, list(zip(a, h)))
+    cuts = np.sort(np.concatenate([a, a - r]))
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    diff = field.eval_many((mid + r)[:, None]) - field.eval_many(mid[:, None])
+    return float(np.sum(np.diff(cuts) * np.abs(diff) ** p))
+
+
+def jump_energy_quad(a, h, m, p):
+    """2 int rho(r) r^-p G(r) dr by quad on the pieces between the gaps
+    (and the kernel's edge), G summed piece by piece (``jump_G``).  Below
+    the first gap no two windows overlap, so G = c1 r, c1 = sum |h_i|^p;
+    there rho(r) is r^b times a bounded profile, so that piece takes the
+    algebraic weight r^(b+1-p) at 0."""
+    b = {"indicator": 0.0, "gaussian": 1.0, "powerlaw": m.param - 1.0}[m.kind]
+    top = 40.0 / math.sqrt(m.param) if m.kind == "gaussian" else m.support_radius
+    gaps = np.abs(a[:, None] - a[None, :])[np.triu_indices(a.size, 1)]
+    ends = np.unique(np.concatenate([[0.0, top], gaps[gaps < top]]))
+    c1 = float(np.sum(np.abs(h) ** p))
+
+    def first(r):   # rho(r) r^-b c1
+        s = max(r, 1e-300)
+        return float(m.evaluate(s)) / s ** b * c1
+
+    def f(r):
+        return float(m.evaluate(r)) * r ** -p * jump_G(a, h, r, p)
+    kw = dict(epsabs=0.0, epsrel=2e-14, limit=200)
+    total = quad(first, 0.0, ends[1], weight="alg", wvar=(b + 1.0 - p, 0.0), **kw)[0]
+    for lo, hi in zip(ends[1:-1], ends[2:]):
+        total += quad(f, lo, hi, **kw)[0]
+    return 2.0 * total
+
+
+def jump_kernels(L):
+    """Kernels whose r_max runs from 2^-10 L to 16 L: indicators, the
+    gaussians with those truncation radii, and power laws (support 1)
+    on fields stretched by 1/r_max."""
+    radii = [2.0 ** -10 * L, 0.1 * L, 0.4 * L, L, 4.0 * L, 16.0 * L]
+    root = mf._GAUSSIAN_TAIL_ROOT[1]
+    return ([(1.0, mf.indicator(r, 1)) for r in radii]
+            + [(1.0, mf.gaussian(root / (r * r), 1)) for r in radii]
+            + [(1.0 / r, mf.power_law(0.95, 1)) for r in radii])
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_FIELDS))
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.9])
+def test_jump_energy_matches_quad_of_G(name, p):
+    a0, h = (np.array(v) for v in zip(*JUMP_FIELDS[name]))
+    L = float(a0[-1] - a0[0])
+    for stretch, m in jump_kernels(L):
+        a = a0 * stretch
+        field = fields.BVField1D(None, list(zip(a, h)))
+        assert F.energy_route(field, p, m) == "jump"
+        assert F.energy(field, m, p) == pytest.approx(jump_energy_quad(a, h, m, p),
+                                                      rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_FIELDS))
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_gaussian_jump_energy_past_the_indicators_exponents(name, p):
+    # Gamma(a, n g^2) at a = (2 - p)/2 <= 0: exp1 at p = 2; at p = 2.5 the
+    # continued fraction, or below n g^2 = 1 the downward recurrence from
+    # Gamma(3/4, .)
+    a, h = (np.array(v) for v in zip(*JUMP_FIELDS[name]))
+    field = fields.BVField1D(None, list(zip(a, h)))
+    for n in (4.0, 64.0, 1024.0):
+        m = mf.gaussian(n, 1)
+        assert F.energy(field, m, p) == pytest.approx(jump_energy_quad(a, h, m, p),
+                                                      rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("field,m,p,pinned", [
+    (fields.step_field(-0.2, 0.7), mf.indicator(2.0 ** -6, 1), 1.0, "0x1.0000000000000p+2"),
+    (fields.step_field(), mf.gaussian(64.0, 1), 1.5, "0x1.bba5f2c421a9bp+3"),
+    (fields.interval_set(0.0, 1.0), mf.gaussian(1024.0, 1), 1.0, "0x1.0000000000000p+2"),
+    (fields.BVField1D(None, [(-0.3, 1.0), (0.1, -0.5), (0.4, -0.5)]),
+     mf.indicator(0.25, 1), 1.5, "0x1.b504f333f9de6p+3"),
+    (fields.step_field(-2.0, 2.0), mf.power_law(0.3, 1), 1.2, "0x1.7fffffffffffbp+3"),
+], ids=["bench-step", "step-gaussian", "interval-perimeter", "three-jumps", "powerlaw"])
+def test_jump_energy_below_the_first_gap_keeps_every_bit(field, m, p, pinned):
+    # r_max below every gap: the energy is 2 c1 mu(1-p) alone, the value
+    # the lag route gave (pinned) and still gives, bit for bit
+    assert m.quadrature_radius() < np.diff(field.singular_points()).min()
+    assert F.energy(field, m, p).hex() == pinned
+    assert F._lag_energy(field, m, p).hex() == pinned
+
+
+def test_jump_route_keeps_its_refusals():
+    m = mf.indicator(0.25, 1)
+    # no jump and no smooth part: no bounded support
+    with pytest.raises(ValidityError):
+        F.energy(fields.BVField1D(None, []), m, 1.0)
+    # mu(1-p) diverges from p = 2 for the indicator: the energy is inf
+    for field in (fields.step_field(), fields.interval_set(0.0, 0.1),
+                  fields.BVField1D(None, list(JUMP_FIELDS["staircase"]))):
+        assert F.energy(field, m, 2.0) == math.inf
+        assert math.isfinite(F.energy(field, m, 1.9))
+    # a null interval has no jump, at any p
+    assert F.energy(fields.interval_set(0.3, 0.3), m, 6.0) == 0.0
+
+
+def test_jump_energy_builds_no_rule_and_evaluates_no_field(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the jump route built a rule or evaluated the field")
+    monkeypatch.setattr(Q, "kernel_radial_rule", refuse)
+    monkeypatch.setattr(Q, "composite_gauss", refuse)
+    monkeypatch.setattr(fields.BVField1D, "eval_many", refuse)
+    field = fields.BVField1D(None, JUMP_FIELDS["four"])
+    assert math.isfinite(F.energy(field, mf.indicator(0.7, 1), 1.5))
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_non_finite_exponents_are_refused(p):
+    u, m = fields.step_field(), mf.indicator(0.25, 1)
+    with pytest.raises(DomainError):
+        F.energy(u, m, p)
+    with pytest.raises(DomainError):
+        density(fields.gaussian_bump(1), m, p, [0.3])
+    with pytest.raises(DomainError):
+        F.local_energy(u, p)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -788,18 +932,21 @@ def test_tensor_energies_keep_their_values():
     (fields.gaussian_bump(3), 2.5, "tensor"),
     (fields.gaussian_bump(1), 2.0, "multiplier"),
     (fields.gaussian_bump(1), 1.5, "lag"),
-    (fields.step_field(), 1.0, "lag"),
-    (fields.step_field(), 2.0, "lag"),
+    (fields.step_field(), 1.0, "jump"),
+    (fields.step_field(), 2.0, "jump"),
+    (fields.BVField1D(scaled_bump(), [(0.0, 1.0)]), 1.0, "lag"),
+    (fields.BVField1D(None, [(0.0, 1.0)]), 1.5, "jump"),
     (fields.GridField.from_function(lambda q: np.exp(-4 * q[:, 0] ** 2), 1, 2.0, 16),
      2.0, "lag"),
     (fields.GridField.from_function(lambda q: np.exp(-4 * np.sum(q * q, axis=1)),
                                     2, 2.0, 16), 2.0, "tensor"),
     (fields.box_set([0.0, 0.0], [1.0, 0.5]), 2.0, "box"),
     (fields.ball_set([0.0, 0.0], 0.5), 2.0, "covariogram"),
-    (fields.interval_set(0.0, 1.0), 1.0, "covariogram"),
+    (fields.interval_set(0.0, 1.0), 1.0, "jump"),
+    (fields.ball_set([0.1], 0.3), 2.0, "jump"),
 ], ids=["bump-2d", "bump-3d", "bump-2d-p1", "bump-3d-p2.5", "bump-1d",
-        "bump-1d-p1.5", "step", "step-p2", "grid-1d", "grid-2d", "box-2d", "disk",
-        "interval"])
+        "bump-1d-p1.5", "step", "step-p2", "mixed", "heaviside", "grid-1d", "grid-2d",
+        "box-2d", "disk", "interval", "ball-1d"])
 def test_energy_route(field, p, route):
     assert F.energy_route(field, p, mf.indicator(0.25, field.dimension)) == route
 
@@ -832,7 +979,7 @@ def test_box_energy_route(box, m, p, route):
 def test_null_set_energy_is_zero_with_no_grid(E, p):
     # p = 6 is past every exponent where the indicator's mu(1-p) diverges
     m = mf.indicator(0.25, E.dimension)
-    assert F.energy_route(E, p, m) == "covariogram"
+    assert F.energy_route(E, p, m) == ("jump" if E.dimension == 1 else "covariogram")
     assert F.energy(E, m, p) == 0.0
 
 
@@ -853,7 +1000,9 @@ BOUNDED_SETS = {
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_every_bounded_set_takes_a_covariogram_route(name, kind, param, p):
     # "box" exactly where the energy is a closed form: a 2D/3D box of zero
-    # volume, at the gaussian with p = 1, or with r_max <= every side
+    # volume, at the gaussian with p = 1, or with r_max <= every side; a
+    # 1D set takes "jump", whose G(r) = 2 (|E| - g(r)) is linear between
+    # its kinks, so its tail moments sum the covariogram in closed form
     E = BOUNDED_SETS[name]
     d = E.dimension
     m = {"indicator": mf.indicator, "gaussian": mf.gaussian,
@@ -862,7 +1011,10 @@ def test_every_bounded_set_takes_a_covariogram_route(name, kind, param, p):
     closed = name.startswith("box") and (
         E.exact_volume() == 0.0 or (kind == "gaussian" and p == 1.0)
         or m.quadrature_radius() <= float(np.min(hi - lo)))
-    assert F.energy_route(E, p, m) == ("box" if closed else "covariogram")
+    if d == 1:
+        assert F.energy_route(E, p, m) == "jump"
+    else:
+        assert F.energy_route(E, p, m) == ("box" if closed else "covariogram")
 
 
 def _mixed_1d():
@@ -887,6 +1039,7 @@ def _density_case(field, m, probe):
 
 
 BOX = fields.box_set([0.0, 0.0], [1.0, 0.5])
+THREE_JUMPS = fields.BVField1D(None, [(-0.3, 1.2), (0.1, -0.5), (0.4, -0.7)])
 ROUTE_CASES = [
     ("box", 2, lambda: _energy_case(BOX, mf.indicator(0.25, 2), 1.5, "box")),
     ("covariogram", 2, lambda: _energy_case(fields.ball_set([0.0, 0.0], 0.5),
@@ -903,6 +1056,8 @@ ROUTE_CASES = [
     ("multiplier", 1, lambda: _energy_case(fields.gaussian_bump(1),
                                            mf.gaussian(16.0, 1), 2.0, "multiplier")),
     ("lag", 1, lambda: _energy_case(_mixed_1d(), mf.indicator(0.25, 1), 1.2, "lag")),
+    # three jumps whose windows overlap: the tail moments at two gaps
+    ("jump", 1, lambda: _energy_case(THREE_JUMPS, mf.indicator(0.75, 1), 1.5, "jump")),
     ("tensor", 2, lambda: _energy_case(fields.gaussian_bump(2),
                                        mf.indicator(0.5, 2), 1.0, "tensor")),
     ("tensor", 2, lambda: _residual_case(fields.gaussian_bump(2),
@@ -920,7 +1075,7 @@ ROUTE_VARIED = {"sphere_order": 12, "radial_level": 2, "x_resolution": 12}
 @pytest.mark.parametrize("route,d,case", ROUTE_CASES,
                          ids=["box", "covariogram-disk", "covariogram-box",
                               "covariogram-box-3d", "multiplier", "multiplier-1d", "lag",
-                              "tensor-energy", "tensor-residual", "polar-1d", "polar-2d"])
+                              "jump", "tensor-energy", "tensor-residual", "polar-1d", "polar-2d"])
 def test_route_reads_is_what_each_route_reads(route, d, case, key):
     # a scheme field changes the value exactly when ROUTE_READS says the
     # route reads it; the value of a field it does not read is bit-identical
@@ -1312,7 +1467,7 @@ def test_energy_of_a_jump_is_infinite_from_the_critical_exponent(field, m, p):
 
 
 def test_energy_of_a_jump_is_finite_below_the_critical_exponent():
-    # the lag route for step_field at p = 1.2 with power_law(0.3, 1):
+    # the jump route for step_field at p = 1.2 with power_law(0.3, 1):
     # exactly 2 c1 mu(-0.2) = 4 * 0.3 / (0.3 - 0.2) = 12
     assert F.energy(fields.step_field(), mf.power_law(0.3, 1), 1.2) == \
         pytest.approx(12.0, rel=1e-8, abs=0)
@@ -1444,9 +1599,9 @@ def test_1d_energies_refuse_x_resolution():
     # a smooth field at p != 2 takes the lag route too
     with pytest.raises(DomainError):
         F.energy(fields.gaussian_bump(1), m, 1.5, scheme)
-    # the other scheme fields still apply in 1D
+    # the jump route reads no scheme field: a radial level leaves it as it is
     assert F.energy(fields.step_field(), m, 1.0, QuadratureScheme(radial_level=3)) \
-        == pytest.approx(4.0, abs=1e-3)
+        == F.energy(fields.step_field(), m, 1.0) == 4.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bbmlab import fields, maximal as MX
-from bbmlab.errors import DimensionError, ValidityError
+from bbmlab.errors import DimensionError, DomainError, ValidityError
 
 # frozen empirical kernel-lemma constants (first calibration: constant
 # fields are extremal at 2 and 2*pi; seeded sweeps stay below)
@@ -123,6 +123,12 @@ def test_maximal_probe_outside_box():
 # ---------------------------------------------------------------------------
 # weak (1,1)
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf])
+def test_weak11_refuses_a_level_that_is_not_positive_and_finite(eps):
+    with pytest.raises(DomainError):
+        MX.weak11_check(interval_indicator_grid(n=64), [0.5, eps])
+
 
 @pytest.mark.parametrize("n", [512, 1024, 2048, 4096])
 def test_weak11_interval_closed_form_level_set(n):

@@ -253,3 +253,54 @@ def test_moment_zero_is_the_mass(make):
     for d in (1, 2, 3):
         m = make(d)
         assert m.moment(0.0) == pytest.approx(m.normalization(), rel=1e-15, abs=0)
+
+
+# the exponent from which the whole moment diverges: there the tail
+# moment is a log for the indicator (q = d + k = 0) and the power law
+# (delta + d - 1 + k = 0), and the gaussian's is Gamma(0, n c^2) = exp1
+CRITICAL_K = {"indicator": lambda d, m: -float(d),
+              "gaussian": lambda d, m: -(d + 1.0),
+              "powerlaw": lambda d, m: -(m.param + d - 1.0)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("make", [
+    lambda d: mf.indicator(0.3, d),
+    lambda d: mf.gaussian(64.0, d),
+    lambda d: mf.power_law(0.3, d),
+    lambda d: mf.power_law(0.3, d, normalized=False),
+], ids=["indicator", "gaussian", "powerlaw", "powerlaw-raw"])
+@pytest.mark.parametrize("k", [-4.0, -3.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.0, 1.0, 2.5,
+                               "critical"])
+@pytest.mark.parametrize("frac", [0.01, 0.3, 0.97, 1.0, 1.5])
+def test_tail_moment_matches_quad(d, make, k, frac):
+    # M(k, c) = int_c^inf rho r^(d-1+k) dr at c = frac * r_max: inside the
+    # support, at its edge and past it.  The gaussian's exponents k <=
+    # -(d+1) give Gamma(a, n c^2) at a <= 0 (exp1 and the recurrence)
+    m = make(d)
+    if k == "critical":
+        k = CRITICAL_K[m.kind](d, m)
+    r_max = m.quadrature_radius()
+    c = frac * r_max
+    top = 40.0 / math.sqrt(m.param) if m.kind == "gaussian" else m.support_radius
+    if c >= top:
+        assert m.moment(k, c) == 0.0
+        return
+    exact = quad(lambda r: float(m.evaluate(r)) * r ** (d - 1.0 + k), c, top,
+                 epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    assert m.moment(k, c) == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("make", [lambda d: mf.indicator(0.3, d),
+                                  lambda d: mf.gaussian(64.0, d),
+                                  lambda d: mf.power_law(0.3, d),
+                                  lambda d: mf.power_law(0.3, d, normalized=False)])
+def test_tail_moment_at_zero_is_the_moment_bit_for_bit(make):
+    # beyond = 0 keeps the whole moment's closed form, and inf where it
+    # diverges; the k = 0 tail is the mass beyond c
+    for d in (1, 2, 3):
+        m = make(d)
+        for k in (-4.0, -2.0, -0.5, 0.0, 1.0, 2.5):
+            assert m.moment(k, 0.0).hex() == m.moment(k).hex()
+        assert m.tail_mass(0.1) == m.moment(0.0, 0.1)
+        assert m.normalization() == m.moment(0.0)
