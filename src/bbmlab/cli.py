@@ -283,7 +283,8 @@ def run_sweep(cfg, outdir, started):
     if kind == "energy":
         routes = [functionals.energy_route(field, cfg["p"], m) for m in ladder]
     elif kind == "sobolev-residual":
-        routes = [functionals.residual_route(field)]
+        cand = fields.gradient_candidate(field) if cfg["candidate"] == "gradient" else None
+        routes = [functionals.residual_route(field, cand)]
     else:
         routes = ["polar"]
     # a key is read when the experiment or any rung's route reads it
@@ -310,9 +311,6 @@ def run_sweep(cfg, outdir, started):
             lambda mm: op(DensityRequest(field, mm, cfg["p"], probe, scheme)),
             ladder, limit=limit)
     else:
-        cand = None
-        if cfg["candidate"] == "gradient":
-            cand = fields.gradient_candidate(field)
         report = functionals.convergence_study(
             lambda mm: functionals.sobolev_residual(field, mm, cand, scheme),
             ladder)

@@ -32,6 +32,13 @@ def _check_d(d: int) -> int:
     return d
 
 
+def _exponent(p) -> float:
+    """p as a float, refused with DomainError unless 1 <= p < inf (NaN fails)."""
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"exponent p must be a finite number >= 1, got {p!r}")
+    return float(p)
+
+
 def gamma(d: int, p: float, *, e=None) -> float:
     """Sphere integral of |sigma . e|^p over S^(d-1).
 
@@ -47,14 +54,13 @@ def gamma(d: int, p: float, *, e=None) -> float:
     d : int
         Dimension, 1 to 3.
     p : float
-        Exponent, >= 1.
+        Exponent, 1 <= p < inf; NaN and inf raise DomainError.
     e : array_like, optional
         Reference direction; the value is independent of it (rotation
         invariance), which the aligned rule makes checkable numerically.
     """
     _check_d(d)
-    if p < 1:
-        raise DomainError(f"exponent p must be >= 1, got {p}")
+    p = _exponent(p)
     if d == 1:
         return 2.0
     if e is None:

@@ -23,8 +23,9 @@ Quadrature notes.  ``energy`` takes one of six routes, which
 ``QuadratureScheme`` fields each route, and the polar density, reads:
 
 * jump: every pure-jump 1D field (a BV field with no smooth part, or a
-  bounded 1D set); a closed form in the kernel's tail moments, with no
-  rule;
+  bounded 1D set), and its ``sobolev_residual`` with a zero candidate,
+  which is its p = 1 energy; a closed form in the kernel's tail moments,
+  with no rule;
 * box: 2D/3D boxes whose energy is a closed form (the gaussian at
   p = 1, or r_max <= every side);
 * covariogram: every other 2D/3D bounded set (disks, 3D balls and
@@ -32,7 +33,7 @@ Quadrature notes.  ``energy`` takes one of six routes, which
 * multiplier: p = 2 and an analytic field in 1D, 2D or 3D; one FFT of
   the field's samples (on the x-grid) times the Fourier multiplier of
   the mollifier (on one radial rule);
-* lag: every other 1D field, and every 1D ``sobolev_residual``; the
+* lag: every other 1D field, and every other 1D ``sobolev_residual``; the
   x-integral first, over fixed panels, at each node of one radial rule
   (``x_resolution`` is refused);
 * tensor: every other 2D/3D field and exponent (no bounded set), and
@@ -92,20 +93,28 @@ periodic energy is the energy.  The power is summed per distinct integer
 breakpoint-free radial rule only for the shells that carry power: its
 weights are >= 0, so m_rho(k) <= min(c2 k^2, c0), and the sum keeps the
 shortest prefix of shells, by ascending |xi|, whose dropped tail
-sum mass min(c2 k^2, c0) is <= 2^-55 of the kept energy.
+sum mass min(c2 k^2, c0) is <= 2^-55 of the kept energy.  What depends
+only on its key is built once and shared read-only: the multiplier row
+(nodes, weights 2 rho r^(d-3) and c2, c0) per (mollifier, level), the
+size of its kernel row, beside ``quadrature``'s kernel rows; and the
+shell index of an n-point d-grid, each rfftn entry's shell as an int32
+(n^(d-1) (n/2 + 1) entries, 4.2 MB at n = 128 in 3D) with the ascending
+|j|^2, for the last _SHELL_INDEX_CACHE_SIZE grids.  A p = 2 energy then
+pays for its samples, its FFT, one bincount and one m_rho per kept shell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import constants, quadrature
-from .constants import gamma
+from .constants import _exponent, gamma
 from .errors import (DimensionError, DomainError, EvaluationError,
                      IntegrationError, ProbeError, ValidityError)
 from .fields import (AnalyticField, Ball, Box, BVField1D, GridField,
@@ -164,13 +173,6 @@ _DEFECT_MAX = {1: 4.0, 2: 2.0 * math.pi * 1.4028, 3: 4.0 * math.pi * 1.2173}
 # The multiplier energy keeps the shortest prefix of shells whose tail
 # bound is at most this fraction of the prefix's energy: below its last bit.
 _MULTIPLIER_TAIL_RTOL = 2.0 ** -55
-
-
-def _exponent(p) -> float:
-    """p as a float, refused with DomainError unless 1 <= p < inf (NaN fails)."""
-    if not 1.0 <= p < math.inf:
-        raise DomainError(f"exponent p must be a finite number >= 1, got {p!r}")
-    return float(p)
 
 
 def _abs_power(diff: np.ndarray, p: float) -> np.ndarray:
@@ -953,12 +955,36 @@ def sphere_defect(d: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _multiplier_rule(mollifier, level: Optional[int]):
-    """The nodes r and weights w of m_rho(k) = sum_i w_i (|S^(d-1)| -
-    S_d(k r_i)): the breakpoint-free radial rule, weights 2 rho r^(d-3)."""
+def _multiplier_row(mollifier, level: Optional[int]):
+    """(r, w, c2, c0), shared read-only per (mollifier, level): the nodes r
+    and weights w = 2 rho r^(d-3) of m_rho(k) = sum_i w_i (|S^(d-1)| -
+    S_d(k r_i)) on the breakpoint-free radial rule, and the bounds
+    m_rho(k) <= min(c2 k^2, c0) at every k >= 0.
+
+    2 - 2 cos t <= min(t^2, 4), 1 - J0(t) <= min(t^2/4, 1.4028) and
+    1 - sin t/t <= min(t^2/6, 1.2173), so ``sphere_defect`` is at most
+    min(|S^(d-1)| t^2/(2d), _DEFECT_MAX), and every weight is >= 0: c2 is
+    |S^(d-1)|/(2d) sum w r^2 and c0 is _DEFECT_MAX sum w, each padded by
+    a relative 1e-12 against the rounding of the sums and of
+    ``sphere_defect``.  A row is the size of its kernel row, and the cache
+    holds as many.
+    """
+    return _shared_multiplier_row(
+        mollifier, quadrature.DEFAULT_RADIAL_LEVEL if level is None else level)
+
+
+# one multiplier row per kernel row that ``quadrature`` keeps
+@lru_cache(maxsize=quadrature._RADIAL_CACHE_SIZE)
+def _shared_multiplier_row(mollifier, level: int):
+    d = mollifier.dimension
     rule = quadrature.kernel_radial_rule(mollifier, level)
     r = rule.nodes
-    return r, 2.0 * rule.weights / (r * r)
+    w = 2.0 * rule.weights / (r * r)
+    w.flags.writeable = False
+    pad = 1.0 + 1e-12
+    # |S^(d-1)|/(2d): 1 in 1D, else the first coefficient of the t^2 series
+    c2 = 1.0 if d == 1 else _SERIES_COEFFS[d][0]
+    return r, w, pad * c2 * float(np.dot(w, r * r)), pad * _DEFECT_MAX[d] * float(w.sum())
 
 
 def fourier_multiplier(mollifier, k, level: Optional[int] = None) -> np.ndarray:
@@ -968,45 +994,34 @@ def fourier_multiplier(mollifier, k, level: Optional[int] = None) -> np.ndarray:
 
     E_2(u) = (2 pi)^-d int |u^(xi)|^2 m_rho(|xi|) dxi (Plancherel), and
     m_rho(k) -> gamma(d, 2) k^2 as the mollifier concentrates.  The
-    integral runs over the breakpoint-free radial rule of ``level``; its
-    weights are >= 0, so the sum is at most min(c2 k^2, c0) of
-    ``_multiplier_bounds``.  Each k costs one ``sphere_defect`` per
-    radial node, which is why the energy drops the shells that carry no
-    power.
+    integral runs over the shared multiplier row of ``level``
+    (``_multiplier_row``); its weights are >= 0, so the sum is at most
+    min(c2 k^2, c0).  Each k costs one ``sphere_defect`` per radial node,
+    which is why the energy drops the shells that carry no power.
     """
-    d = mollifier.dimension
-    r, w = _multiplier_rule(mollifier, level)
+    r, w, _, _ = _multiplier_row(mollifier, level)
     k = np.asarray(k, dtype=float)
     out = np.empty(k.size)
     step = max(1, _CHUNK // r.size)
     for start in range(0, k.size, step):
-        out[start:start + step] = sphere_defect(d, np.outer(k[start:start + step], r)) @ w
+        out[start:start + step] = sphere_defect(
+            mollifier.dimension, np.outer(k[start:start + step], r)) @ w
     return out
 
 
-def _multiplier_bounds(mollifier, level: Optional[int]) -> tuple[float, float]:
-    """(c2, c0) with ``fourier_multiplier(mollifier, k, level)`` <=
-    min(c2 k^2, c0) at every k >= 0.
-
-    2 - 2 cos t <= min(t^2, 4), 1 - J0(t) <= min(t^2/4, 1.4028) and
-    1 - sin t/t <= min(t^2/6, 1.2173), so ``sphere_defect`` is at most
-    min(|S^(d-1)| t^2/(2d), _DEFECT_MAX), and every weight of the rule is
-    >= 0: c2 is |S^(d-1)|/(2d) sum w r^2 and c0 is _DEFECT_MAX sum w,
-    each padded by a relative 1e-12 against the rounding of the sums and
-    of ``sphere_defect``.
-    """
-    d = mollifier.dimension
-    r, w = _multiplier_rule(mollifier, level)
-    pad = 1.0 + 1e-12
-    # |S^(d-1)|/(2d): 1 in 1D, else the first coefficient of the t^2 series
-    c2 = 1.0 if d == 1 else _SERIES_COEFFS[d][0]
-    return (pad * c2 * float(np.dot(w, r * r)), pad * _DEFECT_MAX[d] * float(w.sum()))
+def _checked_samples(vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    if not np.isfinite(vals).all():
+        i = int(np.argmin(np.isfinite(vals)))
+        raise EvaluationError(f"field sample is {vals[i]!r} at x={pts[i]!r}",
+                              stage="multiplier", value=vals[i], centre=pts[i].copy())
+    return vals
 
 
 def _midpoint_samples(field, lo, hi, n: int) -> np.ndarray:
-    """u at the midpoints of [lo, hi] cut into n^d equal cells -> (n,)*d,
-    evaluated in slabs of at most _CHUNK points along the first axis, each
-    handed to the field as a read-only column-major (N, d) view.
+    """u at the midpoints of [lo, hi] cut into n^d equal cells -> (n,)*d.
+    In 1D they are one read-only (n, 1) batch; in 2D/3D they are evaluated
+    in slabs of at most _CHUNK points along the first axis, each handed to
+    the field as a read-only column-major (N, d) view.
 
     Raises
     ------
@@ -1015,8 +1030,11 @@ def _midpoint_samples(field, lo, hi, n: int) -> np.ndarray:
         sample as ``value`` and its point as ``centre``.
     """
     first = lo[0] + (hi[0] - lo[0]) / n * (np.arange(n) + 0.5)
-    # the cross-section of one slab row: a single empty point in 1D
-    cross = _midpoint_grid(lo[1:], hi[1:], n)[0] if lo.size > 1 else np.empty((1, 0))
+    if lo.size == 1:
+        pts = first[:, None]
+        pts.flags.writeable = False
+        return _checked_samples(field.eval_many(pts), pts)
+    cross = _midpoint_grid(lo[1:], hi[1:], n)[0]
     rows = max(1, _CHUNK // cross.shape[0])
     u = np.empty((n, cross.shape[0]))
     # a coordinate-major slab (d, rows, cross), handed over transposed
@@ -1029,14 +1047,29 @@ def _midpoint_samples(field, lo, hi, n: int) -> np.ndarray:
         slab[1:] = cross.T[:, None, :]
         pts = slab.reshape(lo.size, -1).T
         pts.flags.writeable = False
-        vals = field.eval_many(pts)
-        if not np.isfinite(vals).all():
-            i = int(np.argmin(np.isfinite(vals)))
-            raise EvaluationError(f"field sample is {vals[i]!r} at x={pts[i]!r}",
-                                  stage="multiplier", value=vals[i],
-                                  centre=pts[i].copy())
-        u[start:start + x0.size] = vals.reshape(x0.size, -1)
+        u[start:start + x0.size] = _checked_samples(field.eval_many(pts), pts).reshape(
+            x0.size, -1)
     return u.reshape((n,) * lo.size)
+
+
+# the shell indices kept: a 3D one of n = 128 is 1.06M int32 entries, 4.2 MB
+_SHELL_INDEX_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_SHELL_INDEX_CACHE_SIZE)
+def _shell_index(shape: tuple):
+    """(index, levels), shared read-only per half-spectrum shape (rfftn
+    layout, (n,)*(d-1) + (n/2 + 1,)): the position of each entry's |j|^2
+    among the distinct ones (int32, row-major), and those |j|^2 in
+    ascending order."""
+    jsq = np.arange(shape[-1]) ** 2
+    for n in shape[:-1]:
+        jsq = np.add.outer(np.fft.fftfreq(n, 1.0 / n).astype(np.int64) ** 2, jsq)
+    present = np.bincount(jsq.ravel()) > 0
+    index = (np.cumsum(present) - 1).astype(np.int32)[jsq.ravel()]
+    levels = np.flatnonzero(present)
+    quadrature._read_only(index, levels)
+    return index, levels
 
 
 def _shell_masses(power: np.ndarray):
@@ -1044,47 +1077,48 @@ def _shell_masses(power: np.ndarray):
     (rfftn layout, n^(d-1) x (n/2 + 1)) in ascending order, and the
     power on each.
 
-    Both are counted by ``np.bincount`` on |j|^2 itself: no sort.  The
-    masses accumulate in the spectrum's row-major order, as a
+    The masses are one weighted ``np.bincount`` over the grid's shared
+    shell index (``_shell_index``, n^(d-1) (n/2 + 1) int32 entries, built
+    once per shape; the last _SHELL_INDEX_CACHE_SIZE shapes are kept).
+    They accumulate in the spectrum's row-major order, as a
     ``np.unique`` + ``np.bincount(inverse)`` would.  In 1D each j is a
     shell of its own, so the levels are the j^2 and the masses the power.
     """
-    if power.ndim == 1:
-        return np.arange(power.size) ** 2, power
-    n = power.shape[0]
-    jsq = np.arange(n // 2 + 1) ** 2
-    full = np.fft.fftfreq(n, 1.0 / n).astype(np.int64) ** 2
-    for _ in range(power.ndim - 1):
-        jsq = np.add.outer(full, jsq)
-    jsq = jsq.ravel()
-    levels = np.flatnonzero(np.bincount(jsq))
-    return levels, np.bincount(jsq, weights=power.ravel())[levels]
+    index, levels = _shell_index(power.shape)
+    return levels, np.bincount(index, weights=power.ravel())
 
 
 def _shell_sum(mollifier, k, mass, level) -> tuple[float, int]:
     """(sum_i mass_i m_rho(k_i) over the kept shells, how many were kept)
     for shells of ascending wavenumber k and power mass >= 0.
 
-    m_rho(k) <= min(c2 k^2, c0) (``_multiplier_bounds``), so the shells
+    m_rho(k) <= min(c2 k^2, c0) (``_multiplier_row``), so the shells
     from K on add at most tail[K] = sum_{i >= K} mass_i min(c2 k_i^2, c0).
     The sum keeps the shortest prefix of K shells whose tail[K] is <=
     _MULTIPLIER_TAIL_RTOL times the prefix's own energy, which is every
-    shell when no shorter prefix passes.  m_rho is evaluated only up to
-    hi: no prefix shorter than lo, the first with tail <= rtol tail[0],
-    passes, because an energy is at most tail[0]; the prefix hi, the
-    first with tail <= rtol times lo's energy, does.
+    shell when no shorter prefix passes.  m_rho is evaluated once per
+    shell up to hi, in two calls: no prefix shorter than lo, the first
+    with tail <= rtol tail[0], passes, because an energy is at most
+    tail[0]; the prefix hi, the first with tail <= rtol times lo's
+    energy, does.
     """
-    c2, c0 = _multiplier_bounds(mollifier, level)
-    tail = np.append(np.cumsum((mass * np.minimum(c2 * k * k, c0))[::-1])[::-1], 0.0)
+    _, _, c2, c0 = _multiplier_row(mollifier, level)
+    tail = np.zeros(k.size + 1)
+    np.cumsum((mass * np.minimum(c2 * k * k, c0))[::-1], out=tail[-2::-1])
     rtol = _MULTIPLIER_TAIL_RTOL
-    lo = int(np.argmax(tail <= rtol * tail[0]))
-    m = fourier_multiplier(mollifier, k[:lo], level)
-    # running sums, so the energy that sets hi is kept[lo] below, bit for bit
-    kept = np.cumsum(np.append(0.0, mass[:lo] * m))
-    hi = max(lo, int(np.argmax(tail <= rtol * kept[-1])))
-    m = np.append(m, fourier_multiplier(mollifier, k[lo:hi], level))
-    kept = np.cumsum(np.append(0.0, mass[:hi] * m))
-    K = int(np.argmax(tail[:hi + 1] <= rtol * kept))
+    # m_rho, and kept[i], the running energy of the first i shells
+    m, kept = np.empty(k.size), np.zeros(k.size + 1)
+
+    def extend(a, b):
+        if a < b:
+            m[a:b] = fourier_multiplier(mollifier, k[a:b], level)
+            np.multiply(mass[a:b], m[a:b], out=kept[a + 1:b + 1])
+            np.cumsum(kept[a:b + 1], out=kept[a:b + 1])
+    lo = int((tail <= rtol * tail[0]).argmax())
+    extend(0, lo)
+    hi = max(lo, int((tail <= rtol * kept[lo]).argmax()))
+    extend(lo, hi)
+    K = int((tail[:hi + 1] <= rtol * kept[:hi + 1]).argmax())
     return float(np.dot(mass[:K], m[:K])), K
 
 
@@ -1095,7 +1129,7 @@ def _multiplier_shells(field, mollifier, scheme):
     d = field.dimension
     lo, hi = _x_region(field, mollifier.quadrature_radius())
     n = 2 * scheme.x_res(d)
-    spectrum = np.fft.rfftn(_midpoint_samples(field, lo, hi, n))
+    spectrum = (np.fft.rfft if d == 1 else np.fft.rfftn)(_midpoint_samples(field, lo, hi, n))
     power = spectrum.real ** 2 + spectrum.imag ** 2
     # the half spectrum stands for the conjugate modes it omits
     power[..., 1:(n + 1) // 2] *= 2.0
@@ -1114,13 +1148,17 @@ def _multiplier_energy(field, mollifier, scheme) -> float:
     the grid's wavenumbers xi = 2 pi j / L: the support box of an
     analytic field is a cube, so |xi|^2 = (2 pi / L)^2 |j|^2 on every
     axis alike, and the power is summed per distinct integer |j|^2 by
-    ``np.bincount`` (``_shell_masses``; in 1D the shells are the j
-    themselves).  m_rho is computed only on the shortest prefix of
-    shells, in ascending |j|, whose dropped tail is provably <= 2^-55 of
-    the kept energy (``_shell_sum``): the smooth fields' power falls
-    below that within a few hundred of the tens of thousands of 2D/3D
-    shells (about 20 of the 257 in 1D), and the value moves by rounding
-    alone.
+    one weighted ``np.bincount`` over the grid's shared shell index
+    (``_shell_masses``; in 1D the shells are the j themselves).  m_rho is
+    computed once per shell, on the shared multiplier row of the
+    mollifier and level (``_multiplier_row``, 8 * 2^level nodes and
+    weights, at most _RADIAL_CACHE_SIZE rows kept), and only on the
+    shortest prefix of shells, in ascending |j|, whose dropped tail is
+    provably <= 2^-55 of the kept energy (``_shell_sum``): the smooth
+    fields' power falls below that within a few hundred of the tens of
+    thousands of 2D/3D shells (about 20 of the 257 in 1D), and the value
+    moves by rounding alone.  Nothing but the samples, the FFT, the
+    bincount and m_rho on the kept shells is computed per call.
     """
     k, mass, scale = _multiplier_shells(field, mollifier, scheme)
     return float(scale * _shell_sum(mollifier, k, mass, scheme.radial_level)[0])
@@ -1140,6 +1178,13 @@ ROUTE_READS = {
 }
 
 
+def _pure_jump(field) -> bool:
+    """Whether the field is a pure-jump 1D field: a BV field with no
+    smooth part or a bounded 1D set."""
+    return (isinstance(field, BVField1D) and field.smooth is None
+            or isinstance(field, IndicatorSet) and field.is_bounded and field.dimension == 1)
+
+
 def energy_route(field, p, mollifier) -> str:
     """The route ``energy`` takes: "jump", "box", "covariogram",
     "multiplier", "lag" or "tensor".
@@ -1154,11 +1199,9 @@ def energy_route(field, p, mollifier) -> str:
     smooth part and jumps, and grid fields), and "tensor" for every other
     2D/3D field: analytic fields at p != 2, grid fields and half-spaces.
     """
-    bounded_set = isinstance(field, IndicatorSet) and field.is_bounded
-    if (bounded_set and field.dimension == 1
-            or isinstance(field, BVField1D) and field.smooth is None):
+    if _pure_jump(field):
         return "jump"
-    if bounded_set:
+    if isinstance(field, IndicatorSet) and field.is_bounded:
         return "box" if _box_closed_form(field, mollifier, float(p)) else "covariogram"
     if p == 2 and isinstance(field, AnalyticField):
         return "multiplier"
@@ -1235,9 +1278,14 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
     return _integrate_density_over_x(field, mollifier, p, scheme=scheme)
 
 
-def residual_route(field) -> str:
-    """The route ``sobolev_residual`` takes: "lag" for a 1D field (the
-    lag integral of ``_lag_energy``), "tensor" otherwise."""
+def residual_route(field, candidate: Optional[VectorField] = None) -> str:
+    """The route ``sobolev_residual`` takes: "jump" for a pure-jump 1D
+    field (as in ``energy_route``) with a zero candidate (None or
+    ``zero_vector_field``), whose residual is its p = 1 energy; "lag" for
+    every other 1D field (the lag integral of ``_lag_energy``); "tensor"
+    otherwise."""
+    if _pure_jump(field) and candidate in (None, zero_vector_field(1)):
+        return "jump"
     return "lag" if field.dimension == 1 else "tensor"
 
 
@@ -1247,8 +1295,9 @@ def sobolev_residual(field, mollifier, candidate: Optional[VectorField],
 
     Vanishing of this residual along a concentration ladder characterizes
     membership in W^{1,1} with gradient U; for a pure jump field and
-    U = 0 the residual instead converges to gamma(1,1) times the jump
-    mass (the singular-part limit).
+    U = 0 the residual is the p = 1 energy, which converges to
+    gamma(1,1) times the jump mass (the singular-part limit), and takes
+    the energy's jump route (``residual_route``).
     """
     if field.dimension != mollifier.dimension:
         raise DimensionError("field and mollifier dimensions differ")
@@ -1256,7 +1305,10 @@ def sobolev_residual(field, mollifier, candidate: Optional[VectorField],
     if cand.dimension != field.dimension:
         raise DimensionError("candidate dimension does not match the field")
     scheme = scheme or DEFAULT_SCHEME
-    if residual_route(field) == "lag":
+    route = residual_route(field, cand)
+    if route == "jump":
+        return energy(field, mollifier, 1.0, scheme)
+    if route == "lag":
         return _lag_energy(field, mollifier, 1.0, candidate=cand, scheme=scheme)
     return _integrate_density_over_x(field, mollifier, 1.0,
                                      subtract_candidate=cand, scheme=scheme)

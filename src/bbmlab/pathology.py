@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
+from .constants import _exponent
 from .errors import DimensionError, DomainError, ProbeError
 from .fields import AnalyticField
 from .mollifiers import RadialMollifier, power_law
@@ -125,8 +126,7 @@ class PathologyCase:
             raise DimensionError("pathology cases need dimension 2 or 3")
         if not 0.0 < self.delta < 0.5:
             raise DomainError("the slow family requires delta in (0, 1/2)")
-        if self.p < 1:
-            raise DomainError("p must be >= 1")
+        _exponent(self.p)
         cuts = tuple(float(c) for c in self.cutoffs)
         if not cuts or any(b >= a for a, b in zip(cuts[:-1], cuts[1:])):
             raise DomainError("cutoffs must be strictly decreasing")

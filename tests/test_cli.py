@@ -457,11 +457,15 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
       "--mollifier", "indicator", "--ladder", "1:3", "--p", "2"], "multiplier"),
     (["energy", "--field", "bump:1", "--mollifier", "indicator:0.25", "--p", "2",
       "--x-resolution", "64"], "multiplier"),
-    (["sweep", "--experiment", "sobolev-residual", "--field", "step",
+    (["sweep", "--experiment", "sobolev-residual", "--field", "mixed:1@0",
       "--mollifier", "indicator", "--ladder", "1:3"], "lag"),
     (["sweep", "--experiment", "sobolev-residual", "--field", "bump:2",
       "--mollifier", "indicator", "--ladder", "1:3", "--candidate", "gradient",
       "--x-resolution", "8", "--sphere-order", "8", "--radial-level", "1"], "tensor"),
+    # a pure-jump 1D field with the zero candidate: the residual is its
+    # p = 1 energy, on the jump route
+    (["sweep", "--experiment", "sobolev-residual", "--field", "step",
+      "--mollifier", "indicator", "--ladder", "1:3"], "jump"),
     (["energy", "--field", "box:0,0;1,0.5", "--mollifier", "indicator:0.25",
       "--p", "1.5"], "box"),
     (["energy", "--field", "box:0,0;1,0.5", "--mollifier", "indicator:0.75",
@@ -479,7 +483,7 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
 ], ids=["energy-multiplier", "energy-tensor", "sweep-covariogram",
         "sweep-multiplier", "energy-lag", "sweep-lag", "sweep-multiplier-1d",
         "energy-multiplier-1d", "residual-lag",
-        "residual-tensor", "energy-box", "energy-box-sum", "sweep-box-mixed",
+        "residual-tensor", "residual-jump", "energy-box", "energy-box-sum", "sweep-box-mixed",
         "energy-box-3d-sum", "energy-jump", "sweep-jump"])
 def test_energy_summary_names_its_route(tmp_path, argv, route):
     assert main(argv + ["--out", str(tmp_path)]) == 0
@@ -624,6 +628,9 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
     ["perimeter", "--shape", "interval:0,1", "--radial-level", "3"],
     ["sweep", "--experiment", "energy", "--field", "interval:0,1",
      "--mollifier", "gaussian", "--ladder", "4:6", "--radial-level", "3"],
+    # and so is its residual with the zero candidate
+    ["sweep", "--experiment", "sobolev-residual", "--field", "step",
+     "--radial-level", "3"],
 ], ids=["maximal-sphere-order", "energy-rel-tol", "density-x-resolution",
         "pathology-workers", "constants-radial-level", "density-seed",
         "energy-seed", "sweep-residual-p", "sweep-energy-candidate",
@@ -646,7 +653,7 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
         "sweep-box-closed-radial-level", "sweep-box-mixed-x-resolution",
         "energy-box-3d-sum-x-resolution", "energy-box-3d-sum-sphere-order",
         "energy-step-radial-level", "perimeter-interval-radial-level",
-        "sweep-interval-radial-level"])
+        "sweep-interval-radial-level", "sweep-residual-step-radial-level"])
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
     # unknown flags stop the parser, flags the chosen experiment or
     # method does not read stop the run; both exit 2 with no output

@@ -72,6 +72,13 @@ def test_gamma_rejects_bad_arguments():
         constants.gamma(2, 0.5)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_gamma_refuses_a_nan_or_infinite_p(p):
+    # the exponent rule of every functional: 1 <= p < inf, NaN fails it
+    with pytest.raises(DomainError, match="finite number >= 1"):
+        constants.gamma(2, p)
+
+
 @pytest.mark.parametrize("d,expected", [(1, 2.0), (2, 4 / math.sqrt(math.pi)),
                                         (3, 2.0)])
 def test_gaussian_norm_const(d, expected):

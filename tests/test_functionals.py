@@ -310,6 +310,20 @@ def test_sobolev_residual_step_with_zero_candidate_near_four():
     assert val >= 3.9
 
 
+def test_only_a_pure_jump_residual_with_a_zero_candidate_takes_the_jump_route():
+    step = fields.step_field()
+    ones = fields.VectorField(1, np.ones_like)
+    assert F.residual_route(step) == F.residual_route(step, None) == "jump"
+    assert F.residual_route(step, ones) == "lag"
+    assert F.residual_route(step, fields.gradient_candidate(step)) == "lag"
+    assert F.residual_route(scaled_bump(1.0)) == "lag"
+    assert F.residual_route(fields.gaussian_bump(2)) == "tensor"
+    m = mf.indicator(2.0**-6, 1)
+    assert F.sobolev_residual(step, m, None) == F.energy(step, m, 1.0) == 4.0
+    # U = 1 adds |r| to every pair away from the jump
+    assert F.sobolev_residual(step, m, ones) > 4.0
+
+
 def test_sobolev_residual_smooth_with_own_gradient_small():
     u = scaled_bump(1.0)
     cand = fields.gradient_candidate(u)
@@ -512,11 +526,14 @@ def test_step_energy_matches_its_interval(a, b, m, p, rtol):
     (fields.interval_set(0.2, 0.2), mf.indicator(0.25, 1)),
 ], ids=["indicator", "overlap", "gaussian", "powerlaw", "ball", "empty"])
 def test_set_residual_with_zero_candidate_is_its_energy(s, m):
-    # with U = 0 the residual is the p = 1 energy; the residual's lag
-    # route counts the set's two ends as jumps, and so does the energy's
-    # jump route
-    assert F.sobolev_residual(s, m, None) == pytest.approx(
-        F.energy(s, m, 1.0), rel=1e-13, abs=0)
+    # with U = 0 the residual is the p = 1 energy, and it takes the same
+    # jump route, which counts the set's two ends as jumps
+    assert F.residual_route(s) == F.residual_route(s, fields.zero_vector_field(1)) == "jump"
+    assert F.sobolev_residual(s, m, None) == F.energy(s, m, 1.0)
+    assert F.sobolev_residual(s, m, fields.zero_vector_field(1)) == F.energy(s, m, 1.0)
+    # the lag route, which a nonzero candidate takes, agrees at U = 0
+    lag = F._lag_energy(s, m, 1.0, candidate=fields.zero_vector_field(1))
+    assert lag == pytest.approx(F.energy(s, m, 1.0), rel=1e-13, abs=0)
 
 
 def test_step_energy_is_exact_for_a_small_power_law_exponent():
@@ -1260,7 +1277,7 @@ def test_fourier_multiplier_is_below_its_tail_bound(d, kind, level):
     # minimum (t ~ 4.493), where the defect peaks, and down to k = 0,
     # where the k^2 bound is tight
     m = MULTIPLIER_KERNELS[kind](d)
-    c2, c0 = F._multiplier_bounds(m, level)
+    _, _, c2, c0 = F._multiplier_row(m, level)
     r_max = Q.kernel_radial_rule(m, level).r_max
     k = np.concatenate([[0.0, 1e-8, 1e-4], np.linspace(0.0, 12.0, 4801)[1:] / r_max])
     values = F.fourier_multiplier(m, k, level)
@@ -1316,6 +1333,82 @@ def test_multiplier_energy_equals_the_full_spectrum(d, kind, name):
         assert kept <= 0.1 * k.size
 
 
+def tilted_gaussian(d):
+    """exp(-(x - c)^T A (x - c)) with an off-centre c and a non-diagonal A."""
+    c = np.array([0.3, -0.2, 0.1])[:d]
+    A = np.array([[1.2, 0.2, 0.1], [0.2, 1.0, -0.1], [0.1, -0.1, 1.1]])[:d, :d]
+
+    def ev(q):
+        y = q - c
+        return np.exp(-np.einsum("ij,jk,ik->i", y, A, y))
+    return fields.AnalyticField(d, ev, support_radius=6.0, label="tilted")
+
+
+# p = 2 energies by float.hex, (d, x_resolution, field) -> the gaussian,
+# indicator and power-law kernels of MULTIPLIER_KERNELS: the values of the
+# multiplier route before its row, shell index and 1D samples were shared
+MULTIPLIER_PINS = {
+    (1, 8, "bump"): ('0x1.3a3ee6210f768p+1', '0x1.3d0984b402b7bp+1', '0x1.2f544e8ce7262p+1'),
+    (1, 8, "tilted"): ('0x1.666e37d160acdp+1', '0x1.62634434ad7fap+1', '0x1.5d0eca9cbe098p+1'),
+    (1, 64, "bump"): ('0x1.3f9a021bef63cp+1', '0x1.3f300e69a5a79p+1', '0x1.373ea80a10d60p+1'),
+    (1, 64, "tilted"): ('0x1.5dd5a40b4be8bp+1', '0x1.5d4a9fbec4246p+1', '0x1.530d4adae190cp+1'),
+    (1, 256, "bump"): ('0x1.3f9a021bef63cp+1', '0x1.3f300e69a5a79p+1', '0x1.373ea80a10d60p+1'),
+    (1, 256, "tilted"): ('0x1.5dd5a40b4be8bp+1', '0x1.5d4a9fbec4246p+1', '0x1.530d4adae190cp+1'),
+    (2, 8, "bump"): ('0x1.33f85f062f9f4p+3', '0x1.3714ff0f9cae2p+3', '0x1.18433082e7dc2p+3'),
+    (2, 8, "tilted"): ('0x1.44406ffe1ef63p+3', '0x1.41f92e15d45d1p+3', '0x1.268355d40dcaep+3'),
+    (2, 64, "bump"): ('0x1.39fd1f1e60dfbp+3', '0x1.39608167b6199p+3', '0x1.1fadf3dc6b76cp+3'),
+    (2, 64, "tilted"): ('0x1.4074b435717abp+3', '0x1.3fc154cc405cep+3', '0x1.22b901a3034a5p+3'),
+    (3, 8, "bump"): ('0x1.8042275138834p+4', '0x1.8509c1891af75p+4', '0x1.52adcc306ff29p+4'),
+    (3, 8, "tilted"): ('0x1.8218be9b95608p+4', '0x1.8205ce48b9f37p+4', '0x1.5182a992b8955p+4'),
+    (3, 16, "bump"): ('0x1.88c32d9e2725dp+4', '0x1.8825bc0fe8c2cp+4', '0x1.5c64983df3619p+4'),
+    (3, 16, "tilted"): ('0x1.8213d42bd16b4p+4', '0x1.8166efab134d3p+4', '0x1.5206fca50cf18p+4'),
+}
+
+
+@pytest.mark.parametrize("d,x,name", sorted(MULTIPLIER_PINS))
+def test_multiplier_energy_keeps_its_pinned_bits(d, x, name):
+    u = {"bump": fields.gaussian_bump, "tilted": tilted_gaussian}[name](d)
+    got = tuple(F.energy(u, MULTIPLIER_KERNELS[kind](d), 2.0,
+                         QuadratureScheme(x_resolution=x)).hex()
+                for kind in sorted(MULTIPLIER_KERNELS))
+    assert got == MULTIPLIER_PINS[d, x, name]
+
+
+def test_multiplier_row_is_shared_and_read_only():
+    m = mf.gaussian(64.0, 2)
+    row = F._multiplier_row(m, None)
+    # one row per (mollifier, level), the default level spelt either way
+    assert F._multiplier_row(mf.gaussian(64.0, 2), Q.DEFAULT_RADIAL_LEVEL) is row
+    assert F._multiplier_row(m, 2) is not row
+    r, w, c2, c0 = row
+    assert r is Q.kernel_radial_rule(m).nodes and r.size == w.size
+    for a in (r, w):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert 0.0 < c2 and 0.0 < c0
+    # fourier_multiplier reads the same row: its values are the row's sum
+    k = np.array([0.5, 3.0])
+    np.testing.assert_array_equal(F.fourier_multiplier(m, k),
+                                  F.sphere_defect(2, np.outer(k, r)) @ w)
+
+
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 16), (3, 8)])
+def test_shell_index_is_shared_and_read_only(d, n):
+    shape = (n,) * (d - 1) + (n // 2 + 1,)
+    index, levels = F._shell_index(shape)
+    assert F._shell_index(shape)[0] is index
+    assert index.dtype == np.int32 and index.size == n ** (d - 1) * (n // 2 + 1)
+    for a in (index, levels):
+        with pytest.raises(ValueError):
+            a[0] = 1
+    # the index names each entry's level: |j|^2 of its rfftn position
+    jsq = np.arange(n // 2 + 1) ** 2
+    for _ in range(d - 1):
+        jsq = np.add.outer(np.fft.fftfreq(n, 1.0 / n) ** 2, jsq)
+    np.testing.assert_array_equal(levels[index], jsq.ravel())
+    np.testing.assert_array_equal(levels, np.unique(jsq))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_multiplier_energy_of_a_zero_field_is_exactly_zero(d):
     u = fields.AnalyticField(d, lambda q: np.zeros(len(q)), support_radius=1.0)
@@ -1324,10 +1417,11 @@ def test_multiplier_energy_of_a_zero_field_is_exactly_zero(d):
     assert F._shell_sum(mf.indicator(0.25, d), k, mass, None) == (0.0, 0)
 
 
-@pytest.mark.parametrize("d,n", [(2, 16), (2, 48), (2, 512), (3, 32)])
+@pytest.mark.parametrize("d,n", [(1, 512), (2, 16), (2, 48), (2, 512), (3, 32)])
 def test_shell_masses_by_bincount_equal_the_sorted_masses(d, n):
-    # bincount on |j|^2 sums each shell in the spectrum's order, as the
-    # np.unique + bincount(inverse) it replaces did: bit for bit
+    # one bincount over the shell index sums each shell in the spectrum's
+    # order, as np.unique + bincount(inverse) does: bit for bit (in 1D
+    # each j is a shell, and the masses are the power itself)
     spectrum = np.fft.rfftn(np.random.default_rng(n).standard_normal((n,) * d))
     power = spectrum.real ** 2 + spectrum.imag ** 2
     power[..., 1:(n + 1) // 2] *= 2.0

@@ -107,6 +107,12 @@ def test_case_validation():
     assert not PT.PathologyCase(2, 1.5, 0.1).expects_divergence
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+def test_case_refuses_an_exponent_outside_one_to_inf(p):
+    with pytest.raises(DomainError, match="finite number >= 1"):
+        PT.PathologyCase(2, p, 0.1)
+
+
 def test_probe_must_lie_in_annulus():
     case = PT.PathologyCase(2, 3.0, 0.1)
     with pytest.raises(ProbeError):
