@@ -151,11 +151,8 @@ def parse_probes(spec: str, d: int, ladder: str | None = None) -> np.ndarray:
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+    # inf, -inf and nan format as their repr
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def write_csv(path: Path, header, rows) -> None:

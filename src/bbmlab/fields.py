@@ -157,7 +157,12 @@ def zero_vector_field(d: int) -> VectorField:
 
 
 def gradient_candidate(f) -> VectorField:
-    """The field's own gradient, wrapped as a candidate."""
+    """The field's own gradient, wrapped as a candidate; for a BV field
+    with no smooth part, whose absolutely continuous gradient is 0, the
+    shared ``zero_vector_field(1)``, so its residual is known to have a
+    zero candidate."""
+    if isinstance(f, BVField1D) and f.smooth is None:
+        return zero_vector_field(1)
     return VectorField(f.dimension, f.gradient_many)
 
 

@@ -45,12 +45,18 @@ with no node at r = 0 (the measure rho(r) r^(d-1) dr has no atom there,
 so the 0/0 difference quotient never arises).  One engine,
 ``_polar_many``, computes the polar density for a batch of probes and
 is the only polar sum here: each probe's radial rule is split at the
-breakpoint radii its caller passes, and the probes go in blocks of at
-most _CHUNK = 32768 field points, handed to the field column-major.  A
-density at one probe or at a batch of probes is one engine call, with
-the field's (and Omega's) breakpoints.  A tensor energy is one midpoint
-grid and one engine call that counts each pair once
-(``_integrate_density_over_x``).
+breakpoint radii its caller passes that fall inside the kernel ball, and
+the probes go in blocks of at most _CHUNK = 32768 field points, handed
+to the field column-major.  What depends only on a cache key is built
+once and shared read-only: probes whose breakpoints all lie at or
+beyond r_max share the breakpoint-free row, and that row's offsets
+r sigma with a sphere rule (the tensor route's half rule included) are
+one table per (mollifier, level, sphere rule) when they fit one block.
+A 1D or 2D density then pays for its field evaluations, one node add
+and its sums.  A density at one probe or at a batch of probes is one
+engine call, with the field's (and Omega's) breakpoints.  A tensor
+energy is one midpoint grid and one engine call that counts each pair
+once (``_integrate_density_over_x``).
 Every path raises EvaluationError on a NaN or infinite integrand, and every
 density refuses a probe on a jump of the field, where it is +inf, with
 ProbeError.  A field that declares a point singularity
@@ -311,14 +317,33 @@ def _integrand_error(value, centre, r, sigma, stage) -> EvaluationError:
         sigma=sigma)
 
 
+# offset tables kept: one fits an engine block, n K <= _CHUNK points of
+# d <= 3 coordinates, at most 768 KiB, so the cache holds at most 24 MiB
+# (a default 2D density's table is 8192 points, 128 KiB)
+_OFFSET_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=quadrature._SPHERE_CACHE_SIZE)
 def _upper_half(sphere: quadrature.SphereRule) -> quadrature.SphereRule:
     """The nodes of an antipodally symmetric sphere rule with sigma_d > 0,
     their weights doubled: exactly half of the built-in rules' nodes (the
     2D panels split at k pi/2, the 3D rule is Gauss in sigma_3 split at
-    0 times an even number of azimuths)."""
+    0 times an even number of azimuths).  Built once per rule and shared
+    read-only."""
     up = sphere.nodes[:, -1] > 0.0
-    return quadrature.SphereRule(sphere.dimension, sphere.nodes[up],
+    half = quadrature.SphereRule(sphere.dimension, sphere.nodes[up],
                                  2.0 * sphere.weights[up])
+    quadrature._read_only(half.nodes, half.weights)
+    return half
+
+
+@lru_cache(maxsize=_OFFSET_CACHE_SIZE)
+def _offset_table(row: quadrature.KernelRule, sphere: quadrature.SphereRule) -> np.ndarray:
+    """The offsets r_j sigma_k of a shared radial row and a sphere rule,
+    (d, n K) with column j K + k; built once per pair, shared read-only."""
+    table = (row.nodes[:, None] * sphere.nodes.T[:, None, :]).reshape(sphere.dimension, -1)
+    table.flags.writeable = False
+    return table
 
 
 def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
@@ -330,23 +355,31 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     probe's row of ``subtract`` and, given ``omega``, F is zero at nodes
     outside Omega.  The sigma-sum runs over ``sphere``, by default the
     scheme's sphere rule.  Row i of ``breaks`` (m, J) holds the
-    breakpoint radii of probe i; they become panel edges of its radial
-    rule, graded down to the nearest of them.  With J = 0 all probes
-    share one breakpoint-free row; otherwise the rows are stacked, one
-    per probe, and built per call.  The shared row
-    (``quadrature.kernel_radial_rule``) and the sphere rule are built
-    once per key and shared read-only across calls, from bounded caches
-    (a level-12 row holds 32768 nodes); the weights divided by r^p, and
-    zeroed below the remainder floor, are this call's own copy.
+    breakpoint radii of probe i; those inside (0, r_max) become panel
+    edges of its radial rule, graded down to the nearest of them.  When
+    every breakpoint lies at or beyond r_max (J = 0 included), which
+    ``radial_rules`` would ignore, all probes share one breakpoint-free
+    row, bit for bit the rule they would get; otherwise the rows are
+    stacked, one per probe, and built per call.
+
+    What depends only on its key is built once and shared read-only: the
+    shared row (``quadrature.kernel_radial_rule``, a level-12 row holds
+    32768 nodes), the sphere rule, and the shared row's offsets r sigma
+    per (mollifier, level, sphere rule) (``_offset_table``), kept only
+    when its n K points fit one block (_CHUNK): a default 2D density
+    has 8192, a default 3D one 262144, whose offsets are this call's
+    own.  The weights divided by r^p, and zeroed below the remainder
+    floor, are this call's own copy.
 
     Probes are taken in blocks of as many as fit in _CHUNK field points
-    at the stacked row length, but at least one: a probe whose row alone
-    exceeds _CHUNK points is one block (262144 points for a default 3D
-    density, 16.8M at radial level 10).  A block evaluates the field
-    once at its centres and once at its nodes.  The nodes of a block of
-    b probes are written into one reused (d, b, n, K) buffer,
-    row i = x_i + (r sigma_i) (the rounding of x + r sigma), and the field
-    gets its read-only (N, d) transpose, a column-major view.
+    at the row length, but at least one: a probe whose row alone exceeds
+    _CHUNK points is one block (16.8M points at radial level 10 in 3D).
+    A block evaluates the field once at its centres and once at its
+    nodes.  The nodes of a block of b probes are written into one reused
+    (d, b, n K) buffer, row i = x_i + (r sigma) (the rounding of
+    x + r sigma), and the field gets its read-only (N, d) transpose, a
+    column-major view; the node add and u(x + r sigma) - u(x) run along
+    rows n K long.
     An analytic field is 0 beyond its support radius R; each block
     decides once whether all its probes lie within R (1 - 1e-9) - r_max
     of the origin, where every node is inside the support, and then asks
@@ -363,34 +396,39 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     sphere = scheme.sphere(d) if sphere is None else sphere
     sig, ws = sphere.nodes, sphere.weights
     K = sig.shape[0]
-    J = breaks.shape[1]
-    # one shared row without breakpoints, else one row per probe; nodes
-    # r_all (m, n), weights w rho(r) r^(d-1) / r^p, zero below the
-    # remainder floor when a gradient is subtracted
+    r_max = mollifier.quadrature_radius()
+    per_probe = breaks.size > 0 and breaks.min() < r_max
     rule = quadrature.kernel_radial_rule(mollifier, scheme.radial_level,
-                                         breakpoints=breaks)
+                                         breakpoints=breaks if per_probe else ())
+    # nodes r_all (1 or m, n), weights w rho(r) r^(d-1) / r^p, a fresh
+    # array zeroed below the remainder floor when a gradient is subtracted
     r_all = np.atleast_2d(rule.nodes)
-    # a fresh array: the shared row's weights stay untouched
     wr_all = np.atleast_2d(rule.weights) / r_all ** p
     if subtract is not None:
-        wr_all[r_all < _REMAINDER_R_FLOOR * rule.r_max] = 0.0
+        wr_all[r_all < _REMAINDER_R_FLOOR * r_max] = 0.0
     n = r_all.shape[1]
-    step = max(1, _CHUNK // (n * K))
-    store = np.empty(d * min(step, probes.shape[0]) * n * K)
+    nK = n * K
+    step = max(1, _CHUNK // nK)
+    table = _offset_table(rule, sphere) if not per_probe and nK <= _CHUNK else None
+    store = np.empty(d * min(step, probes.shape[0]) * nK)
     inner_sq = None
     if isinstance(field, AnalyticField) and math.isfinite(field.support_radius):
-        reach = field.support_radius * (1.0 - 1e-9) - rule.r_max
+        reach = field.support_radius * (1.0 - 1e-9) - r_max
         inner_sq = reach * reach if reach > 0.0 else None
     out = np.empty(probes.shape[0])
     for start in range(0, probes.shape[0], step):
         block = slice(start, start + step)
         x = probes[block]
-        r, wr = (r_all[block], wr_all[block]) if J else (r_all, wr_all)
-        # row i is x_i + (r sigma_i), the rounding of x + r sigma; row sums
+        b = x.shape[0]
+        r, wr = (r_all[block], wr_all[block]) if per_probe else (r_all, wr_all)
+        # row i is x_i + (r sigma), the rounding of x + r sigma; row sums
         # over the coordinates run several times faster on the transpose
-        nodes = store[:d * x.shape[0] * n * K].reshape(d, x.shape[0], n, K)
-        np.add(r[:, :, None] * sig.T[:, None, None, :], x.T[:, :, None, None],
-               out=nodes)
+        nodes = store[:d * b * nK].reshape(d, b, nK)
+        if table is None:
+            np.add(r[:, :, None] * sig.T[:, None, None, :], x.T[:, :, None, None],
+                   out=nodes.reshape(d, b, n, K))
+        else:
+            np.add(table[:, None, :], x.T[:, :, None], out=nodes)
         flat = nodes.reshape(d, -1).T
         flat.flags.writeable = False
         # every node of a block whose probes lie within R - r_max is inside
@@ -401,25 +439,23 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
         u0 = field.eval_many(x, **kw)
         # inf - inf is NaN; the finite check below refuses it with its node
         with np.errstate(invalid="ignore", over="ignore"):
-            diff = (field.eval_many(flat, **kw).reshape(x.shape[0], -1, K)
-                    - u0[:, None, None])
+            diff = field.eval_many(flat, **kw).reshape(b, nK) - u0[:, None]
             if subtract is not None:
-                diff = diff - r[:, :, None] * (subtract[block] @ sig.T)[:, None, :]
+                diff -= (r[:, :, None] * (subtract[block] @ sig.T)[:, None, :]).reshape(b, nK)
             if omega is not None:
                 diff = np.where(omega.contains(flat).reshape(diff.shape), diff, 0.0)
             F = _abs_power(diff, p)
-            inner = (F.reshape(-1, K) @ ws).reshape(diff.shape[:2])
+            inner = (F.reshape(-1, K) @ ws).reshape(b, n)
             dens = np.einsum("ij,ij->i", wr, inner)
         if not np.isfinite(dens).all():
             i = int(np.argmin(np.isfinite(dens)))
-            bad = np.argwhere(~np.isfinite(F[i]))
-            if bad.size:
-                j, k = bad[0]
-                raise _integrand_error(F[i, j, k], x[i].copy(),
-                                       np.broadcast_to(r, inner.shape)[i, j],
-                                       sig[k].copy(), "polar")
-            raise EvaluationError(f"density sum is {dens[i]!r} at centre={x[i]!r}",
-                                  stage="polar")
+            if np.isfinite(F[i]).all():
+                raise EvaluationError(f"density sum is {dens[i]!r} at centre={x[i]!r}",
+                                      stage="polar")
+            j, k = divmod(int(np.argmin(np.isfinite(F[i]))), K)
+            raise _integrand_error(F[i, j * K + k], x[i].copy(),
+                                   np.broadcast_to(r, inner.shape)[i, j],
+                                   sig[k].copy(), "polar")
         out[block] = dens
     return out
 
@@ -481,14 +517,6 @@ def domain_density(field, mollifier, p, probe, omega: IndicatorSet,
 # integrated functionals
 # ---------------------------------------------------------------------------
 
-def _candidate_for(field, candidate):
-    if candidate is None:
-        return zero_vector_field(field.dimension)
-    if isinstance(candidate, VectorField):
-        return candidate
-    raise DomainError("candidate gradient must be a VectorField or None")
-
-
 def _x_region(field, r_max: float):
     """The x-region of an integrated functional: the support box enlarged
     by r_max.
@@ -520,16 +548,11 @@ def _grid_compactness_check(field) -> None:
     # compactly supported inside its own box; zero extension would then
     # silently truncate the energy
     if isinstance(field, GridField):
-        edge = 0.0
-        v = field.values
-        for ax in range(field.dimension):
-            edge = max(edge, float(np.max(np.abs(np.take(v, 0, axis=ax)))),
-                       float(np.max(np.abs(np.take(v, -1, axis=ax)))))
-        scale = float(np.max(np.abs(v))) or 1.0
-        if edge > 1e-6 * scale:
-            raise ValidityError(
-                "grid field is not negligible at the box edge; enlarge the "
-                "box before integrating")
+        v = np.abs(field.values)
+        edge = max(float(np.take(v, i, axis=ax).max()) for ax in range(v.ndim) for i in (0, -1))
+        if edge > 1e-6 * (float(v.max()) or 1.0):
+            raise ValidityError("grid field is not negligible at the box edge; enlarge "
+                                "the box before integrating")
 
 
 def _midpoint_grid(lo, hi, n):
@@ -573,9 +596,8 @@ def _integrate_density_over_x(field, mollifier, p, *, subtract_candidate=None,
     lo, hi = _x_region(field, r_max)
     probes, weights = _midpoint_grid(lo, hi, scheme.x_res(field.dimension))
     sub = None if subtract_candidate is None else subtract_candidate.eval_many(probes)
-    sphere = scheme.sphere(field.dimension)
-    if sub is None:
-        sphere = _upper_half(sphere)
+    sphere = scheme.sphere(field.dimension) if sub is not None else _upper_half(
+        scheme.sphere(field.dimension))
     live = np.ones(probes.shape[0], dtype=bool)
     if isinstance(field, AnalyticField) and math.isfinite(field.support_radius):
         reach = (field.support_radius + r_max) * (1.0 + 1e-9)
@@ -1301,7 +1323,9 @@ def sobolev_residual(field, mollifier, candidate: Optional[VectorField],
     """
     if field.dimension != mollifier.dimension:
         raise DimensionError("field and mollifier dimensions differ")
-    cand = _candidate_for(field, candidate)
+    if candidate is not None and not isinstance(candidate, VectorField):
+        raise DomainError("candidate gradient must be a VectorField or None")
+    cand = zero_vector_field(field.dimension) if candidate is None else candidate
     if cand.dimension != field.dimension:
         raise DimensionError("candidate dimension does not match the field")
     scheme = scheme or DEFAULT_SCHEME
@@ -1342,9 +1366,8 @@ def local_energy(field, p, *, box=None) -> float:
             return g * field.total_variation(lo, hi)
         if field.smooth is None:
             return 0.0
-        nodes, w = quadrature.axis_rule(lo, hi, field.singular_points())
-        grad = field.smooth.gradient_many(nodes.reshape(-1, 1))[:, 0]
-        return g * float(np.dot(w, np.abs(grad) ** p))
+        # no jumps at p > 1: the smooth part's limit over the padded hull
+        field, box = field.smooth, (np.array([lo]), np.array([hi]))
     if isinstance(field, GridField):
         return g * field.gradient_norm_integral(p)
     # analytic field

@@ -271,11 +271,9 @@ def divergence_probe(case: PathologyCase, probe, *, field=None) -> ConvergenceRe
     rule.
     """
     probe = _check_probe(case, probe)
-    shells = []
     edges = (SHELL_OUTER,) + tuple(case.cutoffs)
-    for hi, lo in zip(edges[:-1], edges[1:]):
-        shells.append(_shell_mass(case, probe, lo, hi, field=field))
-    values = list(np.cumsum(shells))
+    values = list(np.cumsum([_shell_mass(case, probe, lo, hi, field=field)
+                             for hi, lo in zip(edges[:-1], edges[1:])]))
     return ConvergenceReport(
         labels=[f"tau={c:.3e}" for c in case.cutoffs],
         params=list(case.cutoffs),

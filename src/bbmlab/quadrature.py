@@ -31,7 +31,9 @@ ValueError instead of corrupting later calls.  A 3D sphere rule of
 order k holds 2k^2 nodes (2048 at the default 32); a radial row holds
 8 * 2^level nodes, 32768 at MAX_RADIAL_LEVEL, i.e. 512 KiB of nodes and
 weights, so the radial cache holds at most 16 MiB.  Rules with
-breakpoints are built per call.
+breakpoints inside (0, r_max) are built per call; breakpoints outside it
+leave the rule unchanged, so a caller whose breakpoints all lie at or
+beyond r_max takes the shared row (``functionals._polar_many`` does).
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ _SPHERE_CACHE_SIZE = 16
 _RADIAL_CACHE_SIZE = 32
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity: the engine's caches key on shared rules
+@dataclass(frozen=True, eq=False)
 class SphereRule:
     dimension: int
     nodes: np.ndarray   # (K, d) unit vectors
@@ -85,7 +88,8 @@ class RadialRule:
     r_max: float
 
 
-@dataclass(frozen=True)
+# hashed by identity, like SphereRule: the shared rows key the engine's tables
+@dataclass(frozen=True, eq=False)
 class KernelRule:
     """A radial rule with the kernel folded into its weights.
 

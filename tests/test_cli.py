@@ -466,6 +466,8 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
     # p = 1 energy, on the jump route
     (["sweep", "--experiment", "sobolev-residual", "--field", "step",
       "--mollifier", "indicator", "--ladder", "1:3"], "jump"),
+    (["sweep", "--experiment", "sobolev-residual", "--field", "step",
+      "--mollifier", "indicator", "--ladder", "1:3", "--candidate", "gradient"], "jump"),
     (["energy", "--field", "box:0,0;1,0.5", "--mollifier", "indicator:0.25",
       "--p", "1.5"], "box"),
     (["energy", "--field", "box:0,0;1,0.5", "--mollifier", "indicator:0.75",
@@ -483,7 +485,7 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
 ], ids=["energy-multiplier", "energy-tensor", "sweep-covariogram",
         "sweep-multiplier", "energy-lag", "sweep-lag", "sweep-multiplier-1d",
         "energy-multiplier-1d", "residual-lag",
-        "residual-tensor", "residual-jump", "energy-box", "energy-box-sum", "sweep-box-mixed",
+        "residual-tensor", "residual-jump", "residual-jump-gradient", "energy-box", "energy-box-sum", "sweep-box-mixed",
         "energy-box-3d-sum", "energy-jump", "sweep-jump"])
 def test_energy_summary_names_its_route(tmp_path, argv, route):
     assert main(argv + ["--out", str(tmp_path)]) == 0
@@ -631,6 +633,9 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
     # and so is its residual with the zero candidate
     ["sweep", "--experiment", "sobolev-residual", "--field", "step",
      "--radial-level", "3"],
+    # and with the step's own gradient, which is that zero candidate
+    ["sweep", "--experiment", "sobolev-residual", "--field", "step",
+     "--candidate", "gradient", "--radial-level", "3"],
 ], ids=["maximal-sphere-order", "energy-rel-tol", "density-x-resolution",
         "pathology-workers", "constants-radial-level", "density-seed",
         "energy-seed", "sweep-residual-p", "sweep-energy-candidate",
@@ -653,7 +658,8 @@ def test_x_resolution_still_sets_the_2d_grid(tmp_path):
         "sweep-box-closed-radial-level", "sweep-box-mixed-x-resolution",
         "energy-box-3d-sum-x-resolution", "energy-box-3d-sum-sphere-order",
         "energy-step-radial-level", "perimeter-interval-radial-level",
-        "sweep-interval-radial-level", "sweep-residual-step-radial-level"])
+        "sweep-interval-radial-level", "sweep-residual-step-radial-level",
+        "sweep-residual-step-gradient-radial-level"])
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
     # unknown flags stop the parser, flags the chosen experiment or
     # method does not read stop the run; both exit 2 with no output

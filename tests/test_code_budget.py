@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bbmlab"
-CODE_LINE_BUDGET = 2538
+CODE_LINE_BUDGET = 2536
 
 
 def code_lines(path: Path) -> int:
@@ -37,6 +37,9 @@ def test_code_lines_count_only_code(tmp_path):
 
 
 def test_library_stays_within_its_code_line_budget():
-    total = sum(code_lines(p) for p in sorted(SRC.glob("*.py")))
+    # on failure the message names each module's count, to show where to cut
+    counts = {p.name: code_lines(p) for p in sorted(SRC.glob("*.py"))}
+    total = sum(counts.values())
     assert total <= CODE_LINE_BUDGET, (
-        f"src/bbmlab has {total} code lines, over the budget of {CODE_LINE_BUDGET}")
+        f"src/bbmlab has {total} code lines, over the budget of {CODE_LINE_BUDGET}: "
+        + ", ".join(f"{name} {n}" for name, n in counts.items()))

@@ -315,11 +315,17 @@ def test_only_a_pure_jump_residual_with_a_zero_candidate_takes_the_jump_route():
     ones = fields.VectorField(1, np.ones_like)
     assert F.residual_route(step) == F.residual_route(step, None) == "jump"
     assert F.residual_route(step, ones) == "lag"
-    assert F.residual_route(step, fields.gradient_candidate(step)) == "lag"
+    # a pure-jump field's own gradient is the zero candidate; a BV field
+    # with a smooth part keeps that part's gradient
+    assert fields.gradient_candidate(step) == fields.zero_vector_field(1)
+    assert F.residual_route(step, fields.gradient_candidate(step)) == "jump"
+    mixed = fields.BVField1D(scaled_bump(1.0), [(0.0, 1.0)])
+    assert F.residual_route(mixed, fields.gradient_candidate(mixed)) == "lag"
     assert F.residual_route(scaled_bump(1.0)) == "lag"
     assert F.residual_route(fields.gaussian_bump(2)) == "tensor"
     m = mf.indicator(2.0**-6, 1)
     assert F.sobolev_residual(step, m, None) == F.energy(step, m, 1.0) == 4.0
+    assert F.sobolev_residual(step, m, fields.gradient_candidate(step)) == 4.0
     # U = 1 adds |r| to every pair away from the jump
     assert F.sobolev_residual(step, m, ones) > 4.0
 
