@@ -433,7 +433,7 @@ DEFAULTS = {
 ROUTES = {
     "density": ("polar",),
     "remainder": ("polar",),
-    "energy": ("jump", "box", "covariogram", "multiplier", "lag", "tensor"),
+    "energy": ("jump", "box", "covariogram", "multiplier", "lag", "sliced"),
     "sweep": tuple(functionals.ROUTE_READS),
     "bv": ("polar",),
     "perimeter": ("jump", "box", "covariogram"),

@@ -78,7 +78,8 @@ class AnalyticField:
     def eval_many(self, pts: np.ndarray, *, _unmasked: bool = False) -> np.ndarray:
         """The values at the (m, d) points, 0 beyond ``support_radius``.
         ``_unmasked`` is private to the polar engine, which passes it only
-        for a block it has checked lies inside the support."""
+        for a block it has checked lies inside the support, and to the
+        sliced route, which zeroes the points beyond it itself."""
         vals = np.asarray(self.evaluator(pts), dtype=float)
         if _unmasked or math.isinf(self.support_radius):
             return vals

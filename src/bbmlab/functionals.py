@@ -18,7 +18,7 @@ plus ladder drivers (``bv_pointwise_limit``, ``ponce_spector_mass``,
 ``convergence_study``) that package values into ConvergenceReports.
 
 Quadrature notes.  ``energy`` takes one of six routes, which
-``energy_route`` names (``residual_route`` names the two that
+``energy_route`` names (``residual_route`` names the three that
 ``sobolev_residual`` takes); ``ROUTE_READS`` says which
 ``QuadratureScheme`` fields each route, and the polar density, reads:
 
@@ -36,9 +36,12 @@ Quadrature notes.  ``energy`` takes one of six routes, which
 * lag: every other 1D field, and every other 1D ``sobolev_residual``; the
   x-integral first, over fixed panels, at each node of one radial rule
   (``x_resolution`` is refused);
-* tensor: every other 2D/3D field and exponent (no bounded set), and
-  every 2D/3D ``sobolev_residual``; a midpoint x-grid whose nodes go
-  through the polar engine.
+* sliced: every other 2D/3D field and exponent: 1D lag integrals along
+  the lines of half the directions, cut at the kinks of |.|^p (the
+  ``sliced`` module); a 2D/3D grid field has no energy route and is
+  refused there;
+* tensor: every 2D/3D ``sobolev_residual``; a midpoint x-grid whose
+  nodes go through the polar engine (``_tensor_residual``).
 
 On the tensor route the y-integral is evaluated in polar coordinates
 with no node at r = 0 (the measure rho(r) r^(d-1) dr has no atom there,
@@ -50,13 +53,12 @@ the probes go in blocks of at most _CHUNK = 32768 field points, handed
 to the field column-major.  What depends only on a cache key is built
 once and shared read-only: probes whose breakpoints all lie at or
 beyond r_max share the breakpoint-free row, and that row's offsets
-r sigma with a sphere rule (the tensor route's half rule included) are
-one table per (mollifier, level, sphere rule) when they fit one block.
-A 1D or 2D density then pays for its field evaluations, one node add
-and its sums.  A density at one probe or at a batch of probes is one
-engine call, with the field's (and Omega's) breakpoints.  A tensor
-energy is one midpoint grid and one engine call that counts each pair
-once (``_integrate_density_over_x``).
+r sigma with a sphere rule are one table per (mollifier, level, sphere
+rule) when they fit one block.  A 1D or 2D density then pays for its
+field evaluations, one node add and its sums.  A density at one probe or
+at a batch of probes is one engine call, with the field's (and Omega's)
+breakpoints.  A residual is one midpoint grid and one engine call.
+
 Every path raises EvaluationError on a NaN or infinite integrand, and every
 density refuses a probe on a jump of the field, where it is +inf, with
 ProbeError.  A field that declares a point singularity
@@ -119,13 +121,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import constants, quadrature
+from . import constants, quadrature, sliced
 from .constants import _exponent, gamma
 from .errors import (DimensionError, DomainError, EvaluationError,
                      IntegrationError, ProbeError, ValidityError)
 from .fields import (AnalyticField, Ball, Box, BVField1D, GridField,
                      IndicatorSet, VectorField, as_points, zero_vector_field)
 from .mollifiers import RadialMollifier
+from .quadrature import _abs_power
 from .reports import ConvergenceReport
 
 DEFAULT_X_RESOLUTION = {1: 256, 2: 256, 3: 64}
@@ -181,24 +184,13 @@ _DEFECT_MAX = {1: 4.0, 2: 2.0 * math.pi * 1.4028, 3: 4.0 * math.pi * 1.2173}
 _MULTIPLIER_TAIL_RTOL = 2.0 ** -55
 
 
-def _abs_power(diff: np.ndarray, p: float) -> np.ndarray:
-    """|diff|**p with fast paths for the common integer exponents."""
-    if p == 1.0:
-        return np.abs(diff)
-    if p == 2.0:
-        return diff * diff
-    if p == 3.0:
-        a = np.abs(diff)
-        return a * a * a
-    return np.abs(diff) ** p
-
-
 @dataclass(frozen=True)
 class QuadratureScheme:
     """Per-call overrides for the product quadrature and x-grids (None
     keeps the default).  ``x_resolution`` sets the tensor route's 2D/3D
-    midpoint x-grid and half the multiplier route's sampling grid, in
-    1D too (``DEFAULT_X_RESOLUTION``); ``ROUTE_READS`` says which route
+    midpoint x-grid (``DEFAULT_X_RESOLUTION``), half the multiplier
+    route's sampling grid, in 1D too, and the sliced route's lines a side
+    (``sliced._SLICED_X_RESOLUTION``); ``ROUTE_READS`` says which route
     reads which field.  A sphere order or x resolution below 1, or a
     radial level outside 0..MAX_RADIAL_LEVEL, raises IntegrationError;
     so does a 2D sphere rule, when built, whose order is not a multiple
@@ -310,31 +302,10 @@ def _check_probe_margin(field, probes, r_max: float) -> None:
 # pointwise densities
 # ---------------------------------------------------------------------------
 
-def _integrand_error(value, centre, r, sigma, stage) -> EvaluationError:
-    return EvaluationError(
-        f"integrand is {value!r} at centre={centre!r}, r={r!r}, "
-        f"sigma={sigma!r}", stage=stage, value=value, centre=centre, r=r,
-        sigma=sigma)
-
-
 # offset tables kept: one fits an engine block, n K <= _CHUNK points of
 # d <= 3 coordinates, at most 768 KiB, so the cache holds at most 24 MiB
 # (a default 2D density's table is 8192 points, 128 KiB)
 _OFFSET_CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=quadrature._SPHERE_CACHE_SIZE)
-def _upper_half(sphere: quadrature.SphereRule) -> quadrature.SphereRule:
-    """The nodes of an antipodally symmetric sphere rule with sigma_d > 0,
-    their weights doubled: exactly half of the built-in rules' nodes (the
-    2D panels split at k pi/2, the 3D rule is Gauss in sigma_3 split at
-    0 times an even number of azimuths).  Built once per rule and shared
-    read-only."""
-    up = sphere.nodes[:, -1] > 0.0
-    half = quadrature.SphereRule(sphere.dimension, sphere.nodes[up],
-                                 2.0 * sphere.weights[up])
-    quadrature._read_only(half.nodes, half.weights)
-    return half
 
 
 @lru_cache(maxsize=_OFFSET_CACHE_SIZE)
@@ -347,14 +318,14 @@ def _offset_table(row: quadrature.KernelRule, sphere: quadrature.SphereRule) -> 
 
 
 def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
-                omega=None, scheme=DEFAULT_SCHEME, sphere=None) -> np.ndarray:
+                omega=None, scheme=DEFAULT_SCHEME) -> np.ndarray:
     """The polar densities at m probes (m, d) -> (m,).
 
     Each value is sum_r w_r rho(r) r^(d-1-p) sum_sigma w_sigma F(r, sigma)
     with F = |u(x + r sigma) - u(x) [- r g . sigma]|^p, where g is the
     probe's row of ``subtract`` and, given ``omega``, F is zero at nodes
-    outside Omega.  The sigma-sum runs over ``sphere``, by default the
-    scheme's sphere rule.  Row i of ``breaks`` (m, J) holds the
+    outside Omega.  The sigma-sum runs over the scheme's sphere rule.
+    Row i of ``breaks`` (m, J) holds the
     breakpoint radii of probe i; those inside (0, r_max) become panel
     edges of its radial rule, graded down to the nearest of them.  When
     every breakpoint lies at or beyond r_max (J = 0 included), which
@@ -393,7 +364,7 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
         ``sigma``.
     """
     d = field.dimension
-    sphere = scheme.sphere(d) if sphere is None else sphere
+    sphere = scheme.sphere(d)
     sig, ws = sphere.nodes, sphere.weights
     K = sig.shape[0]
     r_max = mollifier.quadrature_radius()
@@ -453,7 +424,7 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
                 raise EvaluationError(f"density sum is {dens[i]!r} at centre={x[i]!r}",
                                       stage="polar")
             j, k = divmod(int(np.argmin(np.isfinite(F[i]))), K)
-            raise _integrand_error(F[i, j * K + k], x[i].copy(),
+            raise EvaluationError.at_node(F[i, j * K + k], x[i].copy(),
                                    np.broadcast_to(r, inner.shape)[i, j],
                                    sig[k].copy(), "polar")
         out[block] = dens
@@ -568,23 +539,16 @@ def _refuse_1d_x_resolution(d: int, scheme: QuadratureScheme, route: str) -> Non
             and "x_resolution" not in ROUTE_READS[route]):
         raise DomainError(
             f"x_resolution sets the sampling grid of the multiplier route "
-            f"(p = 2 energies of analytic fields) and the x-grid of 2D/3D "
-            f"tensor energies; this 1D energy takes the {route} route, which "
+            f"(p = 2 energies of analytic fields) and the lines of 2D/3D "
+            f"energies; this 1D energy takes the {route} route, which "
             f"has no x-grid to set, and cannot honour it")
 
 
-def _integrate_density_over_x(field, mollifier, p, *, subtract_candidate=None,
-                              scheme=DEFAULT_SCHEME) -> float:
-    """int D(x) dx over the midpoint grid of a 2D/3D field, with D the
-    plain or remainder density.
-
-    Without a candidate each pair is counted once: the integrand
-    |u(x + r sigma) - u(x)|^p is unchanged by (x, sigma) ->
-    (x + r sigma, -sigma), and the grid covers every x where either side
-    is nonzero, so the engine sums the upper half sigma_d > 0 of the
-    sphere rule with doubled weights (``_upper_half``), half the field
-    evaluations.  A candidate term r U(x) . sigma breaks that symmetry,
-    so a residual sums the whole rule.
+def _tensor_residual(field, mollifier, candidate, scheme=DEFAULT_SCHEME) -> float:
+    """The p = 1 Sobolev residual of a 2D/3D field with the candidate U:
+    int D(x) dx over the midpoint grid, D the density of u(x + r sigma) -
+    u(x) - r U(x) . sigma through the polar engine, on the whole sphere
+    rule (the candidate term breaks the symmetry that would halve it).
 
     An analytic field is 0 beyond its support radius R, so at a probe
     with |x| > R + r_max (with a relative margin of 1e-9 against
@@ -595,20 +559,17 @@ def _integrate_density_over_x(field, mollifier, p, *, subtract_candidate=None,
     r_max = mollifier.quadrature_radius()
     lo, hi = _x_region(field, r_max)
     probes, weights = _midpoint_grid(lo, hi, scheme.x_res(field.dimension))
-    sub = None if subtract_candidate is None else subtract_candidate.eval_many(probes)
-    sphere = scheme.sphere(field.dimension) if sub is not None else _upper_half(
-        scheme.sphere(field.dimension))
-    live = np.ones(probes.shape[0], dtype=bool)
+    sub = candidate.eval_many(probes)
+    live = np.any(sub != 0.0, axis=1)
     if isinstance(field, AnalyticField) and math.isfinite(field.support_radius):
         reach = (field.support_radius + r_max) * (1.0 + 1e-9)
-        live = np.einsum("ij,ij->i", probes, probes) <= reach * reach
-        if sub is not None:
-            live |= np.any(sub != 0.0, axis=1)
+        live |= np.einsum("ij,ij->i", probes, probes) <= reach * reach
+    else:
+        live[:] = True
     dens = np.zeros(probes.shape[0])
-    dens[live] = _polar_many(field, mollifier, p, probes[live],
-                             np.empty((int(live.sum()), 0)),
-                             subtract=None if sub is None else sub[live],
-                             scheme=scheme, sphere=sphere)
+    dens[live] = _polar_many(field, mollifier, 1.0, probes[live],
+                             np.empty((int(live.sum()), 0)), subtract=sub[live],
+                             scheme=scheme)
     return float(np.dot(weights, dens))
 
 
@@ -766,7 +727,7 @@ def _lag_energy(field, mollifier, p, *, candidate=None,
             if not np.isfinite(F).all():
                 i, j = np.argwhere(~np.isfinite(F))[0]
                 centre = np.broadcast_to(x, F.shape)[i, j]
-                raise _integrand_error(float(F[i, j]), float(centre),
+                raise EvaluationError.at_node(float(F[i, j]), float(centre),
                                        float(rb[i]), sigma, "lag")
             G = (np.einsum("ij,ij->i", np.diff(edges, axis=1), Kp - M)
                  + np.einsum("ij,ij->i", w, F))
@@ -1186,7 +1147,7 @@ def _multiplier_energy(field, mollifier, scheme) -> float:
     return float(scale * _shell_sum(mollifier, k, mass, scheme.radial_level)[0])
 
 
-# The QuadratureScheme fields each route reads: the six of ``energy``
+# The QuadratureScheme fields each route reads: the seven of ``energy``
 # and ``sobolev_residual``, and "polar", the density at probes.  A 1D
 # field reads no sphere_order on any route: its sphere is {-1, +1}.
 ROUTE_READS = {
@@ -1196,6 +1157,7 @@ ROUTE_READS = {
     "covariogram": ("radial_level",),
     "multiplier": ("x_resolution", "radial_level"),
     "lag": ("radial_level",),
+    "sliced": ("sphere_order", "radial_level", "x_resolution"),
     "tensor": ("sphere_order", "radial_level", "x_resolution"),
 }
 
@@ -1209,7 +1171,7 @@ def _pure_jump(field) -> bool:
 
 def energy_route(field, p, mollifier) -> str:
     """The route ``energy`` takes: "jump", "box", "covariogram",
-    "multiplier", "lag" or "tensor".
+    "multiplier", "lag" or "sliced".
 
     Every pure-jump 1D field, a BV field with no smooth part or a bounded
     1D set (null intervals included), takes "jump".  Every 2D/3D bounded
@@ -1218,8 +1180,10 @@ def energy_route(field, p, mollifier) -> str:
     r_max <= every side), "covariogram" for every other one, null balls
     included.  Then "multiplier" for p = 2 and an analytic field in any
     dimension, "lag" for every other 1D field (p != 2, fields with a
-    smooth part and jumps, and grid fields), and "tensor" for every other
-    2D/3D field: analytic fields at p != 2, grid fields and half-spaces.
+    smooth part and jumps, and grid fields), and "sliced" for every other
+    2D/3D field: analytic fields at p != 2, which it integrates, and grid
+    fields and half-spaces, which it refuses (DomainError and
+    ValidityError).  No energy takes "tensor".
     """
     if _pure_jump(field):
         return "jump"
@@ -1227,7 +1191,7 @@ def energy_route(field, p, mollifier) -> str:
         return "box" if _box_closed_form(field, mollifier, float(p)) else "covariogram"
     if p == 2 and isinstance(field, AnalyticField):
         return "multiplier"
-    return "lag" if field.dimension == 1 else "tensor"
+    return "lag" if field.dimension == 1 else "sliced"
 
 
 def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> float:
@@ -1265,8 +1229,18 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
       of one radial rule (``_lag_energy``).  Neither 1D route but the
       multiplier has an x-grid, so a 1D energy refuses ``x_resolution``
       with DomainError on them.
-    * tensor, for every other 2D/3D field: a midpoint x-grid whose nodes
-      go through the polar engine (``_integrate_density_over_x``).
+    * sliced, for every other 2D/3D field: the lag integrals of the
+      lines of half the directions, cut at the kinks of |.|^p and at the
+      support sphere (``sliced._sliced_energy``).  ``sphere_order`` K sets the
+      directions: K midpoints of [0, pi) in 2D (default 16); in 3D the
+      upper half of Gauss in sigma_3 with 2 ceil(K/2) nodes times 2K
+      azimuths, K^2 directions (default 10).  ``radial_level`` sets the
+      shared kernel row whose nodes are the lags; by default level 0
+      for the indicator (8 lags), 3 for the gaussian and 4 for the power
+      law, whose measure converges only algebraically.  ``x_resolution``
+      n sets n midpoint lines per axis of the complement across the
+      support ball (default 96 in 2D, 48 in 3D), each cut into
+      max(8, ceil(n/3)) Gauss panels.  A grid field raises DomainError.
 
     A field that declares a point singularity raises ValidityError on
     every route; a NaN or infinite sample or integrand raises
@@ -1297,7 +1271,8 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
         return _multiplier_energy(field, mollifier, scheme)
     if route == "lag":
         return _lag_energy(field, mollifier, p, scheme=scheme)
-    return _integrate_density_over_x(field, mollifier, p, scheme=scheme)
+    _x_region(field, mollifier.quadrature_radius())
+    return sliced._sliced_energy(field, mollifier, p, scheme)[0]
 
 
 def residual_route(field, candidate: Optional[VectorField] = None) -> str:
@@ -1334,8 +1309,7 @@ def sobolev_residual(field, mollifier, candidate: Optional[VectorField],
         return energy(field, mollifier, 1.0, scheme)
     if route == "lag":
         return _lag_energy(field, mollifier, 1.0, candidate=cand, scheme=scheme)
-    return _integrate_density_over_x(field, mollifier, 1.0,
-                                     subtract_candidate=cand, scheme=scheme)
+    return _tensor_residual(field, mollifier, cand, scheme)
 
 
 def local_energy(field, p, *, box=None) -> float:

@@ -144,6 +144,18 @@ def _legendre(q: int, x: np.ndarray):
     return p1, q * (x * p1 - p0) / (x * x - 1.0)
 
 
+def _abs_power(diff: np.ndarray, p: float) -> np.ndarray:
+    """|diff|**p with fast paths for the common integer exponents."""
+    if p == 1.0:
+        return np.abs(diff)
+    if p == 2.0:
+        return diff * diff
+    if p == 3.0:
+        a = np.abs(diff)
+        return a * a * a
+    return np.abs(diff) ** p
+
+
 def composite_gauss(edges: np.ndarray, q: int):
     """Gauss-Legendre with q nodes on each panel [edges[..., i], edges[..., i+1]].
 
@@ -215,9 +227,7 @@ def sphere_rule(d: int, order: int | None = None) -> SphereRule:
     Gauss-Legendre in the polar cosine (split at the equator) times a
     uniform azimuth with 2*order angles.  Splits keep |sigma . e|^p
     integrands panel-smooth for integer p and any coordinate axis e.
-    Both rules are antipodally symmetric with no node on sigma_d = 0,
-    so their nodes with sigma_d > 0 are exactly half of them (the
-    tensor route's half rule, ``functionals._upper_half``).
+    Both rules are antipodally symmetric with no node on sigma_d = 0.
 
     Each rule is built once per (d, order) and shared: its arrays are
     read-only, and a bounded LRU cache holds the last

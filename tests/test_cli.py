@@ -441,7 +441,7 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
     (["energy", "--field", "bump:2", "--mollifier", "indicator:0.5", "--p", "2",
       "--x-resolution", "8"], "multiplier"),
     (["energy", "--field", "bump:2", "--mollifier", "indicator:0.5", "--p", "1",
-      "--x-resolution", "8", "--sphere-order", "8", "--radial-level", "1"], "tensor"),
+      "--x-resolution", "8", "--sphere-order", "8", "--radial-level", "1"], "sliced"),
     (["sweep", "--experiment", "energy", "--field", "ball:0,0,0.5",
       "--mollifier", "indicator", "--ladder", "1:3", "--p", "1"], "covariogram"),
     (["sweep", "--experiment", "energy", "--field", "bump:3",
@@ -475,14 +475,14 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
     (["sweep", "--experiment", "energy", "--field", "box:0,0;1,0.5",
       "--mollifier", "indicator", "--ladder", "0:2", "--radial-level", "3"],
      ["covariogram", "box", "box"]),
-    # a 3D box thinner than r_max: one radial sum, no tensor grid
+    # a 3D box thinner than r_max: one radial sum, no lines
     (["energy", "--field", "box:0,0,0;1,0.5,0.25", "--mollifier", "indicator:0.5",
       "--p", "1"], "covariogram"),
     # a pure-jump 1D field: a step, an interval, at any kernel
     (["energy", "--field", "step", "--mollifier", "gaussian:64", "--p", "1.5"], "jump"),
     (["sweep", "--experiment", "energy", "--field", "interval:0,0.5",
       "--mollifier", "indicator", "--ladder", "0:3"], "jump"),
-], ids=["energy-multiplier", "energy-tensor", "sweep-covariogram",
+], ids=["energy-multiplier", "energy-sliced", "sweep-covariogram",
         "sweep-multiplier", "energy-lag", "sweep-lag", "sweep-multiplier-1d",
         "energy-multiplier-1d", "residual-lag",
         "residual-tensor", "residual-jump", "residual-jump-gradient", "energy-box", "energy-box-sum", "sweep-box-mixed",
@@ -722,7 +722,7 @@ def test_a_zero_jump_or_a_null_set_is_no_jump(tmp_path, field, probes, values):
                                   "--radial-level=-1", "--radial-level=13",
                                   "--sphere-order=0"])
 def test_bad_scheme_values_are_numerical_failures(tmp_path, capsys, flag):
-    # p = 1: the tensor route reads all three scheme flags
+    # p = 1: the sliced route reads all three scheme flags
     out = tmp_path / "x"
     code = main(["energy", "--field", "bump:2", "--mollifier", "indicator:0.125",
                  "--p", "1", flag, "--out", str(out)])
@@ -770,7 +770,7 @@ SCHEME_FLAG_RUNS = [
     (["density", "--sphere-order", "8", "--radial-level", "3"], "polar"),
     (["remainder", "--sphere-order", "8", "--radial-level", "3"], "polar"),
     (["energy", "--field", "bump:2", "--mollifier", "indicator:0.5", "--p", "1",
-      "--x-resolution", "8", "--sphere-order", "8", "--radial-level", "1"], "tensor"),
+      "--x-resolution", "8", "--sphere-order", "8", "--radial-level", "1"], "sliced"),
     (["sweep", "--experiment", "sobolev-residual", "--field", "bump:2",
       "--mollifier", "indicator", "--ladder", "1:3", "--candidate", "gradient",
       "--x-resolution", "8", "--sphere-order", "8", "--radial-level", "1"], "tensor"),

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from bbmlab import constants, fields, functionals as F, maximal as MX
-from bbmlab import mollifiers as mf, perimeter as P, quadrature as Q
+from bbmlab import mollifiers as mf, perimeter as P, quadrature as Q, sliced
 from bbmlab.errors import (DimensionError, DomainError, EvaluationError,
                            IntegrationError, ProbeError, ValidityError)
 from bbmlab.functionals import DensityRequest, QuadratureScheme
@@ -882,8 +882,20 @@ def test_quadrature_scheme_keeps_its_bounds_and_defaults():
 
 
 # ---------------------------------------------------------------------------
-# 2D/3D energies: the midpoint x-grid through the same engine
+# the polar engine's tensor sums: a midpoint x-grid of densities
 # ---------------------------------------------------------------------------
+
+def tensor_energy(u, m, p, scheme):
+    """The energy as the tensor route summed it: the polar densities on
+    the midpoint x-grid of the support box +- r_max, through the engine
+    in one call, over the whole sphere rule.  No energy takes that route
+    now (2D/3D fields take the sliced route); it stays the cross-check
+    that integrates the engine's densities."""
+    lo, hi = F._x_region(u, m.quadrature_radius())
+    probes, weights = F._midpoint_grid(lo, hi, scheme.x_res(u.dimension))
+    none = np.empty((probes.shape[0], 0))
+    return float(np.dot(weights, F._polar_many(u, m, p, probes, none, scheme=scheme)))
+
 
 def test_2d_energy_equals_cell_sum_of_densities():
     u, m = fields.gaussian_bump(2), mf.indicator(0.25, 2)
@@ -897,14 +909,8 @@ def test_2d_energy_equals_cell_sum_of_densities():
     nodes = [(a, b) for a in axes[0] for b in axes[1]]
     dens = [density(u, m, 2.0, x, scheme) for x in nodes]
     reference = float(np.prod(h)) * math.fsum(dens)
-    # a p = 2 energy of an analytic field takes the multiplier route; this
-    # pins the tensor route, which stays the cross-check.  The tensor route
-    # sums the half sphere rule, each pair once; the cell sum of the
-    # full-rule densities counts each pair twice.  They agree to rounding
-    # because the bump is even and the grid symmetric; on an uneven field
-    # they are two x-rules of one integral
-    # (test_half_rule_converges_with_the_full_rule_on_an_uneven_field)
-    value = F._integrate_density_over_x(u, m, 2.0, scheme=scheme)
+    # the engine's batch over the grid is the sum of its lone densities
+    value = tensor_energy(u, m, 2.0, scheme)
     assert value == pytest.approx(reference, rel=1e-13, abs=0)
 
 
@@ -916,29 +922,21 @@ def test_tensor_energies_keep_their_values():
                                 radial_level=level)
 
     # the bump energies (p = 2) take the multiplier route and the disk's
-    # the covariogram route; these pin their tensor route, which stays
-    # the cross-check
+    # the covariogram route; these pin the engine's tensor sums, which
+    # stay the cross-check: the half sphere rule the tensor route summed
+    # is the whole rule's sum on these even fields
     bump2 = fields.gaussian_bump(2)
     cases = [
-        (F._integrate_density_over_x(bump2, mf.indicator(0.125, 2), 2.0,
-                                     scheme=scheme(24)),
+        (tensor_energy(bump2, mf.indicator(0.125, 2), 2.0, scheme(24)),
          9.850364923299269),
-        (F._integrate_density_over_x(fields.ball_set([0.0, 0.0], 1.0),
-                                     mf.gaussian(256.0, 2), 1.0,
-                                     scheme=scheme(96, 32, 2))
-         / constants.gamma(2, 1), 6.260227517518683),
-        (F._integrate_density_over_x(fields.gaussian_bump(3), mf.indicator(0.25, 3),
-                                     2.0, scheme=scheme(16, 4, 2)),
+        (tensor_energy(fields.ball_set([0.0, 0.0], 1.0), mf.gaussian(256.0, 2), 1.0,
+                       scheme(96, 32, 2)) / constants.gamma(2, 1), 6.260227517518683),
+        (tensor_energy(fields.gaussian_bump(3), mf.indicator(0.25, 3), 2.0,
+                       scheme(16, 4, 2)),
          24.666819988052385),
         (F.sobolev_residual(bump2, mf.indicator(2.0**-6, 2),
                             fields.gradient_candidate(bump2), scheme(48, 32, 2)),
          0.1991460241318774),
-        # an uneven field, where the half sphere rule the tensor route sums
-        # is not the full rule's sum (the fine full-rule value is
-        # 21.617450522792097, UNEVEN_REFERENCES)
-        (F.energy(bump_with_gradient(2), mf.indicator(0.125, 2), 1.0,
-                  scheme(96, 16, 2)),
-         21.617524296582445),
     ]
     for value, pinned in cases:
         assert value == pytest.approx(pinned, rel=1e-12, abs=0)
@@ -951,8 +949,8 @@ def test_tensor_energies_keep_their_values():
 @pytest.mark.parametrize("field,p,route", [
     (fields.gaussian_bump(2), 2.0, "multiplier"),
     (fields.gaussian_bump(3), 2, "multiplier"),
-    (fields.gaussian_bump(2), 1.0, "tensor"),
-    (fields.gaussian_bump(3), 2.5, "tensor"),
+    (fields.gaussian_bump(2), 1.0, "sliced"),
+    (fields.gaussian_bump(3), 2.5, "sliced"),
     (fields.gaussian_bump(1), 2.0, "multiplier"),
     (fields.gaussian_bump(1), 1.5, "lag"),
     (fields.step_field(), 1.0, "jump"),
@@ -961,8 +959,9 @@ def test_tensor_energies_keep_their_values():
     (fields.BVField1D(None, [(0.0, 1.0)]), 1.5, "jump"),
     (fields.GridField.from_function(lambda q: np.exp(-4 * q[:, 0] ** 2), 1, 2.0, 16),
      2.0, "lag"),
+    # the sliced route refuses it (tests/test_sliced.py)
     (fields.GridField.from_function(lambda q: np.exp(-4 * np.sum(q * q, axis=1)),
-                                    2, 2.0, 16), 2.0, "tensor"),
+                                    2, 2.0, 16), 2.0, "sliced"),
     (fields.box_set([0.0, 0.0], [1.0, 0.5]), 2.0, "box"),
     (fields.ball_set([0.0, 0.0], 0.5), 2.0, "covariogram"),
     (fields.interval_set(0.0, 1.0), 1.0, "jump"),
@@ -1081,8 +1080,9 @@ ROUTE_CASES = [
     ("lag", 1, lambda: _energy_case(_mixed_1d(), mf.indicator(0.25, 1), 1.2, "lag")),
     # three jumps whose windows overlap: the tail moments at two gaps
     ("jump", 1, lambda: _energy_case(THREE_JUMPS, mf.indicator(0.75, 1), 1.5, "jump")),
-    ("tensor", 2, lambda: _energy_case(fields.gaussian_bump(2),
-                                       mf.indicator(0.5, 2), 1.0, "tensor")),
+    # an uneven field, whose line integrals change with every direction
+    ("sliced", 2, lambda: _energy_case(bump_with_gradient(2),
+                                       mf.indicator(0.5, 2), 1.0, "sliced")),
     ("tensor", 2, lambda: _residual_case(fields.gaussian_bump(2),
                                          mf.indicator(0.5, 2))),
     ("polar", 1, lambda: _density_case(fields.gaussian_bump(1),
@@ -1098,7 +1098,7 @@ ROUTE_VARIED = {"sphere_order": 12, "radial_level": 2, "x_resolution": 12}
 @pytest.mark.parametrize("route,d,case", ROUTE_CASES,
                          ids=["box", "covariogram-disk", "covariogram-box",
                               "covariogram-box-3d", "multiplier", "multiplier-1d", "lag",
-                              "jump", "tensor-energy", "tensor-residual", "polar-1d", "polar-2d"])
+                              "jump", "sliced-energy", "tensor-residual", "polar-1d", "polar-2d"])
 def test_route_reads_is_what_each_route_reads(route, d, case, key):
     # a scheme field changes the value exactly when ROUTE_READS says the
     # route reads it; the value of a field it does not read is bit-identical
@@ -1240,7 +1240,7 @@ def test_multiplier_energy_matches_the_tensor_route(d, scheme, rtol, kind):
     u = anisotropic_field(d)
     m = {"indicator": mf.indicator(0.25, d), "gaussian": mf.gaussian(64.0, d),
          "powerlaw": mf.power_law(0.3, d)}[kind]
-    tensor = F._integrate_density_over_x(u, m, 2.0, scheme=scheme)
+    tensor = tensor_energy(u, m, 2.0, scheme)
     assert F.energy(u, m, 2.0, scheme) == pytest.approx(tensor, rel=rtol, abs=0)
 
 
@@ -1533,8 +1533,8 @@ def test_disk_bbm_perimeter_matches_its_covariogram_integral():
      QuadratureScheme(x_resolution=32, sphere_order=8, radial_level=2)),
 ], ids=["disk-indicator", "disk-gaussian", "ball-indicator"])
 def test_covariogram_route_agrees_with_the_tensor_route(E, m, scheme):
-    # the tensor route stays the cross-check, within its x-grid error
-    tensor = F._integrate_density_over_x(E, m, 1.0, scheme=scheme)
+    # the engine's tensor sum stays the cross-check, within its x-grid error
+    tensor = tensor_energy(E, m, 1.0, scheme)
     assert F.energy(E, m, 1.0, scheme) == pytest.approx(tensor, rel=5e-3, abs=0)
 
 
@@ -1627,7 +1627,7 @@ def test_2d_energy_refuses_infinite_integrand():
     scheme = QuadratureScheme(sphere_order=8, radial_level=1, x_resolution=32)
     with pytest.raises(EvaluationError) as err:
         F.energy(infinite_spot(2, 2.0), mf.indicator(0.25, 2), 1.0, scheme)
-    assert "centre=" in str(err.value) and err.value.stage == "polar"
+    assert "centre=" in str(err.value) and err.value.stage == "sliced"
 
 
 def structured_node(u, err):
@@ -1646,7 +1646,7 @@ def structured_node(u, err):
 
 
 @pytest.mark.parametrize("path", ["density", "density-batch", "remainder",
-                                  "tensor-energy", "tensor-residual", "lag"])
+                                  "sliced-energy", "tensor-residual", "lag"])
 def test_a_nan_node_is_reported_as_structured_fields(path):
     d = 1 if path == "lag" else 2
     u = infinite_spot(d, 3.0, np.nan)
@@ -1661,14 +1661,14 @@ def test_a_nan_node_is_reported_as_structured_fields(path):
         elif path == "remainder":
             grad = fields.AnalyticField(2, u.evaluator, lambda q: np.zeros_like(q))
             remainder(grad, m, 1.0, probe)
-        elif path == "tensor-energy":
+        elif path == "sliced-energy":
             F.energy(u, m, 1.0, scheme)
         elif path == "tensor-residual":
             F.sobolev_residual(u, m, None, scheme)
         else:
             # p = 2 would take the multiplier route: a bad sample, no node
             F.energy(u, m, 1.5)
-    assert err.value.stage == ("lag" if path == "lag" else "polar")
+    assert err.value.stage == {"lag": "lag", "sliced-energy": "sliced"}.get(path, "polar")
     centre, r, sigma = structured_node(u, err)
     assert 0.0 < r <= 0.25
     if path.startswith(("density", "remainder")):
@@ -1676,6 +1676,9 @@ def test_a_nan_node_is_reported_as_structured_fields(path):
         assert sigma.shape == (2,) and math.isclose(np.linalg.norm(sigma), 1.0)
     elif path == "lag":
         assert sigma.tolist() in ([1.0], [-1.0])
+    elif path == "sliced-energy":
+        # a node of a line of the upper half circle
+        assert sigma[1] > 0.0 and math.isclose(np.linalg.norm(sigma), 1.0)
     else:
         # a node of the energy's midpoint x-grid
         X, _ = F._midpoint_grid(*F._x_region(u, m.quadrature_radius()), 32)
@@ -1870,25 +1873,20 @@ def test_box_energy_in_3d_matches_quad_of_the_covariogram(L, m, p):
 
 
 def test_tensor_energy_skips_exact_zeros_without_moving_a_bit(monkeypatch):
-    # probes farther than R + r_max from the origin have density exactly 0;
-    # the energy equals the plain sum over the whole grid, bit for bit, on
-    # the half sphere rule an energy sums
+    # probes farther than R + r_max from the origin, where the candidate
+    # row is 0, have density exactly 0: the residual equals the plain sum
+    # over the whole grid, bit for bit
     u = fields.gaussian_bump(2)
     m = mf.indicator(2.0 ** -3, 2)
     scheme = QuadratureScheme(x_resolution=24, sphere_order=16, radial_level=2)
     lo, hi = F._x_region(u, m.quadrature_radius())
     probes, weights = F._midpoint_grid(lo, hi, 24)
     none = np.empty((probes.shape[0], 0))
-    half = F._upper_half(scheme.sphere(2))
-    plain = float(np.dot(weights, F._polar_many(u, m, 1.0, probes, none, scheme=scheme,
-                                                sphere=half)))
     seen = []
     engine = F._polar_many
     monkeypatch.setattr(F, "_polar_many",
                         lambda f, mm, p, x, *a, **k: seen.append(len(x)) or
                         engine(f, mm, p, x, *a, **k))
-    assert F.energy(u, m, 1.0, scheme) == plain
-    assert 0 < seen[-1] < probes.shape[0]
     # a residual skips only where its candidate row is 0 as well
     grad = fields.gradient_candidate(u)
     sub = grad.eval_many(probes)
@@ -1908,13 +1906,13 @@ def test_tensor_energy_skips_exact_zeros_without_moving_a_bit(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def row_major_polar(field, mollifier, p, probes, breaks, *, subtract=None,
-                    omega=None, scheme=F.DEFAULT_SCHEME, sphere=None):
+                    omega=None, scheme=F.DEFAULT_SCHEME):
     """The polar densities summed over row-major nodes
     x[:, None, None, :] + r[:, :, None, None] * sigma, in the engine's
-    blocks, over the sphere rule the engine is given: the layout the
-    engine hands its fields is its only difference."""
+    blocks, over the scheme's sphere rule: the layout the engine hands
+    its fields is its only difference."""
     d = field.dimension
-    sphere = scheme.sphere(d) if sphere is None else sphere
+    sphere = scheme.sphere(d)
     sig, ws = sphere.nodes, sphere.weights
     K = sig.shape[0]
     J = breaks.shape[1]
@@ -1975,8 +1973,9 @@ LAYOUT_SCHEMES = {2: QuadratureScheme(x_resolution=24, sphere_order=16, radial_l
 def test_tensor_energies_equal_a_row_major_node_sum(monkeypatch, d):
     u, m, scheme = bump_with_gradient(d), mf.indicator(0.5, d), LAYOUT_SCHEMES[d]
     ones = fields.VectorField(d, lambda q: np.ones_like(q))
-    values = lambda: [F.energy(u, m, 1.0, scheme), F.energy(u, m, 1.5, scheme),
-                      F.sobolev_residual(u, m, fields.gradient_candidate(u), scheme),
+    # the residuals, the engine's integrated functionals (energies take
+    # the sliced route)
+    values = lambda: [F.sobolev_residual(u, m, fields.gradient_candidate(u), scheme),
                       F.sobolev_residual(u, m, ones, scheme)]
     ours = values()
     monkeypatch.setattr(F, "_polar_many", row_major_polar)
@@ -2024,13 +2023,19 @@ def test_engine_and_sampler_hand_fields_column_major_nodes(d):
     calls = []
     u, scheme = recording_field(d, calls), LAYOUT_SCHEMES[d]
     m = mf.indicator(0.5, d)
-    F.energy(u, m, 1.0, scheme)
+    F.sobolev_residual(u, m, fields.VectorField(d, np.ones_like), scheme)
     # the engine: centres as given (row-major), nodes column-major and
     # read-only, in blocks of at most _CHUNK points
     nodes = [c for c in calls if c[0][0] > scheme.x_res(d) ** d]
     assert nodes and all(shape[1] == d and f and not c and not w
                          for shape, f, c, w in nodes)
     assert all(shape[0] <= F._CHUNK for shape, *_ in nodes)
+    # the sliced route: every batch column-major and read-only, its
+    # blocks and its pieces summed again at most _CHUNK points
+    calls.clear()
+    F.energy(u, m, 1.0, scheme)
+    assert len(calls) > 2 and all(shape[1] == d and f and not w
+                                  and shape[0] <= F._CHUNK for shape, f, c, w in calls)
     # the multiplier route's sampler: column-major slabs whose values
     # equal a row-major evaluation of the same grid
     calls.clear()
@@ -2047,36 +2052,24 @@ def test_engine_and_sampler_hand_fields_column_major_nodes(d):
 # the tensor route's half sphere rule and the engine's per-block mask
 # ---------------------------------------------------------------------------
 
-def full_sphere_energy(u, m, p, scheme):
-    """The tensor energy summed over the whole sphere rule at every node
-    of the midpoint grid: each pair counted twice."""
-    lo, hi = F._x_region(u, m.quadrature_radius())
-    probes, weights = F._midpoint_grid(lo, hi, scheme.x_res(u.dimension))
-    none = np.empty((probes.shape[0], 0))
-    return float(np.dot(weights, F._polar_many(u, m, p, probes, none, scheme=scheme)))
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_half_sphere_rule_is_half_the_nodes_with_the_same_mass(d):
+    # the sliced route's directions: the upper half of the sphere, whose
+    # weights, doubled, are the whole sphere's mass, each with an
+    # orthonormal basis of its complement
+    mass = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     for order in ((8, 16, 64) if d == 2 else (4, 7, 32)):
-        full = Q.sphere_rule(d, order)
-        half = F._upper_half(full)
-        assert 2 * half.nodes.shape[0] == full.nodes.shape[0]
-        assert np.all(half.nodes[:, -1] > 0.0)
-        assert half.weights.sum() == pytest.approx(full.weights.sum(), rel=1e-14)
+        sig, w, basis = sliced._sliced_directions(d, order)
+        assert sig.shape[0] == (order if d == 2 else (order + order % 2) * order)
+        assert np.all(sig[:, -1] > 0.0)
+        assert 2.0 * w.sum() == pytest.approx(mass, rel=1e-14)
+        frame = np.concatenate([sig[:, None, :], basis], axis=1)
+        np.testing.assert_allclose(frame @ frame.transpose(0, 2, 1),
+                                   np.broadcast_to(np.eye(d), frame.shape[:1] + (d, d)),
+                                   atol=1e-15)
 
 
-@pytest.mark.parametrize("d,p", [(2, 1.0), (2, 1.5), (3, 1.0)])
-def test_half_rule_equals_the_full_sphere_sum_on_an_even_field(d, p):
-    # u(-x) = u(x) and the grid is symmetric, so F(x, -sigma) = F(-x, sigma):
-    # the two halves of the full sum agree up to rounding
-    u, m, scheme = fields.gaussian_bump(d), mf.indicator(0.5, d), LAYOUT_SCHEMES[d]
-    assert F.energy_route(u, p, m) == "tensor"
-    assert F.energy(u, m, p, scheme) == pytest.approx(
-        full_sphere_energy(u, m, p, scheme), rel=1e-14, abs=0)
-
-
-# full_sphere_energy(bump_with_gradient(2), m, p, scheme) at x_resolution
+# tensor_energy(bump_with_gradient(2), m, p, scheme) at x_resolution
 # 384, sphere_order 16, radial_level 2: the limit both x-rules converge to
 UNEVEN_REFERENCES = {
     ("indicator", 1.0): 21.617450522792097, ("indicator", 1.5): 13.957179920857978,
@@ -2089,17 +2082,17 @@ UNEVEN_KERNELS = {"indicator": mf.indicator(2.0 ** -3, 2), "gaussian": mf.gaussi
 
 @pytest.mark.parametrize("kernel,p", sorted(UNEVEN_REFERENCES))
 def test_half_rule_converges_with_the_full_rule_on_an_uneven_field(kernel, p):
-    # the tilted bump is not even, so the half rule is another midpoint
-    # x-rule of the same integral, not the full rule's sum.  Both errors
-    # oscillate in sign, so their ratio at one resolution swings (0.06 at
-    # 48 to 20 at 96 with the power law); their envelopes over 48 and 96
-    # do not: the half rule's is 0.1 to 4.7 times the full rule's
-    # (4.7: the gaussian at p = 1.5, 5.8e-5 against 1.2e-5 at 48)
+    # the tilted bump is not even; the tensor route summed the half sphere
+    # rule, another midpoint x-rule of the integral than the full rule,
+    # and its error envelope over 48 and 96 was 0.1 to 4.7 times the full
+    # rule's.  The sliced route that took its place (here at the lines of
+    # x_resolution 48 and 96) stays within that envelope of the full
+    # rule's fine value, and within 1e-5 of it at 96
     u, m = bump_with_gradient(2), UNEVEN_KERNELS[kernel]
     scheme = lambda n: QuadratureScheme(x_resolution=n, sphere_order=16, radial_level=2)
     ref = UNEVEN_REFERENCES[kernel, p]
     half = [abs(F.energy(u, m, p, scheme(n)) - ref) for n in (48, 96)]
-    full = [abs(full_sphere_energy(u, m, p, scheme(n)) - ref) for n in (48, 96)]
+    full = [abs(tensor_energy(u, m, p, scheme(n)) - ref) for n in (48, 96)]
     assert max(half) <= 5.0 * max(full)
     # at 96 the half rule is within 1e-5 of the fine full-rule value
     assert half[-1] < 1e-5 * ref

@@ -60,7 +60,7 @@ def test_field_gradient_matches_finite_differences():
 
 @pytest.mark.parametrize("d,p", [(2, 1.0), (2, 2.0), (3, 2.0), (3, 1.5)])
 def test_energy_of_a_declared_point_singularity_is_refused(d, p):
-    # p = 2 takes the multiplier route, the others the tensor route; no
+    # p = 2 takes the multiplier route, the others the sliced route; no
     # route may integrate the 1e-12 sentinel at the origin into a number
     u = PT.pathological_field(d)
     assert u.declared_singularities().tolist() == [[0.0] * d]

@@ -3,7 +3,10 @@
 The pins are float.hex values taken before the engine built its node
 offsets once per (mollifier, level, sphere rule) and sent probes whose
 breakpoints all miss the kernel ball to the shared breakpoint-free row:
-neither step may move a bit.
+neither step may move a bit.  2D/3D energies left the engine for the
+sliced route (tests/test_sliced.py holds them to their oracle); the
+Sobolev residuals, the engine's last integrated functional, keep their
+pins.
 """
 
 import numpy as np
@@ -107,26 +110,15 @@ def support5_bump():
     return fields.gaussian_bump(2, support_radius=5.0)
 
 
-# name -> a thunk of the tensor-route energy or residual: energy-nd's
-# reduced schemes, and a 3D one with a table per (kernel, half sphere)
-ENERGY_SCHEME_2D = QuadratureScheme(x_resolution=24)
+# name -> a thunk of the tensor-route residual at energy-nd's reduced scheme
 RESIDUAL_SCHEME = QuadratureScheme(x_resolution=48, sphere_order=32, radial_level=2)
-ENERGY_SCHEME_3D = QuadratureScheme(x_resolution=8, sphere_order=4, radial_level=1)
 ENERGY_CASES = {
-    "d2-p1": lambda: F.energy(fields.gaussian_bump(2), mf.indicator(2.0 ** -3, 2), 1.0,
-                              ENERGY_SCHEME_2D),
-    "d2-p1.5-gaussian": lambda: F.energy(fields.gaussian_bump(2), mf.gaussian(32.0, 2),
-                                         1.5, ENERGY_SCHEME_2D),
     "d2-residual-2^-11": lambda: F.sobolev_residual(
         support5_bump(), mf.indicator(2.0 ** -11, 2),
         fields.gradient_candidate(support5_bump()), RESIDUAL_SCHEME),
     "d2-residual-2^-12": lambda: F.sobolev_residual(
         support5_bump(), mf.indicator(2.0 ** -12, 2),
         fields.gradient_candidate(support5_bump()), RESIDUAL_SCHEME),
-    "d3-p1": lambda: F.energy(fields.gaussian_bump(3), mf.indicator(0.5, 3), 1.0,
-                              ENERGY_SCHEME_3D),
-    "d3-p1.5-powerlaw": lambda: F.energy(fields.gaussian_bump(3), mf.power_law(0.3, 3),
-                                         1.5, ENERGY_SCHEME_3D),
 }
 
 DENSITY_PINS = {
@@ -309,12 +301,8 @@ DENSITY_PINS = {
     ),
 }
 ENERGY_PINS = {
-    'd2-p1': '0x1.654dd46a0a0fap+4',
-    'd2-p1.5-gaussian': '0x1.bef9149087862p+3',
     'd2-residual-2^-11': '0x1.9761d4b4d6beap-8',
     'd2-residual-2^-12': '0x1.9761c3576d784p-9',
-    'd3-p1': '0x1.4eb622353dfa5p+6',
-    'd3-p1.5-powerlaw': '0x1.1b4adf44edad8p+5',
 }
 
 
@@ -406,26 +394,21 @@ def test_offset_tables_are_shared_and_read_only(d):
                                   r[:, None] * sphere.nodes.T[:, None, :])
 
 
-def test_half_sphere_rules_are_shared_and_read_only():
-    half = F._upper_half(Q.sphere_rule(2, 16))
-    assert F._upper_half(Q.sphere_rule(2, 16)) is half
-    for a in (half.nodes, half.weights):
-        with pytest.raises(ValueError):
-            a[0] = 1.0
-
-
 def test_only_rows_that_fit_one_block_cache_a_table():
     F._offset_table.cache_clear()
     # a default 3D density is 128 x 2048 = 262144 points: no table
     u3 = fields.gaussian_bump(3)
     F.pointwise_density(DensityRequest(u3, mf.indicator(0.25, 3), 1.0, [0.3, 0.0, 0.1]))
     assert F._offset_table.cache_info().currsize == 0
-    # a default 2D density is 128 x 64 points, and a tensor energy's
-    # half sphere takes a table of its own
+    # a default 2D density is 128 x 64 points, and a residual on another
+    # sphere rule takes a table of its own; a sliced energy takes none
     u2 = fields.gaussian_bump(2)
     F.pointwise_density(DensityRequest(u2, mf.indicator(0.25, 2), 1.0, [0.3, 0.1]))
     assert F._offset_table.cache_info().currsize == 1
-    F.energy(u2, mf.indicator(0.5, 2), 1.0, ENERGY_SCHEME_2D)
+    F.energy(u2, mf.indicator(0.5, 2), 1.0, QuadratureScheme(x_resolution=24))
+    assert F._offset_table.cache_info().currsize == 1
+    F.sobolev_residual(u2, mf.indicator(0.5, 2), fields.gradient_candidate(u2),
+                       QuadratureScheme(x_resolution=8, sphere_order=8, radial_level=1))
     assert F._offset_table.cache_info().currsize == 2
     # and the cache holds a bounded number of them
     assert F._offset_table.cache_info().maxsize == F._OFFSET_CACHE_SIZE
