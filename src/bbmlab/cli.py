@@ -149,10 +149,8 @@ def parse_probes(spec: str, d: int, ladder: str | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    # inf, -inf and nan format as their repr
-    return format(x, ".17g") if isinstance(x, float) else str(x)
+    # None is empty; inf, -inf and nan format as their repr
+    return "" if x is None else format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def write_csv(path: Path, header, rows) -> None:
@@ -298,12 +296,10 @@ def run_sweep(cfg, outdir, started):
         probe = parse_probes(cfg["probes"], d, f"--experiment {kind}")[0]
         op = (functionals.remainder_density if kind == "remainder"
               else functionals.pointwise_density)
-        limit = None
+        limit = 0.0     # a remainder's
         if kind == "density":
             g = np.linalg.norm(field.gradient_many(probe.reshape(1, -1))[0])
             limit = constants.gamma(d, cfg["p"]) * g ** cfg["p"]
-        if kind == "remainder":
-            limit = 0.0
         report = functionals.convergence_study(
             lambda mm: op(DensityRequest(field, mm, cfg["p"], probe, scheme)),
             ladder, limit=limit)
@@ -377,8 +373,7 @@ def run_maximal(cfg, outdir, started):
         raise UsageError(f"--seed must be at least 0, got {cfg['seed']!r}")
     rng = np.random.default_rng(cfg["seed"])
     eps_ladder = parse_numbers(cfg["eps"], "--eps")
-    rows = []
-    all_pass = True
+    rows, all_pass = [], True
     for fid in range(cfg["fields"]):
         values = rng.uniform(0.0, 1.0, size=(res,) * d)
         f = fields.GridField(d, 2.0, values)

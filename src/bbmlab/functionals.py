@@ -54,10 +54,13 @@ to the field column-major.  What depends only on a cache key is built
 once and shared read-only: probes whose breakpoints all lie at or
 beyond r_max share the breakpoint-free row, and that row's offsets
 r sigma with a sphere rule are one table per (mollifier, level, sphere
-rule) when they fit one block.  A 1D or 2D density then pays for its
+rule) when they fit one block.  A lone 1D or 2D probe then pays for its
 field evaluations, one node add and its sums.  A density at one probe or
 at a batch of probes is one engine call, with the field's (and Omega's)
-breakpoints.  A residual is one midpoint grid and one engine call.
+breakpoints.  A residual is one midpoint grid and one engine call, whose
+blocks of b > 1 probes share a table: each pays for its two field calls,
+one BLAS product for its nodes, one for its candidate term U . (r sigma),
+and its sums, taken in place.
 
 Every path raises EvaluationError on a NaN or infinite integrand, and every
 density refuses a probe on a jump of the field, where it is +inf, with
@@ -302,17 +305,22 @@ def _check_probe_margin(field, probes, r_max: float) -> None:
 # pointwise densities
 # ---------------------------------------------------------------------------
 
-# offset tables kept: one fits an engine block, n K <= _CHUNK points of
-# d <= 3 coordinates, at most 768 KiB, so the cache holds at most 24 MiB
-# (a default 2D density's table is 8192 points, 128 KiB)
+# offset tables kept: one fits an engine block, n K <= _CHUNK points of a
+# row of ones and d <= 3 coordinates, at most 1 MiB, so the cache holds at
+# most 32 MiB (a default 2D density's table is 8192 points, 192 KiB)
 _OFFSET_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=_OFFSET_CACHE_SIZE)
 def _offset_table(row: quadrature.KernelRule, sphere: quadrature.SphereRule) -> np.ndarray:
-    """The offsets r_j sigma_k of a shared radial row and a sphere rule,
-    (d, n K) with column j K + k; built once per pair, shared read-only."""
-    table = (row.nodes[:, None] * sphere.nodes.T[:, None, :]).reshape(sphere.dimension, -1)
+    """[1; r_j sigma_k]: a row of ones over the offsets of a shared radial
+    row and a sphere rule, (1 + d, n K) with column j K + k, the right
+    operand of the engine's node product; built once per pair, shared
+    read-only."""
+    d, n = sphere.dimension, row.nodes.size
+    table = np.ones((1 + d, n * sphere.nodes.shape[0]))
+    np.multiply(row.nodes[:, None], sphere.nodes.T[:, None, :],
+                out=table[1:].reshape(d, n, -1))
     table.flags.writeable = False
     return table
 
@@ -322,7 +330,7 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     """The polar densities at m probes (m, d) -> (m,).
 
     Each value is sum_r w_r rho(r) r^(d-1-p) sum_sigma w_sigma F(r, sigma)
-    with F = |u(x + r sigma) - u(x) [- r g . sigma]|^p, where g is the
+    with F = |u(x + r sigma) - u(x) [- g . (r sigma)]|^p, where g is the
     probe's row of ``subtract`` and, given ``omega``, F is zero at nodes
     outside Omega.  The sigma-sum runs over the scheme's sphere rule.
     Row i of ``breaks`` (m, J) holds the
@@ -336,11 +344,11 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     What depends only on its key is built once and shared read-only: the
     shared row (``quadrature.kernel_radial_rule``, a level-12 row holds
     32768 nodes), the sphere rule, and the shared row's offsets r sigma
-    per (mollifier, level, sphere rule) (``_offset_table``), kept only
-    when its n K points fit one block (_CHUNK): a default 2D density
-    has 8192, a default 3D one 262144, whose offsets are this call's
-    own.  The weights divided by r^p, and zeroed below the remainder
-    floor, are this call's own copy.
+    under a row of ones per (mollifier, level, sphere rule)
+    (``_offset_table``), kept only when its n K points fit one block
+    (_CHUNK): a default 2D density has 8192, a default 3D one 262144,
+    whose offsets are this call's own.  The weights divided by r^p, and
+    zeroed below the remainder floor, are this call's own copy.
 
     Probes are taken in blocks of as many as fit in _CHUNK field points
     at the row length, but at least one: a probe whose row alone exceeds
@@ -349,12 +357,22 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     nodes.  The nodes of a block of b probes are written into one reused
     (d, b, n K) buffer, row i = x_i + (r sigma) (the rounding of
     x + r sigma), and the field gets its read-only (N, d) transpose, a
-    column-major view; the node add and u(x + r sigma) - u(x) run along
-    rows n K long.
-    An analytic field is 0 beyond its support radius R; each block
-    decides once whether all its probes lie within R (1 - 1e-9) - r_max
-    of the origin, where every node is inside the support, and then asks
-    ``eval_many`` for its values unmasked.
+    column-major view.  With a table, the rows of a block of b > 1
+    probes are one BLAS product [x_c, e_c] @ [1; r sigma] (lhs @ table),
+    whose entries x 1 + 1 t + 0 t' have exact products and round once,
+    to x + t (only a node of -0.0 would come out +0.0, and no offset is
+    0), while a lone probe adds its offsets and builds no BLAS operand.
+    With a table the candidate term g . (r sigma) is one BLAS product of
+    the block's candidates with the offsets; a lone probe's candidate goes
+    in twice, so that BLAS rounds it as in a block of more and a value
+    does not depend on its batch.  A row without a table (stacked rows,
+    a default 3D row) takes its offsets as r_j sigma_k and its candidate
+    term as r (g . sigma).  u(x + r sigma) - u(x), the candidate term
+    and |.|^p are taken in place in the block's spent node buffer.
+    An analytic field is 0 beyond its support radius R; each call
+    decides once which probes lie within R (1 - 1e-9) - r_max of the
+    origin, where every node is inside the support, and a block of
+    such probes asks ``eval_many`` for its values unmasked.
 
     Raises
     ------
@@ -379,55 +397,71 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
         wr_all[r_all < _REMAINDER_R_FLOOR * r_max] = 0.0
     n = r_all.shape[1]
     nK = n * K
-    step = max(1, _CHUNK // nK)
+    step = max(1, min(_CHUNK // nK, probes.shape[0]))
     table = _offset_table(rule, sphere) if not per_probe and nK <= _CHUNK else None
-    store = np.empty(d * min(step, probes.shape[0]) * nK)
-    inner_sq = None
-    if isinstance(field, AnalyticField) and math.isfinite(field.support_radius):
-        reach = field.support_radius * (1.0 - 1e-9) - r_max
-        inner_sq = reach * reach if reach > 0.0 else None
+    # the nodes of a block, then in its first two rows its difference and
+    # candidate term
+    store = np.empty(max(d, 2) * step * nK)
+    if table is not None and step > 1:   # lone probes take the plain add
+        lhs = np.zeros((d, step, 1 + d))
+        lhs[:, :, 1:] = np.eye(d)[:, None, :]
+    # the probes within R (1 - 1e-9) - r_max of an analytic field's support
+    R = field.support_radius if isinstance(field, AnalyticField) else math.inf
+    reach = R * (1.0 - 1e-9) - r_max
+    inside = (np.einsum("ij,ij->i", probes, probes) <= reach * reach
+              if 0.0 < reach < math.inf else None)
     out = np.empty(probes.shape[0])
-    for start in range(0, probes.shape[0], step):
-        block = slice(start, start + step)
-        x = probes[block]
-        b = x.shape[0]
-        r, wr = (r_all[block], wr_all[block]) if per_probe else (r_all, wr_all)
-        # row i is x_i + (r sigma), the rounding of x + r sigma; row sums
-        # over the coordinates run several times faster on the transpose
-        nodes = store[:d * b * nK].reshape(d, b, nK)
-        if table is None:
-            np.add(r[:, :, None] * sig.T[:, None, None, :], x.T[:, :, None, None],
-                   out=nodes.reshape(d, b, n, K))
-        else:
-            np.add(table[:, None, :], x.T[:, :, None], out=nodes)
-        flat = nodes.reshape(d, -1).T
-        flat.flags.writeable = False
-        # every node of a block whose probes lie within R - r_max is inside
-        # the support: the field's per-point mask is skipped
-        unmasked = (inner_sq is not None
-                    and np.einsum("ij,ij->i", x, x).max() <= inner_sq)
-        kw = {"_unmasked": True} if unmasked else {}
-        u0 = field.eval_many(x, **kw)
-        # inf - inf is NaN; the finite check below refuses it with its node
-        with np.errstate(invalid="ignore", over="ignore"):
-            diff = field.eval_many(flat, **kw).reshape(b, nK) - u0[:, None]
-            if subtract is not None:
+    # inf - inf is NaN; the finite check below refuses it with its node
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, probes.shape[0], step):
+            block = slice(start, start + step)
+            x = probes[block]
+            b = x.shape[0]
+            r, wr = (r_all[block], wr_all[block]) if per_probe else (r_all, wr_all)
+            # row sums over the coordinates run several times faster on the
+            # transpose
+            nodes = store[:d * b * nK].reshape(d, b, nK)
+            if table is not None and b > 1:
+                lhs[:, :b, 0] = x.T
+                np.matmul(lhs[:, :b], table, out=nodes)
+            else:
+                # a row without a table forms its offsets as a temporary:
+                # kept alive through the field call, a default 3D row's 6 MB
+                # of them doubled its page faults
+                np.add((r[:, :, None] * sig.T[:, None, None, :] if table is None else table[1:])
+                       .reshape(d, -1, nK), x.T[:, :, None], out=nodes)
+            flat = nodes.reshape(d, -1).T
+            flat.flags.writeable = False
+            # every node of a block whose probes lie within R - r_max is
+            # inside the support: the field's per-point mask is skipped
+            kw = {"_unmasked": True} if inside is not None and inside[block].all() else {}
+            u0 = field.eval_many(x, **kw)
+            vals = field.eval_many(flat, **kw).reshape(b, nK)
+            outside = None if omega is None else ~omega.contains(flat).reshape(b, nK)
+            spent = store[:2 * b * nK].reshape(2, b, nK)
+            diff = np.subtract(vals, u0[:, None], out=spent[0])
+            if subtract is not None and table is not None:
+                # a lone probe's candidate goes in twice: BLAS takes a one-row
+                # product another way, which rounds it differently
+                g = subtract[block] if b > 1 else np.repeat(subtract[block], 2, axis=0)
+                diff -= np.matmul(g, table[1:], out=spent[1] if b > 1 else None)[:b]
+            elif subtract is not None:
                 diff -= (r[:, :, None] * (subtract[block] @ sig.T)[:, None, :]).reshape(b, nK)
-            if omega is not None:
-                diff = np.where(omega.contains(flat).reshape(diff.shape), diff, 0.0)
-            F = _abs_power(diff, p)
+            if outside is not None:
+                np.copyto(diff, 0.0, where=outside)
+            F = _abs_power(diff, p, out=diff)
             inner = (F.reshape(-1, K) @ ws).reshape(b, n)
             dens = np.einsum("ij,ij->i", wr, inner)
-        if not np.isfinite(dens).all():
-            i = int(np.argmin(np.isfinite(dens)))
-            if np.isfinite(F[i]).all():
-                raise EvaluationError(f"density sum is {dens[i]!r} at centre={x[i]!r}",
-                                      stage="polar")
-            j, k = divmod(int(np.argmin(np.isfinite(F[i]))), K)
-            raise EvaluationError.at_node(F[i, j * K + k], x[i].copy(),
-                                   np.broadcast_to(r, inner.shape)[i, j],
-                                   sig[k].copy(), "polar")
-        out[block] = dens
+            if not np.isfinite(dens).all():
+                i = int(np.argmin(np.isfinite(dens)))
+                if np.isfinite(F[i]).all():
+                    raise EvaluationError(f"density sum is {dens[i]!r} at centre={x[i]!r}",
+                                          stage="polar")
+                j, k = divmod(int(np.argmin(np.isfinite(F[i]))), K)
+                raise EvaluationError.at_node(F[i, j * K + k], x[i].copy(),
+                                              np.broadcast_to(r, inner.shape)[i, j],
+                                              sig[k].copy(), "polar")
+            out[block] = dens
     return out
 
 
@@ -547,8 +581,11 @@ def _refuse_1d_x_resolution(d: int, scheme: QuadratureScheme, route: str) -> Non
 def _tensor_residual(field, mollifier, candidate, scheme=DEFAULT_SCHEME) -> float:
     """The p = 1 Sobolev residual of a 2D/3D field with the candidate U:
     int D(x) dx over the midpoint grid, D the density of u(x + r sigma) -
-    u(x) - r U(x) . sigma through the polar engine, on the whole sphere
+    u(x) - U(x) . (r sigma) through the polar engine, on the whole sphere
     rule (the candidate term breaks the symmetry that would halve it).
+    Its rows share the breakpoint-free row, so where that row's offsets
+    fit one block the engine takes the candidate term as one BLAS product
+    of a block's candidates with the offset table (``_polar_many``).
 
     An analytic field is 0 beyond its support radius R, so at a probe
     with |x| > R + r_max (with a relative margin of 1e-9 against
@@ -560,12 +597,11 @@ def _tensor_residual(field, mollifier, candidate, scheme=DEFAULT_SCHEME) -> floa
     lo, hi = _x_region(field, r_max)
     probes, weights = _midpoint_grid(lo, hi, scheme.x_res(field.dimension))
     sub = candidate.eval_many(probes)
-    live = np.any(sub != 0.0, axis=1)
-    if isinstance(field, AnalyticField) and math.isfinite(field.support_radius):
-        reach = (field.support_radius + r_max) * (1.0 + 1e-9)
-        live |= np.einsum("ij,ij->i", probes, probes) <= reach * reach
-    else:
-        live[:] = True
+    # every probe is live but for an analytic field's beyond R + r_max
+    R = field.support_radius if isinstance(field, AnalyticField) else math.inf
+    reach = (R + r_max) * (1.0 + 1e-9)
+    live = np.any(sub != 0.0, axis=1) | (np.einsum("ij,ij->i", probes, probes)
+                                         <= reach * reach)
     dens = np.zeros(probes.shape[0])
     dens[live] = _polar_many(field, mollifier, 1.0, probes[live],
                              np.empty((int(live.sum()), 0)), subtract=sub[live],
@@ -1380,8 +1416,7 @@ def energy_study(field, ladder, p, scheme: Optional[QuadratureScheme] = None,
     """Energy along a ladder, with the local energy attached as limit."""
     if limit is None:
         limit = local_energy(field, p)
-        if not math.isfinite(limit):
-            limit = None
+        limit = limit if math.isfinite(limit) else None
     return convergence_study(lambda m: energy(field, m, p, scheme), ladder,
                              limit=limit)
 

@@ -365,8 +365,5 @@ def gradient_mass_ladder(d: int, inner_cutoffs) -> list[tuple[float, float]]:
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     radii = np.linalg.norm(pts, axis=1)
     grad_mag = np.linalg.norm(u.gradient_many(pts), axis=1)
-    out = []
-    for cut in inner_cutoffs:
-        mask = (radii > cut) & (radii < outer)
-        out.append((float(cut), float(np.sum(grad_mag[mask]) * h**d)))
-    return out
+    return [(float(cut), float(np.sum(grad_mag[(radii > cut) & (radii < outer)]) * h**d))
+            for cut in inner_cutoffs]

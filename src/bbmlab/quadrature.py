@@ -144,16 +144,17 @@ def _legendre(q: int, x: np.ndarray):
     return p1, q * (x * p1 - p0) / (x * x - 1.0)
 
 
-def _abs_power(diff: np.ndarray, p: float) -> np.ndarray:
-    """|diff|**p with fast paths for the common integer exponents."""
-    if p == 1.0:
-        return np.abs(diff)
+def _abs_power(diff: np.ndarray, p: float, out=None) -> np.ndarray:
+    """|diff|**p with fast paths for the common integer exponents, written
+    into ``out`` when given (``out=diff`` takes it in place)."""
     if p == 2.0:
-        return diff * diff
+        return np.multiply(diff, diff, out=out)
+    a = np.abs(diff, out=out)
     if p == 3.0:
-        a = np.abs(diff)
-        return a * a * a
-    return np.abs(diff) ** p
+        return np.multiply(a * a, a, out=a)
+    if p != 1.0:
+        a **= p
+    return a
 
 
 def composite_gauss(edges: np.ndarray, q: int):

@@ -1910,7 +1910,9 @@ def row_major_polar(field, mollifier, p, probes, breaks, *, subtract=None,
     """The polar densities summed over row-major nodes
     x[:, None, None, :] + r[:, :, None, None] * sigma, in the engine's
     blocks, over the scheme's sphere rule: the layout the engine hands
-    its fields is its only difference."""
+    its fields is its only difference.  The candidate term is
+    U . (r sigma) where the engine has an offset table (a shared row of
+    at most _CHUNK points), and r (U . sigma) where it has none."""
     d = field.dimension
     sphere = scheme.sphere(d)
     sig, ws = sphere.nodes, sphere.weights
@@ -1932,7 +1934,10 @@ def row_major_polar(field, mollifier, p, probes, breaks, *, subtract=None,
         assert flat.flags.c_contiguous
         diff = (field.eval_many(flat).reshape(x.shape[0], -1, K)
                 - field.eval_many(x)[:, None, None])
-        if subtract is not None:
+        if subtract is not None and not J and r.size * K <= F._CHUNK:
+            offsets = (r[0, :, None] * sig.T[:, None, :]).reshape(d, -1)
+            diff = diff - (subtract[block] @ offsets).reshape(diff.shape)
+        elif subtract is not None:
             diff = diff - r[:, :, None] * (subtract[block] @ sig.T)[:, None, :]
         if omega is not None:
             diff = np.where(omega.contains(flat).reshape(diff.shape), diff, 0.0)

@@ -6,13 +6,17 @@ breakpoints all miss the kernel ball to the shared breakpoint-free row:
 neither step may move a bit.  2D/3D energies left the engine for the
 sliced route (tests/test_sliced.py holds them to their oracle); the
 Sobolev residuals, the engine's last integrated functional, keep their
-pins.
+pins.  The candidate term of a row with an offset table is
+U . (r sigma), no longer r (U . sigma): the 2D remainder pins and the
+2^-11 residual pin were taken again with it (1D values are unmoved, as
+sigma = +-1 is exact, and the default 3D row has no table).
 """
 
 import numpy as np
 import pytest
 
 from bbmlab import fields, functionals as F, mollifiers as mf, quadrature as Q
+from bbmlab.errors import EvaluationError
 from bbmlab.functionals import DensityRequest, QuadratureScheme
 
 KERNELS = {"indicator": lambda d: mf.indicator(0.25, d),
@@ -234,9 +238,9 @@ DENSITY_PINS = {
         '0x1.ac6643f556174p+0', '0x1.a3d26c09d6047p+0', '0x1.0c9b87572565ap+0',
     ),
     'd2-remainder': (
-        '0x1.a6861876609f9p-2', '0x1.eb28f75da2c83p-4', '0x1.3019558a83292p-5',
-        '0x1.f25f1f9bb7912p-2', '0x1.366ad2dd5c753p-3', '0x1.95bf15b141828p-5',
-        '0x1.8c8c6d1e10ac3p+0', '0x1.e6d91e93a80f2p-1', '0x1.3fa57557b9416p-1',
+        '0x1.a6861876609f9p-2', '0x1.eb28f75da2c84p-4', '0x1.3019558a83292p-5',
+        '0x1.f25f1f9bb7911p-2', '0x1.366ad2dd5c752p-3', '0x1.95bf15b141828p-5',
+        '0x1.8c8c6d1e10ac2p+0', '0x1.e6d91e93a80f2p-1', '0x1.3fa57557b9416p-1',
     ),
     'd2-disk-in': (
         '0x1.fad4cd3e43139p+2', '0x1.3cad11b4bb9c8p+4', '0x1.91e4bd91aa71ap+5',
@@ -301,7 +305,7 @@ DENSITY_PINS = {
     ),
 }
 ENERGY_PINS = {
-    'd2-residual-2^-11': '0x1.9761d4b4d6beap-8',
+    'd2-residual-2^-11': '0x1.9761d4b4d6bfdp-8',
     'd2-residual-2^-12': '0x1.9761c3576d784p-9',
 }
 
@@ -379,7 +383,7 @@ def test_a_breakpoint_inside_the_kernel_ball_is_still_graded(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_offset_tables_are_shared_and_read_only(d):
-    # one table per (mollifier, level, sphere rule), the default level
+    # one array per (mollifier, level, sphere rule), the default level
     # spelt either way: the key is the shared row itself
     row, sphere = Q.kernel_radial_rule(mf.gaussian(64.0, d)), Q.sphere_rule(d)
     table = F._offset_table(row, sphere)
@@ -387,10 +391,14 @@ def test_offset_tables_are_shared_and_read_only(d):
     assert F._offset_table(again, Q.sphere_rule(d)) is table
     with pytest.raises(ValueError):
         table[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        table[1:][0, 0] = 1.0
     r = row.nodes
-    # row c holds r_j sigma_k[c] at j K + k: the products of the nodes
-    assert table.shape == (d, r.size * sphere.nodes.shape[0])
-    np.testing.assert_array_equal(table.reshape(d, r.size, -1),
+    # a row of ones, then row 1 + c holds r_j sigma_k[c] at j K + k: the
+    # products of the nodes
+    assert table.shape == (1 + d, r.size * sphere.nodes.shape[0])
+    assert np.all(table[0] == 1.0)
+    np.testing.assert_array_equal(table[1:].reshape(d, r.size, -1),
                                   r[:, None] * sphere.nodes.T[:, None, :])
 
 
@@ -412,3 +420,174 @@ def test_only_rows_that_fit_one_block_cache_a_table():
     assert F._offset_table.cache_info().currsize == 2
     # and the cache holds a bounded number of them
     assert F._offset_table.cache_info().maxsize == F._OFFSET_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# BLAS-built blocks: the nodes, the candidate term, non-finite values
+# ---------------------------------------------------------------------------
+
+def recorded_nodes(d, scheme, probes):
+    """The node batches the engine hands a field, as copies, for a density
+    at the probes (recorded, then the offset table they were built from)."""
+    calls = []
+
+    def ev(q):
+        calls.append(q.copy())
+        return np.exp(-np.einsum("ij,ij->i", q, q))
+    u = fields.AnalyticField(d, ev, support_radius=4e6, label="recording")
+    m = mf.indicator(0.25, d)
+    F.pointwise_density(DensityRequest(u, m, 1.0, probes, scheme))
+    row = Q.kernel_radial_rule(m, scheme.radial_level)
+    return [c for c in calls if c.shape[0] > len(probes)], F._offset_table(
+        row, scheme.sphere(d))
+
+
+@pytest.mark.parametrize("d,scheme", [(2, QuadratureScheme()),
+                                      (3, QuadratureScheme(sphere_order=4, radial_level=2))],
+                         ids=["d2-default", "d3-shared-table"])
+def test_blas_built_nodes_are_bit_identical(d, scheme):
+    # far and tiny coordinates, signed zeros, and probes exactly at
+    # R (1 - 1e-9) - r_max, the edge of the unmasked blocks
+    reach = 4e6 * (1.0 - 1e-9) - 0.25
+    rows = [[1e6, -1e6 + 0.3], [1e-300, -1e-300], [0.0, -0.0], [-0.0, 0.0],
+            [reach, 0.0], [0.0, -reach], [3e-5, 0.7], [-0.0, 1e6]]
+    probes = np.array([row + [-0.0 if i % 2 else 1e-300][:d - 2] for i, row in enumerate(rows)])
+    batches, table = recorded_nodes(d, scheme, probes)
+    offsets = table[1:]
+    # every block holds b > 1 probes, so every node came from the product
+    # [x_c, e_c] @ [1; r sigma]
+    sizes = [len(c) // offsets.shape[1] for c in batches]
+    assert sum(sizes) == len(probes) and min(sizes) > 1
+    got = np.concatenate(batches)
+    want = (probes[:, None, :] + offsets.T[None]).reshape(-1, d)
+    # bit for bit, signed zeros included: x 1 + 1 t + 0 t' has exact
+    # products and rounds once, to x + t.  Only a node of -0.0 (x and t
+    # both -0.0) would come out +0.0, and no offset is zero (r > 0, and
+    # no sphere rule has a zero coordinate); a probe coordinate of -0.0
+    # gives the offset itself either way
+    assert np.all(offsets != 0.0)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def column_bump(d):
+    """exp(-sum_c a_c (x_c - c_c)^2) summed column by column, so a node's
+    value does not depend on the layout it comes in, with its gradient."""
+    c, a = np.array([0.3, -0.2, 0.1])[:d], np.array([1.2, 0.9, 1.1])[:d]
+
+    def ev(q):
+        s = a[0] * (q[:, 0] - c[0]) ** 2
+        for i in range(1, d):
+            s = s + a[i] * (q[:, i] - c[i]) ** 2
+        return np.exp(-s)
+    return fields.AnalyticField(d, ev, lambda q: -2.0 * a * (q - c) * ev(q)[:, None],
+                                support_radius=6.0, label="column bump")
+
+
+@pytest.mark.parametrize("d,scheme", [(2, QuadratureScheme()),
+                                      (3, QuadratureScheme(sphere_order=4, radial_level=2))],
+                         ids=["d2-default", "d3-shared-table"])
+def test_a_remainder_density_does_not_depend_on_its_batch(d, scheme):
+    # a probe's candidate term is one BLAS product with the offsets,
+    # whether its block holds 1, 2 or b probes, so each value is the lone
+    # probe's, bit for bit
+    u, m = column_bump(d), mf.indicator(2.0 ** -11, d)
+    probes = np.random.default_rng(4).uniform(-0.5, 0.5, size=(11, d))
+    alone = [F.remainder_density(DensityRequest(u, m, 1.0, x, scheme)) for x in probes]
+    for size in (2, 5, 11):
+        np.testing.assert_array_equal(
+            np.concatenate([F.remainder_density(DensityRequest(u, m, 1.0, probes[i:i + size],
+                                                               scheme))
+                            for i in range(0, len(probes), size)]), alone)
+
+
+def old_and_exact_remainders(u, m, p, probes, scheme):
+    """The remainder densities over the engine's float64 node values with
+    the old candidate term r (U . sigma) in float64, and the same
+    quadrature sum with it taken in extended precision."""
+    d = u.dimension
+    sphere = scheme.sphere(d)
+    row = Q.kernel_radial_rule(m, scheme.radial_level)
+    r = row.nodes
+    wr = row.weights / r ** p
+    wr[r < F._REMAINDER_R_FLOOR * m.quadrature_radius()] = 0.0
+    nodes = probes[:, None, None, :] + r[:, None, None] * sphere.nodes
+    vals = u.eval_many(nodes.reshape(-1, d)).reshape(len(probes), r.size, -1)
+    u0, grad = u.eval_many(probes), u.gradient_many(probes)
+    out = []
+    for t in (np.float64, np.longdouble):
+        lin = r.astype(t)[:, None] * (grad.astype(t) @ sphere.nodes.T.astype(t))[:, None, :]
+        F_ = np.abs(vals.astype(t) - u0.astype(t)[:, None, None] - lin) ** p
+        out.append(((F_ @ sphere.weights.astype(t)) @ wr.astype(t)).astype(float))
+    return out
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("k", [7, 11])
+@pytest.mark.parametrize("d,scheme", [(2, QuadratureScheme()),
+                                      (3, QuadratureScheme(sphere_order=4, radial_level=2))],
+                         ids=["d2-default", "d3-shared-table"])
+def test_the_candidate_term_u_dot_r_sigma_is_at_least_as_accurate(d, scheme, k, p):
+    # U . (r sigma) rounds the candidate term once less than r (U . sigma);
+    # against the extended-precision sum it is no further off, over 20
+    # probes in blocks of b > 1 (a 20-probe 2D batch at 2^-11 measured
+    # 4.9e-15 against 1.2e-13)
+    u, m = column_bump(d), mf.indicator(2.0 ** -k, d)
+    probes = np.random.default_rng(3).uniform(-0.5, 0.5, size=(20, d))
+    new = F.remainder_density(DensityRequest(u, m, p, probes, scheme))
+    old, exact = old_and_exact_remainders(u, m, p, probes, scheme)
+    err = lambda v: np.max(np.abs(v - exact) / exact)
+    assert err(new) <= err(old)
+
+
+def cap_field(nan_outside):
+    """(1 - |x|^2)^(3/2) on the unit disk, C^1 across its edge; beyond it
+    the evaluator is NaN (nan_outside) or 0, and the support mask 0."""
+    def root(q):
+        s = 1.0 - np.einsum("ij,ij->i", q, q)
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(s if nan_outside else np.maximum(s, 0.0))
+    return fields.AnalyticField(2, lambda q: root(q) ** 3,
+                                lambda q: -3.0 * q * root(q)[:, None],
+                                support_radius=1.0, label="cap")
+
+
+def test_nan_beyond_the_support_is_ignored():
+    # blocks reuse their node buffer in place; the support mask still
+    # zeroes what the evaluator returns beyond R before any sum
+    m, scheme = mf.indicator(0.25, 2), QuadratureScheme(x_resolution=24)
+
+    def values(u):
+        return [F.sobolev_residual(u, m, fields.gradient_candidate(u), scheme),
+                F.pointwise_density(DensityRequest(u, m, 1.0, [0.95, 0.0])),
+                *F.remainder_density(DensityRequest(u, m, 1.5, [[0.95, 0.0], [0.0, 0.9],
+                                                                [0.2, 0.1]]))]
+    got = values(cap_field(True))
+    assert np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got, values(cap_field(False)))
+
+
+def test_a_nan_at_one_interior_node_of_a_residual_is_refused():
+    calls = []
+
+    def ev(q):
+        calls.append(q.copy())
+        return np.exp(-np.einsum("ij,ij->i", q, q))
+    m, scheme = mf.indicator(0.5, 2), QuadratureScheme(x_resolution=8, radial_level=2)
+    ones = fields.VectorField(2, lambda q: np.ones_like(q))
+    F.sobolev_residual(fields.AnalyticField(2, ev, support_radius=6.0), m, ones, scheme)
+    batches = [c for c in calls if c.shape[0] > 64]
+    assert len(batches) > 2
+    # a node of the third block, inside the support
+    bad = batches[2][123].copy()
+    assert np.linalg.norm(bad) < 6.0
+
+    def nan_ev(q):
+        v = np.exp(-np.einsum("ij,ij->i", q, q))
+        v[np.all(q == bad, axis=1)] = np.nan
+        return v
+    with pytest.raises(EvaluationError) as info:
+        F.sobolev_residual(fields.AnalyticField(2, nan_ev, support_radius=6.0), m, ones,
+                           scheme)
+    e = info.value
+    assert e.stage == "polar" and np.isnan(e.value)
+    np.testing.assert_array_equal(e.centre + e.r * e.sigma, bad)
