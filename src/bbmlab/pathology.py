@@ -50,8 +50,6 @@ SHELL_SPHERE_ORDER = 64
 SHELL_NODES_PER_PANEL = 12
 # dyadic panels on each side of a radius where u(y) crosses u(x)
 KINK_GRADE_LEVELS = 8
-# Illinois steps shrink the bracket of a crossing to rounding in ~10
-_ILLINOIS_STEPS = 100
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -156,64 +154,31 @@ class PathologyCase:
         return float(self.mollifier().evaluate(extremal))
 
 
-def _illinois(f, a: float, b: float, fa: float, fb: float) -> float:
-    """A root of f in (a, b), where fa fb < 0: regula falsi, halving the
-    value kept at a bracket end that stays twice in a row (the Illinois
-    variant), until the bracket is a few ulps wide."""
-    side = 0
-    c = a
-    for _ in range(_ILLINOIS_STEPS):
-        c = (a * fb - b * fa) / (fb - fa)
-        if not a < c < b:
-            c = 0.5 * (a + b)
-        fc = f(c)
-        if fc == 0.0:
-            break
-        if (fc < 0.0) == (fb < 0.0):
-            b, fb = c, fc
-            if side == 1:
-                fa *= 0.5
-            side = 1
-        else:
-            a, fa = c, fc
-            if side == -1:
-                fb *= 0.5
-            side = -1
-        if b - a <= 4.0 * np.spacing(b):
-            break
-    return c
-
-
 def _shell_edges(u, probe: np.ndarray, ux: float, s_lo: float,
                  s_hi: float) -> np.ndarray:
     """Radial panel edges of the shell {s_lo < |y| < s_hi}.
 
     Log-subdivided panels keep the integrand panel-smooth, except where
     u(y) crosses u(x): |u(x) - u(y)|^p kinks there.  Read along the probe
-    ray (for a radial field the crossing is a sphere |y| = s*), a sign
-    change of u - u(x) between two edges is refined to s* by Illinois
-    steps, and s* becomes an edge with KINK_GRADE_LEVELS dyadic edges
-    toward it from both neighbours.  Without a crossing the edges are the
-    log-subdivided ones alone.
+    ray (for a radial field the crossing is a sphere |y| = s*), the
+    crossings are ``quadrature.roots`` of u - u(x) on the edges: a sign
+    change between two edges refined to s* by Illinois steps, or an edge
+    where the difference is exactly 0.  Each s* becomes an edge with
+    KINK_GRADE_LEVELS dyadic edges toward it from both neighbours.
+    Without a crossing the edges are the log-subdivided ones alone.
     """
     n_panels = max(1, int(math.ceil(math.log2(s_hi / s_lo))))
     edges = np.geomspace(s_lo, s_hi, n_panels + 1)
     ray = probe / np.linalg.norm(probe)
-
-    def gap(s):
-        return u.eval_many(np.multiply.outer(s, ray).reshape(-1, ray.size)) - ux
-
-    g = gap(edges)
-    cross = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0.0)
-    if not cross.size:
+    root = quadrature.roots(lambda s: u.eval_many(np.multiply.outer(s, ray)) - ux, edges)
+    if not root.size:
         return edges
+    a = edges[np.maximum(np.searchsorted(edges, root) - 1, 0), None]
+    b = edges[np.minimum(np.searchsorted(edges, root, "right"), n_panels), None]
     grade = 2.0 ** -np.arange(1.0, KINK_GRADE_LEVELS + 1)
-    cuts = [edges]
-    for i in cross.tolist():
-        a, b = edges[i], edges[i + 1]
-        root = _illinois(lambda s: float(gap(np.array([s]))[0]), a, b, g[i], g[i + 1])
-        cuts += [root - (root - a) * grade, [root], root + (b - root) * grade]
-    return np.unique(np.concatenate(cuts))
+    root = root[:, None]
+    return np.unique(np.concatenate([edges, (root - (root - a) * grade).ravel(), root.ravel(),
+                                     (root + (b - root) * grade).ravel()]))
 
 
 def _shell_geometry(d: int, delta: float, probe: np.ndarray, s_lo: float,

@@ -18,7 +18,10 @@ on the equator {sigma . e = 0} of the last coordinate axis are
 integrated to machine precision; plain uniform angles lose five orders
 of magnitude on such integrands.  Segment and axis rules (composite
 Gauss on intervals, graded toward their endpoints) serve one-dimensional
-integrals, such as the 1D local energy.  Every rule is composite
+integrals, such as the 1D local energy, which ``abs_power_integral``
+cuts where u' changes sign; ``roots`` finds those sign changes and
+``illinois`` refines them, as it does every root the library cuts at
+(the sliced route's kinks, the pathology's crossings).  Every rule is composite
 Gauss-Legendre, whose q-point rule ``_gl`` builds with numpy alone from
 the Legendre three-term recurrence, so building rules imports no scipy.
 
@@ -54,9 +57,17 @@ MAX_RADIAL_LEVEL = 12
 RADIAL_NODES_PER_PANEL = 8
 GAUSSIAN_TAIL_TOL = 1e-14
 # uniform panels under the grading of a segment rule
-SEGMENT_BASE_PANELS = 8
-# Newton converges quadratically from its guesses; a cap, never reached
+SEGMENT_BASE_PANELS = 16
+# Newton converges quadratically from its guesses: a cap, never reached
 _GL_NEWTON_STEPS = 100
+# Illinois steps close a bracket in ~10 on a smooth function, but on a
+# jump from near 0 to a large value they halve the bracket only once in
+# log2(ratio) steps (a truncated tilted gaussian's line differences take
+# hundreds); brackets still open after _ILLINOIS_STEPS bisect, and 64
+# halvings take any bracket below 4 ulps of its ends, the finest
+# tolerance used
+_ILLINOIS_STEPS = 100
+_BISECTION_STEPS = 64
 # entries of the sphere-rule and base radial-row caches: above the
 # distinct keys a workload cycles through (27 kernels x one level in a
 # density ladder over d = 1-3 and three families of three rungs)
@@ -172,7 +183,7 @@ def composite_gauss(edges: np.ndarray, q: int):
     return nodes.reshape(shape), weights.reshape(shape)
 
 
-def graded_edges(a: float, b: float, *, levels: int = 30) -> np.ndarray:
+def graded_edges(a, b, *, levels: int = 30) -> np.ndarray:
     """Panel edges on [a, b]: a uniform base plus geometric refinement
     toward both endpoints.
 
@@ -181,37 +192,117 @@ def graded_edges(a: float, b: float, *, levels: int = 30) -> np.ndarray:
     uniform base keeps the interior resolved for ordinary smooth
     integrands.  A graded edge that meets a base edge up to rounding is
     dropped rather than left as a sliver panel; the finest grading step,
-    0.5 * 2**-levels * (b - a), lies far above that tolerance.
+    0.5 * 2**-levels * (b - a), lies far above that tolerance.  Arrays a
+    and b of consecutive pieces [a_i, b_i], b_i = a_(i+1), give the edges
+    of every piece at once, each shared end once.
     """
+    a, b = np.atleast_1d(a)[:, None], np.atleast_1d(b)[:, None]
     length = b - a
-    if length <= 0:
-        raise IntegrationError(f"empty segment [{a}, {b}]")
+    if not (length > 0).all():
+        i = int(np.argmin(length > 0))
+        raise IntegrationError(f"empty segment [{a[i, 0]}, {b[i, 0]}]")
     grade = 0.5 * length * 2.0 ** (-np.arange(1, levels + 1))
-    edges = np.sort(np.concatenate([np.linspace(a, b, SEGMENT_BASE_PANELS + 1),
-                                    a + grade, b - grade]))
-    return edges[np.diff(edges, prepend=-np.inf) > 1e-14 * length]
+    # the base edges a + k (L / n) of np.linspace(a, b, n + 1), bit for bit
+    base = a + length * (np.arange(SEGMENT_BASE_PANELS) / SEGMENT_BASE_PANELS)
+    edges = np.concatenate([base, b, a + grade, b - grade], axis=1)
+    edges.sort(axis=1)
+    keep = np.ones(edges.shape, dtype=bool)
+    np.greater(edges[:, 1:] - edges[:, :-1], 1e-14 * length, out=keep[:, 1:])
+    keep[1:, 0] = False   # a piece's first edge is the last edge of the one before
+    return edges[keep]
 
 
-def segment_rule(a: float, b: float, *, q: int = 8, levels: int = 30):
+def segment_rule(a, b, *, q: int = 8, levels: int = 30):
     return composite_gauss(graded_edges(a, b, levels=levels), q)
 
 
 def axis_rule(lo: float, hi: float, breakpoints=()):
     """1D rule on [lo, hi] split at breakpoints, graded toward every split.
 
-    Used for x-integration of densities whose profile has integrable
-    (logarithmic) singularities at jump locations of the field.
+    Each piece between splits is ``segment_rule``'s: SEGMENT_BASE_PANELS
+    uniform panels of 8 Gauss nodes, graded over 30 dyadic levels toward
+    both ends.  Used for x-integration of densities whose profile has
+    integrable (logarithmic) singularities at jump locations of the
+    field, and, cut at the sign changes of u', for every 1D integral of
+    |u'|^p (``abs_power_integral``).
     """
-    pts = np.asarray([p for p in breakpoints if lo < p < hi], dtype=float)
-    cuts = np.unique(np.concatenate([[lo, hi], pts]))
-    nodes, weights = [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a < 1e-300:
-            continue
-        n, w = segment_rule(a, b, q=6)
-        nodes.append(n)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    bp = np.asarray(breakpoints, dtype=float)
+    cuts = np.unique(np.concatenate([[lo, hi], bp[(bp > lo) & (bp < hi)]]))
+    keep = np.diff(cuts) >= 1e-300
+    return segment_rule(cuts[:-1][keep], cuts[1:][keep])
+
+
+def abs_power_integral(g, lo: float, hi: float, p: float) -> float:
+    """int_lo^hi |g|^p for a smooth g (vectorized over an (n,) array).
+
+    |g|^p kinks where g changes sign, so the integral is ``axis_rule``
+    cut at the ``roots`` of g on 129 uniform nodes, as fine as the rule's
+    16 panels of 8 nodes: between the cuts |g|^p is smooth, and a shifted
+    gaussian's |u'|^p meets its closed form to ~1e-14.
+    """
+    nodes, w = axis_rule(lo, hi, roots(g, np.linspace(lo, hi, 129)))
+    return float(np.dot(w, _abs_power(g(nodes), p)))
+
+
+def roots(f, x: np.ndarray) -> np.ndarray:
+    """The roots of f (vectorized over an (n,) array) inside (x[0], x[-1])
+    that the ascending nodes x show, ascending: every inner node where f
+    is exactly 0 (of a run of such nodes, its ends), and in each pair of
+    neighbouring nodes where f changes sign the ``illinois`` root, refined
+    to 4 ulps."""
+    fx = f(x)
+    ends = fx == 0.0
+    ends[1:-1] &= ~(ends[:-2] & ends[2:])
+    ends[[0, -1]] = False
+    i = np.flatnonzero(np.sign(fx[:-1]) * np.sign(fx[1:]) < 0.0)
+    a, b = x[i], x[i + 1]
+    root, _ = illinois(f, a, b, fx[i], fx[i + 1], 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+    return np.sort(np.concatenate([root, x[ends]]))
+
+
+def illinois(f, a, b, fa, fb, tol, *data):
+    """(root, f(root)): a root of f in each bracket (a, b), fa fb < 0, all at once.
+
+    Regula falsi, halving the value kept at an end that stays twice in a
+    row (the Illinois variant; Dowell and Jarratt, BIT 11, 1971), until a
+    bracket is at most tol wide (one a bracket) or f is 0 at its point;
+    a bracket still open after _ILLINOIS_STEPS steps bisects.
+    ``f(c, *rows)`` is f at the points c of the brackets still open, whose
+    rows of each array of ``data`` (one row a bracket) are ``rows``, so a
+    bracket's own function needs no loop.  The result is each bracket's
+    last point and f's value there, which tells a root (a value near 0)
+    from a jump.  Empty brackets give empty arrays.
+
+    Raises
+    ------
+    IntegrationError
+        If a bracket is still open after _BISECTION_STEPS bisections too
+        (a tolerance below the spacing of floats there); it names the
+        first such bracket.
+    """
+    a, b, fa, fb, tol = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b, fa, fb, tol))
+    root, last, side = a.copy(), np.zeros(a.size), np.zeros(a.size)
+    idx = np.arange(a.size)
+    for step in range(_ILLINOIS_STEPS + _BISECTION_STEPS):
+        if not idx.size:
+            break
+        c = (a * fb - b * fa) / (fb - fa)
+        c = np.where((a < c) & (c < b) & (step < _ILLINOIS_STEPS), c, 0.5 * (a + b))
+        fc = f(c, *data)
+        root[idx], last[idx] = c, fc
+        right = (fc < 0.0) == (fb < 0.0)
+        fa = np.where(right, np.where(side > 0.0, 0.5 * fa, fa), fc)
+        fb = np.where(right, fc, np.where(side < 0.0, 0.5 * fb, fb))
+        a, b = np.where(right, a, c), np.where(right, c, b)
+        side = np.where(right, 1.0, -1.0)
+        keep = (fc != 0.0) & (b - a > tol)
+        if not keep.all():
+            idx, a, b, fa, fb, side, tol, *data = (
+                v[keep] for v in (idx, a, b, fa, fb, side, tol, *data))
+    if idx.size:
+        raise IntegrationError(f"the bracket ({a[0]}, {b[0]}) of a root is still "
+                               f"wider than {tol[0]} after {step + 1} steps")
+    return root, last
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ With h = r sigma and x = y + t sigma, y in sigma's complement,
 and G is even in sigma, so half the directions are summed, twice.  Each
 line is a 1D lag integral, smooth but for a few points: where the
 difference changes sign (a kink of |.|^p, found between neighbouring
-nodes and refined by the Illinois variant of regula falsi) and, for a
+nodes and refined by ``quadrature.illinois``, the Illinois variant of
+regula falsi, which tells it from a jump by its last value) and, for a
 field that is not negligible at its support radius, where the line
 crosses the support sphere.  The panels holding them are summed again
 between the cuts, so the rest of each line is fixed Gauss panels whose
@@ -37,9 +38,9 @@ from .quadrature import _abs_power
 # default 2D direction count on [0, pi) and 3D product-rule order; the
 # default lag level per kernel family (G is smooth in r, the kernel's
 # measure not always); the field points a block of lines takes, and the
-# panel sums a batch keeps for one Illinois pass; the fraction
+# panel sums a batch keeps for one Illinois pass; and the fraction
 # of the largest |u| seen above which a support crossing is a jump to
-# cut at; and a cap on Illinois steps, never reached
+# cut at
 _SLICED_NODES = 8
 _SLICED_MIN_PANELS = 8
 _SLICED_SPHERE_ORDER = {2: 16, 3: 10}
@@ -48,7 +49,6 @@ _SLICED_RADIAL_LEVEL = {"indicator": 0, "gaussian": 3, "powerlaw": 4}
 _SLICED_BLOCK = 32768
 _SLICED_SUMS = 2 ** 17
 _EDGE_RTOL = 2.0 ** -48
-_ILLINOIS_STEPS = 100
 
 
 def _sliced_directions(d: int, order: Optional[int]):
@@ -105,36 +105,6 @@ def _line_values(field, o, s, c, t, store: list) -> np.ndarray:
     np.copyto(vals, field.eval_many(view, _unmasked=True).reshape(t.shape),
               where=np.abs(t) <= c[:, None])
     return vals
-
-
-def _illinois_roots(field, o, s, chord, lag, a, b, fa, fb, tol, store):
-    """(t, jump): a root of f(t) = u(o + (t + lag) s) - u(o + t s) in each
-    bracket (a, b), fa fb < 0, all at once: regula falsi, halving the value
-    kept at an end that stays twice in a row (the Illinois variant), until
-    the bracket is at most tol wide or f is 0; and whether f jumps there
-    instead, its last value above 2^-10 of the larger end's."""
-    root, scale = a.copy(), np.maximum(np.abs(fa), np.abs(fb))
-    last = np.zeros(a.size)
-    idx = np.arange(a.size)
-    side = np.zeros(a.size)
-    for _ in range(_ILLINOIS_STEPS if a.size else 0):
-        c = (a * fb - b * fa) / (fb - fa)
-        c = np.where((a < c) & (c < b), c, 0.5 * (a + b))
-        both = _line_values(field, o, s, chord, np.column_stack([c + lag, c]), store)
-        fc = both[:, 0] - both[:, 1]
-        root[idx], last[idx] = c, fc
-        right = (fc < 0.0) == (fb < 0.0)
-        fa = np.where(right, np.where(side > 0.0, 0.5 * fa, fa), fc)
-        fb = np.where(right, fc, np.where(side < 0.0, 0.5 * fb, fb))
-        a, b = np.where(right, a, c), np.where(right, c, b)
-        side = np.where(right, 1.0, -1.0)
-        keep = (fc != 0.0) & (b - a > tol)
-        if not keep.all():
-            idx, a, b, fa, fb, side, o, s, chord, lag, tol = (
-                v[keep] for v in (idx, a, b, fa, fb, side, o, s, chord, lag, tol))
-            if not idx.size:
-                break
-    return root, np.abs(last) > 2.0 ** -10 * scale
 
 
 def _odd(p: float) -> bool:
@@ -214,8 +184,12 @@ def _sliced_sums(field, p, r, o, s, c, r_max, panels, step, scale):
     tol = 2.0 ** -30 * pw[l]
     if p != int(p):
         tol = np.maximum(4.0 * np.spacing(np.maximum(np.abs(ta), np.abs(tb))), tol * 2.0 ** -18)
-    cuts = [(j, l, *_illinois_roots(field, o[l], s[l], c[l], r[j], ta, tb, fa, fb, tol,
-                                    store))]
+    def gap(t, o, s, c, lag):
+        both = _line_values(field, o, s, c, np.column_stack([t + lag, t]), store)
+        return both[:, 0] - both[:, 1]
+    # a bracket where D jumps instead keeps a last value above 2^-10 of its larger end's
+    root, last = quadrature.illinois(gap, ta, tb, fa, fb, tol, o[l], s[l], c[l], r[j])
+    cuts = [(j, l, root, np.abs(last) > 2.0 ** -10 * np.maximum(np.abs(fa), np.abs(fb)))]
     # the support crossings, where a field that is not negligible there
     # jumps to 0: t = -c for u(o + t s), t = -c - r and c - r for u(o + (t + r) s)
     edge = np.abs(_line_values(field, o, s, c, np.column_stack([-c, c]), store)).max(axis=1)

@@ -112,6 +112,10 @@ def test_energy_sweep_smooth_bump_converging(tmp_path):
                  "--out", str(out)])
     assert code == 0
     assert read_summary(out)["report"]["classification"] == "converging"
+    # the limit is the cut rule's, so the last rung reads its own O(eps^2)
+    # error (1.27e-6), not the uncut rule's 6.8e-6 on top of it
+    header, *rows = read_csv(out)
+    assert float(rows[-1].split(",")[header.split(",").index("rel_error")]) <= 2e-6
 
 
 def test_density_sweep_linear_all_errors_tiny(tmp_path):

@@ -221,7 +221,7 @@ def test_grid_energy_compactness_guard():
 def test_smooth_bump_energy_study_converges_to_local_energy():
     u = fields.gaussian_bump(1)
     report = F.energy_study(u, mf.indicator_ladder(1, range(1, 9)), 2)
-    assert report.limit == pytest.approx(2 * math.sqrt(math.pi / 2), rel=1e-5)
+    assert report.limit == pytest.approx(2 * math.sqrt(math.pi / 2), rel=1e-12)
     assert report.classification == "converging"
     assert abs(report.values[-1] - report.limit) / report.limit < 2e-2
 
@@ -244,6 +244,38 @@ def test_local_energy_bv_with_jumps_infinite_for_p_above_one():
     assert F.local_energy(bv, 2) == math.inf
     assert F.local_energy(bv, 1) == pytest.approx(
         2.0 * (bv.total_variation(-7, 7)), rel=1e-9)
+
+
+def shifted_bump(centre, radius):
+    """exp(-(x - c)^2) with its gradient, truncated at |x| = radius."""
+    return fields.AnalyticField(
+        1, lambda q: np.exp(-(q[:, 0] - centre) ** 2),
+        lambda q: -2.0 * (q - centre) * np.exp(-(q[:, 0] - centre) ** 2)[:, None],
+        support_radius=radius)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("centre,radius", [(0.0, 6.0), (0.3137, 7.0), (-1.234, 8.0)])
+def test_1d_local_energy_of_a_shifted_bump_meets_its_closed_form(centre, radius, p):
+    # gamma(1, p) int |2x e^(-x^2)|^p = 2 2^p G((p+1)/2) / p^((p+1)/2): the
+    # cut rule has no kink of |u'|^p inside a panel (the uncut rule read
+    # up to 3.6e-2 off, at p = 1 with the centre at -1.234)
+    exact = 2.0 * 2.0 ** p * math.gamma((p + 1) / 2) / p ** ((p + 1) / 2)
+    value = F.local_energy(shifted_bump(centre, radius), p)
+    assert value == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("jumps", [[(0.0, 1.0)], [(-0.3, 1.2), (0.4, -0.8)],
+                                   [(-0.5, 1.5), (0.2, 1.5)]])
+def test_total_variation_of_the_criterion_6_fields_is_one_plus_the_jumps(jumps):
+    # the smooth part 0.5 exp(-x^2) rises by 0.5 and falls by 0.5
+    smooth = fields.AnalyticField(
+        1, lambda q: 0.5 * np.exp(-q[:, 0] ** 2),
+        lambda q: -q * np.exp(-q[:, 0] ** 2)[:, None], support_radius=6.0)
+    bv = fields.BVField1D(smooth, jumps)
+    exact = 1.0 + sum(abs(h) for _, h in jumps)
+    assert bv.total_variation(-6.0, 6.0) == pytest.approx(exact, rel=1e-12, abs=0)
+    assert F.local_energy(bv, 1) == pytest.approx(2.0 * exact, rel=1e-12, abs=0)
 
 
 def test_local_energy_grid_field_linear():

@@ -192,6 +192,31 @@ def test_scan_masses_are_the_per_exponent_shell_masses(d, probe, ps):
         assert (PT.shell_exponent(case, probe) < 0.0) == (scan[p] == "diverging")
 
 
+# the benchmark's two pathology configs (delta = 0.1) at off-axis probes:
+# (d, p, probe, scan) -> the divergence ladder's bits and the scan labels
+PINNED_PATHOLOGY = [
+    (2, 3.0, [0.31, 0.2], [1.5, 1.9, 2.1, 3.0],
+     ["0x1.207e9e51af100p-3", "0x1.3d83bb558b830p-3", "0x1.9171beb9852bcp-3",
+      "0x1.14dbf6f875c2bp-2", "0x1.866baa2a23eaap-2", "0x1.10d8038fe8136p-1",
+      "0x1.775e008196d94p-1", "0x1.fdbe7d0ad9930p-1"],
+     ["converging", "converging", "diverging", "diverging"]),
+    (3, 2.0, [0.2, -0.25, 0.1], [1.4, 1.6],
+     ["0x1.58b41a202219bp+3", "0x1.e561664c4d3f5p+3", "0x1.441046d108bfep+4",
+      "0x1.a795cc592e9e5p+4", "0x1.13c96786bf43ep+5", "0x1.69ae4f8177002p+5",
+      "0x1.e12dc46a34647p+5", "0x1.464224c0cb77bp+6"],
+     ["converging", "diverging"]),
+]
+
+
+@pytest.mark.parametrize("d,p,probe,scan,ladder,labels", PINNED_PATHOLOGY, ids=["d2", "d3"])
+def test_pathology_configs_keep_their_pinned_bits(d, p, probe, scan, ladder, labels):
+    # the crossings of the 2D shells are refined by quadrature.roots: the
+    # values are those of the per-crossing loop it replaced, bit for bit
+    report = PT.divergence_probe(PT.PathologyCase(d, p, 0.1), probe)
+    assert [float(v).hex() for v in report.values] == ladder
+    assert PT.threshold_scan(d, 0.1, probe, scan) == list(zip(scan, labels))
+
+
 def test_threshold_scan_flips_exactly_once():
     got = PT.threshold_scan(2, 0.1, PROBE2, [1.5, 1.9, 2.1, 3.0])
     flips = sum(1 for a, b in zip(got[:-1], got[1:]) if a[1] != b[1])

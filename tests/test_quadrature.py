@@ -384,3 +384,95 @@ def test_public_rule_builders_stay_plain_functions():
     for name in ("sphere_rule", "sphere_rule_aligned", "radial_rule",
                  "radial_rules", "kernel_radial_rule", "radial_measure"):
         assert inspect.isfunction(getattr(Q, name)), name
+
+
+# ---------------------------------------------------------------------------
+# the root finder
+# ---------------------------------------------------------------------------
+
+# one function a bracket: three smooth roots and a jump
+ROOT_FUNCTIONS = [lambda c: np.sin(3.0 * c), lambda c: c ** 3 - 0.2,
+                  lambda c: np.where(c < 0.3, -1.0, 2.0), lambda c: np.exp(c) - 2.0]
+ROOT_BRACKETS = [(0.5, 1.5), (0.1, 0.9), (-0.4, 0.9), (0.2, 1.1)]
+
+
+def batch_of(functions):
+    """f(c, k): the function of bracket k_i at c_i."""
+    def f(c, k):
+        return np.array([functions[i](x) for i, x in zip(k.tolist(), c.tolist())])
+    return f
+
+
+def test_a_batch_of_brackets_gives_each_brackets_own_root_bit_for_bit():
+    a, b = (np.array(v) for v in zip(*ROOT_BRACKETS))
+    fa = np.array([f(x) for f, x in zip(ROOT_FUNCTIONS, a)])
+    fb = np.array([f(x) for f, x in zip(ROOT_FUNCTIONS, b)])
+    tol = 4.0 * np.spacing(b)
+    root, last = Q.illinois(batch_of(ROOT_FUNCTIONS), a, b, fa, fb, tol,
+                            np.arange(len(ROOT_FUNCTIONS)))
+    for i, f in enumerate(ROOT_FUNCTIONS):
+        one, one_last = Q.illinois(batch_of([f]), a[i:i + 1], b[i:i + 1], fa[i:i + 1],
+                                   fb[i:i + 1], tol[i:i + 1], np.zeros(1, dtype=int))
+        assert root[i].hex() == one[0].hex() and last[i].hex() == one_last[0].hex()
+    assert root[0] == pytest.approx(math.pi / 3.0, abs=1e-15)
+    assert root[1] == pytest.approx(0.2 ** (1.0 / 3.0), abs=1e-15)
+    assert root[3] == pytest.approx(math.log(2.0), abs=1e-15)
+    # the jump is found too, and its last value is a side's, not near 0
+    assert root[2] == pytest.approx(0.3, abs=1e-15) and abs(last[2]) >= 1.0
+
+
+def test_an_exact_zero_closes_its_bracket():
+    calls = []
+
+    def f(c):
+        calls.append(c.copy())
+        return c - 0.25
+    # regula falsi lands on the root of a line at once
+    root, last = Q.illinois(f, [-0.75], [1.25], [-1.0], [1.0], [0.0])
+    assert root.tolist() == [0.25] and last.tolist() == [0.0] and len(calls) == 1
+    # a node where f is 0 is a root; of a run of zero nodes, its two ends
+    x = np.linspace(-1.0, 1.0, 9)
+    assert Q.roots(lambda c: c, x).tolist() == [0.0]
+    flat = Q.roots(lambda c: np.where(np.abs(c) <= 0.5, 0.0, c), x)
+    assert flat.tolist() == [-0.5, 0.5]
+    root = Q.roots(lambda c: c - 0.3, x)
+    assert root == pytest.approx([0.3], abs=1e-15)
+
+
+def test_an_empty_batch_gives_empty_arrays():
+    def f(c):
+        raise AssertionError("no bracket to evaluate")
+    root, last = Q.illinois(f, [], [], [], [], 1e-12)
+    assert root.shape == (0,) and last.shape == (0,)
+    assert Q.roots(np.cos, np.linspace(-1.0, 1.0, 5)).shape == (0,)
+
+
+def test_a_jump_from_near_zero_is_closed_by_bisection(monkeypatch):
+    # Illinois halves such a bracket once in log2(ratio) ~ 52 steps: the
+    # brackets still open after its cap bisect to the tolerance
+    def f(c):
+        return np.where(c < 0.3, 1e-21 * (1.0 - c), -5e-5)
+    for cap in (Q._ILLINOIS_STEPS, 2):
+        monkeypatch.setattr(Q, "_ILLINOIS_STEPS", cap)
+        root, _ = Q.illinois(f, [0.0], [1.0], [1e-21], [-5e-5], [1e-12])
+        assert abs(root[0] - 0.3) <= 1e-12
+
+
+def test_a_bracket_that_does_not_close_raises_naming_it(monkeypatch):
+    def f(c):
+        return np.where(c < 0.3, -1.0, 2.0)
+    # no bracket of floats is narrower than 0 around a jump
+    with pytest.raises(IntegrationError, match=r"bracket \(0\.29999999999999"):
+        Q.illinois(f, [0.0, 0.1], [1.0, 0.5], [-1.0, -1.0], [2.0, 2.0], 0.0)
+    monkeypatch.setattr(Q, "_ILLINOIS_STEPS", 2)
+    monkeypatch.setattr(Q, "_BISECTION_STEPS", 2)
+    with pytest.raises(IntegrationError, match="after 4 steps"):
+        Q.illinois(f, [0.0], [1.0], [-1.0], [2.0], 1e-12)
+
+
+def test_the_cut_rule_meets_the_integral_of_a_power_of_a_sine():
+    # int_0^2pi |sin x|^p = 4 int_0^(pi/2) sin^p = 2 sqrt(pi) G((p+1)/2) / G(p/2 + 1)
+    for p in (1.0, 1.5, 3.0):
+        exact = 2.0 * math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
+        value = Q.abs_power_integral(np.sin, 0.0, 2.0 * math.pi, p)
+        assert value == pytest.approx(exact, rel=1e-13, abs=0), p

@@ -196,6 +196,9 @@ def test_the_reduced_2d_scheme_of_the_benchmark():
     u, m = fields.gaussian_bump(2), mf.indicator(2.0 ** -3, 2)
     value = F.energy(u, m, 1.0, QuadratureScheme(x_resolution=24))
     assert value == pytest.approx(oracle(2, np.eye(2), 1.0, 1.0, m), rel=1e-10, abs=0)
+    # pinned: its roots come from quadrature.illinois, bit for bit those of
+    # the loop the route kept before
+    assert value.hex() == "0x1.64242303a4b3ap+4"
 
 
 @pytest.mark.parametrize("d", [2, 3])
