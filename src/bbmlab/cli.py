@@ -279,7 +279,7 @@ def run_sweep(cfg, outdir, started):
         routes = [functionals.energy_route(field, cfg["p"], m) for m in ladder]
     elif kind == "sobolev-residual":
         cand = fields.gradient_candidate(field) if cfg["candidate"] == "gradient" else None
-        routes = [functionals.residual_route(field, cand)]
+        routes = [functionals.residual_route(field, m, cand) for m in ladder]
     else:
         routes = ["polar"]
     # a key is read when the experiment or any rung's route reads it
@@ -287,11 +287,11 @@ def run_sweep(cfg, outdir, started):
     _refuse_unread(cfg, _route_reads(d, routes) | set(SWEEP_OPTIONS[kind]),
                    f"--experiment {kind} on the {named} route")
     scheme = _scheme(cfg)
-    summary = {}
+    # one route name when every rung takes the same route, else one a rung
+    summary = {} if routes == ["polar"] else {
+        "route": routes[0] if len(set(routes)) == 1 else routes}
     if kind == "energy":
         report = functionals.energy_study(field, ladder, cfg["p"], scheme)
-        # one name when every rung takes the same route, else one a rung
-        summary["route"] = routes[0] if len(set(routes)) == 1 else routes
     elif kind in ("density", "remainder"):
         probe = parse_probes(cfg["probes"], d, f"--experiment {kind}")[0]
         op = (functionals.remainder_density if kind == "remainder"
@@ -307,7 +307,6 @@ def run_sweep(cfg, outdir, started):
         report = functionals.convergence_study(
             lambda mm: functionals.sobolev_residual(field, mm, cand, scheme),
             ladder)
-        summary["route"] = routes[0]
     summary["report"] = report.to_json()
     emit(outdir, cfg, REPORT_HEADER, report.rows(), summary, started)
     return 0

@@ -18,14 +18,14 @@ plus ladder drivers (``bv_pointwise_limit``, ``ponce_spector_mass``,
 ``convergence_study``) that package values into ConvergenceReports.
 
 Quadrature notes.  ``energy`` takes one of six routes, which
-``energy_route`` names (``residual_route`` names the three that
-``sobolev_residual`` takes); ``ROUTE_READS`` says which
+``energy_route`` names.  A ``sobolev_residual`` with a zero candidate is
+the p = 1 energy and takes its route; one with a nonzero candidate takes
+lag or tensor (``residual_route``).  ``ROUTE_READS`` says which
 ``QuadratureScheme`` fields each route, and the polar density, reads:
 
 * jump: every pure-jump 1D field (a BV field with no smooth part, or a
-  bounded 1D set), and its ``sobolev_residual`` with a zero candidate,
-  which is its p = 1 energy; a closed form in the kernel's tail moments,
-  with no rule;
+  bounded 1D set); a closed form in the kernel's tail moments, with no
+  rule;
 * box: 2D/3D boxes whose energy is a closed form (the gaussian at
   p = 1, or r_max <= every side);
 * covariogram: every other 2D/3D bounded set (disks, 3D balls and
@@ -33,15 +33,16 @@ Quadrature notes.  ``energy`` takes one of six routes, which
 * multiplier: p = 2 and an analytic field in 1D, 2D or 3D; one FFT of
   the field's samples (on the x-grid) times the Fourier multiplier of
   the mollifier (on one radial rule);
-* lag: every other 1D field, and every other 1D ``sobolev_residual``; the
-  x-integral first, over fixed panels, at each node of one radial rule
-  (``x_resolution`` is refused);
+* lag: every other 1D field, and every 1D ``sobolev_residual`` with a
+  nonzero candidate; the x-integral first, over fixed panels, at each
+  node of one radial rule (``x_resolution`` is refused);
 * sliced: every other 2D/3D field and exponent: 1D lag integrals along
   the lines of half the directions, cut at the kinks of |.|^p (the
   ``sliced`` module); a 2D/3D grid field has no energy route and is
   refused there;
-* tensor: every 2D/3D ``sobolev_residual``; a midpoint x-grid whose
-  nodes go through the polar engine (``_tensor_residual``).
+* tensor: every 2D/3D ``sobolev_residual`` with a nonzero candidate (a
+  set is refused); a midpoint x-grid whose nodes go through the polar
+  engine (``_tensor_residual``).
 
 On the tensor route the y-integral is evaluated in polar coordinates
 with no node at r = 0 (the measure rho(r) r^(d-1) dr has no atom there,
@@ -128,8 +129,8 @@ from . import constants, quadrature, sliced
 from .constants import _exponent, gamma
 from .errors import (DimensionError, DomainError, EvaluationError,
                      IntegrationError, ProbeError, ValidityError)
-from .fields import (AnalyticField, Ball, Box, BVField1D, GridField,
-                     IndicatorSet, VectorField, as_points, zero_vector_field)
+from .fields import (AnalyticField, Ball, Box, BVField1D, GridField, IndicatorSet,
+                     VectorField, as_points, gradient_candidate, zero_vector_field)
 from .mollifiers import RadialMollifier
 from .quadrature import _abs_power
 from .reports import ConvergenceReport
@@ -591,7 +592,13 @@ def _tensor_residual(field, mollifier, candidate, scheme=DEFAULT_SCHEME) -> floa
     with |x| > R + r_max (with a relative margin of 1e-9 against
     rounding) whose candidate row is 0, u(x) and every u(x + r sigma)
     are masked to 0 and D is exactly 0: such probes are written as 0
-    and never reach the engine."""
+    and never reach the engine.
+
+    A set raises DomainError, as in ``remainder_density``: the grid and
+    the engine's rows have no breakpoint at its boundary, where the
+    integrand jumps."""
+    if isinstance(field, IndicatorSet):
+        raise DomainError("the tensor route has no breakpoint at a set's boundary")
     _grid_compactness_check(field)
     r_max = mollifier.quadrature_radius()
     lo, hi = _x_region(field, r_max)
@@ -1311,14 +1318,20 @@ def energy(field, mollifier, p, scheme: Optional[QuadratureScheme] = None) -> fl
     return sliced._sliced_energy(field, mollifier, p, scheme)[0]
 
 
-def residual_route(field, candidate: Optional[VectorField] = None) -> str:
-    """The route ``sobolev_residual`` takes: "jump" for a pure-jump 1D
-    field (as in ``energy_route``) with a zero candidate (None or
-    ``zero_vector_field``), whose residual is its p = 1 energy; "lag" for
-    every other 1D field (the lag integral of ``_lag_energy``); "tensor"
-    otherwise."""
-    if _pure_jump(field) and candidate in (None, zero_vector_field(1)):
-        return "jump"
+def _zero_candidate(candidate, d: int) -> bool:
+    """Whether ``candidate`` is a zero candidate: None or the shared
+    ``zero_vector_field(d)``."""
+    return candidate in (None, zero_vector_field(d))
+
+
+def residual_route(field, mollifier, candidate: Optional[VectorField] = None) -> str:
+    """The route ``sobolev_residual`` takes.  With a zero candidate (None
+    or ``zero_vector_field``) the residual is the p = 1 energy and takes
+    its route, ``energy_route(field, 1, mollifier)``; with any other,
+    "lag" in 1D (``_lag_energy``) and "tensor" in 2D/3D
+    (``_tensor_residual``)."""
+    if _zero_candidate(candidate, field.dimension):
+        return energy_route(field, 1.0, mollifier)
     return "lag" if field.dimension == 1 else "tensor"
 
 
@@ -1327,25 +1340,26 @@ def sobolev_residual(field, mollifier, candidate: Optional[VectorField],
     """Integrated first-order remainder with a candidate gradient U.
 
     Vanishing of this residual along a concentration ladder characterizes
-    membership in W^{1,1} with gradient U; for a pure jump field and
-    U = 0 the residual is the p = 1 energy, which converges to
-    gamma(1,1) times the jump mass (the singular-part limit), and takes
-    the energy's jump route (``residual_route``).
+    membership in W^{1,1} with gradient U.  With U = 0 (None or
+    ``zero_vector_field``) the residual is, by definition, the p = 1
+    energy, which converges to gamma(d, 1) |Du|: it is ``energy(field,
+    mollifier, 1, scheme)``, bit for bit, on the energy's route
+    (``residual_route``).  A nonzero U takes the lag route in 1D and the
+    tensor route in 2D/3D, which refuses a set with DomainError: it has
+    no breakpoint at the set's boundary.
     """
     if field.dimension != mollifier.dimension:
         raise DimensionError("field and mollifier dimensions differ")
     if candidate is not None and not isinstance(candidate, VectorField):
         raise DomainError("candidate gradient must be a VectorField or None")
-    cand = zero_vector_field(field.dimension) if candidate is None else candidate
-    if cand.dimension != field.dimension:
+    if candidate is not None and candidate.dimension != field.dimension:
         raise DimensionError("candidate dimension does not match the field")
-    scheme = scheme or DEFAULT_SCHEME
-    route = residual_route(field, cand)
-    if route == "jump":
+    if _zero_candidate(candidate, field.dimension):
         return energy(field, mollifier, 1.0, scheme)
-    if route == "lag":
-        return _lag_energy(field, mollifier, 1.0, candidate=cand, scheme=scheme)
-    return _tensor_residual(field, mollifier, cand, scheme)
+    scheme = scheme or DEFAULT_SCHEME
+    if field.dimension == 1:
+        return _lag_energy(field, mollifier, 1.0, candidate=candidate, scheme=scheme)
+    return _tensor_residual(field, mollifier, candidate, scheme)
 
 
 def local_energy(field, p, *, box=None) -> float:
@@ -1441,16 +1455,17 @@ def ponce_spector_mass(field: BVField1D, ladder: Sequence[RadialMollifier],
 
     The integrated remainder of a BV field loses its smooth part in the
     limit and concentrates on the jump set, recovering the total mass of
-    the singular gradient measure scaled by gamma(1,1).
+    the singular gradient measure scaled by gamma(1,1).  Each rung is
+    ``sobolev_residual`` with the field's absolutely continuous gradient
+    (``fields.gradient_candidate``): the lag route, or the jump route for
+    a field with no smooth part, whose candidate is zero.
     """
     if not isinstance(field, BVField1D):
         raise DomainError("ponce_spector_mass expects a 1D BV field")
-    scheme = scheme or DEFAULT_SCHEME
-    candidate = VectorField(1, lambda pts: field.gradient_many(pts))
+    candidate = gradient_candidate(field)
     limit = gamma(1, 1) * field.total_jump_mass
     return convergence_study(
-        lambda m: _lag_energy(field, m, 1.0, candidate=candidate, scheme=scheme),
-        ladder, limit=limit)
+        lambda m: sobolev_residual(field, m, candidate, scheme), ladder, limit=limit)
 
 
 # ---------------------------------------------------------------------------

@@ -472,6 +472,12 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
       "--mollifier", "indicator", "--ladder", "1:3"], "jump"),
     (["sweep", "--experiment", "sobolev-residual", "--field", "step",
       "--mollifier", "indicator", "--ladder", "1:3", "--candidate", "gradient"], "jump"),
+    # in 2D too: a zero candidate takes its energy's route, one a rung
+    (["sweep", "--experiment", "sobolev-residual", "--field", "bump:2",
+      "--mollifier", "indicator", "--ladder", "1:3"], "sliced"),
+    (["sweep", "--experiment", "sobolev-residual", "--field", "box:0,0;1,0.5",
+      "--mollifier", "indicator", "--ladder", "0:2", "--radial-level", "3"],
+     ["covariogram", "box", "box"]),
     (["energy", "--field", "box:0,0;1,0.5", "--mollifier", "indicator:0.25",
       "--p", "1.5"], "box"),
     (["energy", "--field", "box:0,0;1,0.5", "--mollifier", "indicator:0.75",
@@ -489,7 +495,8 @@ def test_x_resolution_with_1d_field_is_usage_error(tmp_path, argv, capsys):
 ], ids=["energy-multiplier", "energy-sliced", "sweep-covariogram",
         "sweep-multiplier", "energy-lag", "sweep-lag", "sweep-multiplier-1d",
         "energy-multiplier-1d", "residual-lag",
-        "residual-tensor", "residual-jump", "residual-jump-gradient", "energy-box", "energy-box-sum", "sweep-box-mixed",
+        "residual-tensor", "residual-jump", "residual-jump-gradient", "residual-sliced",
+        "residual-box-mixed", "energy-box", "energy-box-sum", "sweep-box-mixed",
         "energy-box-3d-sum", "energy-jump", "sweep-jump"])
 def test_energy_summary_names_its_route(tmp_path, argv, route):
     assert main(argv + ["--out", str(tmp_path)]) == 0

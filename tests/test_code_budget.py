@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bbmlab"
-CODE_LINE_BUDGET = 2756
+CODE_LINE_BUDGET = 2755
 
 
 def code_lines(path: Path) -> int:

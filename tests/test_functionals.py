@@ -345,17 +345,20 @@ def test_sobolev_residual_step_with_zero_candidate_near_four():
 def test_only_a_pure_jump_residual_with_a_zero_candidate_takes_the_jump_route():
     step = fields.step_field()
     ones = fields.VectorField(1, np.ones_like)
-    assert F.residual_route(step) == F.residual_route(step, None) == "jump"
-    assert F.residual_route(step, ones) == "lag"
+    m = mf.indicator(2.0**-6, 1)
+    assert F.residual_route(step, m) == F.residual_route(step, m, None) == "jump"
+    assert F.residual_route(step, m, ones) == "lag"
     # a pure-jump field's own gradient is the zero candidate; a BV field
     # with a smooth part keeps that part's gradient
     assert fields.gradient_candidate(step) == fields.zero_vector_field(1)
-    assert F.residual_route(step, fields.gradient_candidate(step)) == "jump"
+    assert F.residual_route(step, m, fields.gradient_candidate(step)) == "jump"
     mixed = fields.BVField1D(scaled_bump(1.0), [(0.0, 1.0)])
-    assert F.residual_route(mixed, fields.gradient_candidate(mixed)) == "lag"
-    assert F.residual_route(scaled_bump(1.0)) == "lag"
-    assert F.residual_route(fields.gaussian_bump(2)) == "tensor"
-    m = mf.indicator(2.0**-6, 1)
+    assert F.residual_route(mixed, m, fields.gradient_candidate(mixed)) == "lag"
+    # every other zero candidate takes its energy's route, in every dimension
+    assert F.residual_route(scaled_bump(1.0), m) == F.energy_route(scaled_bump(1.0), 1, m)
+    bump2, m2 = fields.gaussian_bump(2), mf.indicator(0.25, 2)
+    assert F.residual_route(bump2, m2) == "sliced"
+    assert F.residual_route(bump2, m2, fields.gradient_candidate(bump2)) == "tensor"
     assert F.sobolev_residual(step, m, None) == F.energy(step, m, 1.0) == 4.0
     assert F.sobolev_residual(step, m, fields.gradient_candidate(step)) == 4.0
     # U = 1 adds |r| to every pair away from the jump
@@ -566,12 +569,77 @@ def test_step_energy_matches_its_interval(a, b, m, p, rtol):
 def test_set_residual_with_zero_candidate_is_its_energy(s, m):
     # with U = 0 the residual is the p = 1 energy, and it takes the same
     # jump route, which counts the set's two ends as jumps
-    assert F.residual_route(s) == F.residual_route(s, fields.zero_vector_field(1)) == "jump"
+    assert F.residual_route(s, m) == F.residual_route(s, m, fields.zero_vector_field(1)) \
+        == "jump"
     assert F.sobolev_residual(s, m, None) == F.energy(s, m, 1.0)
     assert F.sobolev_residual(s, m, fields.zero_vector_field(1)) == F.energy(s, m, 1.0)
     # the lag route, which a nonzero candidate takes, agrees at U = 0
     lag = F._lag_energy(s, m, 1.0, candidate=fields.zero_vector_field(1))
     assert lag == pytest.approx(F.energy(s, m, 1.0), rel=1e-13, abs=0)
+
+
+REDUCED_3D = QuadratureScheme(sphere_order=4, radial_level=0, x_resolution=8)
+ZERO_CANDIDATE_CASES = [
+    ("jump", fields.step_field(), mf.indicator(2.0**-6, 1), None),
+    ("lag", fields.gaussian_bump(1), mf.indicator(0.25, 1), None),
+    # the lag route of a nonzero candidate drops lags below 1e-8 r_max,
+    # where a power law keeps (1e-8)^delta of its mass: 14% at delta = 0.1
+    ("lag", fields.gaussian_bump(1), mf.power_law(0.3, 1), None),
+    ("lag", fields.gaussian_bump(1), mf.power_law(0.1, 1), None),
+    ("box", fields.box_set([0.0, 0.0], [1.0, 0.5]), mf.indicator(0.25, 2), None),
+    ("covariogram", fields.ball_set([0.0, 0.0], 1.0), mf.indicator(0.25, 2), None),
+    ("covariogram", fields.ball_set([0.0] * 3, 0.5), mf.indicator(0.25, 3), None),
+    *[("sliced", fields.gaussian_bump(2), mf.indicator(2.0**-k, 2), None)
+      for k in (1, 2, 3)],
+    ("sliced", fields.gaussian_bump(3), mf.indicator(0.25, 3), REDUCED_3D),
+]
+
+
+@pytest.mark.parametrize("zero", ["none", "zero-field"])
+@pytest.mark.parametrize("route,u,m,scheme", ZERO_CANDIDATE_CASES, ids=[
+    "step", "bump-indicator", "bump-powerlaw-0.3", "bump-powerlaw-0.1", "box-2d",
+    "disk", "ball-3d", "bump-2d-k1", "bump-2d-k2", "bump-2d-k3", "bump-3d"])
+def test_a_zero_candidate_residual_is_its_p1_energy(route, u, m, scheme, zero):
+    # with U = 0 the residual is, by definition, the p = 1 energy: the
+    # same route and the same bits, in every dimension
+    cand = None if zero == "none" else fields.zero_vector_field(u.dimension)
+    assert F.residual_route(u, m, cand) == F.energy_route(u, 1, m) == route
+    assert F.sobolev_residual(u, m, cand, scheme) == F.energy(u, m, 1, scheme)
+
+
+def test_a_zero_candidate_residual_refuses_a_2d_grid_field_as_its_energy_does():
+    x = np.linspace(-2.0, 2.0, 32, endpoint=False)
+    g = fields.GridField(2, 2.0, np.exp(-4.0 * (x[:, None] ** 2 + x[None, :] ** 2)))
+    m = mf.indicator(0.25, 2)
+    with pytest.raises(DomainError):
+        F.energy(g, m, 1.0)
+    with pytest.raises(DomainError):
+        F.sobolev_residual(g, m, None)
+
+
+@pytest.mark.parametrize("s", [fields.ball_set([0.0, 0.0], 1.0),
+                               fields.ball_set([0.0] * 3, 0.5)], ids=["disk", "ball-3d"])
+def test_a_set_residual_with_a_nonzero_candidate_is_refused_in_2d_and_3d(s):
+    # the tensor route has no breakpoint at the boundary, as remainder_density
+    # refuses a set; with U = 0 the residual is the set's energy
+    d = s.dimension
+    m, ones = mf.indicator(0.25, d), fields.VectorField(d, np.ones_like)
+    assert F.residual_route(s, m, ones) == "tensor"
+    with pytest.raises(DomainError):
+        F.sobolev_residual(s, m, ones)
+    with pytest.raises(DomainError):
+        remainder(s, m, 1.0, [0.1] * d)
+
+
+def test_ponce_spector_mass_is_the_residual_with_the_fields_gradient():
+    ladder = mf.indicator_ladder(1, range(1, 9))
+    for u in (THREE_JUMPS, fields.BVField1D(scaled_bump(), [(0.2, 3.0)])):
+        cand = fields.gradient_candidate(u)
+        assert F.ponce_spector_mass(u, ladder).values == \
+            [F.sobolev_residual(u, m, cand) for m in ladder]
+    # a pure-jump field's candidate is zero: its rungs are p = 1 energies
+    assert F.ponce_spector_mass(THREE_JUMPS, ladder).values == \
+        [F.energy(THREE_JUMPS, m, 1.0) for m in ladder]
 
 
 def test_step_energy_is_exact_for_a_small_power_law_exponent():
@@ -1083,8 +1151,8 @@ def _energy_case(field, m, p, route):
 
 
 def _residual_case(field, m):
-    assert F.residual_route(field) == "tensor"
     cand = fields.gradient_candidate(field)
+    assert F.residual_route(field, m, cand) == "tensor"
     return lambda scheme: F.sobolev_residual(field, m, cand, scheme)
 
 
@@ -1696,7 +1764,8 @@ def test_a_nan_node_is_reported_as_structured_fields(path):
         elif path == "sliced-energy":
             F.energy(u, m, 1.0, scheme)
         elif path == "tensor-residual":
-            F.sobolev_residual(u, m, None, scheme)
+            # a zero candidate would take the sliced route
+            F.sobolev_residual(u, m, fields.VectorField(2, np.ones_like), scheme)
         else:
             # p = 2 would take the multiplier route: a bad sample, no node
             F.energy(u, m, 1.5)
