@@ -15,7 +15,10 @@ families are provided:
 The raw power-law profile integrates to delta/(delta+d-1) against
 r^(d-1) dr when d >= 2; ``normalized=True`` rescales it so the unit-mass
 axiom holds in any dimension.  Divergence experiments use the raw form,
-since divergence is insensitive to a constant rescaling.
+since divergence is insensitive to a constant rescaling.  The radial
+rules integrate the power law's measure c r^(delta+d-2), singular at 0
+in 1D, with a first panel that is Gauss in that weight
+(``quadrature.radial_rules``).
 
 ``moment(k, c)`` is the tail moment int_c^inf rho(r) r^(d-1+k) dr
 that the closed-form energies need (the whole moment at c = 0), and
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -192,15 +194,6 @@ class RadialMollifier:
             # Q((d+1)/2, n r^2), so n r_max^2 is one root per dimension
             return math.sqrt(_GAUSSIAN_TAIL_ROOT[self.dimension] / self.param)
         return self.support_radius
-
-    def transform_power(self) -> Optional[float]:
-        """Substitution exponent alpha (r = r_max * s**alpha) removing the
-        r -> 0 singularity, or None when the profile is bounded there.
-
-        For the power law the transformed measure is exactly constant."""
-        if self.kind == "powerlaw":
-            return 1.0 / (self.param + self.dimension - 1.0)
-        return None
 
     # -- integrals ----------------------------------------------------------
 

@@ -4,16 +4,16 @@ Integrals of the form
 
     int_0^inf rho(r) r^(d-1) [ int_{S^(d-1)} F(r, sigma) dsigma ] dr
 
-are sums over the product of a radial rule (composite Gauss-Legendre,
-with a change of variables for mollifiers that are singular at r = 0)
-and a sphere rule.  This module builds the rules; the one polar sum over
-them is ``functionals._polar_many``, the 1D energies and the covariogram
-and multiplier routes sum over a radial rule alone, and the mass
-integrals of the built-in mollifiers are closed forms that need no rule
-at all.  A radial rule is
-split at the radii where the integrand jumps and graded dyadically from
-r_max down to the nearest of them; without such radii it is the uniform
-rule.  Sphere rules are panel-composite so that integrands with a kink
+are sums over the product of a radial rule (composite Gauss-Legendre
+in r, whose first panel is Gauss-Jacobi in the power law's own weight
+r^(delta+d-2)) and a sphere rule.  This module builds the rules; the
+one polar sum over them is ``functionals._polar_many``, the 1D energies
+and the covariogram and multiplier routes sum over a radial rule alone,
+and the mass integrals of the built-in mollifiers are closed forms that
+need no rule at all.  A radial rule is split at the radii where the
+integrand jumps and graded dyadically from r_max down to the nearest of
+them (a power-law row on toward 0); without such radii it is the
+uniform rule.  Sphere rules are panel-composite so that integrands with a kink
 on the equator {sigma . e = 0} of the last coordinate axis are
 integrated to machine precision; plain uniform angles lose five orders
 of magnitude on such integrands.  Segment and axis rules (composite
@@ -21,16 +21,21 @@ Gauss on intervals, graded toward their endpoints) serve one-dimensional
 integrals, such as the 1D local energy, which ``abs_power_integral``
 cuts where u' changes sign; ``roots`` finds those sign changes and
 ``illinois`` refines them, as it does every root the library cuts at
-(the sliced route's kinks, the pathology's crossings).  Every rule is composite
-Gauss-Legendre, whose q-point rule ``_gl`` builds with numpy alone from
-the Legendre three-term recurrence, so building rules imports no scipy.
+(the sliced route's kinks, the pathology's crossings).  Every rule is
+composite Gauss-Legendre, whose q-point rule ``_gl`` builds with numpy
+alone from the Legendre three-term recurrence, or Gauss-Jacobi in a
+weight (1 + x)^a (1 - x)^b, ``gauss_jacobi``, which serves the power
+law's first radial panel and the sliced route's pieces beside a root;
+it takes numpy's symmetric eigensolver, so building rules imports no
+scipy.
 
 Rules that depend on nothing but their key are built once: sphere rules
-per (d, order) and the breakpoint-free kernel-weighted radial row of
-``kernel_radial_rule`` per (mollifier, level).  Both caches are bounded
-LRU caches (``_SPHERE_CACHE_SIZE`` and ``_RADIAL_CACHE_SIZE`` entries)
-whose arrays are shared read-only, so a write into one raises
-ValueError instead of corrupting later calls.  A 3D sphere rule of
+per (d, order), Gauss-Jacobi rules per (q, exponents) and the
+breakpoint-free kernel-weighted radial row of ``kernel_radial_rule`` per
+(mollifier, level).  The caches are bounded LRU caches
+(``_SPHERE_CACHE_SIZE``, 32 and ``_RADIAL_CACHE_SIZE`` entries) whose
+arrays are shared read-only, so a write into one raises ValueError
+instead of corrupting later calls.  A 3D sphere rule of
 order k holds 2k^2 nodes (2048 at the default 32); a radial row holds
 8 * 2^level nodes, 32768 at MAX_RADIAL_LEVEL, i.e. 512 KiB of nodes and
 weights, so the radial cache holds at most 16 MiB.  Rules with
@@ -73,6 +78,9 @@ _BISECTION_STEPS = 64
 # density ladder over d = 1-3 and three families of three rungs)
 _SPHERE_CACHE_SIZE = 16
 _RADIAL_CACHE_SIZE = 32
+# dyadic levels a power-law row with a breakpoint is graded on below its
+# nearest one: next to a jump the lag integrand has fractional powers of r
+_POWERLAW_ORIGIN_LEVELS = 12
 
 
 # compared and hashed by identity: the engine's caches key on shared rules
@@ -88,8 +96,9 @@ class RadialRule:
     """Nodes/weights on (0, r_max) for integrals against rho(r) r^(d-1) dr.
 
     ``sum(weights * rho(nodes) * nodes**(d-1) * g(nodes))`` approximates
-    ``int_0^{r_max} g(r) rho(r) r^(d-1) dr``; any change of variables used
-    to remove an endpoint singularity is folded into ``weights``.  Nodes
+    ``int_0^{r_max} g(r) rho(r) r^(d-1) dr``; where the first panel is
+    Gauss in the kernel's own weight, its weights are divided by that
+    weight, so the product with ``radial_measure`` restores it.  Nodes
     and weights are (n,) for one rule and (m, n) for the stacked rules of
     ``radial_rules``.
     """
@@ -115,9 +124,10 @@ class KernelRule:
     r_max: float
 
 
-def _read_only(*arrays) -> None:
+def _read_only(*arrays) -> tuple:
     for a in arrays:
         a.flags.writeable = False
+    return arrays
 
 
 @lru_cache(maxsize=None)
@@ -143,8 +153,8 @@ def _gl(q: int):
         x[-1] = 0.0
     _, dp = _legendre(q, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return (np.concatenate([-x, x[::-1][q % 2:]]),
-            np.concatenate([w, w[::-1][q % 2:]]))
+    return _read_only(np.concatenate([-x, x[::-1][q % 2:]]),
+                      np.concatenate([w, w[::-1][q % 2:]]))
 
 
 def _legendre(q: int, x: np.ndarray):
@@ -242,6 +252,40 @@ def abs_power_integral(g, lo: float, hi: float, p: float) -> float:
     """
     nodes, w = axis_rule(lo, hi, roots(g, np.linspace(lo, hi, 129)))
     return float(np.dot(w, _abs_power(g(nodes), p)))
+
+
+# the rules kept: a power law's first radial panel per (delta, d), and
+# the sliced route's four piece rules per non-integer p
+@lru_cache(maxsize=32)
+def gauss_jacobi(q: int, left: float, right: float):
+    """(x, W): the q-point Gauss rule of the weight (1 + x)^left (1 - x)^right
+    on [-1, 1] (both exponents > -1), nodes ascending, with its weights
+    divided by the weight: sum W g(x) ~ int g for g = that weight times a
+    smooth function, exactly when it is a polynomial of degree < 2q.
+    ``_gl(q)`` when both exponents are 0.
+
+    Golub and Welsch (Math. Comp. 23, 1969): the nodes are the
+    eigenvalues of the Jacobi matrix of the weight's three-term
+    recurrence, and the weights mu_0 v_0^2, v_0 the first component of
+    each unit eigenvector and mu_0 = 2^(a+b+1) Gamma(a+1) Gamma(b+1) /
+    Gamma(a+b+2) the weight's mass (a = right, b = left).  numpy alone,
+    so building the rule imports no scipy.  Each rule is built once and
+    shared read-only; a bounded LRU cache keeps the last 32.
+    """
+    if not (left or right):
+        return _gl(q)
+    a, b, n = right, left, np.arange(q, dtype=float)
+    s = 2.0 * n + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (b * b - a * a) / (s * (s + 2.0))
+        off = 4.0 * n * (n + a) * (n + b) * (n + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    # the n = 0 and n = 1 entries, where a + b = 0 or -1 divides by zero
+    diag[0] = (b - a) / (a + b + 2.0)
+    off[1:2] = 4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
+    off = np.sqrt(off[1:])
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mass = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
+    return _read_only(x, mass * v[0] ** 2 / ((1.0 + x) ** b * (1.0 - x) ** a))
 
 
 def roots(f, x: np.ndarray) -> np.ndarray:
@@ -415,14 +459,18 @@ def radial_rule(mollifier, level: int | None = None, *,
     """Radial rule adapted to a mollifier's support and singularity.
 
     The base rule is composite Gauss-Legendre with 2**level panels on
-    (0, r_max) and RADIAL_NODES_PER_PANEL nodes a panel.  A mollifier
-    with a power singularity at 0 supplies a substitution exponent alpha
-    (r = s**alpha) that makes the transformed measure smooth; the
-    substitution is folded into the weights.  Breakpoints (radii where
-    the integrand jumps) become panel edges, and the panels are graded
-    dyadically from r_max down to the nearest breakpoint: beyond a jump
-    at a small radius the integrand falls off like 1/r^p, which uniform
-    panels cannot resolve, while below it the integrand is smooth.
+    (0, r_max) and RADIAL_NODES_PER_PANEL nodes a panel, in r for every
+    kernel.  The power law's rho r^(d-1) = c r^(delta+d-2) is singular
+    (or not smooth) at 0, so its first panel [0, e_1] takes
+    ``gauss_jacobi`` in that weight instead, which makes the kernel's
+    measure exact there.  Breakpoints (radii where the integrand jumps)
+    become panel edges, and the panels are graded dyadically from r_max
+    down to the nearest breakpoint: beyond a jump at a small radius the
+    integrand falls off like 1/r^p, which uniform panels cannot resolve,
+    while below it the integrand is smooth.  A power-law row with a
+    breakpoint inside (0, r_max) is graded on toward 0, down to
+    2^-_POWERLAW_ORIGIN_LEVELS of its nearest breakpoint: next to a jump
+    the lag integrand of a 1D energy has fractional powers of r there.
     This is the one-row case of ``radial_rules``.
 
     Parameters
@@ -445,9 +493,13 @@ def radial_rules(mollifier, level: int | None = None, *, breakpoints) -> RadialR
     ``breakpoints`` has shape (m, J): row i holds the breakpoint radii of
     probe i (values outside (0, r_max) are ignored).  Row i of the result
     is, node for node and bit for bit, ``radial_rule`` with those
-    breakpoints.  Rows with fewer panels than the longest row are padded
-    with zero-width panels at r_max, i.e. zero-weight nodes at r = r_max;
-    no node is ever placed at r = 0.
+    breakpoints: a power-law row is graded toward 0 by its own
+    breakpoints, never by the batch's.  Rows with fewer panels than the
+    longest row are padded with zero-width panels at r_max, i.e.
+    zero-weight nodes at r = r_max; no node is ever placed at r = 0.  A
+    power law's breakpoint-free row keeps every node above
+    ``functionals``' remainder floor of 1e-8 r_max at every level (the
+    1D delta = 0.01 row of level 12 starts at 3.8e-8 r_max).
 
     Returns a ``RadialRule`` whose nodes and weights have shape (m, n);
     ``kernel_radial_rule`` folds the kernel into the weights and shares
@@ -458,51 +510,48 @@ def radial_rules(mollifier, level: int | None = None, *, breakpoints) -> RadialR
     if not 0 <= level <= MAX_RADIAL_LEVEL:
         raise IntegrationError(
             f"radial level must lie in 0..{MAX_RADIAL_LEVEL}, got {level}")
-    r_max = mollifier.quadrature_radius()
-    alpha = mollifier.transform_power()
-    bp = np.asarray(breakpoints, dtype=float)
-    if alpha is None:
-        edges = _stacked_panel_edges(r_max, 2 ** level, bp)
-        nodes, weights = composite_gauss(edges, RADIAL_NODES_PER_PANEL)
-        return RadialRule(nodes, weights, r_max)
-    # substitution r = r_max * s**alpha on s in (0, 1]; breakpoints map
-    # through scalar (libm) pow, which numpy's vectorised pow does not
-    # match to the last bit
-    inside = (bp > 0.0) & (bp < r_max)
-    s_bp = np.ones(bp.shape)
-    s_bp[inside] = [math.pow(b / r_max, 1.0 / alpha) for b in bp[inside].tolist()]
-    edges = _stacked_panel_edges(1.0, 2 ** level, s_bp)
-    s, ws = composite_gauss(edges, RADIAL_NODES_PER_PANEL)
-    nodes = r_max * s ** alpha
-    weights = ws * r_max * alpha * s ** (alpha - 1.0)
+    r_max, q = mollifier.quadrature_radius(), RADIAL_NODES_PER_PANEL
+    powerlaw = mollifier.kind == "powerlaw"
+    edges = _stacked_panel_edges(r_max, 2 ** level, np.asarray(breakpoints, dtype=float),
+                                 _POWERLAW_ORIGIN_LEVELS if powerlaw else 0)
+    nodes, weights = composite_gauss(edges, q)
+    if powerlaw:
+        # rho r^(d-1) = c r^(delta+d-2): the first panel [0, e_1] is Gauss
+        # in that weight, so the kernel's measure is exact there
+        x, w = gauss_jacobi(q, mollifier.param + mollifier.dimension - 2.0, 0.0)
+        half = edges[..., 1:2] / 2.0
+        nodes[..., :q], weights[..., :q] = half + half * x, half * w
     return RadialRule(nodes, weights, r_max)
 
 
-def _stacked_panel_edges(b: float, n_panels: int, breakpoints: np.ndarray) -> np.ndarray:
+def _stacked_panel_edges(b, n_panels, breakpoints, origin_levels=0) -> np.ndarray:
     """Panel edges on [0, b], one row per row of breakpoints -> (m, k).
 
     Each row holds the uniform base edges, its breakpoints inside (0, b)
     and the dyadic edges b 2^-j that are not below its nearest such
-    breakpoint; a row without one keeps the uniform edges alone.  Edges
-    closer than machine tolerance to the previous one are dropped.  When
-    all rows keep the same number of edges (always so for one row) they
-    are compacted by a reshape; otherwise short rows are padded at b.
+    breakpoint times 2^-origin_levels; a row without one keeps the
+    uniform edges alone.  Edges closer than machine tolerance to the
+    previous one are dropped.  When all rows keep the same number of
+    edges (always so for one row) they are compacted by a reshape;
+    otherwise short rows are padded at b.
     """
     m, j = breakpoints.shape
     fixed = np.linspace(0.0, b, n_panels + 1)
     if j == 0:
         return np.broadcast_to(fixed, (m, fixed.size))
     # a breakpoint outside (0, b), or a dyadic edge below the row's
-    # nearest breakpoint, becomes a duplicate of b
+    # floor, becomes a duplicate of b; the floor is the row's nearest
+    # breakpoint, 2^-origin_levels of it where there is one
     bp = np.where((breakpoints > 0.0) & (breakpoints < b), breakpoints, b)
     nearest = bp.min(axis=1, keepdims=True)
-    # dyadic edges b 2^-j, j = 1 .. L, enough for the batch's nearest
-    # breakpoint (a difference of logs, finite for a subnormal one too)
-    levels = math.ceil(math.log2(b) - math.log2(float(nearest.min())))
+    floor = nearest * np.where(nearest < b, 2.0 ** -origin_levels, 1.0)
+    # dyadic edges b 2^-j, j = 1 .. L, enough for the batch's lowest
+    # floor (a difference of logs, finite for a subnormal one too)
+    levels = math.ceil(math.log2(b) - math.log2(float(floor.min())))
     dyadic = b * 2.0 ** (-np.arange(1, levels + 1))
     edges = np.empty((m, fixed.size + dyadic.size + j))
     edges[:, :fixed.size] = fixed
-    edges[:, fixed.size:-j] = np.where(dyadic >= nearest, dyadic, b)
+    edges[:, fixed.size:-j] = np.where(dyadic >= floor, dyadic, b)
     edges[:, -j:] = bp
     edges.sort(axis=1)
     keep = np.empty(edges.shape, dtype=bool)

@@ -12,8 +12,11 @@ nodes and refined by ``quadrature.illinois``, the Illinois variant of
 regula falsi, which tells it from a jump by its last value) and, for a
 field that is not negligible at its support radius, where the line
 crosses the support sphere.  The panels holding them are summed again
-between the cuts, so the rest of each line is fixed Gauss panels whose
-nodes every lag shares.  ``functionals.energy`` takes this route for
+between the cuts (by ``quadrature.gauss_jacobi`` in the weight
+|t - t*|^p at a root t* for a non-integer p), so the rest of each line
+is fixed Gauss panels whose nodes every lag shares.  The lags are the
+nodes of the kernel's shared radial row: 8 for the indicator and the
+power law, 64 for the gaussian.  ``functionals.energy`` takes this route for
 every 2D/3D analytic field at p != 2 (``energy_route``), once
 ``functionals._x_region`` has refused an unbounded support or a
 declared point singularity; ``_sliced_energy`` returns the energy and
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import math
 import mmap
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -36,8 +38,9 @@ from .quadrature import _abs_power
 
 # the sliced route: Gauss nodes a panel and the fewest panels a line; the
 # default 2D direction count on [0, pi) and 3D product-rule order; the
-# default lag level per kernel family (G is smooth in r, the kernel's
-# measure not always); the field points a block of lines takes, and the
+# default lag level per kernel family (G is smooth in r: one panel of 8
+# lags, Gauss in the power law's own weight, or 64 for the gaussian's
+# measure); the field points a block of lines takes, and the
 # panel sums a batch keeps for one Illinois pass; and the fraction
 # of the largest |u| seen above which a support crossing is a jump to
 # cut at
@@ -45,7 +48,7 @@ _SLICED_NODES = 8
 _SLICED_MIN_PANELS = 8
 _SLICED_SPHERE_ORDER = {2: 16, 3: 10}
 _SLICED_X_RESOLUTION = {2: 96, 3: 48}
-_SLICED_RADIAL_LEVEL = {"indicator": 0, "gaussian": 3, "powerlaw": 4}
+_SLICED_RADIAL_LEVEL = {"indicator": 0, "gaussian": 3, "powerlaw": 0}
 _SLICED_BLOCK = 32768
 _SLICED_SUMS = 2 ** 17
 _EDGE_RTOL = 2.0 ** -48
@@ -204,20 +207,6 @@ def _sliced_sums(field, p, r, o, s, c, r_max, panels, step, scale):
     return S, scale
 
 
-# the piece rules kept: four per exponent, for the last four non-integer p
-@lru_cache(maxsize=16)
-def _piece_rule(q: int, left: float, right: float):
-    """(x, W): q nodes on [-1, 1] and weights with sum W g(x) ~ int g for
-    g = (1 + x)^left (1 - x)^right times a smooth function: the Gauss-Jacobi
-    rule of that weight, its weights divided by it (Gauss-Legendre when
-    both are 0)."""
-    if not (left or right):
-        return quadrature._gl(q)
-    from scipy.special import roots_jacobi   # imported on first use: slow to load
-    x, w = roots_jacobi(q, right, left)
-    return x, w / ((1.0 + x) ** left * (1.0 - x) ** right)
-
-
 def _resum_cut_panels(field, p, r, o, s, c, a, pw, S, P, j, l, t, jump, store) -> None:
     """Sum again every region of panels that holds cuts t, as the pieces
     between them.
@@ -229,8 +218,9 @@ def _resum_cut_panels(field, p, r, o, s, c, a, pw, S, P, j, l, t, jump, store) -
     neighbouring panels too: a region is the panel of a root and one
     either side (regions that touch merge), and a piece takes 3
     _SLICED_NODES nodes of the Gauss-Jacobi rule whose weight is |t -
-    t*|^p at each end that is a root (``_piece_rule``).  The region's sum
-    goes into its first panel and its other panels are zeroed.
+    t*|^p at each end that is a root (``quadrature.gauss_jacobi``).  The
+    region's sum goes into its first panel and its other panels are
+    zeroed.
 
     At an odd p, D^p is smooth across a root, so in a panel whose cuts
     are all roots (no ``jump``) the last piece is not evaluated: its
@@ -265,7 +255,7 @@ def _resum_cut_panels(field, p, r, o, s, c, a, pw, S, P, j, l, t, jump, store) -
         keep[t.size:] &= ~smooth
     lo, hi, left, right, jj, ll, gg = (v[keep] for v in (lo, hi, left, right, jj, ll, gg))
     q = _SLICED_NODES * (2 * h + 1)
-    rules = [_piece_rule(q, e * h * p, f * h * p) for e in (0, 1) for f in (0, 1)]
+    rules = [quadrature.gauss_jacobi(q, e * h * p, f * h * p) for e in (0, 1) for f in (0, 1)]
     pick = 2 * left + right
     x = np.stack([x for x, _ in rules])
     w = np.stack([w for _, w in rules])
@@ -338,7 +328,8 @@ def _sliced_energy(field, mollifier, p, scheme):
     jump); a support crossing where the field exceeds _EDGE_RTOL of the
     largest value seen is a jump, cut at t = -c, -c - r and c - r.  The
     panels that hold cuts are summed again as the pieces between them
-    (``_resum_cut_panels``).  Lines go in blocks of about _SLICED_BLOCK
+    (``_resum_cut_panels``), with ``quadrature.gauss_jacobi`` pieces
+    at a non-integer p.  Lines go in blocks of about _SLICED_BLOCK
     field points, and in batches whose panel sums (nr per panel) number
     about _SLICED_SUMS.
 
@@ -351,9 +342,8 @@ def _sliced_energy(field, mollifier, p, scheme):
     (each with doubled weights), and is the larger of the two changes,
     plus sqrt(lines) units of rounding of the sum.  It does not see the
     panels' error or the lag rule's: at the defaults both lie below the
-    other two on smooth fields, but the power law's lag rule converges
-    only algebraically (about 2e-10 at level 4), and x_resolution 24
-    leaves 2.7e-11 of panel error on the 2D bump at p = 1.
+    other two on smooth fields, but x_resolution 24 leaves 2.7e-11 of
+    panel error on the 2D bump at p = 1.
 
     Raises
     ------

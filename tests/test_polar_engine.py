@@ -9,7 +9,9 @@ Sobolev residuals, the engine's last integrated functional, keep their
 pins.  The candidate term of a row with an offset table is
 U . (r sigma), no longer r (U . sigma): the 2D remainder pins and the
 2^-11 residual pin were taken again with it (1D values are unmoved, as
-sigma = +-1 is exact, and the default 3D row has no table).
+sigma = +-1 is exact, and the default 3D row has no table).  The
+power-law pins were taken again when its rows became Gauss in r with a
+Gauss-Jacobi first panel in the kernel's own weight.
 """
 
 import numpy as np
@@ -129,37 +131,37 @@ DENSITY_PINS = {
     'd1-bump': (
         '0x1.583b98fe3ff12p+0', '0x1.1b7e398809ebap+0', '0x1.d43d67a0d6538p-1',
         '0x1.56a61db5d88bap+0', '0x1.19f5eba9a2171p+0', '0x1.d1c2d3f1243acp-1',
-        '0x1.3ef5c527d73ecp+0', '0x1.06244d2b20fa2p+0', '0x1.b348dbcda2ddep-1',
+        '0x1.3ef591036043ep+0', '0x1.06244a90226d5p+0', '0x1.b348dbbf212dbp-1',
     ),
     'd1-linear': (
         '0x1.b3333333332e6p+1', '0x1.1bb7375f7abc6p+2', '0x1.71eb851eb84dcp+2',
         '0x1.b333333333337p+1', '0x1.1bb7375f7abfbp+2', '0x1.71eb851eb851fp+2',
-        '0x1.b33333354391ep+1', '0x1.1bb737617f6e4p+2', '0x1.71eb85223a8c2p+2',
+        '0x1.b333333333232p+1', '0x1.1bb7375f7ab44p+2', '0x1.71eb851eb8422p+2',
     ),
     'd1-mixed-in': (
         '0x1.03a476de3c272p+2', '0x1.44d964187e1fdp+3', '0x1.b608bb1cd9015p+4',
         '0x1.042ba120a09d5p+2', '0x1.328117ce2a1b8p+3', '0x1.8634264ca63f7p+4',
-        '0x1.0f47a47e2448cp+1', '0x1.f162384f0c80ap+1', '0x1.165e3cc1c1826p+3',
+        '0x1.0f47a480e67b6p+1', '0x1.f1623850e63dfp+1', '0x1.165e3cc2081f9p+3',
     ),
     'd1-mixed-mid': (
         '0x1.cccd21753ae17p+0', '0x1.b8535bf96d26cp+0', '0x1.a6b9512475c58p+0',
         '0x1.cccccccccccc8p+0', '0x1.b961cd15e2d7cp+0', '0x1.a962fc962fc92p+0',
-        '0x1.0f7abf2f3753ap+1', '0x1.244f07af0207ep+1', '0x1.455bb1fb4662ep+1',
+        '0x1.0f7abf2d1950bp+1', '0x1.244f07abfecbfp+1', '0x1.455bb1f776e20p+1',
     ),
     'd1-mixed-out': (
         '0x1.4cccccccccc92p+2', '0x1.0c8b68f5e627ap+3', '0x1.b1a3d70a3d6b6p+3',
         '0x1.4ccccccccccd3p+2', '0x1.0c9f4411f2552p+3', '0x1.b1f92c5f92c74p+3',
-        '0x1.4cccccd0c5e97p+2', '0x1.0e43645a33017p+3', '0x1.b8fce235f61c1p+3',
+        '0x1.4cccccccccbcap+2', '0x1.0e43645564e96p+3', '0x1.b8fce22ba180cp+3',
     ),
     'd1-step-mid': (
         '0x1.d576aca4cfcd2p-22', '0x1.474146db34c00p-21', '0x1.c854ae8bc36f4p-21',
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
-        '0x1.121181f188eb4p-1', '0x1.4c2230d75ccecp-1', '0x1.9668c55d7fd0ep-1',
+        '0x1.121181f188eb3p-1', '0x1.4c2230d75cce9p-1', '0x1.9668c55d7fd0bp-1',
     ),
     'd1-interval': (
         '0x1.52a1b866bb8cap-17', '0x1.f0249fac52c96p-17', '0x1.6b8e10e83156ep-16',
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
-        '0x1.48a2c6358b904p-1', '0x1.9b65e8275c803p-1', '0x1.04c9a2a1b34dcp+0',
+        '0x1.48a2c6358b904p-1', '0x1.9b65e8275c804p-1', '0x1.04c9a2a1b34dcp+0',
     ),
     'd1-batch': (
         '0x1.03a476de3c272p+2', '0x1.cccd21753ae17p+0', '0x1.4cccccccccc92p+2',
@@ -170,10 +172,10 @@ DENSITY_PINS = {
         '0x1.0000000000002p+3', '0x1.328117ce2a1b8p+3', '0x1.b961cd15e2d7cp+0',
         '0x1.0c9f4411f2552p+3', '0x1.0020013373496p+4', '0x1.8634264ca63f7p+4',
         '0x1.a962fc962fc92p+0', '0x1.b1f92c5f92c74p+3', '0x1.005555555555ap+5',
-        '0x1.0f47a47e2448cp+1', '0x1.0f7abf2f3753ap+1', '0x1.4cccccd0c5e97p+2',
-        '0x1.00000000d707ap+3', '0x1.f162384f0c80ap+1', '0x1.244f07af0207ep+1',
-        '0x1.0e43645a33017p+3', '0x1.00c8c592c1a84p+4', '0x1.165e3cc1c1826p+3',
-        '0x1.455bb1fb4662ep+1', '0x1.b8fce235f61c1p+3', '0x1.021642ca071a6p+5',
+        '0x1.0f47a480e67b6p+1', '0x1.0f7abf2d1950bp+1', '0x1.4cccccccccbcap+2',
+        '0x1.ffffffffffcecp+2', '0x1.f1623850e63dfp+1', '0x1.244f07abfecbfp+1',
+        '0x1.0e43645564e96p+3', '0x1.00c8c5917efbep+4', '0x1.165e3cc2081f9p+3',
+        '0x1.455bb1f776e20p+1', '0x1.b8fce22ba180cp+3', '0x1.021642c858e1fp+5',
     ),
     'd1-batch-out': (
         '0x1.4cccccccccc92p+2', '0x1.fffffffffffa2p+2', '0x1.3ffffffffffcbp+3',
@@ -182,49 +184,49 @@ DENSITY_PINS = {
         '0x1.4ccccccccccd3p+2', '0x1.0000000000002p+3', '0x1.4000000000008p+3',
         '0x1.0c9f4411f2552p+3', '0x1.0020013373496p+4', '0x1.65e1f7fd9653ep+4',
         '0x1.b1f92c5f92c74p+3', '0x1.005555555555ap+5', '0x1.9055555555568p+5',
-        '0x1.4cccccd0c5e97p+2', '0x1.00000000d707ap+3', '0x1.400000010377cp+3',
-        '0x1.0e43645a33017p+3', '0x1.00c8c592c1a84p+4', '0x1.6678c850f1724p+4',
-        '0x1.b8fce235f61c1p+3', '0x1.021642ca071a6p+5', '0x1.921642cae1b6cp+5',
+        '0x1.4cccccccccbcap+2', '0x1.ffffffffffcecp+2', '0x1.3fffffffffe98p+3',
+        '0x1.0e43645564e96p+3', '0x1.00c8c5917efbep+4', '0x1.6678c84f3e2e2p+4',
+        '0x1.b8fce22ba180cp+3', '0x1.021642c858e1fp+5', '0x1.921642c858df6p+5',
     ),
     'd1-remainder-bump': (
         '0x1.05267ec9f21c6p-3', '0x1.254ea0b577da3p-5', '0x1.5d1175b52d0c4p-7',
         '0x1.2602460bd7686p-3', '0x1.68fc24485cdeap-5', '0x1.d2d8cbe150872p-7',
-        '0x1.ea1880e5c0184p-3', '0x1.1e74705616873p-3', '0x1.83c887bd96b43p-4',
+        '0x1.ea1880e57c404p-3', '0x1.1e7461e9877e0p-3', '0x1.83c887bd96b43p-4',
     ),
     'd1-remainder-mixed-in': (
         '0x1.dba1b24d299c4p+1', '0x1.32d587a609098p+3', '0x1.9d5990818111ap+4',
         '0x1.da42c75ff98c6p+1', '0x1.1f74cb6f2e574p+3', '0x1.6d77777777776p+4',
-        '0x1.be14d871bb3a4p+0', '0x1.ba2193bf9d58cp+1', '0x1.fb99aa8900e18p+2',
+        '0x1.be14d871cf57dp+0', '0x1.ba2194011a720p+1', '0x1.fb99aa8900de5p+2',
     ),
     'd1-remainder-mixed-out': (
         '0x1.c5bf891b4ec2ep-3', '0x1.4cbc7624835a2p-4', '0x1.ffffffffff2fcp-6',
         '0x1.ffffffffffd30p-3', '0x1.999999798b96ap-4', '0x1.55555555554b6p-5',
-        '0x1.d89d89d845792p-2', '0x1.555555555537ep-2', '0x1.0b21642c858f8p-2',
+        '0x1.d89d89d89c55ap-2', '0x1.555544fbaa638p-2', '0x1.0b21642c858f6p-2',
     ),
     'd1-omega': (
         '0x1.4e083dfab52bep+0', '0x1.1429ae3856019p+0', '0x1.c9b2d471bcea2p-1',
         '0x1.3bdf014fd1ea2p+0', '0x1.06976e671c4b1p+0', '0x1.b5bcb27eb2e8cp-1',
-        '0x1.fcb4993cf95bdp-1', '0x1.a936e6c80e548p-1', '0x1.64070b16ef4eap-1',
+        '0x1.fcb4993259d42p-1', '0x1.a936e6bae662cp-1', '0x1.64070b0873b1ep-1',
     ),
     'd1-omega-out': (
         '0x1.4cccccccccc92p+2', '0x1.0c8b68f5e627ap+3', '0x1.b1a3d70a3d6b6p+3',
         '0x1.4ccccccccccd3p+2', '0x1.0c9f4411f2552p+3', '0x1.b1f92c5f92c74p+3',
-        '0x1.4cccccd0c5e97p+2', '0x1.0e43645a33017p+3', '0x1.b8fce235f61c1p+3',
+        '0x1.4cccccccccbcap+2', '0x1.0e43645564e96p+3', '0x1.b8fce22ba180cp+3',
     ),
     'd2-bump': (
         '0x1.a4500c8a2930ap+1', '0x1.4cead2f11925fp+1', '0x1.0f34717f3e4acp+1',
         '0x1.a2bb30c1a27c4p+1', '0x1.4b17e8dbb4bb8p+1', '0x1.0d45aa4f71491p+1',
-        '0x1.6ef62a2a046b2p+1', '0x1.13a76183744b0p+1', '0x1.ac6643f556174p+0',
+        '0x1.6ef60267e8e57p+1', '0x1.13a75ff832c84p+1', '0x1.ac6643e8e85b6p+0',
     ),
     'd2-linear': (
         '0x1.8669e5fc20354p+2', '0x1.a5e6f579cd7ddp+2', '0x1.d4796b7ee24dep+2',
         '0x1.8669e5fc2039ap+2', '0x1.a5e6f579cd82ap+2', '0x1.d4796b7ee252ep+2',
-        '0x1.8669e5fc2039cp+2', '0x1.a5e6f579cd824p+2', '0x1.d4796b7ee252dp+2',
+        '0x1.8669e5fc20399p+2', '0x1.a5e6f579cd828p+2', '0x1.d4796b7ee252ep+2',
     ),
     'd2-bump-scheme': (
         '0x1.a43cbe2d764c1p+1', '0x1.4cd70a2da5c28p+1', '0x1.0f3442bd2dcfap+1',
         '0x1.a3dbba5cccb98p+1', '0x1.4b5523ee33ff4p+1', '0x1.0d456c4dcaafcp+1',
-        '0x1.6f2faafffcfc5p+1', '0x1.13b3e528c3364p+1', '0x1.ac640d6650b5ep+0',
+        '0x1.6f31bed348c6ep+1', '0x1.13b40a8b1e99ep+1', '0x1.ac640bc2d1a62p+0',
     ),
     'd2-batch': (
         '0x1.a4500c8a2930ap+1', '0x1.b1cb62d04995dp+1', '0x1.45676e5e12c24p+1',
@@ -233,59 +235,59 @@ DENSITY_PINS = {
         '0x1.a2bb30c1a27c4p+1', '0x1.b00b95e607236p+1', '0x1.4481277bd6f30p+1',
         '0x1.4b17e8dbb4bb8p+1', '0x1.5a90b9cae708cp+1', '0x1.c4d942a2f7e30p+0',
         '0x1.0d45aa4f71491p+1', '0x1.1dc0e5dc963ecp+1', '0x1.45bad1c0725b5p+0',
-        '0x1.6ef62a2a046b2p+1', '0x1.708d4271b378ep+1', '0x1.1e451311c2557p+1',
-        '0x1.13a76183744b0p+1', '0x1.11dd04cf4b1f2p+1', '0x1.7ef19fa3b1cb3p+0',
-        '0x1.ac6643f556174p+0', '0x1.a3d26c09d6047p+0', '0x1.0c9b87572565ap+0',
+        '0x1.6ef60267e8e57p+1', '0x1.708d2b7494c03p+1', '0x1.1e4518259ffa4p+1',
+        '0x1.13a75ff832c84p+1', '0x1.11dd0405cee76p+1', '0x1.7ef19fc51f655p+0',
+        '0x1.ac6643e8e85b6p+0', '0x1.a3d26bf9e6bb2p+0', '0x1.0c9b8753e0aecp+0',
     ),
     'd2-remainder': (
         '0x1.a6861876609f9p-2', '0x1.eb28f75da2c84p-4', '0x1.3019558a83292p-5',
         '0x1.f25f1f9bb7911p-2', '0x1.366ad2dd5c752p-3', '0x1.95bf15b141828p-5',
-        '0x1.8c8c6d1e10ac2p+0', '0x1.e6d91e93a80f2p-1', '0x1.3fa57557b9416p-1',
+        '0x1.8c8c6d5ec27d9p+0', '0x1.e6d91fae804eap-1', '0x1.3fa5756b06b80p-1',
     ),
     'd2-disk-in': (
         '0x1.fad4cd3e43139p+2', '0x1.3cad11b4bb9c8p+4', '0x1.91e4bd91aa71ap+5',
         '0x1.27850528b8f6dp+3', '0x1.5cafd3432c4a3p+4', '0x1.a120852c4165ep+5',
-        '0x1.8c72329006950p+2', '0x1.3a42f2801fc78p+3', '0x1.1237a71e922c2p+4',
+        '0x1.8b3cde2c2e504p+2', '0x1.38df9714a63afp+3', '0x1.10737700c32c0p+4',
     ),
     'd2-disk-out': (
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
-        '0x1.5c7c9f3ffb2e0p-1', '0x1.6e2b9d0da946ep-1', '0x1.812c338b65ab8p-1',
+        '0x1.5d3cacd9c9476p-1', '0x1.6f00e83537c42p-1', '0x1.8218bd9a97282p-1',
     ),
     'd2-box': (
         '0x1.1ad61bb8ef291p-2', '0x1.08499abe31530p-1', '0x1.ef078b779facep-1',
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
-        '0x1.bf0d72c69d216p+2', '0x1.24696ad8648a2p+3', '0x1.8ae3c8f490f76p+3',
+        '0x1.c07f605b856f3p+2', '0x1.25dc743b458bcp+3', '0x1.8dbdb3985416ep+3',
     ),
     'd2-half-space': (
         '0x1.0248abe096374p+2', '0x1.2d78849167ba2p+3', '0x1.636036cdcd907p+4',
         '0x1.77322dbf0690bp+2', '0x1.a848974d47b8ep+3', '0x1.e34ae2954cb48p+4',
-        '0x1.2615c9d36f53ap+2', '0x1.c24943a6351eap+2', '0x1.736f310c08c7cp+3',
+        '0x1.25041d0644f1ap+2', '0x1.c00758b0e969bp+2', '0x1.70f8f0121d036p+3',
     ),
     'd2-omega': (
         '0x1.a44efae77d3cdp+1', '0x1.4ce9dd6702036p+1', '0x1.0f339521a9834p+1',
         '0x1.a2bb30c1a27c4p+1', '0x1.4b17e8dbb4bb8p+1', '0x1.0d45aa4f71491p+1',
-        '0x1.b73e6b4c76756p+0', '0x1.398f59f9ef23cp+0', '0x1.d712a2cf8c4aep-1',
+        '0x1.b73f49e878e98p+0', '0x1.3998dbcdd3b46p+0', '0x1.d72fd8a64bf91p-1',
     ),
     'd2-omega-box': (
         '0x1.a4500c8a2930ap+1', '0x1.4cead2f11925fp+1', '0x1.0f34717f3e4acp+1',
         '0x1.a2bb30c1a27c4p+1', '0x1.4b17e8dbb4bb8p+1', '0x1.0d45aa4f71491p+1',
-        '0x1.6ef62a2a046b2p+1', '0x1.13a76183744b0p+1', '0x1.ac6643f556174p+0',
+        '0x1.6ef60267e8e57p+1', '0x1.13a75ff832c84p+1', '0x1.ac6643e8e85b6p+0',
     ),
     'd3-bump': (
         '0x1.556cc5cfeed98p+2', '0x1.f68728edd1662p+1', '0x1.80fcdc4606f16p+1',
         '0x1.54b8596167404p+2', '0x1.f4cb32f0cb454p+1', '0x1.7f11ee211bf63p+1',
-        '0x1.2d89c89dad9c2p+2', '0x1.9a869b7b6e3cbp+1', '0x1.21795eef0c534p+1',
+        '0x1.2d89c55d1f5e6p+2', '0x1.9a869c579176ap+1', '0x1.2179603c97ed0p+1',
     ),
     'd3-remainder': (
         '0x1.b02e038f75555p-1', '0x1.fd110f6fd1b18p-3', '0x1.3bb95e9ee08e0p-4',
         '0x1.e7b13258dab41p-1', '0x1.2a73138f83700p-2', '0x1.7ae9fea72055cp-4',
-        '0x1.abca9c6bf12ffp+1', '0x1.fa9de6153fa80p+0', '0x1.3a9a7bf73a9bcp+0',
+        '0x1.abc9e2bfb654dp+1', '0x1.fa9dbbfc3a6a8p+0', '0x1.3a9a795e9ddfbp+0',
     ),
     'd3-linear-small': (
         '0x1.d6ab31d79ea3cp+3', '0x1.198a45fa6205ap+4', '0x1.5fdc05b303b2ep+4',
         '0x1.d6aad2bf24557p+3', '0x1.198a0d183c45dp+4', '0x1.5fdbbe9bba776p+4',
-        '0x1.d6aad2bf24557p+3', '0x1.198a0d183c45cp+4', '0x1.5fdbbe9bba774p+4',
+        '0x1.d6aad2bf24553p+3', '0x1.198a0d183c45cp+4', '0x1.5fdbbe9bba772p+4',
     ),
     'd3-batch-small': (
         '0x1.55c8d3ab471f0p+2', '0x1.3dcf319d6e088p+2', '0x1.5104cb8cd9e57p+2',
@@ -294,14 +296,14 @@ DENSITY_PINS = {
         '0x1.557cf37d69699p+2', '0x1.3d69e077ba922p+2', '0x1.50d65569b80cep+2',
         '0x1.f51835d2e35d5p+1', '0x1.c1c3c5c3905fcp+1', '0x1.ea58f215cc81fp+1',
         '0x1.7f11ee20992c7p+1', '0x1.4bf774b9ce234p+1', '0x1.7469d9499724ap+1',
-        '0x1.2d8862e8dc3e8p+2', '0x1.09f5461c7328fp+2', '0x1.3cb75032bf7f8p+2',
-        '0x1.9a86833a640f8p+1', '0x1.5240baacd64a0p+1', '0x1.bcb1a796c7572p+1',
-        '0x1.21794c81b7b4ep+1', '0x1.bf36283448c03p+0', '0x1.43b5e7fa0699ep+1',
+        '0x1.2d89cc5c6c0d5p+2', '0x1.09f42cb48a272p+2', '0x1.3cb6a40bd9686p+2',
+        '0x1.9a86c6e115664p+1', '0x1.52409fab1addbp+1', '0x1.bcb17b8101a3bp+1',
+        '0x1.21795e0d9970cp+1', '0x1.bf364c0277766p+0', '0x1.43b5f193ec0ddp+1',
     ),
     'd3-ball': (
         '0x1.52709496b87a2p-19', '0x1.d2ff61a010533p-19', '0x1.4246b503cb35fp-18',
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
-        '0x1.3bfc632a42b58p+2', '0x1.5fd48b9b12644p+2', '0x1.8a51e838e83e4p+2',
+        '0x1.3add315427f5bp+2', '0x1.5f465ac6a9d7bp+2', '0x1.8a85512f5a1abp+2',
     ),
 }
 ENERGY_PINS = {

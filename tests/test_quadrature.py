@@ -31,6 +31,50 @@ def test_gauss_legendre_rules_match_scipy():
         np.testing.assert_allclose(w, ws, rtol=0, atol=1e-12, err_msg=f"q={q}")
 
 
+def jacobi_moment(left, right, k):
+    """int (1 + x)^(left + k) (1 - x)^right dx on [-1, 1]: 2^(left + k +
+    right + 1) B(left + k + 1, right + 1), 2^(left+k+1) / (left+k+1) at
+    right = 0."""
+    a, b = left + k + 1.0, right + 1.0
+    return 2.0 ** (a + b - 1.0) * math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
+# the weights in use: (delta + d - 2, 0) for the power law's first radial
+# panel, and (p, 0), (0, p), (p, p) for the sliced route's pieces
+RADIAL_PAIRS = [(delta + d - 2.0, 0.0) for delta in (0.1, 0.2, 0.3, 0.5, 0.9)
+                for d in (1, 2, 3)]
+SLICED_PAIRS = [pair for p in (1.2, 1.5, 2.5) for pair in ((p, 0.0), (0.0, p), (p, p))]
+
+
+@pytest.mark.parametrize("q,pairs,rtol", [(8, RADIAL_PAIRS + SLICED_PAIRS, 1e-14),
+                                          (24, SLICED_PAIRS, 4e-14)],
+                         ids=["radial-8", "sliced-24"])
+def test_gauss_jacobi_integrates_its_moments(q, pairs, rtol):
+    # exact for the weight times a polynomial of degree < 2q; at 24 nodes
+    # a degree-47 moment carries ~47 ulp of each node's rounding (scipy's
+    # roots_jacobi is 1.8e-14 off at 8 nodes)
+    for left, right in pairs:
+        x, w = Q.gauss_jacobi(q, left, right)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0) and abs(x).max() < 1.0
+        for k in range(2 * q):
+            got = float(np.dot(w * (1.0 + x) ** left * (1.0 - x) ** right, (1.0 + x) ** k))
+            assert got == pytest.approx(jacobi_moment(left, right, k), rel=rtol, abs=0), \
+                (left, right, k)
+
+
+def test_gauss_jacobi_is_shared_read_only_and_legendre_at_zero():
+    x, w = Q.gauss_jacobi(8, 0.3, 0.0)
+    assert Q.gauss_jacobi(8, 0.3, 0.0)[0] is x
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert Q.gauss_jacobi(8, 0.0, 0.0) is Q._gl(8)
+    # the symmetric weight gives a symmetric rule
+    x, w = Q.gauss_jacobi(24, 1.5, 1.5)
+    np.testing.assert_allclose(x, -x[::-1], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w, w[::-1], rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sphere_weights_sum_to_area(d):
     rule = Q.sphere_rule(d)
@@ -98,13 +142,14 @@ def test_radial_rule_indicator_support():
     assert np.all(rule.nodes < 0.25)
 
 
-def test_powerlaw_transform_makes_measure_flat():
-    # after r = s**alpha the transformed measure is constant, so even a
-    # level-0 rule integrates the mass exactly
-    m = mf.power_law(0.1, 1)
-    rule = Q.radial_rule(m, 0)
-    mass = float(np.dot(rule.weights, Q.radial_measure(m, rule)))
-    assert mass == pytest.approx(1.0, abs=1e-12)
+def test_powerlaw_level_0_rule_integrates_the_mass_exactly():
+    # a level-0 row is one panel of Gauss-Jacobi in the kernel's own
+    # weight r^(delta+d-2), so it integrates the mass exactly
+    for d in (1, 2, 3):
+        m = mf.power_law(0.1, d)
+        rule = Q.radial_rule(m, 0)
+        mass = float(np.dot(rule.weights, Q.radial_measure(m, rule)))
+        assert mass == pytest.approx(1.0, abs=1e-14)
 
 
 def polar_sum(m, sphere, radial, F):
@@ -345,13 +390,23 @@ def test_shared_rule_arrays_refuse_writes(d):
         assert np.array_equal(a, keep)
 
 
+def test_no_breakpoint_free_row_has_a_node_below_the_remainder_floor():
+    # the floor zeroes nodes below 1e-8 r_max, where a remainder's
+    # quotient is rounding noise; a power law's first panel, Gauss in its
+    # own weight, keeps its nodes above it (1D delta = 0.1 at level 12:
+    # 3.9e-7 r_max), as the uniform rows of the other families do
+    for m in (mf.indicator(0.25, 1), mf.gaussian(64.0, 2), mf.power_law(0.01, 1),
+              mf.power_law(0.1, 1), mf.power_law(0.3, 2), mf.power_law(0.3, 3)):
+        for level in range(Q.MAX_RADIAL_LEVEL + 1):
+            row = Q.kernel_radial_rule(m, level)
+            assert row.nodes.min() >= F._REMAINDER_R_FLOOR * row.r_max, (m.label, level)
+
+
 def test_a_remainder_leaves_the_shared_row_unchanged():
-    # the 1D power law's substitution puts a node below the remainder
-    # floor: remainder sums zero its weight, in their own copy
+    # remainder sums divide the shared row's weights by r^p and floor
+    # them in their own copy
     m = mf.power_law(0.3, 1)
     row = Q.kernel_radial_rule(m)
-    floor = row.nodes < F._REMAINDER_R_FLOOR * row.r_max
-    assert floor.any() and np.all(row.weights[floor] > 0.0)
     nodes, weights = row.nodes.copy(), row.weights.copy()
     u = fields.gaussian_bump(1)
     req = F.DensityRequest(u, m, 1.5, [0.4])

@@ -156,14 +156,32 @@ def test_a_steeper_tilt_needs_more_directions():
     check(*S._sliced_energy(u, m, 1.0, QuadratureScheme(sphere_order=24)), exact, 1e-12)
 
 
-@pytest.mark.parametrize("p", [1.5])
-def test_the_power_law_reaches_its_level_4_floor(p):
-    # its measure converges only algebraically in the lag rule: level 3
-    # is 7e-10 off at delta = 0.3, level 4 (the default) 1.2e-10 (p = 1)
-    # and 2.5e-10 (p = 1.5); the estimate does not see the lag rule
-    m = mf.power_law(0.3, 2)
-    value, _ = S._sliced_energy(fields.gaussian_bump(2), m, p, DEFAULT)
-    assert value == pytest.approx(oracle(2, np.eye(2), 1.0, p, m), rel=5e-10, abs=0)
+@pytest.mark.parametrize("delta", [0.1, 0.3])
+@pytest.mark.parametrize("p,rtol", [(1.5, 1e-6), (3.0, 1e-8)])
+def test_1d_power_law_lag_energies_meet_the_g1_oracle(delta, p, rtol):
+    # in 1D the field is one line: G(r) = g1(r, p) on either side, and in
+    # t = r^delta the kernel's measure is dt, so E = 2 int_0^1
+    # g1(t^(1/delta), p) t^(-p/delta) dt.  1e-6 at p = 1.5 is the lag
+    # route's floor from x-panels that hold the kink of |u(x+r) - u(x)|;
+    # the substitution's lag rows were -1.4e-2 (p = 1.5) and -2.1e-3
+    # (p = 3) off at delta = 0.1
+    u, m = fields.gaussian_bump(1), mf.power_law(delta, 1)
+    assert F.energy_route(u, p, m) == "lag"
+    exact, _ = quad(lambda t: float(g1(t ** (1.0 / delta), p)) / t ** (p / delta),
+                    0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert F.energy(u, m, p) == pytest.approx(2.0 * exact, rel=rtol, abs=0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("delta", [0.1, 0.3])
+def test_the_power_law_meets_the_oracle_on_its_8_lags(delta, p):
+    # the default lag row is one panel of 8 Gauss-Jacobi nodes in the
+    # kernel's own weight r^delta, which makes its measure exact: ~1e-15
+    # off, where 128 lags of the r = s^(1/(delta+1)) substitution were
+    # 1.1e-11 to 6.9e-10 off; the estimate sees what is left
+    m = mf.power_law(delta, 2)
+    check(*S._sliced_energy(fields.gaussian_bump(2), m, p, DEFAULT),
+          oracle(2, np.eye(2), 1.0, p, m), 1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
