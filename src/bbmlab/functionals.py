@@ -322,12 +322,11 @@ def _offset_table(row: quadrature.KernelRule, sphere: quadrature.SphereRule) -> 
     table = np.ones((1 + d, n * sphere.nodes.shape[0]))
     np.multiply(row.nodes[:, None], sphere.nodes.T[:, None, :],
                 out=table[1:].reshape(d, n, -1))
-    table.flags.writeable = False
-    return table
+    return quadrature._read_only(table)[0]
 
 
 def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
-                omega=None, scheme=DEFAULT_SCHEME) -> np.ndarray:
+                omega=None, origin_power=0.0, scheme=DEFAULT_SCHEME) -> np.ndarray:
     """The polar densities at m probes (m, d) -> (m,).
 
     Each value is sum_r w_r rho(r) r^(d-1-p) sum_sigma w_sigma F(r, sigma)
@@ -336,7 +335,9 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     outside Omega.  The sigma-sum runs over the scheme's sphere rule.
     Row i of ``breaks`` (m, J) holds the
     breakpoint radii of probe i; those inside (0, r_max) become panel
-    edges of its radial rule, graded down to the nearest of them.  When
+    edges of its radial rule, graded down to the nearest of them, and
+    ``origin_power`` is the integrand's own power of r at 0, which a
+    power law's first panel carries (``quadrature.radial_rule``).  When
     every breakpoint lies at or beyond r_max (J = 0 included), which
     ``radial_rules`` would ignore, all probes share one breakpoint-free
     row, bit for bit the rule they would get; otherwise the rows are
@@ -388,7 +389,7 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
     K = sig.shape[0]
     r_max = mollifier.quadrature_radius()
     per_probe = breaks.size > 0 and breaks.min() < r_max
-    rule = quadrature.kernel_radial_rule(mollifier, scheme.radial_level,
+    rule = quadrature.kernel_radial_rule(mollifier, scheme.radial_level, origin_power=origin_power,
                                          breakpoints=breaks if per_probe else ())
     # nodes r_all (1 or m, n), weights w rho(r) r^(d-1) / r^p, a fresh
     # array zeroed below the remainder floor when a gradient is subtracted
@@ -431,8 +432,7 @@ def _polar_many(field, mollifier, p, probes, breaks, *, subtract=None,
                 # of them doubled its page faults
                 np.add((r[:, :, None] * sig.T[:, None, None, :] if table is None else table[1:])
                        .reshape(d, -1, nK), x.T[:, :, None], out=nodes)
-            flat = nodes.reshape(d, -1).T
-            flat.flags.writeable = False
+            flat, = quadrature._read_only(nodes.reshape(d, -1).T)
             # every node of a block whose probes lie within R - r_max is
             # inside the support: the field's per-point mask is skipped
             kw = {"_unmasked": True} if inside is not None and inside[block].all() else {}
@@ -491,8 +491,10 @@ def remainder_density(req: DensityRequest):
     field, m, p, probes, scheme = req.validated()
     if isinstance(field, IndicatorSet):
         raise DomainError("set indicators have no gradient to subtract")
+    # below its nearest breakpoint the remainder of u is O(r^2), so its
+    # integrand carries r^p at 0
     values = _polar_many(field, m, p, probes, field.difference_breakpoints(probes),
-                         subtract=field.gradient_many(probes), scheme=scheme)
+                         subtract=field.gradient_many(probes), origin_power=p, scheme=scheme)
     return _shaped(req.probe, values)
 
 
@@ -723,7 +725,11 @@ def _lag_energy(field, mollifier, p, *, candidate=None,
     K, so the rest is smooth there wherever s is.  Per piece the sum
     adds its length times |K|^p - M, which is zero where at most one
     window holds it; per node it adds |D|^p - |K|^p with
-    D = s(x + sigma r) - s(x) [- sigma r U(x)] + K.
+    D = s(x + sigma r) - s(x) [- sigma r U(x)] + K.  Below the nearest
+    gap the windows' share of that sum is r^2 times a smooth function
+    of r and the rest r^p times one, so with jumps, a continuous part
+    and a non-integer p the windows' share is summed on the rule of
+    origin power 2 - p, whose first-panel lags are appended.
     Radii are taken in blocks of at most _CHUNK field points.
 
     Raises
@@ -741,10 +747,22 @@ def _lag_energy(field, mollifier, p, *, candidate=None,
     gaps, c1, cum_h, cum_hp = _jump_sums(a, h, p)
     rule = quadrature.kernel_radial_rule(mollifier, scheme.radial_level,
                                          breakpoints=gaps)
-    r = rule.nodes
-    wr = rule.weights / r ** p
+    r, wr = rule.nodes, rule.weights / rule.nodes ** p
     if candidate is not None:
         wr[r < _REMAINDER_R_FLOOR * r_max] = 0.0
+    # below the nearest gap the windows' share of G (its pieces with K !=
+    # 0) is r^2 times a smooth function and the rest r^p times one, so at
+    # a non-integer p the windows' share takes the rule whose first panel
+    # is Gauss in r^(2-p) too: ``split`` moves it from the plain rule's
+    # first-panel lags to that rule's, appended (a power law's; any other
+    # kernel's rule is the same, and its split is 0)
+    split = None
+    if candidate is None and c1 and cont is not None and p != round(p):
+        win = quadrature.kernel_radial_rule(mollifier, scheme.radial_level,
+                                            breakpoints=gaps, origin_power=2.0 - p)
+        head = win.nodes != r
+        split = np.concatenate([-wr * head, win.weights[head] / win.nodes[head] ** p])
+        r, wr = np.concatenate([r, win.nodes[head]]), np.concatenate([wr, 0.0 * win.nodes[head]])
     base = np.linspace(lo[0], hi[0], _LAG_X_PANELS + 1)
     signs = (1.0,) if candidate is None else (1.0, -1.0)
     # x-nodes a lag, each evaluated at x and at x + sigma r
@@ -776,6 +794,9 @@ def _lag_energy(field, mollifier, p, *, candidate=None,
                  + np.einsum("ij,ij->i", w, F))
             G = np.broadcast_to(G, rb.shape)
             total += float(np.dot(wr[start:start + step], G))
+            if split is not None:
+                F[np.repeat(K == 0.0, _LAG_X_NODES, axis=1)] = 0.0
+                total += float(np.dot(split[start:start + step], np.einsum("ij,ij->i", w, F)))
     total *= 2.0 / len(signs)
     if c1:
         # skipped without jumps: mu(1-p) may be inf there, and 0 * inf is NaN
@@ -1005,8 +1026,7 @@ def _shared_multiplier_row(mollifier, level: int):
     d = mollifier.dimension
     rule = quadrature.kernel_radial_rule(mollifier, level)
     r = rule.nodes
-    w = 2.0 * rule.weights / (r * r)
-    w.flags.writeable = False
+    w, = quadrature._read_only(2.0 * rule.weights / (r * r))
     pad = 1.0 + 1e-12
     # |S^(d-1)|/(2d): 1 in 1D, else the first coefficient of the t^2 series
     c2 = 1.0 if d == 1 else _SERIES_COEFFS[d][0]
@@ -1057,8 +1077,7 @@ def _midpoint_samples(field, lo, hi, n: int) -> np.ndarray:
     """
     first = lo[0] + (hi[0] - lo[0]) / n * (np.arange(n) + 0.5)
     if lo.size == 1:
-        pts = first[:, None]
-        pts.flags.writeable = False
+        pts, = quadrature._read_only(first[:, None])
         return _checked_samples(field.eval_many(pts), pts)
     cross = _midpoint_grid(lo[1:], hi[1:], n)[0]
     rows = max(1, _CHUNK // cross.shape[0])
@@ -1071,8 +1090,7 @@ def _midpoint_samples(field, lo, hi, n: int) -> np.ndarray:
             lo.size, x0.size, cross.shape[0])
         slab[0] = x0[:, None]
         slab[1:] = cross.T[:, None, :]
-        pts = slab.reshape(lo.size, -1).T
-        pts.flags.writeable = False
+        pts, = quadrature._read_only(slab.reshape(lo.size, -1).T)
         u[start:start + x0.size] = _checked_samples(field.eval_many(pts), pts).reshape(
             x0.size, -1)
     return u.reshape((n,) * lo.size)
@@ -1094,8 +1112,7 @@ def _shell_index(shape: tuple):
     present = np.bincount(jsq.ravel()) > 0
     index = (np.cumsum(present) - 1).astype(np.int32)[jsq.ravel()]
     levels = np.flatnonzero(present)
-    quadrature._read_only(index, levels)
-    return index, levels
+    return quadrature._read_only(index, levels)
 
 
 def _shell_masses(power: np.ndarray):

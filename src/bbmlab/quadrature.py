@@ -4,35 +4,35 @@ Integrals of the form
 
     int_0^inf rho(r) r^(d-1) [ int_{S^(d-1)} F(r, sigma) dsigma ] dr
 
-are sums over the product of a radial rule (composite Gauss-Legendre
-in r, whose first panel is Gauss-Jacobi in the power law's own weight
-r^(delta+d-2)) and a sphere rule.  This module builds the rules; the
-one polar sum over them is ``functionals._polar_many``, the 1D energies
-and the covariogram and multiplier routes sum over a radial rule alone,
-and the mass integrals of the built-in mollifiers are closed forms that
-need no rule at all.  A radial rule is split at the radii where the
-integrand jumps and graded dyadically from r_max down to the nearest of
-them (a power-law row on toward 0); without such radii it is the
-uniform rule.  Sphere rules are panel-composite so that integrands with a kink
-on the equator {sigma . e = 0} of the last coordinate axis are
-integrated to machine precision; plain uniform angles lose five orders
-of magnitude on such integrands.  Segment and axis rules (composite
-Gauss on intervals, graded toward their endpoints) serve one-dimensional
-integrals, such as the 1D local energy, which ``abs_power_integral``
-cuts where u' changes sign; ``roots`` finds those sign changes and
-``illinois`` refines them, as it does every root the library cuts at
-(the sliced route's kinks, the pathology's crossings).  Every rule is
-composite Gauss-Legendre, whose q-point rule ``_gl`` builds with numpy
-alone from the Legendre three-term recurrence, or Gauss-Jacobi in a
-weight (1 + x)^a (1 - x)^b, ``gauss_jacobi``, which serves the power
-law's first radial panel and the sliced route's pieces beside a root;
-it takes numpy's symmetric eigensolver, so building rules imports no
-scipy.
+are sums over the product of a radial rule (composite Gauss-Legendre in
+r, whose first panel is Gauss-Jacobi in the power law's own weight
+r^(delta+d-2), times the integrand's own power of r at 0) and a sphere
+rule.  This module builds the rules; the one polar sum over them is
+``functionals._polar_many``, the 1D energies and the covariogram and
+multiplier routes sum over a radial rule alone, and the mass integrals
+of the built-in mollifiers are closed forms that need no rule at all.  A
+radial rule is split at the radii where the integrand jumps and graded
+dyadically from r_max down to the nearest of them; without such radii it
+is the uniform rule.  Sphere rules are panel-composite so that
+integrands with a kink on the equator {sigma . e = 0} of the last
+coordinate axis are integrated to machine precision; plain uniform
+angles lose five orders of magnitude on such integrands.  Segment and
+axis rules (composite Gauss on intervals, graded toward their endpoints)
+serve one-dimensional integrals, such as the 1D local energy, which
+``abs_power_integral`` cuts where u' changes sign; ``roots`` finds those
+sign changes and ``illinois`` refines them, as it does every root the
+library cuts at (the sliced route's kinks, the pathology's crossings).
+Every rule is composite Gauss-Legendre, whose q-point rule ``_gl``
+builds with numpy alone from the Legendre three-term recurrence, or
+Gauss-Jacobi in a weight (1 + x)^a (1 - x)^b, ``gauss_jacobi``, which
+serves the power law's first radial panel and the sliced route's pieces
+beside a root; it takes numpy's symmetric eigensolver, so building rules
+imports no scipy.
 
 Rules that depend on nothing but their key are built once: sphere rules
 per (d, order), Gauss-Jacobi rules per (q, exponents) and the
 breakpoint-free kernel-weighted radial row of ``kernel_radial_rule`` per
-(mollifier, level).  The caches are bounded LRU caches
+(mollifier, level, origin power).  The caches are bounded LRU caches
 (``_SPHERE_CACHE_SIZE``, 32 and ``_RADIAL_CACHE_SIZE`` entries) whose
 arrays are shared read-only, so a write into one raises ValueError
 instead of corrupting later calls.  A 3D sphere rule of
@@ -78,9 +78,6 @@ _BISECTION_STEPS = 64
 # density ladder over d = 1-3 and three families of three rungs)
 _SPHERE_CACHE_SIZE = 16
 _RADIAL_CACHE_SIZE = 32
-# dyadic levels a power-law row with a breakpoint is graded on below its
-# nearest one: next to a jump the lag integrand has fractional powers of r
-_POWERLAW_ORIGIN_LEVELS = 12
 
 
 # compared and hashed by identity: the engine's caches key on shared rules
@@ -97,8 +94,9 @@ class RadialRule:
 
     ``sum(weights * rho(nodes) * nodes**(d-1) * g(nodes))`` approximates
     ``int_0^{r_max} g(r) rho(r) r^(d-1) dr``; where the first panel is
-    Gauss in the kernel's own weight, its weights are divided by that
-    weight, so the product with ``radial_measure`` restores it.  Nodes
+    Gauss in the kernel's own weight (times r^origin_power, for a g that
+    vanishes like it), its weights are divided by that weight, so the
+    product with ``radial_measure`` and g restores it.  Nodes
     and weights are (n,) for one rule and (m, n) for the stacked rules of
     ``radial_rules``.
     """
@@ -254,8 +252,9 @@ def abs_power_integral(g, lo: float, hi: float, p: float) -> float:
     return float(np.dot(w, _abs_power(g(nodes), p)))
 
 
-# the rules kept: a power law's first radial panel per (delta, d), and
-# the sliced route's four piece rules per non-integer p
+# the rules kept: a power law's first radial panel per (delta, d, origin
+# power, level 0 or not), and the sliced route's four piece rules per
+# non-integer p
 @lru_cache(maxsize=32)
 def gauss_jacobi(q: int, left: float, right: float):
     """(x, W): the q-point Gauss rule of the weight (1 + x)^left (1 - x)^right
@@ -284,7 +283,8 @@ def gauss_jacobi(q: int, left: float, right: float):
     off[1:2] = 4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
     off = np.sqrt(off[1:])
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    mass = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
+    mass = (2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0)
+            / math.gamma(a + b + 2.0))
     return _read_only(x, mass * v[0] ** 2 / ((1.0 + x) ** b * (1.0 - x) ** a))
 
 
@@ -389,15 +389,12 @@ def sphere_rule(d: int, order: int | None = None) -> SphereRule:
 @lru_cache(maxsize=_SPHERE_CACHE_SIZE)
 def _shared_sphere_rule(d: int, order: int) -> SphereRule:
     rule = _build_sphere_rule(d, order)
-    _read_only(rule.nodes, rule.weights)
-    return rule
+    return SphereRule(d, *_read_only(rule.nodes, rule.weights))
 
 
 def _build_sphere_rule(d: int, order: int) -> SphereRule:
     if d == 1:
-        nodes = np.array([[-1.0], [1.0]])
-        weights = np.array([1.0, 1.0])
-        return SphereRule(1, nodes, weights)
+        return SphereRule(1, np.array([[-1.0], [1.0]]), np.array([1.0, 1.0]))
     if d == 2:
         return _circle_rule(order)
     # d == 3: product rule
@@ -455,23 +452,26 @@ def _rotation_to(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def radial_rule(mollifier, level: int | None = None, *,
-                breakpoints=()) -> RadialRule:
+                breakpoints=(), origin_power: float = 0.0) -> RadialRule:
     """Radial rule adapted to a mollifier's support and singularity.
 
     The base rule is composite Gauss-Legendre with 2**level panels on
     (0, r_max) and RADIAL_NODES_PER_PANEL nodes a panel, in r for every
     kernel.  The power law's rho r^(d-1) = c r^(delta+d-2) is singular
-    (or not smooth) at 0, so its first panel [0, e_1] takes
-    ``gauss_jacobi`` in that weight instead, which makes the kernel's
-    measure exact there.  Breakpoints (radii where the integrand jumps)
-    become panel edges, and the panels are graded dyadically from r_max
-    down to the nearest breakpoint: beyond a jump at a small radius the
-    integrand falls off like 1/r^p, which uniform panels cannot resolve,
-    while below it the integrand is smooth.  A power-law row with a
-    breakpoint inside (0, r_max) is graded on toward 0, down to
-    2^-_POWERLAW_ORIGIN_LEVELS of its nearest breakpoint: next to a jump
-    the lag integrand of a 1D energy has fractional powers of r there.
-    This is the one-row case of ``radial_rules``.
+    (or not smooth) at 0, so its first panel takes ``gauss_jacobi`` in
+    that weight times r^origin_power, the integrand's own power of r at
+    0 (p for a remainder density of a smooth field): the rule is then
+    exact there for the kernel's measure times r^origin_power times a
+    polynomial.  From level 1 on, its first two base panels are one, of
+    2 RADIAL_NODES_PER_PANEL nodes, so the first Legendre panel lies two
+    of its widths from the weight's singularity (one width would leave
+    ~5e-13 of that panel's mass); a breakpoint below them ends that
+    panel.  Other kernels ignore origin_power.  Breakpoints (radii where
+    the integrand jumps) become panel edges, and the panels are graded
+    dyadically from r_max down to the nearest breakpoint: beyond a jump
+    at a small radius the integrand falls off like 1/r^p, which uniform
+    panels cannot resolve, while below it the integrand is smooth.  This
+    is the one-row case of ``radial_rules``.
 
     Parameters
     ----------
@@ -481,25 +481,28 @@ def radial_rule(mollifier, level: int | None = None, *,
     breakpoints : sequence of float, optional
         Radii at which the *integrand* is discontinuous (e.g. distances
         from a probe to the jump set of an indicator field).
+    origin_power : float, optional
+        The power of r by which the integrand, over the kernel, vanishes
+        at 0, default 0.
     """
-    rules = radial_rules(mollifier, level,
+    rules = radial_rules(mollifier, level, origin_power=origin_power,
                          breakpoints=np.asarray(breakpoints, dtype=float).reshape(1, -1))
     return RadialRule(rules.nodes[0], rules.weights[0], rules.r_max)
 
 
-def radial_rules(mollifier, level: int | None = None, *, breakpoints) -> RadialRule:
+def radial_rules(mollifier, level: int | None = None, *, breakpoints,
+                 origin_power: float = 0.0) -> RadialRule:
     """The radial rules of a batch of probes, stacked one row per probe.
 
     ``breakpoints`` has shape (m, J): row i holds the breakpoint radii of
     probe i (values outside (0, r_max) are ignored).  Row i of the result
     is, node for node and bit for bit, ``radial_rule`` with those
-    breakpoints: a power-law row is graded toward 0 by its own
-    breakpoints, never by the batch's.  Rows with fewer panels than the
-    longest row are padded with zero-width panels at r_max, i.e.
-    zero-weight nodes at r = r_max; no node is ever placed at r = 0.  A
-    power law's breakpoint-free row keeps every node above
-    ``functionals``' remainder floor of 1e-8 r_max at every level (the
-    1D delta = 0.01 row of level 12 starts at 3.8e-8 r_max).
+    breakpoints.  Rows with fewer panels than the longest row are padded
+    with zero-width panels at r_max, i.e. zero-weight nodes at r = r_max;
+    no node is ever placed at r = 0.  A power law's breakpoint-free row
+    keeps every node above ``functionals``' remainder floor of 1e-8
+    r_max at every level (the 1D delta = 0.01 row of level 12 starts at
+    1.9e-8 r_max).
 
     Returns a ``RadialRule`` whose nodes and weights have shape (m, n);
     ``kernel_radial_rule`` folds the kernel into the weights and shares
@@ -511,47 +514,48 @@ def radial_rules(mollifier, level: int | None = None, *, breakpoints) -> RadialR
         raise IntegrationError(
             f"radial level must lie in 0..{MAX_RADIAL_LEVEL}, got {level}")
     r_max, q = mollifier.quadrature_radius(), RADIAL_NODES_PER_PANEL
-    powerlaw = mollifier.kind == "powerlaw"
-    edges = _stacked_panel_edges(r_max, 2 ** level, np.asarray(breakpoints, dtype=float),
-                                 _POWERLAW_ORIGIN_LEVELS if powerlaw else 0)
+    fixed = np.linspace(0.0, r_max, 2 ** level + 1)
+    powerlaw, k = mollifier.kind == "powerlaw", 1 + (level > 0)
+    # a power law's first two base panels are one, of 2q nodes
+    edges = _stacked_panel_edges(np.delete(fixed, 1) if powerlaw and k == 2 else fixed,
+                                 np.asarray(breakpoints, dtype=float))
     nodes, weights = composite_gauss(edges, q)
     if powerlaw:
-        # rho r^(d-1) = c r^(delta+d-2): the first panel [0, e_1] is Gauss
-        # in that weight, so the kernel's measure is exact there
-        x, w = gauss_jacobi(q, mollifier.param + mollifier.dimension - 2.0, 0.0)
-        half = edges[..., 1:2] / 2.0
-        nodes[..., :q], weights[..., :q] = half + half * x, half * w
+        # rho r^(d-1) r^origin_power = c r^(delta+d-2+origin_power): the
+        # first panel is Gauss in that weight
+        x, w = gauss_jacobi(k * q, mollifier.param + mollifier.dimension - 2.0 + origin_power, 0.0)
+        half = edges[:, 1:2] / 2.0
+        nodes = np.concatenate([half + half * x, nodes[:, q:]], axis=1)
+        weights = np.concatenate([half * w, weights[:, q:]], axis=1)
     return RadialRule(nodes, weights, r_max)
 
 
-def _stacked_panel_edges(b, n_panels, breakpoints, origin_levels=0) -> np.ndarray:
+def _stacked_panel_edges(fixed: np.ndarray, breakpoints: np.ndarray) -> np.ndarray:
     """Panel edges on [0, b], one row per row of breakpoints -> (m, k).
 
-    Each row holds the uniform base edges, its breakpoints inside (0, b)
-    and the dyadic edges b 2^-j that are not below its nearest such
-    breakpoint times 2^-origin_levels; a row without one keeps the
-    uniform edges alone.  Edges closer than machine tolerance to the
-    previous one are dropped.  When all rows keep the same number of
-    edges (always so for one row) they are compacted by a reshape;
-    otherwise short rows are padded at b.
+    Each row holds the base edges ``fixed`` (from 0 to b), its
+    breakpoints inside (0, b) and the dyadic edges b 2^-j that are not
+    below its nearest such breakpoint; a row without one keeps the base
+    edges alone.  Edges closer than machine tolerance to the previous
+    one are dropped.  When all rows keep the same number of edges
+    (always so for one row) they are compacted by a reshape; otherwise
+    short rows are padded at b.
     """
     m, j = breakpoints.shape
-    fixed = np.linspace(0.0, b, n_panels + 1)
+    b = fixed[-1]
     if j == 0:
         return np.broadcast_to(fixed, (m, fixed.size))
     # a breakpoint outside (0, b), or a dyadic edge below the row's
-    # floor, becomes a duplicate of b; the floor is the row's nearest
-    # breakpoint, 2^-origin_levels of it where there is one
+    # nearest breakpoint, becomes a duplicate of b
     bp = np.where((breakpoints > 0.0) & (breakpoints < b), breakpoints, b)
     nearest = bp.min(axis=1, keepdims=True)
-    floor = nearest * np.where(nearest < b, 2.0 ** -origin_levels, 1.0)
-    # dyadic edges b 2^-j, j = 1 .. L, enough for the batch's lowest
-    # floor (a difference of logs, finite for a subnormal one too)
-    levels = math.ceil(math.log2(b) - math.log2(float(floor.min())))
+    # dyadic edges b 2^-j, j = 1 .. L, enough for the batch's nearest
+    # breakpoint (a difference of logs, finite for a subnormal one too)
+    levels = math.ceil(math.log2(b) - math.log2(float(nearest.min())))
     dyadic = b * 2.0 ** (-np.arange(1, levels + 1))
     edges = np.empty((m, fixed.size + dyadic.size + j))
     edges[:, :fixed.size] = fixed
-    edges[:, fixed.size:-j] = np.where(dyadic >= floor, dyadic, b)
+    edges[:, fixed.size:-j] = np.where(dyadic >= nearest, dyadic, b)
     edges[:, -j:] = bp
     edges.sort(axis=1)
     keep = np.empty(edges.shape, dtype=bool)
@@ -573,26 +577,28 @@ def radial_measure(mollifier, rule: RadialRule) -> np.ndarray:
 
 
 def kernel_radial_rule(mollifier, level: int | None = None, *,
-                       breakpoints=()) -> KernelRule:
+                       breakpoints=(), origin_power: float = 0.0) -> KernelRule:
     """The radial rule of ``radial_rule`` (breakpoints of shape (J,)) or of
     ``radial_rules`` (shape (m, J)) with weights w rho(r) r^(d-1).
 
     Without breakpoints (none given, or J = 0) the rule is one row of
-    shape (n,), built once per (mollifier, level) and shared: its arrays
-    are read-only, and a bounded LRU cache holds the last
-    ``_RADIAL_CACHE_SIZE`` rows (8 * 2^level nodes each, 32768 at
-    MAX_RADIAL_LEVEL).  A caller that changes weights, such as the
-    remainder floor, changes its own copy, e.g. the fresh array of a
-    division by r^p.  With breakpoints the rule is built per call.
-    Either way the weights are, bit for bit, ``rule.weights *
-    radial_measure(mollifier, rule)`` of the plain rule.
+    shape (n,), built once per (mollifier, level, origin_power) and
+    shared (a kernel other than the power law shares its row across
+    origin powers, which it ignores): its arrays are read-only, and a
+    bounded LRU cache holds the last ``_RADIAL_CACHE_SIZE`` rows (8 *
+    2^level nodes each, 32768 at MAX_RADIAL_LEVEL).  A caller that
+    changes weights, such as the remainder floor, changes its own copy,
+    e.g. the fresh array of a division by r^p.  With breakpoints the
+    rule is built per call.  Either way the weights are, bit for bit,
+    ``rule.weights * radial_measure(mollifier, rule)`` of the plain rule.
     """
     bp = np.asarray(breakpoints, dtype=float)
     if bp.size == 0:
         return _shared_kernel_row(
-            mollifier, DEFAULT_RADIAL_LEVEL if level is None else level)
-    return _kernel_rule(mollifier, radial_rules(mollifier, level, breakpoints=bp)
-                        if bp.ndim == 2 else radial_rule(mollifier, level, breakpoints=bp))
+            mollifier, DEFAULT_RADIAL_LEVEL if level is None else level,
+            origin_power if mollifier.kind == "powerlaw" else 0.0)
+    return _kernel_rule(mollifier, (radial_rules if bp.ndim == 2 else radial_rule)(
+        mollifier, level, breakpoints=bp, origin_power=origin_power))
 
 
 def _kernel_rule(mollifier, rule: RadialRule) -> KernelRule:
@@ -601,7 +607,6 @@ def _kernel_rule(mollifier, rule: RadialRule) -> KernelRule:
 
 
 @lru_cache(maxsize=_RADIAL_CACHE_SIZE)
-def _shared_kernel_row(mollifier, level: int) -> KernelRule:
-    row = _kernel_rule(mollifier, radial_rule(mollifier, level))
-    _read_only(row.nodes, row.weights)
-    return row
+def _shared_kernel_row(mollifier, level: int, origin_power: float) -> KernelRule:
+    row = _kernel_rule(mollifier, radial_rule(mollifier, level, origin_power=origin_power))
+    return KernelRule(*_read_only(row.nodes, row.weights), row.r_max)

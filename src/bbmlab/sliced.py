@@ -101,8 +101,7 @@ def _line_values(field, o, s, c, t, store: list) -> np.ndarray:
     for i in range(d):
         np.multiply(t, s[:, i, None], out=pts[i])
         pts[i] += o[:, i, None]
-    view = pts.reshape(d, -1).T
-    view.flags.writeable = False
+    view, = quadrature._read_only(pts.reshape(d, -1).T)
     vals = store[0][d * size:(d + 1) * size].reshape(t.shape)
     vals.fill(0.0)
     np.copyto(vals, field.eval_many(view, _unmasked=True).reshape(t.shape),
@@ -257,8 +256,7 @@ def _resum_cut_panels(field, p, r, o, s, c, a, pw, S, P, j, l, t, jump, store) -
     q = _SLICED_NODES * (2 * h + 1)
     rules = [quadrature.gauss_jacobi(q, e * h * p, f * h * p) for e in (0, 1) for f in (0, 1)]
     pick = 2 * left + right
-    x = np.stack([x for x, _ in rules])
-    w = np.stack([w for _, w in rules])
+    x, w = (np.stack(v) for v in zip(*rules))
     # the pieces go in blocks of at most _SLICED_BLOCK points
     sums = np.empty(lo.size)
     rows = max(1, _SLICED_BLOCK // (2 * q))

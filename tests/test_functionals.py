@@ -842,6 +842,17 @@ def test_bv_energy_matches_quad(m, p, exact, rtol):
     assert F.energy(bv_two_jumps(), m, p) == pytest.approx(exact, rel=rtol, abs=0)
 
 
+def test_one_jump_power_law_energy_matches_quad():
+    # one jump leaves the lag row without a gap to split at, but the
+    # jump's window still gives G a share r^2 times a smooth function,
+    # r^(2-p) in the integrand at 0, which its own rule takes (a quad of
+    # the lag form as above; 3.5e-7 is the x-kink floor, where a first
+    # panel Gauss in the kernel's weight alone reads 7.4e-7)
+    u = fields.BVField1D(bv_two_jumps().smooth, [(0.1, 1.2)])
+    assert F.energy(u, mf.power_law(0.5, 1), 1.4) == pytest.approx(
+        13.939494265757427, rel=5e-7, abs=0)
+
+
 def test_1d_bump_p1_energy_matches_its_closed_form():
     # int |u(x+r) - u(x)| dx = 2 sqrt(pi) erf(r/2) for u = exp(-x^2); the
     # rest of the miss is the x-panel that holds the kink at x = -r/2
@@ -930,8 +941,7 @@ def test_density_of_a_probe_batch_is_one_array():
 
 # The power law's first radial panel is Gauss-Jacobi in its own weight
 # r^(delta+d-2), whose smallest 1D node lies near 1e-4 r_max at the
-# default level; the substitution r = s^(1/(delta+d-1)) it replaced put
-# nodes near 1e-15, where x + r rounds to x, and lost the mass there.
+# default level, far above the radii where x + r rounds to x.
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
 @pytest.mark.parametrize("delta", [0.1, 0.2, 0.3])
@@ -939,8 +949,7 @@ def test_1d_power_law_density_meets_the_linear_identity(delta, p):
     # |u(x + r) - u(x)| / r = 3 for u = 3x, so the density is 2 3^p at
     # unit mass.  What is left is the rounding of x + r at the nodes of
     # the first panel, raised to the p: 1.4e-12 at x = 5, delta = 0.1,
-    # p = 2.  The substitution missed by up to 3.1e-2, 6.2e-4 and 4.7e-9
-    # at p = 1 (delta = 0.1, 0.2, 0.3)
+    # p = 2
     m = mf.power_law(delta, 1)
     for x in (0.1, 0.7, 5.0):
         value = density(fields.linear_field([3.0]), m, p, [x])
@@ -952,14 +961,32 @@ def test_1d_power_law_residual_is_level_independent(delta):
     # a constant candidate is not the gradient, so the lag route's
     # integrand tends to |u' - 0.3|^p at r = 0; no node of the
     # breakpoint-free row lies below the remainder floor, so the floor
-    # drops nothing.  The substitution's rows read 8.647 / 8.621 / 8.623
-    # at delta = 0.1 (10.185 / 10.166 / 10.176 at delta = 0.3)
+    # drops nothing.  The x-rule leaves |u(x + r) - u(x) - 0.3 r| kinked
+    # inside its panels (the x-kink floor), which roughens G(r)/r by
+    # ~1e-6 relative at r ~ 0.06, so the levels agree to ~2e-7, not to
+    # rounding; a remainder floor would move them by 3e-3 or more
     m = mf.power_law(delta, 1)
     cand = fields.VectorField(1, lambda q: np.full((len(q), 1), 0.3))
     values = [F.sobolev_residual(fields.gaussian_bump(1), m, cand,
                                  QuadratureScheme(radial_level=level))
               for level in (4, 6, 9)]
-    assert max(values) == pytest.approx(min(values), rel=1e-7, abs=0)
+    assert max(values) == pytest.approx(min(values), rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("delta", [0.1, 0.3])
+def test_power_law_remainder_of_a_quadratic_meets_its_closed_form(d, delta):
+    # u = |x|^2 leaves the remainder |h|^2, so the density is
+    # |S^(d-1)| int rho r^(d-1) r^p dr, the moment mu(p): the integrand
+    # carries r^p at 0, and the remainder's first panel is Gauss in
+    # r^(delta+d-2+p), exact for it at every p
+    u = fields.AnalyticField(d, lambda q: np.einsum("ij,ij->i", q, q), lambda q: 2.0 * q,
+                             support_radius=6.0)
+    m = mf.power_law(delta, d)
+    for p in (1.0, 1.5, 2.5):
+        value = F.remainder_density(DensityRequest(u, m, p, np.full(d, 0.3)))
+        exact = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[d] * m.moment(p)
+        assert value == pytest.approx(exact, rel=1e-13, abs=0), p
 
 
 def test_bv_power_law_density_is_stable_in_the_last_bits():
@@ -1486,26 +1513,24 @@ def tilted_gaussian(d):
 # p = 2 energies by float.hex, (d, x_resolution, field) -> the gaussian,
 # indicator and power-law kernels of MULTIPLIER_KERNELS: the values of the
 # multiplier route before its row, shell index and 1D samples were shared.
-# The power-law values were taken again when its radial rows became
-# Gauss-Jacobi in the kernel's weight at 0: each now equals its level-9
-# value to 2e-16 in 2D and 3D (the substitution's were 4e-10 and 2e-8 off
-# it), and the 1D ones are 3e-14 off a 30-digit quad of the bump's
-# autocorrelation (the substitution's 6e-16)
+# The 2D/3D power-law values were taken again when its radial rows became
+# Gauss-Jacobi in the kernel's weight at 0; each equals its level-9 value
+# to 2e-16
 MULTIPLIER_PINS = {
-    (1, 8, "bump"): ('0x1.3a3ee6210f768p+1', '0x1.3d0984b402b7bp+1', '0x1.2f544e8ce71c7p+1'),
-    (1, 8, "tilted"): ('0x1.666e37d160acdp+1', '0x1.62634434ad7fap+1', '0x1.5d0eca9cbdfe3p+1'),
-    (1, 64, "bump"): ('0x1.3f9a021bef63cp+1', '0x1.3f300e69a5a79p+1', '0x1.373ea80a10cc0p+1'),
-    (1, 64, "tilted"): ('0x1.5dd5a40b4be8bp+1', '0x1.5d4a9fbec4246p+1', '0x1.530d4adae185cp+1'),
-    (1, 256, "bump"): ('0x1.3f9a021bef63cp+1', '0x1.3f300e69a5a79p+1', '0x1.373ea80a10cbfp+1'),
-    (1, 256, "tilted"): ('0x1.5dd5a40b4be8bp+1', '0x1.5d4a9fbec4246p+1', '0x1.530d4adae185dp+1'),
-    (2, 8, "bump"): ('0x1.33f85f062f9f4p+3', '0x1.3714ff0f9cae2p+3', '0x1.184330812b4c7p+3'),
-    (2, 8, "tilted"): ('0x1.44406ffe1ef63p+3', '0x1.41f92e15d45d1p+3', '0x1.268355d1d3d22p+3'),
-    (2, 64, "bump"): ('0x1.39fd1f1e60dfbp+3', '0x1.39608167b6199p+3', '0x1.1fadf3da8645dp+3'),
-    (2, 64, "tilted"): ('0x1.4074b435717abp+3', '0x1.3fc154cc405cep+3', '0x1.22b901a0d6efep+3'),
+    (1, 8, "bump"): ('0x1.3a3ee6210f768p+1', '0x1.3d0984b402b7bp+1', '0x1.2f544e8ce7262p+1'),
+    (1, 8, "tilted"): ('0x1.666e37d160acdp+1', '0x1.62634434ad7fap+1', '0x1.5d0eca9cbe098p+1'),
+    (1, 64, "bump"): ('0x1.3f9a021bef63cp+1', '0x1.3f300e69a5a79p+1', '0x1.373ea80a10d60p+1'),
+    (1, 64, "tilted"): ('0x1.5dd5a40b4be8bp+1', '0x1.5d4a9fbec4246p+1', '0x1.530d4adae190cp+1'),
+    (1, 256, "bump"): ('0x1.3f9a021bef63cp+1', '0x1.3f300e69a5a79p+1', '0x1.373ea80a10d60p+1'),
+    (1, 256, "tilted"): ('0x1.5dd5a40b4be8bp+1', '0x1.5d4a9fbec4246p+1', '0x1.530d4adae190cp+1'),
+    (2, 8, "bump"): ('0x1.33f85f062f9f4p+3', '0x1.3714ff0f9cae2p+3', '0x1.184330812b4c4p+3'),
+    (2, 8, "tilted"): ('0x1.44406ffe1ef63p+3', '0x1.41f92e15d45d1p+3', '0x1.268355d1d3d20p+3'),
+    (2, 64, "bump"): ('0x1.39fd1f1e60dfbp+3', '0x1.39608167b6199p+3', '0x1.1fadf3da8645bp+3'),
+    (2, 64, "tilted"): ('0x1.4074b435717abp+3', '0x1.3fc154cc405cep+3', '0x1.22b901a0d6efcp+3'),
     (3, 8, "bump"): ('0x1.8042275138834p+4', '0x1.8509c1891af75p+4', '0x1.52adcc904fcf3p+4'),
     (3, 8, "tilted"): ('0x1.8218be9b95608p+4', '0x1.8205ce48b9f37p+4', '0x1.5182aa03cd2f0p+4'),
     (3, 16, "bump"): ('0x1.88c32d9e2725dp+4', '0x1.8825bc0fe8c2cp+4', '0x1.5c6498a63d291p+4'),
-    (3, 16, "tilted"): ('0x1.8213d42bd16b4p+4', '0x1.8166efab134d3p+4', '0x1.5206fd17ab6fcp+4'),
+    (3, 16, "tilted"): ('0x1.8213d42bd16b4p+4', '0x1.8166efab134d3p+4', '0x1.5206fd17ab6fdp+4'),
 }
 
 
@@ -1557,8 +1582,7 @@ def test_shell_index_is_shared_and_read_only(d, n):
 def test_power_law_multiplier_energy_is_converged_at_level_2(d):
     # the multiplier integrand (|S| - S_d(kr)) / r^2 is smooth in r, so the
     # power law's rows, Gauss-Jacobi in the kernel's weight at 0, are
-    # exact to rounding from level 2; the substitution's differed by
-    # 1.3e-8 (2D) and -2.4e-7 (3D) between levels 2 and 9
+    # exact to rounding from level 2
     u, m = fields.gaussian_bump(d), mf.power_law(0.3, d)
     coarse, fine = (F.energy(u, m, 2.0, QuadratureScheme(radial_level=level))
                     for level in (2, 9))

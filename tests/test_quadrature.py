@@ -51,8 +51,7 @@ SLICED_PAIRS = [pair for p in (1.2, 1.5, 2.5) for pair in ((p, 0.0), (0.0, p), (
                          ids=["radial-8", "sliced-24"])
 def test_gauss_jacobi_integrates_its_moments(q, pairs, rtol):
     # exact for the weight times a polynomial of degree < 2q; at 24 nodes
-    # a degree-47 moment carries ~47 ulp of each node's rounding (scipy's
-    # roots_jacobi is 1.8e-14 off at 8 nodes)
+    # a degree-47 moment carries ~47 ulp of each node's rounding
     for left, right in pairs:
         x, w = Q.gauss_jacobi(q, left, right)
         assert np.all(np.diff(x) > 0) and np.all(w > 0) and abs(x).max() < 1.0
@@ -150,6 +149,19 @@ def test_powerlaw_level_0_rule_integrates_the_mass_exactly():
         rule = Q.radial_rule(m, 0)
         mass = float(np.dot(rule.weights, Q.radial_measure(m, rule)))
         assert mass == pytest.approx(1.0, abs=1e-14)
+
+
+def test_powerlaw_rows_integrate_the_mass_at_every_level():
+    # the first two base panels are one of 16 Gauss-Jacobi nodes, so the
+    # first Legendre panel lies two of its widths from the weight's
+    # singularity at 0, where 8 nodes leave ~1e-16 of its mass
+    for d in (1, 2, 3):
+        for delta in (0.01, 0.1, 0.3, 0.9):
+            m = mf.power_law(delta, d)
+            for level in range(Q.MAX_RADIAL_LEVEL + 1):
+                row = Q.kernel_radial_rule(m, level)
+                assert row.nodes.size == 8 * 2 ** level
+                assert row.weights.sum() == pytest.approx(1.0, abs=1e-14), (d, delta, level)
 
 
 def polar_sum(m, sphere, radial, F):
@@ -393,8 +405,8 @@ def test_shared_rule_arrays_refuse_writes(d):
 def test_no_breakpoint_free_row_has_a_node_below_the_remainder_floor():
     # the floor zeroes nodes below 1e-8 r_max, where a remainder's
     # quotient is rounding noise; a power law's first panel, Gauss in its
-    # own weight, keeps its nodes above it (1D delta = 0.1 at level 12:
-    # 3.9e-7 r_max), as the uniform rows of the other families do
+    # own weight, keeps its nodes above it (1D delta = 0.01 at level 12:
+    # 1.9e-8 r_max), as the uniform rows of the other families do
     for m in (mf.indicator(0.25, 1), mf.gaussian(64.0, 2), mf.power_law(0.01, 1),
               mf.power_law(0.1, 1), mf.power_law(0.3, 2), mf.power_law(0.3, 3)):
         for level in range(Q.MAX_RADIAL_LEVEL + 1):
@@ -404,17 +416,24 @@ def test_no_breakpoint_free_row_has_a_node_below_the_remainder_floor():
 
 def test_a_remainder_leaves_the_shared_row_unchanged():
     # remainder sums divide the shared row's weights by r^p and floor
-    # them in their own copy
+    # them in their own copy; a power-law remainder at p reads the row of
+    # origin power p, shared as well
     m = mf.power_law(0.3, 1)
-    row = Q.kernel_radial_rule(m)
-    nodes, weights = row.nodes.copy(), row.weights.copy()
+    rows = [Q.kernel_radial_rule(m), Q.kernel_radial_rule(m, origin_power=1.5)]
+    assert rows[1] is not rows[0] and Q.kernel_radial_rule(m, origin_power=0.0) is rows[0]
+    saved = [(row.nodes.copy(), row.weights.copy()) for row in rows]
     u = fields.gaussian_bump(1)
     req = F.DensityRequest(u, m, 1.5, [0.4])
     rem = F.remainder_density(req)
     res = F.sobolev_residual(u, m, fields.gradient_candidate(u))
     plain = F.pointwise_density(req)
-    assert Q.kernel_radial_rule(m) is row
-    assert np.array_equal(row.nodes, nodes) and np.array_equal(row.weights, weights)
+    assert Q.kernel_radial_rule(m) is rows[0]
+    assert Q.kernel_radial_rule(m, origin_power=1.5) is rows[1]
+    for row, (nodes, weights) in zip(rows, saved):
+        assert np.array_equal(row.nodes, nodes) and np.array_equal(row.weights, weights)
+    # any other kernel ignores the origin power and shares one row
+    g = mf.gaussian(64.0, 1)
+    assert Q.kernel_radial_rule(g, origin_power=1.5) is Q.kernel_radial_rule(g)
     # rebuilt from an empty cache, every value is the same to the last bit
     Q._shared_kernel_row.cache_clear()
     assert F.pointwise_density(req) == plain

@@ -162,9 +162,7 @@ def test_1d_power_law_lag_energies_meet_the_g1_oracle(delta, p, rtol):
     # in 1D the field is one line: G(r) = g1(r, p) on either side, and in
     # t = r^delta the kernel's measure is dt, so E = 2 int_0^1
     # g1(t^(1/delta), p) t^(-p/delta) dt.  1e-6 at p = 1.5 is the lag
-    # route's floor from x-panels that hold the kink of |u(x+r) - u(x)|;
-    # the substitution's lag rows were -1.4e-2 (p = 1.5) and -2.1e-3
-    # (p = 3) off at delta = 0.1
+    # route's floor from x-panels that hold the kink of |u(x+r) - u(x)|
     u, m = fields.gaussian_bump(1), mf.power_law(delta, 1)
     assert F.energy_route(u, p, m) == "lag"
     exact, _ = quad(lambda t: float(g1(t ** (1.0 / delta), p)) / t ** (p / delta),
@@ -177,8 +175,7 @@ def test_1d_power_law_lag_energies_meet_the_g1_oracle(delta, p, rtol):
 def test_the_power_law_meets_the_oracle_on_its_8_lags(delta, p):
     # the default lag row is one panel of 8 Gauss-Jacobi nodes in the
     # kernel's own weight r^delta, which makes its measure exact: ~1e-15
-    # off, where 128 lags of the r = s^(1/(delta+1)) substitution were
-    # 1.1e-11 to 6.9e-10 off; the estimate sees what is left
+    # off; the estimate sees what is left
     m = mf.power_law(delta, 2)
     check(*S._sliced_energy(fields.gaussian_bump(2), m, p, DEFAULT),
           oracle(2, np.eye(2), 1.0, p, m), 1e-12)
